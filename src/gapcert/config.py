@@ -236,7 +236,10 @@ def parse_config(data: Any) -> RunConfig:
     # building the subset exercises its own invariants (letter indices in
     # range, cyclic reducibility, ...) so bad values fail at load time
     config.subset_spec()
-    config.representation()
+    try:
+        config.representation()
+    except ValueError as exc:  # singular or too ill-conditioned to invert
+        raise ValidationError("generators", str(exc)) from exc
     return config
 
 

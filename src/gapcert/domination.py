@@ -15,16 +15,21 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import BudgetError, EmptySubsetError
-from .linalg import GAP_TOLERANCE, Representation, ScaledMatrix, gap_margin
+from .linalg import (
+    GAP_TOLERANCE,
+    Representation,
+    renormalized_stack,
+    stacked_gap_margins,
+)
 from .subsets import (
     Directed,
     GammaPSample,
     Primitive,
     SubsetPSpec,
+    code_letter,
     gamma_p_plus,
-    reduced_ball,
 )
-from .words import Letter, ReducedWord, concat, invert
+from .words import Letter, ReducedWord
 
 CERTIFIED = "Certified"
 REFUTED = "Refuted"
@@ -77,40 +82,35 @@ class DominationCertificate:
         return sorted(self.margins.items())
 
 
-def _cached_evaluator(rep: Representation):
-    """Word evaluation with prefix reuse; buckets share long prefixes."""
-    cache: dict[tuple, ScaledMatrix] = {(): ScaledMatrix.identity(rep.dim)}
-
-    def run(w: ReducedWord) -> ScaledMatrix:
-        key = w.letters
-        missing = []
-        while key not in cache:
-            missing.append(key)
-            key = key[:-1]
-        got = cache[key]
-        for k in reversed(missing):
-            got = got.times(rep.image(k[-1]))
-            cache[k] = got
-        return got
-
-    return run
-
-
 def _margin_table(
     rep: Representation, sample: GammaPSample, k: int
 ) -> dict[int, tuple[float, ReducedWord]]:
+    """Minimum margin per length, walking the sample's coded levels.
+
+    Each level's products are its parents' products times one letter image,
+    taken as one stacked matmul per letter and renormalized row by row, so
+    every product, and so every margin, has the bits of evaluate(rep, w).
+    Only the previous level's stack is kept.  np.argmin returns the first
+    minimum, which in sort_key order is the lexicographic tie-break.
+    """
     if not 1 <= k < rep.dim:
         raise ValueError(f"gap index must satisfy 1 <= k < {rep.dim}, got {k}")
-    run = _cached_evaluator(rep)
+    cores = np.eye(rep.dim)[None]
+    logscales = np.zeros(1)
     table: dict[int, tuple[float, ReducedWord]] = {}
-    for t in sorted(sample.buckets):
-        best: Optional[tuple[float, ReducedWord]] = None
-        for w in sorted(sample.buckets[t], key=ReducedWord.sort_key):
-            m = gap_margin(run(w), k)
-            if best is None or m < best[0]:
-                best = (m, w)
-        if best is not None:
-            table[t] = best
+    for t, (parents, letters) in enumerate(sample.levels, start=1):
+        if not len(letters):
+            break  # prefix-closed: every longer level is empty too
+        stacked = np.empty((len(letters), rep.dim, rep.dim))
+        for code in np.flatnonzero(np.bincount(letters)):
+            rows = np.flatnonzero(letters == code)
+            stacked[rows] = np.matmul(
+                cores[parents[rows]], rep.image(code_letter(int(code)))
+            )
+        cores, logscales = renormalized_stack(stacked, logscales[parents])
+        level = stacked_gap_margins(cores, logscales, k)
+        i = int(np.argmin(level))
+        table[t] = (float(level[i]), sample.word(t, i))
     if not table:
         raise EmptySubsetError("no positive words at any length up to the budget")
     return table
@@ -123,43 +123,6 @@ def margins(
     if budget < 2:
         raise BudgetError(f"margin tables need a budget >= 2, got {budget}")
     return _margin_table(rep, gamma_p_plus(spec, budget), k)
-
-
-def conj_extension_margins(
-    rep: Representation,
-    spec: SubsetPSpec,
-    k: int,
-    radius: int,
-    budget: int,
-) -> dict[int, tuple[float, ReducedWord]]:
-    """Margins over bounded conjugates beta w beta^-1, indexed by full length.
-
-    Checks robustness of certification: conjugation by beta costs at most
-    the log condition numbers of the beta images, so slopes must survive.
-    """
-    if radius < 0:
-        raise ValueError("conjugation radius must be >= 0")
-    if budget < 2:
-        raise BudgetError(f"margin tables need a budget >= 2, got {budget}")
-    sample = gamma_p_plus(spec, budget)
-    by_length: dict[int, set[ReducedWord]] = {}
-    for beta in reduced_ball(rep.rank, radius):
-        beta_inv = invert(beta)
-        for w in sample.words():
-            conj = concat(concat(beta, w), beta_inv)
-            by_length.setdefault(len(conj), set()).add(conj)
-    run = _cached_evaluator(rep)
-    table: dict[int, tuple[float, ReducedWord]] = {}
-    for t in sorted(by_length):
-        best = None
-        for w in sorted(by_length[t], key=ReducedWord.sort_key):
-            m = gap_margin(run(w), k)
-            if best is None or m < best[0]:
-                best = (m, w)
-        table[t] = best
-    if not table:
-        raise EmptySubsetError("no conjugated words to evaluate")
-    return table
 
 
 def _fit_slope(points: list[tuple[int, float]]) -> tuple[float, float, float]:

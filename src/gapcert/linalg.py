@@ -69,10 +69,54 @@ def _renormalized(core: np.ndarray, logscale: float) -> ScaledMatrix:
     # Frobenius norm as the cheap estimate of the operator norm
     estimate = float(np.linalg.norm(core))
     if not np.isfinite(estimate) or estimate == 0.0:
-        raise ValueError("matrix entries must be finite and not all zero")
+        # the squares overflowed or underflowed: bring the entries to unit
+        # size first (in-range cores never come here, so their bits stay)
+        scale = float(np.max(np.abs(core)))
+        if not np.isfinite(scale) or scale == 0.0:
+            raise ValueError("matrix entries must be finite and not all zero")
+        core = core / scale
+        logscale = logscale + math.log(scale)
+        estimate = float(np.linalg.norm(core))
     if _NORM_BAND[0] <= estimate <= _NORM_BAND[1]:
         return ScaledMatrix(core, logscale)
     return ScaledMatrix(core / estimate, logscale + math.log(estimate))
+
+
+def _row_norms(cores: np.ndarray) -> np.ndarray:
+    # one BLAS dot per row, as np.linalg.norm takes it for a single core;
+    # a batched norm or einsum sums in another order
+    flat = cores.reshape(len(cores), -1)
+    with np.errstate(over="ignore", under="ignore"):  # renormalized_stack rescales
+        squares = np.matmul(flat[:, None, :], flat[:, :, None])
+    return np.sqrt(squares).reshape(-1)
+
+
+def _log_each(values: np.ndarray) -> np.ndarray:
+    # math.log, as _renormalized uses; np.log differs in the last bit on
+    # some inputs
+    return np.fromiter(map(math.log, values.tolist()), float, len(values))
+
+
+def renormalized_stack(
+    cores: np.ndarray, logscales: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """_renormalized applied to each matrix of an (N, d, d) stack with its
+    log scale; the results are bitwise those of the one-matrix path."""
+    cores = cores.copy()
+    logscales = logscales.copy()
+    estimates = _row_norms(cores)
+    bad = np.flatnonzero(~np.isfinite(estimates) | (estimates == 0.0))
+    if len(bad):
+        scales = np.max(np.abs(cores[bad]), axis=(1, 2))
+        if not np.all(np.isfinite(scales) & (scales > 0.0)):
+            raise ValueError("matrix entries must be finite and not all zero")
+        cores[bad] = cores[bad] / scales[:, None, None]
+        logscales[bad] = logscales[bad] + _log_each(scales)
+        estimates[bad] = _row_norms(cores[bad])
+    out = np.flatnonzero((estimates < _NORM_BAND[0]) | (estimates > _NORM_BAND[1]))
+    cores[out] = cores[out] / estimates[out, None, None]
+    logscales[out] = logscales[out] + _log_each(estimates[out])
+    return cores, logscales
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,6 +190,19 @@ def gap_margin(m: ScaledMatrix, k: int) -> float:
     if not 1 <= k < len(logs):
         raise ValueError(f"gap index must satisfy 1 <= k < {len(logs)}, got {k}")
     return float(logs[k - 1] - logs[k])
+
+
+def stacked_gap_margins(
+    cores: np.ndarray, logscales: np.ndarray, k: int
+) -> np.ndarray:
+    """gap_margin of every matrix of an (N, d, d) stack, in one SVD call."""
+    if not 1 <= k < cores.shape[-1]:
+        raise ValueError(
+            f"gap index must satisfy 1 <= k < {cores.shape[-1]}, got {k}"
+        )
+    s = np.linalg.svd(cores, compute_uv=False)
+    logs = logscales[:, None] + np.log(np.clip(s, _TINY, None))
+    return logs[:, k - 1] - logs[:, k]
 
 
 @dataclass(frozen=True, eq=False)

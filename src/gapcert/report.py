@@ -31,7 +31,7 @@ from .limits import (
     xi_upper,
 )
 from .linalg import Representation, Subspace, grassmann_distance
-from .subsets import AxisFamily
+from .subsets import AxisFamily, hat
 from .words import parse_boundary_point, parse_word, periodic_point
 
 PASS = "Pass"
@@ -93,10 +93,19 @@ def run(config: RunConfig) -> Report:
             )
         return shared["value"]
 
+    def dual_certificate() -> DominationCertificate:
+        # the backward limit maps certify the flipped subset at index d-k
+        # with default options; one certificate serves every task
+        if "dual" not in shared:
+            shared["dual"] = certify(rep, hat(spec), rep.dim - config.k, config.budget)
+        return shared["dual"]
+
     for index, name in enumerate(config.tasks):
         started = time.perf_counter()
         try:
-            results[name] = _TASK_RUNNERS[name](config, rep, spec, index, certificate)
+            results[name] = _TASK_RUNNERS[name](
+                config, rep, spec, index, certificate, dual_certificate
+            )
         except GapcertError as exc:
             results[name] = {
                 "verdict": ERROR,
@@ -122,7 +131,7 @@ def exit_code(report: Report) -> int:
     return 0 if report.summary.get("overall") == PASS else 1
 
 
-def _run_certify(config, rep, spec, index, certificate) -> dict[str, Any]:
+def _run_certify(config, rep, spec, index, certificate, dual) -> dict[str, Any]:
     cert = certificate()
     return {
         "verdict": cert.verdict,
@@ -141,7 +150,7 @@ def _run_certify(config, rep, spec, index, certificate) -> dict[str, Any]:
     }
 
 
-def _run_limit_map(config, rep, spec, index, certificate) -> dict[str, Any]:
+def _run_limit_map(config, rep, spec, index, certificate, dual) -> dict[str, Any]:
     value = xi_upper(
         rep,
         spec,
@@ -163,7 +172,7 @@ def _run_limit_map(config, rep, spec, index, certificate) -> dict[str, Any]:
     }
 
 
-def _run_transversality(config, rep, spec, index, certificate) -> dict[str, Any]:
+def _run_transversality(config, rep, spec, index, certificate, dual) -> dict[str, Any]:
     table = transversality_table(
         rep,
         spec,
@@ -172,6 +181,7 @@ def _run_transversality(config, rep, spec, index, certificate) -> dict[str, Any]
         tol=config.tolerances["subspace"],
         n_max=config.sampling["limit_n_max"],
         certificate=certificate(),
+        dual_certificate=dual(),
         cert_budget=config.budget,
     )
     passed = table.minimum > config.tolerances["subspace"]
@@ -183,7 +193,7 @@ def _run_transversality(config, rep, spec, index, certificate) -> dict[str, Any]
     }
 
 
-def _run_sdp(config, rep, spec, index, certificate) -> dict[str, Any]:
+def _run_sdp(config, rep, spec, index, certificate, dual) -> dict[str, Any]:
     curve = sdp_check(
         rep,
         spec,
@@ -195,6 +205,7 @@ def _run_sdp(config, rep, spec, index, certificate) -> dict[str, Any]:
         n_points=config.sampling["sdp_points"],
         n_max=config.sampling["limit_n_max"],
         certificate=certificate(),
+        dual_certificate=dual(),
         cert_budget=config.budget,
     )
     return {
@@ -205,7 +216,7 @@ def _run_sdp(config, rep, spec, index, certificate) -> dict[str, Any]:
     }
 
 
-def _run_holder(config, rep, spec, index, certificate) -> dict[str, Any]:
+def _run_holder(config, rep, spec, index, certificate, dual) -> dict[str, Any]:
     seed = config.derived_seed(index)
     fit = holder_estimate(
         rep,
@@ -231,7 +242,7 @@ def _run_holder(config, rep, spec, index, certificate) -> dict[str, Any]:
     }
 
 
-def _run_splitting(config, rep, spec, index, certificate) -> dict[str, Any]:
+def _run_splitting(config, rep, spec, index, certificate, dual) -> dict[str, Any]:
     x = shift_point(spec, config.forward_point(), config.backward_point())
     sample = bg_splitting(
         rep,
@@ -243,7 +254,11 @@ def _run_splitting(config, rep, spec, index, certificate) -> dict[str, Any]:
         cert_budget=config.budget,
     )
     checks = splitting_checks(
-        rep, sample, certificate=certificate(), cert_budget=config.budget
+        rep,
+        sample,
+        certificate=certificate(),
+        dual_certificate=dual(),
+        cert_budget=config.budget,
     )
     return {
         "verdict": PASS if checks.passed else FAIL,
@@ -260,7 +275,7 @@ def _run_splitting(config, rep, spec, index, certificate) -> dict[str, Any]:
     }
 
 
-def _run_stability(config, rep, spec, index, certificate) -> dict[str, Any]:
+def _run_stability(config, rep, spec, index, certificate, dual) -> dict[str, Any]:
     seed = config.derived_seed(index)
     table = stability_probe(
         rep,

@@ -3,16 +3,21 @@ at a finite length budget, and primitivity testing.
 
 A subset description picks out pairs of distinct boundary points; the words
 enumerated for it are the forward vertices of bi-infinite geodesics through
-the identity whose endpoint pair belongs to the described set.  Every
-enumerated word carries a witness endpoint pair so membership can be
-re-checked independently.
+the identity whose endpoint pair belongs to the described set.  They are
+held as integer-coded levels, one per length, and decoded to words only on
+demand.  Every enumerated word has a witness endpoint pair, built when
+asked for, so membership can be re-checked independently.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Union
+
+import numpy as np
 
 from .errors import BudgetError, EmptyWordError
 from .words import (
@@ -185,32 +190,130 @@ def hat(spec: SubsetPSpec) -> SubsetPSpec:
 # positive word enumeration
 
 
-@dataclass
-class GammaPSample:
-    """Words of the positive set, bucketed by length, with endpoint witnesses.
+def letter_code(letter: Letter) -> int:
+    """Position of a letter in letters_of_rank order: a=0, A=1, b=2, B=3, ...
 
-    buckets[t] holds the enumerated words of length exactly t for t = 1..budget;
-    witnesses[w] = (backward, forward) is an endpoint pair in the subset whose
-    connecting geodesic passes through the identity with w on its forward ray.
-    complete records whether every bucket provably exhausts the positive set
-    at that length.
+    Codes sort like Letter.sort_key, and a letter's inverse has code ^ 1.
+    """
+    return 2 * (letter.index - 1) + (letter.sign == -1)
+
+
+def code_letter(code: int) -> Letter:
+    """The letter with the given letter_code."""
+    return Letter(code // 2 + 1, -1 if code % 2 else 1)
+
+
+Level = tuple[np.ndarray, np.ndarray]
+
+
+@dataclass(eq=False)
+class GammaPSample:
+    """Words of the positive set as integer-coded levels, with lazy witnesses.
+
+    levels[t - 1] = (parents, letters) holds the words of length t for
+    t = 1..budget in ReducedWord.sort_key order: word i of length t is word
+    parents[i] of length t - 1 followed by the letter coded letters[i]
+    (letter_code).  Length 0 is the empty word alone, so level 1 has every
+    parent 0.  The set is prefix-closed, which is what makes the parent
+    index exist; sorting by (parent, letter) keeps each level in order.
+    complete records whether every level provably exhausts the positive set
+    at that length.  `axes` are the axis words whose rays spell the set,
+    for the axis-type subsets.
     """
 
+    spec: SubsetPSpec
     budget: int
-    buckets: dict[int, frozenset[ReducedWord]]
+    levels: tuple[Level, ...]
     complete: bool
-    witnesses: dict[ReducedWord, tuple[BoundaryPoint, BoundaryPoint]]
+    axes: tuple[ReducedWord, ...] = ()
+
+    @cached_property
+    def buckets(self) -> dict[int, _Bucket]:
+        """buckets[t]: the words of length t as a lazily decoded set."""
+        return {t: _Bucket(self, t) for t in range(1, self.budget + 1)}
 
     def words(self) -> Iterator[ReducedWord]:
-        for t in sorted(self.buckets):
-            yield from sorted(self.buckets[t], key=ReducedWord.sort_key)
+        for t in range(1, self.budget + 1):
+            yield from self.level_words(t)
+
+    def level_words(self, t: int) -> list[ReducedWord]:
+        """Every word of length t, decoded, in sort_key order."""
+        return self._decode(t, np.arange(len(self.levels[t - 1][1])))
+
+    def word(self, t: int, i: int) -> ReducedWord:
+        """Word i of length t."""
+        return self._decode(t, np.array([i]))[0]
+
+    def _decode(self, t: int, rows: np.ndarray) -> list[ReducedWord]:
+        codes = np.empty((len(rows), t), dtype=np.intp)
+        for s in range(t, 0, -1):
+            parents, letters = self.levels[s - 1]
+            codes[:, s - 1] = letters[rows]
+            rows = parents[rows]
+        alphabet = letters_of_rank(self.spec.rank)
+        return [
+            ReducedWord(tuple(alphabet[c] for c in row)) for row in codes.tolist()
+        ]
+
+    def index(self, w: ReducedWord) -> Optional[int]:
+        """Position of w within its length's level, or None if absent."""
+        if w.is_empty() or len(w) > self.budget or w.max_index() > self.spec.rank:
+            return None
+        i = 0
+        for (parents, letters), letter in zip(self.levels, w.letters):
+            lo = int(np.searchsorted(parents, i, "left"))
+            hi = int(np.searchsorted(parents, i, "right"))
+            code = letter_code(letter)
+            i = lo + int(np.searchsorted(letters[lo:hi], code))
+            if i == hi or letters[i] != code:
+                return None
+        return i
+
+    def witness(self, w: ReducedWord) -> tuple[BoundaryPoint, BoundaryPoint]:
+        """An endpoint pair (backward, forward) in the subset whose connecting
+        geodesic passes through the identity with w on its forward ray."""
+        if self.index(w) is None:
+            raise KeyError(w)
+        spec = self.spec
+        if isinstance(spec, FullBoundary):
+            return _full_witness(w, spec.rank)
+        if isinstance(spec, Directed):
+            return _directed_witness(w, sorted(spec.steps, key=Letter.sort_key))
+        for axis in self.axes:
+            for i in range(len(axis)):
+                v = rotate(axis, i)
+                fwd = periodic_point(v)
+                if fwd.prefix(len(w)) == w:
+                    return periodic_point(v.inverse()), fwd
+        raise AssertionError(f"no axis ray spells {w}")
 
     def truncate(self, budget: int) -> "GammaPSample":
         if not 1 <= budget <= self.budget:
             raise BudgetError(f"budget {budget} outside 1..{self.budget}")
-        kept = {t: ws for t, ws in self.buckets.items() if t <= budget}
-        wit = {w: self.witnesses[w] for ws in kept.values() for w in ws}
-        return GammaPSample(budget, kept, self.complete, wit)
+        return GammaPSample(
+            self.spec, budget, self.levels[:budget], self.complete, self.axes
+        )
+
+
+class _Bucket(AbstractSet):
+    """The words of one length of a sample, decoded only when iterated."""
+
+    def __init__(self, sample: GammaPSample, t: int):
+        self._sample = sample
+        self._t = t
+
+    def __len__(self) -> int:
+        return len(self._sample.levels[self._t - 1][1])
+
+    def __iter__(self) -> Iterator[ReducedWord]:
+        return iter(self._sample.level_words(self._t))
+
+    def __contains__(self, w: object) -> bool:
+        return (
+            isinstance(w, ReducedWord)
+            and len(w) == self._t
+            and self._sample.index(w) is not None
+        )
 
 
 def _forward_extension(w: ReducedWord, choices: list[Letter]) -> Letter:
@@ -252,21 +355,41 @@ def _sphere_words(
         yield t, sphere
 
 
-def _axis_words(
-    words: tuple[ReducedWord, ...], budget: int
-) -> tuple[dict[int, set[ReducedWord]], dict]:
-    buckets: dict[int, set[ReducedWord]] = {t: set() for t in range(1, budget + 1)}
-    witnesses: dict = {}
-    for w in words:
-        for i in range(len(w)):
-            v = rotate(w, i)
-            fwd = periodic_point(v)
-            back = periodic_point(v.inverse())
-            for t in range(1, budget + 1):
-                u = fwd.prefix(t)
-                buckets[t].add(u)
-                witnesses.setdefault(u, (back, fwd))
-    return buckets, witnesses
+def _free_levels(codes: list[int], budget: int) -> tuple[Level, ...]:
+    """Levels of every reduced word spelled with the given letter codes."""
+    step = np.array(sorted(codes), dtype=np.intp)
+    parents = np.zeros(len(step), dtype=np.intp)
+    letters = step
+    levels = [(parents, letters)]
+    for _ in range(1, budget):
+        parents = np.repeat(np.arange(len(letters)), len(step))
+        extended = np.tile(step, len(letters))
+        keep = extended != (letters[parents] ^ 1)
+        parents, letters = parents[keep], extended[keep]
+        levels.append((parents, letters))
+    return tuple(levels)
+
+
+def _axis_levels(axes: tuple[ReducedWord, ...], budget: int) -> tuple[Level, ...]:
+    """Levels of the prefixes of the rays w^inf over all rotations w of the
+    axis words: the forward vertices of the axes through the identity."""
+    rays = {
+        tuple(letter_code(x.letter_at(j)) for j in range(budget))
+        for w in axes
+        for x in (periodic_point(rotate(w, i)) for i in range(len(w)))
+    }
+    index: dict[tuple[int, ...], int] = {(): 0}
+    levels = []
+    for t in range(1, budget + 1):
+        coded = sorted({ray[:t] for ray in rays})
+        levels.append(
+            (
+                np.array([index[c[:-1]] for c in coded], dtype=np.intp),
+                np.array([c[-1] for c in coded], dtype=np.intp),
+            )
+        )
+        index = {c: i for i, c in enumerate(coded)}
+    return tuple(levels)
 
 
 def gamma_p_plus(spec: SubsetPSpec, budget: int) -> GammaPSample:
@@ -275,40 +398,23 @@ def gamma_p_plus(spec: SubsetPSpec, budget: int) -> GammaPSample:
         raise BudgetError(f"length budget must be >= 1, got {budget}")
 
     if isinstance(spec, FullBoundary):
-        buckets, witnesses = {}, {}
-        for t, sphere in _sphere_words(letters_of_rank(spec.rank), budget):
-            buckets[t] = frozenset(sphere)
-            for w in sphere:
-                witnesses[w] = _full_witness(w, spec.rank)
-        return GammaPSample(budget, buckets, True, witnesses)
+        levels = _free_levels(list(range(2 * spec.rank)), budget)
+        return GammaPSample(spec, budget, levels, True)
 
     if isinstance(spec, Directed):
-        steps = sorted(spec.steps, key=Letter.sort_key)
-        buckets, witnesses = {}, {}
-        for t, sphere in _sphere_words(steps, budget):
-            kept = []
-            for w in sphere:
-                # forward: some step continues w; backward: some inverted
-                # step precedes w's first letter without cancelling
-                if any(s != w.letters[-1].inverse() for s in steps) and any(
-                    s != w.letters[0].inverse() for s in steps
-                ):
-                    kept.append(w)
-            buckets[t] = frozenset(kept)
-            for w in kept:
-                witnesses[w] = _directed_witness(w, steps)
-        return GammaPSample(budget, buckets, True, witnesses)
+        # every reduced word over the steps lies on a directed line: a step
+        # other than the last letter's inverse continues it, and a step
+        # other than the first letter's inverse leads into it
+        levels = _free_levels([letter_code(s) for s in spec.steps], budget)
+        return GammaPSample(spec, budget, levels, True)
 
     if isinstance(spec, AxisFamily):
-        raw, witnesses = _axis_words(spec.words, budget)
-        buckets = {t: frozenset(ws) for t, ws in raw.items()}
-        return GammaPSample(budget, buckets, True, witnesses)
+        levels = _axis_levels(spec.words, budget)
+        return GammaPSample(spec, budget, levels, True, spec.words)
 
     if isinstance(spec, Primitive):
-        reps = enumerate_primitive_classes(spec.rank, spec.max_period)
-        raw, witnesses = _axis_words(tuple(reps), budget)
-        buckets = {t: frozenset(ws) for t, ws in raw.items()}
-        return GammaPSample(budget, buckets, False, witnesses)
+        reps = tuple(enumerate_primitive_classes(spec.rank, spec.max_period))
+        return GammaPSample(spec, budget, _axis_levels(reps, budget), False, reps)
 
     raise TypeError(f"unknown subset description {spec!r}")
 

@@ -287,6 +287,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_singular_generator_is_a_config_error(tmp_path, capsys):
+    singular = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]
+    ill = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.000000000001]]
+    for matrix in (singular, ill):
+        path = write_config(tmp_path, z_config(generators=[matrix]))
+        with pytest.raises(ValidationError) as caught:
+            load_config(path)
+        assert caught.value.field == "generators"
+        assert main(["certify", "--config", path, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: generators:")
+        assert "Traceback" not in err
+
+
 def test_cli_stdout_summary_and_quiet(tmp_path, capsys):
     z_path = write_config(tmp_path, z_config())
     assert main(["certify", "--config", z_path]) == 0

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from gapcert.domination import (
@@ -12,7 +14,6 @@ from gapcert.domination import (
     REFUTED,
     CertifyOptions,
     certify,
-    conj_extension_margins,
     directed_anosov_certify,
     margins,
     primitive_stable_certify,
@@ -20,7 +21,14 @@ from gapcert.domination import (
 )
 from gapcert.errors import BudgetError, EmptySubsetError
 from gapcert.linalg import Representation, evaluate, gap_margin
-from gapcert.subsets import AxisFamily, Directed, FullBoundary, Primitive, hat
+from gapcert.subsets import (
+    AxisFamily,
+    Directed,
+    FullBoundary,
+    Primitive,
+    gamma_p_plus,
+    hat,
+)
 from gapcert.words import Letter, parse_word
 
 LOG8 = math.log(8.0)
@@ -35,6 +43,10 @@ def z_rep():
 
 def z_axis():
     return AxisFamily(1, (parse_word("a"),))
+
+
+def z_axis_f2():
+    return AxisFamily(2, (parse_word("a"),))
 
 
 def example_56_rep():
@@ -176,38 +188,78 @@ def test_primitive_stable_rank_one_rejected():
 
 
 # ---------------------------------------------------------------------------
+# the level engine against a per-word reference
+
+
+@st.composite
+def engine_cases(draw):
+    """A representation and a subset of each of the four kinds, d in {2, 3}.
+
+    Integer generators make exact ties between words common, which is what
+    exercises the argmin tie-break.
+    """
+    dim = draw(st.sampled_from((2, 3)))
+    kind = draw(st.sampled_from(("full", "directed", "axis", "primitive")))
+    rank = 2 if kind == "primitive" else draw(st.integers(1, 2))
+    if kind == "full":
+        spec = FullBoundary(rank)
+    elif kind == "directed":
+        steps = draw(st.sets(helpers.letters(rank), min_size=1))
+        spec = Directed(rank, frozenset(steps), allow_inverse_pairs=True)
+    elif kind == "axis":
+        axis = helpers.cyclically_reduced_words(rank, 1, 4)
+        words = draw(st.lists(axis, min_size=1, max_size=3))
+        spec = AxisFamily(rank, tuple(words))
+    else:
+        spec = Primitive(2, draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        gens = [rng.integers(-2, 3, size=(dim, dim)).astype(float) for _ in range(rank)]
+        assume(all(abs(np.linalg.det(g)) > 0.5 for g in gens))
+    else:
+        gens = [helpers.random_invertible(rng, dim) for _ in range(rank)]
+    return Representation.of(gens), spec, draw(st.integers(2, 6))
+
+
+def per_word_margins(rep, sample, k):
+    """Reference: one evaluate and one SVD per word, first strict minimum."""
+    table = {}
+    for w in sample.words():
+        m = gap_margin(evaluate(rep, w), k)
+        if len(w) not in table or m < table[len(w)][0]:
+            table[len(w)] = (m, w)
+    return table
+
+
+@given(engine_cases())
+@settings(max_examples=60, deadline=None)
+def test_level_engine_matches_per_word_reference(case):
+    rep, spec, budget = case
+    sample = gamma_p_plus(spec, budget)
+    for k in range(1, rep.dim):
+        assert margins(rep, spec, k, budget) == per_word_margins(rep, sample, k)
+
+
+def test_huge_generator_scale_leaves_margins():
+    for rep in (schottky_rep(), example_56_rep()):
+        huge = Representation.of([1e200 * rep.image(A_LETTER), rep.image(B_LETTER)])
+        for spec in (FullBoundary(2), Directed(2, frozenset({A_LETTER, B_LETTER}))):
+            base = margins(rep, spec, 1, 6)
+            scaled = margins(huge, spec, 1, 6)
+            for t in base:
+                assert abs(scaled[t][0] - base[t][0]) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
 # bounded conjugation
 
 
-def test_conj_radius_zero_identical():
-    table = margins(example_56_rep(), z_axis_f2(), 1, 8)
-    conj = conj_extension_margins(example_56_rep(), z_axis_f2(), 1, 0, 8)
-    assert table == conj
-
-
-def z_axis_f2():
-    return AxisFamily(2, (parse_word("a"),))
-
-
-def test_conj_z_in_f2_slope_preserved():
+def test_wrapping_by_a_commuting_letter_keeps_the_margin():
     rep = Representation.of([np.diag([4.0, 0.5, 0.5]), np.eye(3)])
-    conj = conj_extension_margins(rep, z_axis_f2(), 1, 1, 10)
-    # identity conjugators cost nothing: min at length t comes from the
-    # two-letter-shorter conjugated power
-    for t in range(3, 11):
-        assert conj[t][0] == pytest.approx((t - 2) * LOG8, abs=1e-9)
-    assert conj[1][0] == pytest.approx(LOG8, abs=1e-9)
     for n in range(1, 6):
         plain = gap_margin(evaluate(rep, parse_word("a" * n)), 1)
         wrapped = gap_margin(evaluate(rep, parse_word("b" + "a" * n + "B")), 1)
         assert wrapped == pytest.approx(plain, abs=1e-12)
-
-
-def test_conj_rotation_costs_nothing():
-    rep = example_56_rep()
-    conj = conj_extension_margins(rep, z_axis_f2(), 1, 1, 10)
-    for t in range(3, 11):
-        assert conj[t][0] == pytest.approx((t - 2) * math.log(4.0), abs=1e-9)
 
 
 def test_conj_margin_drop_bounded(rng):

@@ -15,8 +15,10 @@ from gapcert.linalg import (
     evaluate,
     gap_margin,
     grassmann_distance,
+    _renormalized,
     log_conorm,
     log_norm,
+    renormalized_stack,
     s_dk,
     singular_values,
     transversality_gap,
@@ -67,6 +69,34 @@ def test_core_norm_stays_in_band(rng):
         m = m.times(rep.image(letter))
         estimate = np.linalg.norm(m.core)
         assert 0.5 <= estimate <= 2.0 or estimate == pytest.approx(1.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_renormalized_stack_matches_single_path(rng):
+    # enough rows that np.log and math.log disagree on some estimate
+    n = 50_000
+    cores = rng.normal(size=(n, 3, 3)) * np.exp(rng.uniform(-4, 4, (n, 1, 1)))
+    cores[:5] *= 1e200  # the squares overflow
+    cores[5:10] *= 1e-200  # the squares underflow to zero
+    logscales = rng.normal(size=n) * 50.0
+    got_cores, got_logscales = renormalized_stack(cores, logscales)
+    singles = [_renormalized(c, float(l)) for c, l in zip(cores, logscales)]
+    assert np.array_equal(np.array([one.core for one in singles]), got_cores)
+    assert np.array_equal(np.array([one.logscale for one in singles]), got_logscales)
+    with pytest.raises(ValueError):
+        renormalized_stack(np.zeros((2, 3, 3)), np.zeros(2))
+    with pytest.raises(ValueError):
+        _renormalized(np.full((3, 3), np.inf), 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_extreme_entries_keep_their_scale(rng):
+    g = helpers.random_invertible(rng, 3)
+    base = singular_values(scaled(g))
+    for factor in (1e200, 1e-200):
+        m = scaled(factor * g)
+        assert 0.5 <= np.linalg.norm(m.core) <= 2.0
+        assert singular_values(m) - math.log(factor) == pytest.approx(base, abs=1e-9)
 
 
 def test_evaluate_matches_naive_product(rng):

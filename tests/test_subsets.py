@@ -6,6 +6,7 @@ integer pairs (p, q), p + q = n, p, q >= 1, taken with all four sign
 choices, so there are exactly 4*phi(n) classes and 4*n*phi(n) words.
 """
 
+import itertools
 import math
 
 import pytest
@@ -99,6 +100,26 @@ def test_directed_example():
     assert sample.complete
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_directed_levels_are_whole_spheres_over_the_steps(rank):
+    alphabet = letters_of_rank(rank)
+    for mask in range(1, 1 << len(alphabet)):
+        steps = [l for j, l in enumerate(alphabet) if mask >> j & 1]
+        sample = gamma_p_plus(Directed(rank, frozenset(steps), True), 4)
+        for t in range(1, 5):
+            sphere = [
+                ReducedWord(letters)
+                for letters in itertools.product(steps, repeat=t)
+                if all(u != v.inverse() for u, v in zip(letters, letters[1:]))
+            ]
+            assert sample.level_words(t) == sorted(sphere, key=ReducedWord.sort_key)
+        outside = [l for l in alphabet if l not in steps]
+        if outside:
+            assert outside[0] not in sample.buckets[1]
+            with pytest.raises(KeyError):
+                sample.witness(ReducedWord((outside[0],)))
+
+
 def test_axis_example_matches_brute_force():
     spec = AxisFamily(2, (parse_word("a"),))
     sample = gamma_p_plus(spec, 3)
@@ -151,7 +172,7 @@ def test_enumeration_properties(spec):
     for t, bucket in sample.buckets.items():
         for w in bucket:
             assert len(w) == t
-            assert check_witness(w, sample.witnesses[w])
+            assert check_witness(w, sample.witness(w))
     # monotonicity: truncation equals smaller-budget enumeration
     smaller = gamma_p_plus(spec, 3)
     assert sample.truncate(3).buckets == smaller.buckets

@@ -413,6 +413,12 @@ def _validate_points(raw: Any, dim: int) -> dict[str, Any]:
                 f"expected spanning vectors as rows of length {dim}, "
                 f"got shape {rows.shape}",
             )
+        try:
+            Subspace.from_spanning(rows.T)
+        except GapcertError as exc:
+            raise ValidationError(
+                "points.seed_plane", f"rows must be linearly independent: {exc}"
+            ) from exc
         out["seed_plane"] = [list(map(float, row)) for row in rows]
     return out
 

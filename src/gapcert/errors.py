@@ -63,6 +63,20 @@ class SingularBlockError(GapcertError):
     """The denominator block of the graph transform is not invertible."""
 
 
+class NumericalError(GapcertError):
+    """A floating-point computation left the range where its result means
+    anything; a run records it as an Error verdict."""
+
+
+class DependentColumnsError(NumericalError, ValueError):
+    """Spanning columns are numerically dependent, so they span no plane of
+    the requested dimension."""
+
+
+class ScaleOverflowError(NumericalError, OverflowError):
+    """A scale-tracked product is too large or too small to materialize."""
+
+
 class HypothesesFailError(GapcertError):
     """The norm hypotheses of the graph transform are violated."""
 

@@ -35,7 +35,6 @@ from .limits import (
     BOUND_SLACK,
     DEFAULT_CERT_BUDGET,
     DEFAULT_TOL,
-    _letter_norm_bound,
     _require_certified,
     pair_in_subset,
     xi_lower,
@@ -116,16 +115,6 @@ def shift(x: ShiftPoint, n: int = 1) -> ShiftPoint:
     return ShiftPoint(x.spec, x.line.reparametrize(n))
 
 
-def same_orbit_point(x: ShiftPoint, y: ShiftPoint) -> bool:
-    """Whether two shift points are equal after re-basing at their markers."""
-    if x.spec != y.spec:
-        return False
-    gx, gy = invert(x.line.vertex(0)), invert(y.line.vertex(0))
-    return translate(gx, x.line.forward) == translate(
-        gy, y.line.forward
-    ) and translate(gx, x.line.backward) == translate(gy, y.line.backward)
-
-
 # ---------------------------------------------------------------------------
 # cocycle
 
@@ -137,6 +126,31 @@ def cocycle(rep: Representation, x: ShiftPoint, n: int) -> ScaledMatrix:
     over the n-shifted point composed with the time-n map.
     """
     return evaluate(rep, invert(x.forward_word(n)))
+
+
+def _forward_maps(rep: Representation, x: ShiftPoint, count: int):
+    """cocycle(rep, x, n) for n = 1, ..., count, as one running product.
+
+    The time-n map is the inverse image of the n-th step letter times the
+    time-(n-1) map, so each map extends the last on the left; its rounding
+    differs from cocycle(), which multiplies the inverted word from the
+    left end.
+    """
+    current = ScaledMatrix.identity(rep.dim)
+    for t in range(count):
+        step = ScaledMatrix(rep.image(x.line.step_letter(t).inverse()))
+        current = step.compose(current)
+        yield current
+
+
+def _backward_maps(rep: Representation, x: ShiftPoint, count: int):
+    """cocycle(rep, shift(x, -n), n) for n = 1, ..., count, as one running
+    product.  Each map extends the last on the right, as cocycle() builds
+    it, so the bits are cocycle()'s."""
+    current = ScaledMatrix.identity(rep.dim)
+    for n in range(1, count + 1):
+        current = current.times(rep.image(x.line.step_letter(-n).inverse()))
+        yield current
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,9 +188,7 @@ def anosov_margins(
                 f"({x.line.forward}, {x.line.backward}) is not an endpoint "
                 "pair of the subset"
             )
-        margins = [
-            gap_margin(cocycle(rep, x, n), index) for n in range(1, n_steps + 1)
-        ]
+        margins = [gap_margin(m, index) for m in _forward_maps(rep, x, n_steps)]
         window_lo = max(1, math.ceil(n_steps / 2))
         slope, _, stderr = _fit_slope(
             [(n, margins[n - 1]) for n in range(window_lo, n_steps + 1)]
@@ -231,15 +243,14 @@ def _raw_splitting(
     """Iterate the singular subspaces of the time-n maps until both limits
     settle under the margin-seeded tail bound."""
     index = rep.dim - k
-    worst_pair = _letter_norm_bound(rep)
+    worst_pair = rep.letter_norm_bound
     tail_factor = 1.0 / (1.0 - math.exp(-rate))
     stable = unstable = None
     step_s = step_u = math.inf
     margins: list[tuple[int, float]] = []
     skipped: list[int] = []
-    for n in range(1, n_steps + 1):
-        forward_map = cocycle(rep, x, n)
-        backward_map = cocycle(rep, shift(x, -n), n)
+    maps = zip(_forward_maps(rep, x, n_steps), _backward_maps(rep, x, n_steps))
+    for n, (forward_map, backward_map) in enumerate(maps, start=1):
         try:
             stable_cand = s_dk(forward_map, index)
             unstable_cand = u_k(backward_map, index)
@@ -369,10 +380,16 @@ def splitting_checks(
     invariance_unstable = grassmann_distance(
         apply_to_subspace(one_step, sample.unstable), unstable_next
     )
+    lengths = set(sample.margin_lengths)
+    cores = {
+        n: m.core
+        for n, m in enumerate(_forward_maps(rep, x, max(lengths, default=0)), 1)
+        if n in lengths
+    }
     ratio_lengths = []
     ratio_values = []
     for n in sample.margin_lengths:
-        core = cocycle(rep, x, n).core
+        core = cores[n]
         stretched = np.linalg.svd(core @ sample.stable.frame, compute_uv=False)
         kept = np.linalg.svd(core @ sample.unstable.frame, compute_uv=False)
         ratio_lengths.append(n)

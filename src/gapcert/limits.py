@@ -21,6 +21,7 @@ import numpy as np
 
 from .domination import CERTIFIED, DominationCertificate, certify
 from .errors import (
+    GapcertError,
     InsufficientSampleError,
     MembershipError,
     NoConvergenceError,
@@ -33,10 +34,13 @@ from .linalg import (
     Representation,
     ScaledMatrix,
     Subspace,
-    apply_to_subspace,
     evaluate,
-    gap_margin,
     grassmann_distance,
+    renormalized_stack,
+    stacked_apply_to_subspace,
+    stacked_gap_margins,
+    stacked_grassmann_distance,
+    stacked_u_k,
     transversality_gap,
     u_k,
 )
@@ -49,6 +53,7 @@ from .subsets import (
     gamma_p_plus,
     hat,
     is_primitive,
+    letter_code,
     q_plus_boundary,
     word_in_positive_set,
 )
@@ -160,20 +165,6 @@ class LimitMapValue:
     skipped_prefixes: tuple[int, ...] = ()
 
 
-def _letter_norm_bound(rep: Representation) -> float:
-    """Worst product norm(image(l)) * norm(image(l^-1)) over the letters.
-
-    One-letter extensions change the attracting plane by at most this
-    factor times the singular ratio at the current length.
-    """
-    worst_pair = 0.0
-    for i in range(1, rep.rank + 1):
-        fwd = float(np.linalg.norm(rep.image(Letter(i, 1)), 2))
-        bwd = float(np.linalg.norm(rep.image(Letter(i, -1)), 2))
-        worst_pair = max(worst_pair, fwd * bwd)
-    return worst_pair
-
-
 def cauchy_constant(rep: Representation, certificate: DominationCertificate) -> float:
     """Prefactor of the certified successive-step bound C * exp(-rate * n).
 
@@ -184,7 +175,7 @@ def cauchy_constant(rep: Representation, certificate: DominationCertificate) -> 
     intercept = min(
         m - certificate.lambda_hat * t for t, m in certificate.margins.items()
     )
-    return _letter_norm_bound(rep) * math.exp(-intercept)
+    return rep.letter_norm_bound * math.exp(-intercept)
 
 
 def _require_certified(
@@ -206,6 +197,10 @@ def _require_certified(
             "limit planes need a Certified setup"
         )
     return certificate
+
+
+def _membership_error(x: BoundaryPoint) -> MembershipError:
+    return MembershipError(f"{x} is not a forward endpoint of the given subset")
 
 
 def xi_upper(
@@ -232,56 +227,164 @@ def xi_upper(
     recorded.
     """
     if not (assume_member or point_in_forward_set(spec, x)):
-        raise MembershipError(
-            f"{x} is not a forward endpoint of the given subset"
-        )
+        raise _membership_error(x)
     certificate = _require_certified(rep, spec, k, certificate, cert_budget)
-    rate = certificate.lambda_hat
-    worst_pair = _letter_norm_bound(rep)
-    tail_factor = 1.0 / (1.0 - math.exp(-rate))
+    (outcome,) = _limit_walk(rep, k, [x], certificate.lambda_hat, tol, n_max)
+    if isinstance(outcome, GapcertError):
+        raise outcome
+    return outcome
 
-    current = ScaledMatrix.identity(rep.dim)
-    plane: Optional[Subspace] = None
-    step = math.inf
-    bound = math.inf
-    margin_prev = -math.inf
-    skipped: list[int] = []
+
+# Prefix positions whose letter codes are looked up at a time.
+_LETTER_CHUNK = 32
+
+
+def _spelled(
+    points: Sequence[BoundaryPoint],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Letter codes of each point's preperiod then period, padded into one
+    array, with the preperiod and period lengths as columns."""
+    pre = np.array([len(x.preperiod) for x in points])[:, None]
+    per = np.array([len(x.period) for x in points])[:, None]
+    spelled = np.zeros((len(points), int((pre + per).max())), dtype=np.intp)
+    for row, x in enumerate(points):
+        letters = x.preperiod.letters + x.period.letters
+        spelled[row, : len(letters)] = [letter_code(l) for l in letters]
+    return spelled, pre, per
+
+
+def _letter_codes(
+    spelled: np.ndarray, pre: np.ndarray, per: np.ndarray, start: int
+) -> np.ndarray:
+    """Letter codes at positions start, ..., start + _LETTER_CHUNK - 1."""
+    at = np.arange(start, start + _LETTER_CHUNK)
+    at = np.where(at < pre, at, pre + (at - pre) % per)
+    return np.take_along_axis(spelled, at, axis=1)
+
+
+def _limit_walk(
+    rep: Representation,
+    k: int,
+    points: Sequence[BoundaryPoint],
+    rate: float,
+    tol: float,
+    n_max: int,
+) -> list[LimitMapValue | GapcertError]:
+    """xi_upper's prefix walk, at every point in lockstep.
+
+    Each prefix length takes one stacked matmul, one row-wise
+    renormalization and three stacked SVDs (frames, margins, steps) over
+    the points still walking, so each point's products, frames, margins
+    and steps have the bits of the one-point loop.  Returns per point its
+    LimitMapValue, or the NoGapError / NoConvergenceError it ends in;
+    callers raise a point's error when they read that point.
+    """
+    if not 1 <= k < rep.dim:
+        raise ValueError(f"gap index must satisfy 1 <= k < {rep.dim}, got {k}")
+    if not points:
+        return []
+    worst_pair = rep.letter_norm_bound
+    tail_factor = 1.0 / (1.0 - math.exp(-rate))
+    allowance = BOUND_SLACK * tol
+    images = rep.stacked_images
+    outcomes: list[LimitMapValue | GapcertError] = [None] * len(points)
+    skipped: list[list[int]] = [[] for _ in points]
+    # state of the rows still walking; bases hold the full left singular
+    # matrices of the current planes, whose first k columns are the frames
+    spelled, pre, per = _spelled(points)
+    rows = np.arange(len(points))
+    cores = np.repeat(np.eye(rep.dim)[None], len(points), axis=0)
+    logscales = np.zeros(len(points))
+    bases = np.empty_like(cores)
+    has_plane = np.zeros(len(points), dtype=bool)
+    all_planes = False
+    steps = np.full(len(points), math.inf)
+    margins_prev = np.full(len(points), -math.inf)
+    last_margins = np.full(len(points), math.nan)
     for n in range(1, n_max + 1):
-        current = current.times(rep.image(x.letter_at(n - 1)))
-        try:
-            candidate = u_k(current, k)
-        except NoGapError:
-            skipped.append(n)
-            margin_prev = -math.inf
-            continue
-        margin = gap_margin(current, k)
-        if plane is not None:
-            step = grassmann_distance(plane, candidate)
-        plane = candidate
-        rising = margin > margin_prev
-        margin_prev = margin
-        bound = worst_pair * math.exp(-margin) * tail_factor
-        if step <= tol and rising and bound <= BOUND_SLACK * tol:
-            return LimitMapValue(
-                point=x,
-                subspace=plane,
-                iterations=n,
-                last_step=step,
-                cauchy_bound=worst_pair * math.exp(-margin),
-                skipped_prefixes=tuple(skipped),
-            )
-    if plane is None:
-        offending = str(x.prefix(skipped[0])) if skipped else "(empty)"
-        raise NoGapError(
-            f"no prefix of {x} up to length {n_max} has a singular gap of "
-            f"index {k}; first offending prefix '{offending}'"
+        if not len(rows):
+            break
+        column = (n - 1) % _LETTER_CHUNK
+        if column == 0:
+            letters = _letter_codes(spelled[rows], pre[rows], per[rows], n - 1)
+        cores, logscales = renormalized_stack(
+            np.matmul(cores, images[letters[:, column]]), logscales
         )
-    raise NoConvergenceError(
-        f"no certified convergence for {x} within {n_max} prefixes: "
-        f"last step {step:.3e} against tolerance {tol:.1e}, ray-margin tail "
-        f"bound {bound:.3e} against allowance {BOUND_SLACK * tol:.1e}, "
-        f"{len(skipped)} gapless prefixes skipped"
-    )
+        left, gapless = stacked_u_k(cores, k)
+        some_gapless = np.count_nonzero(gapless) > 0
+        if some_gapless:
+            # a gapless prefix keeps its row's plane, step and last margin,
+            # and reads as margin -inf, so the next gap counts as rising
+            for r in rows[gapless].tolist():
+                skipped[r].append(n)
+            live = np.flatnonzero(~gapless)
+            margins = np.full(len(rows), -math.inf)
+            margins[live] = stacked_gap_margins(cores[live], logscales[live], k)
+        else:
+            margins = stacked_gap_margins(cores, logscales, k)
+        if all_planes and not some_gapless:
+            steps = stacked_grassmann_distance(bases[..., :k], left[..., :k])
+        else:
+            moving = np.flatnonzero(has_plane & ~gapless)
+            if len(moving):
+                steps = steps.copy()
+                steps[moving] = stacked_grassmann_distance(
+                    bases[moving][..., :k], left[moving][..., :k]
+                )
+        if some_gapless:
+            bases = np.where(gapless[:, None, None], bases, left)
+            last_margins = np.where(gapless, last_margins, margins)
+        else:
+            bases, last_margins = left, margins
+        has_plane = has_plane | ~gapless
+        all_planes = all_planes or not some_gapless
+        rising = margins > margins_prev
+        margins_prev = margins
+        hopeful = np.flatnonzero((steps <= tol) & rising)
+        if not len(hopeful):
+            continue
+        ratios = np.array([math.exp(-m) for m in margins[hopeful].tolist()])
+        settled = worst_pair * ratios * tail_factor <= allowance
+        if not np.count_nonzero(settled):
+            continue
+        done = hopeful[settled]
+        for i, ratio in zip(done.tolist(), ratios[settled].tolist()):
+            r = int(rows[i])
+            outcomes[r] = LimitMapValue(
+                point=points[r],
+                subspace=Subspace(k, left[i][:, :k]),
+                iterations=n,
+                last_step=float(steps[i]),
+                cauchy_bound=worst_pair * ratio,
+                skipped_prefixes=tuple(skipped[r]),
+            )
+        keep = np.ones(len(rows), dtype=bool)
+        keep[done] = False
+        rows, letters, cores, logscales, bases = (
+            rows[keep], letters[keep], cores[keep], logscales[keep], bases[keep]
+        )
+        has_plane, steps, margins_prev, last_margins = (
+            has_plane[keep], steps[keep], margins_prev[keep], last_margins[keep]
+        )
+    for i, r in enumerate(rows.tolist()):
+        x = points[r]
+        if not has_plane[i]:
+            first = skipped[r]
+            offending = str(x.prefix(first[0])) if first else "(empty)"
+            outcomes[r] = NoGapError(
+                f"no prefix of {x} up to length {n_max} has a singular gap of "
+                f"index {k}; first offending prefix '{offending}'"
+            )
+        else:
+            bound = worst_pair * math.exp(-float(last_margins[i])) * tail_factor
+            outcomes[r] = NoConvergenceError(
+                f"no certified convergence for {x} within {n_max} prefixes: "
+                f"last step {float(steps[i]):.3e} against tolerance {tol:.1e}, "
+                f"ray-margin tail bound {bound:.3e} against allowance "
+                f"{BOUND_SLACK * tol:.1e}, {len(skipped[r])} gapless prefixes "
+                "skipped"
+            )
+    return outcomes
 
 
 def xi_lower(
@@ -435,22 +538,33 @@ def sdp_check(
                 "the connecting line misses the identity; "
                 "supply an explicit schedule"
             )
-        schedule = [x.prefix(n) for n in range(1, n_points + 1)]
-    if not schedule:
+        lengths = tuple(range(1, n_points + 1))
+        products = _prefix_products(rep, x, n_points)
+    else:
+        lengths = tuple(len(g) for g in schedule)
+        products = (evaluate(rep, g) for g in schedule)
+    if not lengths:
         raise ValueError("schedule must contain at least one word")
-    distances = [
-        grassmann_distance(
-            apply_to_subspace(evaluate(rep, g).core, seed), target
-        )
-        for g in schedule
-    ]
+    cores = np.stack([m.core for m in products])
+    moved = stacked_apply_to_subspace(cores, seed)
+    distances = stacked_grassmann_distance(moved, target.frame).tolist()
     final = distances[-1]
     return ConvergenceCurve(
-        lengths=tuple(len(g) for g in schedule),
+        lengths=lengths,
         distances=tuple(distances),
         final=final,
         passed=final < tol and _eventually_decreasing(distances),
     )
+
+
+def _prefix_products(rep: Representation, x: BoundaryPoint, count: int):
+    """evaluate(rep, x.prefix(n)) for n = 1, ..., count, as one running
+    product; each prefix extends the last on the right, so the bits are
+    evaluate's."""
+    current = ScaledMatrix.identity(rep.dim)
+    for n in range(count):
+        current = current.times(rep.image(x.letter_at(n)))
+        yield current
 
 
 def cartan_check(
@@ -542,39 +656,59 @@ def holder_estimate(
     points = sorted(q_plus_boundary(spec, max_period, b), key=str)
     rng = np.random.default_rng(seed)
     cutoff = math.exp(-kappa * SMALL_SCALE_PREFIX)
-    planes: dict[BoundaryPoint, Subspace] = {}
+    outcomes: dict[BoundaryPoint, LimitMapValue | GapcertError] = {}
+
+    def walk(batch: list[tuple[BoundaryPoint, BoundaryPoint, float]]) -> None:
+        fresh = list(dict.fromkeys(p for x, y, _ in batch for p in (x, y)))
+        members = []
+        for p in fresh:
+            if p in outcomes:
+                continue
+            if point_in_forward_set(spec, p):
+                members.append(p)
+            else:
+                outcomes[p] = _membership_error(p)
+        walked = _limit_walk(rep, k, members, certificate.lambda_hat, tol, n_max)
+        outcomes.update(zip(members, walked))
 
     def plane_at(p: BoundaryPoint) -> Subspace:
-        if p not in planes:
-            planes[p] = xi_upper(
-                rep, spec, k, p, tol, n_max, certificate=certificate
-            ).subspace
-        return planes[p]
+        outcome = outcomes[p]
+        if isinstance(outcome, GapcertError):
+            raise outcome
+        return outcome.subspace
 
     log_visual: list[float] = []
     log_plane: list[float] = []
     seen: set[frozenset[BoundaryPoint]] = set()
     attempts = 0
-    while len(log_visual) < sample_size and attempts < 50 * sample_size:
-        attempts += 1
-        if len(points) < 2:
-            break
-        i, j = rng.integers(0, len(points), size=2)
-        if i == j:
-            continue
-        x, y = points[i], points[j]
-        key = frozenset((x, y))
-        if key in seen:
-            continue
-        visual = visual_distance(x, y, kappa)
-        if visual > cutoff:
-            continue
-        seen.add(key)
-        separation = grassmann_distance(plane_at(x), plane_at(y))
-        if separation <= 1e-14:
-            continue
-        log_visual.append(math.log(visual))
-        log_plane.append(math.log(separation))
+    limit = 50 * sample_size
+    # Draw pairs in the order the one-pair-at-a-time loop would: each round
+    # draws just enough small-scale pairs to cover the shortfall if all of
+    # them score, walks their new points together, then scores them in
+    # order, so a failed point raises when its pair is read.
+    while len(points) >= 2 and len(log_visual) < sample_size and attempts < limit:
+        batch = []
+        while len(batch) < sample_size - len(log_visual) and attempts < limit:
+            attempts += 1
+            i, j = rng.integers(0, len(points), size=2)
+            if i == j:
+                continue
+            x, y = points[i], points[j]
+            key = frozenset((x, y))
+            if key in seen:
+                continue
+            visual = visual_distance(x, y, kappa)
+            if visual > cutoff:
+                continue
+            seen.add(key)
+            batch.append((x, y, visual))
+        walk(batch)
+        for x, y, visual in batch:
+            separation = grassmann_distance(plane_at(x), plane_at(y))
+            if separation <= 1e-14:
+                continue
+            log_visual.append(math.log(visual))
+            log_plane.append(math.log(separation))
     if len(log_visual) < 10:
         raise InsufficientSampleError(
             f"only {len(log_visual)} usable small-scale pairs (need 10)"

@@ -9,11 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NoGapError
+from .errors import (
+    DependentColumnsError,
+    DimensionMismatchError,
+    NoGapError,
+    ScaleOverflowError,
+)
 from .words import Letter, ReducedWord
 
 GAP_TOLERANCE = 1e-12
@@ -59,7 +65,7 @@ class ScaledMatrix:
     def matrix(self) -> np.ndarray:
         """Materialize at true scale; refuses when the scale would overflow."""
         if abs(self.logscale) > 600.0:
-            raise OverflowError(
+            raise ScaleOverflowError(
                 f"logscale {self.logscale:.1f} is too large to materialize"
             )
         return math.exp(self.logscale) * self.core
@@ -101,22 +107,26 @@ def renormalized_stack(
     cores: np.ndarray, logscales: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """_renormalized applied to each matrix of an (N, d, d) stack with its
-    log scale; the results are bitwise those of the one-matrix path."""
-    cores = cores.copy()
-    logscales = logscales.copy()
+    log scale; the results are bitwise those of the one-matrix path.  The
+    inputs are never modified, and may be returned as they are."""
     estimates = _row_norms(cores)
-    bad = np.flatnonzero(~np.isfinite(estimates) | (estimates == 0.0))
-    if len(bad):
+    out = ~((estimates >= _NORM_BAND[0]) & (estimates <= _NORM_BAND[1]))
+    if not np.count_nonzero(out):
+        return cores, logscales
+    bad = ~np.isfinite(estimates) | (estimates == 0.0)
+    if np.count_nonzero(bad):
+        cores, logscales = cores.copy(), logscales.copy()
         scales = np.max(np.abs(cores[bad]), axis=(1, 2))
         if not np.all(np.isfinite(scales) & (scales > 0.0)):
             raise ValueError("matrix entries must be finite and not all zero")
         cores[bad] = cores[bad] / scales[:, None, None]
         logscales[bad] = logscales[bad] + _log_each(scales)
         estimates[bad] = _row_norms(cores[bad])
-    out = np.flatnonzero((estimates < _NORM_BAND[0]) | (estimates > _NORM_BAND[1]))
-    cores[out] = cores[out] / estimates[out, None, None]
-    logscales[out] = logscales[out] + _log_each(estimates[out])
-    return cores, logscales
+        out = (estimates < _NORM_BAND[0]) | (estimates > _NORM_BAND[1])
+    # in-band rows are divided by 1.0 and shifted by log(1.0) = 0.0, which
+    # leaves their bits as they are
+    factors = np.where(out, estimates, 1.0)
+    return cores / factors[:, None, None], logscales + _log_each(factors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,6 +168,27 @@ class Representation:
             return self.images[letter]
         except KeyError:
             raise ValueError(f"letter {letter} outside rank {self.rank}") from None
+
+    @cached_property
+    def stacked_images(self) -> np.ndarray:
+        """(2 * rank, d, d) stack of the images in letter-code order:
+        a, A, b, B, ..."""
+        letters = [Letter(i, s) for i in range(1, self.rank + 1) for s in (1, -1)]
+        return np.stack([self.images[letter] for letter in letters])
+
+    @cached_property
+    def letter_norm_bound(self) -> float:
+        """Worst product norm(image(l)) * norm(image(l^-1)) over the letters.
+
+        One-letter extensions change the attracting plane by at most this
+        factor times the singular ratio at the current length.
+        """
+        worst_pair = 0.0
+        for i in range(1, self.rank + 1):
+            fwd = float(np.linalg.norm(self.images[Letter(i, 1)], 2))
+            bwd = float(np.linalg.norm(self.images[Letter(i, -1)], 2))
+            worst_pair = max(worst_pair, fwd * bwd)
+        return worst_pair
 
 
 def evaluate(rep: Representation, w: ReducedWord) -> ScaledMatrix:
@@ -201,7 +232,8 @@ def stacked_gap_margins(
             f"gap index must satisfy 1 <= k < {cores.shape[-1]}, got {k}"
         )
     s = np.linalg.svd(cores, compute_uv=False)
-    logs = logscales[:, None] + np.log(np.clip(s, _TINY, None))
+    # np.maximum is np.clip(s, _TINY, None) without clip's dispatch cost
+    logs = logscales[:, None] + np.log(np.maximum(s, _TINY))
     return logs[:, k - 1] - logs[:, k]
 
 
@@ -231,11 +263,7 @@ class Subspace:
     def from_spanning(matrix: np.ndarray) -> "Subspace":
         """Orthonormalize spanning columns; rejects rank-deficient input."""
         mat = np.atleast_2d(np.asarray(matrix, dtype=float))
-        q, r = np.linalg.qr(mat)
-        diag = np.abs(np.diag(r))
-        if np.any(diag < 1e-12 * max(1.0, diag.max())):
-            raise ValueError("spanning columns are numerically dependent")
-        return Subspace(mat.shape[1], q)
+        return Subspace(mat.shape[1], _orthonormal_frames(mat[None])[0])
 
     @property
     def ambient_dim(self) -> int:
@@ -245,11 +273,30 @@ class Subspace:
         return grassmann_distance(self, other) < tol
 
 
+def _orthonormal_frames(spanning: np.ndarray) -> np.ndarray:
+    """Q factors of an (N, d, m) stack of spanning columns, in one QR call;
+    rejects the stack if any entry's columns are numerically dependent."""
+    q, r = np.linalg.qr(spanning)
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    if np.any(diag < 1e-12 * np.maximum(1.0, diag.max(axis=-1, keepdims=True))):
+        raise DependentColumnsError("spanning columns are numerically dependent")
+    return q
+
+
 def u_k(m: ScaledMatrix, k: int) -> Subspace:
     """Span of the top-k left singular vectors; needs a gap of index k."""
     left, s, _ = np.linalg.svd(m.core)
     _require_gap(m, k, s)
     return Subspace(k, left[:, :k])
+
+
+def stacked_u_k(cores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """u_k of every matrix of an (N, d, d) stack, in one SVD call: the left
+    singular matrices, whose first k columns are u_k's frames, and the mask
+    of the matrices without a gap of index k, where u_k raises NoGapError."""
+    left, svals, _ = np.linalg.svd(cores)
+    logs = np.log(np.maximum(svals, _TINY))
+    return left, logs[:, k - 1] - logs[:, k] <= GAP_TOLERANCE
 
 
 def s_dk(m: ScaledMatrix, k: int) -> Subspace:
@@ -285,6 +332,14 @@ def grassmann_distance(v: Subspace, w: Subspace) -> float:
     return float(np.clip(np.linalg.svd(residual, compute_uv=False)[0], 0.0, 1.0))
 
 
+def stacked_grassmann_distance(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """grassmann_distance between the frames of two (N, d, k) stacks, row by
+    row, in one SVD call; each value has the bits of the one-pair path when
+    the frames have its strides."""
+    residual = w - v @ (np.swapaxes(v, -1, -2) @ w)
+    return np.linalg.svd(residual, compute_uv=False)[:, 0].clip(0.0, 1.0)
+
+
 def transversality_gap(v: Subspace, w: Subspace) -> float:
     """Smallest singular value of the stacked frames; positive iff V + W = R^d."""
     if v.ambient_dim != w.ambient_dim or v.dimension + w.dimension != v.ambient_dim:
@@ -299,3 +354,13 @@ def transversality_gap(v: Subspace, w: Subspace) -> float:
 def apply_to_subspace(matrix: np.ndarray, v: Subspace) -> Subspace:
     """Image of a subspace under an invertible matrix, re-orthonormalized."""
     return Subspace.from_spanning(matrix @ v.frame)
+
+
+def stacked_apply_to_subspace(matrices: np.ndarray, v: Subspace) -> np.ndarray:
+    """Frames of apply_to_subspace(m, v) for each matrix of an (N, d, d)
+    stack, in one QR call, with from_spanning's checks and bits."""
+    q = _orthonormal_frames(matrices @ v.frame)
+    gram = np.swapaxes(q, -1, -2) @ q
+    if np.max(np.abs(gram - np.eye(v.dimension))) > 1e-12:
+        raise ValueError("frame columns are not orthonormal")
+    return q

@@ -7,9 +7,22 @@ distance formula) so they share no code path with the package.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from hypothesis import assume
 from hypothesis import strategies as st
 
+from gapcert.errors import NoConvergenceError, NoGapError
+from gapcert.limits import BOUND_SLACK, LimitMapValue
+from gapcert.linalg import (
+    Representation,
+    ScaledMatrix,
+    gap_margin,
+    grassmann_distance,
+    u_k,
+)
+from gapcert.subsets import AxisFamily, Directed, FullBoundary, Primitive
 from gapcert.words import BoundaryPoint, Letter, ReducedWord
 
 # ---------------------------------------------------------------------------
@@ -156,3 +169,88 @@ def boundary_points(draw, rank: int = 2, max_pre: int = 4, max_per: int = 4):
     while keep and keep[-1] == per.letters[0].inverse():
         keep.pop()  # drop letters that would cancel into the period
     return BoundaryPoint(ReducedWord(tuple(keep)), per)
+
+
+@st.composite
+def reps_and_subsets(draw):
+    """A representation and a subset of each of the four kinds, d in {2, 3}.
+
+    Integer generators make exact ties between singular values common:
+    tied words and gapless prefixes.
+    """
+    dim = draw(st.sampled_from((2, 3)))
+    kind = draw(st.sampled_from(("full", "directed", "axis", "primitive")))
+    rank = 2 if kind == "primitive" else draw(st.integers(1, 2))
+    if kind == "full":
+        spec = FullBoundary(rank)
+    elif kind == "directed":
+        steps = draw(st.sets(letters(rank), min_size=1))
+        spec = Directed(rank, frozenset(steps), allow_inverse_pairs=True)
+    elif kind == "axis":
+        axis = cyclically_reduced_words(rank, 1, 4)
+        words = draw(st.lists(axis, min_size=1, max_size=3))
+        spec = AxisFamily(rank, tuple(words))
+    else:
+        spec = Primitive(2, draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        gens = [rng.integers(-2, 3, size=(dim, dim)).astype(float) for _ in range(rank)]
+        assume(all(abs(np.linalg.det(g)) > 0.5 for g in gens))
+    else:
+        gens = [random_invertible(rng, dim) for _ in range(rank)]
+    return Representation.of(gens), spec
+
+
+# ---------------------------------------------------------------------------
+# limit-plane oracle
+
+
+def reference_xi_upper(rep, k, x, rate, tol, n_max):
+    """The one-point prefix loop that the lockstep walk of gapcert.limits
+    replaced: one scale-tracked product per prefix, then u_k, gap_margin
+    and grassmann_distance on it.  Raises NoGapError / NoConvergenceError
+    as the walk reports them."""
+    worst_pair = rep.letter_norm_bound
+    tail_factor = 1.0 / (1.0 - math.exp(-rate))
+    current = ScaledMatrix.identity(rep.dim)
+    plane = None
+    step = math.inf
+    bound = math.inf
+    margin_prev = -math.inf
+    skipped = []
+    for n in range(1, n_max + 1):
+        current = current.times(rep.image(x.letter_at(n - 1)))
+        try:
+            candidate = u_k(current, k)
+        except NoGapError:
+            skipped.append(n)
+            margin_prev = -math.inf
+            continue
+        margin = gap_margin(current, k)
+        if plane is not None:
+            step = grassmann_distance(plane, candidate)
+        plane = candidate
+        rising = margin > margin_prev
+        margin_prev = margin
+        bound = worst_pair * math.exp(-margin) * tail_factor
+        if step <= tol and rising and bound <= BOUND_SLACK * tol:
+            return LimitMapValue(
+                point=x,
+                subspace=plane,
+                iterations=n,
+                last_step=step,
+                cauchy_bound=worst_pair * math.exp(-margin),
+                skipped_prefixes=tuple(skipped),
+            )
+    if plane is None:
+        offending = str(x.prefix(skipped[0])) if skipped else "(empty)"
+        raise NoGapError(
+            f"no prefix of {x} up to length {n_max} has a singular gap of "
+            f"index {k}; first offending prefix '{offending}'"
+        )
+    raise NoConvergenceError(
+        f"no certified convergence for {x} within {n_max} prefixes: "
+        f"last step {step:.3e} against tolerance {tol:.1e}, ray-margin tail "
+        f"bound {bound:.3e} against allowance {BOUND_SLACK * tol:.1e}, "
+        f"{len(skipped)} gapless prefixes skipped"
+    )

@@ -13,7 +13,9 @@ from gapcert.config import (
     load_config,
     parse_config,
 )
+from gapcert import report as report_module
 from gapcert.errors import ParseError, ValidationError
+from gapcert.linalg import ScaledMatrix, Subspace
 from gapcert.report import (
     exit_code,
     format_report,
@@ -299,6 +301,36 @@ def test_cli_singular_generator_is_a_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: generators:")
         assert "Traceback" not in err
+
+
+def test_cli_dependent_seed_plane_is_a_config_error(tmp_path, capsys):
+    for rows in ([[0.0, 0.0]], [[1.0, 0.3], [2.0, 0.6]], [[1, 0], [0, 1], [1, 1]]):
+        data = schottky_config(tasks=["sdp"])
+        data["points"]["seed_plane"] = rows
+        path = write_config(tmp_path, data)
+        with pytest.raises(ValidationError) as caught:
+            load_config(path)
+        assert caught.value.field == "points.seed_plane"
+        assert main(["sdp", "--config", path, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: points.seed_plane:")
+        assert "Traceback" not in err
+
+
+def test_run_records_numerical_failures_as_errors(monkeypatch):
+    def overflowing(config, rep, spec, index, certificate, dual):
+        ScaledMatrix(np.eye(2), 1000.0).matrix()
+
+    def dependent(config, rep, spec, index, certificate, dual):
+        Subspace.from_spanning(np.zeros((2, 1)))
+
+    monkeypatch.setitem(report_module._TASK_RUNNERS, "holder", overflowing)
+    monkeypatch.setitem(report_module._TASK_RUNNERS, "sdp", dependent)
+    report = run(parse_config(schottky_config(tasks=["holder", "sdp", "certify"])))
+    assert report.results["holder"]["error"].startswith("ScaleOverflowError:")
+    assert report.results["sdp"]["error"].startswith("DependentColumnsError:")
+    assert report.summary["certify"] == "Certified"
+    assert exit_code(report) == 1
 
 
 def test_cli_stdout_summary_and_quiet(tmp_path, capsys):

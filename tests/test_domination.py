@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -191,34 +191,13 @@ def test_primitive_stable_rank_one_rejected():
 # the level engine against a per-word reference
 
 
-@st.composite
-def engine_cases(draw):
-    """A representation and a subset of each of the four kinds, d in {2, 3}.
-
-    Integer generators make exact ties between words common, which is what
-    exercises the argmin tie-break.
-    """
-    dim = draw(st.sampled_from((2, 3)))
-    kind = draw(st.sampled_from(("full", "directed", "axis", "primitive")))
-    rank = 2 if kind == "primitive" else draw(st.integers(1, 2))
-    if kind == "full":
-        spec = FullBoundary(rank)
-    elif kind == "directed":
-        steps = draw(st.sets(helpers.letters(rank), min_size=1))
-        spec = Directed(rank, frozenset(steps), allow_inverse_pairs=True)
-    elif kind == "axis":
-        axis = helpers.cyclically_reduced_words(rank, 1, 4)
-        words = draw(st.lists(axis, min_size=1, max_size=3))
-        spec = AxisFamily(rank, tuple(words))
-    else:
-        spec = Primitive(2, draw(st.integers(1, 3)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        gens = [rng.integers(-2, 3, size=(dim, dim)).astype(float) for _ in range(rank)]
-        assume(all(abs(np.linalg.det(g)) > 0.5 for g in gens))
-    else:
-        gens = [helpers.random_invertible(rng, dim) for _ in range(rank)]
-    return Representation.of(gens), spec, draw(st.integers(2, 6))
+def engine_cases():
+    """A representation and a subset of each of the four kinds, d in {2, 3},
+    with a budget.  Integer generators make exact ties between words
+    common, which is what exercises the argmin tie-break."""
+    return st.tuples(helpers.reps_and_subsets(), st.integers(2, 6)).map(
+        lambda case: (*case[0], case[1])
+    )
 
 
 def per_word_margins(rep, sample, k):

@@ -16,6 +16,8 @@ from gapcert.errors import (
 )
 from gapcert.flow import (
     BlockMap,
+    _backward_maps,
+    _forward_maps,
     anosov_margins,
     bg_splitting,
     check_hypotheses,
@@ -24,7 +26,6 @@ from gapcert.flow import (
     graph_transform,
     invariant_section,
     orbit_block_maps,
-    same_orbit_point,
     shift,
     shift_point,
     splitting_checks,
@@ -38,9 +39,10 @@ from gapcert.linalg import (
     evaluate,
     gap_margin,
     grassmann_distance,
+    singular_values,
 )
 from gapcert.subsets import AxisFamily, Directed, FullBoundary
-from gapcert.words import Letter, parse_word, periodic_point
+from gapcert.words import Letter, parse_boundary_point, parse_word, periodic_point
 
 LOG8 = math.log(8.0)
 A = Letter(1, 1)
@@ -115,8 +117,6 @@ def test_shift_moves_the_marker():
     assert x.forward_word(3) == parse_word("aba")
     assert shift(x, 2).forward_word(1) == parse_word("a")
     assert shift(shift(x, 1), -1) == x
-    assert same_orbit_point(shift(x, 2), x)
-    assert not same_orbit_point(shift(x, 1), x)
 
 
 def test_cocycle_diagonal_values():
@@ -142,6 +142,40 @@ def test_cocycle_law_random_representation():
         whole.matrix() - split.matrix()
     ) / np.linalg.norm(whole.matrix())
     assert residual < 1e-10
+
+
+def test_running_maps_match_the_cocycle():
+    # backward maps extend on the right as cocycle() does, bit for bit;
+    # forward maps extend on the left, so they keep cocycle()'s values to
+    # rounding: relative error n * eps, and each margin moves by at most
+    # n * eps times the ratio of the top to the (k+1)-th singular value
+    eps = 2.0**-52
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        dim = 2 + seed % 2
+        rep = Representation.of([helpers.random_invertible(rng, dim) for _ in range(2)])
+        x = shift(
+            shift_point(
+                FullBoundary(2),
+                parse_boundary_point("ab|(aB)"),
+                parse_boundary_point("b|(AAb)"),
+            ),
+            2,
+        )
+        maps = zip(_forward_maps(rep, x, 40), _backward_maps(rep, x, 40))
+        for n, (forward, backward) in enumerate(maps, start=1):
+            expected = cocycle(rep, shift(x, -n), n)
+            assert np.array_equal(backward.core, expected.core)
+            assert backward.logscale == expected.logscale
+            expected = cocycle(rep, x, n)
+            moved = math.exp(forward.logscale - expected.logscale) * forward.core
+            error = np.linalg.norm(moved - expected.core)
+            assert error <= 16 * n * eps * np.linalg.norm(expected.core)
+            logs = singular_values(expected)
+            for k in range(1, dim):
+                spread = math.exp(logs[0] - logs[k])
+                drift = abs(gap_margin(forward, k) - gap_margin(expected, k))
+                assert drift <= 8 * n * eps * spread
 
 
 def test_cocycle_rejects_negative_length():

@@ -1,13 +1,18 @@
 """Limit planes, transversality, convergence checks and regularity fits."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
+from gapcert import limits
 from gapcert.domination import certify
 from gapcert.errors import (
+    GapcertError,
     InsufficientSampleError,
     MembershipError,
     NoConvergenceError,
@@ -30,11 +35,12 @@ from gapcert.limits import (
 from gapcert.linalg import (
     Representation,
     Subspace,
+    apply_to_subspace,
     evaluate,
     grassmann_distance,
     u_k,
 )
-from gapcert.subsets import AxisFamily, Directed, gamma_p_plus, hat
+from gapcert.subsets import AxisFamily, Directed, gamma_p_plus, hat, q_plus_boundary
 from gapcert.words import (
     Letter,
     parse_boundary_point,
@@ -348,6 +354,30 @@ def test_sdp_demands_schedule_when_line_misses_identity():
     assert curve.passed
 
 
+def test_sdp_default_schedule_is_the_explicit_prefix_schedule():
+    # both match, bit for bit, one apply_to_subspace and one
+    # grassmann_distance per evaluated schedule word
+    wide = Representation.of([np.diag([4.0, 2.0, 0.25])])
+    cases = [
+        (schottky_rep(), directed_ab(), 1, "(ab)", "(BA)", span([1.0, 0.3])),
+        (schottky_rep(), directed_ab(), 1, "ab|(a)", "(B)", span([1.0, 0.3])),
+        (schottky_rep(), directed_ab(), 1, "(aab)", "(BAA)", span([0.2, 1.0])),
+        (z_rep(), z_axis(), 1, "(a)", "(A)", span([1.0, 1.0, 0.0])),
+        (wide, z_axis(), 2, "(a)", "(A)", span([1.0, 1.0, 1.0], [0.0, 1.0, -1.0])),
+    ]
+    for rep, spec, k, forward, backward, seed in cases:
+        x, y = parse_boundary_point(forward), parse_boundary_point(backward)
+        default = sdp_check(rep, spec, k, x, y, seed, n_points=25)
+        schedule = [x.prefix(n) for n in range(1, 26)]
+        explicit = sdp_check(rep, spec, k, x, y, seed, schedule=schedule)
+        assert default == explicit
+        target = xi_upper(rep, spec, k, x).subspace
+        assert default.distances == tuple(
+            grassmann_distance(apply_to_subspace(evaluate(rep, g).core, seed), target)
+            for g in schedule
+        )
+
+
 # ---------------------------------------------------------------------------
 # attraction along verified positive words
 
@@ -434,3 +464,171 @@ def test_discontinuity_probe_collapses_with_trivial_detour():
 def test_discontinuity_probe_needs_two_generators():
     with pytest.raises(ValueError):
         discontinuity_probe(z_rep())
+
+
+# ---------------------------------------------------------------------------
+# the lockstep walk against the one-point loop
+
+
+def walk_outcome(rep, k, x, rate, tol, n_max):
+    try:
+        return helpers.reference_xi_upper(rep, k, x, rate, tol, n_max)
+    except GapcertError as exc:
+        return exc
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, GapcertError):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert got.point == want.point
+    assert np.array_equal(got.subspace.frame, want.subspace.frame)
+    assert got.iterations == want.iterations
+    assert got.last_step == want.last_step
+    assert got.cauchy_bound == want.cauchy_bound
+    assert got.skipped_prefixes == want.skipped_prefixes
+
+
+@given(
+    helpers.reps_and_subsets(),
+    st.floats(0.05, 3.0),
+    st.sampled_from((6, 40, 400)),
+)
+@settings(max_examples=40, deadline=None)
+def test_walk_matches_the_one_point_loop(case, rate, n_max):
+    rep, spec = case
+    points = sorted(q_plus_boundary(spec, 3), key=str)[:12]
+    for k in range(1, rep.dim):
+        for tol in (1e-8, 1e-10):
+            together = limits._limit_walk(rep, k, points, rate, tol, n_max)
+            for x, got in zip(points, together):
+                want = walk_outcome(rep, k, x, rate, tol, n_max)
+                assert_same_outcome(got, want)
+                (alone,) = limits._limit_walk(rep, k, [x], rate, tol, n_max)
+                assert_same_outcome(alone, want)
+
+
+def test_walk_covers_gapless_prefixes_and_both_failures():
+    # the rotation's prefixes have no gap; a short walk cannot converge
+    rep, axis = example_56_rep(), a_axis_f2()
+    points = [parse_boundary_point(s) for s in ("b|(a)", "bb|(a)", "(a)", "ab|(a)")]
+    rotation = Representation.of([np.array([[0.0, 1.0], [-1.0, 0.0]])])
+    cases = (
+        (rep, points, 400),
+        (rep, points, 3),
+        (rotation, [periodic_point(parse_word("a"))], 5),
+    )
+    kinds = set()
+    for r, pts, n_max in cases:
+        for x, got in zip(pts, limits._limit_walk(r, 1, pts, 1.0, 1e-10, n_max)):
+            want = walk_outcome(r, 1, x, 1.0, 1e-10, n_max)
+            assert_same_outcome(got, want)
+            kinds.add(type(got).__name__)
+            if not isinstance(got, GapcertError) and got.skipped_prefixes:
+                kinds.add("skipped")
+    assert kinds == {"LimitMapValue", "skipped", "NoConvergenceError", "NoGapError"}
+
+
+def reference_holder(rep, spec, k, sample_size, seed, max_period, n_max, cert):
+    """The one-pair-at-a-time loop holder_estimate batched: returns the
+    usable (visual, separation) pairs and the points it read, or raises
+    the first failure it reads."""
+    points = sorted(q_plus_boundary(spec, max_period), key=str)
+    rng = np.random.default_rng(seed)
+    cutoff = math.exp(-limits.SMALL_SCALE_PREFIX)
+    planes, read, usable, seen = {}, [], [], set()
+    attempts = 0
+    while len(usable) < sample_size and attempts < 50 * sample_size:
+        attempts += 1
+        i, j = rng.integers(0, len(points), size=2)
+        if i == j or frozenset((points[i], points[j])) in seen:
+            continue
+        x, y = points[i], points[j]
+        visual = limits.visual_distance(x, y, 1.0)
+        if visual > cutoff:
+            continue
+        seen.add(frozenset((x, y)))
+        for p in (x, y):
+            if p not in planes:
+                read.append(p)
+                planes[p] = helpers.reference_xi_upper(
+                    rep, k, p, cert.lambda_hat, limits.DEFAULT_TOL, n_max
+                ).subspace
+        separation = grassmann_distance(planes[x], planes[y])
+        if separation > 1e-14:
+            usable.append((visual, separation))
+    return usable, read
+
+
+def schottky_holder(n_max=limits.DEFAULT_N_MAX, seed=3):
+    rep, spec = schottky_rep(), directed_ab()
+    return holder_estimate(
+        rep,
+        spec,
+        1,
+        sample_size=40,
+        seed=seed,
+        max_period=5,
+        n_max=n_max,
+        certificate=certify(rep, spec, 1, 8),
+    )
+
+
+def test_holder_walk_reads_the_pairs_of_the_pairwise_loop(monkeypatch):
+    rep, spec = schottky_rep(), directed_ab()
+    cert = certify(rep, spec, 1, 8)
+    walked = []
+    original = limits._limit_walk
+
+    def spy(rep, k, points, *rest):
+        walked.extend(points)
+        return original(rep, k, points, *rest)
+
+    monkeypatch.setattr(limits, "_limit_walk", spy)
+    raised = 0
+    for n_max in range(2, 13):
+        for seed in (3, 11):
+            walked.clear()
+            try:
+                usable, read = reference_holder(
+                    rep, spec, 1, 40, seed, 5, n_max, cert
+                )
+            except GapcertError as exc:
+                # a failed point raises when its pair is read, and the
+                # first failure read is the one the pairwise loop raised
+                with pytest.raises(type(exc)) as caught:
+                    schottky_holder(n_max, seed)
+                assert str(caught.value) == str(exc)
+                raised += 1
+                continue
+            fit = schottky_holder(n_max, seed)
+            assert fit.pairs_used == len(usable)
+            assert sorted(walked, key=str) == sorted(read, key=str)
+    assert 0 < raised < 22
+
+
+def test_holder_raises_a_failed_point_only_when_a_pair_reads_it(monkeypatch):
+    rep, spec = schottky_rep(), directed_ab()
+    cert = certify(rep, spec, 1, 8)
+    clean = schottky_holder()
+    _, read = reference_holder(rep, spec, 1, 40, 3, 5, limits.DEFAULT_N_MAX, cert)
+    pool = sorted(q_plus_boundary(spec, 5), key=str)
+    unread = next(p for p in pool if p not in read)
+    original = limits._limit_walk
+
+    def failing(victim):
+        def walk(rep, k, points, *rest):
+            out = original(rep, k, points, *rest)
+            return [
+                NoConvergenceError(str(p)) if p == victim else outcome
+                for p, outcome in zip(points, out)
+            ]
+
+        return walk
+
+    monkeypatch.setattr(limits, "_limit_walk", failing(unread))
+    assert schottky_holder() == clean
+    victim = read[len(read) // 2]
+    monkeypatch.setattr(limits, "_limit_walk", failing(victim))
+    with pytest.raises(NoConvergenceError, match=re.escape(str(victim))):
+        schottky_holder()

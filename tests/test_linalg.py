@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-from gapcert.errors import DimensionMismatchError, NoGapError
+from gapcert.errors import DependentColumnsError, DimensionMismatchError, NoGapError
 from gapcert.linalg import (
     Representation,
     ScaledMatrix,
@@ -21,6 +21,8 @@ from gapcert.linalg import (
     renormalized_stack,
     s_dk,
     singular_values,
+    stacked_apply_to_subspace,
+    stacked_grassmann_distance,
     transversality_gap,
     u_k,
 )
@@ -233,6 +235,23 @@ def test_grassmann_triangle_inequality(rng):
         assert grassmann_distance(u, w) <= (
             grassmann_distance(u, v) + grassmann_distance(v, w) + 1e-12
         )
+
+
+def test_stacked_subspace_maps_match_the_one_matrix_path(rng):
+    # frames from apply_to_subspace, then grassmann_distance, bit for bit
+    for dim, k in ((2, 1), (3, 1), (3, 2), (4, 2)):
+        seed = Subspace(k, helpers.random_orthonormal_frame(rng, dim, k))
+        target = Subspace(k, helpers.random_orthonormal_frame(rng, dim, k))
+        mats = np.stack([helpers.random_invertible(rng, dim) for _ in range(9)])
+        moved = stacked_apply_to_subspace(mats, seed)
+        single = [apply_to_subspace(m, seed) for m in mats]
+        assert all(np.array_equal(f, s.frame) for f, s in zip(moved, single))
+        assert stacked_grassmann_distance(moved, target.frame).tolist() == [
+            grassmann_distance(s, target) for s in single
+        ]
+    mats[4] = 0.0
+    with pytest.raises(DependentColumnsError):
+        stacked_apply_to_subspace(mats, seed)
 
 
 def test_transversality_examples():

@@ -33,9 +33,7 @@ TASK_NAMES = (
 )
 
 DEFAULT_TOLERANCES = {
-    "gap": 1e-12,
     "subspace": 1e-8,
-    "fit": 1e-9,
     "lambda_min": 0.02,
     "eps_res": 1e-6,
 }
@@ -51,6 +49,9 @@ DEFAULT_SAMPLING = {
     "trials": 20,
     "epsilon": 1e-3,
 }
+
+# Sampling knobs that a task divides by or needs at least one of.
+POSITIVE_SAMPLING = ("sdp_points", "trials", "kappa")
 
 # Which optional point fields each task needs before it can run.
 TASK_REQUIREMENTS = {
@@ -218,6 +219,11 @@ def parse_config(data: Any) -> RunConfig:
     sampling = _validate_numeric_block(
         data.get("sampling", {}), "sampling", DEFAULT_SAMPLING
     )
+    for key in POSITIVE_SAMPLING:
+        if sampling[key] <= 0:
+            raise ValidationError(
+                f"sampling.{key}", f"must be > 0, got {sampling[key]}"
+            )
     points = _validate_points(data.get("points", {}), dim)
 
     config = RunConfig(
@@ -385,8 +391,10 @@ def _validate_points(raw: Any, dim: int) -> dict[str, Any]:
                 raise ValidationError(f"points.{key}", str(exc)) from exc
             out[key] = raw[key]
     if "pairs" in raw:
-        if not isinstance(raw["pairs"], list):
-            raise ValidationError("points.pairs", "expected a list of point pairs")
+        if not isinstance(raw["pairs"], list) or not raw["pairs"]:
+            raise ValidationError(
+                "points.pairs", "expected a nonempty list of point pairs"
+            )
         for i, entry in enumerate(raw["pairs"]):
             if (
                 not isinstance(entry, list)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -21,15 +21,8 @@ from .linalg import (
     renormalized_stack,
     stacked_gap_margins,
 )
-from .subsets import (
-    Directed,
-    GammaPSample,
-    Primitive,
-    SubsetPSpec,
-    code_letter,
-    gamma_p_plus,
-)
-from .words import Letter, ReducedWord
+from .subsets import GammaPSample, SubsetPSpec, code_letter, gamma_p_plus
+from .words import ReducedWord
 
 CERTIFIED = "Certified"
 REFUTED = "Refuted"
@@ -152,7 +145,6 @@ def certify(
     k: int,
     budget: int,
     opts: CertifyOptions = CertifyOptions(),
-    extra_notes: Iterable[str] = (),
 ) -> DominationCertificate:
     """Build a margin table and fit it into an evidence-grade certificate."""
     if budget < 2:
@@ -161,10 +153,7 @@ def certify(
     table = _margin_table(rep, sample, k)
     margin_map = {t: v[0] for t, v in table.items()}
     argmin_map = {t: v[1] for t, v in table.items()}
-    notes = [
-        f"evidence at scale L={budget}; finite enumeration, not a proof",
-        *extra_notes,
-    ]
+    notes = [f"evidence at scale L={budget}; finite enumeration, not a proof"]
     if not sample.complete:
         notes.append("positive set enumeration is truncated (complete=false)")
 
@@ -216,56 +205,4 @@ def certify(
         counterexample=counterexample,
         complete=sample.complete,
         notes=tuple(notes),
-    )
-
-
-def primitive_stable_certify(
-    rep: Representation,
-    k: int,
-    max_period: int,
-    budget: int,
-    opts: CertifyOptions = CertifyOptions(),
-) -> DominationCertificate:
-    """Certify over the primitive-element axis set.
-
-    The margin index k is taken on the word images; flow-level statements
-    about the inverted cocycle read the same data at index d-k.
-    """
-    spec = Primitive(rep.rank, max_period)
-    return certify(
-        rep,
-        spec,
-        k,
-        budget,
-        opts,
-        extra_notes=(
-            f"primitive classes enumerated up to period {max_period}",
-            f"gap index {k} on word images equals index {rep.dim - k} "
-            "on the inverted flow cocycle",
-        ),
-    )
-
-
-def directed_anosov_certify(
-    rep: Representation,
-    k: int,
-    steps: Iterable[Letter],
-    budget: int,
-    opts: CertifyOptions = CertifyOptions(),
-) -> DominationCertificate:
-    """Certify over the set of step-restricted (directed) lines."""
-    step_set = frozenset(steps)
-    if not step_set:
-        raise EmptySubsetError("directed step set is empty")
-    spec = Directed(rep.rank, step_set, allow_inverse_pairs=True)
-    return certify(
-        rep,
-        spec,
-        k,
-        budget,
-        opts,
-        extra_notes=(
-            f"gap index {k} on word images equals index {rep.dim - k} "
-            "on the inverted flow cocycle",
-        ),
     )

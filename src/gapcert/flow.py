@@ -36,6 +36,7 @@ from .limits import (
     DEFAULT_CERT_BUDGET,
     DEFAULT_TOL,
     _require_certified,
+    _walk_once,
     pair_in_subset,
     xi_lower,
     xi_upper,
@@ -237,14 +238,24 @@ def _raw_splitting(
     x: ShiftPoint,
     k: int,
     n_steps: int,
-    tol: float,
+    tols: Sequence[float],
     rate: float,
-) -> tuple[Subspace, Subspace, dict]:
+) -> list[tuple[Subspace, Subspace, dict] | NoConvergenceError]:
     """Iterate the singular subspaces of the time-n maps until both limits
-    settle under the margin-seeded tail bound."""
+    settle under the margin-seeded tail bound, for every tolerance in one
+    pass.
+
+    Each tolerance records its outcome at the first length where its own
+    stopping rule holds, and the walk goes on until every tolerance has
+    settled or the maps run out.  Returns one outcome per tolerance, in the
+    order of tols: the (stable, unstable, diagnostics) triple, or the
+    NoConvergenceError a walk at that tolerance alone ends in.
+    """
     index = rep.dim - k
     worst_pair = rep.letter_norm_bound
     tail_factor = 1.0 / (1.0 - math.exp(-rate))
+    outcomes: list = [None] * len(tols)
+    pending = list(range(len(tols)))
     stable = unstable = None
     step_s = step_u = math.inf
     margins: list[tuple[int, float]] = []
@@ -266,27 +277,54 @@ def _raw_splitting(
         stable, unstable = stable_cand, unstable_cand
         bound_s = worst_pair * math.exp(-margin_s) * tail_factor
         bound_u = worst_pair * math.exp(-margin_u) * tail_factor
-        if (
-            step_s <= tol
-            and step_u <= tol
-            and max(bound_s, bound_u) <= BOUND_SLACK * tol
-        ):
-            return (
-                stable,
-                unstable,
-                {
-                    "iterations": n,
-                    "step_s": step_s,
-                    "step_u": step_u,
-                    "margins": margins,
-                    "skipped": skipped,
-                },
-            )
-    raise NoConvergenceError(
-        f"splitting did not settle within {n_steps} steps: last steps "
-        f"{step_s:.3e}/{step_u:.3e} against tolerance {tol:.1e}, "
-        f"{len(skipped)} gapless lengths skipped"
+        for j in pending:
+            tol = tols[j]
+            if (
+                step_s <= tol
+                and step_u <= tol
+                and max(bound_s, bound_u) <= BOUND_SLACK * tol
+            ):
+                outcomes[j] = (
+                    stable,
+                    unstable,
+                    {
+                        "iterations": n,
+                        "step_s": step_s,
+                        "step_u": step_u,
+                        "margins": list(margins),
+                        "skipped": list(skipped),
+                    },
+                )
+        pending = [j for j in pending if outcomes[j] is None]
+        if not pending:
+            return outcomes
+    for j in pending:
+        outcomes[j] = NoConvergenceError(
+            f"splitting did not settle within {n_steps} steps: last steps "
+            f"{step_s:.3e}/{step_u:.3e} against tolerance {tols[j]:.1e}, "
+            f"{len(skipped)} gapless lengths skipped"
+        )
+    return outcomes
+
+
+def _splitting(
+    rep: Representation,
+    x: ShiftPoint,
+    k: int,
+    n_steps: int,
+    tol: float,
+    rate: float,
+) -> tuple[Subspace, Subspace, dict]:
+    """The splitting over x at one tolerance, read from the open walk table
+    when there is one; raises the walk's NoConvergenceError."""
+    outcome = _walk_once(
+        ("splitting", rep, x.line, k, rate, n_steps),
+        tol,
+        lambda tols: _raw_splitting(rep, x, k, n_steps, tols, rate),
     )
+    if isinstance(outcome, NoConvergenceError):
+        raise outcome.with_traceback(None)
+    return outcome
 
 
 def bg_splitting(
@@ -308,10 +346,8 @@ def bg_splitting(
     """
     certificate = _require_certified(rep, x.spec, k, certificate, cert_budget)
     rate = certificate.lambda_hat
-    stable, unstable, diag = _raw_splitting(rep, x, k, n_steps, tol, rate)
-    stable_next, unstable_next, _ = _raw_splitting(
-        rep, shift(x), k, n_steps, tol, rate
-    )
+    stable, unstable, diag = _splitting(rep, x, k, n_steps, tol, rate)
+    stable_next, unstable_next, _ = _splitting(rep, shift(x), k, n_steps, tol, rate)
     one_step = cocycle(rep, x, 1).core
     return SplittingSample(
         point=x,
@@ -360,8 +396,8 @@ def splitting_checks(
 
     Every residual is recomputed from the sample's subspaces rather than
     echoed from its stored diagnostics, so a corrupted sample is caught:
-    invariance pushes the summands one step and compares them against a
-    freshly extracted splitting at the shifted point.  Domination is the
+    invariance pushes the summands one step and compares them against the
+    splitting extracted at the shifted point.  Domination is the
     log of the worst stable stretch over the least unstable stretch of the
     time-n maps; its fitted slope must be negative.  Endpoint consistency
     compares the summands with the boundary limit maps at the line's
@@ -370,7 +406,7 @@ def splitting_checks(
     x = sample.point
     k = sample.stable.dimension
     certificate = _require_certified(rep, x.spec, k, certificate, cert_budget)
-    stable_next, unstable_next, _ = _raw_splitting(
+    stable_next, unstable_next, _ = _splitting(
         rep, shift(x), k, DEFAULT_FLOW_STEPS, DEFAULT_TOL, certificate.lambda_hat
     )
     one_step = cocycle(rep, x, 1).core

@@ -14,8 +14,10 @@ exponent by regression, and reproduces the boundary-discontinuity probe.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -229,10 +231,63 @@ def xi_upper(
     if not (assume_member or point_in_forward_set(spec, x)):
         raise _membership_error(x)
     certificate = _require_certified(rep, spec, k, certificate, cert_budget)
-    (outcome,) = _limit_walk(rep, k, [x], certificate.lambda_hat, tol, n_max)
+    rate = certificate.lambda_hat
+    outcome = _walk_once(
+        ("limit", rep, k, x, rate, n_max),
+        tol,
+        lambda tols: _limit_walk(rep, k, [x], rate, tols, n_max)[0],
+    )
     if isinstance(outcome, GapcertError):
-        raise outcome
+        raise outcome.with_traceback(None)
     return outcome
+
+
+# The open run's walk table: its tolerances and the outcomes by walk key.
+_SHARED_WALKS: ContextVar[Optional[tuple[tuple[float, ...], dict]]] = ContextVar(
+    "gapcert_shared_walks", default=None
+)
+
+
+@contextmanager
+def shared_walks(tols: Iterable[float]) -> Iterator[None]:
+    """Share limit-plane and splitting walks within the block.
+
+    Inside it, each walk of xi_upper / xi_lower and of the flow splitting
+    runs once per (representation, point or line, index, rate, length cap)
+    and settles every tolerance of tols in that pass; later calls at any of
+    tols read the stored outcome, which is bitwise that of a separate walk.
+    Calls at other tolerances, and calls outside the block, walk as usual.
+    Membership and certificate checks still run on every call.
+    """
+    token = _SHARED_WALKS.set((tuple(sorted(set(tols))), {}))
+    try:
+        yield
+    finally:
+        _SHARED_WALKS.reset(token)
+
+
+def _walk_once(
+    key: tuple,
+    tol: float,
+    walk: Callable[[tuple[float, ...]], Sequence[Any]],
+) -> Any:
+    """The outcome at tol of walk, a one-pass walk that returns one outcome
+    per tolerance it is given, from the open walk table when tol is one of
+    its tolerances."""
+    shared = _SHARED_WALKS.get()
+    if shared is None or tol not in shared[0]:
+        (outcome,) = walk((tol,))
+        return outcome
+    tols, table = shared
+    if key not in table:
+        try:
+            table[key] = dict(zip(tols, walk(tols)))
+        except Exception:
+            # the shared walk goes on past tol's stopping step, so it may
+            # fail where a walk at tol alone would not: walk tol alone
+            (outcome,) = walk((tol,))
+            return outcome
+    return table[key][tol]
 
 
 # Prefix positions whose letter codes are looked up at a time.
@@ -267,17 +322,22 @@ def _limit_walk(
     k: int,
     points: Sequence[BoundaryPoint],
     rate: float,
-    tol: float,
+    tols: Sequence[float],
     n_max: int,
-) -> list[LimitMapValue | GapcertError]:
-    """xi_upper's prefix walk, at every point in lockstep.
+) -> list[tuple[LimitMapValue | GapcertError, ...]]:
+    """xi_upper's prefix walk, at every point in lockstep and for every
+    tolerance in one pass.
 
     Each prefix length takes one stacked matmul, one row-wise
     renormalization and three stacked SVDs (frames, margins, steps) over
     the points still walking, so each point's products, frames, margins
-    and steps have the bits of the one-point loop.  Returns per point its
-    LimitMapValue, or the NoGapError / NoConvergenceError it ends in;
-    callers raise a point's error when they read that point.
+    and steps have the bits of the one-point loop.  A point walks until
+    each tolerance has settled or the walk runs out; no walk state depends
+    on the tolerance, so each tolerance's outcome is the one a walk at that
+    tolerance alone would give.  Returns per point one outcome per
+    tolerance, in the order of tols: its LimitMapValue, or the NoGapError /
+    NoConvergenceError it ends in; callers raise a point's error when they
+    read that point.
     """
     if not 1 <= k < rep.dim:
         raise ValueError(f"gap index must satisfy 1 <= k < {rep.dim}, got {k}")
@@ -285,14 +345,18 @@ def _limit_walk(
         return []
     worst_pair = rep.letter_norm_bound
     tail_factor = 1.0 / (1.0 - math.exp(-rate))
-    allowance = BOUND_SLACK * tol
+    tol_row = np.array(tols, dtype=float)
+    allowances = BOUND_SLACK * tol_row
     images = rep.stacked_images
-    outcomes: list[LimitMapValue | GapcertError] = [None] * len(points)
+    outcomes: list[list[LimitMapValue | GapcertError]] = [
+        [None] * len(tols) for _ in points
+    ]
     skipped: list[list[int]] = [[] for _ in points]
     # state of the rows still walking; bases hold the full left singular
     # matrices of the current planes, whose first k columns are the frames
     spelled, pre, per = _spelled(points)
     rows = np.arange(len(points))
+    pending = np.ones((len(points), len(tols)), dtype=bool)
     cores = np.repeat(np.eye(rep.dim)[None], len(points), axis=0)
     logscales = np.zeros(len(points))
     bases = np.empty_like(cores)
@@ -340,51 +404,64 @@ def _limit_walk(
         all_planes = all_planes or not some_gapless
         rising = margins > margins_prev
         margins_prev = margins
-        hopeful = np.flatnonzero((steps <= tol) & rising)
+        candidates = pending & (steps[:, None] <= tol_row) & rising[:, None]
+        hopeful = np.flatnonzero(candidates.any(axis=1))
         if not len(hopeful):
             continue
         ratios = np.array([math.exp(-m) for m in margins[hopeful].tolist()])
-        settled = worst_pair * ratios * tail_factor <= allowance
+        settled = candidates[hopeful] & (
+            (worst_pair * ratios * tail_factor)[:, None] <= allowances
+        )
         if not np.count_nonzero(settled):
             continue
-        done = hopeful[settled]
-        for i, ratio in zip(done.tolist(), ratios[settled].tolist()):
+        for h in np.flatnonzero(settled.any(axis=1)).tolist():
+            i = int(hopeful[h])
             r = int(rows[i])
-            outcomes[r] = LimitMapValue(
+            value = LimitMapValue(
                 point=points[r],
                 subspace=Subspace(k, left[i][:, :k]),
                 iterations=n,
                 last_step=float(steps[i]),
-                cauchy_bound=worst_pair * ratio,
+                cauchy_bound=worst_pair * float(ratios[h]),
                 skipped_prefixes=tuple(skipped[r]),
             )
-        keep = np.ones(len(rows), dtype=bool)
-        keep[done] = False
+            for j in np.flatnonzero(settled[h]).tolist():
+                outcomes[r][j] = value
+        pending[hopeful] &= ~settled
+        keep = pending.any(axis=1)
+        if keep.all():
+            continue
         rows, letters, cores, logscales, bases = (
             rows[keep], letters[keep], cores[keep], logscales[keep], bases[keep]
         )
-        has_plane, steps, margins_prev, last_margins = (
-            has_plane[keep], steps[keep], margins_prev[keep], last_margins[keep]
+        has_plane, steps, margins_prev, last_margins, pending = (
+            has_plane[keep],
+            steps[keep],
+            margins_prev[keep],
+            last_margins[keep],
+            pending[keep],
         )
     for i, r in enumerate(rows.tolist()):
         x = points[r]
-        if not has_plane[i]:
-            first = skipped[r]
-            offending = str(x.prefix(first[0])) if first else "(empty)"
-            outcomes[r] = NoGapError(
-                f"no prefix of {x} up to length {n_max} has a singular gap of "
-                f"index {k}; first offending prefix '{offending}'"
-            )
-        else:
+        for j in np.flatnonzero(pending[i]).tolist():
+            if not has_plane[i]:
+                first = skipped[r]
+                offending = str(x.prefix(first[0])) if first else "(empty)"
+                outcomes[r][j] = NoGapError(
+                    f"no prefix of {x} up to length {n_max} has a singular gap "
+                    f"of index {k}; first offending prefix '{offending}'"
+                )
+                continue
+            tol = tols[j]
             bound = worst_pair * math.exp(-float(last_margins[i])) * tail_factor
-            outcomes[r] = NoConvergenceError(
+            outcomes[r][j] = NoConvergenceError(
                 f"no certified convergence for {x} within {n_max} prefixes: "
                 f"last step {float(steps[i]):.3e} against tolerance {tol:.1e}, "
                 f"ray-margin tail bound {bound:.3e} against allowance "
                 f"{BOUND_SLACK * tol:.1e}, {len(skipped[r])} gapless prefixes "
                 "skipped"
             )
-    return outcomes
+    return [tuple(row) for row in outcomes]
 
 
 def xi_lower(
@@ -668,8 +745,8 @@ def holder_estimate(
                 members.append(p)
             else:
                 outcomes[p] = _membership_error(p)
-        walked = _limit_walk(rep, k, members, certificate.lambda_hat, tol, n_max)
-        outcomes.update(zip(members, walked))
+        walked = _limit_walk(rep, k, members, certificate.lambda_hat, (tol,), n_max)
+        outcomes.update((p, outcome) for p, (outcome,) in zip(members, walked))
 
     def plane_at(p: BoundaryPoint) -> Subspace:
         outcome = outcomes[p]

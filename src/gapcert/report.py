@@ -24,9 +24,11 @@ from .domination import CERTIFIED, REFUTED, DominationCertificate, certify
 from .errors import GapcertError, ParseError
 from .flow import bg_splitting, shift_point, splitting_checks, stability_probe
 from .limits import (
+    DEFAULT_TOL,
     discontinuity_probe,
     holder_estimate,
     sdp_check,
+    shared_walks,
     transversality_table,
     xi_upper,
 )
@@ -100,18 +102,21 @@ def run(config: RunConfig) -> Report:
             shared["dual"] = certify(rep, hat(spec), rep.dim - config.k, config.budget)
         return shared["dual"]
 
-    for index, name in enumerate(config.tasks):
-        started = time.perf_counter()
-        try:
-            results[name] = _TASK_RUNNERS[name](
-                config, rep, spec, index, certificate, dual_certificate
-            )
-        except GapcertError as exc:
-            results[name] = {
-                "verdict": ERROR,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-        timings[name] = time.perf_counter() - started
+    # the tasks walk the same limit planes and splittings at the config
+    # tolerance and at the library default; each is walked once
+    with shared_walks((config.tolerances["subspace"], DEFAULT_TOL)):
+        for index, name in enumerate(config.tasks):
+            started = time.perf_counter()
+            try:
+                results[name] = _TASK_RUNNERS[name](
+                    config, rep, spec, index, certificate, dual_certificate
+                )
+            except GapcertError as exc:
+                results[name] = {
+                    "verdict": ERROR,
+                    "error": f"{type(exc).__name__}: {exc}",
+                }
+            timings[name] = time.perf_counter() - started
 
     summary = {name: result["verdict"] for name, result in results.items()}
     summary["overall"] = (

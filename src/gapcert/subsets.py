@@ -287,13 +287,6 @@ class GammaPSample:
                     return periodic_point(v.inverse()), fwd
         raise AssertionError(f"no axis ray spells {w}")
 
-    def truncate(self, budget: int) -> "GammaPSample":
-        if not 1 <= budget <= self.budget:
-            raise BudgetError(f"budget {budget} outside 1..{self.budget}")
-        return GammaPSample(
-            self.spec, budget, self.levels[:budget], self.complete, self.axes
-        )
-
 
 class _Bucket(AbstractSet):
     """The words of one length of a sample, decoded only when iterated."""

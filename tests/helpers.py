@@ -14,12 +14,14 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from gapcert.errors import NoConvergenceError, NoGapError
+from gapcert.flow import _backward_maps, _forward_maps
 from gapcert.limits import BOUND_SLACK, LimitMapValue
 from gapcert.linalg import (
     Representation,
     ScaledMatrix,
     gap_margin,
     grassmann_distance,
+    s_dk,
     u_k,
 )
 from gapcert.subsets import AxisFamily, Directed, FullBoundary, Primitive
@@ -201,6 +203,13 @@ def reps_and_subsets(draw):
     return Representation.of(gens), spec
 
 
+def tolerance_sets():
+    """Distinct walk tolerances in any order, as one pass settles them."""
+    return st.lists(
+        st.sampled_from((1e-6, 1e-8, 1e-10)), min_size=1, max_size=3, unique=True
+    )
+
+
 # ---------------------------------------------------------------------------
 # limit-plane oracle
 
@@ -253,4 +262,54 @@ def reference_xi_upper(rep, k, x, rate, tol, n_max):
         f"last step {step:.3e} against tolerance {tol:.1e}, ray-margin tail "
         f"bound {bound:.3e} against allowance {BOUND_SLACK * tol:.1e}, "
         f"{len(skipped)} gapless prefixes skipped"
+    )
+
+
+# ---------------------------------------------------------------------------
+# splitting oracle
+
+
+def reference_raw_splitting(rep, x, k, n_steps, tol, rate):
+    """The one-tolerance splitting walk that the one-pass walk of
+    gapcert.flow generalizes: returns (stable, unstable, diagnostics) at
+    the first length where both steps are below tol and the tail bound is
+    below its allowance, or raises NoConvergenceError."""
+    index = rep.dim - k
+    worst_pair = rep.letter_norm_bound
+    tail_factor = 1.0 / (1.0 - math.exp(-rate))
+    stable = unstable = None
+    step_s = step_u = math.inf
+    margins = []
+    skipped = []
+    maps = zip(_forward_maps(rep, x, n_steps), _backward_maps(rep, x, n_steps))
+    for n, (forward_map, backward_map) in enumerate(maps, start=1):
+        try:
+            stable_cand = s_dk(forward_map, index)
+            unstable_cand = u_k(backward_map, index)
+        except NoGapError:
+            skipped.append(n)
+            continue
+        margin_s = gap_margin(forward_map, index)
+        margin_u = gap_margin(backward_map, index)
+        margins.append((n, margin_s))
+        if stable is not None:
+            step_s = grassmann_distance(stable, stable_cand)
+            step_u = grassmann_distance(unstable, unstable_cand)
+        stable, unstable = stable_cand, unstable_cand
+        bound_s = worst_pair * math.exp(-margin_s) * tail_factor
+        bound_u = worst_pair * math.exp(-margin_u) * tail_factor
+        bound = max(bound_s, bound_u)
+        if step_s <= tol and step_u <= tol and bound <= BOUND_SLACK * tol:
+            diag = {
+                "iterations": n,
+                "step_s": step_s,
+                "step_u": step_u,
+                "margins": margins,
+                "skipped": skipped,
+            }
+            return stable, unstable, diag
+    raise NoConvergenceError(
+        f"splitting did not settle within {n_steps} steps: last steps "
+        f"{step_s:.3e}/{step_u:.3e} against tolerance {tol:.1e}, "
+        f"{len(skipped)} gapless lengths skipped"
     )

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gapcert import flow, limits
 from gapcert.cli import main
 from gapcert.config import (
     DEFAULT_SAMPLING,
@@ -14,6 +15,7 @@ from gapcert.config import (
     parse_config,
 )
 from gapcert import report as report_module
+from gapcert.domination import certify
 from gapcert.errors import ParseError, ValidationError
 from gapcert.linalg import ScaledMatrix, Subspace
 from gapcert.report import (
@@ -23,6 +25,7 @@ from gapcert.report import (
     reproduce_paper,
     run,
 )
+from gapcert.subsets import hat
 
 LOG8 = math.log(8.0)
 
@@ -222,6 +225,48 @@ def test_run_all_tasks_deterministic_payload():
     assert json.loads(first.to_json())["summary"]["overall"] == "Pass"
 
 
+def test_run_walks_each_plane_once_and_keeps_every_block(monkeypatch):
+    # every task that reads limit planes or splittings, two transversality
+    # pairs, and flow_steps off the splitting checks' own 80 steps
+    point_tasks = ["limit-map", "transversality", "sdp", "splitting"]
+    config = parse_config(schottky_config(tasks=point_tasks))
+    assert config.sampling["flow_steps"] != 80
+    walks = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def walk(*args):
+            walks.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, walk)
+
+    counting(limits, "_limit_walk")
+    counting(flow, "_raw_splitting")
+    report = run(config)
+    assert exit_code(report) == 0
+    # planes at (ab), (a) forward and (BA), (B) backward; splittings over the
+    # point and its shift at 60 steps, and the shift at 80 steps
+    assert walks.count("_limit_walk") == 4
+    assert walks.count("_raw_splitting") == 3
+    rep, spec = config.representation(), config.subset_spec()
+    cert = certify(rep, spec, config.k, config.budget, opts=config.certify_options())
+    dual = certify(rep, hat(spec), rep.dim - config.k, config.budget)
+    walks.clear()
+    results = report.stable_payload()["results"]
+    for index, name in enumerate(point_tasks):
+        # outside run() every public function walks on its own
+        alone = report_module._TASK_RUNNERS[name](
+            config, rep, spec, index, lambda: cert, lambda: dual
+        )
+        assert json.dumps(report_module._jsonify(alone), sort_keys=True) == (
+            json.dumps(results[name], sort_keys=True)
+        )
+    assert walks.count("_limit_walk") == 9
+    assert walks.count("_raw_splitting") == 3
+
+
 def test_run_records_derived_task_seeds():
     config = parse_config(schottky_config(tasks=ALL_TASKS))
     report = run(config)
@@ -315,6 +360,46 @@ def test_cli_dependent_seed_plane_is_a_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: points.seed_plane:")
         assert "Traceback" not in err
+
+
+def assert_config_error(tmp_path, capsys, data, task, field):
+    path = write_config(tmp_path, data)
+    with pytest.raises(ValidationError) as caught:
+        load_config(path)
+    assert caught.value.field == field
+    assert main([task, "--config", path, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}:")
+    assert "Traceback" not in err
+
+
+def test_cli_zero_sdp_points_is_a_config_error(tmp_path, capsys):
+    data = schottky_config(tasks=["sdp"], sampling={"sdp_points": 0})
+    assert_config_error(tmp_path, capsys, data, "sdp", "sampling.sdp_points")
+
+
+def test_cli_zero_trials_is_a_config_error(tmp_path, capsys):
+    data = schottky_config(tasks=["stability"], sampling={"trials": 0})
+    assert_config_error(tmp_path, capsys, data, "stability", "sampling.trials")
+
+
+def test_cli_zero_kappa_is_a_config_error(tmp_path, capsys):
+    data = schottky_config(tasks=["holder"], sampling={"kappa": 0})
+    assert_config_error(tmp_path, capsys, data, "holder", "sampling.kappa")
+
+
+def test_cli_empty_pair_list_is_a_config_error(tmp_path, capsys):
+    data = schottky_config(tasks=["transversality"])
+    data["points"]["pairs"] = []
+    assert_config_error(tmp_path, capsys, data, "transversality", "points.pairs")
+
+
+def test_cli_unread_tolerances_are_unknown_fields(tmp_path, capsys):
+    # tolerances.gap and tolerances.fit were accepted but never read
+    for key in ("gap", "fit"):
+        data = z_config(tolerances={key: 1e-9})
+        assert_config_error(tmp_path, capsys, data, "certify", f"tolerances.{key}")
+    assert set(DEFAULT_TOLERANCES) == {"subspace", "lambda_min", "eps_res"}
 
 
 def test_run_records_numerical_failures_as_errors(monkeypatch):

@@ -14,12 +14,10 @@ from gapcert.domination import (
     REFUTED,
     CertifyOptions,
     certify,
-    directed_anosov_certify,
     margins,
-    primitive_stable_certify,
     slope_tolerance,
 )
-from gapcert.errors import BudgetError, EmptySubsetError
+from gapcert.errors import BudgetError
 from gapcert.linalg import Representation, evaluate, gap_margin
 from gapcert.subsets import (
     AxisFamily,
@@ -145,15 +143,16 @@ def test_positive_pair_directed_certified():
     rep = Representation.of(
         [np.array([[3.0, 1.0], [1.0, 1.0]]), np.array([[3.0, 0.0], [1.0, 1.0]])]
     )
-    cert = directed_anosov_certify(rep, 1, {A_LETTER, B_LETTER}, 12)
+    spec = Directed(2, frozenset({A_LETTER, B_LETTER}), allow_inverse_pairs=True)
+    cert = certify(rep, spec, 1, 12)
     assert cert.verdict == CERTIFIED
     assert cert.lambda_hat > 0.0
     assert_certificate_invariants(cert)
 
 
 def test_directed_empty_steps():
-    with pytest.raises(EmptySubsetError):
-        directed_anosov_certify(example_56_rep(), 1, set(), 8)
+    with pytest.raises(ValueError, match="nonempty"):
+        Directed(2, frozenset(), allow_inverse_pairs=True)
 
 
 def test_directed_inverse_pair_matches_axis():
@@ -167,7 +166,7 @@ def test_directed_inverse_pair_matches_axis():
 
 
 def test_primitive_stable_schottky_certified():
-    cert = primitive_stable_certify(schottky_rep(), 1, 4, 10)
+    cert = certify(schottky_rep(), Primitive(2, 4), 1, 10)
     assert cert.verdict == CERTIFIED
     assert cert.lambda_hat > 1.0
     assert not cert.complete
@@ -177,14 +176,14 @@ def test_primitive_stable_schottky_certified():
 
 def test_primitive_stable_identity_refuted():
     rep = Representation.of([np.eye(2), np.eye(2)])
-    cert = primitive_stable_certify(rep, 1, 3, 8)
+    cert = certify(rep, Primitive(2, 3), 1, 8)
     assert cert.verdict == REFUTED
     assert cert.counterexample == parse_word("aaaaaa")
 
 
 def test_primitive_stable_rank_one_rejected():
-    with pytest.raises(ValueError):
-        primitive_stable_certify(z_rep(), 1, 3, 8)
+    with pytest.raises(ValueError, match="rank >= 2"):
+        Primitive(z_rep().rank, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
+from gapcert import flow
 from gapcert.domination import _fit_slope, certify
 from gapcert.errors import (
+    GapcertError,
     HypothesesFailError,
     MembershipError,
     NotCertifiedError,
@@ -16,8 +20,10 @@ from gapcert.errors import (
 )
 from gapcert.flow import (
     BlockMap,
+    ShiftPoint,
     _backward_maps,
     _forward_maps,
+    _raw_splitting,
     anosov_margins,
     bg_splitting,
     check_hypotheses,
@@ -32,6 +38,7 @@ from gapcert.flow import (
     stability_probe,
     transform_hypotheses,
 )
+from gapcert.limits import shared_walks
 from gapcert.linalg import (
     Representation,
     Subspace,
@@ -41,8 +48,14 @@ from gapcert.linalg import (
     grassmann_distance,
     singular_values,
 )
-from gapcert.subsets import AxisFamily, Directed, FullBoundary
-from gapcert.words import Letter, parse_boundary_point, parse_word, periodic_point
+from gapcert.subsets import AxisFamily, Directed, FullBoundary, hat, q_plus_boundary
+from gapcert.words import (
+    BiInfiniteGeodesic,
+    Letter,
+    parse_boundary_point,
+    parse_word,
+    periodic_point,
+)
 
 LOG8 = math.log(8.0)
 A = Letter(1, 1)
@@ -351,6 +364,82 @@ def test_splitting_checks_catch_corruption():
     report = splitting_checks(rep, corrupted)
     assert not report.passed
     assert report.invariance_stable > 0.1
+
+
+def splitting_outcome(rep, x, k, n_steps, tol, rate):
+    try:
+        return helpers.reference_raw_splitting(rep, x, k, n_steps, tol, rate)
+    except GapcertError as exc:
+        return exc
+
+
+def assert_same_splitting(got, want):
+    if isinstance(want, GapcertError):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    (stable, unstable, diag), (stable_want, unstable_want, diag_want) = got, want
+    assert np.array_equal(stable.frame, stable_want.frame)
+    assert np.array_equal(unstable.frame, unstable_want.frame)
+    assert diag == diag_want
+
+
+@given(
+    helpers.reps_and_subsets(),
+    st.floats(0.05, 3.0),
+    helpers.tolerance_sets(),
+    st.sampled_from((4, 80)),
+)
+@settings(max_examples=30, deadline=None)
+def test_one_pass_splitting_settles_each_tolerance_as_walked_alone(
+    case, rate, tols, n_steps
+):
+    # 4 steps are too few for most lines, so NoConvergenceError is common
+    rep, spec = case
+    forward = sorted(q_plus_boundary(spec, 3), key=str)[:3]
+    backward = sorted(q_plus_boundary(hat(spec), 3), key=str)[-2:]
+    lines = [BiInfiniteGeodesic(x, y) for x in forward for y in backward if x != y]
+    for k in range(1, rep.dim):
+        for line in lines:
+            x = ShiftPoint(spec, line)
+            got = _raw_splitting(rep, x, k, n_steps, tols, rate)
+            assert len(got) == len(tols)
+            for tol, outcome in zip(tols, got):
+                want = splitting_outcome(rep, x, k, n_steps, tol, rate)
+                assert_same_splitting(outcome, want)
+                (alone,) = _raw_splitting(rep, x, k, n_steps, (tol,), rate)
+                assert_same_splitting(alone, want)
+
+
+def test_shared_walks_extract_each_splitting_once(monkeypatch):
+    rep, spec = schottky_rep(), directed_ab()
+    cert = certify(rep, spec, 1, 8)
+    x = shift_point(
+        spec, parse_boundary_point("b|(ab)"), parse_boundary_point("(BA)")
+    )
+    alone = bg_splitting(rep, x, 1, tol=1e-8, certificate=cert)
+    checks_alone = splitting_checks(rep, alone, certificate=cert)
+    calls = []
+
+    def spy(rep, x, k, n_steps, tols, rate):
+        calls.append((x.line.origin_offset, tuple(tols)))
+        return original(rep, x, k, n_steps, tols, rate)
+
+    original = flow._raw_splitting
+    monkeypatch.setattr(flow, "_raw_splitting", spy)
+    with shared_walks((1e-8, 1e-10)):
+        sample = bg_splitting(rep, x, 1, tol=1e-8, certificate=cert)
+        checks = splitting_checks(rep, sample, certificate=cert)
+    # the point and its shift, each walked once; the shift serves both
+    # tolerances, so splitting_checks reads it without walking again
+    assert [tols for _, tols in calls] == [(1e-10, 1e-8)] * 2
+    assert calls[1][0] == calls[0][0] + 1
+    assert np.array_equal(sample.stable.frame, alone.stable.frame)
+    assert np.array_equal(sample.unstable.frame, alone.unstable.frame)
+    assert dataclasses.astuple(checks) == dataclasses.astuple(checks_alone)
+    assert (sample.invariance_stable, sample.margin_values) == (
+        alone.invariance_stable,
+        alone.margin_values,
+    )
 
 
 # ---------------------------------------------------------------------------

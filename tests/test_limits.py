@@ -492,19 +492,23 @@ def assert_same_outcome(got, want):
 @given(
     helpers.reps_and_subsets(),
     st.floats(0.05, 3.0),
+    helpers.tolerance_sets(),
     st.sampled_from((6, 40, 400)),
 )
 @settings(max_examples=40, deadline=None)
-def test_walk_matches_the_one_point_loop(case, rate, n_max):
+def test_walk_matches_the_one_point_loop(case, rate, tols, n_max):
+    # many points and tolerances in one pass against each point and each
+    # tolerance alone; n_max 6 is too short for most points
     rep, spec = case
     points = sorted(q_plus_boundary(spec, 3), key=str)[:12]
     for k in range(1, rep.dim):
-        for tol in (1e-8, 1e-10):
-            together = limits._limit_walk(rep, k, points, rate, tol, n_max)
-            for x, got in zip(points, together):
+        together = limits._limit_walk(rep, k, points, rate, tols, n_max)
+        for x, got in zip(points, together):
+            assert len(got) == len(tols)
+            for tol, outcome in zip(tols, got):
                 want = walk_outcome(rep, k, x, rate, tol, n_max)
-                assert_same_outcome(got, want)
-                (alone,) = limits._limit_walk(rep, k, [x], rate, tol, n_max)
+                assert_same_outcome(outcome, want)
+                ((alone,),) = limits._limit_walk(rep, k, [x], rate, (tol,), n_max)
                 assert_same_outcome(alone, want)
 
 
@@ -520,13 +524,73 @@ def test_walk_covers_gapless_prefixes_and_both_failures():
     )
     kinds = set()
     for r, pts, n_max in cases:
-        for x, got in zip(pts, limits._limit_walk(r, 1, pts, 1.0, 1e-10, n_max)):
+        walked = limits._limit_walk(r, 1, pts, 1.0, (1e-10,), n_max)
+        for x, (got,) in zip(pts, walked):
             want = walk_outcome(r, 1, x, 1.0, 1e-10, n_max)
             assert_same_outcome(got, want)
             kinds.add(type(got).__name__)
             if not isinstance(got, GapcertError) and got.skipped_prefixes:
                 kinds.add("skipped")
     assert kinds == {"LimitMapValue", "skipped", "NoConvergenceError", "NoGapError"}
+
+
+def test_shared_walks_walk_each_plane_once_and_read_every_tolerance(monkeypatch):
+    rep, spec = schottky_rep(), directed_ab()
+    cert = certify(rep, spec, 1, 8)
+    x = parse_boundary_point("b|(ab)")
+    calls = []
+    original = limits._limit_walk
+
+    def spy(rep, k, points, rate, tols, n_max):
+        calls.append(tuple(tols))
+        return original(rep, k, points, rate, tols, n_max)
+
+    monkeypatch.setattr(limits, "_limit_walk", spy)
+    alone = {
+        tol: xi_upper(rep, spec, 1, x, tol, certificate=cert) for tol in (1e-8, 1e-10)
+    }
+    assert calls == [(1e-8,), (1e-10,)]
+    calls.clear()
+    with limits.shared_walks((1e-10, 1e-8)):
+        for tol in (1e-8, 1e-10, 1e-8, 1e-10):
+            got = xi_upper(rep, spec, 1, x, tol, certificate=cert)
+            assert_same_outcome(got, alone[tol])
+        # another tolerance, length cap or point walks on its own
+        xi_upper(rep, spec, 1, x, 1e-6, certificate=cert)
+        xi_upper(rep, spec, 1, x, 1e-8, n_max=300, certificate=cert)
+        # membership is still checked on every call
+        with pytest.raises(MembershipError):
+            xi_upper(rep, spec, 1, periodic_point(parse_word("A")), certificate=cert)
+    assert calls == [(1e-10, 1e-8), (1e-6,), (1e-10, 1e-8)]
+    calls.clear()
+    xi_upper(rep, spec, 1, x, 1e-8, certificate=cert)
+    assert calls == [(1e-8,)]
+
+
+def test_shared_walks_store_errors_and_fall_back_when_the_walk_raises(monkeypatch):
+    rep, spec = schottky_rep(), directed_ab()
+    cert = certify(rep, spec, 1, 8)
+    x = parse_boundary_point("(ab)")
+    with limits.shared_walks((1e-8, 1e-10)):
+        for _ in range(2):
+            with pytest.raises(NoConvergenceError) as caught:
+                xi_upper(rep, spec, 1, x, 1e-10, n_max=3, certificate=cert)
+            assert str(caught.value) == str(
+                walk_outcome(rep, 1, x, cert.lambda_hat, 1e-10, 3)
+            )
+    # a shared walk that fails past the tolerance a caller reads: the
+    # caller gets the outcome of a walk at its tolerance alone
+    original = limits._limit_walk
+
+    def failing_when_shared(rep, k, points, rate, tols, n_max):
+        if len(tols) > 1:
+            raise FloatingPointError("past the first stopping step")
+        return original(rep, k, points, rate, tols, n_max)
+
+    monkeypatch.setattr(limits, "_limit_walk", failing_when_shared)
+    with limits.shared_walks((1e-8, 1e-10)):
+        got = xi_upper(rep, spec, 1, x, 1e-8, certificate=cert)
+    assert_same_outcome(got, walk_outcome(rep, 1, x, cert.lambda_hat, 1e-8, 400))
 
 
 def reference_holder(rep, spec, k, sample_size, seed, max_period, n_max, cert):
@@ -620,7 +684,7 @@ def test_holder_raises_a_failed_point_only_when_a_pair_reads_it(monkeypatch):
         def walk(rep, k, points, *rest):
             out = original(rep, k, points, *rest)
             return [
-                NoConvergenceError(str(p)) if p == victim else outcome
+                (NoConvergenceError(str(p)),) if p == victim else outcome
                 for p, outcome in zip(points, out)
             ]
 

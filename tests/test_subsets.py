@@ -149,9 +149,6 @@ def test_axis_rotations_enumerated():
 def test_budget_errors():
     with pytest.raises(BudgetError):
         gamma_p_plus(FullBoundary(2), 0)
-    sample = gamma_p_plus(FullBoundary(2), 3)
-    with pytest.raises(BudgetError):
-        sample.truncate(4)
 
 
 @pytest.mark.parametrize(
@@ -173,9 +170,9 @@ def test_enumeration_properties(spec):
         for w in bucket:
             assert len(w) == t
             assert check_witness(w, sample.witness(w))
-    # monotonicity: truncation equals smaller-budget enumeration
+    # monotonicity: a smaller budget enumerates the first levels
     smaller = gamma_p_plus(spec, 3)
-    assert sample.truncate(3).buckets == smaller.buckets
+    assert {t: sample.buckets[t] for t in range(1, 4)} == smaller.buckets
     # inversion duality, exact
     dual = gamma_p_plus(hat(spec), budget)
     for t in range(1, budget + 1):

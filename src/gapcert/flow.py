@@ -36,8 +36,8 @@ from .limits import (
     DEFAULT_CERT_BUDGET,
     DEFAULT_TOL,
     _require_certified,
-    _walk_once,
     pair_in_subset,
+    read_splitting_walk,
     xi_lower,
     xi_upper,
 )
@@ -317,8 +317,12 @@ def _splitting(
 ) -> tuple[Subspace, Subspace, dict]:
     """The splitting over x at one tolerance, read from the open walk table
     when there is one; raises the walk's NoConvergenceError."""
-    outcome = _walk_once(
-        ("splitting", rep, x.line, k, rate, n_steps),
+    outcome = read_splitting_walk(
+        rep,
+        x.line,
+        k,
+        rate,
+        n_steps,
         tol,
         lambda tols: _raw_splitting(rep, x, k, n_steps, tols, rate),
     )

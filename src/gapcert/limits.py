@@ -30,6 +30,7 @@ from .errors import (
     NoGapError,
     NonTransverseSeedError,
     NotCertifiedError,
+    NumericalError,
 )
 from .linalg import (
     SUBSPACE_TOLERANCE,
@@ -60,6 +61,7 @@ from .subsets import (
     word_in_positive_set,
 )
 from .words import (
+    BiInfiniteGeodesic,
     BoundaryPoint,
     Letter,
     ReducedWord,
@@ -231,63 +233,118 @@ def xi_upper(
     if not (assume_member or point_in_forward_set(spec, x)):
         raise _membership_error(x)
     certificate = _require_certified(rep, spec, k, certificate, cert_budget)
-    rate = certificate.lambda_hat
-    outcome = _walk_once(
-        ("limit", rep, k, x, rate, n_max),
-        tol,
-        lambda tols: _limit_walk(rep, k, [x], rate, tols, n_max)[0],
-    )
+    outcome = _read_limit_walk(rep, k, x, certificate.lambda_hat, tol, n_max)
     if isinstance(outcome, GapcertError):
         raise outcome.with_traceback(None)
     return outcome
 
 
-# The open run's walk table: its tolerances and the outcomes by walk key.
-_SHARED_WALKS: ContextVar[Optional[tuple[tuple[float, ...], dict]]] = ContextVar(
+# Kinds of shared walk: limit planes (xi_upper / xi_lower, capped at n_max
+# prefixes) and flow splittings (capped at n_steps lengths).
+LIMIT_WALK = "limit"
+SPLITTING_WALK = "splitting"
+
+# The open walk table: per (kind, length cap), the tolerances its walks
+# settle and their outcomes by walk key.
+_SHARED_WALKS: ContextVar[Optional[dict]] = ContextVar(
     "gapcert_shared_walks", default=None
 )
 
+# Failures a shared walk may meet past the stopping step of the tolerance
+# being read, where a walk at that tolerance alone has already stopped.
+_WALK_FAILURES = (NumericalError, FloatingPointError, np.linalg.LinAlgError)
+
 
 @contextmanager
-def shared_walks(tols: Iterable[float]) -> Iterator[None]:
+def shared_walks(reads: Iterable[tuple[str, int, float]]) -> Iterator[None]:
     """Share limit-plane and splitting walks within the block.
 
-    Inside it, each walk of xi_upper / xi_lower and of the flow splitting
-    runs once per (representation, point or line, index, rate, length cap)
-    and settles every tolerance of tols in that pass; later calls at any of
-    tols read the stored outcome, which is bitwise that of a separate walk.
-    Calls at other tolerances, and calls outside the block, walk as usual.
-    Membership and certificate checks still run on every call.
+    reads names the walks the block will read, one entry per reader, as
+    (kind, length cap, tolerance) with kind LIMIT_WALK or SPLITTING_WALK.
+    Inside the block each walk of a kind and cap with two or more readers
+    runs once per (representation, point or line, index, rate) and settles
+    in that pass every tolerance read at its kind and cap, and no other;
+    later calls at any of those tolerances read the stored outcome, which
+    is bitwise that of a separate walk.  A kind and cap with one reader
+    has nothing to share and is not tabled.  Calls at other tolerances or
+    caps, and calls outside the block, walk as usual.  Membership and
+    certificate checks still run on every call.
     """
-    token = _SHARED_WALKS.set((tuple(sorted(set(tols))), {}))
+    groups: dict[tuple[str, int], list[float]] = {}
+    for kind, cap, tol in reads:
+        groups.setdefault((kind, cap), []).append(tol)
+    token = _SHARED_WALKS.set(
+        {
+            group: (tuple(sorted(set(tols))), {})
+            for group, tols in groups.items()
+            if len(tols) > 1
+        }
+    )
     try:
         yield
     finally:
         _SHARED_WALKS.reset(token)
 
 
-def _walk_once(
+def _read_walk(
+    group: tuple[str, int],
     key: tuple,
     tol: float,
     walk: Callable[[tuple[float, ...]], Sequence[Any]],
 ) -> Any:
     """The outcome at tol of walk, a one-pass walk that returns one outcome
-    per tolerance it is given, from the open walk table when tol is one of
-    its tolerances."""
+    per tolerance it is given, from the open walk table when the block
+    reads tol at this kind and cap."""
     shared = _SHARED_WALKS.get()
-    if shared is None or tol not in shared[0]:
+    entry = None if shared is None else shared.get(group)
+    if entry is None or tol not in entry[0]:
         (outcome,) = walk((tol,))
         return outcome
-    tols, table = shared
-    if key not in table:
+    tols, table = entry
+    outcomes = table.get(key)
+    if outcomes is None:
         try:
-            table[key] = dict(zip(tols, walk(tols)))
-        except Exception:
+            outcomes = dict(zip(tols, walk(tols)))
+        except _WALK_FAILURES:
             # the shared walk goes on past tol's stopping step, so it may
-            # fail where a walk at tol alone would not: walk tol alone
-            (outcome,) = walk((tol,))
-            return outcome
-    return table[key][tol]
+            # fail where a walk at tol alone would not: each tolerance is
+            # then walked alone, once
+            outcomes = {}
+        table[key] = outcomes
+    if tol not in outcomes:
+        (outcomes[tol],) = walk((tol,))
+    return outcomes[tol]
+
+
+def _read_limit_walk(
+    rep: Representation,
+    k: int,
+    x: BoundaryPoint,
+    rate: float,
+    tol: float,
+    n_max: int,
+) -> LimitMapValue | GapcertError:
+    """xi_upper's walk at x, from the open walk table when there is one."""
+    return _read_walk(
+        (LIMIT_WALK, n_max),
+        (rep, k, x, rate),
+        tol,
+        lambda tols: _limit_walk(rep, k, [x], rate, tols, n_max)[0],
+    )
+
+
+def read_splitting_walk(
+    rep: Representation,
+    line: BiInfiniteGeodesic,
+    k: int,
+    rate: float,
+    n_steps: int,
+    tol: float,
+    walk: Callable[[tuple[float, ...]], Sequence[Any]],
+) -> Any:
+    """The outcome at tol of walk, the flow's one-pass splitting walk over
+    line, from the open walk table when there is one."""
+    return _read_walk((SPLITTING_WALK, n_steps), (rep, line, k, rate), tol, walk)
 
 
 # Prefix positions whose letter codes are looked up at a time.
@@ -345,18 +402,20 @@ def _limit_walk(
         return []
     worst_pair = rep.letter_norm_bound
     tail_factor = 1.0 / (1.0 - math.exp(-rate))
-    tol_row = np.array(tols, dtype=float)
-    allowances = BOUND_SLACK * tol_row
+    allowances = [BOUND_SLACK * tol for tol in tols]
     images = rep.stacked_images
     outcomes: list[list[LimitMapValue | GapcertError]] = [
         [None] * len(tols) for _ in points
     ]
     skipped: list[list[int]] = [[] for _ in points]
+    # per point, the tolerances (by index) it has not settled yet
+    waiting: list[list[int]] = [list(range(len(tols))) for _ in points]
     # state of the rows still walking; bases hold the full left singular
     # matrices of the current planes, whose first k columns are the frames
     spelled, pre, per = _spelled(points)
     rows = np.arange(len(points))
-    pending = np.ones((len(points), len(tols)), dtype=bool)
+    # each row's loosest waiting tolerance: no other can settle before it
+    loosest = np.full(len(points), max(tols))
     cores = np.repeat(np.eye(rep.dim)[None], len(points), axis=0)
     logscales = np.zeros(len(points))
     bases = np.empty_like(cores)
@@ -404,46 +463,52 @@ def _limit_walk(
         all_planes = all_planes or not some_gapless
         rising = margins > margins_prev
         margins_prev = margins
-        candidates = pending & (steps[:, None] <= tol_row) & rising[:, None]
-        hopeful = np.flatnonzero(candidates.any(axis=1))
+        hopeful = np.flatnonzero((steps <= loosest) & rising)
         if not len(hopeful):
             continue
-        ratios = np.array([math.exp(-m) for m in margins[hopeful].tolist()])
-        settled = candidates[hopeful] & (
-            (worst_pair * ratios * tail_factor)[:, None] <= allowances
-        )
-        if not np.count_nonzero(settled):
-            continue
-        for h in np.flatnonzero(settled.any(axis=1)).tolist():
-            i = int(hopeful[h])
+        done = []
+        for i, m in zip(hopeful.tolist(), margins[hopeful].tolist()):
             r = int(rows[i])
+            step = float(steps[i])
+            ratio = math.exp(-m)
+            bound = worst_pair * ratio * tail_factor
+            settled = [
+                j for j in waiting[r] if step <= tols[j] and bound <= allowances[j]
+            ]
+            if not settled:
+                continue
             value = LimitMapValue(
                 point=points[r],
                 subspace=Subspace(k, left[i][:, :k]),
                 iterations=n,
-                last_step=float(steps[i]),
-                cauchy_bound=worst_pair * float(ratios[h]),
+                last_step=step,
+                cauchy_bound=worst_pair * ratio,
                 skipped_prefixes=tuple(skipped[r]),
             )
-            for j in np.flatnonzero(settled[h]).tolist():
+            for j in settled:
                 outcomes[r][j] = value
-        pending[hopeful] &= ~settled
-        keep = pending.any(axis=1)
-        if keep.all():
+            waiting[r] = [j for j in waiting[r] if j not in settled]
+            if waiting[r]:
+                loosest[i] = max(tols[j] for j in waiting[r])
+            else:
+                done.append(i)
+        if not done:
             continue
+        keep = np.ones(len(rows), dtype=bool)
+        keep[done] = False
         rows, letters, cores, logscales, bases = (
             rows[keep], letters[keep], cores[keep], logscales[keep], bases[keep]
         )
-        has_plane, steps, margins_prev, last_margins, pending = (
+        has_plane, steps, margins_prev, last_margins, loosest = (
             has_plane[keep],
             steps[keep],
             margins_prev[keep],
             last_margins[keep],
-            pending[keep],
+            loosest[keep],
         )
     for i, r in enumerate(rows.tolist()):
         x = points[r]
-        for j in np.flatnonzero(pending[i]).tolist():
+        for j in waiting[r]:
             if not has_plane[i]:
                 first = skipped[r]
                 offending = str(x.prefix(first[0])) if first else "(empty)"

@@ -22,9 +22,18 @@ from . import __version__
 from .config import RunConfig
 from .domination import CERTIFIED, REFUTED, DominationCertificate, certify
 from .errors import GapcertError, ParseError
-from .flow import bg_splitting, shift_point, splitting_checks, stability_probe
+from .flow import (
+    DEFAULT_FLOW_STEPS,
+    bg_splitting,
+    shift_point,
+    splitting_checks,
+    stability_probe,
+)
 from .limits import (
+    DEFAULT_N_MAX,
     DEFAULT_TOL,
+    LIMIT_WALK,
+    SPLITTING_WALK,
     discontinuity_probe,
     holder_estimate,
     sdp_check,
@@ -102,9 +111,8 @@ def run(config: RunConfig) -> Report:
             shared["dual"] = certify(rep, hat(spec), rep.dim - config.k, config.budget)
         return shared["dual"]
 
-    # the tasks walk the same limit planes and splittings at the config
-    # tolerance and at the library default; each is walked once
-    with shared_walks((config.tolerances["subspace"], DEFAULT_TOL)):
+    # each limit plane and splitting the tasks read is walked once
+    with shared_walks(_walk_reads(config)):
         for index, name in enumerate(config.tasks):
             started = time.perf_counter()
             try:
@@ -129,6 +137,31 @@ def run(config: RunConfig) -> Report:
         summary=summary,
         timings=timings,
     )
+
+
+def _walk_reads(config: RunConfig) -> list[tuple[str, int, float]]:
+    """The limit-plane and splitting walks the configured tasks read, as
+    (kind, length cap, tolerance).
+
+    Several tasks read the same plane or splitting, at the config tolerance
+    or at the library default that sdp_check and splitting_checks use; a
+    shared walk settles only the tolerances some task reads at its cap.
+    A read missing from this list walks on its own, so the list decides
+    how often a plane is walked, never what a task reports.
+    """
+    tol = config.tolerances["subspace"]
+    n_max = config.sampling["limit_n_max"]
+    reads = {
+        "limit-map": [(LIMIT_WALK, n_max, tol)],
+        "transversality": [(LIMIT_WALK, n_max, tol)],
+        "sdp": [(LIMIT_WALK, n_max, DEFAULT_TOL)],
+        "splitting": [
+            (SPLITTING_WALK, config.sampling["flow_steps"], tol),
+            (SPLITTING_WALK, DEFAULT_FLOW_STEPS, DEFAULT_TOL),
+            (LIMIT_WALK, DEFAULT_N_MAX, DEFAULT_TOL),
+        ],
+    }
+    return [read for name in config.tasks for read in reads.get(name, ())]
 
 
 def exit_code(report: Report) -> int:

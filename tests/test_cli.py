@@ -225,12 +225,9 @@ def test_run_all_tasks_deterministic_payload():
     assert json.loads(first.to_json())["summary"]["overall"] == "Pass"
 
 
-def test_run_walks_each_plane_once_and_keeps_every_block(monkeypatch):
-    # every task that reads limit planes or splittings, two transversality
-    # pairs, and flow_steps off the splitting checks' own 80 steps
-    point_tasks = ["limit-map", "transversality", "sdp", "splitting"]
-    config = parse_config(schottky_config(tasks=point_tasks))
-    assert config.sampling["flow_steps"] != 80
+def count_walks(monkeypatch, tolerances=None):
+    """Record the name of every limit-plane and splitting walk, and the
+    tolerances each one settles in tolerances when given."""
     walks = []
 
     def counting(module, name):
@@ -238,12 +235,52 @@ def test_run_walks_each_plane_once_and_keeps_every_block(monkeypatch):
 
         def walk(*args):
             walks.append(name)
+            if tolerances is not None:
+                # both walks take their tolerances fifth
+                tolerances.append((name, tuple(args[4])))
             return original(*args)
 
         monkeypatch.setattr(module, name, walk)
 
     counting(limits, "_limit_walk")
     counting(flow, "_raw_splitting")
+    return walks
+
+
+def test_run_walks_only_the_tolerances_its_tasks_read(monkeypatch):
+    # a task that reads planes at the config tolerance alone settles no
+    # other; splitting reads its own splittings at the config tolerance
+    # and 60 steps, the checks' shift at the default and 80 steps, and the
+    # endpoint planes at the default
+    tol = DEFAULT_TOLERANCES["subspace"]
+    default = limits.DEFAULT_TOL
+    assert tol != default
+    cases = {
+        ("limit-map",): [("_limit_walk", (tol,))],
+        ("transversality", "limit-map"): [("_limit_walk", (tol,))] * 4,
+        ("sdp",): [("_limit_walk", (default,))] * 2,
+        ("splitting",): [("_raw_splitting", (tol,))] * 2
+        + [("_raw_splitting", (default,))]
+        + [("_limit_walk", (default,))] * 2,
+        # the tolerances read at a kind and cap are settled on each walk
+        # of it, the backward plane that only sdp reads included
+        ("limit-map", "sdp"): [("_limit_walk", (default, tol))] * 2,
+    }
+    for tasks, expected in cases.items():
+        tolerances = []
+        count_walks(monkeypatch, tolerances)
+        report = run(parse_config(schottky_config(tasks=list(tasks))))
+        assert exit_code(report) == 0
+        assert tolerances == expected, tasks
+
+
+def test_run_walks_each_plane_once_and_keeps_every_block(monkeypatch):
+    # every task that reads limit planes or splittings, two transversality
+    # pairs, and flow_steps off the splitting checks' own 80 steps
+    point_tasks = ["limit-map", "transversality", "sdp", "splitting"]
+    config = parse_config(schottky_config(tasks=point_tasks))
+    assert config.sampling["flow_steps"] != 80
+    walks = count_walks(monkeypatch)
     report = run(config)
     assert exit_code(report) == 0
     # planes at (ab), (a) forward and (BA), (B) backward; splittings over the

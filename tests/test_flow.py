@@ -38,7 +38,7 @@ from gapcert.flow import (
     stability_probe,
     transform_hypotheses,
 )
-from gapcert.limits import shared_walks
+from gapcert.limits import SPLITTING_WALK, shared_walks
 from gapcert.linalg import (
     Representation,
     Subspace,
@@ -426,7 +426,8 @@ def test_shared_walks_extract_each_splitting_once(monkeypatch):
 
     original = flow._raw_splitting
     monkeypatch.setattr(flow, "_raw_splitting", spy)
-    with shared_walks((1e-8, 1e-10)):
+    reads = [(SPLITTING_WALK, 80, 1e-8), (SPLITTING_WALK, 80, 1e-10)]
+    with shared_walks(reads):
         sample = bg_splitting(rep, x, 1, tol=1e-8, certificate=cert)
         checks = splitting_checks(rep, sample, certificate=cert)
     # the point and its shift, each walked once; the shift serves both

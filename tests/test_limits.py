@@ -19,6 +19,7 @@ from gapcert.errors import (
     NoGapError,
     NonTransverseSeedError,
     NotCertifiedError,
+    ScaleOverflowError,
 )
 from gapcert.limits import (
     cartan_check,
@@ -534,6 +535,10 @@ def test_walk_covers_gapless_prefixes_and_both_failures():
     assert kinds == {"LimitMapValue", "skipped", "NoConvergenceError", "NoGapError"}
 
 
+def limit_reads(*tols, n_max=limits.DEFAULT_N_MAX):
+    return [(limits.LIMIT_WALK, n_max, tol) for tol in tols]
+
+
 def test_shared_walks_walk_each_plane_once_and_read_every_tolerance(monkeypatch):
     rep, spec = schottky_rep(), directed_ab()
     cert = certify(rep, spec, 1, 8)
@@ -551,46 +556,76 @@ def test_shared_walks_walk_each_plane_once_and_read_every_tolerance(monkeypatch)
     }
     assert calls == [(1e-8,), (1e-10,)]
     calls.clear()
-    with limits.shared_walks((1e-10, 1e-8)):
+    reads = limit_reads(1e-10, 1e-8, 1e-8) + limit_reads(1e-6, 1e-6, n_max=300)
+    with limits.shared_walks(reads):
         for tol in (1e-8, 1e-10, 1e-8, 1e-10):
             got = xi_upper(rep, spec, 1, x, tol, certificate=cert)
             assert_same_outcome(got, alone[tol])
-        # another tolerance, length cap or point walks on its own
+        # a tolerance or length cap the block does not read at that cap
+        # walks on its own, and so does another kind
         xi_upper(rep, spec, 1, x, 1e-6, certificate=cert)
         xi_upper(rep, spec, 1, x, 1e-8, n_max=300, certificate=cert)
+        # a cap's own tolerances are shared at that cap
+        for _ in range(2):
+            xi_upper(rep, spec, 1, x, 1e-6, n_max=300, certificate=cert)
         # membership is still checked on every call
         with pytest.raises(MembershipError):
             xi_upper(rep, spec, 1, periodic_point(parse_word("A")), certificate=cert)
-    assert calls == [(1e-10, 1e-8), (1e-6,), (1e-10, 1e-8)]
+    assert calls == [(1e-10, 1e-8), (1e-6,), (1e-8,), (1e-6,)]
     calls.clear()
+    # a walk of another kind, or with one reader, is not tabled
+    for reads in ([(limits.SPLITTING_WALK, 400, 1e-8)] * 2, limit_reads(1e-8)):
+        with limits.shared_walks(reads):
+            for _ in range(2):
+                xi_upper(rep, spec, 1, x, 1e-8, certificate=cert)
     xi_upper(rep, spec, 1, x, 1e-8, certificate=cert)
-    assert calls == [(1e-8,)]
+    assert calls == [(1e-8,)] * 5
 
 
 def test_shared_walks_store_errors_and_fall_back_when_the_walk_raises(monkeypatch):
     rep, spec = schottky_rep(), directed_ab()
     cert = certify(rep, spec, 1, 8)
     x = parse_boundary_point("(ab)")
-    with limits.shared_walks((1e-8, 1e-10)):
+    with limits.shared_walks(limit_reads(1e-8, 1e-10, n_max=3)):
         for _ in range(2):
             with pytest.raises(NoConvergenceError) as caught:
                 xi_upper(rep, spec, 1, x, 1e-10, n_max=3, certificate=cert)
             assert str(caught.value) == str(
                 walk_outcome(rep, 1, x, cert.lambda_hat, 1e-10, 3)
             )
-    # a shared walk that fails past the tolerance a caller reads: the
-    # caller gets the outcome of a walk at its tolerance alone
+    # a shared walk that fails numerically past the tolerance a caller
+    # reads: each tolerance is walked alone, once, and gets the outcome of
+    # a walk at that tolerance alone
     original = limits._limit_walk
+    calls = []
 
-    def failing_when_shared(rep, k, points, rate, tols, n_max):
-        if len(tols) > 1:
-            raise FloatingPointError("past the first stopping step")
-        return original(rep, k, points, rate, tols, n_max)
+    def failing_when_shared(error):
+        def walk(rep, k, points, rate, tols, n_max):
+            calls.append(tuple(tols))
+            if len(tols) > 1:
+                raise error
+            return original(rep, k, points, rate, tols, n_max)
 
-    monkeypatch.setattr(limits, "_limit_walk", failing_when_shared)
-    with limits.shared_walks((1e-8, 1e-10)):
-        got = xi_upper(rep, spec, 1, x, 1e-8, certificate=cert)
-    assert_same_outcome(got, walk_outcome(rep, 1, x, cert.lambda_hat, 1e-8, 400))
+        return walk
+
+    for error in (
+        FloatingPointError("past the first stopping step"),
+        np.linalg.LinAlgError("SVD did not converge"),
+        ScaleOverflowError("product out of range"),
+    ):
+        calls.clear()
+        monkeypatch.setattr(limits, "_limit_walk", failing_when_shared(error))
+        with limits.shared_walks(limit_reads(1e-8, 1e-10)):
+            for tol in (1e-8, 1e-10, 1e-8, 1e-10):
+                got = xi_upper(rep, spec, 1, x, tol, certificate=cert)
+                want = walk_outcome(rep, 1, x, cert.lambda_hat, tol, 400)
+                assert_same_outcome(got, want)
+        assert calls == [(1e-10, 1e-8), (1e-8,), (1e-10,)]
+    # any other failure is a fault, not a numerical limit: it is raised
+    monkeypatch.setattr(limits, "_limit_walk", failing_when_shared(IndexError("row")))
+    with limits.shared_walks(limit_reads(1e-8, 1e-10)):
+        with pytest.raises(IndexError):
+            xi_upper(rep, spec, 1, x, 1e-8, certificate=cert)
 
 
 def reference_holder(rep, spec, k, sample_size, seed, max_period, n_max, cert):

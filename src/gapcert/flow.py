@@ -27,7 +27,6 @@ from .errors import (
     HypothesesFailError,
     MembershipError,
     NoConvergenceError,
-    NoGapError,
     NotCertifiedError,
     SingularBlockError,
 )
@@ -36,6 +35,7 @@ from .limits import (
     DEFAULT_CERT_BUDGET,
     DEFAULT_TOL,
     _require_certified,
+    _walk_in_chunks,
     pair_in_subset,
     read_splitting_walk,
     xi_lower,
@@ -47,13 +47,14 @@ from .linalg import (
     Subspace,
     apply_to_subspace,
     evaluate,
-    gap_margin,
     grassmann_distance,
-    s_dk,
+    running_products,
+    stacked_gap_margins,
+    stacked_grassmann_distance,
+    stacked_singular_frames,
     transversality_gap,
-    u_k,
 )
-from .subsets import SubsetPSpec
+from .subsets import SubsetPSpec, letter_code
 from .words import (
     EMPTY_WORD,
     BiInfiniteGeodesic,
@@ -129,29 +130,27 @@ def cocycle(rep: Representation, x: ShiftPoint, n: int) -> ScaledMatrix:
     return evaluate(rep, invert(x.forward_word(n)))
 
 
-def _forward_maps(rep: Representation, x: ShiftPoint, count: int):
-    """cocycle(rep, x, n) for n = 1, ..., count, as one running product.
+def _step_factors(
+    rep: Representation, line: BiInfiniteGeodesic, start: int, count: int
+) -> np.ndarray:
+    """The (count, 2, d, d) factors that take the running maps from length
+    start to start + count: the time-n map over x is the inverse image of
+    the n-th step letter times the time-(n-1) map, a factor on the left;
+    the time-n map arriving at x from shift(x, -n) extends on the right by
+    the inverse image of the letter n steps back, as cocycle() builds it."""
+    codes = [
+        (letter_code(line.step_letter(n)), letter_code(line.step_letter(-n - 1)))
+        for n in range(start, start + count)
+    ]
+    return rep.stacked_images[np.array(codes, dtype=np.intp).reshape(count, 2) ^ 1]
 
-    The time-n map is the inverse image of the n-th step letter times the
-    time-(n-1) map, so each map extends the last on the left; its rounding
-    differs from cocycle(), which multiplies the inverted word from the
-    left end.
-    """
-    current = ScaledMatrix.identity(rep.dim)
-    for t in range(count):
-        step = ScaledMatrix(rep.image(x.line.step_letter(t).inverse()))
-        current = step.compose(current)
-        yield current
 
-
-def _backward_maps(rep: Representation, x: ShiftPoint, count: int):
-    """cocycle(rep, shift(x, -n), n) for n = 1, ..., count, as one running
-    product.  Each map extends the last on the right, as cocycle() builds
-    it, so the bits are cocycle()'s."""
-    current = ScaledMatrix.identity(rep.dim)
-    for n in range(1, count + 1):
-        current = current.times(rep.image(x.line.step_letter(-n).inverse()))
-        yield current
+def _cocycle_stack(rep: Representation, x: ShiftPoint, count: int):
+    """Cores and log scales of cocycle(rep, x, n) for n = 1, ..., count as
+    one running product, whose rounding differs from cocycle()'s."""
+    factors = _step_factors(rep, x.line, 0, count)[:, :1]
+    cores, logscales = running_products(np.eye(rep.dim)[None], np.zeros(1), factors, 1)
+    return cores[:, 0], logscales[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +188,7 @@ def anosov_margins(
                 f"({x.line.forward}, {x.line.backward}) is not an endpoint "
                 "pair of the subset"
             )
-        margins = [gap_margin(m, index) for m in _forward_maps(rep, x, n_steps)]
+        margins = stacked_gap_margins(*_cocycle_stack(rep, x, n_steps), index).tolist()
         window_lo = max(1, math.ceil(n_steps / 2))
         slope, _, stderr = _fit_slope(
             [(n, margins[n - 1]) for n in range(window_lo, n_steps + 1)]
@@ -243,61 +242,87 @@ def _raw_splitting(
 ) -> list[tuple[Subspace, Subspace, dict] | NoConvergenceError]:
     """Iterate the singular subspaces of the time-n maps until both limits
     settle under the margin-seeded tail bound, for every tolerance in one
-    pass.
+    pass, a chunk of lengths at a time.
 
-    Each tolerance records its outcome at the first length where its own
-    stopping rule holds, and the walk goes on until every tolerance has
-    settled or the maps run out.  Returns one outcome per tolerance, in the
-    order of tols: the (stable, unstable, diagnostics) triple, or the
-    NoConvergenceError a walk at that tolerance alone ends in.
+    A chunk takes one SVD with vectors (frames and gaps), one values-only
+    SVD (margins) and one stacked Grassmann distance per summand (steps),
+    with the bits of the one-length loop, and is scanned length by length
+    with its stopping rule.  Returns one outcome per tolerance, in the
+    order of tols, from the first length where its own rule holds: the
+    (stable, unstable, diagnostics) triple, or the NoConvergenceError a
+    walk at that tolerance alone ends in.
     """
-    index = rep.dim - k
+    dim, index = rep.dim, rep.dim - k
     worst_pair = rep.letter_norm_bound
     tail_factor = 1.0 / (1.0 - math.exp(-rate))
     outcomes: list = [None] * len(tols)
     pending = list(range(len(tols)))
-    stable = unstable = None
-    step_s = step_u = math.inf
     margins: list[tuple[int, float]] = []
     skipped: list[int] = []
-    maps = zip(_forward_maps(rep, x, n_steps), _backward_maps(rep, x, n_steps))
-    for n, (forward_map, backward_map) in enumerate(maps, start=1):
-        try:
-            stable_cand = s_dk(forward_map, index)
-            unstable_cand = u_k(backward_map, index)
-        except NoGapError:
-            skipped.append(n)
-            continue
-        margin_s = gap_margin(forward_map, index)
-        margin_u = gap_margin(backward_map, index)
-        margins.append((n, margin_s))
-        if stable is not None:
-            step_s = grassmann_distance(stable, stable_cand)
-            step_u = grassmann_distance(unstable, unstable_cand)
-        stable, unstable = stable_cand, unstable_cand
-        bound_s = worst_pair * math.exp(-margin_s) * tail_factor
-        bound_u = worst_pair * math.exp(-margin_u) * tail_factor
-        for j in pending:
-            tol = tols[j]
-            if (
-                step_s <= tol
-                and step_u <= tol
-                and max(bound_s, bound_u) <= BOUND_SLACK * tol
-            ):
-                outcomes[j] = (
-                    stable,
-                    unstable,
-                    {
-                        "iterations": n,
-                        "step_s": step_s,
-                        "step_u": step_u,
-                        "margins": list(margins),
-                        "skipped": list(skipped),
-                    },
-                )
-        pending = [j for j in pending if outcomes[j] is None]
-        if not pending:
-            return outcomes
+    # the forward and backward maps; at the last length with a gap, the
+    # right singular matrix of one and the left one of the other, and steps
+    cores, logscales = np.repeat(np.eye(dim)[None], 2, axis=0), np.zeros(2)
+    bases: list[np.ndarray] = []
+    step_s = step_u = math.inf
+
+    def advance(start: int, count: int) -> bool:
+        nonlocal pending, cores, logscales, bases, step_s, step_u
+        factors = _step_factors(rep, x.line, start, count)
+        chunk, scales = running_products(cores, logscales, factors, on_left=1)
+        flat = chunk.reshape(-1, dim, dim)
+        left, right_t, gapless = stacked_singular_frames(flat, index)
+        gapless = gapless.reshape(count, 2).any(axis=1).tolist()
+        chunk_margins = stacked_gap_margins(flat, scales.reshape(-1), index).tolist()
+        live = [t for t in range(count) if not gapless[t]]
+        frames = [right_t[0::2][live], left[1::2][live]]
+        if bases:
+            frames = [np.concatenate([f[None], g]) for f, g in zip(bases, frames)]
+        # stable frames are views of whole right singular matrices, so they
+        # have the strides, and the steps the bits, of s_dk's frames
+        stable = np.swapaxes(frames[0][:, index:], -1, -2)
+        unstable = frames[1][..., :index]
+        steps = [[math.inf] * (len(live) - len(stable) + 1)] * 2
+        if len(stable) > 1:
+            steps = [
+                first + stacked_grassmann_distance(f[:-1], f[1:]).tolist()
+                for first, f in zip(steps, (stable, unstable))
+            ]
+        # nothing below fails numerically: scan the chunk
+        skipped.extend(start + t + 1 for t in range(count) if gapless[t])
+        for row, t in enumerate(live):
+            n = start + t + 1
+            margin_s, margin_u = chunk_margins[2 * t], chunk_margins[2 * t + 1]
+            margins.append((n, margin_s))
+            step_s, step_u = steps[0][row], steps[1][row]
+            bound_s = worst_pair * math.exp(-margin_s) * tail_factor
+            bound_u = worst_pair * math.exp(-margin_u) * tail_factor
+            for j in pending:
+                tol = tols[j]
+                if (
+                    step_s <= tol
+                    and step_u <= tol
+                    and max(bound_s, bound_u) <= BOUND_SLACK * tol
+                ):
+                    outcomes[j] = (
+                        Subspace(dim - index, right_t[2 * t][index:].T),
+                        Subspace(index, left[2 * t + 1][:, :index]),
+                        {
+                            "iterations": n,
+                            "step_s": step_s,
+                            "step_u": step_u,
+                            "margins": list(margins),
+                            "skipped": [m for m in skipped if m < n],
+                        },
+                    )
+            pending = [j for j in pending if outcomes[j] is None]
+            if not pending:
+                return False
+        if live:
+            bases = [frames[0][-1], frames[1][-1]]
+        cores, logscales = chunk[-1], scales[-1]
+        return True
+
+    _walk_in_chunks(n_steps, advance, lambda: 2)
     for j in pending:
         outcomes[j] = NoConvergenceError(
             f"splitting did not settle within {n_steps} steps: last steps "
@@ -314,18 +339,19 @@ def _splitting(
     n_steps: int,
     tol: float,
     rate: float,
+    shared: bool = True,
 ) -> tuple[Subspace, Subspace, dict]:
     """The splitting over x at one tolerance, read from the open walk table
-    when there is one; raises the walk's NoConvergenceError."""
-    outcome = read_splitting_walk(
-        rep,
-        x.line,
-        k,
-        rate,
-        n_steps,
-        tol,
-        lambda tols: _raw_splitting(rep, x, k, n_steps, tols, rate),
-    )
+    when there is one and shared is set; raises the walk's
+    NoConvergenceError."""
+
+    def walk(tols: Sequence[float]) -> list:
+        return _raw_splitting(rep, x, k, n_steps, tols, rate)
+
+    if shared:
+        outcome = read_splitting_walk(rep, x.line, k, rate, n_steps, tol, walk)
+    else:
+        (outcome,) = walk((tol,))
     if isinstance(outcome, NoConvergenceError):
         raise outcome.with_traceback(None)
     return outcome
@@ -350,7 +376,8 @@ def bg_splitting(
     """
     certificate = _require_certified(rep, x.spec, k, certificate, cert_budget)
     rate = certificate.lambda_hat
-    stable, unstable, diag = _splitting(rep, x, k, n_steps, tol, rate)
+    # nothing else reads the splitting over x itself, so it is not tabled
+    stable, unstable, diag = _splitting(rep, x, k, n_steps, tol, rate, shared=False)
     stable_next, unstable_next, _ = _splitting(rep, shift(x), k, n_steps, tol, rate)
     one_step = cocycle(rep, x, 1).core
     return SplittingSample(
@@ -420,20 +447,15 @@ def splitting_checks(
     invariance_unstable = grassmann_distance(
         apply_to_subspace(one_step, sample.unstable), unstable_next
     )
-    lengths = set(sample.margin_lengths)
-    cores = {
-        n: m.core
-        for n, m in enumerate(_forward_maps(rep, x, max(lengths, default=0)), 1)
-        if n in lengths
-    }
-    ratio_lengths = []
+    ratio_lengths = list(sample.margin_lengths)
     ratio_values = []
-    for n in sample.margin_lengths:
-        core = cores[n]
-        stretched = np.linalg.svd(core @ sample.stable.frame, compute_uv=False)
-        kept = np.linalg.svd(core @ sample.unstable.frame, compute_uv=False)
-        ratio_lengths.append(n)
-        ratio_values.append(float(np.log(stretched[0]) - np.log(kept[-1])))
+    if ratio_lengths:
+        cores = _cocycle_stack(rep, x, max(ratio_lengths))[0][
+            np.array(ratio_lengths) - 1
+        ]
+        stretched = np.linalg.svd(cores @ sample.stable.frame, compute_uv=False)
+        kept = np.linalg.svd(cores @ sample.unstable.frame, compute_uv=False)
+        ratio_values = (np.log(stretched[:, 0]) - np.log(kept[:, -1])).tolist()
     ratio_slope, _, _ = _fit_slope(list(zip(ratio_lengths, ratio_values)))
 
     marker = x.line.vertex(0)

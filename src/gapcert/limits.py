@@ -14,6 +14,7 @@ exponent by regression, and reproduces the boundary-discontinuity probe.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -35,15 +36,14 @@ from .errors import (
 from .linalg import (
     SUBSPACE_TOLERANCE,
     Representation,
-    ScaledMatrix,
     Subspace,
     evaluate,
     grassmann_distance,
-    renormalized_stack,
+    running_products,
     stacked_apply_to_subspace,
     stacked_gap_margins,
     stacked_grassmann_distance,
-    stacked_u_k,
+    stacked_singular_frames,
     transversality_gap,
     u_k,
 )
@@ -233,7 +233,13 @@ def xi_upper(
     if not (assume_member or point_in_forward_set(spec, x)):
         raise _membership_error(x)
     certificate = _require_certified(rep, spec, k, certificate, cert_budget)
-    outcome = _read_limit_walk(rep, k, x, certificate.lambda_hat, tol, n_max)
+    rate = certificate.lambda_hat
+    outcome = _read_walk(
+        (LIMIT_WALK, n_max),
+        (rep, k, x, rate),
+        tol,
+        lambda tols: _limit_walk(rep, k, [x], rate, tols, n_max)[0],
+    )
     if isinstance(outcome, GapcertError):
         raise outcome.with_traceback(None)
     return outcome
@@ -316,23 +322,6 @@ def _read_walk(
     return outcomes[tol]
 
 
-def _read_limit_walk(
-    rep: Representation,
-    k: int,
-    x: BoundaryPoint,
-    rate: float,
-    tol: float,
-    n_max: int,
-) -> LimitMapValue | GapcertError:
-    """xi_upper's walk at x, from the open walk table when there is one."""
-    return _read_walk(
-        (LIMIT_WALK, n_max),
-        (rep, k, x, rate),
-        tol,
-        lambda tols: _limit_walk(rep, k, [x], rate, tols, n_max)[0],
-    )
-
-
 def read_splitting_walk(
     rep: Representation,
     line: BiInfiniteGeodesic,
@@ -347,8 +336,36 @@ def read_splitting_walk(
     return _read_walk((SPLITTING_WALK, n_steps), (rep, line, k, rate), tol, walk)
 
 
-# Prefix positions whose letter codes are looked up at a time.
-_LETTER_CHUNK = 32
+# Lengths a walk of a few rows advances at a time: their products are
+# built one after another, their letter lookups, SVDs and steps taken once.
+# A walk of more rows shares those calls among its rows already, and goes
+# one length at a time rather than walk rows past their stops.
+_WALK_CHUNK = 8
+_CHUNKED_ROWS = 4
+
+
+def _walk_in_chunks(
+    n_max: int, advance: Callable[[int, int], bool], rows: Callable[[], int]
+) -> None:
+    """Call advance(start, count) on the lengths start + 1, ...,
+    start + count, a chunk at a time while rows() is at most _CHUNKED_ROWS,
+    until it returns False or the lengths run out.  A chunk may reach past
+    a row's stopping length: one that fails numerically (advance then
+    leaves its state alone) is walked again one length at a time, so the
+    walk raises only where that would."""
+    start = 0
+    while start < n_max:
+        chunk = _WALK_CHUNK if rows() <= _CHUNKED_ROWS else 1
+        count = min(chunk, n_max - start)
+        try:
+            going = advance(start, count)
+        except _WALK_FAILURES:
+            if count == 1:
+                raise
+            going = all(advance(n, 1) for n in range(start, start + count))
+        if not going:
+            return
+        start += count
 
 
 def _spelled(
@@ -366,10 +383,10 @@ def _spelled(
 
 
 def _letter_codes(
-    spelled: np.ndarray, pre: np.ndarray, per: np.ndarray, start: int
+    spelled: np.ndarray, pre: np.ndarray, per: np.ndarray, start: int, count: int
 ) -> np.ndarray:
-    """Letter codes at positions start, ..., start + _LETTER_CHUNK - 1."""
-    at = np.arange(start, start + _LETTER_CHUNK)
+    """Letter codes at positions start, ..., start + count - 1."""
+    at = np.arange(start, start + count)
     at = np.where(at < pre, at, pre + (at - pre) % per)
     return np.take_along_axis(spelled, at, axis=1)
 
@@ -383,18 +400,15 @@ def _limit_walk(
     n_max: int,
 ) -> list[tuple[LimitMapValue | GapcertError, ...]]:
     """xi_upper's prefix walk, at every point in lockstep and for every
-    tolerance in one pass.
+    tolerance in one pass, a chunk of prefix lengths at a time.
 
-    Each prefix length takes one stacked matmul, one row-wise
-    renormalization and three stacked SVDs (frames, margins, steps) over
-    the points still walking, so each point's products, frames, margins
-    and steps have the bits of the one-point loop.  A point walks until
-    each tolerance has settled or the walk runs out; no walk state depends
-    on the tolerance, so each tolerance's outcome is the one a walk at that
-    tolerance alone would give.  Returns per point one outcome per
-    tolerance, in the order of tols: its LimitMapValue, or the NoGapError /
-    NoConvergenceError it ends in; callers raise a point's error when they
-    read that point.
+    A chunk takes one SVD with vectors (frames and gaps), one values-only
+    SVD (margins) and one stacked Grassmann distance (steps), with the bits
+    of the one-point loop, and is scanned length by length with that
+    loop's stopping rule.  No walk state depends on the tolerance, so each
+    outcome is that of a walk at its tolerance alone.  Returns per point
+    one outcome per tolerance, in the order of tols: its LimitMapValue, or
+    the NoGapError / NoConvergenceError that its reader raises.
     """
     if not 1 <= k < rep.dim:
         raise ValueError(f"gap index must satisfy 1 <= k < {rep.dim}, got {k}")
@@ -404,73 +418,59 @@ def _limit_walk(
     tail_factor = 1.0 / (1.0 - math.exp(-rate))
     allowances = [BOUND_SLACK * tol for tol in tols]
     images = rep.stacked_images
-    outcomes: list[list[LimitMapValue | GapcertError]] = [
-        [None] * len(tols) for _ in points
-    ]
+    outcomes: list[list] = [[None] * len(tols) for _ in points]
     skipped: list[list[int]] = [[] for _ in points]
     # per point, the tolerances (by index) it has not settled yet
-    waiting: list[list[int]] = [list(range(len(tols))) for _ in points]
-    # state of the rows still walking; bases hold the full left singular
-    # matrices of the current planes, whose first k columns are the frames
+    waiting = [list(range(len(tols))) for _ in points]
     spelled, pre, per = _spelled(points)
-    rows = np.arange(len(points))
-    # each row's loosest waiting tolerance: no other can settle before it
-    loosest = np.full(len(points), max(tols))
+    # per point: the product, the full left singular matrix of its plane
+    # (whose first k columns are the frame), its last step and margins
     cores = np.repeat(np.eye(rep.dim)[None], len(points), axis=0)
     logscales = np.zeros(len(points))
     bases = np.empty_like(cores)
     has_plane = np.zeros(len(points), dtype=bool)
-    all_planes = False
     steps = np.full(len(points), math.inf)
     margins_prev = np.full(len(points), -math.inf)
     last_margins = np.full(len(points), math.nan)
-    for n in range(1, n_max + 1):
-        if not len(rows):
-            break
-        column = (n - 1) % _LETTER_CHUNK
-        if column == 0:
-            letters = _letter_codes(spelled[rows], pre[rows], per[rows], n - 1)
-        cores, logscales = renormalized_stack(
-            np.matmul(cores, images[letters[:, column]]), logscales
+    rows = np.arange(len(points))  # the points still walking
+
+    def advance(start: int, count: int) -> bool:
+        nonlocal rows
+        width, columns = len(rows), np.arange(len(rows))
+        codes = _letter_codes(spelled[rows], pre[rows], per[rows], start, count)
+        chunk, scales = running_products(cores[rows], logscales[rows], images[codes.T])
+        flat = chunk.reshape(-1, rep.dim, rep.dim)
+        left, _, gapless = stacked_singular_frames(flat, k)
+        margins = stacked_gap_margins(flat, scales.reshape(-1), k)
+        # a gapless prefix keeps its row's plane, step and last margin, and
+        # reads as margin -inf, so the next gap counts as rising
+        margins[gapless] = -math.inf
+        margins = margins.reshape(count, width)
+        live = ~gapless.reshape(count, width)
+        # the rows' planes, then the chunk's; latest[t] indexes each row's
+        # plane after t lengths of the chunk (-1: none yet)
+        frames = np.concatenate([bases[rows], left])
+        own = np.arange(width, width * (count + 1)).reshape(count, width)
+        latest = np.maximum.accumulate(
+            np.concatenate(
+                [np.where(has_plane[rows], columns, -1)[None], np.where(live, own, -1)]
+            )
         )
-        left, gapless = stacked_u_k(cores, k)
-        some_gapless = np.count_nonzero(gapless) > 0
-        if some_gapless:
-            # a gapless prefix keeps its row's plane, step and last margin,
-            # and reads as margin -inf, so the next gap counts as rising
-            for r in rows[gapless].tolist():
-                skipped[r].append(n)
-            live = np.flatnonzero(~gapless)
-            margins = np.full(len(rows), -math.inf)
-            margins[live] = stacked_gap_margins(cores[live], logscales[live], k)
-        else:
-            margins = stacked_gap_margins(cores, logscales, k)
-        if all_planes and not some_gapless:
-            steps = stacked_grassmann_distance(bases[..., :k], left[..., :k])
-        else:
-            moving = np.flatnonzero(has_plane & ~gapless)
-            if len(moving):
-                steps = steps.copy()
-                steps[moving] = stacked_grassmann_distance(
-                    bases[moving][..., :k], left[moving][..., :k]
-                )
-        if some_gapless:
-            bases = np.where(gapless[:, None, None], bases, left)
-            last_margins = np.where(gapless, last_margins, margins)
-        else:
-            bases, last_margins = left, margins
-        has_plane = has_plane | ~gapless
-        all_planes = all_planes or not some_gapless
-        rising = margins > margins_prev
-        margins_prev = margins
-        hopeful = np.flatnonzero((steps <= loosest) & rising)
-        if not len(hopeful):
-            continue
-        done = []
-        for i, m in zip(hopeful.tolist(), margins[hopeful].tolist()):
-            r = int(rows[i])
-            step = float(steps[i])
-            ratio = math.exp(-m)
+        moving = live & (latest[:-1] >= 0)
+        chunk_steps = np.full((count + 1, width), math.inf)
+        chunk_steps[0] = steps[rows]
+        if np.count_nonzero(moving):
+            chunk_steps[1:][moving] = stacked_grassmann_distance(
+                frames[latest[:-1][moving]][..., :k], frames[own[moving]][..., :k]
+            )
+        # nothing below fails numerically: commit the chunk
+        for t, i in zip(*np.nonzero(~live)):
+            skipped[rows[i]].append(start + int(t) + 1)
+        rising = margins > np.concatenate([margins_prev[rows][None], margins[:-1]])
+        for t, i in zip(*np.nonzero(rising & (chunk_steps[1:] <= max(tols)))):
+            r, n = int(rows[i]), start + int(t) + 1
+            step = float(chunk_steps[t + 1, i])
+            ratio = math.exp(-float(margins[t, i]))
             bound = worst_pair * ratio * tail_factor
             settled = [
                 j for j in waiting[r] if step <= tols[j] and bound <= allowances[j]
@@ -479,49 +479,44 @@ def _limit_walk(
                 continue
             value = LimitMapValue(
                 point=points[r],
-                subspace=Subspace(k, left[i][:, :k]),
+                subspace=Subspace(k, left[t * width + i][:, :k]),
                 iterations=n,
                 last_step=step,
                 cauchy_bound=worst_pair * ratio,
-                skipped_prefixes=tuple(skipped[r]),
+                skipped_prefixes=tuple(skipped[r][: bisect_left(skipped[r], n)]),
             )
             for j in settled:
                 outcomes[r][j] = value
             waiting[r] = [j for j in waiting[r] if j not in settled]
-            if waiting[r]:
-                loosest[i] = max(tols[j] for j in waiting[r])
-            else:
-                done.append(i)
-        if not done:
-            continue
-        keep = np.ones(len(rows), dtype=bool)
-        keep[done] = False
-        rows, letters, cores, logscales, bases = (
-            rows[keep], letters[keep], cores[keep], logscales[keep], bases[keep]
+        last = latest[-1]
+        at = np.where(last >= width, last // width, 0)  # row of chunk_steps
+        cores[rows], logscales[rows] = chunk[-1], scales[-1]
+        bases[rows] = frames[last]  # -1 reads some frame, unread without a plane
+        has_plane[rows] = last >= 0
+        steps[rows] = chunk_steps[at, columns]
+        last_margins[rows] = np.where(
+            at > 0, margins[at - 1, columns], last_margins[rows]
         )
-        has_plane, steps, margins_prev, last_margins, loosest = (
-            has_plane[keep],
-            steps[keep],
-            margins_prev[keep],
-            last_margins[keep],
-            loosest[keep],
-        )
-    for i, r in enumerate(rows.tolist()):
+        margins_prev[rows] = margins[-1]
+        rows = np.array([r for r in rows.tolist() if waiting[r]], dtype=np.intp)
+        return len(rows) > 0
+
+    _walk_in_chunks(n_max, advance, lambda: len(rows))
+    for r in rows.tolist():
         x = points[r]
         for j in waiting[r]:
-            if not has_plane[i]:
-                first = skipped[r]
-                offending = str(x.prefix(first[0])) if first else "(empty)"
+            if not has_plane[r]:
+                offending = str(x.prefix(skipped[r][0])) if skipped[r] else "(empty)"
                 outcomes[r][j] = NoGapError(
                     f"no prefix of {x} up to length {n_max} has a singular gap "
                     f"of index {k}; first offending prefix '{offending}'"
                 )
                 continue
             tol = tols[j]
-            bound = worst_pair * math.exp(-float(last_margins[i])) * tail_factor
+            bound = worst_pair * math.exp(-float(last_margins[r])) * tail_factor
             outcomes[r][j] = NoConvergenceError(
                 f"no certified convergence for {x} within {n_max} prefixes: "
-                f"last step {float(steps[i]):.3e} against tolerance {tol:.1e}, "
+                f"last step {float(steps[r]):.3e} against tolerance {tol:.1e}, "
                 f"ray-margin tail bound {bound:.3e} against allowance "
                 f"{BOUND_SLACK * tol:.1e}, {len(skipped[r])} gapless prefixes "
                 "skipped"
@@ -681,13 +676,17 @@ def sdp_check(
                 "supply an explicit schedule"
             )
         lengths = tuple(range(1, n_points + 1))
-        products = _prefix_products(rep, x, n_points)
+        # the prefixes of x as one running product, bitwise evaluate's
+        codes = _letter_codes(*_spelled([x]), 0, n_points)
+        cores = running_products(
+            np.eye(rep.dim)[None], np.zeros(1), rep.stacked_images[codes.T]
+        )[0][:, 0]
     else:
         lengths = tuple(len(g) for g in schedule)
-        products = (evaluate(rep, g) for g in schedule)
+        cores = [evaluate(rep, g).core for g in schedule]
     if not lengths:
         raise ValueError("schedule must contain at least one word")
-    cores = np.stack([m.core for m in products])
+    cores = np.asarray(cores)
     moved = stacked_apply_to_subspace(cores, seed)
     distances = stacked_grassmann_distance(moved, target.frame).tolist()
     final = distances[-1]
@@ -697,16 +696,6 @@ def sdp_check(
         final=final,
         passed=final < tol and _eventually_decreasing(distances),
     )
-
-
-def _prefix_products(rep: Representation, x: BoundaryPoint, count: int):
-    """evaluate(rep, x.prefix(n)) for n = 1, ..., count, as one running
-    product; each prefix extends the last on the right, so the bits are
-    evaluate's."""
-    current = ScaledMatrix.identity(rep.dim)
-    for n in range(count):
-        current = current.times(rep.image(x.letter_at(n)))
-        yield current
 
 
 def cartan_check(
@@ -771,6 +760,30 @@ class HolderFit:
     cutoff: float
 
 
+def _walk_members(
+    spec: SubsetPSpec,
+    points: Sequence[BoundaryPoint],
+    walk: Callable[[list[BoundaryPoint]], list],
+    outcomes: dict[BoundaryPoint, LimitMapValue | GapcertError],
+) -> None:
+    """Store the outcome of each point that has none yet: a MembershipError
+    outside the forward set, else its row of one one-tolerance walk(members)
+    call; _plane_at raises a stored error."""
+    members = []
+    for p in dict.fromkeys(points):
+        if p not in outcomes and point_in_forward_set(spec, p):
+            members.append(p)
+        elif p not in outcomes:
+            outcomes[p] = _membership_error(p)
+    outcomes.update((p, outcome) for p, (outcome,) in zip(members, walk(members)))
+
+
+def _plane_at(outcomes: dict, p: BoundaryPoint) -> Subspace:
+    if isinstance(outcomes[p], GapcertError):
+        raise outcomes[p]
+    return outcomes[p].subspace
+
+
 def holder_estimate(
     rep: Representation,
     spec: SubsetPSpec,
@@ -800,24 +813,8 @@ def holder_estimate(
     cutoff = math.exp(-kappa * SMALL_SCALE_PREFIX)
     outcomes: dict[BoundaryPoint, LimitMapValue | GapcertError] = {}
 
-    def walk(batch: list[tuple[BoundaryPoint, BoundaryPoint, float]]) -> None:
-        fresh = list(dict.fromkeys(p for x, y, _ in batch for p in (x, y)))
-        members = []
-        for p in fresh:
-            if p in outcomes:
-                continue
-            if point_in_forward_set(spec, p):
-                members.append(p)
-            else:
-                outcomes[p] = _membership_error(p)
-        walked = _limit_walk(rep, k, members, certificate.lambda_hat, (tol,), n_max)
-        outcomes.update((p, outcome) for p, (outcome,) in zip(members, walked))
-
-    def plane_at(p: BoundaryPoint) -> Subspace:
-        outcome = outcomes[p]
-        if isinstance(outcome, GapcertError):
-            raise outcome
-        return outcome.subspace
+    def walk(members: list[BoundaryPoint]) -> list:
+        return _limit_walk(rep, k, members, certificate.lambda_hat, (tol,), n_max)
 
     log_visual: list[float] = []
     log_plane: list[float] = []
@@ -844,9 +841,11 @@ def holder_estimate(
                 continue
             seen.add(key)
             batch.append((x, y, visual))
-        walk(batch)
+        _walk_members(spec, [p for x, y, _ in batch for p in (x, y)], walk, outcomes)
         for x, y, visual in batch:
-            separation = grassmann_distance(plane_at(x), plane_at(y))
+            separation = grassmann_distance(
+                _plane_at(outcomes, x), _plane_at(outcomes, y)
+            )
             if separation <= 1e-14:
                 continue
             log_visual.append(math.log(visual))
@@ -910,21 +909,26 @@ def discontinuity_probe(
     b_word = ReducedWord((generator(2),))
     spec = AxisFamily(rep.rank, (a_word,))
     certificate = _require_certified(rep, spec, 1, None, cert_budget)
-    base = xi_upper(
-        rep, spec, 1, periodic_point(a_word), tol, n_max, certificate=certificate
-    ).subspace
-    visual: list[float] = []
-    separations: list[float] = []
-    for m in exponents:
-        approx = ray_point(
-            concat(ReducedWord(tuple(generator(1) for _ in range(m))), b_word),
-            a_word,
-        )
-        value = xi_upper(
-            rep, spec, 1, approx, tol, n_max, certificate=certificate
-        ).subspace
-        visual.append(visual_distance(approx, periodic_point(a_word), kappa))
-        separations.append(grassmann_distance(base, value))
+    base_point = periodic_point(a_word)
+    approximants = [
+        ray_point(concat(ReducedWord((generator(1),) * m), b_word), a_word)
+        for m in exponents
+    ]
+    # every plane in one walk; a failed point raises when its row is read
+    outcomes: dict[BoundaryPoint, LimitMapValue | GapcertError] = {}
+    _walk_members(
+        spec,
+        [base_point, *approximants],
+        lambda members: _limit_walk(
+            rep, 1, members, certificate.lambda_hat, (tol,), n_max
+        ),
+        outcomes,
+    )
+    base = _plane_at(outcomes, base_point)
+    visual = [visual_distance(p, base_point, kappa) for p in approximants]
+    separations = [
+        grassmann_distance(base, _plane_at(outcomes, p)) for p in approximants
+    ]
     separated = visual[-1] <= math.exp(-2.0 * kappa) and min(separations) >= 0.5
     return DiscontinuityProbe(
         exponents=exponents,

@@ -47,7 +47,7 @@ class ScaledMatrix:
 
     @staticmethod
     def of(matrix: np.ndarray) -> "ScaledMatrix":
-        return _renormalized(np.asarray(matrix, dtype=float), 0.0)
+        return _renormalized(np.array(matrix, dtype=float, order="C"), 0.0)
 
     @property
     def dim(self) -> int:
@@ -72,20 +72,10 @@ class ScaledMatrix:
 
 
 def _renormalized(core: np.ndarray, logscale: float) -> ScaledMatrix:
-    # Frobenius norm as the cheap estimate of the operator norm
-    estimate = float(np.linalg.norm(core))
-    if not np.isfinite(estimate) or estimate == 0.0:
-        # the squares overflowed or underflowed: bring the entries to unit
-        # size first (in-range cores never come here, so their bits stay)
-        scale = float(np.max(np.abs(core)))
-        if not np.isfinite(scale) or scale == 0.0:
-            raise ValueError("matrix entries must be finite and not all zero")
-        core = core / scale
-        logscale = logscale + math.log(scale)
-        estimate = float(np.linalg.norm(core))
-    if _NORM_BAND[0] <= estimate <= _NORM_BAND[1]:
-        return ScaledMatrix(core, logscale)
-    return ScaledMatrix(core / estimate, logscale + math.log(estimate))
+    """Rescale a core to a Frobenius norm (the cheap estimate of the
+    operator norm) in band; may rescale core in place."""
+    cores, logscales = _renormalized_rows(core[None], np.array([logscale]))
+    return ScaledMatrix(cores[0], float(logscales[0]))
 
 
 def _row_norms(cores: np.ndarray) -> np.ndarray:
@@ -98,7 +88,7 @@ def _row_norms(cores: np.ndarray) -> np.ndarray:
 
 
 def _log_each(values: np.ndarray) -> np.ndarray:
-    # math.log, as _renormalized uses; np.log differs in the last bit on
+    # math.log, as the one-matrix path uses; np.log differs in the last bit on
     # some inputs
     return np.fromiter(map(math.log, values.tolist()), float, len(values))
 
@@ -115,6 +105,8 @@ def renormalized_stack(
         return cores, logscales
     bad = ~np.isfinite(estimates) | (estimates == 0.0)
     if np.count_nonzero(bad):
+        # the squares overflowed or underflowed: bring the entries to unit
+        # size first (in-range cores never come here, so their bits stay)
         cores, logscales = cores.copy(), logscales.copy()
         scales = np.max(np.abs(cores[bad]), axis=(1, 2))
         if not np.all(np.isfinite(scales) & (scales > 0.0)):
@@ -127,6 +119,48 @@ def renormalized_stack(
     # leaves their bits as they are
     factors = np.where(out, estimates, 1.0)
     return cores / factors[:, None, None], logscales + _log_each(factors)
+
+
+_FEW_ROWS = 4  # up to this many rows, running_products renormalizes row by row
+
+
+def _renormalized_rows(
+    cores: np.ndarray, logscales: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """renormalized_stack for a few rows, bitwise, and in place: a BLAS dot
+    and a band check per row, and renormalized_stack for out-of-range rows."""
+    estimates = [math.sqrt(row.dot(row)) for row in cores.reshape(len(cores), -1)]
+    if not all(0.0 < e < math.inf for e in estimates):
+        return renormalized_stack(cores, logscales)
+    logscales = logscales.copy()
+    for row, e in enumerate(estimates):
+        if not _NORM_BAND[0] <= e <= _NORM_BAND[1]:
+            cores[row] /= e
+            logscales[row] += math.log(e)
+    return cores, logscales
+
+
+def running_products(
+    cores: np.ndarray, logscales: np.ndarray, factors: np.ndarray, on_left: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Extend the scale-tracked products of an (R, d, d) stack by the
+    (C, R, d, d) factors, one length at a time, into the (C, R, d, d) cores
+    and (C, R) log scales of the C products.  The first on_left rows take
+    their factors on the left, as ScaledMatrix.compose, the others on the
+    right, as ScaledMatrix.times, with their bits."""
+    products = np.empty(factors.shape)
+    scales = np.empty(factors.shape[:2])
+    renormalize = _renormalized_rows if len(cores) <= _FEW_ROWS else renormalized_stack
+    with np.errstate(over="ignore", under="ignore"):  # renormalization rescales
+        for t, factor in enumerate(factors):
+            out = products[t]
+            if on_left:
+                np.matmul(factor[:on_left], cores[:on_left], out=out[:on_left])
+            if on_left < len(out):
+                np.matmul(cores[on_left:], factor[on_left:], out=out[on_left:])
+            out[...], scales[t] = renormalize(out, logscales)
+            cores, logscales = out, scales[t]
+    return products, scales
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,13 +324,15 @@ def u_k(m: ScaledMatrix, k: int) -> Subspace:
     return Subspace(k, left[:, :k])
 
 
-def stacked_u_k(cores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """u_k of every matrix of an (N, d, d) stack, in one SVD call: the left
-    singular matrices, whose first k columns are u_k's frames, and the mask
-    of the matrices without a gap of index k, where u_k raises NoGapError."""
-    left, svals, _ = np.linalg.svd(cores)
+def stacked_singular_frames(
+    cores: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.linalg.svd's left and transposed right singular matrices of an
+    (N, d, d) stack, which hold u_k's and s_dk's frames, and the mask of
+    the matrices without a gap of index k, where both raise NoGapError."""
+    left, svals, right_t = np.linalg.svd(cores)
     logs = np.log(np.maximum(svals, _TINY))
-    return left, logs[:, k - 1] - logs[:, k] <= GAP_TOLERANCE
+    return left, right_t, logs[:, k - 1] - logs[:, k] <= GAP_TOLERANCE
 
 
 def s_dk(m: ScaledMatrix, k: int) -> Subspace:

@@ -265,6 +265,8 @@ def _run_holder(config, rep, spec, index, certificate, dual) -> dict[str, Any]:
         sample_size=config.sampling["holder_pairs"],
         seed=seed,
         max_period=config.sampling["max_period"],
+        tol=config.tolerances["subspace"],
+        n_max=config.sampling["limit_n_max"],
         certificate=certificate(),
         cert_budget=config.budget,
     )

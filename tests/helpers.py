@@ -14,7 +14,6 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from gapcert.errors import NoConvergenceError, NoGapError
-from gapcert.flow import _backward_maps, _forward_maps
 from gapcert.limits import BOUND_SLACK, LimitMapValue
 from gapcert.linalg import (
     Representation,
@@ -216,8 +215,8 @@ def tolerance_sets():
 
 
 def reference_xi_upper(rep, k, x, rate, tol, n_max):
-    """The one-point prefix loop that the lockstep walk of gapcert.limits
-    replaced: one scale-tracked product per prefix, then u_k, gap_margin
+    """The one-point prefix loop that the chunked lockstep walk of
+    gapcert.limits replaced: one scale-tracked product per prefix, then u_k, gap_margin
     and grassmann_distance on it.  Raises NoGapError / NoConvergenceError
     as the walk reports them."""
     worst_pair = rep.letter_norm_bound
@@ -270,11 +269,32 @@ def reference_xi_upper(rep, k, x, rate, tol, n_max):
 # splitting oracle
 
 
+def forward_maps(rep, x, count):
+    """cocycle(rep, x, n) for n = 1, ..., count, one length at a time: the
+    time-n map is the inverse image of the n-th step letter times the
+    time-(n-1) map, extended on the left with ScaledMatrix.compose."""
+    current = ScaledMatrix.identity(rep.dim)
+    for t in range(count):
+        step = ScaledMatrix(rep.image(x.line.step_letter(t).inverse()))
+        current = step.compose(current)
+        yield current
+
+
+def backward_maps(rep, x, count):
+    """cocycle(rep, shift(x, -n), n) for n = 1, ..., count, one length at a
+    time, each extending the last on the right as cocycle() builds it."""
+    current = ScaledMatrix.identity(rep.dim)
+    for n in range(1, count + 1):
+        current = current.times(rep.image(x.line.step_letter(-n).inverse()))
+        yield current
+
+
 def reference_raw_splitting(rep, x, k, n_steps, tol, rate):
-    """The one-tolerance splitting walk that the one-pass walk of
-    gapcert.flow generalizes: returns (stable, unstable, diagnostics) at
-    the first length where both steps are below tol and the tail bound is
-    below its allowance, or raises NoConvergenceError."""
+    """The one-tolerance, one-length-at-a-time splitting walk that the
+    chunked one-pass walk of gapcert.flow generalizes: returns (stable,
+    unstable, diagnostics) at the first length where both steps are below
+    tol and the tail bound is below its allowance, or raises
+    NoConvergenceError."""
     index = rep.dim - k
     worst_pair = rep.letter_norm_bound
     tail_factor = 1.0 / (1.0 - math.exp(-rate))
@@ -282,7 +302,7 @@ def reference_raw_splitting(rep, x, k, n_steps, tol, rate):
     step_s = step_u = math.inf
     margins = []
     skipped = []
-    maps = zip(_forward_maps(rep, x, n_steps), _backward_maps(rep, x, n_steps))
+    maps = zip(forward_maps(rep, x, n_steps), backward_maps(rep, x, n_steps))
     for n, (forward_map, backward_map) in enumerate(maps, start=1):
         try:
             stable_cand = s_dk(forward_map, index)

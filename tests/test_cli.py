@@ -265,13 +265,54 @@ def test_run_walks_only_the_tolerances_its_tasks_read(monkeypatch):
         # the tolerances read at a kind and cap are settled on each walk
         # of it, the backward plane that only sdp reads included
         ("limit-map", "sdp"): [("_limit_walk", (default, tol))] * 2,
+        # at the checks' own 80 steps the shifted splitting serves both
+        # tolerances, while the splitting over the point itself, which
+        # only bg_splitting reads, walks at the config tolerance alone
+        ("splitting", 80): [
+            ("_raw_splitting", (tol,)),
+            ("_raw_splitting", (default, tol)),
+        ]
+        + [("_limit_walk", (default,))] * 2,
     }
     for tasks, expected in cases.items():
+        data = schottky_config(tasks=[t for t in tasks if isinstance(t, str)])
+        if 80 in tasks:
+            data["sampling"]["flow_steps"] = 80
         tolerances = []
         count_walks(monkeypatch, tolerances)
-        report = run(parse_config(schottky_config(tasks=list(tasks))))
+        report = run(parse_config(data))
         assert exit_code(report) == 0
         assert tolerances == expected, tasks
+
+
+def test_cli_holder_walks_at_the_config_tolerance_and_cap(tmp_path):
+    # three prefixes settle no plane: limit-map and holder both end in
+    # NoConvergenceError, holder at the config tolerance
+    data = schottky_config(tasks=["limit-map"])
+    data["sampling"]["limit_n_max"] = 3
+    path = write_config(tmp_path, data)
+    out = tmp_path / "report.json"
+    argv = ["limit-map", "--task", "holder", "--config", path, "--quiet"]
+    assert main([*argv, "--out", str(out)]) == 1
+    results = load_report(str(out))["results"]
+    for task in ("limit-map", "holder"):
+        assert results[task]["verdict"] == "Error"
+        assert results[task]["error"].startswith("NoConvergenceError: ")
+        assert "against tolerance 1.0e-08" in results[task]["error"]
+    # with the default cap, holder fits the planes at the config tolerance
+    config = parse_config(schottky_config(tasks=["holder"]))
+    rep, spec = config.representation(), config.subset_spec()
+    fit = limits.holder_estimate(
+        rep,
+        spec,
+        config.k,
+        sample_size=config.sampling["holder_pairs"],
+        seed=config.derived_seed(0),
+        tol=config.tolerances["subspace"],
+    )
+    holder = run(config).results["holder"]
+    assert holder["alpha_hat"] == fit.alpha_hat
+    assert holder["pairs_used"] == fit.pairs_used
 
 
 def test_run_walks_each_plane_once_and_keeps_every_block(monkeypatch):

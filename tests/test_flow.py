@@ -9,20 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from gapcert import flow
+from gapcert import flow, limits
 from gapcert.domination import _fit_slope, certify
 from gapcert.errors import (
     GapcertError,
     HypothesesFailError,
     MembershipError,
+    NoConvergenceError,
     NotCertifiedError,
     SingularBlockError,
 )
 from gapcert.flow import (
     BlockMap,
     ShiftPoint,
-    _backward_maps,
-    _forward_maps,
     _raw_splitting,
     anosov_margins,
     bg_splitting,
@@ -46,6 +45,7 @@ from gapcert.linalg import (
     evaluate,
     gap_margin,
     grassmann_distance,
+    running_products,
     singular_values,
 )
 from gapcert.subsets import AxisFamily, Directed, FullBoundary, hat, q_plus_boundary
@@ -158,9 +158,10 @@ def test_cocycle_law_random_representation():
 
 
 def test_running_maps_match_the_cocycle():
-    # backward maps extend on the right as cocycle() does, bit for bit;
-    # forward maps extend on the left, so they keep cocycle()'s values to
-    # rounding: relative error n * eps, and each margin moves by at most
+    # the walk's running maps are those of the one-length loop, bit for
+    # bit; backward maps extend on the right as cocycle() does, bit for
+    # bit; forward maps extend on the left, so they keep cocycle()'s values
+    # to rounding: relative error n * eps, and each margin moves by at most
     # n * eps times the ratio of the top to the (k+1)-th singular value
     eps = 2.0**-52
     for seed in range(6):
@@ -175,8 +176,17 @@ def test_running_maps_match_the_cocycle():
             ),
             2,
         )
-        maps = zip(_forward_maps(rep, x, 40), _backward_maps(rep, x, 40))
+        maps = zip(helpers.forward_maps(rep, x, 40), helpers.backward_maps(rep, x, 40))
+        cores, logscales = running_products(
+            np.repeat(np.eye(dim)[None], 2, axis=0),
+            np.zeros(2),
+            flow._step_factors(rep, x.line, 0, 40),
+            on_left=1,
+        )
         for n, (forward, backward) in enumerate(maps, start=1):
+            for row, m in enumerate((forward, backward)):
+                assert cores[n - 1, row].tobytes() == m.core.tobytes()
+                assert logscales[n - 1, row] == m.logscale
             expected = cocycle(rep, shift(x, -n), n)
             assert np.array_equal(backward.core, expected.core)
             assert backward.logscale == expected.logscale
@@ -410,6 +420,86 @@ def test_one_pass_splitting_settles_each_tolerance_as_walked_alone(
                 assert_same_splitting(alone, want)
 
 
+def splitting_lines(spec):
+    pairs = (("b|(ab)", "(BA)"), ("(a)", "(B)"), ("ab|(b)", "A|(BA)"))
+    return [
+        shift_point(spec, parse_boundary_point(x), parse_boundary_point(y))
+        for x, y in pairs
+    ]
+
+
+def test_splitting_stops_on_both_sides_of_a_chunk_edge(monkeypatch):
+    # chunks of C lengths with the stop at C - 1, C and C + 1, and step
+    # counts that are not multiples of C, against the one-length loop
+    rep, spec = schottky_rep(), directed_ab()
+    rate = certify(rep, spec, 1, 8).lambda_hat
+    edges, kinds = set(), set()
+    for x in splitting_lines(spec):
+        for tol in (1e-8, 1e-10):
+            stop = helpers.reference_raw_splitting(rep, x, 1, 80, tol, rate)[2]
+            stop = stop["iterations"]
+            for chunk in (stop + 1, stop, stop - 1):
+                monkeypatch.setattr(limits, "_WALK_CHUNK", chunk)
+                edges.add(stop - chunk)
+                for n_steps in (80, stop - 1, chunk + 1, 2 * chunk + 3):
+                    got = _raw_splitting(rep, x, 1, n_steps, (tol, 1e-6), rate)
+                    for t, outcome in zip((tol, 1e-6), got):
+                        want = splitting_outcome(rep, x, 1, n_steps, t, rate)
+                        assert_same_splitting(outcome, want)
+                        kinds.add(type(outcome).__name__)
+    assert edges == {-1, 0, 1}
+    assert kinds == {"tuple", "NoConvergenceError"}
+    # a gapless length after the stop, in the stop's chunk, is not skipped
+    rep = example_56_rep()
+    detour = parse_boundary_point("a" * 25 + "b|(a)")
+    line = BiInfiniteGeodesic(detour, parse_boundary_point("(A)"))
+    x = ShiftPoint(FullBoundary(2), line)
+    assert gap_margin(cocycle(rep, x, 51), 1) == 0.0
+    monkeypatch.setattr(limits, "_WALK_CHUNK", 64)
+    (got,) = _raw_splitting(rep, x, 1, 80, (1e-10,), 1.0)
+    assert got[2]["iterations"] < 51
+    assert_same_splitting(got, splitting_outcome(rep, x, 1, 80, 1e-10, 1.0))
+
+
+@pytest.mark.parametrize(
+    "error", [FloatingPointError("overflow"), np.linalg.LinAlgError("no SVD")]
+)
+def test_a_splitting_chunk_that_fails_past_the_stop_is_rewalked(monkeypatch, error):
+    rep, spec = schottky_rep(), directed_ab()
+    rate = certify(rep, spec, 1, 8).lambda_hat
+    x = splitting_lines(spec)[0]
+    want = splitting_outcome(rep, x, 1, 80, 1e-10, rate)
+    stop = want[2]["iterations"]
+    monkeypatch.setattr(limits, "_WALK_CHUNK", stop + 2)
+    calls = []
+    original = flow.running_products
+
+    def failing_at(at):
+        def products(cores, logscales, factors, **sides):
+            done = sum(calls)
+            if done < at <= done + len(factors):
+                raise error
+            calls.append(len(factors))
+            return original(cores, logscales, factors, **sides)
+
+        return products
+
+    monkeypatch.setattr(flow, "running_products", failing_at(stop + 1))
+    (got,) = _raw_splitting(rep, x, 1, 80, (1e-10,), rate)
+    assert_same_splitting(got, want)
+    assert calls == [1] * stop
+    calls.clear()
+    monkeypatch.setattr(flow, "running_products", failing_at(stop))
+    with pytest.raises(type(error)):
+        _raw_splitting(rep, x, 1, 80, (1e-10,), rate)
+    assert calls == [1] * (stop - 1)
+    # a walk that cannot settle reports its last steps as the loop does
+    monkeypatch.setattr(flow, "running_products", original)
+    (short,) = _raw_splitting(rep, x, 1, stop - 1, (1e-10,), rate)
+    assert isinstance(short, NoConvergenceError)
+    assert str(short) == str(splitting_outcome(rep, x, 1, stop - 1, 1e-10, rate))
+
+
 def test_shared_walks_extract_each_splitting_once(monkeypatch):
     rep, spec = schottky_rep(), directed_ab()
     cert = certify(rep, spec, 1, 8)
@@ -430,9 +520,10 @@ def test_shared_walks_extract_each_splitting_once(monkeypatch):
     with shared_walks(reads):
         sample = bg_splitting(rep, x, 1, tol=1e-8, certificate=cert)
         checks = splitting_checks(rep, sample, certificate=cert)
-    # the point and its shift, each walked once; the shift serves both
-    # tolerances, so splitting_checks reads it without walking again
-    assert [tols for _, tols in calls] == [(1e-10, 1e-8)] * 2
+    # the point and its shift, each walked once: the point, which only
+    # bg_splitting reads, at its own tolerance outside the table; the shift
+    # at both, so splitting_checks reads it without walking again
+    assert [tols for _, tols in calls] == [(1e-8,), (1e-10, 1e-8)]
     assert calls[1][0] == calls[0][0] + 1
     assert np.array_equal(sample.stable.frame, alone.stable.frame)
     assert np.array_equal(sample.unstable.frame, alone.unstable.frame)

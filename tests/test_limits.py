@@ -38,6 +38,7 @@ from gapcert.linalg import (
     Subspace,
     apply_to_subspace,
     evaluate,
+    gap_margin,
     grassmann_distance,
     u_k,
 )
@@ -462,6 +463,39 @@ def test_discontinuity_probe_collapses_with_trivial_detour():
     assert all(s < 1e-10 for s in probe.separations)
 
 
+def test_discontinuity_probe_walks_every_plane_at_once(monkeypatch):
+    # the base point and each approximant in one walk, with the planes and
+    # the first error of one xi_upper call per point
+    rep = example_56_rep()
+    spec = a_axis_f2()
+    cert = certify(rep, spec, 1, limits.DEFAULT_CERT_BUDGET)
+    base = periodic_point(parse_word("a"))
+    calls = []
+    original = limits._limit_walk
+
+    def spy(rep, k, points, *rest):
+        calls.append(list(points))
+        return original(rep, k, points, *rest)
+
+    monkeypatch.setattr(limits, "_limit_walk", spy)
+    probe = discontinuity_probe(rep, exponents=(2, 5, 3))
+    approximants = [parse_boundary_point("a" * m + "b|(a)") for m in (2, 5, 3)]
+    assert calls == [[base, *approximants]]
+    monkeypatch.setattr(limits, "_limit_walk", original)
+    plane = xi_upper(rep, spec, 1, base, certificate=cert).subspace
+    assert probe.separations == tuple(
+        grassmann_distance(plane, xi_upper(rep, spec, 1, x, certificate=cert).subspace)
+        for x in approximants
+    )
+    # too few prefixes: the base point's error is raised first, as the
+    # one-point calls would raise it
+    with pytest.raises(NoConvergenceError) as caught:
+        discontinuity_probe(rep, exponents=(2, 5), n_max=3)
+    with pytest.raises(NoConvergenceError) as alone:
+        xi_upper(rep, spec, 1, base, n_max=3, certificate=cert)
+    assert str(caught.value) == str(alone.value)
+
+
 def test_discontinuity_probe_needs_two_generators():
     with pytest.raises(ValueError):
         discontinuity_probe(z_rep())
@@ -533,6 +567,117 @@ def test_walk_covers_gapless_prefixes_and_both_failures():
             if not isinstance(got, GapcertError) and got.skipped_prefixes:
                 kinds.add("skipped")
     assert kinds == {"LimitMapValue", "skipped", "NoConvergenceError", "NoGapError"}
+
+
+def test_walk_stops_on_both_sides_of_a_chunk_edge(monkeypatch):
+    # chunks of C lengths with the stop at C - 1, C and C + 1, and caps
+    # that are not multiples of C, against the one-point loop: exact
+    # planes, steps and bounds, and exact NoConvergenceError messages
+    rep, spec = schottky_rep(), directed_ab()
+    rate = certify(rep, spec, 1, 8).lambda_hat
+    points = [parse_boundary_point(s) for s in ("(ab)", "b|(ab)", "ba|(b)", "(a)")]
+    edges, kinds = set(), set()
+    for x in points:
+        for tol in (1e-8, 1e-10):
+            stop = helpers.reference_xi_upper(rep, 1, x, rate, tol, 400).iterations
+            for chunk in (stop + 1, stop, stop - 1):
+                monkeypatch.setattr(limits, "_WALK_CHUNK", chunk)
+                edges.add(stop - chunk)
+                for n_max in (400, stop - 1, chunk + 1, 2 * chunk + 3):
+                    tols = (tol, 1e-6)
+                    together = limits._limit_walk(rep, 1, points, rate, tols, n_max)
+                    for y, got in zip(points, together):
+                        for t, outcome in zip(tols, got):
+                            want = walk_outcome(rep, 1, y, rate, t, n_max)
+                            assert_same_outcome(outcome, want)
+                            kinds.add(type(outcome).__name__)
+    assert edges == {-1, 0, 1}
+    assert kinds == {"LimitMapValue", "NoConvergenceError"}
+    # a gapless prefix after the stop, in the stop's chunk, is not skipped
+    detour = parse_boundary_point("a" * 25 + "b|(a)")
+    assert gap_margin(evaluate(example_56_rep(), detour.prefix(51)), 1) == 0.0
+    monkeypatch.setattr(limits, "_WALK_CHUNK", 64)
+    ((got,),) = limits._limit_walk(example_56_rep(), 1, [detour], 1.0, (1e-10,), 400)
+    assert got.iterations < 51
+    assert_same_outcome(got, walk_outcome(example_56_rep(), 1, detour, 1.0, 1e-10, 400))
+    # gapless prefixes all the way, to caps on both sides of a chunk edge
+    rotation = Representation.of([np.array([[0.0, 1.0], [-1.0, 0.0]])])
+    x = periodic_point(parse_word("a"))
+    monkeypatch.setattr(limits, "_WALK_CHUNK", 4)
+    for n_max in (3, 4, 5, 11):
+        ((got,),) = limits._limit_walk(rotation, 1, [x], 1.0, (1e-10,), n_max)
+        assert isinstance(got, NoGapError)
+        assert_same_outcome(got, walk_outcome(rotation, 1, x, 1.0, 1e-10, n_max))
+
+
+def test_a_walk_of_many_points_goes_one_length_at_a_time(monkeypatch):
+    # chunks reach past the stops; with many points in lockstep they would
+    # walk most points too far, so only a few points advance by chunks
+    rep, spec = schottky_rep(), directed_ab()
+    rate = certify(rep, spec, 1, 8).lambda_hat
+    points = sorted(q_plus_boundary(spec, 4), key=str)
+    calls = []
+    original = limits.running_products
+
+    def products(cores, logscales, factors, *rest):
+        calls.append((len(cores), len(factors)))
+        return original(cores, logscales, factors, *rest)
+
+    monkeypatch.setattr(limits, "running_products", products)
+    walked = limits._limit_walk(rep, 1, points, rate, (1e-10,), 400)
+    assert len(points) > 4 and calls[0] == (len(points), 1)
+    assert all((count == 1) == (rows > 4) for rows, count in calls)
+    assert {count for _, count in calls} == {1, limits._WALK_CHUNK}
+    for x, (got,) in zip(points, walked):
+        assert_same_outcome(got, walk_outcome(rep, 1, x, rate, 1e-10, 400))
+
+
+def failing_products(original, at, error, calls):
+    """running_products that raises error on every call reaching length
+    at, counting the lengths of the calls that went through."""
+
+    def products(cores, logscales, factors, *rest):
+        done = sum(calls)
+        if done < at <= done + len(factors):
+            raise error
+        calls.append(len(factors))
+        return original(cores, logscales, factors, *rest)
+
+    return products
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        FloatingPointError("overflow"),
+        np.linalg.LinAlgError("SVD did not converge"),
+        ScaleOverflowError("product out of range"),
+    ],
+)
+def test_a_chunk_that_fails_past_the_stop_is_walked_length_by_length(
+    monkeypatch, error
+):
+    rep, spec = schottky_rep(), directed_ab()
+    rate = certify(rep, spec, 1, 8).lambda_hat
+    x = parse_boundary_point("b|(ab)")
+    want = walk_outcome(rep, 1, x, rate, 1e-10, 400)
+    stop = want.iterations
+    # the first chunk reaches two lengths past the stop, and fails there
+    monkeypatch.setattr(limits, "_WALK_CHUNK", stop + 2)
+    calls = []
+    original = limits.running_products
+    products = failing_products(original, stop + 1, error, calls)
+    monkeypatch.setattr(limits, "running_products", products)
+    ((got,),) = limits._limit_walk(rep, 1, [x], rate, (1e-10,), 400)
+    assert_same_outcome(got, want)
+    assert calls == [1] * stop
+    # a failure at a length the walk reads is raised
+    calls.clear()
+    products = failing_products(original, stop, error, calls)
+    monkeypatch.setattr(limits, "running_products", products)
+    with pytest.raises(type(error)):
+        limits._limit_walk(rep, 1, [x], rate, (1e-10,), 400)
+    assert calls == [1] * (stop - 1)
 
 
 def limit_reads(*tols, n_max=limits.DEFAULT_N_MAX):

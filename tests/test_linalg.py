@@ -16,9 +16,11 @@ from gapcert.linalg import (
     gap_margin,
     grassmann_distance,
     _renormalized,
+    _renormalized_rows,
     log_conorm,
     log_norm,
     renormalized_stack,
+    running_products,
     s_dk,
     singular_values,
     stacked_apply_to_subspace,
@@ -89,6 +91,57 @@ def test_renormalized_stack_matches_single_path(rng):
         renormalized_stack(np.zeros((2, 3, 3)), np.zeros(2))
     with pytest.raises(ValueError):
         _renormalized(np.full((3, 3), np.inf), 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_few_row_renormalization_matches_the_stack(rng):
+    # the lean step running_products takes on a few rows, bit for bit, on
+    # blocks with in-band, out-of-band, overflowing and underflowing rows
+    n = 6000
+    cores = rng.normal(size=(n, 2, 2)) * np.exp(rng.uniform(-4, 4, (n, 1, 1)))
+    cores[::37] *= 1e200
+    cores[11::41] *= 1e-200
+    cores[3::29] = np.eye(2)
+    logscales = rng.normal(size=n) * 50.0
+    kinds = set()
+    for rows in range(1, 5):
+        for start in range(0, n - rows, 5 * rows):
+            block, scales = cores[start : start + rows], logscales[start : start + rows]
+            want_cores, want_scales = renormalized_stack(block, scales)
+            got_cores, got_scales = _renormalized_rows(block.copy(), scales)
+            assert got_cores.tobytes() == want_cores.tobytes()
+            assert got_scales.tobytes() == want_scales.tobytes()
+            norms = np.sqrt(np.sum(np.square(block.astype(np.longdouble)), axis=(1, 2)))
+            in_band = (norms >= 0.5) & (norms <= 2.0)
+            kinds.update((norms > 1e150) * 2 + (norms < 1e-150) + 4 * in_band)
+    assert kinds == {0, 1, 2, 4}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_running_products_extend_as_times_and_compose(rng):
+    # a few rows and a stack of rows, each side, with extreme factors
+    for rows, on_left in ((1, 0), (1, 1), (2, 1), (3, 2), (7, 3), (7, 0)):
+        images = np.array([helpers.random_invertible(rng, 3) for _ in range(12)])
+        images[5] *= 1e200
+        images[7] *= 1e-200
+        factors = images[rng.integers(0, 12, size=(10, rows))]
+        start = [
+            ScaledMatrix.of(helpers.random_invertible(rng, 3)) for _ in range(rows)
+        ]
+        cores, logscales = running_products(
+            np.array([m.core for m in start]),
+            np.array([m.logscale for m in start]),
+            factors,
+            on_left,
+        )
+        for row, current in enumerate(start):
+            for t, factor in enumerate(factors[:, row]):
+                if row < on_left:
+                    current = ScaledMatrix(factor).compose(current)
+                else:
+                    current = current.times(factor)
+                assert cores[t, row].tobytes() == current.core.tobytes()
+                assert logscales[t, row] == current.logscale
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -71,9 +71,6 @@ class DominationCertificate:
     complete: bool
     notes: tuple[str, ...]
 
-    def margin_points(self) -> list[tuple[int, float]]:
-        return sorted(self.margins.items())
-
 
 def _margin_table(
     rep: Representation, sample: GammaPSample, k: int

@@ -19,10 +19,6 @@ class OriginOffGeodesicError(GapcertError):
     """The requested origin vertex does not lie on the geodesic."""
 
 
-class EndpointProjectionError(GapcertError):
-    """Projection to a geodesic was requested for one of its endpoints."""
-
-
 class BudgetError(GapcertError):
     """An enumeration budget is too small to be meaningful."""
 

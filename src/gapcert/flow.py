@@ -33,11 +33,12 @@ from .errors import (
 from .limits import (
     BOUND_SLACK,
     DEFAULT_CERT_BUDGET,
+    DEFAULT_N_MAX,
     DEFAULT_TOL,
     _require_certified,
-    _walk_in_chunks,
+    _Walk,
     pair_in_subset,
-    read_splitting_walk,
+    shared_walk,
     xi_lower,
     xi_upper,
 )
@@ -50,8 +51,6 @@ from .linalg import (
     grassmann_distance,
     running_products,
     stacked_gap_margins,
-    stacked_grassmann_distance,
-    stacked_singular_frames,
     transversality_gap,
 )
 from .subsets import SubsetPSpec, letter_code
@@ -232,106 +231,6 @@ class SplittingSample:
     skipped_lengths: tuple[int, ...] = ()
 
 
-def _raw_splitting(
-    rep: Representation,
-    x: ShiftPoint,
-    k: int,
-    n_steps: int,
-    tols: Sequence[float],
-    rate: float,
-) -> list[tuple[Subspace, Subspace, dict] | NoConvergenceError]:
-    """Iterate the singular subspaces of the time-n maps until both limits
-    settle under the margin-seeded tail bound, for every tolerance in one
-    pass, a chunk of lengths at a time.
-
-    A chunk takes one SVD with vectors (frames and gaps), one values-only
-    SVD (margins) and one stacked Grassmann distance per summand (steps),
-    with the bits of the one-length loop, and is scanned length by length
-    with its stopping rule.  Returns one outcome per tolerance, in the
-    order of tols, from the first length where its own rule holds: the
-    (stable, unstable, diagnostics) triple, or the NoConvergenceError a
-    walk at that tolerance alone ends in.
-    """
-    dim, index = rep.dim, rep.dim - k
-    worst_pair = rep.letter_norm_bound
-    tail_factor = 1.0 / (1.0 - math.exp(-rate))
-    outcomes: list = [None] * len(tols)
-    pending = list(range(len(tols)))
-    margins: list[tuple[int, float]] = []
-    skipped: list[int] = []
-    # the forward and backward maps; at the last length with a gap, the
-    # right singular matrix of one and the left one of the other, and steps
-    cores, logscales = np.repeat(np.eye(dim)[None], 2, axis=0), np.zeros(2)
-    bases: list[np.ndarray] = []
-    step_s = step_u = math.inf
-
-    def advance(start: int, count: int) -> bool:
-        nonlocal pending, cores, logscales, bases, step_s, step_u
-        factors = _step_factors(rep, x.line, start, count)
-        chunk, scales = running_products(cores, logscales, factors, on_left=1)
-        flat = chunk.reshape(-1, dim, dim)
-        left, right_t, gapless = stacked_singular_frames(flat, index)
-        gapless = gapless.reshape(count, 2).any(axis=1).tolist()
-        chunk_margins = stacked_gap_margins(flat, scales.reshape(-1), index).tolist()
-        live = [t for t in range(count) if not gapless[t]]
-        frames = [right_t[0::2][live], left[1::2][live]]
-        if bases:
-            frames = [np.concatenate([f[None], g]) for f, g in zip(bases, frames)]
-        # stable frames are views of whole right singular matrices, so they
-        # have the strides, and the steps the bits, of s_dk's frames
-        stable = np.swapaxes(frames[0][:, index:], -1, -2)
-        unstable = frames[1][..., :index]
-        steps = [[math.inf] * (len(live) - len(stable) + 1)] * 2
-        if len(stable) > 1:
-            steps = [
-                first + stacked_grassmann_distance(f[:-1], f[1:]).tolist()
-                for first, f in zip(steps, (stable, unstable))
-            ]
-        # nothing below fails numerically: scan the chunk
-        skipped.extend(start + t + 1 for t in range(count) if gapless[t])
-        for row, t in enumerate(live):
-            n = start + t + 1
-            margin_s, margin_u = chunk_margins[2 * t], chunk_margins[2 * t + 1]
-            margins.append((n, margin_s))
-            step_s, step_u = steps[0][row], steps[1][row]
-            bound_s = worst_pair * math.exp(-margin_s) * tail_factor
-            bound_u = worst_pair * math.exp(-margin_u) * tail_factor
-            for j in pending:
-                tol = tols[j]
-                if (
-                    step_s <= tol
-                    and step_u <= tol
-                    and max(bound_s, bound_u) <= BOUND_SLACK * tol
-                ):
-                    outcomes[j] = (
-                        Subspace(dim - index, right_t[2 * t][index:].T),
-                        Subspace(index, left[2 * t + 1][:, :index]),
-                        {
-                            "iterations": n,
-                            "step_s": step_s,
-                            "step_u": step_u,
-                            "margins": list(margins),
-                            "skipped": [m for m in skipped if m < n],
-                        },
-                    )
-            pending = [j for j in pending if outcomes[j] is None]
-            if not pending:
-                return False
-        if live:
-            bases = [frames[0][-1], frames[1][-1]]
-        cores, logscales = chunk[-1], scales[-1]
-        return True
-
-    _walk_in_chunks(n_steps, advance, lambda: 2)
-    for j in pending:
-        outcomes[j] = NoConvergenceError(
-            f"splitting did not settle within {n_steps} steps: last steps "
-            f"{step_s:.3e}/{step_u:.3e} against tolerance {tols[j]:.1e}, "
-            f"{len(skipped)} gapless lengths skipped"
-        )
-    return outcomes
-
-
 def _splitting(
     rep: Representation,
     x: ShiftPoint,
@@ -339,22 +238,59 @@ def _splitting(
     n_steps: int,
     tol: float,
     rate: float,
-    shared: bool = True,
 ) -> tuple[Subspace, Subspace, dict]:
-    """The splitting over x at one tolerance, read from the open walk table
-    when there is one and shared is set; raises the walk's
-    NoConvergenceError."""
+    """Iterate the singular subspaces of the time-n maps until both limits
+    settle under the margin-seeded tail bound: the (stable, unstable,
+    diagnostics) triple at the first of n_steps lengths where both steps
+    are below tol and both bounds below their allowance, or raises
+    NoConvergenceError.  The maps over x (extended on the left) and into
+    x (on the right) are the two joint rows of one walk."""
+    dim, index = rep.dim, rep.dim - k
 
-    def walk(tols: Sequence[float]) -> list:
-        return _raw_splitting(rep, x, k, n_steps, tols, rate)
+    def factors(rows: np.ndarray, start: int, count: int) -> np.ndarray:
+        return _step_factors(rep, x.line, start, count)
 
-    if shared:
-        outcome = read_splitting_walk(rep, x.line, k, rate, n_steps, tol, walk)
-    else:
-        (outcome,) = walk((tol,))
-    if isinstance(outcome, NoConvergenceError):
-        raise outcome.with_traceback(None)
-    return outcome
+    walk = shared_walk(
+        (rep, x.line, index),
+        lambda: _Walk(dim, index, 2, factors, on_left=1, joint=True),
+    )
+    worst_pair = rep.letter_norm_bound
+    tail_factor = 1.0 / (1.0 - math.exp(-rate))
+    allowance = BOUND_SLACK * tol
+    margins: list[tuple[int, float]] = []
+    skipped: list[int] = []
+    step_s = step_u = math.inf
+    for chunk in walk.read(n_steps, np.ones(2, dtype=bool)):
+        upto = min(len(chunk.live), n_steps - chunk.start)
+        live = chunk.live[:upto, 0].tolist()
+        chunk_margins = chunk.margins[:upto].tolist()
+        chunk_steps = chunk.steps[:upto].tolist()
+        for t in range(upto):
+            n = chunk.start + t + 1
+            if not live[t]:
+                skipped.append(n)
+                continue
+            (margin_s, margin_u), (step_s, step_u) = chunk_margins[t], chunk_steps[t]
+            margins.append((n, margin_s))
+            bound_s = worst_pair * math.exp(-margin_s) * tail_factor
+            bound_u = worst_pair * math.exp(-margin_u) * tail_factor
+            if step_s <= tol and step_u <= tol and max(bound_s, bound_u) <= allowance:
+                return (
+                    Subspace(dim - index, walk.frames(chunk.mats[t, 0], True)),
+                    Subspace(index, walk.frames(chunk.mats[t, 1], False)),
+                    dict(
+                        iterations=n,
+                        step_s=step_s,
+                        step_u=step_u,
+                        margins=margins,
+                        skipped=skipped,
+                    ),
+                )
+    raise NoConvergenceError(
+        f"splitting did not settle within {n_steps} steps: last steps "
+        f"{step_s:.3e}/{step_u:.3e} against tolerance {tol:.1e}, "
+        f"{len(skipped)} gapless lengths skipped"
+    )
 
 
 def bg_splitting(
@@ -376,8 +312,7 @@ def bg_splitting(
     """
     certificate = _require_certified(rep, x.spec, k, certificate, cert_budget)
     rate = certificate.lambda_hat
-    # nothing else reads the splitting over x itself, so it is not tabled
-    stable, unstable, diag = _splitting(rep, x, k, n_steps, tol, rate, shared=False)
+    stable, unstable, diag = _splitting(rep, x, k, n_steps, tol, rate)
     stable_next, unstable_next, _ = _splitting(rep, shift(x), k, n_steps, tol, rate)
     one_step = cocycle(rep, x, 1).core
     return SplittingSample(
@@ -422,6 +357,7 @@ def splitting_checks(
     certificate: Optional[DominationCertificate] = None,
     dual_certificate: Optional[DominationCertificate] = None,
     cert_budget: int = DEFAULT_CERT_BUDGET,
+    n_max: int = DEFAULT_N_MAX,
 ) -> SplittingReport:
     """Invariance, domination decay, and endpoint consistency of a sample.
 
@@ -432,7 +368,7 @@ def splitting_checks(
     log of the worst stable stretch over the least unstable stretch of the
     time-n maps; its fitted slope must be negative.  Endpoint consistency
     compares the summands with the boundary limit maps at the line's
-    endpoints re-based at the marker.
+    endpoints re-based at the marker, walked up to n_max prefixes.
     """
     x = sample.point
     k = sample.stable.dimension
@@ -464,7 +400,13 @@ def splitting_checks(
     stable_residual = grassmann_distance(
         sample.stable,
         xi_upper(
-            rep, x.spec, k, fwd, certificate=certificate, cert_budget=cert_budget
+            rep,
+            x.spec,
+            k,
+            fwd,
+            n_max=n_max,
+            certificate=certificate,
+            cert_budget=cert_budget,
         ).subspace,
     )
     unstable_residual = grassmann_distance(
@@ -474,6 +416,7 @@ def splitting_checks(
             x.spec,
             k,
             bwd,
+            n_max=n_max,
             certificate=dual_certificate,
             cert_budget=cert_budget,
         ).subspace,

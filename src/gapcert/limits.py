@@ -18,7 +18,7 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -61,7 +61,6 @@ from .subsets import (
     word_in_positive_set,
 )
 from .words import (
-    BiInfiniteGeodesic,
     BoundaryPoint,
     Letter,
     ReducedWord,
@@ -169,19 +168,6 @@ class LimitMapValue:
     skipped_prefixes: tuple[int, ...] = ()
 
 
-def cauchy_constant(rep: Representation, certificate: DominationCertificate) -> float:
-    """Prefactor of the certified successive-step bound C * exp(-rate * n).
-
-    The singular ratio is bounded through the support intercept over the
-    certificate's whole margin table (not just the fit window), so the
-    bound covers every sampled length of the certified family.
-    """
-    intercept = min(
-        m - certificate.lambda_hat * t for t, m in certificate.margins.items()
-    )
-    return rep.letter_norm_bound * math.exp(-intercept)
-
-
 def _require_certified(
     rep: Representation,
     spec: SubsetPSpec,
@@ -233,107 +219,49 @@ def xi_upper(
     if not (assume_member or point_in_forward_set(spec, x)):
         raise _membership_error(x)
     certificate = _require_certified(rep, spec, k, certificate, cert_budget)
-    rate = certificate.lambda_hat
-    outcome = _read_walk(
-        (LIMIT_WALK, n_max),
-        (rep, k, x, rate),
-        tol,
-        lambda tols: _limit_walk(rep, k, [x], rate, tols, n_max)[0],
-    )
+    walk = shared_walk((rep, x, k), lambda: _plane_walk(rep, k, [x]))
+    (outcome,) = _limit_planes(rep, k, [x], certificate.lambda_hat, tol, n_max, walk)
     if isinstance(outcome, GapcertError):
-        raise outcome.with_traceback(None)
+        raise outcome
     return outcome
 
 
-# Kinds of shared walk: limit planes (xi_upper / xi_lower, capped at n_max
-# prefixes) and flow splittings (capped at n_steps lengths).
-LIMIT_WALK = "limit"
-SPLITTING_WALK = "splitting"
+# ---------------------------------------------------------------------------
+# the walk core: limit planes and splittings
 
-# The open walk table: per (kind, length cap), the tolerances its walks
-# settle and their outcomes by walk key.
+# The open walk table: every walk of the block by (representation, point
+# or line, index).
 _SHARED_WALKS: ContextVar[Optional[dict]] = ContextVar(
     "gapcert_shared_walks", default=None
 )
 
-# Failures a shared walk may meet past the stopping step of the tolerance
-# being read, where a walk at that tolerance alone has already stopped.
-_WALK_FAILURES = (NumericalError, FloatingPointError, np.linalg.LinAlgError)
-
 
 @contextmanager
-def shared_walks(reads: Iterable[tuple[str, int, float]]) -> Iterator[None]:
-    """Share limit-plane and splitting walks within the block.
-
-    reads names the walks the block will read, one entry per reader, as
-    (kind, length cap, tolerance) with kind LIMIT_WALK or SPLITTING_WALK.
-    Inside the block each walk of a kind and cap with two or more readers
-    runs once per (representation, point or line, index, rate) and settles
-    in that pass every tolerance read at its kind and cap, and no other;
-    later calls at any of those tolerances read the stored outcome, which
-    is bitwise that of a separate walk.  A kind and cap with one reader
-    has nothing to share and is not tabled.  Calls at other tolerances or
-    caps, and calls outside the block, walk as usual.  Membership and
-    certificate checks still run on every call.
-    """
-    groups: dict[tuple[str, int], list[float]] = {}
-    for kind, cap, tol in reads:
-        groups.setdefault((kind, cap), []).append(tol)
-    token = _SHARED_WALKS.set(
-        {
-            group: (tuple(sorted(set(tols))), {})
-            for group, tols in groups.items()
-            if len(tols) > 1
-        }
-    )
+def shared_walks() -> Iterator[None]:
+    """Keep every limit-plane and splitting walk of the block, one per
+    (representation, point or line, index), with every length it walked.
+    A later read at any tolerance and length cap scans the kept lengths
+    and walks on only if its own stopping rule has not fired there, so
+    its outcome is bitwise that of a separate walk.  Membership and
+    certificate checks still run on every call.  A block inside another
+    keeps the outer block's walks."""
+    table = _SHARED_WALKS.get()
+    token = _SHARED_WALKS.set({} if table is None else table)
     try:
         yield
     finally:
         _SHARED_WALKS.reset(token)
 
 
-def _read_walk(
-    group: tuple[str, int],
-    key: tuple,
-    tol: float,
-    walk: Callable[[tuple[float, ...]], Sequence[Any]],
-) -> Any:
-    """The outcome at tol of walk, a one-pass walk that returns one outcome
-    per tolerance it is given, from the open walk table when the block
-    reads tol at this kind and cap."""
-    shared = _SHARED_WALKS.get()
-    entry = None if shared is None else shared.get(group)
-    if entry is None or tol not in entry[0]:
-        (outcome,) = walk((tol,))
-        return outcome
-    tols, table = entry
-    outcomes = table.get(key)
-    if outcomes is None:
-        try:
-            outcomes = dict(zip(tols, walk(tols)))
-        except _WALK_FAILURES:
-            # the shared walk goes on past tol's stopping step, so it may
-            # fail where a walk at tol alone would not: each tolerance is
-            # then walked alone, once
-            outcomes = {}
-        table[key] = outcomes
-    if tol not in outcomes:
-        (outcomes[tol],) = walk((tol,))
-    return outcomes[tol]
-
-
-def read_splitting_walk(
-    rep: Representation,
-    line: BiInfiniteGeodesic,
-    k: int,
-    rate: float,
-    n_steps: int,
-    tol: float,
-    walk: Callable[[tuple[float, ...]], Sequence[Any]],
-) -> Any:
-    """The outcome at tol of walk, the flow's one-pass splitting walk over
-    line, from the open walk table when there is one."""
-    return _read_walk((SPLITTING_WALK, n_steps), (rep, line, k, rate), tol, walk)
+def shared_walk(key: tuple, new: Callable[[], "_Walk"]) -> "_Walk":
+    """The open table's walk under key, made by new() on first use; a
+    fresh walk outside a table."""
+    table = _SHARED_WALKS.get()
+    if table is None:
+        return new()
+    if key not in table:
+        table[key] = new()
+    return table[key]
 
 
 # Lengths a walk of a few rows advances at a time: their products are
@@ -343,185 +271,248 @@ def read_splitting_walk(
 _WALK_CHUNK = 8
 _CHUNKED_ROWS = 4
 
-
-def _walk_in_chunks(
-    n_max: int, advance: Callable[[int, int], bool], rows: Callable[[], int]
-) -> None:
-    """Call advance(start, count) on the lengths start + 1, ...,
-    start + count, a chunk at a time while rows() is at most _CHUNKED_ROWS,
-    until it returns False or the lengths run out.  A chunk may reach past
-    a row's stopping length: one that fails numerically (advance then
-    leaves its state alone) is walked again one length at a time, so the
-    walk raises only where that would."""
-    start = 0
-    while start < n_max:
-        chunk = _WALK_CHUNK if rows() <= _CHUNKED_ROWS else 1
-        count = min(chunk, n_max - start)
-        try:
-            going = advance(start, count)
-        except _WALK_FAILURES:
-            if count == 1:
-                raise
-            going = all(advance(n, 1) for n in range(start, start + count))
-        if not going:
-            return
-        start += count
+# Failures a chunk may meet past a reader's stopping length, where a walk
+# one length at a time has already stopped.
+_WALK_FAILURES = (NumericalError, FloatingPointError, np.linalg.LinAlgError)
 
 
-def _spelled(
-    points: Sequence[BoundaryPoint],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Letter codes of each point's preperiod then period, padded into one
-    array, with the preperiod and period lengths as columns."""
+@dataclass(frozen=True, eq=False)
+class _Chunk:
+    """The lengths start + 1, ..., start + len(live) of the walk's rows
+    `rows`.  Per length and row: the whole singular matrix that holds the
+    row's plane (mats), whether the row has a plane there (live), its gap
+    margin (-inf where not live), whether that margin rose from the length
+    before, and the step from its last plane (inf without one)."""
+
+    start: int
+    rows: np.ndarray
+    mats: np.ndarray
+    live: np.ndarray
+    margins: np.ndarray
+    rising: np.ndarray
+    steps: np.ndarray
+
+
+class _Walk:
+    """Running products of some rows, one length after another, with the
+    singular planes, gap margins and steps of every length walked.
+
+    The first on_left rows take their factors on the left and read their
+    plane as the bottom d-k right singular vectors (the stable directions
+    of the time-n maps over a shift point); the others take them on the
+    right and read the top k left singular vectors (the attracting planes
+    of prefixes).  With joint set, a length without a gap of index k in
+    one row has no plane in any (a splitting needs both summands).
+    factors(rows, start, count) gives the (count, len(rows), d, d) factors
+    of lengths start + 1, ..., start + count.  Nothing a walk keeps
+    depends on a tolerance or length cap, so readers at any of them share
+    it.
+    """
+
+    def __init__(
+        self,
+        dim: int,
+        k: int,
+        width: int,
+        factors: Callable[[np.ndarray, int, int], np.ndarray],
+        on_left: int = 0,
+        joint: bool = False,
+    ):
+        self.k, self.factors, self.on_left, self.joint = k, factors, on_left, joint
+        self.length = 0
+        self.rows = np.arange(width)  # the rows walking on
+        self.chunks: list[_Chunk] = []
+        self.single_until = 0  # after a chunk that failed, single lengths
+        # per row: the product, the singular matrix of its last plane, and
+        # the margin at the last length
+        self.cores = np.repeat(np.eye(dim)[None], width, axis=0)
+        self.logscales = np.zeros(width)
+        self.last = np.empty_like(self.cores)
+        self.has_plane = np.zeros(width, dtype=bool)
+        self.last_margins = np.full(width, -math.inf)
+
+    def frames(self, mats: np.ndarray, right: bool) -> np.ndarray:
+        """The planes held by whole singular matrices: views of the bottom
+        right singular vectors or of the top left ones, whose strides, and
+        so the steps' bits, are those of s_dk's and u_k's frames."""
+        if right:
+            return np.swapaxes(mats[..., self.k :, :], -1, -2)
+        return mats[..., : self.k]
+
+    def read(self, n_max: int, waiting: np.ndarray) -> Iterator[_Chunk]:
+        """The chunks that start below length n_max: those kept, then new
+        ones that walk the rows still waiting.  A row that has stopped waiting
+        when the walk goes on stops walking for good, so a walk of several
+        rows serves one reader, while a reader of one row, or of joint
+        rows, that stops once none waits leaves a walk to resume."""
+        at = 0
+        while True:
+            while at < len(self.chunks) and self.chunks[at].start < n_max:
+                at += 1
+                yield self.chunks[at - 1]
+            if at < len(self.chunks) or self.length >= n_max:
+                return
+            self.rows = self.rows[waiting[self.rows]]
+            if not len(self.rows):
+                return
+            single = len(self.rows) > _CHUNKED_ROWS or self.length < self.single_until
+            count = min(1 if single else _WALK_CHUNK, n_max - self.length)
+            try:
+                self._walk(count)
+            except _WALK_FAILURES:
+                # the chunk may reach past a reader's stop: walk it again
+                # one length at a time, so the walk raises only where that
+                # would
+                if count == 1:
+                    raise
+                self.single_until = self.length + count
+
+    def _walk(self, count: int) -> None:
+        rows, k, dim, start = self.rows, self.k, self.cores.shape[-1], self.length
+        width = len(rows)
+        right = rows < self.on_left  # the first rows, as rows stay sorted
+        on_left = int(np.count_nonzero(right))
+        chunk, scales = running_products(
+            self.cores[rows],
+            self.logscales[rows],
+            self.factors(rows, start, count),
+            on_left,
+        )
+        flat = chunk.reshape(-1, dim, dim)
+        left, right_t, gapless = stacked_singular_frames(flat, k)
+        margins = stacked_gap_margins(flat, scales.reshape(-1), k).reshape(count, width)
+        live = ~gapless.reshape(count, width)
+        if self.joint:
+            live &= live.all(axis=1, keepdims=True)
+        # a length without a plane keeps its row's plane and reads as
+        # margin -inf, so the next margin counts as rising
+        margins[~live] = -math.inf
+        mats = left.reshape(count, width, dim, dim)
+        mats[:, :on_left] = right_t.reshape(count, width, dim, dim)[:, :on_left]
+        # the rows' last planes, then the chunk's; latest[t] indexes each
+        # row's plane after t lengths of the chunk (-1: none yet)
+        planes = np.concatenate([self.last[rows], mats.reshape(-1, dim, dim)])
+        own = np.arange(width, width * (count + 1)).reshape(count, width)
+        first = np.where(self.has_plane[rows], np.arange(width), -1)[None]
+        latest = np.maximum.accumulate(np.concatenate([first, np.where(live, own, -1)]))
+        moving = live & (latest[:-1] >= 0)
+        steps = np.full((count, width), math.inf)
+        for side in set(right.tolist()):
+            pairs = moving & (right == side)
+            if np.count_nonzero(pairs):
+                steps[pairs] = stacked_grassmann_distance(
+                    self.frames(planes[latest[:-1][pairs]], side),
+                    self.frames(planes[own[pairs]], side),
+                )
+        rising = margins > np.vstack([self.last_margins[rows], margins[:-1]])
+        # nothing below fails numerically: keep the chunk
+        self.chunks.append(_Chunk(start, rows, mats, live, margins, rising, steps))
+        self.length += count
+        self.cores[rows], self.logscales[rows] = chunk[-1], scales[-1]
+        self.last[rows] = planes[latest[-1]]  # -1 reads some plane, unread
+        self.has_plane[rows] = latest[-1] >= 0
+        self.last_margins[rows] = margins[-1]
+
+
+def _prefix_factors(
+    rep: Representation, points: Sequence[BoundaryPoint]
+) -> Callable[[np.ndarray, int, int], np.ndarray]:
+    """factors(rows, start, count): the images of the letters at positions
+    start, ..., start + count - 1 of the points of the given rows, as a
+    (count, len(rows), d, d) stack."""
+    # letter codes of each point's preperiod then period, padded into one
+    # array, with the preperiod and period lengths as columns
     pre = np.array([len(x.preperiod) for x in points])[:, None]
     per = np.array([len(x.period) for x in points])[:, None]
     spelled = np.zeros((len(points), int((pre + per).max())), dtype=np.intp)
     for row, x in enumerate(points):
         letters = x.preperiod.letters + x.period.letters
         spelled[row, : len(letters)] = [letter_code(l) for l in letters]
-    return spelled, pre, per
+
+    def factors(rows: np.ndarray, start: int, count: int) -> np.ndarray:
+        at = np.arange(start, start + count)
+        at = np.where(at < pre[rows], at, pre[rows] + (at - pre[rows]) % per[rows])
+        return rep.stacked_images[np.take_along_axis(spelled[rows], at, axis=1).T]
+
+    return factors
 
 
-def _letter_codes(
-    spelled: np.ndarray, pre: np.ndarray, per: np.ndarray, start: int, count: int
-) -> np.ndarray:
-    """Letter codes at positions start, ..., start + count - 1."""
-    at = np.arange(start, start + count)
-    at = np.where(at < pre, at, pre + (at - pre) % per)
-    return np.take_along_axis(spelled, at, axis=1)
+def _plane_walk(rep: Representation, k: int, points: Sequence[BoundaryPoint]) -> _Walk:
+    """The prefix walk of every point in lockstep, one row per point."""
+    if not 1 <= k < rep.dim:
+        raise ValueError(f"gap index must satisfy 1 <= k < {rep.dim}, got {k}")
+    return _Walk(rep.dim, k, len(points), _prefix_factors(rep, points))
 
 
-def _limit_walk(
+def _limit_planes(
     rep: Representation,
     k: int,
     points: Sequence[BoundaryPoint],
     rate: float,
-    tols: Sequence[float],
+    tol: float,
     n_max: int,
-) -> list[tuple[LimitMapValue | GapcertError, ...]]:
-    """xi_upper's prefix walk, at every point in lockstep and for every
-    tolerance in one pass, a chunk of prefix lengths at a time.
-
-    A chunk takes one SVD with vectors (frames and gaps), one values-only
-    SVD (margins) and one stacked Grassmann distance (steps), with the bits
-    of the one-point loop, and is scanned length by length with that
-    loop's stopping rule.  No walk state depends on the tolerance, so each
-    outcome is that of a walk at its tolerance alone.  Returns per point
-    one outcome per tolerance, in the order of tols: its LimitMapValue, or
-    the NoGapError / NoConvergenceError that its reader raises.
-    """
-    if not 1 <= k < rep.dim:
-        raise ValueError(f"gap index must satisfy 1 <= k < {rep.dim}, got {k}")
+    walk: Optional[_Walk] = None,
+) -> list[LimitMapValue | GapcertError]:
+    """xi_upper's stopping rule at tol, up to n_max prefixes, over walk,
+    the prefix walk of points (by default a new one, in lockstep): per
+    point, its LimitMapValue at the first prefix where the rule fires, or
+    the NoGapError / NoConvergenceError that its reader raises."""
     if not points:
         return []
+    walk = walk or _plane_walk(rep, k, points)
     worst_pair = rep.letter_norm_bound
     tail_factor = 1.0 / (1.0 - math.exp(-rate))
-    allowances = [BOUND_SLACK * tol for tol in tols]
-    images = rep.stacked_images
-    outcomes: list[list] = [[None] * len(tols) for _ in points]
+    allowance = BOUND_SLACK * tol
+    outcomes: list = [None] * len(points)
+    waiting = np.ones(len(points), dtype=bool)
     skipped: list[list[int]] = [[] for _ in points]
-    # per point, the tolerances (by index) it has not settled yet
-    waiting = [list(range(len(tols))) for _ in points]
-    spelled, pre, per = _spelled(points)
-    # per point: the product, the full left singular matrix of its plane
-    # (whose first k columns are the frame), its last step and margins
-    cores = np.repeat(np.eye(rep.dim)[None], len(points), axis=0)
-    logscales = np.zeros(len(points))
-    bases = np.empty_like(cores)
-    has_plane = np.zeros(len(points), dtype=bool)
-    steps = np.full(len(points), math.inf)
-    margins_prev = np.full(len(points), -math.inf)
-    last_margins = np.full(len(points), math.nan)
-    rows = np.arange(len(points))  # the points still walking
-
-    def advance(start: int, count: int) -> bool:
-        nonlocal rows
-        width, columns = len(rows), np.arange(len(rows))
-        codes = _letter_codes(spelled[rows], pre[rows], per[rows], start, count)
-        chunk, scales = running_products(cores[rows], logscales[rows], images[codes.T])
-        flat = chunk.reshape(-1, rep.dim, rep.dim)
-        left, _, gapless = stacked_singular_frames(flat, k)
-        margins = stacked_gap_margins(flat, scales.reshape(-1), k)
-        # a gapless prefix keeps its row's plane, step and last margin, and
-        # reads as margin -inf, so the next gap counts as rising
-        margins[gapless] = -math.inf
-        margins = margins.reshape(count, width)
-        live = ~gapless.reshape(count, width)
-        # the rows' planes, then the chunk's; latest[t] indexes each row's
-        # plane after t lengths of the chunk (-1: none yet)
-        frames = np.concatenate([bases[rows], left])
-        own = np.arange(width, width * (count + 1)).reshape(count, width)
-        latest = np.maximum.accumulate(
-            np.concatenate(
-                [np.where(has_plane[rows], columns, -1)[None], np.where(live, own, -1)]
-            )
-        )
-        moving = live & (latest[:-1] >= 0)
-        chunk_steps = np.full((count + 1, width), math.inf)
-        chunk_steps[0] = steps[rows]
-        if np.count_nonzero(moving):
-            chunk_steps[1:][moving] = stacked_grassmann_distance(
-                frames[latest[:-1][moving]][..., :k], frames[own[moving]][..., :k]
-            )
-        # nothing below fails numerically: commit the chunk
-        for t, i in zip(*np.nonzero(~live)):
-            skipped[rows[i]].append(start + int(t) + 1)
-        rising = margins > np.concatenate([margins_prev[rows][None], margins[:-1]])
-        for t, i in zip(*np.nonzero(rising & (chunk_steps[1:] <= max(tols)))):
-            r, n = int(rows[i]), start + int(t) + 1
-            step = float(chunk_steps[t + 1, i])
-            ratio = math.exp(-float(margins[t, i]))
-            bound = worst_pair * ratio * tail_factor
-            settled = [
-                j for j in waiting[r] if step <= tols[j] and bound <= allowances[j]
-            ]
-            if not settled:
+    for chunk in walk.read(n_max, waiting):
+        upto = min(len(chunk.live), n_max - chunk.start)
+        rows, live = chunk.rows, chunk.live[:upto]
+        if not live.all():
+            for t, i in zip(*np.nonzero(~live & waiting[rows])):
+                skipped[rows[i]].append(chunk.start + int(t) + 1)
+        hits = chunk.rising[:upto] & (chunk.steps[:upto] <= tol) & waiting[rows]
+        for t, i in zip(*np.nonzero(hits)):
+            r, n = int(rows[i]), chunk.start + int(t) + 1
+            ratio = math.exp(-float(chunk.margins[t, i]))
+            if not waiting[r] or worst_pair * ratio * tail_factor > allowance:
                 continue
-            value = LimitMapValue(
+            outcomes[r] = LimitMapValue(
                 point=points[r],
-                subspace=Subspace(k, left[t * width + i][:, :k]),
+                subspace=Subspace(k, chunk.mats[t, i][:, :k]),
                 iterations=n,
-                last_step=step,
+                last_step=float(chunk.steps[t, i]),
                 cauchy_bound=worst_pair * ratio,
                 skipped_prefixes=tuple(skipped[r][: bisect_left(skipped[r], n)]),
             )
-            for j in settled:
-                outcomes[r][j] = value
-            waiting[r] = [j for j in waiting[r] if j not in settled]
-        last = latest[-1]
-        at = np.where(last >= width, last // width, 0)  # row of chunk_steps
-        cores[rows], logscales[rows] = chunk[-1], scales[-1]
-        bases[rows] = frames[last]  # -1 reads some frame, unread without a plane
-        has_plane[rows] = last >= 0
-        steps[rows] = chunk_steps[at, columns]
-        last_margins[rows] = np.where(
-            at > 0, margins[at - 1, columns], last_margins[rows]
-        )
-        margins_prev[rows] = margins[-1]
-        rows = np.array([r for r in rows.tolist() if waiting[r]], dtype=np.intp)
-        return len(rows) > 0
-
-    _walk_in_chunks(n_max, advance, lambda: len(rows))
-    for r in rows.tolist():
+            waiting[r] = False
+        if not waiting.any():
+            break
+    # per point still waiting, the step and margin at its last plane
+    last: dict[int, tuple[float, float]] = {}
+    for chunk in walk.chunks if waiting.any() else ():
+        live = chunk.live[: max(n_max - chunk.start, 0)] & waiting[chunk.rows]
+        for t, i in zip(*np.nonzero(live)):
+            last[int(chunk.rows[i])] = (chunk.steps[t, i], chunk.margins[t, i])
+    for r in np.nonzero(waiting)[0].tolist():
         x = points[r]
-        for j in waiting[r]:
-            if not has_plane[r]:
-                offending = str(x.prefix(skipped[r][0])) if skipped[r] else "(empty)"
-                outcomes[r][j] = NoGapError(
-                    f"no prefix of {x} up to length {n_max} has a singular gap "
-                    f"of index {k}; first offending prefix '{offending}'"
-                )
-                continue
-            tol = tols[j]
-            bound = worst_pair * math.exp(-float(last_margins[r])) * tail_factor
-            outcomes[r][j] = NoConvergenceError(
-                f"no certified convergence for {x} within {n_max} prefixes: "
-                f"last step {float(steps[r]):.3e} against tolerance {tol:.1e}, "
-                f"ray-margin tail bound {bound:.3e} against allowance "
-                f"{BOUND_SLACK * tol:.1e}, {len(skipped[r])} gapless prefixes "
-                "skipped"
+        if r not in last:
+            offending = str(x.prefix(skipped[r][0])) if skipped[r] else "(empty)"
+            outcomes[r] = NoGapError(
+                f"no prefix of {x} up to length {n_max} has a singular gap "
+                f"of index {k}; first offending prefix '{offending}'"
             )
-    return [tuple(row) for row in outcomes]
+            continue
+        step, margin = last[r]
+        bound = worst_pair * math.exp(-float(margin)) * tail_factor
+        outcomes[r] = NoConvergenceError(
+            f"no certified convergence for {x} within {n_max} prefixes: "
+            f"last step {float(step):.3e} against tolerance {tol:.1e}, "
+            f"ray-margin tail bound {bound:.3e} against allowance "
+            f"{allowance:.1e}, {len(skipped[r])} gapless prefixes skipped"
+        )
+    return outcomes
 
 
 def xi_lower(
@@ -585,21 +576,18 @@ def transversality_table(
     dual_certificate = _require_certified(
         rep, hat(spec), rep.dim - k, dual_certificate, cert_budget
     )
-    forward: dict[BoundaryPoint, Subspace] = {}
-    backward: dict[BoundaryPoint, Subspace] = {}
     gaps: list[float] = []
-    for x, y in pairs:
-        if not pair_in_subset(spec, x, y):
-            raise MembershipError(f"({x}, {y}) is not an endpoint pair of the subset")
-        if x not in forward:
-            forward[x] = xi_upper(
-                rep, spec, k, x, tol, n_max, certificate=certificate
-            ).subspace
-        if y not in backward:
-            backward[y] = xi_lower(
+    with shared_walks():  # a point of several pairs is walked once
+        for x, y in pairs:
+            if not pair_in_subset(spec, x, y):
+                raise MembershipError(
+                    f"({x}, {y}) is not an endpoint pair of the subset"
+                )
+            forward = xi_upper(rep, spec, k, x, tol, n_max, certificate=certificate)
+            backward = xi_lower(
                 rep, spec, k, y, tol, n_max, certificate=dual_certificate
-            ).subspace
-        gaps.append(transversality_gap(forward[x], backward[y]))
+            )
+            gaps.append(transversality_gap(forward.subspace, backward.subspace))
     return TransversalityTable(
         pairs=tuple((x, y) for x, y in pairs),
         gaps=tuple(gaps),
@@ -677,10 +665,8 @@ def sdp_check(
             )
         lengths = tuple(range(1, n_points + 1))
         # the prefixes of x as one running product, bitwise evaluate's
-        codes = _letter_codes(*_spelled([x]), 0, n_points)
-        cores = running_products(
-            np.eye(rep.dim)[None], np.zeros(1), rep.stacked_images[codes.T]
-        )[0][:, 0]
+        factors = _prefix_factors(rep, [x])(np.arange(1), 0, n_points)
+        cores = running_products(np.eye(rep.dim)[None], np.zeros(1), factors)[0][:, 0]
     else:
         lengths = tuple(len(g) for g in schedule)
         cores = [evaluate(rep, g).core for g in schedule]
@@ -767,15 +753,15 @@ def _walk_members(
     outcomes: dict[BoundaryPoint, LimitMapValue | GapcertError],
 ) -> None:
     """Store the outcome of each point that has none yet: a MembershipError
-    outside the forward set, else its row of one one-tolerance walk(members)
-    call; _plane_at raises a stored error."""
+    outside the forward set, else its row of one walk(members) call;
+    _plane_at raises a stored error."""
     members = []
     for p in dict.fromkeys(points):
         if p not in outcomes and point_in_forward_set(spec, p):
             members.append(p)
         elif p not in outcomes:
             outcomes[p] = _membership_error(p)
-    outcomes.update((p, outcome) for p, (outcome,) in zip(members, walk(members)))
+    outcomes.update(zip(members, walk(members)))
 
 
 def _plane_at(outcomes: dict, p: BoundaryPoint) -> Subspace:
@@ -814,7 +800,7 @@ def holder_estimate(
     outcomes: dict[BoundaryPoint, LimitMapValue | GapcertError] = {}
 
     def walk(members: list[BoundaryPoint]) -> list:
-        return _limit_walk(rep, k, members, certificate.lambda_hat, (tol,), n_max)
+        return _limit_planes(rep, k, members, certificate.lambda_hat, tol, n_max)
 
     log_visual: list[float] = []
     log_plane: list[float] = []
@@ -914,16 +900,11 @@ def discontinuity_probe(
         ray_point(concat(ReducedWord((generator(1),) * m), b_word), a_word)
         for m in exponents
     ]
-    # every plane in one walk; a failed point raises when its row is read
-    outcomes: dict[BoundaryPoint, LimitMapValue | GapcertError] = {}
-    _walk_members(
-        spec,
-        [base_point, *approximants],
-        lambda members: _limit_walk(
-            rep, 1, members, certificate.lambda_hat, (tol,), n_max
-        ),
-        outcomes,
-    )
+    # every plane in one walk (the points lie in the axis family by
+    # construction); a failed point raises when its row is read
+    points = [base_point, *approximants]
+    rate = certificate.lambda_hat
+    outcomes = dict(zip(points, _limit_planes(rep, 1, points, rate, tol, n_max)))
     base = _plane_at(outcomes, base_point)
     visual = [visual_distance(p, base_point, kappa) for p in approximants]
     separations = [

@@ -27,7 +27,6 @@ from .words import (
     ReducedWord,
     concat,
     cyclic_reduce,
-    gromov_product,
     invert,
     periodic_point,
     ray_point,
@@ -410,18 +409,6 @@ def gamma_p_plus(spec: SubsetPSpec, budget: int) -> GammaPSample:
         return GammaPSample(spec, budget, _axis_levels(reps, budget), False, reps)
 
     raise TypeError(f"unknown subset description {spec!r}")
-
-
-def check_witness(
-    w: ReducedWord, pair: tuple[BoundaryPoint, BoundaryPoint]
-) -> bool:
-    """Re-check that w sits on the forward ray of the witness line through id."""
-    back, fwd = pair
-    return (
-        back != fwd
-        and gromov_product(fwd, back) == 0
-        and fwd.prefix(len(w)) == w
-    )
 
 
 def word_in_positive_set(

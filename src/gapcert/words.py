@@ -15,7 +15,6 @@ from typing import Iterable, Iterator
 
 from .errors import (
     EmptyWordError,
-    EndpointProjectionError,
     EqualEndpointsError,
     OriginOffGeodesicError,
 )
@@ -290,12 +289,6 @@ def gromov_product(x: BoundaryPoint, y: BoundaryPoint) -> float:
     raise AssertionError("distinct canonical points must differ within the bound")
 
 
-def gromov_product_at(base: ReducedWord, x: BoundaryPoint, y: BoundaryPoint) -> float:
-    """Gromov product of x and y seen from the vertex `base`."""
-    g = base.inverse()
-    return gromov_product(translate(g, x), translate(g, y))
-
-
 def visual_distance(x: BoundaryPoint, y: BoundaryPoint, kappa: float = 1.0) -> float:
     """Visual metric exp(-kappa * (x|y)) on the boundary; 0 iff x == y."""
     if kappa <= 0:
@@ -364,22 +357,3 @@ def geodesic_through(
             f"vertex {word_to_string(origin)!r} is not on the geodesic"
         )
     return BiInfiniteGeodesic(x, y, offset)
-
-
-def project_to_geodesic(
-    line: BiInfiniteGeodesic, x: BoundaryPoint
-) -> tuple[int, ReducedWord]:
-    """Nearest-point projection of a boundary point to the geodesic.
-
-    Returns (t, vertex) with t = (forward|x) - (backward|x), both products
-    based at the marked origin l(0).  The endpoints themselves project to
-    infinity and are rejected.
-    """
-    if x == line.forward or x == line.backward:
-        raise EndpointProjectionError("cannot project an endpoint of the geodesic")
-    base = line.vertex(0)
-    t = int(
-        gromov_product_at(base, line.forward, x)
-        - gromov_product_at(base, line.backward, x)
-    )
-    return t, line.vertex(t)

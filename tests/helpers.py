@@ -24,7 +24,7 @@ from gapcert.linalg import (
     u_k,
 )
 from gapcert.subsets import AxisFamily, Directed, FullBoundary, Primitive
-from gapcert.words import BoundaryPoint, Letter, ReducedWord
+from gapcert.words import BoundaryPoint, Letter, ReducedWord, gromov_product, translate
 
 # ---------------------------------------------------------------------------
 # word oracles
@@ -75,6 +75,18 @@ def expand_point(pre, per, n: int) -> tuple[Letter, ...]:
 
 def point_letters(x: BoundaryPoint, n: int) -> tuple[Letter, ...]:
     return tuple(x.letter_at(i) for i in range(n))
+
+
+def gromov_product_at(base: ReducedWord, x: BoundaryPoint, y: BoundaryPoint) -> float:
+    """Gromov product of x and y seen from the vertex `base`."""
+    g = base.inverse()
+    return gromov_product(translate(g, x), translate(g, y))
+
+
+def check_witness(w: ReducedWord, pair: tuple[BoundaryPoint, BoundaryPoint]) -> bool:
+    """Re-check that w sits on the forward ray of the witness line through id."""
+    back, fwd = pair
+    return back != fwd and gromov_product(fwd, back) == 0 and fwd.prefix(len(w)) == w
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +214,27 @@ def reps_and_subsets(draw):
     return Representation.of(gens), spec
 
 
-def tolerance_sets():
-    """Distinct walk tolerances in any order, as one pass settles them:
-    always 1e-8 and 1e-10, the tolerances a run reads, and maybe 1e-6."""
-    return st.sets(st.just(1e-6), max_size=1).flatmap(
+def walk_reads(caps=(3, 6, 40, 400)):
+    """Reads of one stored walk, as (tolerance, length cap), in any order:
+    1e-8 and 1e-10 (the tolerances a run reads) and maybe 1e-6, each at
+    its own cap."""
+    tolerances = st.sets(st.just(1e-6), max_size=1).flatmap(
         lambda extra: st.permutations([1e-8, 1e-10, *extra])
     )
+    return st.tuples(tolerances, st.permutations(caps)).map(
+        lambda drawn: list(zip(*drawn))
+    )
+
+
+def walked_length(reads, chunk):
+    """The length a stored walk of a few rows reaches after reads, in
+    order, each as (length it needs, length cap): a read walks on a chunk
+    at a time until it has its length, and never past its cap."""
+    length = 0
+    for need, cap in reads:
+        if need > length:
+            length = min(length - (length - need) // chunk * chunk, cap)
+    return length
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +318,7 @@ def backward_maps(rep, x, count):
 
 def reference_raw_splitting(rep, x, k, n_steps, tol, rate):
     """The one-tolerance, one-length-at-a-time splitting walk that the
-    chunked one-pass walk of gapcert.flow generalizes: returns (stable,
+    chunked, resumable walk of gapcert.flow replaced: returns (stable,
     unstable, diagnostics) at the first length where both steps are below
     tol and the tail bound is below its allowance, or raises
     NoConvergenceError."""

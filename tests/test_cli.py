@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from gapcert import flow, limits
 from gapcert.cli import main
 from gapcert.config import (
@@ -17,6 +18,7 @@ from gapcert.config import (
 from gapcert import report as report_module
 from gapcert.domination import certify
 from gapcert.errors import ParseError, ValidationError
+from gapcert.flow import shift, shift_point
 from gapcert.linalg import ScaledMatrix, Subspace
 from gapcert.report import (
     exit_code,
@@ -26,6 +28,7 @@ from gapcert.report import (
     run,
 )
 from gapcert.subsets import hat
+from gapcert.words import parse_boundary_point
 
 LOG8 = math.log(8.0)
 
@@ -225,64 +228,131 @@ def test_run_all_tasks_deterministic_payload():
     assert json.loads(first.to_json())["summary"]["overall"] == "Pass"
 
 
-def count_walks(monkeypatch, tolerances=None):
-    """Record the name of every limit-plane and splitting walk, and the
-    tolerances each one settles in tolerances when given."""
+def test_run_blocks_do_not_depend_on_task_order():
+    # the walk table resumes each walk in whatever order the tasks read it;
+    # holder draws its seed from its position, so its block is left out
+    tasks = ["splitting", "limit-map", "transversality", "sdp", "holder"]
+    first, reverse = (
+        run(parse_config(schottky_config(tasks=order))).stable_payload()["results"]
+        for order in (tasks, tasks[::-1])
+    )
+    for task in tasks[:-1]:
+        assert first[task] == reverse[task], task
+
+
+def record_walks(monkeypatch):
+    """Every limit-plane and splitting walk made from here on, in order;
+    a splitting walk's rows are joint."""
     walks = []
 
-    def counting(module, name):
-        original = getattr(module, name)
+    class Recorded(limits._Walk):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            walks.append(self)
 
-        def walk(*args):
-            walks.append(name)
-            if tolerances is not None:
-                # both walks take their tolerances fifth
-                tolerances.append((name, tuple(args[4])))
-            return original(*args)
-
-        monkeypatch.setattr(module, name, walk)
-
-    counting(limits, "_limit_walk")
-    counting(flow, "_raw_splitting")
+    monkeypatch.setattr(limits, "_Walk", Recorded)
+    monkeypatch.setattr(flow, "_Walk", Recorded)
     return walks
 
 
+def chunk_end(stop):
+    """The length a walk reaches to read a stop: the end of its chunk."""
+    return -(-stop // limits._WALK_CHUNK) * limits._WALK_CHUNK
+
+
 def test_run_walks_only_the_tolerances_its_tasks_read(monkeypatch):
-    # a task that reads planes at the config tolerance alone settles no
-    # other; splitting reads its own splittings at the config tolerance
-    # and 60 steps, the checks' shift at the default and 80 steps, and the
-    # endpoint planes at the default
+    # each plane and splitting is walked once, to the chunk of the
+    # tightest stop a task reads on it: limit-map and transversality read
+    # planes at the config tolerance, sdp and the splitting checks at the
+    # default; splitting reads its own splittings at the config tolerance
+    # and flow_steps, the checks' shift at the default and 80 steps
     tol = DEFAULT_TOLERANCES["subspace"]
     default = limits.DEFAULT_TOL
     assert tol != default
-    cases = {
-        ("limit-map",): [("_limit_walk", (tol,))],
-        ("transversality", "limit-map"): [("_limit_walk", (tol,))] * 4,
-        ("sdp",): [("_limit_walk", (default,))] * 2,
-        ("splitting",): [("_raw_splitting", (tol,))] * 2
-        + [("_raw_splitting", (default,))]
-        + [("_limit_walk", (default,))] * 2,
-        # the tolerances read at a kind and cap are settled on each walk
-        # of it, the backward plane that only sdp reads included
-        ("limit-map", "sdp"): [("_limit_walk", (default, tol))] * 2,
-        # at the checks' own 80 steps the shifted splitting serves both
-        # tolerances, while the splitting over the point itself, which
-        # only bg_splitting reads, walks at the config tolerance alone
-        ("splitting", 80): [
-            ("_raw_splitting", (tol,)),
-            ("_raw_splitting", (default, tol)),
+    config = parse_config(schottky_config())
+    rep, spec = config.representation(), config.subset_spec()
+    rates = {
+        "forward": certify(rep, spec, 1, config.budget).lambda_hat,
+        "backward": certify(rep, hat(spec), 1, config.budget).lambda_hat,
+    }
+
+    def plane(side, point, t):
+        x = parse_boundary_point(point)
+        value = helpers.reference_xi_upper(rep, 1, x, rates[side], t, 400)
+        return (False, chunk_end(value.iterations))
+
+    x = shift_point(spec, parse_boundary_point("(ab)"), parse_boundary_point("(BA)"))
+
+    def splitting(y, n_steps, *tols):
+        stops = [
+            helpers.reference_raw_splitting(
+                rep, y, 1, n_steps, t, rates["forward"]
+            )[2]["iterations"]
+            for t in tols
         ]
-        + [("_limit_walk", (default,))] * 2,
+        return (True, chunk_end(max(stops)))
+
+    endpoints = [plane("forward", "(ab)", default), plane("backward", "(BA)", default)]
+    cases = {
+        ("limit-map",): [plane("forward", "(ab)", tol)],
+        ("transversality", "limit-map"): [
+            plane("forward", "(a)", tol),
+            plane("backward", "(B)", tol),
+            plane("forward", "(ab)", tol),
+            plane("backward", "(BA)", tol),
+        ],
+        ("sdp",): endpoints,
+        # the backward plane, which only sdp reads, stops in the chunk of
+        # its own stop at the default tolerance
+        ("limit-map", "sdp"): [
+            plane("forward", "(ab)", default),
+            plane("backward", "(BA)", default),
+        ],
+        ("splitting",): [
+            splitting(x, 60, tol),
+            splitting(shift(x), 80, tol, default),
+            *endpoints,
+        ],
+        ("splitting", 80): [
+            splitting(x, 80, tol),
+            splitting(shift(x), 80, tol, default),
+            *endpoints,
+        ],
     }
     for tasks, expected in cases.items():
         data = schottky_config(tasks=[t for t in tasks if isinstance(t, str)])
         if 80 in tasks:
             data["sampling"]["flow_steps"] = 80
-        tolerances = []
-        count_walks(monkeypatch, tolerances)
+        walks = record_walks(monkeypatch)
         report = run(parse_config(data))
         assert exit_code(report) == 0
-        assert tolerances == expected, tasks
+        assert [(walk.joint, walk.length) for walk in walks] == expected, tasks
+
+
+def test_run_splitting_checks_walk_the_endpoint_planes_to_the_config_cap():
+    # the Schottky config of CI's same-report check: with three prefixes
+    # no plane settles, and the splitting checks end in sdp's error
+    data = {
+        "rank": 2,
+        "dim": 2,
+        "generators": [[[5.0, 0.0], [0.0, 0.2]], [[2.6, 2.4], [2.4, 2.6]]],
+        "subset": {"type": "directed", "steps": ["a", "b"]},
+        "k": 1,
+        "budget": 8,
+        "seed": 42,
+        "tasks": ["limit-map", "sdp", "splitting"],
+        "points": {"forward": "(ab)", "backward": "(BA)", "seed_plane": [[1.0, 0.3]]},
+        "sampling": {"holder_pairs": 60, "limit_n_max": 3},
+    }
+    results = run(parse_config(data)).results
+    for task in ("limit-map", "sdp", "splitting"):
+        assert results[task]["verdict"] == "Error"
+        assert results[task]["error"].startswith("NoConvergenceError: ")
+        assert "within 3 prefixes" in results[task]["error"]
+    assert results["splitting"]["error"] == results["sdp"]["error"]
+    # with the default cap every task passes
+    del data["sampling"]["limit_n_max"]
+    assert exit_code(run(parse_config(data))) == 0
 
 
 def test_cli_holder_walks_at_the_config_tolerance_and_cap(tmp_path):
@@ -321,13 +391,13 @@ def test_run_walks_each_plane_once_and_keeps_every_block(monkeypatch):
     point_tasks = ["limit-map", "transversality", "sdp", "splitting"]
     config = parse_config(schottky_config(tasks=point_tasks))
     assert config.sampling["flow_steps"] != 80
-    walks = count_walks(monkeypatch)
+    walks = record_walks(monkeypatch)
     report = run(config)
     assert exit_code(report) == 0
     # planes at (ab), (a) forward and (BA), (B) backward; splittings over the
-    # point and its shift at 60 steps, and the shift at 80 steps
-    assert walks.count("_limit_walk") == 4
-    assert walks.count("_raw_splitting") == 3
+    # point, and over its shift at 60 steps and at the checks' 80 in one walk
+    assert [walk.joint for walk in walks].count(False) == 4
+    assert [walk.joint for walk in walks].count(True) == 2
     rep, spec = config.representation(), config.subset_spec()
     cert = certify(rep, spec, config.k, config.budget, opts=config.certify_options())
     dual = certify(rep, hat(spec), rep.dim - config.k, config.budget)
@@ -341,8 +411,8 @@ def test_run_walks_each_plane_once_and_keeps_every_block(monkeypatch):
         assert json.dumps(report_module._jsonify(alone), sort_keys=True) == (
             json.dumps(results[name], sort_keys=True)
         )
-    assert walks.count("_limit_walk") == 9
-    assert walks.count("_raw_splitting") == 3
+    assert [walk.joint for walk in walks].count(False) == 9
+    assert [walk.joint for walk in walks].count(True) == 3
 
 
 def test_run_records_derived_task_seeds():

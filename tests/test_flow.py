@@ -22,7 +22,6 @@ from gapcert.errors import (
 from gapcert.flow import (
     BlockMap,
     ShiftPoint,
-    _raw_splitting,
     anosov_margins,
     bg_splitting,
     check_hypotheses,
@@ -37,7 +36,7 @@ from gapcert.flow import (
     stability_probe,
     transform_hypotheses,
 )
-from gapcert.limits import SPLITTING_WALK, shared_walks
+from gapcert.limits import shared_walks
 from gapcert.linalg import (
     Representation,
     Subspace,
@@ -351,6 +350,19 @@ def test_splitting_checks_pass():
     assert report.transversality > 0.05
 
 
+def test_splitting_checks_walk_the_endpoint_planes_up_to_n_max():
+    rep, spec = schottky_rep(), directed_ab()
+    cert = certify(rep, spec, 1, 8)
+    x = axis_point(spec, "ab")
+    sample = bg_splitting(rep, x, 1, certificate=cert)
+    with pytest.raises(NoConvergenceError) as caught:
+        splitting_checks(rep, sample, certificate=cert, n_max=3)
+    with pytest.raises(NoConvergenceError) as alone:
+        limits.xi_upper(rep, spec, 1, x.line.forward, n_max=3, certificate=cert)
+    assert str(caught.value) == str(alone.value)
+    assert splitting_checks(rep, sample, certificate=cert, n_max=40).passed
+
+
 def test_splitting_checks_ratio_slope_diagonal():
     rep = z_rep()
     sample = bg_splitting(rep, z_point(), 1)
@@ -383,6 +395,14 @@ def splitting_outcome(rep, x, k, n_steps, tol, rate):
         return exc
 
 
+def read_splitting(rep, x, k, n_steps, tol, rate):
+    """flow._splitting's outcome: the triple, or the error it raises."""
+    try:
+        return flow._splitting(rep, x, k, n_steps, tol, rate)
+    except NoConvergenceError as exc:
+        return exc
+
+
 def assert_same_splitting(got, want):
     if isinstance(want, GapcertError):
         assert type(got) is type(want) and str(got) == str(want)
@@ -393,17 +413,21 @@ def assert_same_splitting(got, want):
     assert diag == diag_want
 
 
+def stored_walks():
+    """The walks of the open walk table."""
+    return list(limits._SHARED_WALKS.get().values())
+
+
 @given(
     helpers.reps_and_subsets(),
     st.floats(0.05, 3.0),
-    helpers.tolerance_sets(),
-    st.sampled_from((4, 80)),
+    helpers.walk_reads(caps=(3, 6, 40, 80)),
 )
 @settings(max_examples=30, deadline=None)
-def test_one_pass_splitting_settles_each_tolerance_as_walked_alone(
-    case, rate, tols, n_steps
-):
-    # 4 steps are too few for most lines, so NoConvergenceError is common
+def test_one_pass_splitting_settles_each_tolerance_as_walked_alone(case, rate, reads):
+    # one stored walk per line, read at every (tolerance, cap) in turn,
+    # against each read walked alone; 80 steps are bg_splitting's default,
+    # and 3 and 6 too few for most lines, so NoConvergenceError is common
     rep, spec = case
     forward = sorted(q_plus_boundary(spec, 3), key=str)[:3]
     backward = sorted(q_plus_boundary(hat(spec), 3), key=str)[-2:]
@@ -411,13 +435,16 @@ def test_one_pass_splitting_settles_each_tolerance_as_walked_alone(
     for k in range(1, rep.dim):
         for line in lines:
             x = ShiftPoint(spec, line)
-            got = _raw_splitting(rep, x, k, n_steps, tols, rate)
-            assert len(got) == len(tols)
-            for tol, outcome in zip(tols, got):
-                want = splitting_outcome(rep, x, k, n_steps, tol, rate)
-                assert_same_splitting(outcome, want)
-                (alone,) = _raw_splitting(rep, x, k, n_steps, (tol,), rate)
-                assert_same_splitting(alone, want)
+            needs = []
+            with shared_walks():
+                for tol, n_steps in reads:
+                    want = splitting_outcome(rep, x, k, n_steps, tol, rate)
+                    got = read_splitting(rep, x, k, n_steps, tol, rate)
+                    assert_same_splitting(got, want)
+                    done = isinstance(want, GapcertError)
+                    needs.append((n_steps if done else want[2]["iterations"], n_steps))
+                (walk,) = stored_walks()
+            assert walk.length == helpers.walked_length(needs, limits._WALK_CHUNK)
 
 
 def splitting_lines(spec):
@@ -430,7 +457,8 @@ def splitting_lines(spec):
 
 def test_splitting_stops_on_both_sides_of_a_chunk_edge(monkeypatch):
     # chunks of C lengths with the stop at C - 1, C and C + 1, and step
-    # counts that are not multiples of C, against the one-length loop
+    # counts that are not multiples of C, against the one-length loop, read
+    # from one stored walk resumed past the edge
     rep, spec = schottky_rep(), directed_ab()
     rate = certify(rep, spec, 1, 8).lambda_hat
     edges, kinds = set(), set()
@@ -442,11 +470,12 @@ def test_splitting_stops_on_both_sides_of_a_chunk_edge(monkeypatch):
                 monkeypatch.setattr(limits, "_WALK_CHUNK", chunk)
                 edges.add(stop - chunk)
                 for n_steps in (80, stop - 1, chunk + 1, 2 * chunk + 3):
-                    got = _raw_splitting(rep, x, 1, n_steps, (tol, 1e-6), rate)
-                    for t, outcome in zip((tol, 1e-6), got):
-                        want = splitting_outcome(rep, x, 1, n_steps, t, rate)
-                        assert_same_splitting(outcome, want)
-                        kinds.add(type(outcome).__name__)
+                    with shared_walks():
+                        for t in (1e-6, tol):
+                            got = read_splitting(rep, x, 1, n_steps, t, rate)
+                            want = splitting_outcome(rep, x, 1, n_steps, t, rate)
+                            assert_same_splitting(got, want)
+                            kinds.add(type(got).__name__)
     assert edges == {-1, 0, 1}
     assert kinds == {"tuple", "NoConvergenceError"}
     # a gapless length after the stop, in the stop's chunk, is not skipped
@@ -456,7 +485,7 @@ def test_splitting_stops_on_both_sides_of_a_chunk_edge(monkeypatch):
     x = ShiftPoint(FullBoundary(2), line)
     assert gap_margin(cocycle(rep, x, 51), 1) == 0.0
     monkeypatch.setattr(limits, "_WALK_CHUNK", 64)
-    (got,) = _raw_splitting(rep, x, 1, 80, (1e-10,), 1.0)
+    got = read_splitting(rep, x, 1, 80, 1e-10, 1.0)
     assert got[2]["iterations"] < 51
     assert_same_splitting(got, splitting_outcome(rep, x, 1, 80, 1e-10, 1.0))
 
@@ -472,59 +501,59 @@ def test_a_splitting_chunk_that_fails_past_the_stop_is_rewalked(monkeypatch, err
     stop = want[2]["iterations"]
     monkeypatch.setattr(limits, "_WALK_CHUNK", stop + 2)
     calls = []
-    original = flow.running_products
+    original = limits.running_products
 
     def failing_at(at):
-        def products(cores, logscales, factors, **sides):
+        def products(cores, logscales, factors, *rest):
             done = sum(calls)
             if done < at <= done + len(factors):
                 raise error
             calls.append(len(factors))
-            return original(cores, logscales, factors, **sides)
+            return original(cores, logscales, factors, *rest)
 
         return products
 
-    monkeypatch.setattr(flow, "running_products", failing_at(stop + 1))
-    (got,) = _raw_splitting(rep, x, 1, 80, (1e-10,), rate)
-    assert_same_splitting(got, want)
+    monkeypatch.setattr(limits, "running_products", failing_at(stop + 1))
+    assert_same_splitting(read_splitting(rep, x, 1, 80, 1e-10, rate), want)
     assert calls == [1] * stop
     calls.clear()
-    monkeypatch.setattr(flow, "running_products", failing_at(stop))
+    monkeypatch.setattr(limits, "running_products", failing_at(stop))
     with pytest.raises(type(error)):
-        _raw_splitting(rep, x, 1, 80, (1e-10,), rate)
+        read_splitting(rep, x, 1, 80, 1e-10, rate)
     assert calls == [1] * (stop - 1)
     # a walk that cannot settle reports its last steps as the loop does
-    monkeypatch.setattr(flow, "running_products", original)
-    (short,) = _raw_splitting(rep, x, 1, stop - 1, (1e-10,), rate)
+    monkeypatch.setattr(limits, "running_products", original)
+    short = read_splitting(rep, x, 1, stop - 1, 1e-10, rate)
     assert isinstance(short, NoConvergenceError)
     assert str(short) == str(splitting_outcome(rep, x, 1, stop - 1, 1e-10, rate))
 
 
-def test_shared_walks_extract_each_splitting_once(monkeypatch):
+def test_shared_walks_extract_each_splitting_once():
     rep, spec = schottky_rep(), directed_ab()
     cert = certify(rep, spec, 1, 8)
     x = shift_point(
         spec, parse_boundary_point("b|(ab)"), parse_boundary_point("(BA)")
     )
-    alone = bg_splitting(rep, x, 1, tol=1e-8, certificate=cert)
+    alone = bg_splitting(rep, x, 1, n_steps=60, tol=1e-8, certificate=cert)
     checks_alone = splitting_checks(rep, alone, certificate=cert)
-    calls = []
-
-    def spy(rep, x, k, n_steps, tols, rate):
-        calls.append((x.line.origin_offset, tuple(tols)))
-        return original(rep, x, k, n_steps, tols, rate)
-
-    original = flow._raw_splitting
-    monkeypatch.setattr(flow, "_raw_splitting", spy)
-    reads = [(SPLITTING_WALK, 80, 1e-8), (SPLITTING_WALK, 80, 1e-10)]
-    with shared_walks(reads):
-        sample = bg_splitting(rep, x, 1, tol=1e-8, certificate=cert)
+    with shared_walks():
+        sample = bg_splitting(rep, x, 1, n_steps=60, tol=1e-8, certificate=cert)
         checks = splitting_checks(rep, sample, certificate=cert)
-    # the point and its shift, each walked once: the point, which only
-    # bg_splitting reads, at its own tolerance outside the table; the shift
-    # at both, so splitting_checks reads it without walking again
-    assert [tols for _, tols in calls] == [(1e-8,), (1e-10, 1e-8)]
-    assert calls[1][0] == calls[0][0] + 1
+        walks = {
+            key[1].origin_offset: walk
+            for key, walk in limits._SHARED_WALKS.get().items()
+            if isinstance(key[1], BiInfiniteGeodesic)
+        }
+    # the point and its shift, each walked once: the shift at 60 steps and
+    # 1e-8 for bg_splitting, then resumed to its 1e-10 stop at the checks'
+    # 80 steps, each walk to the chunk of the tightest stop it serves
+    offset = x.line.origin_offset
+    assert sorted(walks) == [offset, offset + 1]
+    rate = cert.lambda_hat
+    for shifted, tol in ((x, 1e-8), (shift(x), 1e-10)):
+        stop = helpers.reference_raw_splitting(rep, shifted, 1, 80, tol, rate)[2]
+        chunks = -(-stop["iterations"] // limits._WALK_CHUNK)
+        assert walks[shifted.line.origin_offset].length == chunks * limits._WALK_CHUNK
     assert np.array_equal(sample.stable.frame, alone.stable.frame)
     assert np.array_equal(sample.unstable.frame, alone.unstable.frame)
     assert dataclasses.astuple(checks) == dataclasses.astuple(checks_alone)

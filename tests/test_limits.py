@@ -23,7 +23,6 @@ from gapcert.errors import (
 )
 from gapcert.limits import (
     cartan_check,
-    cauchy_constant,
     discontinuity_probe,
     holder_estimate,
     pair_in_subset,
@@ -40,7 +39,6 @@ from gapcert.linalg import (
     evaluate,
     gap_margin,
     grassmann_distance,
-    u_k,
 )
 from gapcert.subsets import AxisFamily, Directed, gamma_p_plus, hat, q_plus_boundary
 from gapcert.words import (
@@ -232,23 +230,6 @@ def test_xi_equivariance():
                 @ xi_upper(rep, directed, 1, x, certificate=cert).subspace.frame
             )
             assert grassmann_distance(moved.subspace, pushed) < 1e-8
-
-
-def test_xi_cauchy_rate_invariant():
-    rep, directed = schottky_rep(), directed_ab()
-    cert = certify(rep, directed, 1, 8)
-    prefactor = cauchy_constant(rep, cert)
-    x = periodic_point(parse_word("ab"))
-    planes = {}
-    current = None
-    for n in range(1, 13):
-        word = x.prefix(n)
-        matrix = evaluate(rep, word)
-        planes[n] = u_k(matrix, 1)
-    for n in range(1, 12):
-        step = grassmann_distance(planes[n], planes[n + 1])
-        bound = prefactor * math.exp(-cert.lambda_hat * n)
-        assert step <= bound * (1.0 + 1e-6) + 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -471,17 +452,17 @@ def test_discontinuity_probe_walks_every_plane_at_once(monkeypatch):
     cert = certify(rep, spec, 1, limits.DEFAULT_CERT_BUDGET)
     base = periodic_point(parse_word("a"))
     calls = []
-    original = limits._limit_walk
+    original = limits._plane_walk
 
-    def spy(rep, k, points, *rest):
+    def spy(rep, k, points):
         calls.append(list(points))
-        return original(rep, k, points, *rest)
+        return original(rep, k, points)
 
-    monkeypatch.setattr(limits, "_limit_walk", spy)
+    monkeypatch.setattr(limits, "_plane_walk", spy)
     probe = discontinuity_probe(rep, exponents=(2, 5, 3))
     approximants = [parse_boundary_point("a" * m + "b|(a)") for m in (2, 5, 3)]
     assert calls == [[base, *approximants]]
-    monkeypatch.setattr(limits, "_limit_walk", original)
+    monkeypatch.setattr(limits, "_plane_walk", original)
     plane = xi_upper(rep, spec, 1, base, certificate=cert).subspace
     assert probe.separations == tuple(
         grassmann_distance(plane, xi_upper(rep, spec, 1, x, certificate=cert).subspace)
@@ -502,7 +483,7 @@ def test_discontinuity_probe_needs_two_generators():
 
 
 # ---------------------------------------------------------------------------
-# the lockstep walk against the one-point loop
+# the walk core against the one-point loop
 
 
 def walk_outcome(rep, k, x, rate, tol, n_max):
@@ -524,27 +505,38 @@ def assert_same_outcome(got, want):
     assert got.skipped_prefixes == want.skipped_prefixes
 
 
-@given(
-    helpers.reps_and_subsets(),
-    st.floats(0.05, 3.0),
-    helpers.tolerance_sets(),
-    st.sampled_from((6, 40, 400)),
-)
+def needed(outcome, n_max):
+    """The prefixes a walk reads for outcome: to its stop, or to the cap."""
+    return n_max if isinstance(outcome, GapcertError) else outcome.iterations
+
+
+@given(helpers.reps_and_subsets(), st.floats(0.05, 3.0), helpers.walk_reads())
 @settings(max_examples=40, deadline=None)
-def test_walk_matches_the_one_point_loop(case, rate, tols, n_max):
-    # many points and tolerances in one pass against each point and each
-    # tolerance alone; n_max 6 is too short for most points
+def test_walk_matches_the_one_point_loop(case, rate, reads):
+    # one stored walk per point, read at every (tolerance, cap) in turn,
+    # against each read walked alone; caps 3 and 6 are too short for most
+    # points, and the first read also walks every point in lockstep
     rep, spec = case
     points = sorted(q_plus_boundary(spec, 3), key=str)[:12]
     for k in range(1, rep.dim):
-        together = limits._limit_walk(rep, k, points, rate, tols, n_max)
+        wanted = {
+            (x, read): walk_outcome(rep, k, x, rate, *read)
+            for x in points
+            for read in reads
+        }
+        tol, n_max = reads[0]
+        together = limits._limit_planes(rep, k, points, rate, tol, n_max)
         for x, got in zip(points, together):
-            assert len(got) == len(tols)
-            for tol, outcome in zip(tols, got):
-                want = walk_outcome(rep, k, x, rate, tol, n_max)
-                assert_same_outcome(outcome, want)
-                ((alone,),) = limits._limit_walk(rep, k, [x], rate, (tol,), n_max)
-                assert_same_outcome(alone, want)
+            assert_same_outcome(got, wanted[x, reads[0]])
+        for x in points:
+            walk = limits._plane_walk(rep, k, [x])
+            needs = []
+            for tol, n_max in reads:
+                want = wanted[x, (tol, n_max)]
+                (got,) = limits._limit_planes(rep, k, [x], rate, tol, n_max, walk)
+                assert_same_outcome(got, want)
+                needs.append((needed(want, n_max), n_max))
+            assert walk.length == helpers.walked_length(needs, limits._WALK_CHUNK)
 
 
 def test_walk_covers_gapless_prefixes_and_both_failures():
@@ -559,8 +551,8 @@ def test_walk_covers_gapless_prefixes_and_both_failures():
     )
     kinds = set()
     for r, pts, n_max in cases:
-        walked = limits._limit_walk(r, 1, pts, 1.0, (1e-10,), n_max)
-        for x, (got,) in zip(pts, walked):
+        walked = limits._limit_planes(r, 1, pts, 1.0, 1e-10, n_max)
+        for x, got in zip(pts, walked):
             want = walk_outcome(r, 1, x, 1.0, 1e-10, n_max)
             assert_same_outcome(got, want)
             kinds.add(type(got).__name__)
@@ -572,7 +564,8 @@ def test_walk_covers_gapless_prefixes_and_both_failures():
 def test_walk_stops_on_both_sides_of_a_chunk_edge(monkeypatch):
     # chunks of C lengths with the stop at C - 1, C and C + 1, and caps
     # that are not multiples of C, against the one-point loop: exact
-    # planes, steps and bounds, and exact NoConvergenceError messages
+    # planes, steps and bounds, and exact NoConvergenceError messages, in
+    # lockstep and from one stored walk per point resumed past the edge
     rep, spec = schottky_rep(), directed_ab()
     rate = certify(rep, spec, 1, 8).lambda_hat
     points = [parse_boundary_point(s) for s in ("(ab)", "b|(ab)", "ba|(b)", "(a)")]
@@ -584,20 +577,23 @@ def test_walk_stops_on_both_sides_of_a_chunk_edge(monkeypatch):
                 monkeypatch.setattr(limits, "_WALK_CHUNK", chunk)
                 edges.add(stop - chunk)
                 for n_max in (400, stop - 1, chunk + 1, 2 * chunk + 3):
-                    tols = (tol, 1e-6)
-                    together = limits._limit_walk(rep, 1, points, rate, tols, n_max)
+                    together = limits._limit_planes(rep, 1, points, rate, tol, n_max)
                     for y, got in zip(points, together):
-                        for t, outcome in zip(tols, got):
-                            want = walk_outcome(rep, 1, y, rate, t, n_max)
-                            assert_same_outcome(outcome, want)
-                            kinds.add(type(outcome).__name__)
+                        want = walk_outcome(rep, 1, y, rate, tol, n_max)
+                        assert_same_outcome(got, want)
+                        kinds.add(type(got).__name__)
+                    walk = limits._plane_walk(rep, 1, [x])
+                    for t in (1e-6, tol):
+                        (got,) = limits._limit_planes(rep, 1, [x], rate, t, n_max, walk)
+                        want = walk_outcome(rep, 1, x, rate, t, n_max)
+                        assert_same_outcome(got, want)
     assert edges == {-1, 0, 1}
     assert kinds == {"LimitMapValue", "NoConvergenceError"}
     # a gapless prefix after the stop, in the stop's chunk, is not skipped
     detour = parse_boundary_point("a" * 25 + "b|(a)")
     assert gap_margin(evaluate(example_56_rep(), detour.prefix(51)), 1) == 0.0
     monkeypatch.setattr(limits, "_WALK_CHUNK", 64)
-    ((got,),) = limits._limit_walk(example_56_rep(), 1, [detour], 1.0, (1e-10,), 400)
+    (got,) = limits._limit_planes(example_56_rep(), 1, [detour], 1.0, 1e-10, 400)
     assert got.iterations < 51
     assert_same_outcome(got, walk_outcome(example_56_rep(), 1, detour, 1.0, 1e-10, 400))
     # gapless prefixes all the way, to caps on both sides of a chunk edge
@@ -605,7 +601,7 @@ def test_walk_stops_on_both_sides_of_a_chunk_edge(monkeypatch):
     x = periodic_point(parse_word("a"))
     monkeypatch.setattr(limits, "_WALK_CHUNK", 4)
     for n_max in (3, 4, 5, 11):
-        ((got,),) = limits._limit_walk(rotation, 1, [x], 1.0, (1e-10,), n_max)
+        (got,) = limits._limit_planes(rotation, 1, [x], 1.0, 1e-10, n_max)
         assert isinstance(got, NoGapError)
         assert_same_outcome(got, walk_outcome(rotation, 1, x, 1.0, 1e-10, n_max))
 
@@ -624,11 +620,11 @@ def test_a_walk_of_many_points_goes_one_length_at_a_time(monkeypatch):
         return original(cores, logscales, factors, *rest)
 
     monkeypatch.setattr(limits, "running_products", products)
-    walked = limits._limit_walk(rep, 1, points, rate, (1e-10,), 400)
+    walked = limits._limit_planes(rep, 1, points, rate, 1e-10, 400)
     assert len(points) > 4 and calls[0] == (len(points), 1)
     assert all((count == 1) == (rows > 4) for rows, count in calls)
     assert {count for _, count in calls} == {1, limits._WALK_CHUNK}
-    for x, (got,) in zip(points, walked):
+    for x, got in zip(points, walked):
         assert_same_outcome(got, walk_outcome(rep, 1, x, rate, 1e-10, 400))
 
 
@@ -668,7 +664,7 @@ def test_a_chunk_that_fails_past_the_stop_is_walked_length_by_length(
     original = limits.running_products
     products = failing_products(original, stop + 1, error, calls)
     monkeypatch.setattr(limits, "running_products", products)
-    ((got,),) = limits._limit_walk(rep, 1, [x], rate, (1e-10,), 400)
+    (got,) = limits._limit_planes(rep, 1, [x], rate, 1e-10, 400)
     assert_same_outcome(got, want)
     assert calls == [1] * stop
     # a failure at a length the walk reads is raised
@@ -676,101 +672,85 @@ def test_a_chunk_that_fails_past_the_stop_is_walked_length_by_length(
     products = failing_products(original, stop, error, calls)
     monkeypatch.setattr(limits, "running_products", products)
     with pytest.raises(type(error)):
-        limits._limit_walk(rep, 1, [x], rate, (1e-10,), 400)
+        limits._limit_planes(rep, 1, [x], rate, 1e-10, 400)
     assert calls == [1] * (stop - 1)
-
-
-def limit_reads(*tols, n_max=limits.DEFAULT_N_MAX):
-    return [(limits.LIMIT_WALK, n_max, tol) for tol in tols]
 
 
 def test_shared_walks_walk_each_plane_once_and_read_every_tolerance(monkeypatch):
     rep, spec = schottky_rep(), directed_ab()
     cert = certify(rep, spec, 1, 8)
     x = parse_boundary_point("b|(ab)")
-    calls = []
-    original = limits._limit_walk
+    walks = []
+    original = limits._plane_walk
 
-    def spy(rep, k, points, rate, tols, n_max):
-        calls.append(tuple(tols))
-        return original(rep, k, points, rate, tols, n_max)
+    def spy(rep, k, points):
+        walks.append(original(rep, k, points))
+        return walks[-1]
 
-    monkeypatch.setattr(limits, "_limit_walk", spy)
-    alone = {
-        tol: xi_upper(rep, spec, 1, x, tol, certificate=cert) for tol in (1e-8, 1e-10)
-    }
-    assert calls == [(1e-8,), (1e-10,)]
-    calls.clear()
-    reads = limit_reads(1e-10, 1e-8, 1e-8) + limit_reads(1e-6, 1e-6, n_max=300)
-    with limits.shared_walks(reads):
-        for tol in (1e-8, 1e-10, 1e-8, 1e-10):
-            got = xi_upper(rep, spec, 1, x, tol, certificate=cert)
-            assert_same_outcome(got, alone[tol])
-        # a tolerance or length cap the block does not read at that cap
-        # walks on its own, and so does another kind
-        xi_upper(rep, spec, 1, x, 1e-6, certificate=cert)
-        xi_upper(rep, spec, 1, x, 1e-8, n_max=300, certificate=cert)
-        # a cap's own tolerances are shared at that cap
-        for _ in range(2):
-            xi_upper(rep, spec, 1, x, 1e-6, n_max=300, certificate=cert)
+    monkeypatch.setattr(limits, "_plane_walk", spy)
+    reads = [(1e-8, 400), (1e-10, 3), (1e-6, 300), (1e-10, 400), (1e-8, 400)]
+    alone = {}
+    for tol, n_max in reads:
+        try:
+            alone[tol, n_max] = xi_upper(rep, spec, 1, x, tol, n_max, certificate=cert)
+        except NoConvergenceError as exc:
+            alone[tol, n_max] = exc
+    # outside a block every call walks on its own
+    assert len(walks) == len(reads)
+    walks.clear()
+    with limits.shared_walks():
+        for tol, n_max in reads:
+            try:
+                got = xi_upper(rep, spec, 1, x, tol, n_max, certificate=cert)
+            except NoConvergenceError as exc:
+                got = exc
+            assert_same_outcome(got, alone[tol, n_max])
+        # one walk, at every cap, resumed after the error at 3 prefixes
+        # and walked to the chunk of the tightest stop only
+        assert isinstance(alone[1e-10, 3], NoConvergenceError)
+        stop = alone[1e-10, 400].iterations
+        assert walks[0].length == -(-stop // limits._WALK_CHUNK) * limits._WALK_CHUNK
         # membership is still checked on every call
         with pytest.raises(MembershipError):
             xi_upper(rep, spec, 1, periodic_point(parse_word("A")), certificate=cert)
-    assert calls == [(1e-10, 1e-8), (1e-6,), (1e-8,), (1e-6,)]
-    calls.clear()
-    # a walk of another kind, or with one reader, is not tabled
-    for reads in ([(limits.SPLITTING_WALK, 400, 1e-8)] * 2, limit_reads(1e-8)):
-        with limits.shared_walks(reads):
-            for _ in range(2):
-                xi_upper(rep, spec, 1, x, 1e-8, certificate=cert)
-    xi_upper(rep, spec, 1, x, 1e-8, certificate=cert)
-    assert calls == [(1e-8,)] * 5
+        # the backward plane of the same point at the same index is the
+        # same walk
+        xi_lower(rep, spec, 1, x, assume_member=True)
+    assert len(walks) == 1
+    with limits.shared_walks():
+        xi_upper(rep, spec, 1, x, 1e-8, certificate=cert)
+    assert len(walks) == 2
 
 
-def test_shared_walks_store_errors_and_fall_back_when_the_walk_raises(monkeypatch):
+def test_shared_walks_resume_after_a_failed_chunk(monkeypatch):
+    # a failure where a read walks on is raised and leaves the kept
+    # lengths as they were: looser reads still read them, and once the
+    # failure is gone the walk resumes where it stood
     rep, spec = schottky_rep(), directed_ab()
     cert = certify(rep, spec, 1, 8)
     x = parse_boundary_point("(ab)")
-    with limits.shared_walks(limit_reads(1e-8, 1e-10, n_max=3)):
-        for _ in range(2):
-            with pytest.raises(NoConvergenceError) as caught:
-                xi_upper(rep, spec, 1, x, 1e-10, n_max=3, certificate=cert)
-            assert str(caught.value) == str(
-                walk_outcome(rep, 1, x, cert.lambda_hat, 1e-10, 3)
-            )
-    # a shared walk that fails numerically past the tolerance a caller
-    # reads: each tolerance is walked alone, once, and gets the outcome of
-    # a walk at that tolerance alone
-    original = limits._limit_walk
-    calls = []
-
-    def failing_when_shared(error):
-        def walk(rep, k, points, rate, tols, n_max):
-            calls.append(tuple(tols))
-            if len(tols) > 1:
-                raise error
-            return original(rep, k, points, rate, tols, n_max)
-
-        return walk
-
-    for error in (
-        FloatingPointError("past the first stopping step"),
-        np.linalg.LinAlgError("SVD did not converge"),
-        ScaleOverflowError("product out of range"),
-    ):
-        calls.clear()
-        monkeypatch.setattr(limits, "_limit_walk", failing_when_shared(error))
-        with limits.shared_walks(limit_reads(1e-8, 1e-10)):
-            for tol in (1e-8, 1e-10, 1e-8, 1e-10):
-                got = xi_upper(rep, spec, 1, x, tol, certificate=cert)
-                want = walk_outcome(rep, 1, x, cert.lambda_hat, tol, 400)
-                assert_same_outcome(got, want)
-        assert calls == [(1e-10, 1e-8), (1e-8,), (1e-10,)]
-    # any other failure is a fault, not a numerical limit: it is raised
-    monkeypatch.setattr(limits, "_limit_walk", failing_when_shared(IndexError("row")))
-    with limits.shared_walks(limit_reads(1e-8, 1e-10)):
-        with pytest.raises(IndexError):
+    alone = {
+        tol: xi_upper(rep, spec, 1, x, tol, certificate=cert) for tol in (1e-8, 1e-10)
+    }
+    assert alone[1e-8].iterations <= limits._WALK_CHUNK < alone[1e-10].iterations
+    original = limits.running_products
+    for error in (FloatingPointError("overflow"), IndexError("row")):
+        with limits.shared_walks():
             xi_upper(rep, spec, 1, x, 1e-8, certificate=cert)
+
+            def failing(*args):
+                raise error
+
+            monkeypatch.setattr(limits, "running_products", failing)
+            (walk,) = limits._SHARED_WALKS.get().values()
+            with pytest.raises(type(error)):
+                xi_upper(rep, spec, 1, x, 1e-10, certificate=cert)
+            assert walk.length == limits._WALK_CHUNK
+            got = xi_upper(rep, spec, 1, x, 1e-8, certificate=cert)
+            assert_same_outcome(got, alone[1e-8])
+            monkeypatch.setattr(limits, "running_products", original)
+            got = xi_upper(rep, spec, 1, x, 1e-10, certificate=cert)
+            assert_same_outcome(got, alone[1e-10])
 
 
 def reference_holder(rep, spec, k, sample_size, seed, max_period, n_max, cert):
@@ -822,13 +802,13 @@ def test_holder_walk_reads_the_pairs_of_the_pairwise_loop(monkeypatch):
     rep, spec = schottky_rep(), directed_ab()
     cert = certify(rep, spec, 1, 8)
     walked = []
-    original = limits._limit_walk
+    original = limits._plane_walk
 
-    def spy(rep, k, points, *rest):
+    def spy(rep, k, points):
         walked.extend(points)
-        return original(rep, k, points, *rest)
+        return original(rep, k, points)
 
-    monkeypatch.setattr(limits, "_limit_walk", spy)
+    monkeypatch.setattr(limits, "_plane_walk", spy)
     raised = 0
     for n_max in range(2, 13):
         for seed in (3, 11):
@@ -858,21 +838,21 @@ def test_holder_raises_a_failed_point_only_when_a_pair_reads_it(monkeypatch):
     _, read = reference_holder(rep, spec, 1, 40, 3, 5, limits.DEFAULT_N_MAX, cert)
     pool = sorted(q_plus_boundary(spec, 5), key=str)
     unread = next(p for p in pool if p not in read)
-    original = limits._limit_walk
+    original = limits._limit_planes
 
     def failing(victim):
         def walk(rep, k, points, *rest):
             out = original(rep, k, points, *rest)
             return [
-                (NoConvergenceError(str(p)),) if p == victim else outcome
+                NoConvergenceError(str(p)) if p == victim else outcome
                 for p, outcome in zip(points, out)
             ]
 
         return walk
 
-    monkeypatch.setattr(limits, "_limit_walk", failing(unread))
+    monkeypatch.setattr(limits, "_limit_planes", failing(unread))
     assert schottky_holder() == clean
     victim = read[len(read) // 2]
-    monkeypatch.setattr(limits, "_limit_walk", failing(victim))
+    monkeypatch.setattr(limits, "_limit_planes", failing(victim))
     with pytest.raises(NoConvergenceError, match=re.escape(str(victim))):
         schottky_holder()

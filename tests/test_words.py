@@ -3,13 +3,12 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import helpers
 from gapcert.errors import (
     EmptyWordError,
-    EndpointProjectionError,
     EqualEndpointsError,
     OriginOffGeodesicError,
 )
@@ -25,12 +24,10 @@ from gapcert.words import (
     geodesic_through,
     generator,
     gromov_product,
-    gromov_product_at,
     invert,
     parse_boundary_point,
     parse_word,
     periodic_point,
-    project_to_geodesic,
     ray_point,
     reduce,
     rotate,
@@ -242,7 +239,8 @@ def test_gromov_product_matches_scan(x, y):
 
 @given(helpers.reduced_words(rank=2, max_len=4), helpers.boundary_points(rank=2), helpers.boundary_points(rank=2))
 def test_gromov_product_equivariance(g, x, y):
-    assert gromov_product_at(g, translate(g, x), translate(g, y)) == gromov_product(x, y)
+    moved = helpers.gromov_product_at(g, translate(g, x), translate(g, y))
+    assert moved == gromov_product(x, y)
 
 
 @given(
@@ -321,37 +319,3 @@ def test_step_letter_consistent(line, t):
 @given(geodesics(), st.integers(-4, 4), st.integers(-4, 4))
 def test_reparametrize_shifts_vertices(line, s, t):
     assert line.reparametrize(s).vertex(t) == line.vertex(s + t)
-
-
-# ---------------------------------------------------------------------------
-# projection
-
-
-def test_projection_on_axis_examples():
-    line = axis_line()
-    t, v = project_to_geodesic(line, parse_boundary_point("aaab|(a)"))
-    assert t == 3 and word_to_string(v) == "aaa"
-    t, v = project_to_geodesic(line, periodic_point(parse_word("b")))
-    assert t == 0 and v == EMPTY_WORD
-    with pytest.raises(EndpointProjectionError):
-        project_to_geodesic(line, periodic_point(parse_word("a")))
-
-
-@settings(max_examples=60)
-@given(geodesics(), helpers.boundary_points(rank=2))
-def test_projection_matches_median_oracle(line, x):
-    assume(x != line.forward and x != line.backward)
-    t, v = project_to_geodesic(line, x)
-    far = 40
-    median = helpers.naive_median(line.vertex(-far), line.vertex(far), x.prefix(60))
-    assert v == median
-    assert line.vertex(t) == v
-
-
-@settings(max_examples=40)
-@given(geodesics(), helpers.boundary_points(rank=2), st.integers(-3, 3))
-def test_projection_stable_under_reparametrization(line, x, s):
-    assume(x != line.forward and x != line.backward)
-    t, v = project_to_geodesic(line, x)
-    t2, v2 = project_to_geodesic(line.reparametrize(s), x)
-    assert v2 == v and t2 == t - s

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -19,18 +19,23 @@ from .linalg import (
     GAP_TOLERANCE,
     Representation,
     renormalized_stack,
+    stacked_det_margins,
     stacked_gap_margins,
 )
-from .subsets import GammaPSample, SubsetPSpec, code_letter, gamma_p_plus
+from .subsets import GammaPSample, SubsetPSpec, gamma_p_plus
 from .words import ReducedWord
 
 CERTIFIED = "Certified"
 REFUTED = "Refuted"
 INCONCLUSIVE = "Inconclusive"
 
-# Singular-value ratios below machine epsilon are unresolvable, so computed
-# margins cap out a little above -log(eps) ~= 36.8 for generic dense matrices.
+# Singular-value ratios below machine epsilon are unresolvable, so SVD
+# margins (d >= 3) cap out a little above -log(eps) ~= 36.8 for generic
+# dense matrices.
 MEASURABLE_MARGIN_CEILING = 34.0
+
+# certify_each stacks at most about this many products per level
+STACK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -72,38 +77,56 @@ class DominationCertificate:
     notes: tuple[str, ...]
 
 
-def _margin_table(
-    rep: Representation, sample: GammaPSample, k: int
-) -> dict[int, tuple[float, ReducedWord]]:
-    """Minimum margin per length, walking the sample's coded levels.
+def _margin_tables(
+    reps: Sequence[Representation], sample: GammaPSample, k: int
+) -> list[dict[int, tuple[float, ReducedWord]]]:
+    """Minimum margin per length of each representation of a stack, walking
+    the sample's coded levels once for all of them.
 
-    Each level's products are its parents' products times one letter image,
-    taken as one stacked matmul per letter and renormalized row by row, so
-    every product, and so every margin, has the bits of evaluate(rep, w).
-    Only the previous level's stack is kept.  np.argmin returns the first
-    minimum, which in sort_key order is the lexicographic tie-break.
+    The stack's products of a level are (R, N, d, d): each is its parent's
+    product times one letter image, taken as one broadcast matmul per letter
+    and renormalized row by row, so every product has the bits of
+    evaluate(rep, w) whatever R is.  Only the previous level is kept.  For
+    d = 2 the margin is the closed form of stacked_det_margins, with each
+    row's log|det| summed along the parents like its log scale; for d >= 3
+    it is one SVD per length.  np.argmin returns the first minimum, which
+    in sort_key order is the lexicographic tie-break.
     """
-    if not 1 <= k < rep.dim:
-        raise ValueError(f"gap index must satisfy 1 <= k < {rep.dim}, got {k}")
-    cores = np.eye(rep.dim)[None]
-    logscales = np.zeros(1)
-    table: dict[int, tuple[float, ReducedWord]] = {}
+    dim = reps[0].dim
+    if not 1 <= k < dim:
+        raise ValueError(f"gap index must satisfy 1 <= k < {dim}, got {k}")
+    count = len(reps)
+    images = np.stack([rep.stacked_images for rep in reps])[:, :, None]
+    if dim == 2:
+        letter_logdets = np.stack([rep.stacked_logdets for rep in reps])
+        logdets = np.zeros((count, 1))
+    cores = np.broadcast_to(np.eye(dim), (count, 1, dim, dim))
+    logscales = np.zeros((count, 1))
+    tables: list[dict[int, tuple[float, ReducedWord]]] = [{} for _ in reps]
     for t, (parents, letters) in enumerate(sample.levels, start=1):
         if not len(letters):
             break  # prefix-closed: every longer level is empty too
-        stacked = np.empty((len(letters), rep.dim, rep.dim))
+        stacked = np.empty((count, len(letters), dim, dim))
         for code in np.flatnonzero(np.bincount(letters)):
             rows = np.flatnonzero(letters == code)
-            stacked[rows] = np.matmul(
-                cores[parents[rows]], rep.image(code_letter(int(code)))
-            )
-        cores, logscales = renormalized_stack(stacked, logscales[parents])
-        level = stacked_gap_margins(cores, logscales, k)
-        i = int(np.argmin(level))
-        table[t] = (float(level[i]), sample.word(t, i))
-    if not table:
+            stacked[:, rows] = np.matmul(cores[:, parents[rows]], images[:, code])
+        flat, scales = renormalized_stack(
+            stacked.reshape(-1, dim, dim), logscales[:, parents].reshape(-1)
+        )
+        cores, logscales = flat.reshape(stacked.shape), scales.reshape(count, -1)
+        if dim == 2:
+            logdets = logdets[:, parents] + letter_logdets[:, letters]
+            level = stacked_det_margins(flat, scales, logdets.reshape(-1))
+        else:
+            level = stacked_gap_margins(flat, scales, k)
+        level = level.reshape(count, -1)
+        best = np.argmin(level, axis=1)
+        words = sample.decode(t, best)
+        for table, row, i, w in zip(tables, level, best.tolist(), words):
+            table[t] = (float(row[i]), w)
+    if not tables[0]:
         raise EmptySubsetError("no positive words at any length up to the budget")
-    return table
+    return tables
 
 
 def margins(
@@ -112,7 +135,7 @@ def margins(
     """Per-length minimum margins with lexicographic argmin tie-break."""
     if budget < 2:
         raise BudgetError(f"margin tables need a budget >= 2, got {budget}")
-    return _margin_table(rep, gamma_p_plus(spec, budget), k)
+    return _margin_tables([rep], gamma_p_plus(spec, budget), k)[0]
 
 
 def _fit_slope(points: list[tuple[int, float]]) -> tuple[float, float, float]:
@@ -146,8 +169,38 @@ def certify(
     """Build a margin table and fit it into an evidence-grade certificate."""
     if budget < 2:
         raise BudgetError(f"certification needs a budget >= 2, got {budget}")
-    sample = gamma_p_plus(spec, budget)
-    table = _margin_table(rep, sample, k)
+    return certify_each([rep], gamma_p_plus(spec, budget), k, opts)[0]
+
+
+def certify_each(
+    reps: Sequence[Representation],
+    sample: GammaPSample,
+    k: int,
+    opts: CertifyOptions = CertifyOptions(),
+) -> list[DominationCertificate]:
+    """certify for each representation over one enumeration, in stacked
+    groups of at most max(1, STACK_ROWS // largest level) representations;
+    each certificate has the bits of its own certify call."""
+    if sample.budget < 2:
+        raise BudgetError(f"certification needs a budget >= 2, got {sample.budget}")
+    largest = max(len(letters) for _, letters in sample.levels)
+    group = max(1, STACK_ROWS // max(1, largest))
+    return [
+        _certificate(table, sample, k, opts, reps[0].dim)
+        for start in range(0, len(reps), group)
+        for table in _margin_tables(reps[start : start + group], sample, k)
+    ]
+
+
+def _certificate(
+    table: dict[int, tuple[float, ReducedWord]],
+    sample: GammaPSample,
+    k: int,
+    opts: CertifyOptions,
+    dim: int,
+) -> DominationCertificate:
+    """Fit one margin table into a certificate."""
+    budget = sample.budget
     margin_map = {t: v[0] for t, v in table.items()}
     argmin_map = {t: v[1] for t, v in table.items()}
     notes = [f"evidence at scale L={budget}; finite enumeration, not a proof"]
@@ -165,7 +218,8 @@ def certify(
 
     lo = max(1, math.ceil(budget / 2))
     window = [(t, margin_map[t]) for t in sorted(margin_map) if lo <= t <= budget]
-    if window and max(m for _, m in window) > MEASURABLE_MARGIN_CEILING:
+    # the d = 2 closed form does not saturate; the SVD margins of d >= 3 do
+    if dim > 2 and window and max(m for _, m in window) > MEASURABLE_MARGIN_CEILING:
         notes.append(
             "window margins exceed the double-precision ratio ceiling "
             f"(~{MEASURABLE_MARGIN_CEILING:.1f} log-units); the fitted slope "

@@ -22,7 +22,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .domination import CERTIFIED, DominationCertificate, _fit_slope, certify
+from .domination import (
+    CERTIFIED,
+    CertifyOptions,
+    DominationCertificate,
+    _fit_slope,
+    certify_each,
+)
 from .errors import (
     HypothesesFailError,
     MembershipError,
@@ -53,7 +59,7 @@ from .linalg import (
     stacked_gap_margins,
     transversality_gap,
 )
-from .subsets import SubsetPSpec, letter_code
+from .subsets import SubsetPSpec, gamma_p_plus, letter_code
 from .words import (
     EMPTY_WORD,
     BiInfiniteGeodesic,
@@ -660,41 +666,52 @@ def stability_probe(
     trials: int,
     budget: int,
     seed: int = 0,
+    opts: CertifyOptions = CertifyOptions(),
 ) -> StabilityTable:
     """Perturb every generator image entrywise by independent uniforms in
-    [-epsilon, epsilon] and re-run certification, per independently seeded
-    trial.  The base representation must already be Certified."""
+    [-epsilon, epsilon] and re-run certification with opts, per
+    independently seeded trial.  The base representation must already be
+    Certified.  The subset is enumerated once: the base is certified
+    first, then the trials in stacked groups (domination.certify_each)."""
     if epsilon < 0:
         raise ValueError(f"perturbation size must be >= 0, got {epsilon}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    base = certify(rep, spec, k, budget)
+    sample = gamma_p_plus(spec, budget)
+    (base,) = certify_each([rep], sample, k, opts)
     if base.verdict != CERTIFIED:
         raise NotCertifiedError(
             f"stability probe needs a Certified base, got {base.verdict}"
         )
-    verdicts = []
-    worst: Optional[DominationCertificate] = None
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        perturbed = Representation.of(
-            [
-                rep.image(Letter(i, 1))
-                + rng.uniform(-epsilon, epsilon, (rep.dim, rep.dim))
-                for i in range(1, rep.rank + 1)
-            ]
-        )
-        cert = certify(perturbed, spec, k, budget)
-        verdicts.append(cert.verdict)
-        if worst is None or cert.lambda_hat < worst.lambda_hat:
-            worst = cert
+    certs = certify_each(
+        [_perturbed(rep, epsilon, seed, trial) for trial in range(trials)],
+        sample,
+        k,
+        opts,
+    )
+    verdicts = tuple(cert.verdict for cert in certs)
+    worst = min(certs, key=lambda cert: cert.lambda_hat)
     return StabilityTable(
         epsilon=epsilon,
         trials=trials,
         budget=budget,
         seed=seed,
-        verdicts=tuple(verdicts),
+        verdicts=verdicts,
         counts=dict(Counter(verdicts)),
         worst_lambda_hat=worst.lambda_hat,
         worst_margins=dict(worst.margins),
+    )
+
+
+def _perturbed(
+    rep: Representation, epsilon: float, seed: int, trial: int
+) -> Representation:
+    """rep with every generator image moved entrywise by uniforms in
+    [-epsilon, epsilon], drawn from the trial's own seed."""
+    rng = np.random.default_rng((seed, trial))
+    return Representation.of(
+        [
+            rep.image(Letter(i, 1)) + rng.uniform(-epsilon, epsilon, (rep.dim, rep.dim))
+            for i in range(1, rep.rank + 1)
+        ]
     )

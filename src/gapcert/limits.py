@@ -334,7 +334,8 @@ class _Walk:
     def frames(self, mats: np.ndarray, right: bool) -> np.ndarray:
         """The planes held by whole singular matrices: views of the bottom
         right singular vectors or of the top left ones, whose strides, and
-        so the steps' bits, are those of s_dk's and u_k's frames."""
+        so the steps' bits, are those of the frames of u_k and of the
+        one-length reference s_dk in tests/helpers.py."""
         if right:
             return np.swapaxes(mats[..., self.k :, :], -1, -2)
         return mats[..., : self.k]

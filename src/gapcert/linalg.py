@@ -211,6 +211,14 @@ class Representation:
         return np.stack([self.images[letter] for letter in letters])
 
     @cached_property
+    def stacked_logdets(self) -> np.ndarray:
+        """log|det| of stacked_images, from slogdet (det itself overflows
+        on large images); an inverse letter takes exactly the negated value
+        of its generator's."""
+        _, logdets = np.linalg.slogdet(self.stacked_images[0::2])
+        return np.stack([logdets, -logdets], axis=1).reshape(-1)
+
+    @cached_property
     def letter_norm_bound(self) -> float:
         """Worst product norm(image(l)) * norm(image(l^-1)) over the letters.
 
@@ -249,18 +257,11 @@ def log_conorm(m: ScaledMatrix) -> float:
     return float(singular_values(m)[-1])
 
 
-def gap_margin(m: ScaledMatrix, k: int) -> float:
-    """log sigma_k - log sigma_{k+1}; zero means no gap of index k."""
-    logs = singular_values(m)
-    if not 1 <= k < len(logs):
-        raise ValueError(f"gap index must satisfy 1 <= k < {len(logs)}, got {k}")
-    return float(logs[k - 1] - logs[k])
-
-
 def stacked_gap_margins(
     cores: np.ndarray, logscales: np.ndarray, k: int
 ) -> np.ndarray:
-    """gap_margin of every matrix of an (N, d, d) stack, in one SVD call."""
+    """log sigma_k - log sigma_{k+1} of every matrix of an (N, d, d) stack
+    with its log scale, in one SVD call; zero means no gap of index k."""
     if not 1 <= k < cores.shape[-1]:
         raise ValueError(
             f"gap index must satisfy 1 <= k < {cores.shape[-1]}, got {k}"
@@ -269,6 +270,21 @@ def stacked_gap_margins(
     # np.maximum is np.clip(s, _TINY, None) without clip's dispatch cost
     logs = logscales[:, None] + np.log(np.maximum(s, _TINY))
     return logs[:, k - 1] - logs[:, k]
+
+
+def stacked_det_margins(
+    cores: np.ndarray, logscales: np.ndarray, logdets: np.ndarray
+) -> np.ndarray:
+    """log sigma_1 - log sigma_2 of every matrix of an (N, 2, 2) stack with
+    its log scale, given its log|det|: sigma_1 sigma_2 = |det|, so the
+    margin is 2 log sigma_1 - log|det|, clamped at 0.  sigma_1 of a core
+    [[a, b], [c, d]] is (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2, a
+    sum of two nonnegative terms, so it keeps full relative accuracy;
+    sigma_2 from an SVD carries an absolute error near n u sigma_1, which
+    swamps it once the margin nears -log u."""
+    a, b, c, d = cores[:, 0, 0], cores[:, 0, 1], cores[:, 1, 0], cores[:, 1, 1]
+    top = (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2.0
+    return np.maximum(2.0 * (np.log(top) + logscales) - logdets, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,18 +344,12 @@ def stacked_singular_frames(
     cores: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """np.linalg.svd's left and transposed right singular matrices of an
-    (N, d, d) stack, which hold u_k's and s_dk's frames, and the mask of
-    the matrices without a gap of index k, where both raise NoGapError."""
+    (N, d, d) stack, which hold the top-k left and the bottom (d-k) right
+    singular frames, and the mask of the matrices without a gap of index k,
+    where u_k raises NoGapError."""
     left, svals, right_t = np.linalg.svd(cores)
     logs = np.log(np.maximum(svals, _TINY))
     return left, right_t, logs[:, k - 1] - logs[:, k] <= GAP_TOLERANCE
-
-
-def s_dk(m: ScaledMatrix, k: int) -> Subspace:
-    """Span of the bottom (d-k) right singular vectors; needs a gap of index k."""
-    _, s, right_t = np.linalg.svd(m.core)
-    _require_gap(m, k, s)
-    return Subspace(m.dim - k, right_t[k:].T)
 
 
 def _require_gap(m: ScaledMatrix, k: int, svals: np.ndarray) -> None:

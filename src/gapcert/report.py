@@ -297,6 +297,7 @@ def _run_stability(config, rep, spec, index, certificate, dual) -> dict[str, Any
         trials=config.sampling["trials"],
         budget=config.budget,
         seed=seed,
+        opts=config.certify_options(),
     )
     passed = table.counts.get(CERTIFIED, 0) == table.trials
     return {

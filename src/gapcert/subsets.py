@@ -237,13 +237,11 @@ class GammaPSample:
 
     def level_words(self, t: int) -> list[ReducedWord]:
         """Every word of length t, decoded, in sort_key order."""
-        return self._decode(t, np.arange(len(self.levels[t - 1][1])))
+        return self.decode(t, np.arange(len(self.levels[t - 1][1])))
 
-    def word(self, t: int, i: int) -> ReducedWord:
-        """Word i of length t."""
-        return self._decode(t, np.array([i]))[0]
-
-    def _decode(self, t: int, rows: np.ndarray) -> list[ReducedWord]:
+    def decode(self, t: int, rows: np.ndarray) -> list[ReducedWord]:
+        """The words of length t at the given rows of its level, in one pass
+        down the parent indices."""
         codes = np.empty((len(rows), t), dtype=np.intp)
         for s in range(t, 0, -1):
             parents, letters = self.levels[s - 1]

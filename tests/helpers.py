@@ -18,9 +18,10 @@ from gapcert.limits import BOUND_SLACK, LimitMapValue
 from gapcert.linalg import (
     Representation,
     ScaledMatrix,
-    gap_margin,
+    Subspace,
+    _require_gap,
     grassmann_distance,
-    s_dk,
+    singular_values,
     u_k,
 )
 from gapcert.subsets import AxisFamily, Directed, FullBoundary, Primitive
@@ -144,6 +145,24 @@ def word_matrix(rep, w) -> np.ndarray:
     for letter in w:
         out = out @ rep.image(letter)
     return out
+
+
+def gap_margin(m: ScaledMatrix, k: int) -> float:
+    """One-matrix margin reference: log sigma_k - log sigma_{k+1} by SVD;
+    zero means no gap of index k."""
+    logs = singular_values(m)
+    if not 1 <= k < len(logs):
+        raise ValueError(f"gap index must satisfy 1 <= k < {len(logs)}, got {k}")
+    return float(logs[k - 1] - logs[k])
+
+
+def s_dk(m: ScaledMatrix, k: int) -> Subspace:
+    """One-matrix reference for the planes of rows extended on the left:
+    the span of the bottom (d-k) right singular vectors; needs a gap of
+    index k."""
+    _, s, right_t = np.linalg.svd(m.core)
+    _require_gap(m, k, s)
+    return Subspace(m.dim - k, right_t[k:].T)
 
 
 # ---------------------------------------------------------------------------

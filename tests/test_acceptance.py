@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import gap_margin
 from gapcert.domination import CERTIFIED, REFUTED, _fit_slope, certify, slope_tolerance
 from gapcert.errors import NoGapError
 from gapcert.flow import (
@@ -33,7 +34,6 @@ from gapcert.linalg import (
     Subspace,
     apply_to_subspace,
     evaluate,
-    gap_margin,
     grassmann_distance,
     log_conorm,
     log_norm,

@@ -355,6 +355,29 @@ def test_run_splitting_checks_walk_the_endpoint_planes_to_the_config_cap():
     assert exit_code(run(parse_config(data))) == 0
 
 
+def test_run_stability_certifies_with_the_config_options():
+    # the Schottky config of CI's same-report check: its rate is about 2.6,
+    # so at lambda_min 3.0 the base is Inconclusive and no probe may run
+    data = {
+        "rank": 2,
+        "dim": 2,
+        "generators": [[[5.0, 0.0], [0.0, 0.2]], [[2.6, 2.4], [2.4, 2.6]]],
+        "subset": {"type": "directed", "steps": ["a", "b"]},
+        "k": 1,
+        "budget": 8,
+        "seed": 42,
+        "tasks": ["certify", "stability"],
+        "tolerances": {"lambda_min": 3.0},
+    }
+    results = run(parse_config(data)).results
+    assert results["certify"]["verdict"] == "Inconclusive"
+    assert results["stability"]["verdict"] == "Error"
+    assert results["stability"]["error"].startswith("NotCertifiedError: ")
+    # at the default lambda_min both pass
+    del data["tolerances"]
+    assert exit_code(run(parse_config(data))) == 0
+
+
 def test_cli_holder_walks_at_the_config_tolerance_and_cap(tmp_path):
     # three prefixes settle no plane: limit-map and holder both end in
     # NoConvergenceError, holder at the config tolerance

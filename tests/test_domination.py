@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import gap_margin
 from gapcert.domination import (
     CERTIFIED,
     INCONCLUSIVE,
@@ -18,7 +20,7 @@ from gapcert.domination import (
     slope_tolerance,
 )
 from gapcert.errors import BudgetError
-from gapcert.linalg import Representation, evaluate, gap_margin
+from gapcert.linalg import Representation, evaluate, stacked_det_margins
 from gapcert.subsets import (
     AxisFamily,
     Directed,
@@ -26,6 +28,7 @@ from gapcert.subsets import (
     Primitive,
     gamma_p_plus,
     hat,
+    letter_code,
 )
 from gapcert.words import Letter, parse_word
 
@@ -199,11 +202,27 @@ def engine_cases():
     )
 
 
+def word_margin(rep, w, k):
+    """One word's margin: for d = 2 the closed form on a one-row stack, with
+    the letters' log|det| summed left to right; for d >= 3 one SVD."""
+    product = evaluate(rep, w)
+    if rep.dim > 2:
+        return gap_margin(product, k)
+    logdet = 0.0
+    for letter in w:
+        logdet = logdet + rep.stacked_logdets[letter_code(letter)]
+    return float(
+        stacked_det_margins(
+            product.core[None], np.array([product.logscale]), np.array([logdet])
+        )[0]
+    )
+
+
 def per_word_margins(rep, sample, k):
-    """Reference: one evaluate and one SVD per word, first strict minimum."""
+    """Reference: one evaluate and one margin per word, first strict minimum."""
     table = {}
     for w in sample.words():
-        m = gap_margin(evaluate(rep, w), k)
+        m = word_margin(rep, w, k)
         if len(w) not in table or m < table[len(w)][0]:
             table[len(w)] = (m, w)
     return table
@@ -216,6 +235,74 @@ def test_level_engine_matches_per_word_reference(case):
     sample = gamma_p_plus(spec, budget)
     for k in range(1, rep.dim):
         assert margins(rep, spec, k, budget) == per_word_margins(rep, sample, k)
+
+
+def directed_ab():
+    return Directed(2, frozenset({A_LETTER, B_LETTER}))
+
+
+def oracle_margin(rep, w):
+    """log sigma_1 - log sigma_2 of a 2 x 2 word product in 50-digit
+    arithmetic, from the product's Frobenius norm and determinant."""
+    with mpmath.workdps(50):
+        product = mpmath.eye(2)
+        for letter in w:
+            product = product * mpmath.matrix(rep.image(letter).tolist())
+        frob = sum(product[i, j] ** 2 for i in range(2) for j in range(2))
+        det = abs(product[0, 0] * product[1, 1] - product[0, 1] * product[1, 0])
+        top = (mpmath.sqrt(frob + 2 * det) + mpmath.sqrt(frob - 2 * det)) / 2
+        return float(2 * mpmath.log(top) - mpmath.log(det))
+
+
+@pytest.mark.parametrize("spec, budget", [(directed_ab(), 18), (FullBoundary(2), 11)])
+def test_d2_argmin_margins_match_a_50_digit_oracle(spec, budget):
+    # the SVD margin drifted by up to ~4.7 here, saturating near 36
+    table = margins(schottky_rep(), spec, 1, budget)
+    assert set(table) == set(range(1, budget + 1))
+    for t, (m, w) in table.items():
+        assert abs(m - oracle_margin(schottky_rep(), w)) <= 1e-12
+
+
+def test_d2_margins_are_inversion_dual(rng):
+    # m_1(M) = m_1(M^-1) for d = 2, and the flipped subset's words of each
+    # length are the inverses of the subset's
+    reps = [schottky_rep(), example_56_rep()] + [
+        Representation.of([helpers.random_invertible(rng, 2) for _ in range(2)])
+        for _ in range(20)
+    ]
+    specs = (
+        FullBoundary(2),
+        directed_ab(),
+        Directed(2, frozenset({A_LETTER, Letter(2, -1)})),
+        AxisFamily(2, (parse_word("aab"),)),
+        Primitive(2, 3),
+    )
+    for rep in reps:
+        for spec in specs:
+            fwd = margins(rep, spec, 1, 7)
+            bwd = margins(rep, hat(spec), 1, 7)
+            assert set(fwd) == set(bwd)
+            for t in fwd:
+                assert abs(fwd[t][0] - bwd[t][0]) <= 1e-12 * (1.0 + fwd[t][0])
+    fwd = margins(schottky_rep(), directed_ab(), 1, 16)
+    bwd = margins(schottky_rep(), hat(directed_ab()), 1, 16)
+    for t in fwd:
+        assert abs(fwd[t][0] - bwd[t][0]) <= 1e-12 * (1.0 + fwd[t][0])
+
+
+def test_d2_slope_does_not_saturate_with_the_budget():
+    short = certify(schottky_rep(), directed_ab(), 1, 10)
+    long = certify(schottky_rep(), directed_ab(), 1, 16)
+    assert long.verdict == CERTIFIED
+    assert max(long.margins.values()) > 40.0
+    assert not any("saturation" in note for note in long.notes)
+    assert abs(long.lambda_hat - short.lambda_hat) <= 1e-6
+
+
+def test_d3_saturated_window_carries_the_note():
+    cert = certify(z_rep(), z_axis(), 1, 20)
+    assert max(cert.margins.values()) > 34.0
+    assert any("saturation" in note for note in cert.notes)
 
 
 def test_huge_generator_scale_leaves_margins():

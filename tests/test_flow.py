@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from gapcert import flow, limits
-from gapcert.domination import _fit_slope, certify
+from helpers import gap_margin
+from gapcert import domination, flow, limits
+from gapcert.domination import STACK_ROWS, CertifyOptions, _fit_slope, certify
 from gapcert.errors import (
     GapcertError,
     HypothesesFailError,
@@ -42,12 +43,18 @@ from gapcert.linalg import (
     Subspace,
     apply_to_subspace,
     evaluate,
-    gap_margin,
     grassmann_distance,
     running_products,
     singular_values,
 )
-from gapcert.subsets import AxisFamily, Directed, FullBoundary, hat, q_plus_boundary
+from gapcert.subsets import (
+    AxisFamily,
+    Directed,
+    FullBoundary,
+    gamma_p_plus,
+    hat,
+    q_plus_boundary,
+)
 from gapcert.words import (
     BiInfiniteGeodesic,
     Letter,
@@ -723,3 +730,83 @@ def test_stability_probe_needs_certified_base():
     rep = Representation.of([np.eye(2), np.eye(2)])
     with pytest.raises(NotCertifiedError):
         stability_probe(rep, directed_ab(), 1, epsilon=1e-3, trials=2, budget=8)
+
+
+def pingpong_rep():
+    """Two GL(3) stretches whose frames sit 45 degrees apart in the
+    (e1, e3)-plane: a ping-pong pair for k = 1."""
+    c = math.cos(math.pi / 4)
+    rot = np.array([[c, 0.0, -c], [0.0, 1.0, 0.0], [c, 0.0, c]])
+    stretch = np.diag([6.0, 1.0, 0.25])
+    return Representation.of([stretch, rot @ stretch @ rot.T])
+
+
+def perturbed(rep, epsilon, seed, trial):
+    """A trial's representation: every generator image moved entrywise by
+    uniforms in [-epsilon, epsilon] drawn from the trial's own seed."""
+    rng = np.random.default_rng((seed, trial))
+    return Representation.of(
+        [
+            rep.image(Letter(i, 1)) + rng.uniform(-epsilon, epsilon, (rep.dim, rep.dim))
+            for i in range(1, rep.rank + 1)
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "rep, spec, budget, trials, group",
+    [
+        (schottky_rep(), directed_ab(), 10, 7, 4),
+        (schottky_rep(), FullBoundary(2), 8, 3, 1),
+        (pingpong_rep(), FullBoundary(2), 6, 6, 4),
+    ],
+)
+def test_stacked_probe_certifies_each_trial_as_its_own_certify(
+    monkeypatch, rep, spec, budget, trials, group
+):
+    sample = gamma_p_plus(spec, budget)
+    largest = max(len(letters) for _, letters in sample.levels)
+    assert max(1, STACK_ROWS // largest) == group
+    assert group == 1 or trials % group  # a last group that is not full
+    made, stacks = [], []
+    certify_each = flow.certify_each
+
+    def spy(reps, sample, k, opts):
+        certs = certify_each(reps, sample, k, opts)
+        made.append(certs)
+        return certs
+
+    def spy_tables(reps, sample, k):
+        stacks.append(len(reps))
+        return margin_tables(reps, sample, k)
+
+    margin_tables = domination._margin_tables
+    monkeypatch.setattr(flow, "certify_each", spy)
+    monkeypatch.setattr(domination, "_margin_tables", spy_tables)
+    table = stability_probe(rep, spec, 1, 1e-3, trials, budget, seed=5)
+    (base,), certs = made
+    assert stacks == [1] + [group] * (trials // group) + [trials % group] * (group > 1)
+    assert base == certify(rep, spec, 1, budget)
+    assert len(certs) == trials
+    for trial, cert in enumerate(certs):
+        assert cert == certify(perturbed(rep, 1e-3, 5, trial), spec, 1, budget)
+    assert table.verdicts == tuple(cert.verdict for cert in certs)
+    worst = min(certs, key=lambda cert: cert.lambda_hat)
+    assert table.worst_lambda_hat == worst.lambda_hat
+    assert table.worst_margins == worst.margins
+
+
+def test_stability_probe_checks_the_base_before_drawing_trials():
+    # an infinite epsilon makes every trial's draw fail; the base's verdict
+    # is still what the probe reports first
+    rep = Representation.of([np.eye(2), np.eye(2)])
+    with pytest.raises(NotCertifiedError):
+        stability_probe(rep, directed_ab(), 1, math.inf, 2, 8)
+    with pytest.raises(OverflowError):
+        stability_probe(schottky_rep(), directed_ab(), 1, math.inf, 2, 8)
+
+
+def test_stability_probe_honours_the_certify_options():
+    strict = CertifyOptions(lambda_min=3.0)  # the rate is about 2.6
+    with pytest.raises(NotCertifiedError, match="Inconclusive"):
+        stability_probe(schottky_rep(), directed_ab(), 1, 1e-3, 2, 8, opts=strict)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import gap_margin
 from gapcert import limits
 from gapcert.domination import certify
 from gapcert.errors import (
@@ -37,7 +38,6 @@ from gapcert.linalg import (
     Subspace,
     apply_to_subspace,
     evaluate,
-    gap_margin,
     grassmann_distance,
 )
 from gapcert.subsets import AxisFamily, Directed, gamma_p_plus, hat, q_plus_boundary

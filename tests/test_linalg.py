@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import gap_margin, s_dk
 from gapcert.errors import DependentColumnsError, DimensionMismatchError, NoGapError
 from gapcert.linalg import (
     Representation,
@@ -13,7 +14,6 @@ from gapcert.linalg import (
     Subspace,
     apply_to_subspace,
     evaluate,
-    gap_margin,
     grassmann_distance,
     _renormalized,
     _renormalized_rows,
@@ -21,7 +21,6 @@ from gapcert.linalg import (
     log_norm,
     renormalized_stack,
     running_products,
-    s_dk,
     singular_values,
     stacked_apply_to_subspace,
     stacked_grassmann_distance,

@@ -20,6 +20,7 @@ from .linalg import (
     Representation,
     renormalized_stack,
     stacked_det_margins,
+    stacked_dual_margins,
     stacked_gap_margins,
 )
 from .subsets import GammaPSample, SubsetPSpec, gamma_p_plus
@@ -30,11 +31,14 @@ REFUTED = "Refuted"
 INCONCLUSIVE = "Inconclusive"
 
 # Singular-value ratios below machine epsilon are unresolvable, so SVD
-# margins (d >= 3) cap out a little above -log(eps) ~= 36.8 for generic
-# dense matrices.
+# margins cap out a little above -log(eps) ~= 36.8 for generic dense
+# matrices.  The closed forms of d = 2 and 3 do not; a window margin above
+# this ceiling earns a note only when an SVD measured it (d >= 4, or a
+# d = 3 row without a clear top gap).
 MEASURABLE_MARGIN_CEILING = 34.0
 
-# certify_each stacks at most about this many products per level
+# certify_each stacks at most about this many products per level, and
+# _margin_tables makes a level in blocks of this many products
 STACK_ROWS = 4096
 
 
@@ -79,54 +83,119 @@ class DominationCertificate:
 
 def _margin_tables(
     reps: Sequence[Representation], sample: GammaPSample, k: int
-) -> list[dict[int, tuple[float, ReducedWord]]]:
-    """Minimum margin per length of each representation of a stack, walking
-    the sample's coded levels once for all of them.
+) -> list[dict[int, tuple[float, ReducedWord, bool]]]:
+    """Minimum margin per length of each representation of a stack, with
+    its argmin word and whether an SVD measured it, walking the sample's
+    coded levels once for all of them.
 
-    The stack's products of a level are (R, N, d, d): each is its parent's
-    product times one letter image, taken as one broadcast matmul per letter
-    and renormalized row by row, so every product has the bits of
-    evaluate(rep, w) whatever R is.  Only the previous level is kept.  For
-    d = 2 the margin is the closed form of stacked_det_margins, with each
-    row's log|det| summed along the parents like its log scale; for d >= 3
-    it is one SVD per length.  np.argmin returns the first minimum, which
-    in sort_key order is the lexicographic tie-break.
+    The stack's products of a level are (R, N, W, d, d): each is its
+    parent's product times one letter image, taken as one broadcast matmul
+    per letter and renormalized row by row, so every product has the bits
+    of evaluate(rep, w) whatever R is.  W = 2 for d = 3, where the second
+    product is the dual M^{-T}, walked with the letters' stacked_duals, and
+    W = 1 otherwise.  For d = 2 the margin is the closed form of
+    stacked_det_margins and for d = 3 that of stacked_dual_margins, each
+    with the row's log|det| summed along the parents like its log scale;
+    d >= 4 and the d = 3 rows without a clear top gap take an SVD.  Only
+    the previous level is kept.  A level of more than max(1, STACK_ROWS //
+    R) words is made in blocks of that many and stored only when a longer
+    level follows, so the last level is never held whole.  np.argmin
+    returns the first minimum, which in sort_key order is the lexicographic
+    tie-break.
     """
     dim = reps[0].dim
     if not 1 <= k < dim:
         raise ValueError(f"gap index must satisfy 1 <= k < {dim}, got {k}")
     count = len(reps)
-    images = np.stack([rep.stacked_images for rep in reps])[:, :, None]
-    if dim == 2:
-        letter_logdets = np.stack([rep.stacked_logdets for rep in reps])
-        logdets = np.zeros((count, 1))
-    cores = np.broadcast_to(np.eye(dim), (count, 1, dim, dim))
-    logscales = np.zeros((count, 1))
-    tables: list[dict[int, tuple[float, ReducedWord]]] = [{} for _ in reps]
-    for t, (parents, letters) in enumerate(sample.levels, start=1):
-        if not len(letters):
+    walked = [
+        np.stack([rep.stacked_images, rep.stacked_duals], axis=1)
+        if dim == 3
+        else rep.stacked_images[:, None]
+        for rep in reps
+    ]
+    images = np.stack(walked)[:, :, None]
+    width = images.shape[3]
+    letter_logdets = np.stack([rep.stacked_logdets for rep in reps])
+    logdets = np.zeros((count, 1))
+    cores = np.broadcast_to(np.eye(dim), (count, 1, width, dim, dim))
+    logscales = np.zeros((count, 1, width))
+    levels = sample.levels
+    block = max(1, STACK_ROWS // count)
+    tables: list[dict[int, tuple[float, ReducedWord, bool]]] = [{} for _ in reps]
+    for t, (parents, letters) in enumerate(levels, start=1):
+        size = len(letters)
+        if not size:
             break  # prefix-closed: every longer level is empty too
-        stacked = np.empty((count, len(letters), dim, dim))
-        for code in np.flatnonzero(np.bincount(letters)):
-            rows = np.flatnonzero(letters == code)
-            stacked[:, rows] = np.matmul(cores[:, parents[rows]], images[:, code])
-        flat, scales = renormalized_stack(
-            stacked.reshape(-1, dim, dim), logscales[:, parents].reshape(-1)
-        )
-        cores, logscales = flat.reshape(stacked.shape), scales.reshape(count, -1)
-        if dim == 2:
-            logdets = logdets[:, parents] + letter_logdets[:, letters]
-            level = stacked_det_margins(flat, scales, logdets.reshape(-1))
+        logdets = logdets[:, parents] + letter_logdets[:, letters]
+        if size <= block:
+            cores, logscales, level, measured = _level_block(
+                cores, logscales, images, parents, letters, logdets, k
+            )
         else:
-            level = stacked_gap_margins(flat, scales, k)
-        level = level.reshape(count, -1)
+            level = np.empty((count, size))
+            measured = np.empty((count, size), dtype=bool)
+            keep = t < len(levels) and len(levels[t][1]) > 0
+            if keep:
+                next_cores = np.empty((count, size) + cores.shape[2:])
+                next_scales = np.empty((count, size, width))
+            for lo in range(0, size, block):
+                rows = slice(lo, lo + block)
+                products, scales, level[:, rows], measured[:, rows] = _level_block(
+                    cores, logscales, images, parents[rows], letters[rows],
+                    logdets[:, rows], k,
+                )
+                if keep:
+                    next_cores[:, rows], next_scales[:, rows] = products, scales
+            if keep:
+                cores, logscales = next_cores, next_scales
         best = np.argmin(level, axis=1)
         words = sample.decode(t, best)
-        for table, row, i, w in zip(tables, level, best.tolist(), words):
-            table[t] = (float(row[i]), w)
+        for table, row, svd, i, w in zip(tables, level, measured, best.tolist(), words):
+            table[t] = (float(row[i]), w, bool(svd[i]))
     if not tables[0]:
         raise EmptySubsetError("no positive words at any length up to the budget")
     return tables
+
+
+def _level_block(
+    cores: np.ndarray,
+    logscales: np.ndarray,
+    images: np.ndarray,
+    parents: np.ndarray,
+    letters: np.ndarray,
+    logdets: np.ndarray,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (R, n, W, d, d) products of some words of a level with their
+    (R, n, W) log scales, and the words' (R, n) margins with the mask of
+    those an SVD measured.  Each product is its parent's times its letter's
+    image, one broadcast matmul per letter, renormalized row by row."""
+    count, dim = len(cores), cores.shape[-1]
+    stacked = np.empty((count, len(letters)) + cores.shape[2:])
+    for code in np.flatnonzero(np.bincount(letters)):
+        rows = np.flatnonzero(letters == code)
+        stacked[:, rows] = np.matmul(cores[:, parents[rows]], images[:, code])
+    flat, scales = renormalized_stack(
+        stacked.reshape(-1, dim, dim), logscales[:, parents].reshape(-1)
+    )
+    logdets = logdets.reshape(-1)
+    if dim == 2:
+        margin = stacked_det_margins(flat, scales, logdets)
+        svd = np.zeros(len(flat), dtype=bool)
+    elif dim == 3:
+        margin, svd = stacked_dual_margins(
+            flat[0::2], scales[0::2], flat[1::2], scales[1::2], logdets, k
+        )
+    else:
+        margin = stacked_gap_margins(flat, scales, k)
+        svd = np.ones(len(flat), dtype=bool)
+    words = stacked.shape[:2]
+    return (
+        flat.reshape(stacked.shape),
+        scales.reshape(stacked.shape[:3]),
+        margin.reshape(words),
+        svd.reshape(words),
+    )
 
 
 def margins(
@@ -135,7 +204,8 @@ def margins(
     """Per-length minimum margins with lexicographic argmin tie-break."""
     if budget < 2:
         raise BudgetError(f"margin tables need a budget >= 2, got {budget}")
-    return _margin_tables([rep], gamma_p_plus(spec, budget), k)[0]
+    table = _margin_tables([rep], gamma_p_plus(spec, budget), k)[0]
+    return {t: (m, w) for t, (m, w, _) in table.items()}
 
 
 def _fit_slope(points: list[tuple[int, float]]) -> tuple[float, float, float]:
@@ -186,23 +256,23 @@ def certify_each(
     largest = max(len(letters) for _, letters in sample.levels)
     group = max(1, STACK_ROWS // max(1, largest))
     return [
-        _certificate(table, sample, k, opts, reps[0].dim)
+        _certificate(table, sample, k, opts)
         for start in range(0, len(reps), group)
         for table in _margin_tables(reps[start : start + group], sample, k)
     ]
 
 
 def _certificate(
-    table: dict[int, tuple[float, ReducedWord]],
+    table: dict[int, tuple[float, ReducedWord, bool]],
     sample: GammaPSample,
     k: int,
     opts: CertifyOptions,
-    dim: int,
 ) -> DominationCertificate:
     """Fit one margin table into a certificate."""
     budget = sample.budget
     margin_map = {t: v[0] for t, v in table.items()}
     argmin_map = {t: v[1] for t, v in table.items()}
+    measured = {t for t, v in table.items() if v[2]}
     notes = [f"evidence at scale L={budget}; finite enumeration, not a proof"]
     if not sample.complete:
         notes.append("positive set enumeration is truncated (complete=false)")
@@ -218,8 +288,8 @@ def _certificate(
 
     lo = max(1, math.ceil(budget / 2))
     window = [(t, margin_map[t]) for t in sorted(margin_map) if lo <= t <= budget]
-    # the d = 2 closed form does not saturate; the SVD margins of d >= 3 do
-    if dim > 2 and window and max(m for _, m in window) > MEASURABLE_MARGIN_CEILING:
+    # the closed forms of d = 2 and 3 do not saturate; SVD margins do
+    if any(m > MEASURABLE_MARGIN_CEILING and t in measured for t, m in window):
         notes.append(
             "window margins exceed the double-precision ratio ceiling "
             f"(~{MEASURABLE_MARGIN_CEILING:.1f} log-units); the fitted slope "

@@ -219,6 +219,16 @@ class Representation:
         return np.stack([logdets, -logdets], axis=1).reshape(-1)
 
     @cached_property
+    def stacked_duals(self) -> np.ndarray:
+        """(2 * rank, d, d) stack of the dual images in letter-code order:
+        letter l maps to image(l^-1)^T, the inverse-transpose of its image,
+        so a word's product of them is the inverse-transpose of its
+        product."""
+        dim = self.dim
+        swapped = self.stacked_images.reshape(self.rank, 2, dim, dim)[:, ::-1]
+        return np.ascontiguousarray(swapped.reshape(-1, dim, dim).transpose(0, 2, 1))
+
+    @cached_property
     def letter_norm_bound(self) -> float:
         """Worst product norm(image(l)) * norm(image(l^-1)) over the letters.
 
@@ -285,6 +295,83 @@ def stacked_det_margins(
     a, b, c, d = cores[:, 0, 0], cores[:, 0, 1], cores[:, 1, 0], cores[:, 1, 1]
     top = (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2.0
     return np.maximum(2.0 * (np.log(top) + logscales) - logdets, 0.0)
+
+
+def stacked_top_singular(cores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log sigma_1 of every core of an (N, 3, 3) stack, and the relative gap
+    (lambda_1 - lambda_2) / lambda_1 between the top two eigenvalues of its
+    Gram matrix C C^T.  lambda_1 = sigma_1^2 comes in closed form from the
+    trigonometric formula for symmetric 3 x 3 matrices (Kopp 2008):
+    lambda_1 = q + 2 p cos(phi) and lambda_1 - lambda_2 = 2 sqrt(3) p
+    sin(pi/3 - phi), with q the mean eigenvalue.  Its relative error is
+    about u / gap; a core whose Gram is a multiple of I has gap nan.
+    Every operation is elementwise, so each row has the bits of a one-row
+    stack."""
+    rows = [cores[:, i, :] for i in range(3)]
+    g00, g11, g22 = (
+        r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2] for r in rows
+    )
+    g01, g02, g12 = (
+        u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] + u[:, 2] * v[:, 2]
+        for u, v in ((rows[0], rows[1]), (rows[0], rows[2]), (rows[1], rows[2]))
+    )
+    q = (g00 + g11 + g22) / 3.0
+    b00, b11, b22 = g00 - q, g11 - q, g22 - q
+    off = g01 * g01 + g02 * g02 + g12 * g12
+    p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * off) / 6.0)
+    det = (
+        b00 * (b11 * b22 - g12 * g12)
+        - g01 * (g01 * b22 - g12 * g02)
+        + g02 * (g01 * g12 - b11 * g02)
+    )
+    with np.errstate(invalid="ignore", divide="ignore"):  # p = 0 gives nan
+        phi = np.arccos(np.clip(det / (2.0 * p * p * p), -1.0, 1.0)) / 3.0
+    top = q + 2.0 * p * np.cos(phi)
+    gap = 2.0 * math.sqrt(3.0) * p * np.sin(math.pi / 3.0 - phi) / top
+    return 0.5 * np.log(top), gap
+
+
+# A d = 3 row takes the closed-form margins only when both of its Gram
+# matrices have a relative top eigen-gap at least this large; the closed
+# form is accurate to about u / gap there.
+GRAM_GAP_FLOOR = 1e-3
+
+
+def stacked_dual_margins(
+    cores: np.ndarray,
+    logscales: np.ndarray,
+    duals: np.ndarray,
+    dual_logscales: np.ndarray,
+    logdets: np.ndarray,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """log sigma_k - log sigma_{k+1} of every matrix M of an (N, 3, 3)
+    stack with its log scale, given the scale-tracked dual M^{-T} and
+    log|det M|, and the mask of the rows measured by an SVD.
+
+    sigma_1 sigma_2 sigma_3 = |det M| and sigma_1(M^{-T}) = 1 / sigma_3, so
+    with L = log sigma_1(M), L* = log sigma_1(M^{-T}) and D = log|det M|
+    the margins are m_1 = 2 L - D - L* and m_2 = D + 2 L* - L, clamped at
+    0.  Both top singular values come from stacked_top_singular and keep
+    their relative accuracy at any margin, where the SVD's sigma_{k+1}
+    carries an absolute error near n u sigma_1.  A row where either Gram's
+    relative top gap is below GRAM_GAP_FLOOR (sigma_1 near sigma_2, or
+    sigma_2 near sigma_3, where a margin may be exactly zero) takes
+    stacked_gap_margins on its core."""
+    top, gap = stacked_top_singular(cores)
+    dual_top, dual_gap = stacked_top_singular(duals)
+    top, dual_top = top + logscales, dual_top + dual_logscales
+    if k == 1:
+        out = 2.0 * top - logdets - dual_top
+    elif k == 2:
+        out = logdets + 2.0 * dual_top - top
+    else:
+        raise ValueError(f"gap index must satisfy 1 <= k < 3, got {k}")
+    out = np.maximum(out, 0.0)
+    fallback = ~((gap >= GRAM_GAP_FLOOR) & (dual_gap >= GRAM_GAP_FLOOR))
+    if np.count_nonzero(fallback):
+        out[fallback] = stacked_gap_margins(cores[fallback], logscales[fallback], k)
+    return out, fallback
 
 
 @dataclass(frozen=True, eq=False)

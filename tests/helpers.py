@@ -117,6 +117,32 @@ def random_invertible(rng, dim: int, spread: float = 2.0) -> np.ndarray:
     return q1 @ np.diag(np.exp(rng.uniform(-spread, spread, size=dim))) @ q2
 
 
+def _small_rotation(rng, angle: float) -> np.ndarray:
+    """Rotation of R^3 by `angle` about a seeded random axis (Rodrigues)."""
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    k = np.array(
+        [[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]]
+    )
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+
+
+def pingpong_rep(seed: int) -> Representation:
+    """The seeded d = 3 ping-pong pair of the certify-full benchmark: each
+    generator is Q diag(lam, 1, 1/mu) R Q^T with lam != mu and R a small
+    rotation, the frames of a and b 45 degrees apart in the (e1, e3)-plane."""
+    rng = np.random.default_rng(seed)
+    half = 1.0 / math.sqrt(2.0)
+    frames = (np.eye(3), np.array([[half, 0, half], [0, 1, 0], [half, 0, -half]]))
+    gens = []
+    for frame in frames:
+        q = _small_rotation(rng, 0.15) @ frame
+        lam = rng.uniform(6.0, 8.0)
+        mu = rng.uniform(3.5, 5.0)
+        gens.append(q @ np.diag([lam, 1.0, 1.0 / mu]) @ _small_rotation(rng, 0.2) @ q.T)
+    return Representation.of(gens)
+
+
 def random_orthonormal_frame(rng, dim: int, k: int) -> np.ndarray:
     q, _ = np.linalg.qr(rng.normal(size=(dim, k)))
     return q

@@ -9,18 +9,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from gapcert import domination
 from helpers import gap_margin
 from gapcert.domination import (
     CERTIFIED,
     INCONCLUSIVE,
     REFUTED,
     CertifyOptions,
+    _fit_slope,
     certify,
     margins,
     slope_tolerance,
 )
 from gapcert.errors import BudgetError
-from gapcert.linalg import Representation, evaluate, stacked_det_margins
+from gapcert.linalg import (
+    GRAM_GAP_FLOOR,
+    Representation,
+    ScaledMatrix,
+    evaluate,
+    stacked_det_margins,
+    stacked_dual_margins,
+)
 from gapcert.subsets import (
     AxisFamily,
     Directed,
@@ -203,19 +212,26 @@ def engine_cases():
 
 
 def word_margin(rep, w, k):
-    """One word's margin: for d = 2 the closed form on a one-row stack, with
-    the letters' log|det| summed left to right; for d >= 3 one SVD."""
+    """One word's margin: for d = 2 and 3 the closed form on a one-row
+    stack, with the letters' log|det| summed left to right and, for d = 3,
+    the dual product walked letter by letter (with the same SVD fallback);
+    for d >= 4 one SVD."""
     product = evaluate(rep, w)
-    if rep.dim > 2:
+    if rep.dim > 3:
         return gap_margin(product, k)
     logdet = 0.0
     for letter in w:
         logdet = logdet + rep.stacked_logdets[letter_code(letter)]
-    return float(
-        stacked_det_margins(
-            product.core[None], np.array([product.logscale]), np.array([logdet])
-        )[0]
+    core, scale = product.core[None], np.array([product.logscale])
+    if rep.dim == 2:
+        return float(stacked_det_margins(core, scale, np.array([logdet]))[0])
+    dual = ScaledMatrix.identity(3)
+    for letter in w:
+        dual = dual.times(rep.stacked_duals[letter_code(letter)])
+    margin, _ = stacked_dual_margins(
+        core, scale, dual.core[None], np.array([dual.logscale]), np.array([logdet]), k
     )
+    return float(margin[0])
 
 
 def per_word_margins(rep, sample, k):
@@ -235,6 +251,21 @@ def test_level_engine_matches_per_word_reference(case):
     sample = gamma_p_plus(spec, budget)
     for k in range(1, rep.dim):
         assert margins(rep, spec, k, budget) == per_word_margins(rep, sample, k)
+
+
+def test_level_blocks_leave_the_margins(monkeypatch, rng):
+    # levels longer than STACK_ROWS words are made block by block; the
+    # tables keep the per-word reference's bits at d = 2, 3 and 4
+    reps = [
+        Representation.of([helpers.random_invertible(rng, d) for _ in range(2)])
+        for d in (2, 3, 4)
+    ]
+    sample = gamma_p_plus(FullBoundary(2), 5)
+    monkeypatch.setattr(domination, "STACK_ROWS", 7)
+    for rep in reps:
+        for k in range(1, rep.dim):
+            reference = per_word_margins(rep, sample, k)
+            assert margins(rep, FullBoundary(2), k, 5) == reference
 
 
 def directed_ab():
@@ -300,9 +331,118 @@ def test_d2_slope_does_not_saturate_with_the_budget():
 
 
 def test_d3_saturated_window_carries_the_note():
+    # diag(4, 1/2, 1/2) has sigma_2 = sigma_3: its rows take the SVD
     cert = certify(z_rep(), z_axis(), 1, 20)
     assert max(cert.margins.values()) > 34.0
     assert any("saturation" in note for note in cert.notes)
+
+
+def test_d4_saturated_window_carries_the_note():
+    cert = certify(Representation.of([np.diag([4.0, 0.5, 0.5, 0.25])]), z_axis(), 1, 20)
+    assert max(cert.margins.values()) > 34.0
+    assert any("saturation" in note for note in cert.notes)
+
+
+U = np.finfo(float).eps / 2.0
+
+
+def oracle_log_singular_values(rep, w, dps=50):
+    """log sigma_1, ..., log sigma_d of a word product in dps-digit
+    arithmetic, from an mpmath SVD of the product of the letter images.
+    sigma_i carries an absolute error near 10^-dps sigma_1, so dps must
+    exceed the digits of sigma_1 / sigma_d."""
+    with mpmath.workdps(dps):
+        product = mpmath.eye(rep.dim)
+        for letter in w:
+            product = product * mpmath.matrix(rep.image(letter).tolist())
+        return [mpmath.log(s) for s in mpmath.svd_r(product, compute_uv=False)]
+
+
+def oracle_margin_k(rep, w, k, dps=50):
+    logs = oracle_log_singular_values(rep, w, dps)
+    return float(logs[k - 1] - logs[k])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_d3_argmin_margins_match_a_50_digit_oracle(seed):
+    # the certify-full generators; the SVD margin was off by up to ~5e-7
+    # at k = 2 on these words
+    rep = helpers.pingpong_rep(seed)
+    for k in (1, 2):
+        table = margins(rep, FullBoundary(2), k, 7)
+        assert set(table) == set(range(1, 8))
+        for t, (m, w) in table.items():
+            assert abs(m - oracle_margin_k(rep, w, k)) <= 1e-12
+
+
+def test_d3_margins_are_inversion_dual(rng):
+    # m_1(M) = m_2(M^-1), and the flipped subset's words of each length
+    # are the inverses of the subset's
+    reps = [helpers.pingpong_rep(seed) for seed in (0, 1, 7)] + [
+        Representation.of([helpers.random_invertible(rng, 3) for _ in range(2)])
+        for _ in range(10)
+    ]
+    specs = (
+        FullBoundary(2),
+        directed_ab(),
+        Directed(2, frozenset({A_LETTER, Letter(2, -1)})),
+        AxisFamily(2, (parse_word("aab"),)),
+        Primitive(2, 3),
+    )
+    for rep in reps:
+        for spec in specs:
+            fwd = margins(rep, spec, 1, 6)
+            bwd = margins(rep, hat(spec), 2, 6)
+            assert set(fwd) == set(bwd)
+            for t in fwd:
+                assert abs(fwd[t][0] - bwd[t][0]) <= 1e-12 * (1.0 + fwd[t][0])
+
+
+def test_d3_margins_near_the_gap_floor_stay_within_the_bar():
+    # diag(4, 1/2, 1/2 + delta), conjugated by a rotation, has a relative
+    # top gap of 1 - r^(2t) in its dual Gram at a^t, r the ratio of 1/2 and
+    # 1/2 + delta below 1.  At the floors' deltas the one-letter row changes
+    # path; either side is within the bar: n u sigma_1 / sigma_{k+1} for an
+    # SVD row, n u / GRAM_GAP_FLOOR for the closed form
+    q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+    floors = (
+        0.5 / math.sqrt(1.0 - GRAM_GAP_FLOOR) - 0.5,
+        0.5 * math.sqrt(1.0 - GRAM_GAP_FLOOR) - 0.5,
+    )
+    edges = [(f * (1.0 + s), s > 0) for f in floors for s in (-1e-6, 1e-6)]
+    for delta, closed in edges + [(d, None) for d in (1e-4, -1e-4, 3e-5, -3e-5)]:
+        rep = Representation.of([q @ np.diag([4.0, 0.5, 0.5 + delta]) @ q.T])
+        if closed is not None:
+            one = ScaledMatrix.of(rep.image(A_LETTER))
+            dual = ScaledMatrix.of(rep.stacked_duals[0])
+            _, svd = stacked_dual_margins(
+                one.core[None], np.array([one.logscale]), dual.core[None],
+                np.array([dual.logscale]), rep.stacked_logdets[:1], 1,
+            )
+            assert bool(svd[0]) is not closed
+        for k in (1, 2):
+            table = margins(rep, AxisFamily(1, (parse_word("a"),)), k, 10)
+            for t, (m, w) in table.items():
+                logs = oracle_log_singular_values(rep, w, 60)
+                spread = float(mpmath.exp(logs[0] - logs[k]))
+                bar = t * U * (spread + 1.0 / GRAM_GAP_FLOOR)
+                assert abs(m - float(logs[k - 1] - logs[k])) <= bar
+
+
+def test_d3_slope_does_not_saturate_with_the_budget():
+    # the closed form measures margins past the SVD's ~36 ceiling, so the
+    # slope at budget 30 is the slope at budget 16, and no note is due
+    rep = helpers.pingpong_rep(1)
+    spec = AxisFamily(2, (parse_word("a"),))
+    for k in (1, 2):
+        short = certify(rep, spec, k, 16)
+        long = certify(rep, spec, k, 30)
+        assert long.verdict == CERTIFIED
+        assert max(long.margins.values()) > 40.0
+        assert not any("saturation" in note for note in long.notes)
+        assert abs(long.lambda_hat - short.lambda_hat) <= 1e-6
+        for t, m in long.margins.items():
+            assert abs(m - oracle_margin_k(rep, long.argmins[t], k, 100)) <= 1e-12
 
 
 def test_huge_generator_scale_leaves_margins():
@@ -380,11 +520,27 @@ def test_conjugation_leaves_slope(rng):
     conj = Representation.of(
         [g @ base.image(A_LETTER) @ ginv, g @ base.image(B_LETTER) @ ginv]
     )
-    # keep window margins below ~36, the double-precision ratio ceiling
     c1 = certify(base, z_axis_f2(), 1, 12)
     c2 = certify(conj, z_axis_f2(), 1, 12)
     assert c1.verdict == CERTIFIED and c2.verdict == CERTIFIED
-    assert abs(c1.lambda_hat - c2.lambda_hat) <= slope_tolerance(c1, c2)
+    # conjugation moves each singular value by at most a factor kappa(g),
+    # so each margin by at most 2 log kappa, and the least-squares slope
+    # sum_t w_t m_t (sum w_t = 0) by at most 2 log kappa * sum |w_t|.  The
+    # exact slopes differ by 2.8e-7, more than twice the fit's standard
+    # error: only the SVD's rounding made that bound hold before
+    drift = 2.0 * math.log(np.linalg.cond(g))
+    lo, hi = c2.fit_window
+    ts = np.arange(lo, hi + 1, dtype=float)
+    weights = (ts - ts.mean()) / ((ts - ts.mean()) ** 2).sum()
+    for t in c1.margins:
+        assert abs(c2.margins[t] - c1.margins[t]) <= drift
+    assert abs(c1.lambda_hat - c2.lambda_hat) <= drift * np.abs(weights).sum()
+    # each computed slope is the slope of the 60-digit oracle margins
+    for rep, cert in ((base, c1), (conj, c2)):
+        exact = [
+            (t, oracle_margin_k(rep, cert.argmins[t], 1, 60)) for t in range(lo, hi + 1)
+        ]
+        assert abs(cert.lambda_hat - _fit_slope(exact)[0]) <= 1e-12
 
 
 def test_scalar_invariance():

@@ -9,7 +9,9 @@ support intercept on the fit window, and an explicit evidence-grade verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,6 +42,11 @@ MEASURABLE_MARGIN_CEILING = 34.0
 # certify_each stacks at most about this many products per level, and
 # _margin_tables makes a level in blocks of this many products
 STACK_ROWS = 4096
+
+# certify keeps this many of its most recent certificates, keyed by content
+MEMO_SIZE = 8
+_MEMO: "OrderedDict[tuple, DominationCertificate]" = OrderedDict()
+_MEMO_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -236,10 +243,28 @@ def certify(
     budget: int,
     opts: CertifyOptions = CertifyOptions(),
 ) -> DominationCertificate:
-    """Build a margin table and fit it into an evidence-grade certificate."""
+    """Build a margin table and fit it into an evidence-grade certificate.
+
+    The last MEMO_SIZE certificates are kept, keyed by the generator images'
+    bytes, spec, k, budget and opts, so a process that certifies the same
+    inputs again (several configs of one representation) gets them back
+    without a walk.  Each call returns its own copy of the margin and argmin
+    dicts; errors are not kept.
+    """
     if budget < 2:
         raise BudgetError(f"certification needs a budget >= 2, got {budget}")
-    return certify_each([rep], gamma_p_plus(spec, budget), k, opts)[0]
+    key = (rep.rank, rep.dim, rep.stacked_images.tobytes(), spec, k, budget, opts)
+    with _MEMO_LOCK:
+        cert = _MEMO.get(key)
+        if cert is not None:
+            _MEMO.move_to_end(key)
+    if cert is None:
+        cert = certify_each([rep], gamma_p_plus(spec, budget), k, opts)[0]
+        with _MEMO_LOCK:
+            _MEMO[key] = cert
+            while len(_MEMO) > MEMO_SIZE:
+                _MEMO.popitem(last=False)
+    return replace(cert, margins=dict(cert.margins), argmins=dict(cert.argmins))
 
 
 def certify_each(

@@ -90,21 +90,17 @@ def run(config: RunConfig) -> Report:
     spec = config.subset_spec()
     results: dict[str, Any] = {}
     timings: dict[str, float] = {}
-    shared: dict[str, DominationCertificate] = {}
 
+    # lazy, so a run whose tasks read no certificate makes none; certify's
+    # memo makes each certificate once per process, and later calls copy it
     def certificate() -> DominationCertificate:
-        if "value" not in shared:
-            shared["value"] = certify(
-                rep, spec, config.k, config.budget, opts=config.certify_options()
-            )
-        return shared["value"]
+        opts = config.certify_options()
+        return certify(rep, spec, config.k, config.budget, opts=opts)
 
     def dual_certificate() -> DominationCertificate:
         # the backward limit maps certify the flipped subset at index d-k
-        # with default options; one certificate serves every task
-        if "dual" not in shared:
-            shared["dual"] = certify(rep, hat(spec), rep.dim - config.k, config.budget)
-        return shared["dual"]
+        # with default options
+        return certify(rep, hat(spec), rep.dim - config.k, config.budget)
 
     # each limit plane and splitting the tasks read is walked once, as far
     # as its tightest read needs

@@ -13,6 +13,7 @@ import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from gapcert import domination
 from gapcert.errors import NoConvergenceError, NoGapError
 from gapcert.limits import BOUND_SLACK, LimitMapValue
 from gapcert.linalg import (
@@ -406,3 +407,17 @@ def reference_raw_splitting(rep, x, k, n_steps, tol, rate):
         f"{step_s:.3e}/{step_u:.3e} against tolerance {tol:.1e}, "
         f"{len(skipped)} gapless lengths skipped"
     )
+
+
+def count_walks(monkeypatch) -> list[tuple[int, int]]:
+    """Record the (budget, k) of every margin walk certify makes from here
+    on; a certificate taken from certify's memo makes none."""
+    walks = []
+    certify_each = domination.certify_each
+
+    def spy(reps, sample, k, opts):
+        walks.append((sample.budget, k))
+        return certify_each(reps, sample, k, opts)
+
+    monkeypatch.setattr(domination, "certify_each", spy)
+    return walks

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import helpers
-from gapcert import flow, limits
+from gapcert import domination, flow, limits
 from gapcert.cli import main
 from gapcert.config import (
     DEFAULT_SAMPLING,
@@ -436,6 +436,28 @@ def test_run_walks_each_plane_once_and_keeps_every_block(monkeypatch):
         )
     assert [walk.joint for walk in walks].count(False) == 9
     assert [walk.joint for walk in walks].count(True) == 3
+
+
+def test_runs_of_one_representation_certify_once(monkeypatch):
+    # a second config with the same generators and other points takes both
+    # certificates from certify's memo; a generator one ulp off makes its
+    # own.  Each report is that of a run with an empty memo
+    tasks = ["limit-map", "transversality"]
+    first = schottky_config(tasks=tasks)
+    moved = schottky_config(tasks=tasks)
+    moved["points"] = dict(first["points"], forward="(a)")
+    nudged = schottky_config(tasks=tasks)
+    nudged["generators"][0][0][0] = 5.000000000000001
+    configs = [parse_config(data) for data in (first, moved, nudged)]
+    made = helpers.count_walks(monkeypatch)
+    reports, counts = [], []
+    for config in configs:
+        reports.append(json.dumps(run(config).stable_payload(), sort_keys=True))
+        counts.append(len(made))
+    assert counts == [2, 2, 4]  # the certificate and the dual, twice
+    for config, got in zip(configs, reports):
+        domination._MEMO.clear()
+        assert json.dumps(run(config).stable_payload(), sort_keys=True) == got
 
 
 def test_run_records_derived_task_seeds():

@@ -1,6 +1,8 @@
 """Margin tables and certificates on diagonal, positive and Schottky examples."""
 
+import dataclasses
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -196,6 +198,120 @@ def test_primitive_stable_identity_refuted():
 def test_primitive_stable_rank_one_rejected():
     with pytest.raises(ValueError, match="rank >= 2"):
         Primitive(z_rep().rank, 3)
+
+
+# ---------------------------------------------------------------------------
+# the certificate memo
+
+
+def certificate_bits(cert):
+    """Every field of a certificate, each float as its bytes, so NaN
+    matches NaN and 0.0 does not match -0.0."""
+
+    def bits(value):
+        if isinstance(value, float):
+            return struct.pack("<d", value)
+        if isinstance(value, dict):
+            return [(key, bits(item)) for key, item in value.items()]
+        if isinstance(value, tuple):
+            return [bits(item) for item in value]
+        return value
+
+    return {f.name: bits(getattr(cert, f.name)) for f in dataclasses.fields(cert)}
+
+
+MEMO_CASES = {
+    "d2": lambda: (schottky_rep(), directed_ab(), 1, 10),
+    "d3": lambda: (helpers.pingpong_rep(1), FullBoundary(2), 2, 5),
+    "refuted": lambda: (z_rep(), z_axis(), 2, 12),  # with a counterexample
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+def test_memo_hit_is_bitwise_a_fresh_certificate(monkeypatch, case):
+    rep, spec, k, budget = MEMO_CASES[case]()
+    walks = helpers.count_walks(monkeypatch)
+    first = certify(rep, spec, k, budget)
+    hit = certify(rep, spec, k, budget)
+    assert len(walks) == 1
+    domination._MEMO.clear()
+    fresh = certify(rep, spec, k, budget)
+    assert len(walks) == 2
+    assert certificate_bits(hit) == certificate_bits(fresh)
+    assert certificate_bits(first) == certificate_bits(fresh)
+    assert hit.margins is not first.margins and hit.argmins is not first.argmins
+
+
+def test_memo_misses_on_any_change_of_its_key(monkeypatch):
+    rep = helpers.pingpong_rep(1)
+    nudged = rep.image(A_LETTER).copy()
+    nudged[0, 0] = np.nextafter(nudged[0, 0], math.inf)  # one ulp
+    nudged_rep = Representation.of([nudged, rep.image(B_LETTER)])
+    calls = [
+        (rep, FullBoundary(2), 1, 5, CertifyOptions()),
+        (nudged_rep, FullBoundary(2), 1, 5, CertifyOptions()),
+        (rep, FullBoundary(2), 2, 5, CertifyOptions()),
+        (rep, FullBoundary(2), 1, 6, CertifyOptions()),
+        (rep, directed_ab(), 1, 5, CertifyOptions()),
+        (rep, FullBoundary(2), 1, 5, CertifyOptions(lambda_min=0.03)),
+    ]
+    assert len(calls) <= domination.MEMO_SIZE
+    walks = helpers.count_walks(monkeypatch)
+    made = [certify(*call) for call in calls]
+    assert len(walks) == len(calls)
+    # one ulp moves the certificate, so a hit there would be wrong
+    assert made[1].margins != made[0].margins
+    # every one is kept
+    again = [certify(*call) for call in calls]
+    assert len(walks) == len(calls)
+    for cert, kept in zip(made, again):
+        assert certificate_bits(cert) == certificate_bits(kept)
+
+
+def test_memo_hands_out_copies(monkeypatch):
+    rep, spec = schottky_rep(), directed_ab()
+    walks = helpers.count_walks(monkeypatch)
+    expected = certificate_bits(certify(rep, spec, 1, 8))
+    for _ in range(2):
+        cert = certify(rep, spec, 1, 8)
+        assert certificate_bits(cert) == expected
+        cert.margins[8] = -1.0
+        cert.argmins.clear()
+    assert len(walks) == 1
+    assert certificate_bits(certify(rep, spec, 1, 8)) == expected
+
+
+def test_memo_keeps_no_error():
+    # primitivity search stops above rank 6, inside the enumeration
+    rep = Representation.of([np.diag([2.0, 0.5])] * 7)
+    for _ in range(2):
+        with pytest.raises(BudgetError, match="rank <= 6"):
+            certify(rep, Primitive(7, 2), 1, 4)
+        assert not domination._MEMO
+    with pytest.raises(BudgetError):
+        certify(z_rep(), z_axis(), 1, 1)
+    assert not domination._MEMO
+
+
+def test_memo_keeps_only_the_most_recent(monkeypatch):
+    rep, spec = z_rep(), z_axis()
+    size = domination.MEMO_SIZE
+    budgets = list(range(2, size + 5))
+    walks = helpers.count_walks(monkeypatch)
+    for budget in budgets:
+        certify(rep, spec, 1, budget)
+        assert len(domination._MEMO) <= size
+    assert len(walks) == len(budgets)
+    # a hit is recent again: the oldest kept budget outlives the next miss
+    certify(rep, spec, 1, budgets[-size])
+    certify(rep, spec, 1, budgets[0])
+    assert len(walks) == len(budgets) + 1
+    for budget in [budgets[-size]] + budgets[-size + 2 :]:
+        certify(rep, spec, 1, budget)
+    assert len(walks) == len(budgets) + 1
+    certify(rep, spec, 1, budgets[-size + 1])
+    assert len(walks) == len(budgets) + 2
+    assert len(domination._MEMO) == size
 
 
 # ---------------------------------------------------------------------------

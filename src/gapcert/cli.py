@@ -1,15 +1,17 @@
 """Command-line entry point.
 
 One subcommand per task (`certify`, `limit-map`, `transversality`, `sdp`,
-`holder`, `splitting`, `stability`), plus `reproduce-paper` for the
-built-in worked examples and `report` to pretty-print a saved report.
-Exit codes: 0 when every verdict is Certified/Pass, 1 when any task is
-Refuted/Fail/Error, 2 on configuration problems.
+`holder`, `splitting`, `stability`), plus `sweep` to run several
+configurations in one process, `reproduce-paper` for the built-in worked
+examples and `report` to pretty-print a saved report.  Exit codes: 0 when
+every verdict is Certified/Pass, 1 when any task is Refuted/Fail/Error,
+2 on configuration problems.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -50,6 +52,24 @@ def build_parser() -> argparse.ArgumentParser:
         )
         _add_run_flags(sub, config_required=True)
         sub.set_defaults(handler=_make_task_handler(name))
+
+    sweep = subparsers.add_parser(
+        "sweep",
+        help="run each configuration's own tasks in one process; configs of "
+        "one representation share its certificates",
+    )
+    sweep.add_argument(
+        "configs", nargs="+", metavar="CONFIG", help="configuration JSON paths"
+    )
+    sweep.add_argument(
+        "--out-dir",
+        default=None,
+        help="write each report here, as NAME-report.json for config NAME.json",
+    )
+    sweep.add_argument(
+        "--quiet", action="store_true", help="suppress the summaries on stdout"
+    )
+    sweep.set_defaults(handler=_handle_sweep)
 
     reproduce = subparsers.add_parser(
         "reproduce-paper",
@@ -106,6 +126,29 @@ def _make_task_handler(task: str):
         return exit_code(report)
 
     return handler
+
+
+def _handle_sweep(args: argparse.Namespace) -> int:
+    # every config is loaded before the first runs, so a bad one costs no work
+    configs = [load_config(path) for path in args.configs]
+    names = [
+        os.path.splitext(os.path.basename(path))[0] + "-report.json"
+        for path in args.configs
+    ]
+    if args.out_dir is not None:
+        if len(set(names)) < len(names):
+            raise ConfigError("sweep --out-dir needs configs of distinct file names")
+        os.makedirs(args.out_dir, exist_ok=True)
+    code = 0
+    for path, name, config in zip(args.configs, names, configs):
+        report = run(config)
+        if args.out_dir is not None:
+            write_report(report, os.path.join(args.out_dir, name))
+        if not args.quiet:
+            print(f"== {path}")
+            print(format_report(report.payload()))
+        code = max(code, exit_code(report))
+    return code
 
 
 def _handle_reproduce(args: argparse.Namespace) -> int:

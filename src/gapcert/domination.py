@@ -9,8 +9,6 @@ support intercept on the fit window, and an explicit evidence-grade verdict.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -43,10 +41,10 @@ MEASURABLE_MARGIN_CEILING = 34.0
 # _margin_tables makes a level in blocks of this many products
 STACK_ROWS = 4096
 
-# certify keeps this many of its most recent certificates, keyed by content
+# certify keeps this many of its most recent certificates, keyed by content,
+# least recently used first
 MEMO_SIZE = 8
-_MEMO: "OrderedDict[tuple, DominationCertificate]" = OrderedDict()
-_MEMO_LOCK = threading.Lock()
+_MEMO: "dict[tuple, DominationCertificate]" = {}
 
 
 @dataclass(frozen=True)
@@ -247,23 +245,19 @@ def certify(
 
     The last MEMO_SIZE certificates are kept, keyed by the generator images'
     bytes, spec, k, budget and opts, so a process that certifies the same
-    inputs again (several configs of one representation) gets them back
-    without a walk.  Each call returns its own copy of the margin and argmin
+    inputs again (several configs of one representation, as `gapcert sweep`
+    runs them) gets them back without a walk.  Each call returns its own copy of the margin and argmin
     dicts; errors are not kept.
     """
     if budget < 2:
         raise BudgetError(f"certification needs a budget >= 2, got {budget}")
     key = (rep.rank, rep.dim, rep.stacked_images.tobytes(), spec, k, budget, opts)
-    with _MEMO_LOCK:
-        cert = _MEMO.get(key)
-        if cert is not None:
-            _MEMO.move_to_end(key)
+    cert = _MEMO.pop(key, None)
     if cert is None:
         cert = certify_each([rep], gamma_p_plus(spec, budget), k, opts)[0]
-        with _MEMO_LOCK:
-            _MEMO[key] = cert
-            while len(_MEMO) > MEMO_SIZE:
-                _MEMO.popitem(last=False)
+    _MEMO[key] = cert
+    if len(_MEMO) > MEMO_SIZE:
+        del _MEMO[next(iter(_MEMO))]
     return replace(cert, margins=dict(cert.margins), argmins=dict(cert.argmins))
 
 

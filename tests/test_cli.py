@@ -215,6 +215,7 @@ ALL_TASKS = [
 def test_run_all_tasks_deterministic_payload():
     config = parse_config(schottky_config(tasks=ALL_TASKS))
     first = run(config)
+    domination._MEMO.clear()  # certify again, not from the memo
     second = run(config)
     assert exit_code(first) == 0
     assert list(first.results) == ALL_TASKS
@@ -438,26 +439,56 @@ def test_run_walks_each_plane_once_and_keeps_every_block(monkeypatch):
     assert [walk.joint for walk in walks].count(True) == 3
 
 
-def test_runs_of_one_representation_certify_once(monkeypatch):
-    # a second config with the same generators and other points takes both
-    # certificates from certify's memo; a generator one ulp off makes its
-    # own.  Each report is that of a run with an empty memo
-    tasks = ["limit-map", "transversality"]
+def test_cli_sweep_certifies_each_representation_once(tmp_path, monkeypatch, capsys):
+    # one process runs every config's own tasks: the first two share the
+    # certificate and its dual, the one-ulp config makes its own.  Each
+    # report is the one a task subcommand writes with an empty memo
+    tasks = ["certify", "limit-map", "transversality"]
     first = schottky_config(tasks=tasks)
     moved = schottky_config(tasks=tasks)
     moved["points"] = dict(first["points"], forward="(a)")
     nudged = schottky_config(tasks=tasks)
     nudged["generators"][0][0][0] = 5.000000000000001
-    configs = [parse_config(data) for data in (first, moved, nudged)]
+    paths = [
+        write_config(tmp_path, data, f"c{n}.json")
+        for n, data in enumerate((first, moved, nudged))
+    ]
     made = helpers.count_walks(monkeypatch)
-    reports, counts = [], []
-    for config in configs:
-        reports.append(json.dumps(run(config).stable_payload(), sort_keys=True))
-        counts.append(len(made))
-    assert counts == [2, 2, 4]  # the certificate and the dual, twice
-    for config, got in zip(configs, reports):
+    out_dir = tmp_path / "reports"
+    assert main(["sweep", *paths, "--out-dir", str(out_dir), "--quiet"]) == 0
+    assert len(made) == 4
+    assert capsys.readouterr().out == ""
+    for n, path in enumerate(paths):
         domination._MEMO.clear()
-        assert json.dumps(run(config).stable_payload(), sort_keys=True) == got
+        single = str(tmp_path / f"single{n}.json")
+        argv = ["certify", "--task", "limit-map", "--task", "transversality"]
+        assert main([*argv, "--config", path, "--out", single, "--quiet"]) == 0
+        swept = load_report(str(out_dir / f"c{n}-report.json"))
+        alone = load_report(single)
+        for report in (swept, alone):
+            report.pop("timings")
+        assert json.dumps(swept, sort_keys=True) == json.dumps(alone, sort_keys=True)
+
+
+def test_cli_sweep_exit_codes(tmp_path, capsys):
+    z_path = write_config(tmp_path, z_config(), "z.json")
+    k2_path = write_config(tmp_path, z_config(k=2), "z_k2.json")
+    assert main(["sweep", z_path, z_path]) == 0
+    out = capsys.readouterr().out
+    assert out.count(f"== {z_path}") == 2 and out.count("overall: Pass") == 2
+    assert main(["sweep", z_path, k2_path, "--quiet"]) == 1
+    # every config loads before the first runs, so a bad one writes nothing
+    out_dir = tmp_path / "reports"
+    missing = str(tmp_path / "nope.json")
+    assert main(["sweep", z_path, missing, "--out-dir", str(out_dir)]) == 2
+    assert not out_dir.exists()
+    # two reports of one file name would overwrite each other
+    other = tmp_path / "other"
+    other.mkdir()
+    twin = write_config(other, z_config(k=2), "z.json")
+    assert main(["sweep", z_path, twin, "--out-dir", str(out_dir)]) == 2
+    assert not out_dir.exists()
+    assert "error:" in capsys.readouterr().err
 
 
 def test_run_records_derived_task_seeds():
@@ -512,6 +543,7 @@ def test_reproduce_paper_outcomes():
 
 def test_reproduce_paper_is_deterministic():
     first = reproduce_paper()
+    domination._MEMO.clear()  # certify again, not from the memo
     second = reproduce_paper()
     assert json.dumps(first.stable_payload(), sort_keys=True) == json.dumps(
         second.stable_payload(), sort_keys=True

@@ -116,6 +116,7 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
 def _make_task_handler(task: str):
     def handler(args: argparse.Namespace) -> int:
         config = load_config(args.config)
+        _check_out(args.out)
         tasks = [task]
         for extra in args.task or ():
             if extra not in tasks:
@@ -138,7 +139,10 @@ def _handle_sweep(args: argparse.Namespace) -> int:
     if args.out_dir is not None:
         if len(set(names)) < len(names):
             raise ConfigError("sweep --out-dir needs configs of distinct file names")
-        os.makedirs(args.out_dir, exist_ok=True)
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make --out-dir {args.out_dir!r}: {exc}") from exc
     code = 0
     for path, name, config in zip(args.configs, names, configs):
         report = run(config)
@@ -152,6 +156,7 @@ def _handle_sweep(args: argparse.Namespace) -> int:
 
 
 def _handle_reproduce(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     report = reproduce_paper()
     _emit(report, args)
     return exit_code(report)
@@ -160,6 +165,12 @@ def _handle_reproduce(args: argparse.Namespace) -> int:
 def _handle_pretty(args: argparse.Namespace) -> int:
     print(format_report(load_report(args.path)))
     return 0
+
+
+def _check_out(path: Optional[str]) -> None:
+    # before the run, so a report that cannot be written costs no work
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"cannot write --out {path!r}: no such directory")
 
 
 def _emit(report: Report, args: argparse.Namespace) -> None:

@@ -173,6 +173,8 @@ def load_config(path: str) -> RunConfig:
             text = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read configuration {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"configuration {path!r} is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -188,9 +188,7 @@ def _level_block(
         margin = stacked_det_margins(flat, scales, logdets)
         svd = np.zeros(len(flat), dtype=bool)
     elif dim == 3:
-        margin, svd = stacked_dual_margins(
-            flat[0::2], scales[0::2], flat[1::2], scales[1::2], logdets, k
-        )
+        margin, svd = stacked_dual_margins(flat, scales, logdets, k)
     else:
         margin = stacked_gap_margins(flat, scales, k)
         svd = np.ones(len(flat), dtype=bool)
@@ -226,12 +224,6 @@ def _fit_slope(points: list[tuple[int, float]]) -> tuple[float, float, float]:
     else:
         stderr = 0.0
     return float(slope), float(intercept), stderr
-
-
-def slope_tolerance(*certs: "DominationCertificate", floor: float = 1e-9) -> float:
-    """Comparison tolerance for fitted slopes: twice the summed standard
-    errors, floored to keep exact fits comparable."""
-    return max(2.0 * sum(c.slope_stderr for c in certs), floor)
 
 
 def certify(

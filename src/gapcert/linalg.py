@@ -87,18 +87,13 @@ def _row_norms(cores: np.ndarray) -> np.ndarray:
     return np.sqrt(squares).reshape(-1)
 
 
-def _log_each(values: np.ndarray) -> np.ndarray:
-    # math.log, as the one-matrix path uses; np.log differs in the last bit on
-    # some inputs
-    return np.fromiter(map(math.log, values.tolist()), float, len(values))
-
-
 def renormalized_stack(
     cores: np.ndarray, logscales: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """_renormalized applied to each matrix of an (N, d, d) stack with its
-    log scale; the results are bitwise those of the one-matrix path.  The
-    inputs are never modified, and may be returned as they are."""
+    log scale; both log with np.log, so the results are bitwise those of the
+    one-matrix path.  The inputs are never modified, and may be returned as
+    they are."""
     estimates = _row_norms(cores)
     out = ~((estimates >= _NORM_BAND[0]) & (estimates <= _NORM_BAND[1]))
     if not np.count_nonzero(out):
@@ -112,13 +107,13 @@ def renormalized_stack(
         if not np.all(np.isfinite(scales) & (scales > 0.0)):
             raise ValueError("matrix entries must be finite and not all zero")
         cores[bad] = cores[bad] / scales[:, None, None]
-        logscales[bad] = logscales[bad] + _log_each(scales)
+        logscales[bad] = logscales[bad] + np.log(scales)
         estimates[bad] = _row_norms(cores[bad])
         out = (estimates < _NORM_BAND[0]) | (estimates > _NORM_BAND[1])
     # in-band rows are divided by 1.0 and shifted by log(1.0) = 0.0, which
     # leaves their bits as they are
     factors = np.where(out, estimates, 1.0)
-    return cores / factors[:, None, None], logscales + _log_each(factors)
+    return cores / factors[:, None, None], logscales + np.log(factors)
 
 
 _FEW_ROWS = 4  # up to this many rows, running_products renormalizes row by row
@@ -128,16 +123,16 @@ def _renormalized_rows(
     cores: np.ndarray, logscales: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """renormalized_stack for a few rows, bitwise, and in place: a BLAS dot
-    and a band check per row, and renormalized_stack for out-of-range rows."""
+    and a band check per row, one divide and one np.log over the rows, and
+    renormalized_stack for out-of-range rows."""
     estimates = [math.sqrt(row.dot(row)) for row in cores.reshape(len(cores), -1)]
     if not all(0.0 < e < math.inf for e in estimates):
         return renormalized_stack(cores, logscales)
-    logscales = logscales.copy()
-    for row, e in enumerate(estimates):
-        if not _NORM_BAND[0] <= e <= _NORM_BAND[1]:
-            cores[row] /= e
-            logscales[row] += math.log(e)
-    return cores, logscales
+    factors = [1.0 if _NORM_BAND[0] <= e <= _NORM_BAND[1] else e for e in estimates]
+    if factors.count(1.0) == len(factors):
+        return cores, logscales
+    cores /= np.array(factors)[:, None, None]
+    return cores, logscales + np.log(factors)
 
 
 def running_products(
@@ -257,16 +252,6 @@ def singular_values(m: ScaledMatrix) -> np.ndarray:
     return m.logscale + np.log(np.clip(s, _TINY, None))
 
 
-def log_norm(m: ScaledMatrix) -> float:
-    """log of the operator norm."""
-    return float(singular_values(m)[0])
-
-
-def log_conorm(m: ScaledMatrix) -> float:
-    """log of the smallest singular value."""
-    return float(singular_values(m)[-1])
-
-
 def stacked_gap_margins(
     cores: np.ndarray, logscales: np.ndarray, k: int
 ) -> np.ndarray:
@@ -338,16 +323,12 @@ GRAM_GAP_FLOOR = 1e-3
 
 
 def stacked_dual_margins(
-    cores: np.ndarray,
-    logscales: np.ndarray,
-    duals: np.ndarray,
-    dual_logscales: np.ndarray,
-    logdets: np.ndarray,
-    k: int,
+    pairs: np.ndarray, logscales: np.ndarray, logdets: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """log sigma_k - log sigma_{k+1} of every matrix M of an (N, 3, 3)
-    stack with its log scale, given the scale-tracked dual M^{-T} and
-    log|det M|, and the mask of the rows measured by an SVD.
+    """log sigma_k - log sigma_{k+1} of every matrix M of N scale-tracked
+    pairs, given as a (2N, 3, 3) stack in which each M is followed by its
+    dual M^{-T}, with their 2N log scales and the N log|det M|, and the mask
+    of the rows measured by an SVD.
 
     sigma_1 sigma_2 sigma_3 = |det M| and sigma_1(M^{-T}) = 1 / sigma_3, so
     with L = log sigma_1(M), L* = log sigma_1(M^{-T}) and D = log|det M|
@@ -358,9 +339,9 @@ def stacked_dual_margins(
     relative top gap is below GRAM_GAP_FLOOR (sigma_1 near sigma_2, or
     sigma_2 near sigma_3, where a margin may be exactly zero) takes
     stacked_gap_margins on its core."""
-    top, gap = stacked_top_singular(cores)
-    dual_top, dual_gap = stacked_top_singular(duals)
-    top, dual_top = top + logscales, dual_top + dual_logscales
+    tops, gaps = stacked_top_singular(pairs)
+    tops += logscales
+    top, dual_top, gap, dual_gap = tops[0::2], tops[1::2], gaps[0::2], gaps[1::2]
     if k == 1:
         out = 2.0 * top - logdets - dual_top
     elif k == 2:
@@ -370,7 +351,9 @@ def stacked_dual_margins(
     out = np.maximum(out, 0.0)
     fallback = ~((gap >= GRAM_GAP_FLOOR) & (dual_gap >= GRAM_GAP_FLOOR))
     if np.count_nonzero(fallback):
-        out[fallback] = stacked_gap_margins(cores[fallback], logscales[fallback], k)
+        out[fallback] = stacked_gap_margins(
+            pairs[0::2][fallback], logscales[0::2][fallback], k
+        )
     return out, fallback
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig
 from .domination import CERTIFIED, REFUTED, DominationCertificate, certify
-from .errors import GapcertError, ParseError
+from .errors import ConfigError, GapcertError, ParseError
 from .flow import (
     bg_splitting,
     shift_point,
@@ -466,20 +466,32 @@ def _rotation_detour_block() -> dict[str, Any]:
 
 
 def write_report(report: Report, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(report.to_json())
-        handle.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(report.to_json())
+            handle.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write report {path!r}: {exc}") from exc
 
 
 def load_report(path: str) -> dict[str, Any]:
-    """Read back a saved report document."""
+    """Read back a saved report document: a JSON object whose summary,
+    results and timings, where present, are objects."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            document = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read report {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"report {path!r} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"report {path!r} is not valid JSON: {exc}") from exc
+    blocks = ("summary", "results", "timings")
+    if not isinstance(document, dict) or not all(
+        isinstance(document.get(block, {}), dict) for block in blocks
+    ):
+        raise ParseError(f"report {path!r} is not a gapcert report object")
+    return document
 
 
 def format_report(payload: dict[str, Any]) -> str:

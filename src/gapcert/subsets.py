@@ -197,11 +197,6 @@ def letter_code(letter: Letter) -> int:
     return 2 * (letter.index - 1) + (letter.sign == -1)
 
 
-def code_letter(code: int) -> Letter:
-    """The letter with the given letter_code."""
-    return Letter(code // 2 + 1, -1 if code % 2 else 1)
-
-
 Level = tuple[np.ndarray, np.ndarray]
 
 

@@ -183,6 +183,22 @@ def gap_margin(m: ScaledMatrix, k: int) -> float:
     return float(logs[k - 1] - logs[k])
 
 
+def log_norm(m: ScaledMatrix) -> float:
+    """log of the operator norm."""
+    return float(singular_values(m)[0])
+
+
+def log_conorm(m: ScaledMatrix) -> float:
+    """log of the smallest singular value."""
+    return float(singular_values(m)[-1])
+
+
+def slope_tolerance(*certs, floor: float = 1e-9) -> float:
+    """Comparison tolerance for fitted slopes: twice the summed standard
+    errors, floored to keep exact fits comparable."""
+    return max(2.0 * sum(c.slope_stderr for c in certs), floor)
+
+
 def s_dk(m: ScaledMatrix, k: int) -> Subspace:
     """One-matrix reference for the planes of rows extended on the left:
     the span of the bottom (d-k) right singular vectors; needs a gap of

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import gap_margin
-from gapcert.domination import CERTIFIED, REFUTED, _fit_slope, certify, slope_tolerance
+from helpers import gap_margin, log_conorm, log_norm, slope_tolerance
+from gapcert.domination import CERTIFIED, REFUTED, _fit_slope, certify
 from gapcert.errors import NoGapError
 from gapcert.flow import (
     BlockMap,
@@ -35,8 +35,6 @@ from gapcert.linalg import (
     apply_to_subspace,
     evaluate,
     grassmann_distance,
-    log_conorm,
-    log_norm,
     singular_values,
     u_k,
 )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import helpers
-from gapcert import domination, flow, limits
+from gapcert import cli, domination, flow, limits
 from gapcert.cli import main
 from gapcert.config import (
     DEFAULT_SAMPLING,
@@ -663,6 +663,56 @@ def test_cli_report_roundtrip(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "certify: Certified" in printed
     assert main(["report", str(tmp_path / "missing.json")]) == 2
+
+
+def assert_file_error(capsys, argv, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_cli_config_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(z_config()).encode() + b" \xe9")
+    with pytest.raises(ParseError):
+        load_config(str(path))
+    assert_file_error(capsys, ["certify", "--config", str(path)], "not UTF-8")
+
+
+def test_cli_report_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_bytes(b'{"summary": "\xe9"}')
+    assert_file_error(capsys, ["report", str(path)], "not UTF-8")
+
+
+def test_cli_report_not_an_object_is_a_parse_error(tmp_path, capsys):
+    for document in ([1, 2], "Pass", {"summary": []}, {"results": 3}):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(document))
+        assert_file_error(capsys, ["report", str(path)], "not a gapcert report")
+
+
+def test_cli_out_in_a_missing_directory_fails_before_the_run(
+    tmp_path, monkeypatch, capsys
+):
+    def refused(*args):
+        raise AssertionError("ran although the report cannot be written")
+
+    monkeypatch.setattr(cli, "run", refused)
+    monkeypatch.setattr(cli, "reproduce_paper", refused)
+    z_path = write_config(tmp_path, z_config())
+    missing = str(tmp_path / "nowhere" / "report.json")
+    for argv in (["certify", "--config", z_path], ["reproduce-paper"]):
+        assert_file_error(capsys, [*argv, "--out", missing], "no such directory")
+
+
+def test_cli_sweep_out_dir_naming_a_file_is_a_config_error(tmp_path, capsys):
+    z_path = write_config(tmp_path, z_config())
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = ["sweep", z_path, "--out-dir", str(taken), "--quiet"]
+    assert_file_error(capsys, argv, "cannot make --out-dir")
 
 
 def test_cli_task_flags_extend_and_deduplicate(tmp_path):

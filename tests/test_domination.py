@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import helpers
 from gapcert import domination
-from helpers import gap_margin
+from helpers import gap_margin, log_conorm, log_norm
 from gapcert.domination import (
     CERTIFIED,
     INCONCLUSIVE,
@@ -21,7 +21,6 @@ from gapcert.domination import (
     _fit_slope,
     certify,
     margins,
-    slope_tolerance,
 )
 from gapcert.errors import BudgetError
 from gapcert.linalg import (
@@ -345,7 +344,10 @@ def word_margin(rep, w, k):
     for letter in w:
         dual = dual.times(rep.stacked_duals[letter_code(letter)])
     margin, _ = stacked_dual_margins(
-        core, scale, dual.core[None], np.array([dual.logscale]), np.array([logdet]), k
+        np.stack([product.core, dual.core]),
+        np.array([product.logscale, dual.logscale]),
+        np.array([logdet]),
+        k,
     )
     return float(margin[0])
 
@@ -532,8 +534,10 @@ def test_d3_margins_near_the_gap_floor_stay_within_the_bar():
             one = ScaledMatrix.of(rep.image(A_LETTER))
             dual = ScaledMatrix.of(rep.stacked_duals[0])
             _, svd = stacked_dual_margins(
-                one.core[None], np.array([one.logscale]), dual.core[None],
-                np.array([dual.logscale]), rep.stacked_logdets[:1], 1,
+                np.stack([one.core, dual.core]),
+                np.array([one.logscale, dual.logscale]),
+                rep.stacked_logdets[:1],
+                1,
             )
             assert bool(svd[0]) is not closed
         for k in (1, 2):
@@ -592,8 +596,6 @@ def test_conj_margin_drop_bounded(rng):
     from gapcert.words import concat, invert
 
     sample = gamma_p_plus(spec, 4)
-    from gapcert.linalg import log_conorm, log_norm
-
     for beta in reduced_ball(2, 1):
         cost = log_norm(evaluate(rep, beta)) - log_conorm(evaluate(rep, beta))
         cost += log_norm(evaluate(rep, invert(beta))) - log_conorm(

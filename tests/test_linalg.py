@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import gap_margin, s_dk
+from helpers import gap_margin, log_conorm, log_norm, s_dk
 from gapcert.errors import DependentColumnsError, DimensionMismatchError, NoGapError
 from gapcert.linalg import (
     Representation,
@@ -17,8 +17,6 @@ from gapcert.linalg import (
     grassmann_distance,
     _renormalized,
     _renormalized_rows,
-    log_conorm,
-    log_norm,
     renormalized_stack,
     running_products,
     singular_values,
@@ -76,7 +74,8 @@ def test_core_norm_stays_in_band(rng):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_renormalized_stack_matches_single_path(rng):
-    # enough rows that np.log and math.log disagree on some estimate
+    # a large random stack, with rows whose squares overflow or underflow:
+    # every row's core and log scale have the bits of the one-matrix path
     n = 50_000
     cores = rng.normal(size=(n, 3, 3)) * np.exp(rng.uniform(-4, 4, (n, 1, 1)))
     cores[:5] *= 1e200  # the squares overflow
@@ -141,6 +140,57 @@ def test_running_products_extend_as_times_and_compose(rng):
                     current = current.times(factor)
                 assert cores[t, row].tobytes() == current.core.tobytes()
                 assert logscales[t, row] == current.logscale
+
+
+def planted_factors(rng, count=24):
+    """Seeded out-of-band norms, chosen where np.log and math.log differ in
+    the last bit (with AVX-512 about 2 in 10^4 near the band do), with
+    (count, 3, 3) cores of one nonzero entry of that norm: sqrt(x * x) is x
+    exactly, so every renormalization logs x itself.  Where np.log agrees
+    with math.log everywhere, the first draws are planted instead."""
+    stretches = rng.uniform(2.0, 20.0, 100_000)
+    draws = np.concatenate([stretches, 1.0 / stretches])
+    misses = draws[np.log(draws) != np.array([math.log(x) for x in draws.tolist()])]
+    values = np.concatenate([misses, draws])[:count]
+    cores = np.zeros((count, 3, 3))
+    cores[:, 0, 0] = values
+    return values, cores
+
+
+def test_every_renormalization_takes_one_log(rng):
+    # the stack, the few-row step, ScaledMatrix.times and running_products,
+    # each side, give one core and one log scale per planted row, bit for
+    # bit, within 1 ulp of math.log
+    values, cores = planted_factors(rng)
+    zeros = np.zeros(len(values))
+    want_cores, want_scales = renormalized_stack(cores, zeros)
+    logs = np.array([math.log(x) for x in values.tolist()])
+    assert np.all(np.abs(want_scales - logs) <= np.spacing(np.abs(logs)))
+    for row, core in enumerate(cores):
+        one = ScaledMatrix.identity(3).times(core)
+        assert one.core.tobytes() == want_cores[row].tobytes()
+        assert one.logscale == want_scales[row]
+    for rows in range(1, 5):
+        for lo in range(0, len(values) - rows + 1, rows):
+            block = slice(lo, lo + rows)
+            block_cores = cores[block].copy()
+            got_cores, got_scales = _renormalized_rows(block_cores, zeros[block])
+            assert got_cores.tobytes() == want_cores[block].tobytes()
+            assert got_scales.tobytes() == want_scales[block].tobytes()
+    for rows, on_left in ((1, 0), (3, 1), (6, 0), (6, 4)):
+        factors = cores[: len(cores) // rows * rows].reshape(-1, rows, 3, 3)
+        got_cores, got_scales = running_products(
+            np.broadcast_to(np.eye(3), (rows, 3, 3)), np.zeros(rows), factors, on_left
+        )
+        for row in range(rows):
+            current = ScaledMatrix.identity(3)
+            for t, factor in enumerate(factors[:, row]):
+                if row < on_left:
+                    current = ScaledMatrix(factor).compose(current)
+                else:
+                    current = current.times(factor)
+                assert got_cores[t, row].tobytes() == current.core.tobytes()
+                assert got_scales[t, row] == current.logscale
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

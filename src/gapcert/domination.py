@@ -30,6 +30,9 @@ CERTIFIED = "Certified"
 REFUTED = "Refuted"
 INCONCLUSIVE = "Inconclusive"
 
+# A margin of at most GAP_TOLERANCE at this length or longer refutes.
+REFUTE_LENGTH = 6
+
 # Singular-value ratios below machine epsilon are unresolvable, so SVD
 # margins cap out a little above -log(eps) ~= 36.8 for generic dense
 # matrices.  The closed forms of d = 2 and 3 do not; a window margin above
@@ -53,12 +56,10 @@ class CertifyOptions:
 
     lambda_min: least fitted growth rate accepted as domination evidence.
     eps_res: slack allowed below the reported support line on the window.
-    t_refute: an exactly-zero margin at length >= t_refute refutes.
     """
 
     lambda_min: float = 0.02
     eps_res: float = 1e-6
-    t_refute: int = 6
 
 
 @dataclass(frozen=True)
@@ -292,7 +293,7 @@ def _certificate(
     refuted_at = [
         t
         for t in sorted(margin_map)
-        if t >= opts.t_refute and margin_map[t] <= GAP_TOLERANCE
+        if t >= REFUTE_LENGTH and margin_map[t] <= GAP_TOLERANCE
     ]
     if refuted_at:
         counterexample = argmin_map[refuted_at[0]]

@@ -59,16 +59,14 @@ from .linalg import (
     stacked_gap_margins,
     transversality_gap,
 )
-from .subsets import SubsetPSpec, gamma_p_plus, letter_code
+from .subsets import SubsetPSpec, gamma_p_plus
 from .words import (
     EMPTY_WORD,
     BiInfiniteGeodesic,
     BoundaryPoint,
-    Letter,
     ReducedWord,
     concat,
     geodesic_through,
-    invert,
     translate,
 )
 
@@ -100,7 +98,7 @@ class ShiftPoint:
         vertex."""
         if n < 0:
             raise ValueError(f"forward length must be >= 0, got {n}")
-        return concat(invert(self.line.vertex(0)), self.line.vertex(n))
+        return concat(self.line.vertex(0).inverse(), self.line.vertex(n))
 
 
 def shift_point(
@@ -132,7 +130,7 @@ def cocycle(rep: Representation, x: ShiftPoint, n: int) -> ScaledMatrix:
     Satisfies the cocycle law: the time-(n+m) map equals the time-m map
     over the n-shifted point composed with the time-n map.
     """
-    return evaluate(rep, invert(x.forward_word(n)))
+    return evaluate(rep, x.forward_word(n).inverse())
 
 
 def _step_factors(
@@ -143,10 +141,8 @@ def _step_factors(
     the n-th step letter times the time-(n-1) map, a factor on the left;
     the time-n map arriving at x from shift(x, -n) extends on the right by
     the inverse image of the letter n steps back, as cocycle() builds it."""
-    codes = [
-        (letter_code(line.step_letter(n)), letter_code(line.step_letter(-n - 1)))
-        for n in range(start, start + count)
-    ]
+    steps = range(start, start + count)
+    codes = [(line.step_letter(n), line.step_letter(-n - 1)) for n in steps]
     return rep.stacked_images[np.array(codes, dtype=np.intp).reshape(count, 2) ^ 1]
 
 
@@ -401,8 +397,8 @@ def splitting_checks(
     ratio_slope, _, _ = _fit_slope(list(zip(ratio_lengths, ratio_values)))
 
     marker = x.line.vertex(0)
-    fwd = translate(invert(marker), x.line.forward)
-    bwd = translate(invert(marker), x.line.backward)
+    fwd = translate(marker.inverse(), x.line.forward)
+    bwd = translate(marker.inverse(), x.line.backward)
     stable_residual = grassmann_distance(
         sample.stable,
         xi_upper(
@@ -711,7 +707,7 @@ def _perturbed(
     rng = np.random.default_rng((seed, trial))
     return Representation.of(
         [
-            rep.image(Letter(i, 1)) + rng.uniform(-epsilon, epsilon, (rep.dim, rep.dim))
-            for i in range(1, rep.rank + 1)
+            g + rng.uniform(-epsilon, epsilon, (rep.dim, rep.dim))
+            for g in rep.stacked_images[0::2]
         ]
     )

@@ -56,21 +56,15 @@ from .subsets import (
     gamma_p_plus,
     hat,
     is_primitive,
-    letter_code,
     q_plus_boundary,
     word_in_positive_set,
 )
 from .words import (
     BoundaryPoint,
-    Letter,
     ReducedWord,
-    concat,
-    generator,
     gromov_product,
-    invert,
+    least_rotation,
     periodic_point,
-    ray_point,
-    rotate,
     translate,
     visual_distance,
 )
@@ -90,11 +84,7 @@ SMALL_SCALE_PREFIX = 2
 # membership of points and pairs
 
 
-def _least_rotation(w: ReducedWord) -> ReducedWord:
-    return min((rotate(w, i) for i in range(len(w))), key=ReducedWord.sort_key)
-
-
-def _tail_letter_set(x: BoundaryPoint, start: int) -> set[Letter]:
+def _tail_letter_set(x: BoundaryPoint, start: int) -> set[int]:
     """Every letter appearing in the expansion of x at positions >= start."""
     pre = x.preperiod.letters
     return set(pre[start:]) | set(x.period.letters)
@@ -108,7 +98,7 @@ def point_in_forward_set(spec: SubsetPSpec, x: BoundaryPoint) -> bool:
         # a finite head is a shift of the line; only the tail must be directed
         return all(l in spec.steps for l in x.period.letters)
     if isinstance(spec, AxisFamily):
-        return _least_rotation(x.period) in spec.words
+        return least_rotation(x.period) in spec.words
     if isinstance(spec, Primitive):
         return x.period.max_index() <= spec.rank and is_primitive(
             x.period, spec.rank
@@ -126,19 +116,19 @@ def pair_in_subset(spec: SubsetPSpec, x: BoundaryPoint, y: BoundaryPoint) -> boo
     if isinstance(spec, Directed):
         forward_ok = _tail_letter_set(x, junction) <= spec.steps
         backward_ok = all(
-            l.inverse() in spec.steps for l in _tail_letter_set(y, junction)
+            l ^ 1 in spec.steps for l in _tail_letter_set(y, junction)
         )
         return forward_ok and backward_ok
     # axis-like subsets: after removing the shared approach, the pair must
     # be the two ends of one periodic line through the identity
-    approach = invert(x.prefix(junction))
+    approach = x.prefix(junction).inverse()
     px, py = translate(approach, x), translate(approach, y)
     if not (px.preperiod.is_empty() and py.preperiod.is_empty()):
         return False
-    if py.period != invert(px.period):
+    if py.period != px.period.inverse():
         return False
     if isinstance(spec, AxisFamily):
-        return _least_rotation(px.period) in spec.words
+        return least_rotation(px.period) in spec.words
     if isinstance(spec, Primitive):
         return px.period.max_index() <= spec.rank and is_primitive(
             px.period, spec.rank
@@ -202,7 +192,6 @@ def xi_upper(
     n_max: int = DEFAULT_N_MAX,
     certificate: Optional[DominationCertificate] = None,
     cert_budget: int = DEFAULT_CERT_BUDGET,
-    assume_member: bool = False,
 ) -> LimitMapValue:
     """Forward limit plane: attracting k-planes along prefixes of x.
 
@@ -216,7 +205,7 @@ def xi_upper(
     trusted.  Prefixes without a usable singular gap are skipped and
     recorded.
     """
-    if not (assume_member or point_in_forward_set(spec, x)):
+    if not point_in_forward_set(spec, x):
         raise _membership_error(x)
     certificate = _require_certified(rep, spec, k, certificate, cert_budget)
     walk = shared_walk((rep, x, k), lambda: _plane_walk(rep, k, [x]))
@@ -421,14 +410,14 @@ def _prefix_factors(
     """factors(rows, start, count): the images of the letters at positions
     start, ..., start + count - 1 of the points of the given rows, as a
     (count, len(rows), d, d) stack."""
-    # letter codes of each point's preperiod then period, padded into one
-    # array, with the preperiod and period lengths as columns
+    # each point's preperiod then period, padded into one array, with the
+    # preperiod and period lengths as columns
     pre = np.array([len(x.preperiod) for x in points])[:, None]
     per = np.array([len(x.period) for x in points])[:, None]
     spelled = np.zeros((len(points), int((pre + per).max())), dtype=np.intp)
     for row, x in enumerate(points):
         letters = x.preperiod.letters + x.period.letters
-        spelled[row, : len(letters)] = [letter_code(l) for l in letters]
+        spelled[row, : len(letters)] = letters
 
     def factors(rows: np.ndarray, start: int, count: int) -> np.ndarray:
         at = np.arange(start, start + count)
@@ -525,7 +514,6 @@ def xi_lower(
     n_max: int = DEFAULT_N_MAX,
     certificate: Optional[DominationCertificate] = None,
     cert_budget: int = DEFAULT_CERT_BUDGET,
-    assume_member: bool = False,
 ) -> LimitMapValue:
     """Backward limit plane of dimension d-k: the forward map of the
     flipped subset at the complementary index, on the same code path.
@@ -541,7 +529,6 @@ def xi_lower(
         n_max=n_max,
         certificate=certificate,
         cert_budget=cert_budget,
-        assume_member=assume_member,
     )
 
 
@@ -892,14 +879,12 @@ def discontinuity_probe(
     exponents = tuple(exponents)
     if not exponents or any(m < 1 for m in exponents):
         raise ValueError("exponents must be positive")
-    a_word = ReducedWord((generator(1),))
-    b_word = ReducedWord((generator(2),))
+    a_word = ReducedWord((0,))
     spec = AxisFamily(rep.rank, (a_word,))
     certificate = _require_certified(rep, spec, 1, None, cert_budget)
     base_point = periodic_point(a_word)
     approximants = [
-        ray_point(concat(ReducedWord((generator(1),) * m), b_word), a_word)
-        for m in exponents
+        BoundaryPoint(ReducedWord((0,) * m + (2,)), a_word) for m in exponents
     ]
     # every plane in one walk (the points lie in the axis family by
     # construction); a failed point raises when its row is read

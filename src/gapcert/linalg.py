@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import (
     NoGapError,
     ScaleOverflowError,
 )
-from .words import Letter, ReducedWord
+from .words import ReducedWord, letter_to_string
 
 GAP_TOLERANCE = 1e-12
 SUBSPACE_TOLERANCE = 1e-8
@@ -160,11 +160,13 @@ def running_products(
 
 @dataclass(frozen=True, eq=False)
 class Representation:
-    """Generator images of a free group in GL(d, R), inverses precomputed."""
+    """Generator images of a free group in GL(d, R), inverses precomputed:
+    stacked_images is the (2 * rank, d, d) stack of the images in letter-code
+    order, a, A, b, B, ..."""
 
     rank: int
     dim: int
-    images: Mapping[Letter, np.ndarray]
+    stacked_images: np.ndarray
 
     @staticmethod
     def of(generators: Sequence[np.ndarray]) -> "Representation":
@@ -172,7 +174,7 @@ class Representation:
             raise ValueError("need at least one generator image")
         mats = [np.asarray(g, dtype=float) for g in generators]
         dim = mats[0].shape[0]
-        images: dict[Letter, np.ndarray] = {}
+        images = []
         for i, m in enumerate(mats, start=1):
             if m.shape != (dim, dim):
                 raise DimensionMismatchError(
@@ -188,22 +190,15 @@ class Representation:
                 raise ValueError(
                     f"generator {i} is too ill-conditioned to invert reliably"
                 )
-            images[Letter(i, 1)] = m
-            images[Letter(i, -1)] = inv
-        return Representation(len(mats), dim, images)
+            images += [m, inv]
+        return Representation(len(mats), dim, np.stack(images))
 
-    def image(self, letter: Letter) -> np.ndarray:
-        try:
-            return self.images[letter]
-        except KeyError:
-            raise ValueError(f"letter {letter} outside rank {self.rank}") from None
-
-    @cached_property
-    def stacked_images(self) -> np.ndarray:
-        """(2 * rank, d, d) stack of the images in letter-code order:
-        a, A, b, B, ..."""
-        letters = [Letter(i, s) for i in range(1, self.rank + 1) for s in (1, -1)]
-        return np.stack([self.images[letter] for letter in letters])
+    def image(self, letter: int) -> np.ndarray:
+        if not 0 <= letter < 2 * self.rank:
+            raise ValueError(
+                f"letter {letter_to_string(letter)} outside rank {self.rank}"
+            )
+        return self.stacked_images[letter]
 
     @cached_property
     def stacked_logdets(self) -> np.ndarray:
@@ -231,10 +226,9 @@ class Representation:
         factor times the singular ratio at the current length.
         """
         worst_pair = 0.0
-        for i in range(1, self.rank + 1):
-            fwd = float(np.linalg.norm(self.images[Letter(i, 1)], 2))
-            bwd = float(np.linalg.norm(self.images[Letter(i, -1)], 2))
-            worst_pair = max(worst_pair, fwd * bwd)
+        for fwd, bwd in self.stacked_images.reshape(self.rank, 2, self.dim, self.dim):
+            pair = float(np.linalg.norm(fwd, 2)) * float(np.linalg.norm(bwd, 2))
+            worst_pair = max(worst_pair, pair)
         return worst_pair
 
 

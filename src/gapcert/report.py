@@ -495,11 +495,16 @@ def load_report(path: str) -> dict[str, Any]:
 
 
 def format_report(payload: dict[str, Any]) -> str:
-    """Human-readable one-screen rendering of a report document."""
+    """Human-readable one-screen rendering of a report document; entries
+    of an unexpected type are left out."""
+
+    def block(name: str) -> dict:
+        value = payload.get(name)
+        return value if isinstance(value, dict) else {}
+
     lines = [f"gapcert report (version {payload.get('version', '?')})"]
-    summary = payload.get("summary", {})
-    results = payload.get("results", {})
-    for name, result in results.items():
+    summary = block("summary")
+    for name, result in block("results").items():
         verdict = summary.get(name, "?")
         lines.append(f"  {name}: {verdict}")
         if not isinstance(result, dict):
@@ -515,18 +520,21 @@ def format_report(payload: dict[str, Any]) -> str:
             "worst_lambda_hat",
         ):
             value = result.get(key)
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
+            if isinstance(value, float):
                 lines.append(f"    {key} = {value:.12g}")
-        if "checks" in result:
-            for check in result["checks"]:
+            elif isinstance(value, int) and not isinstance(value, bool):
+                lines.append(f"    {key} = {value}")
+        checks = result.get("checks")
+        for check in checks if isinstance(checks, list) else ():
+            if isinstance(check, dict):
                 mark = "ok" if check.get("passed") else "FAIL"
                 lines.append(f"    [{mark}] {check.get('name')}")
         if "error" in result:
             lines.append(f"    error: {result['error']}")
     lines.append(f"overall: {summary.get('overall', '?')}")
-    timings = payload.get("timings")
-    if isinstance(timings, dict) and timings:
-        lines.append(f"elapsed: {sum(timings.values()):.3f}s")
+    seconds = [value for value in block("timings").values() if isinstance(value, float)]
+    if seconds:
+        lines.append(f"elapsed: {sum(seconds):.3f}s")
     return "\n".join(lines)
 
 

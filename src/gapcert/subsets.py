@@ -15,7 +15,7 @@ import math
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -23,13 +23,12 @@ from .errors import BudgetError, EmptyWordError
 from .words import (
     EMPTY_WORD,
     BoundaryPoint,
-    Letter,
     ReducedWord,
     concat,
     cyclic_reduce,
-    invert,
+    least_rotation,
+    letter_to_string,
     periodic_point,
-    ray_point,
     reduce,
     rotate,
     translate,
@@ -38,33 +37,22 @@ from .words import (
 WHITEHEAD_RANK_CAP = 6
 
 
-def letters_of_rank(rank: int) -> list[Letter]:
-    """All 2*rank letters, generators before inverses, by index."""
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-    out = []
-    for i in range(1, rank + 1):
-        out.append(Letter(i, 1))
-        out.append(Letter(i, -1))
-    return out
-
-
-def reduced_ball(rank: int, radius: int) -> list[ReducedWord]:
-    """All reduced words of length <= radius, shortest first."""
+def reduced_ball(letters: Iterable[int], radius: int) -> Iterator[ReducedWord]:
+    """Every reduced word spelled with the given letter codes of length <=
+    radius, one sphere after another; in sort_key order for sorted codes."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    alphabet = letters_of_rank(rank)
-    out = [EMPTY_WORD]
+    letters = sorted(letters)
     sphere = [EMPTY_WORD]
+    yield EMPTY_WORD
     for _ in range(radius):
         sphere = [
             ReducedWord(w.letters + (l,))
             for w in sphere
-            for l in alphabet
-            if not w.letters or l != w.letters[-1].inverse()
+            for l in letters
+            if not w.letters or l != w.letters[-1] ^ 1
         ]
-        out.extend(sphere)
-    return out
+        yield from sphere
 
 
 # ---------------------------------------------------------------------------
@@ -81,19 +69,20 @@ class FullBoundary:
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
 
+    @property
+    def steps(self) -> range:
+        """Every letter code: a line may step along any letter."""
+        return range(2 * self.rank)
+
 
 @dataclass(frozen=True)
 class Directed:
-    """Pairs of endpoints of lines whose forward steps all lie in `steps`.
-
-    By default the step set must not contain a letter together with its
-    inverse; pass allow_inverse_pairs=True to lift that restriction
-    (enumeration only ever needs step-wise reducedness).
-    """
+    """Pairs of endpoints of lines whose forward steps all lie in `steps`,
+    a set of letter codes that may hold a letter together with its inverse
+    (enumeration only ever needs step-wise reducedness)."""
 
     rank: int
-    steps: frozenset[Letter]
-    allow_inverse_pairs: bool = False
+    steps: frozenset[int]
 
     def __post_init__(self):
         object.__setattr__(self, "steps", frozenset(self.steps))
@@ -102,14 +91,9 @@ class Directed:
         if not self.steps:
             raise ValueError("directed step set must be nonempty")
         for l in self.steps:
-            if l.index > self.rank:
-                raise ValueError(f"letter {l} exceeds rank {self.rank}")
-        if not self.allow_inverse_pairs:
-            clash = {l for l in self.steps if l.inverse() in self.steps}
-            if clash:
+            if not 0 <= l < 2 * self.rank:
                 raise ValueError(
-                    "step set contains a letter and its inverse; "
-                    "pass allow_inverse_pairs=True to permit this"
+                    f"letter {letter_to_string(l)} exceeds rank {self.rank}"
                 )
 
 
@@ -135,11 +119,7 @@ class AxisFamily:
                 raise EmptyWordError("axis words must be nonempty")
             if w.max_index() > self.rank:
                 raise ValueError(f"word {w} exceeds rank {self.rank}")
-            core, _ = cyclic_reduce(w)
-            least = min(
-                (rotate(core, i) for i in range(len(core))),
-                key=ReducedWord.sort_key,
-            )
+            least = least_rotation(cyclic_reduce(w)[0])
             if least not in canon:
                 canon.append(least)
         canon.sort(key=ReducedWord.sort_key)
@@ -173,11 +153,7 @@ def hat(spec: SubsetPSpec) -> SubsetPSpec:
     if isinstance(spec, FullBoundary):
         return spec
     if isinstance(spec, Directed):
-        return Directed(
-            spec.rank,
-            frozenset(l.inverse() for l in spec.steps),
-            spec.allow_inverse_pairs,
-        )
+        return Directed(spec.rank, frozenset(l ^ 1 for l in spec.steps))
     if isinstance(spec, AxisFamily):
         return AxisFamily(spec.rank, tuple(w.inverse() for w in spec.words))
     if isinstance(spec, Primitive):
@@ -189,14 +165,6 @@ def hat(spec: SubsetPSpec) -> SubsetPSpec:
 # positive word enumeration
 
 
-def letter_code(letter: Letter) -> int:
-    """Position of a letter in letters_of_rank order: a=0, A=1, b=2, B=3, ...
-
-    Codes sort like Letter.sort_key, and a letter's inverse has code ^ 1.
-    """
-    return 2 * (letter.index - 1) + (letter.sign == -1)
-
-
 Level = tuple[np.ndarray, np.ndarray]
 
 
@@ -206,10 +174,10 @@ class GammaPSample:
 
     levels[t - 1] = (parents, letters) holds the words of length t for
     t = 1..budget in ReducedWord.sort_key order: word i of length t is word
-    parents[i] of length t - 1 followed by the letter coded letters[i]
-    (letter_code).  Length 0 is the empty word alone, so level 1 has every
-    parent 0.  The set is prefix-closed, which is what makes the parent
-    index exist; sorting by (parent, letter) keeps each level in order.
+    parents[i] of length t - 1 followed by the letter letters[i].  Length
+    0 is the empty word alone, so level 1 has every parent 0.  The set is
+    prefix-closed, which is what makes the parent index exist; sorting by
+    (parent, letter) keeps each level in order.
     complete records whether every level provably exhausts the positive set
     at that length.  `axes` are the axis words whose rays spell the set,
     for the axis-type subsets.
@@ -242,10 +210,7 @@ class GammaPSample:
             parents, letters = self.levels[s - 1]
             codes[:, s - 1] = letters[rows]
             rows = parents[rows]
-        alphabet = letters_of_rank(self.spec.rank)
-        return [
-            ReducedWord(tuple(alphabet[c] for c in row)) for row in codes.tolist()
-        ]
+        return [ReducedWord(tuple(row)) for row in codes.tolist()]
 
     def index(self, w: ReducedWord) -> Optional[int]:
         """Position of w within its length's level, or None if absent."""
@@ -255,9 +220,8 @@ class GammaPSample:
         for (parents, letters), letter in zip(self.levels, w.letters):
             lo = int(np.searchsorted(parents, i, "left"))
             hi = int(np.searchsorted(parents, i, "right"))
-            code = letter_code(letter)
-            i = lo + int(np.searchsorted(letters[lo:hi], code))
-            if i == hi or letters[i] != code:
+            i = lo + int(np.searchsorted(letters[lo:hi], letter))
+            if i == hi or letters[i] != letter:
                 return None
         return i
 
@@ -270,7 +234,7 @@ class GammaPSample:
         if isinstance(spec, FullBoundary):
             return _full_witness(w, spec.rank)
         if isinstance(spec, Directed):
-            return _directed_witness(w, sorted(spec.steps, key=Letter.sort_key))
+            return _directed_witness(w, sorted(spec.steps))
         for axis in self.axes:
             for i in range(len(axis)):
                 v = rotate(axis, i)
@@ -301,46 +265,32 @@ class _Bucket(AbstractSet):
         )
 
 
-def _forward_extension(w: ReducedWord, choices: list[Letter]) -> Letter:
+def _forward_extension(w: ReducedWord, choices: Iterable[int]) -> int:
     """A letter continuing w without cancellation; choices must allow one."""
     for c in choices:
-        if w.is_empty() or c != w.letters[-1].inverse():
+        if w.is_empty() or c != w.letters[-1] ^ 1:
             return c
     raise AssertionError(f"no reduced continuation of {w} in {choices}")
 
 
 def _directed_witness(
-    w: ReducedWord, steps: list[Letter]
+    w: ReducedWord, steps: list[int]
 ) -> tuple[BoundaryPoint, BoundaryPoint]:
-    fwd = ray_point(w, ReducedWord((_forward_extension(w, steps),)))
-    back_step = next(s for s in steps if s != w.letters[0].inverse())
-    return periodic_point(ReducedWord((back_step.inverse(),))), fwd
+    fwd = BoundaryPoint(w, ReducedWord((_forward_extension(w, steps),)))
+    back_step = next(s for s in steps if s != w.letters[0] ^ 1)
+    return periodic_point(ReducedWord((back_step ^ 1,))), fwd
 
 
 def _full_witness(
     w: ReducedWord, rank: int
 ) -> tuple[BoundaryPoint, BoundaryPoint]:
-    alphabet = letters_of_rank(rank)
-    fwd = ray_point(w, ReducedWord((_forward_extension(w, alphabet),)))
+    alphabet = range(2 * rank)
+    fwd = BoundaryPoint(w, ReducedWord((_forward_extension(w, alphabet),)))
     back = next(l for l in alphabet if l != w.letters[0])
     return periodic_point(ReducedWord((back,))), fwd
 
 
-def _sphere_words(
-    rank_letters: list[Letter], budget: int
-) -> Iterator[tuple[int, list[ReducedWord]]]:
-    sphere = [EMPTY_WORD]
-    for t in range(1, budget + 1):
-        sphere = [
-            ReducedWord(w.letters + (l,))
-            for w in sphere
-            for l in rank_letters
-            if not w.letters or l != w.letters[-1].inverse()
-        ]
-        yield t, sphere
-
-
-def _free_levels(codes: list[int], budget: int) -> tuple[Level, ...]:
+def _free_levels(codes: Iterable[int], budget: int) -> tuple[Level, ...]:
     """Levels of every reduced word spelled with the given letter codes."""
     step = np.array(sorted(codes), dtype=np.intp)
     parents = np.zeros(len(step), dtype=np.intp)
@@ -359,9 +309,9 @@ def _axis_levels(axes: tuple[ReducedWord, ...], budget: int) -> tuple[Level, ...
     """Levels of the prefixes of the rays w^inf over all rotations w of the
     axis words: the forward vertices of the axes through the identity."""
     rays = {
-        tuple(letter_code(x.letter_at(j)) for j in range(budget))
+        periodic_point(rotate(w, i)).prefix(budget).letters
         for w in axes
-        for x in (periodic_point(rotate(w, i)) for i in range(len(w)))
+        for i in range(len(w))
     }
     index: dict[tuple[int, ...], int] = {(): 0}
     levels = []
@@ -382,15 +332,11 @@ def gamma_p_plus(spec: SubsetPSpec, budget: int) -> GammaPSample:
     if budget < 1:
         raise BudgetError(f"length budget must be >= 1, got {budget}")
 
-    if isinstance(spec, FullBoundary):
-        levels = _free_levels(list(range(2 * spec.rank)), budget)
-        return GammaPSample(spec, budget, levels, True)
-
-    if isinstance(spec, Directed):
-        # every reduced word over the steps lies on a directed line: a step
-        # other than the last letter's inverse continues it, and a step
+    if isinstance(spec, (FullBoundary, Directed)):
+        # every reduced word over the steps lies on a line of the subset: a
+        # step other than the last letter's inverse continues it, and a step
         # other than the first letter's inverse leads into it
-        levels = _free_levels([letter_code(s) for s in spec.steps], budget)
+        levels = _free_levels(spec.steps, budget)
         return GammaPSample(spec, budget, levels, True)
 
     if isinstance(spec, AxisFamily):
@@ -425,8 +371,8 @@ def word_in_positive_set(
         return True
     if sample is None or sample.budget < len(w) + b:
         sample = gamma_p_plus(spec, len(w) + b)
-    for p in reduced_ball(spec.rank, b):
-        segment = concat(invert(p), w)
+    for p in reduced_ball(range(2 * spec.rank), b):
+        segment = concat(p.inverse(), w)
         if segment.is_empty():
             continue
         if segment in sample.buckets.get(len(segment), frozenset()):
@@ -440,21 +386,12 @@ def word_in_positive_set(
 
 def _base_points(spec: SubsetPSpec, max_period: int) -> set[BoundaryPoint]:
     """Forward endpoints of subset lines through the identity, period-bounded."""
-    if isinstance(spec, FullBoundary):
-        out = set()
-        for t, sphere in _sphere_words(letters_of_rank(spec.rank), max_period):
-            out.update(
-                periodic_point(w) for w in sphere if w.is_cyclically_reduced()
-            )
-        return out
-    if isinstance(spec, Directed):
-        steps = sorted(spec.steps, key=Letter.sort_key)
-        out = set()
-        for t, sphere in _sphere_words(steps, max_period):
-            out.update(
-                periodic_point(w) for w in sphere if w.is_cyclically_reduced()
-            )
-        return out
+    if isinstance(spec, (FullBoundary, Directed)):
+        return {
+            periodic_point(w)
+            for w in reduced_ball(spec.steps, max_period)
+            if w and w.is_cyclically_reduced()
+        }
     if isinstance(spec, AxisFamily):
         return {
             periodic_point(rotate(w, i))
@@ -489,9 +426,8 @@ def q_plus_boundary(
     base = _base_points(spec, max_period)
     if b == 0:
         return set(base)
-    rank = spec.rank
     out: set[BoundaryPoint] = set()
-    for g in reduced_ball(rank, b):
+    for g in reduced_ball(range(2 * spec.rank), b):
         out.update(translate(g, x) for x in base)
     return out
 
@@ -503,7 +439,7 @@ def q_plus_boundary(
 def _exponent_gcd(w: ReducedWord, rank: int) -> int:
     sums = [0] * rank
     for l in w.letters:
-        sums[l.index - 1] += l.sign
+        sums[l // 2] += -1 if l & 1 else 1
     g = 0
     for v in sums:
         g = math.gcd(g, abs(v))
@@ -512,34 +448,33 @@ def _exponent_gcd(w: ReducedWord, rank: int) -> int:
 
 def _type_ii_images(core: ReducedWord, rank: int) -> Iterator[ReducedWord]:
     """Cyclic cores of all type-II Whitehead automorphism images of core."""
-    alphabet = letters_of_rank(rank)
+    alphabet = range(2 * rank)
     for a in alphabet:
-        others = [l for l in alphabet if l.index != a.index]
+        others = [l for l in alphabet if l // 2 != a // 2]
         for bits in range(1 << len(others)):
             chosen = {others[j] for j in range(len(others)) if bits >> j & 1}
             chosen.add(a)
             images = {}
-            for i in range(1, rank + 1):
-                x = Letter(i, 1)
-                if i == a.index:
-                    images[i] = (x,)
+            for x in alphabet[::2]:
+                if x == a & ~1:
+                    images[x] = (x,)
                     continue
-                pos, neg = x in chosen, x.inverse() in chosen
+                pos, neg = x in chosen, x ^ 1 in chosen
                 if pos and neg:
-                    images[i] = (a.inverse(), x, a)
+                    images[x] = (a ^ 1, x, a)
                 elif pos:
-                    images[i] = (x, a)
+                    images[x] = (x, a)
                 elif neg:
-                    images[i] = (a.inverse(), x)
+                    images[x] = (a ^ 1, x)
                 else:
-                    images[i] = (x,)
-            spelled: list[Letter] = []
+                    images[x] = (x,)
+            spelled: list[int] = []
             for l in core.letters:
-                img = images[l.index]
-                if l.sign == 1:
-                    spelled.extend(img)
+                img = images[l & ~1]
+                if l & 1:
+                    spelled.extend(m ^ 1 for m in reversed(img))
                 else:
-                    spelled.extend(m.inverse() for m in reversed(img))
+                    spelled.extend(img)
             image_core, _ = cyclic_reduce(reduce(spelled))
             yield image_core
 
@@ -582,16 +517,13 @@ def enumerate_primitive_classes(rank: int, max_len: int) -> list[ReducedWord]:
         raise BudgetError("max_len must be >= 1")
     reps: list[ReducedWord] = []
     seen: set[ReducedWord] = set()
-    for t, sphere in _sphere_words(letters_of_rank(rank), max_len):
-        for w in sphere:
-            if not w.is_cyclically_reduced():
-                continue
-            canon = min(
-                (rotate(w, i) for i in range(len(w))), key=ReducedWord.sort_key
-            )
-            if canon in seen:
-                continue
-            seen.add(canon)
-            if is_primitive(canon, rank):
-                reps.append(canon)
+    for w in reduced_ball(range(2 * rank), max_len):
+        if not w or not w.is_cyclically_reduced():
+            continue
+        canon = least_rotation(w)
+        if canon in seen:
+            continue
+        seen.add(canon)
+        if is_primitive(canon, rank):
+            reps.append(canon)
     return reps

@@ -1,10 +1,12 @@
 """Reduced words in a free group, boundary points of its Cayley tree and
 bi-infinite geodesics through it.
 
-Letters are generator/inverse symbols, words are freely reduced tuples of
-letters, and boundary points are eventually periodic infinite reduced words
-kept in a canonical (shortest preperiod, primitive period) form so that
-equality is decidable by comparing fields.
+A letter is an integer code: 2 (i - 1) for the i-th generator and
+2 (i - 1) + 1 for its inverse, so a letter's inverse is code ^ 1 and codes
+sort a < A < b < B < ...  Words are freely reduced tuples of codes, and
+boundary points are eventually periodic infinite reduced words kept in a
+canonical (shortest preperiod, primitive period) form so that equality is
+decidable by comparing fields.
 """
 
 from __future__ import annotations
@@ -22,53 +24,35 @@ from .errors import (
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
-class Letter:
-    """One generator (sign +1) or inverse generator (sign -1), 1-based index."""
-
-    index: int
-    sign: int
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"letter index must be >= 1, got {self.index}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {self.sign}")
-
-    def inverse(self) -> "Letter":
-        return Letter(self.index, -self.sign)
-
-    # Sort generators before their inverses: a < A < b < B ...
-    def sort_key(self) -> tuple[int, int]:
-        return (self.index, 0 if self.sign == 1 else 1)
-
-    def __str__(self) -> str:
-        if self.index > len(_ALPHABET):
-            return f"x{self.index}" + ("" if self.sign == 1 else "^-1")
-        ch = _ALPHABET[self.index - 1]
-        return ch if self.sign == 1 else ch.upper()
-
-
-def generator(index: int) -> Letter:
-    """The positive generator with the given 1-based index."""
-    return Letter(index, 1)
+def letter_to_string(letter: int) -> str:
+    """A letter code as text: lowercase generators, uppercase inverses, and
+    x27 / x27^-1 past the alphabet."""
+    if letter < 0:
+        raise ValueError(f"letter codes are >= 0, got {letter}")
+    index, inverse = divmod(letter, 2)
+    if index >= len(_ALPHABET):
+        return f"x{index + 1}" + ("^-1" if inverse else "")
+    return _ALPHABET[index].upper() if inverse else _ALPHABET[index]
 
 
 @dataclass(frozen=True)
 class ReducedWord:
     """A freely reduced word; the constructor rejects adjacent cancellations."""
 
-    letters: tuple[Letter, ...] = ()
+    letters: tuple[int, ...] = ()
 
     def __post_init__(self):
         for u, v in zip(self.letters, self.letters[1:]):
-            if u == v.inverse():
-                raise ValueError(f"word is not freely reduced at {u}{v}")
+            if u == v ^ 1:
+                raise ValueError(
+                    "word is not freely reduced at "
+                    f"{letter_to_string(u)}{letter_to_string(v)}"
+                )
 
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __iter__(self) -> Iterator[Letter]:
+    def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
 
     def __getitem__(self, i):
@@ -85,7 +69,7 @@ class ReducedWord:
         return not self.letters
 
     def inverse(self) -> "ReducedWord":
-        return ReducedWord(tuple(l.inverse() for l in reversed(self.letters)))
+        return ReducedWord(tuple(l ^ 1 for l in reversed(self.letters)))
 
     def prefix(self, m: int) -> "ReducedWord":
         if not 0 <= m <= len(self.letters):
@@ -94,26 +78,26 @@ class ReducedWord:
 
     def max_index(self) -> int:
         """Largest generator index used (0 for the empty word)."""
-        return max((l.index for l in self.letters), default=0)
+        return max(self.letters) // 2 + 1 if self.letters else 0
 
     def sort_key(self) -> tuple:
-        """Total order: by length, then letterwise generator-before-inverse."""
-        return (len(self.letters), tuple(l.sort_key() for l in self.letters))
+        """Total order: by length, then letterwise by code (a < A < b < B)."""
+        return (len(self.letters), self.letters)
 
     def is_cyclically_reduced(self) -> bool:
         if len(self.letters) < 2:
             return True
-        return self.letters[0] != self.letters[-1].inverse()
+        return self.letters[0] != self.letters[-1] ^ 1
 
 
 EMPTY_WORD = ReducedWord()
 
 
-def reduce(letters: Iterable[Letter]) -> ReducedWord:
+def reduce(letters: Iterable[int]) -> ReducedWord:
     """Freely reduce an arbitrary letter sequence (stack cancellation)."""
-    stack: list[Letter] = []
+    stack: list[int] = []
     for l in letters:
-        if stack and stack[-1] == l.inverse():
+        if stack and stack[-1] == l ^ 1:
             stack.pop()
         else:
             stack.append(l)
@@ -124,13 +108,9 @@ def concat(u: ReducedWord, v: ReducedWord) -> ReducedWord:
     """Product u*v in the free group, freely reduced."""
     i = 0
     limit = min(len(u), len(v))
-    while i < limit and u.letters[len(u) - 1 - i] == v.letters[i].inverse():
+    while i < limit and u.letters[len(u) - 1 - i] == v.letters[i] ^ 1:
         i += 1
     return ReducedWord(u.letters[: len(u) - i] + v.letters[i:])
-
-
-def invert(w: ReducedWord) -> ReducedWord:
-    return w.inverse()
 
 
 def cyclic_reduce(w: ReducedWord) -> tuple[ReducedWord, ReducedWord]:
@@ -139,7 +119,7 @@ def cyclic_reduce(w: ReducedWord) -> tuple[ReducedWord, ReducedWord]:
         raise EmptyWordError("cannot cyclically reduce the empty word")
     letters = w.letters
     i = 0
-    while len(letters) - 2 * i >= 2 and letters[i] == letters[-1 - i].inverse():
+    while len(letters) - 2 * i >= 2 and letters[i] == letters[-1 - i] ^ 1:
         i += 1
     return ReducedWord(letters[i : len(letters) - i]), ReducedWord(letters[:i])
 
@@ -154,26 +134,34 @@ def rotate(w: ReducedWord, shift: int) -> ReducedWord:
     return ReducedWord(w.letters[s:] + w.letters[:s])
 
 
+def least_rotation(w: ReducedWord) -> ReducedWord:
+    """The least rotation of a cyclically reduced word in sort_key order: one
+    representative per conjugacy class."""
+    return min((rotate(w, i) for i in range(len(w))), key=ReducedWord.sort_key)
+
+
 def word_to_string(w: ReducedWord) -> str:
     """ASCII form: lowercase generators, uppercase inverses (rank <= 26)."""
     if w.max_index() > len(_ALPHABET):
         raise ValueError("ASCII form only supports generator indices up to 26")
-    return "".join(str(l) for l in w.letters)
+    return "".join(letter_to_string(l) for l in w.letters)
 
 
-def parse_letter(ch: str) -> Letter:
-    low = ch.lower()
-    if len(ch) != 1 or low not in _ALPHABET:
+def parse_letter(ch: str) -> int:
+    """The code of one ASCII letter: a -> 0, A -> 1, b -> 2, ..."""
+    if not (isinstance(ch, str) and len(ch) == 1 and ch.lower() in _ALPHABET):
         raise ValueError(f"invalid letter character {ch!r}")
-    return Letter(_ALPHABET.index(low) + 1, 1 if ch.islower() else -1)
+    return 2 * _ALPHABET.index(ch.lower()) + ch.isupper()
 
 
 def parse_word(s: str) -> ReducedWord:
     """Parse an ASCII word; raises ValueError if not freely reduced."""
+    if not isinstance(s, str):
+        raise ValueError(f"expected a word string, got {s!r}")
     return ReducedWord(tuple(parse_letter(ch) for ch in s.strip()))
 
 
-def _primitive_root(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+def _primitive_root(letters: tuple[int, ...]) -> tuple[int, ...]:
     """Shortest u with letters = u^m (as a plain sequence)."""
     n = len(letters)
     for p in range(1, n + 1):
@@ -204,14 +192,14 @@ class BoundaryPoint:
             pre.pop()
             per = [per[-1]] + per[:-1]
         # Junction checks: the spelled infinite word must be reduced.
-        if pre and pre[-1] == per[0].inverse():
+        if pre and pre[-1] == per[0] ^ 1:
             raise ValueError("preperiod/period junction cancels")
-        if per[0] == per[-1].inverse():
+        if per[0] == per[-1] ^ 1:
             raise ValueError("period is not cyclically reduced")
         object.__setattr__(self, "preperiod", ReducedWord(tuple(pre)))
         object.__setattr__(self, "period", ReducedWord(tuple(per)))
 
-    def letter_at(self, i: int) -> Letter:
+    def letter_at(self, i: int) -> int:
         """Letter i (0-based) of the spelled infinite word."""
         if i < 0:
             raise ValueError("boundary point letters are indexed from 0")
@@ -250,11 +238,6 @@ def periodic_point(w: ReducedWord) -> BoundaryPoint:
     if not w.is_cyclically_reduced():
         raise ValueError("periodic point needs a cyclically reduced word")
     return BoundaryPoint(EMPTY_WORD, w)
-
-
-def ray_point(preperiod: ReducedWord, period: ReducedWord) -> BoundaryPoint:
-    """Boundary point preperiod.(period)^inf; arguments need not be canonical."""
-    return BoundaryPoint(preperiod, period)
 
 
 def translate(g: ReducedWord, x: BoundaryPoint) -> BoundaryPoint:
@@ -326,12 +309,12 @@ class BiInfiniteGeodesic:
             return self.forward.prefix(self._branch + s)
         return self.backward.prefix(self._branch - s)
 
-    def step_letter(self, t: int) -> Letter:
+    def step_letter(self, t: int) -> int:
         """Letter labelling the edge vertex(t) -> vertex(t + 1)."""
         s = self.origin_offset + t
         if s >= 0:
             return self.forward.letter_at(self._branch + s)
-        return self.backward.letter_at(self._branch - s - 1).inverse()
+        return self.backward.letter_at(self._branch - s - 1) ^ 1
 
     def reparametrize(self, shift: int) -> "BiInfiniteGeodesic":
         """Move the origin: the new vertex(0) is the old vertex(shift)."""

@@ -26,28 +26,28 @@ from gapcert.linalg import (
     u_k,
 )
 from gapcert.subsets import AxisFamily, Directed, FullBoundary, Primitive
-from gapcert.words import BoundaryPoint, Letter, ReducedWord, gromov_product, translate
+from gapcert.words import BoundaryPoint, ReducedWord, gromov_product, translate
 
 # ---------------------------------------------------------------------------
 # word oracles
 
 
-def naive_reduce(letters) -> tuple[Letter, ...]:
+def naive_reduce(letters) -> tuple[int, ...]:
     """Quadratic free reduction by repeated single-pair cancellation."""
     out = list(letters)
     changed = True
     while changed:
         changed = False
         for i in range(len(out) - 1):
-            if out[i] == out[i + 1].inverse():
+            if out[i] == out[i + 1] ^ 1:
                 del out[i : i + 2]
                 changed = True
                 break
     return tuple(out)
 
 
-def naive_inverse(letters) -> tuple[Letter, ...]:
-    return tuple(l.inverse() for l in reversed(letters))
+def naive_inverse(letters) -> tuple[int, ...]:
+    return tuple(l ^ 1 for l in reversed(letters))
 
 
 def naive_distance(u: ReducedWord, v: ReducedWord) -> int:
@@ -65,7 +65,7 @@ def naive_median(u: ReducedWord, v: ReducedWord, w: ReducedWord) -> ReducedWord:
     return ReducedWord(naive_reduce(u.letters + path))
 
 
-def expand_point(pre, per, n: int) -> tuple[Letter, ...]:
+def expand_point(pre, per, n: int) -> tuple[int, ...]:
     """First n letters of the infinite word pre.(per)^inf, from raw pieces."""
     out = list(pre)
     i = 0
@@ -75,7 +75,7 @@ def expand_point(pre, per, n: int) -> tuple[Letter, ...]:
     return tuple(out[:n])
 
 
-def point_letters(x: BoundaryPoint, n: int) -> tuple[Letter, ...]:
+def point_letters(x: BoundaryPoint, n: int) -> tuple[int, ...]:
     return tuple(x.letter_at(i) for i in range(n))
 
 
@@ -213,17 +213,18 @@ def s_dk(m: ScaledMatrix, k: int) -> Subspace:
 
 
 def letters(rank: int = 2):
-    return st.builds(Letter, st.integers(1, rank), st.sampled_from((1, -1)))
+    """Letter codes of the given rank: a = 0, A = 1, b = 2, ..."""
+    return st.integers(0, 2 * rank - 1)
 
 
 @st.composite
 def reduced_words(draw, rank: int = 2, min_len: int = 0, max_len: int = 8):
     n = draw(st.integers(min_len, max_len))
-    out: list[Letter] = []
+    out: list[int] = []
     for _ in range(n):
         l = draw(letters(rank))
-        if out and l == out[-1].inverse():
-            l = l.inverse()  # flip instead of cancelling; keeps length exact
+        if out and l == out[-1] ^ 1:
+            l ^= 1  # flip instead of cancelling; keeps length exact
         out.append(l)
     return ReducedWord(tuple(out))
 
@@ -231,7 +232,7 @@ def reduced_words(draw, rank: int = 2, min_len: int = 0, max_len: int = 8):
 @st.composite
 def cyclically_reduced_words(draw, rank: int = 2, min_len: int = 1, max_len: int = 6):
     keep = list(draw(reduced_words(rank, max(min_len, 1), max_len)).letters)
-    while len(keep) >= 2 and keep[0] == keep[-1].inverse():
+    while len(keep) >= 2 and keep[0] == keep[-1] ^ 1:
         keep.pop()
     return ReducedWord(tuple(keep))
 
@@ -241,7 +242,7 @@ def boundary_points(draw, rank: int = 2, max_pre: int = 4, max_per: int = 4):
     per = draw(cyclically_reduced_words(rank, 1, max_per))
     pre = draw(reduced_words(rank, 0, max_pre))
     keep = list(pre.letters)
-    while keep and keep[-1] == per.letters[0].inverse():
+    while keep and keep[-1] == per.letters[0] ^ 1:
         keep.pop()  # drop letters that would cancel into the period
     return BoundaryPoint(ReducedWord(tuple(keep)), per)
 
@@ -260,7 +261,7 @@ def reps_and_subsets(draw):
         spec = FullBoundary(rank)
     elif kind == "directed":
         steps = draw(st.sets(letters(rank), min_size=1))
-        spec = Directed(rank, frozenset(steps), allow_inverse_pairs=True)
+        spec = Directed(rank, frozenset(steps))
     elif kind == "axis":
         axis = cyclically_reduced_words(rank, 1, 4)
         words = draw(st.lists(axis, min_size=1, max_size=3))
@@ -364,7 +365,7 @@ def forward_maps(rep, x, count):
     time-(n-1) map, extended on the left with ScaledMatrix.compose."""
     current = ScaledMatrix.identity(rep.dim)
     for t in range(count):
-        step = ScaledMatrix(rep.image(x.line.step_letter(t).inverse()))
+        step = ScaledMatrix(rep.image(x.line.step_letter(t) ^ 1))
         current = step.compose(current)
         yield current
 
@@ -374,7 +375,7 @@ def backward_maps(rep, x, count):
     time, each extending the last on the right as cocycle() builds it."""
     current = ScaledMatrix.identity(rep.dim)
     for n in range(1, count + 1):
-        current = current.times(rep.image(x.line.step_letter(-n).inverse()))
+        current = current.times(rep.image(x.line.step_letter(-n) ^ 1))
         yield current
 
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import helpers
 from gapcert import cli, domination, flow, limits
@@ -118,6 +120,35 @@ def test_config_subset_ingredient_errors_are_wrapped():
             schottky_config(subset={"type": "directed", "steps": ["a", "q"]})
         )
     assert err.value.field == "subset(directed)"
+
+
+@pytest.mark.parametrize(
+    "subset",
+    [{"type": "directed", "steps": ["a", 1]}, {"type": "axis", "words": [["a"]]}],
+)
+def test_cli_non_string_letters_and_words_are_config_errors(tmp_path, capsys, subset):
+    path = write_config(tmp_path, schottky_config(subset=subset))
+    assert main(["certify", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_directed_inverse_pair_certifies_as_the_axis(tmp_path):
+    # a = diag(5, 1/5) and its inverse have the same gaps, so the lines
+    # stepping along a or along A have the margins of the a-axis
+    blocks = []
+    for subset in (
+        {"type": "directed", "steps": ["a", "A"]},
+        {"type": "axis", "words": ["a"]},
+    ):
+        path = write_config(tmp_path, schottky_config(subset=subset))
+        out = str(tmp_path / "report.json")
+        assert main(["certify", "--config", path, "--out", out, "--quiet"]) == 0
+        blocks.append(load_report(out)["results"]["certify"])
+    directed, axis = blocks
+    assert directed["verdict"] == axis["verdict"] == "Certified"
+    assert directed["margins"] == axis["margins"]
+    assert directed["lambda_hat"] == axis["lambda_hat"]
 
 
 def test_config_missing_seed():
@@ -691,6 +722,42 @@ def test_cli_report_not_an_object_is_a_parse_error(tmp_path, capsys):
         path = tmp_path / "report.json"
         path.write_text(json.dumps(document))
         assert_file_error(capsys, ["report", str(path)], "not a gapcert report")
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"results": {"certify": {"checks": [1]}}},
+        {"results": {"certify": {"checks": "ab"}}},
+        {"timings": {"a": "x"}},
+    ],
+)
+def test_cli_report_renders_only_well_typed_entries(tmp_path, capsys, document):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(document))
+    assert main(["report", str(path)]) == 0
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    assert "overall: ?" in printed.out
+    assert "[" not in printed.out and "elapsed" not in printed.out
+
+
+_REPORT_KEYS = st.sampled_from(
+    ("version", "summary", "results", "timings", "overall", "certify", "checks",
+     "name", "passed", "error", "lambda_hat", "iterations")
+) | st.text(max_size=3)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_REPORT_KEYS, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(st.dictionaries(_REPORT_KEYS, _JSON_VALUES, max_size=5))
+def test_format_report_renders_any_json_document(document):
+    text = format_report(document)
+    assert text.startswith("gapcert report") and "overall: " in text
 
 
 def test_cli_out_in_a_missing_directory_fails_before_the_run(

@@ -16,6 +16,7 @@ from helpers import gap_margin, log_conorm, log_norm
 from gapcert.domination import (
     CERTIFIED,
     INCONCLUSIVE,
+    REFUTE_LENGTH,
     REFUTED,
     CertifyOptions,
     _fit_slope,
@@ -38,13 +39,12 @@ from gapcert.subsets import (
     Primitive,
     gamma_p_plus,
     hat,
-    letter_code,
 )
-from gapcert.words import Letter, parse_word
+from gapcert.words import parse_word
 
 LOG8 = math.log(8.0)
-A_LETTER = Letter(1, 1)
-B_LETTER = Letter(2, 1)
+A_LETTER = 0  # the letter codes of a and b
+B_LETTER = 2
 
 
 def z_rep():
@@ -146,8 +146,9 @@ def test_z_refuted_k2():
 
 
 def test_low_scale_is_inconclusive_not_refuted():
-    # zero margins only below t_refute: no refutation, no growth either
-    cert = certify(z_rep(), z_axis(), 2, 4, CertifyOptions(t_refute=6))
+    # zero margins only below REFUTE_LENGTH: no refutation, no growth either
+    assert REFUTE_LENGTH == 6
+    cert = certify(z_rep(), z_axis(), 2, 4)
     assert cert.verdict == INCONCLUSIVE
     assert cert.counterexample is None
 
@@ -156,7 +157,7 @@ def test_positive_pair_directed_certified():
     rep = Representation.of(
         [np.array([[3.0, 1.0], [1.0, 1.0]]), np.array([[3.0, 0.0], [1.0, 1.0]])]
     )
-    spec = Directed(2, frozenset({A_LETTER, B_LETTER}), allow_inverse_pairs=True)
+    spec = Directed(2, frozenset({A_LETTER, B_LETTER}))
     cert = certify(rep, spec, 1, 12)
     assert cert.verdict == CERTIFIED
     assert cert.lambda_hat > 0.0
@@ -165,12 +166,12 @@ def test_positive_pair_directed_certified():
 
 def test_directed_empty_steps():
     with pytest.raises(ValueError, match="nonempty"):
-        Directed(2, frozenset(), allow_inverse_pairs=True)
+        Directed(2, frozenset())
 
 
 def test_directed_inverse_pair_matches_axis():
     rep = example_56_rep()
-    mixed = Directed(2, frozenset({Letter(1, 1), Letter(1, -1)}), True)
+    mixed = Directed(2, frozenset({A_LETTER, A_LETTER ^ 1}))
     got = margins(rep, mixed, 1, 8)
     expect = margins(rep, AxisFamily(2, (parse_word("a"),)), 1, 8)
     assert set(got) == set(expect)
@@ -336,13 +337,13 @@ def word_margin(rep, w, k):
         return gap_margin(product, k)
     logdet = 0.0
     for letter in w:
-        logdet = logdet + rep.stacked_logdets[letter_code(letter)]
+        logdet = logdet + rep.stacked_logdets[letter]
     core, scale = product.core[None], np.array([product.logscale])
     if rep.dim == 2:
         return float(stacked_det_margins(core, scale, np.array([logdet]))[0])
     dual = ScaledMatrix.identity(3)
     for letter in w:
-        dual = dual.times(rep.stacked_duals[letter_code(letter)])
+        dual = dual.times(rep.stacked_duals[letter])
     margin, _ = stacked_dual_margins(
         np.stack([product.core, dual.core]),
         np.array([product.logscale, dual.logscale]),
@@ -422,7 +423,7 @@ def test_d2_margins_are_inversion_dual(rng):
     specs = (
         FullBoundary(2),
         directed_ab(),
-        Directed(2, frozenset({A_LETTER, Letter(2, -1)})),
+        Directed(2, frozenset({A_LETTER, B_LETTER ^ 1})),
         AxisFamily(2, (parse_word("aab"),)),
         Primitive(2, 3),
     )
@@ -503,7 +504,7 @@ def test_d3_margins_are_inversion_dual(rng):
     specs = (
         FullBoundary(2),
         directed_ab(),
-        Directed(2, frozenset({A_LETTER, Letter(2, -1)})),
+        Directed(2, frozenset({A_LETTER, B_LETTER ^ 1})),
         AxisFamily(2, (parse_word("aab"),)),
         Primitive(2, 3),
     )
@@ -593,18 +594,18 @@ def test_conj_margin_drop_bounded(rng):
     )
     spec = Directed(2, frozenset({A_LETTER, B_LETTER}))
     from gapcert.subsets import gamma_p_plus, reduced_ball
-    from gapcert.words import concat, invert
+    from gapcert.words import concat
 
     sample = gamma_p_plus(spec, 4)
-    for beta in reduced_ball(2, 1):
+    for beta in reduced_ball(range(4), 1):
         cost = log_norm(evaluate(rep, beta)) - log_conorm(evaluate(rep, beta))
-        cost += log_norm(evaluate(rep, invert(beta))) - log_conorm(
-            evaluate(rep, invert(beta))
+        cost += log_norm(evaluate(rep, beta.inverse())) - log_conorm(
+            evaluate(rep, beta.inverse())
         )
         for w in list(sample.words())[:20]:
             plain = gap_margin(evaluate(rep, w), 1)
             wrapped = gap_margin(
-                evaluate(rep, concat(concat(beta, w), invert(beta))), 1
+                evaluate(rep, concat(concat(beta, w), beta.inverse())), 1
             )
             assert wrapped >= plain - cost - 1e-9
 

@@ -57,15 +57,14 @@ from gapcert.subsets import (
 )
 from gapcert.words import (
     BiInfiniteGeodesic,
-    Letter,
     parse_boundary_point,
     parse_word,
     periodic_point,
 )
 
 LOG8 = math.log(8.0)
-A = Letter(1, 1)
-B = Letter(2, 1)
+A = 0  # the letter codes of a and b
+B = 2
 
 
 def z_rep():
@@ -747,8 +746,8 @@ def perturbed(rep, epsilon, seed, trial):
     rng = np.random.default_rng((seed, trial))
     return Representation.of(
         [
-            rep.image(Letter(i, 1)) + rng.uniform(-epsilon, epsilon, (rep.dim, rep.dim))
-            for i in range(1, rep.rank + 1)
+            rep.image(2 * i) + rng.uniform(-epsilon, epsilon, (rep.dim, rep.dim))
+            for i in range(rep.rank)
         ]
     )
 

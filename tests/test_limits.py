@@ -40,9 +40,15 @@ from gapcert.linalg import (
     evaluate,
     grassmann_distance,
 )
-from gapcert.subsets import AxisFamily, Directed, gamma_p_plus, hat, q_plus_boundary
+from gapcert.subsets import (
+    AxisFamily,
+    Directed,
+    FullBoundary,
+    gamma_p_plus,
+    hat,
+    q_plus_boundary,
+)
 from gapcert.words import (
-    Letter,
     parse_boundary_point,
     parse_word,
     periodic_point,
@@ -50,8 +56,8 @@ from gapcert.words import (
 )
 
 LOG8 = math.log(8.0)
-A = Letter(1, 1)
-B = Letter(2, 1)
+A = 0  # the letter codes of a and b
+B = 2
 
 
 def z_rep():
@@ -190,13 +196,14 @@ def test_xi_membership_and_certificate_gates():
 
 def test_xi_no_usable_gap_reports_prefix():
     rep, axis = example_56_rep(), a_axis_f2()
-    # rotations never develop a gap; bypass membership to exercise the error
-    with pytest.raises(NoGapError) as err:
-        xi_upper(
-            rep, axis, 1, periodic_point(parse_word("b")),
-            n_max=20, assume_member=True,
-        )
-    assert "b" in str(err.value)
+    rate = certify(rep, axis, 1, 8).lambda_hat
+    # rotations never develop a gap; (b) lies outside the axis family, so
+    # read its planes past xi_upper's membership gate
+    (outcome,) = limits._limit_planes(
+        rep, 1, [periodic_point(parse_word("b"))], rate, limits.DEFAULT_TOL, 20
+    )
+    assert isinstance(outcome, NoGapError)
+    assert "b" in str(outcome)
 
 
 def test_xi_refuses_premature_convergence():
@@ -715,8 +722,8 @@ def test_shared_walks_walk_each_plane_once_and_read_every_tolerance(monkeypatch)
         with pytest.raises(MembershipError):
             xi_upper(rep, spec, 1, periodic_point(parse_word("A")), certificate=cert)
         # the backward plane of the same point at the same index is the
-        # same walk
-        xi_lower(rep, spec, 1, x, assume_member=True)
+        # same walk (x is a backward endpoint of the full boundary)
+        xi_lower(rep, FullBoundary(2), 1, x)
     assert len(walks) == 1
     with limits.shared_walks():
         xi_upper(rep, spec, 1, x, 1e-8, certificate=cert)

@@ -226,8 +226,11 @@ def test_representation_validation():
         Representation.of([np.array([[1.0, np.inf], [0.0, 1.0]])])
     rep = Representation.of([np.diag([2.0, 0.5])])
     assert np.allclose(rep.image(parse_word("A")[0]), np.diag([0.5, 2.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="letter b outside rank 1"):
         rep.image(parse_word("b")[0])
+    # past the alphabet the message names the letter by its index
+    with pytest.raises(ValueError, match="letter x27\\^-1 outside rank 1"):
+        rep.image(53)
 
 
 # ---------------------------------------------------------------------------

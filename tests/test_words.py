@@ -16,19 +16,17 @@ from gapcert.words import (
     EMPTY_WORD,
     BiInfiniteGeodesic,
     BoundaryPoint,
-    Letter,
     ReducedWord,
     boundary_point_to_string,
     concat,
     cyclic_reduce,
     geodesic_through,
-    generator,
     gromov_product,
-    invert,
+    letter_to_string,
     parse_boundary_point,
+    parse_letter,
     parse_word,
     periodic_point,
-    ray_point,
     reduce,
     rotate,
     translate,
@@ -36,8 +34,8 @@ from gapcert.words import (
     word_to_string,
 )
 
-A = generator(1)
-B = generator(2)
+A = 0  # the letter codes of a and b
+B = 2
 
 
 # ---------------------------------------------------------------------------
@@ -45,19 +43,27 @@ B = generator(2)
 
 
 def test_letter_basics():
-    assert A.inverse() == Letter(1, -1)
-    assert A.inverse().inverse() == A
-    assert str(A) == "a" and str(A.inverse()) == "A"
-    assert A.sort_key() < A.inverse().sort_key() < B.sort_key()
+    assert A ^ 1 == parse_letter("A")
+    assert A ^ 1 ^ 1 == A
+    assert letter_to_string(A) == "a" and letter_to_string(A ^ 1) == "A"
+    assert A < A ^ 1 < B
     with pytest.raises(ValueError):
-        Letter(0, 1)
+        parse_letter("1")
     with pytest.raises(ValueError):
-        Letter(1, 2)
+        parse_letter("ab")
+    with pytest.raises(ValueError):
+        letter_to_string(-1)
+
+
+def test_letters_past_the_alphabet_print_indexed():
+    assert letter_to_string(52) == "x27" and letter_to_string(53) == "x27^-1"
+    with pytest.raises(ValueError, match="not freely reduced at x27x27\\^-1"):
+        ReducedWord((52, 53))
 
 
 def test_word_construction_rejects_cancellation():
     with pytest.raises(ValueError):
-        ReducedWord((A, A.inverse()))
+        ReducedWord((A, A ^ 1))
     with pytest.raises(ValueError):
         parse_word("abBc")
 
@@ -93,9 +99,9 @@ def test_concat_associative(u, v, w):
 
 @given(helpers.reduced_words(rank=3))
 def test_inverse_is_inverse(w):
-    assert concat(w, invert(w)) == EMPTY_WORD
-    assert concat(invert(w), w) == EMPTY_WORD
-    assert invert(invert(w)) == w
+    assert concat(w, w.inverse()) == EMPTY_WORD
+    assert concat(w.inverse(), w) == EMPTY_WORD
+    assert w.inverse().inverse() == w
 
 
 def test_cyclic_reduce_examples():
@@ -110,14 +116,14 @@ def test_cyclic_reduce_properties(w):
     core, conj = cyclic_reduce(w)
     assert not core.is_empty()
     assert core.is_cyclically_reduced()
-    assert concat(concat(conj, core), invert(conj)) == w
+    assert concat(concat(conj, core), conj.inverse()) == w
 
 
 @given(helpers.cyclically_reduced_words(rank=3), st.integers(-6, 6))
 def test_rotate_is_conjugation(w, s):
     r = rotate(w, s)
     p = w.prefix(s % len(w))
-    assert r == concat(concat(invert(p), w), p)
+    assert r == concat(concat(p.inverse(), w), p)
     assert len(r) == len(w)
 
 
@@ -126,10 +132,10 @@ def test_rotate_is_conjugation(w, s):
 
 
 def test_boundary_canonical_form_examples():
-    x = ray_point(parse_word("aba"), parse_word("ba"))
+    x = BoundaryPoint(parse_word("aba"), parse_word("ba"))
     assert x == periodic_point(parse_word("ab"))
     assert boundary_point_to_string(x) == "(ab)"
-    y = ray_point(parse_word("ab"), parse_word("abab"))
+    y = BoundaryPoint(parse_word("ab"), parse_word("abab"))
     assert y.period == parse_word("ab") and y.preperiod == EMPTY_WORD
     z = parse_boundary_point("aab|(a)")
     assert z.preperiod == parse_word("aab") and z.period == parse_word("a")
@@ -159,9 +165,9 @@ def test_boundary_canonical_invariants(x):
 
 @given(helpers.reduced_words(rank=3, max_len=4), helpers.cyclically_reduced_words(rank=3))
 def test_boundary_canonicalization_preserves_letters(pre, per):
-    if not pre.is_empty() and pre.letters[-1] == per.letters[0].inverse():
+    if not pre.is_empty() and pre.letters[-1] == per.letters[0] ^ 1:
         assume(False)
-    x = ray_point(pre, per)
+    x = BoundaryPoint(pre, per)
     n = len(pre) + 3 * len(per) + 5
     assert helpers.point_letters(x, n) == helpers.expand_point(pre.letters, per.letters, n)
 
@@ -215,7 +221,7 @@ def test_translate_matches_letter_oracle(g, x):
 def test_translate_is_an_action(g, h, x):
     assert translate(concat(g, h), x) == translate(g, translate(h, x))
     assert translate(EMPTY_WORD, x) == x
-    assert translate(invert(g), translate(g, x)) == x
+    assert translate(g.inverse(), translate(g, x)) == x
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ saved report always records the exact effective configuration.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
@@ -139,13 +140,7 @@ class RunConfig:
         if seed is not None:
             out = replace(out, seed=_require_seed(seed))
         if tasks is not None:
-            for i, name in enumerate(tasks):
-                if name not in TASK_NAMES:
-                    raise ValidationError(
-                        f"tasks[{i}]", f"unknown task {name!r}; "
-                        f"expected one of {', '.join(TASK_NAMES)}"
-                    )
-            out = replace(out, tasks=tuple(tasks))
+            out = replace(out, tasks=_validate_tasks(list(tasks)))
         return out
 
     def require_for_tasks(self) -> None:
@@ -177,7 +172,7 @@ def load_config(path: str) -> RunConfig:
         raise ParseError(f"configuration {path!r} is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: digit limit too
         raise ParseError(f"configuration {path!r} is not valid JSON: {exc}") from exc
     return parse_config(data)
 
@@ -314,7 +309,8 @@ def _validate_subset(data: dict, rank: int) -> dict[str, Any]:
             raise ValidationError("subset.words", "expected a nonempty word list")
     elif kind == "primitive":
         allowed = {"type", "max_period"}
-        if not isinstance(raw.get("max_period"), int) or raw["max_period"] < 1:
+        period = raw.get("max_period")
+        if isinstance(period, bool) or not isinstance(period, int) or period < 1:
             raise ValidationError("subset.max_period", "expected a positive integer")
     else:
         raise ValidationError(
@@ -364,14 +360,24 @@ def _validate_numeric_block(
         raise ValidationError(block, "expected an object")
     merged = dict(defaults)
     for key, value in raw.items():
+        name = f"{block}.{key}"
         if key not in defaults:
-            raise ValidationError(f"{block}.{key}", "unknown field")
+            raise ValidationError(name, "unknown field")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"{block}.{key}", f"expected a number, got {value!r}")
+            raise ValidationError(name, f"expected a number, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(name, f"expected a finite number, got {value!r}")
         if value < 0:
-            raise ValidationError(f"{block}.{key}", f"must be >= 0, got {value}")
-        default = defaults[key]
-        merged[key] = int(value) if isinstance(default, int) else float(value)
+            raise ValidationError(name, f"must be >= 0, got {value}")
+        if isinstance(defaults[key], int):
+            if value != int(value):
+                raise ValidationError(name, f"expected an integer, got {value!r}")
+            merged[key] = int(value)
+        else:
+            try:
+                merged[key] = float(value)
+            except OverflowError as exc:
+                raise ValidationError(name, f"out of range: {exc}") from exc
     return merged
 
 

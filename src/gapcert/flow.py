@@ -38,9 +38,9 @@ from .errors import (
 )
 from .limits import (
     BOUND_SLACK,
-    DEFAULT_CERT_BUDGET,
     DEFAULT_N_MAX,
     DEFAULT_TOL,
+    _dual_certificate,
     _require_certified,
     _Walk,
     pair_in_subset,
@@ -75,6 +75,11 @@ DEFAULT_FLOW_STEPS = 80
 HYPOTHESES_LIMIT = 1.0 / 3.0
 # Contraction factor of the graph transform once the hypotheses hold.
 CONTRACTION_FACTOR = 5.0 / 6.0
+# Ceiling of every residual the splitting checks pass.
+SPLITTING_TOL = 1e-6
+# Residual an invariant section must reach, within this many sweeps.
+SECTION_TOL = 1e-10
+MAX_SWEEPS = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +307,6 @@ def bg_splitting(
     n_steps: int = DEFAULT_FLOW_STEPS,
     tol: float = DEFAULT_TOL,
     certificate: Optional[DominationCertificate] = None,
-    cert_budget: int = DEFAULT_CERT_BUDGET,
 ) -> SplittingSample:
     """Stable/unstable splitting over x from singular-subspace limits.
 
@@ -312,7 +316,7 @@ def bg_splitting(
     n-fold backward shift.  Residuals against the splitting at the shifted
     point are measured before returning.
     """
-    certificate = _require_certified(rep, x.spec, k, certificate, cert_budget)
+    certificate = _require_certified(rep, x.spec, k, certificate)
     rate = certificate.lambda_hat
     stable, unstable, diag = _splitting(rep, x, k, n_steps, tol, rate)
     stable_next, unstable_next, _ = _splitting(rep, shift(x), k, n_steps, tol, rate)
@@ -355,10 +359,7 @@ class SplittingReport:
 def splitting_checks(
     rep: Representation,
     sample: SplittingSample,
-    tol: float = 1e-6,
     certificate: Optional[DominationCertificate] = None,
-    dual_certificate: Optional[DominationCertificate] = None,
-    cert_budget: int = DEFAULT_CERT_BUDGET,
     n_max: int = DEFAULT_N_MAX,
 ) -> SplittingReport:
     """Invariance, domination decay, and endpoint consistency of a sample.
@@ -370,11 +371,13 @@ def splitting_checks(
     log of the worst stable stretch over the least unstable stretch of the
     time-n maps; its fitted slope must be negative.  Endpoint consistency
     compares the summands with the boundary limit maps at the line's
-    endpoints re-based at the marker, walked up to n_max prefixes.
+    endpoints re-based at the marker, walked up to n_max prefixes, the
+    backward one certified at certificate's budget.  Every residual must
+    be below SPLITTING_TOL.
     """
     x = sample.point
     k = sample.stable.dimension
-    certificate = _require_certified(rep, x.spec, k, certificate, cert_budget)
+    certificate = _require_certified(rep, x.spec, k, certificate)
     stable_next, unstable_next, _ = _splitting(
         rep, shift(x), k, DEFAULT_FLOW_STEPS, DEFAULT_TOL, certificate.lambda_hat
     )
@@ -401,36 +404,22 @@ def splitting_checks(
     bwd = translate(marker.inverse(), x.line.backward)
     stable_residual = grassmann_distance(
         sample.stable,
-        xi_upper(
-            rep,
-            x.spec,
-            k,
-            fwd,
-            n_max=n_max,
-            certificate=certificate,
-            cert_budget=cert_budget,
-        ).subspace,
+        xi_upper(rep, x.spec, k, fwd, n_max=n_max, certificate=certificate).subspace,
     )
+    # xi_lower checks the dual's verdict after the point's membership
+    dual = _dual_certificate(rep, x.spec, k, certificate)
     unstable_residual = grassmann_distance(
         sample.unstable,
-        xi_lower(
-            rep,
-            x.spec,
-            k,
-            bwd,
-            n_max=n_max,
-            certificate=dual_certificate,
-            cert_budget=cert_budget,
-        ).subspace,
+        xi_lower(rep, x.spec, k, bwd, n_max=n_max, certificate=dual).subspace,
     )
     transversality = transversality_gap(sample.stable, sample.unstable)
     passed = (
-        invariance_stable < tol
-        and invariance_unstable < tol
+        invariance_stable < SPLITTING_TOL
+        and invariance_unstable < SPLITTING_TOL
         and transversality > 0.0
         and ratio_slope < 0.0
-        and stable_residual < tol
-        and unstable_residual < tol
+        and stable_residual < SPLITTING_TOL
+        and unstable_residual < SPLITTING_TOL
     )
     return SplittingReport(
         invariance_stable=invariance_stable,
@@ -555,13 +544,9 @@ class InvariantSection:
     sweeps: int
 
 
-def invariant_section(
-    blocks_seq: Sequence[BlockMap],
-    tol: float = 1e-10,
-    max_sweeps: int = 2000,
-) -> InvariantSection:
+def invariant_section(blocks_seq: Sequence[BlockMap]) -> InvariantSection:
     """Iterate the orbit-composed graph transform from zero sections to a
-    fixed point.
+    fixed point with residual below SECTION_TOL, within MAX_SWEEPS sweeps.
 
     blocks_seq[i] maps the fiber over orbit point i to the fiber over
     point i+1 (cyclically).  The hypotheses are verified at every orbit
@@ -581,14 +566,14 @@ def invariant_section(
     sections = [
         np.zeros((blocks.k, blocks.complement)) for blocks in blocks_seq
     ]
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         pushed = [graph_transform(blocks_seq[i], sections[i]) for i in range(p)]
         updated = [pushed[(i - 1) % p] for i in range(p)]
         change = max(
             float(np.linalg.norm(updated[i] - sections[i], 2)) for i in range(p)
         )
         sections = updated
-        if change <= tol / 10.0:
+        if change <= SECTION_TOL / 10.0:
             residual = max(
                 grassmann_distance(
                     apply_to_subspace(
@@ -598,13 +583,13 @@ def invariant_section(
                 )
                 for i in range(p)
             )
-            if residual < tol:
+            if residual < SECTION_TOL:
                 return InvariantSection(
                     sections=tuple(sections), residual=residual, sweeps=sweep
                 )
     raise NoConvergenceError(
-        f"graph transform did not reach a fixed section in {max_sweeps} "
-        f"sweeps at tolerance {tol:.1e}"
+        f"graph transform did not reach a fixed section in {MAX_SWEEPS} "
+        f"sweeps at tolerance {SECTION_TOL:.1e}"
     )
 
 

@@ -72,6 +72,8 @@ from .words import (
 DEFAULT_TOL = 1e-10
 DEFAULT_N_MAX = 400
 DEFAULT_CERT_BUDGET = 8
+# A convergence curve passes when its final distance is below this.
+PASS_TOL = 1e-8
 # The certificate's tail bound may lag the observed steps by this factor
 # before the stopping rule treats the two signals as contradictory.
 BOUND_SLACK = 10.0
@@ -163,10 +165,11 @@ def _require_certified(
     spec: SubsetPSpec,
     k: int,
     certificate: Optional[DominationCertificate],
-    cert_budget: int,
 ) -> DominationCertificate:
+    """certificate, or one made at DEFAULT_CERT_BUDGET when none is given,
+    once it is for index k and Certified."""
     if certificate is None:
-        certificate = certify(rep, spec, k, cert_budget)
+        certificate = certify(rep, spec, k, DEFAULT_CERT_BUDGET)
     if certificate.k != k:
         raise ValueError(
             f"certificate is for index {certificate.k}, expected {k}"
@@ -177,6 +180,18 @@ def _require_certified(
             "limit planes need a Certified setup"
         )
     return certificate
+
+
+def _dual_certificate(
+    rep: Representation,
+    spec: SubsetPSpec,
+    k: int,
+    certificate: DominationCertificate,
+) -> DominationCertificate:
+    """The certificate of the backward limit planes, unchecked: the flipped
+    subset at index d-k, certified at certificate's budget with default
+    options."""
+    return certify(rep, hat(spec), rep.dim - k, certificate.budget)
 
 
 def _membership_error(x: BoundaryPoint) -> MembershipError:
@@ -191,7 +206,6 @@ def xi_upper(
     tol: float = DEFAULT_TOL,
     n_max: int = DEFAULT_N_MAX,
     certificate: Optional[DominationCertificate] = None,
-    cert_budget: int = DEFAULT_CERT_BUDGET,
 ) -> LimitMapValue:
     """Forward limit plane: attracting k-planes along prefixes of x.
 
@@ -207,7 +221,7 @@ def xi_upper(
     """
     if not point_in_forward_set(spec, x):
         raise _membership_error(x)
-    certificate = _require_certified(rep, spec, k, certificate, cert_budget)
+    certificate = _require_certified(rep, spec, k, certificate)
     walk = shared_walk((rep, x, k), lambda: _plane_walk(rep, k, [x]))
     (outcome,) = _limit_planes(rep, k, [x], certificate.lambda_hat, tol, n_max, walk)
     if isinstance(outcome, GapcertError):
@@ -513,23 +527,13 @@ def xi_lower(
     tol: float = DEFAULT_TOL,
     n_max: int = DEFAULT_N_MAX,
     certificate: Optional[DominationCertificate] = None,
-    cert_budget: int = DEFAULT_CERT_BUDGET,
 ) -> LimitMapValue:
     """Backward limit plane of dimension d-k: the forward map of the
     flipped subset at the complementary index, on the same code path.
 
     A supplied certificate must be for (flipped subset, d-k).
     """
-    return xi_upper(
-        rep,
-        hat(spec),
-        rep.dim - k,
-        y,
-        tol=tol,
-        n_max=n_max,
-        certificate=certificate,
-        cert_budget=cert_budget,
-    )
+    return xi_upper(rep, hat(spec), rep.dim - k, y, tol, n_max, certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -553,17 +557,15 @@ def transversality_table(
     tol: float = DEFAULT_TOL,
     n_max: int = DEFAULT_N_MAX,
     certificate: Optional[DominationCertificate] = None,
-    dual_certificate: Optional[DominationCertificate] = None,
-    cert_budget: int = DEFAULT_CERT_BUDGET,
 ) -> TransversalityTable:
     """Transversality gap of (forward plane at x, backward plane at y)
-    for each subset pair, with the worst gap summarized."""
+    for each subset pair, with the worst gap summarized.  The backward
+    planes are certified at certificate's budget."""
     if not pairs:
         raise ValueError("transversality table needs at least one pair")
-    certificate = _require_certified(rep, spec, k, certificate, cert_budget)
-    dual_certificate = _require_certified(
-        rep, hat(spec), rep.dim - k, dual_certificate, cert_budget
-    )
+    certificate = _require_certified(rep, spec, k, certificate)
+    dual = _dual_certificate(rep, spec, k, certificate)
+    dual = _require_certified(rep, hat(spec), rep.dim - k, dual)
     gaps: list[float] = []
     with shared_walks():  # a point of several pairs is walked once
         for x, y in pairs:
@@ -572,9 +574,7 @@ def transversality_table(
                     f"({x}, {y}) is not an endpoint pair of the subset"
                 )
             forward = xi_upper(rep, spec, k, x, tol, n_max, certificate=certificate)
-            backward = xi_lower(
-                rep, spec, k, y, tol, n_max, certificate=dual_certificate
-            )
+            backward = xi_lower(rep, spec, k, y, tol, n_max, certificate=dual)
             gaps.append(transversality_gap(forward.subspace, backward.subspace))
     return TransversalityTable(
         pairs=tuple((x, y) for x, y in pairs),
@@ -611,13 +611,10 @@ def sdp_check(
     y: BoundaryPoint,
     seed: Subspace,
     schedule: Optional[Sequence[ReducedWord]] = None,
-    tol: float = 1e-8,
+    tol: float = PASS_TOL,
     n_points: int = 30,
-    xi_tol: float = DEFAULT_TOL,
     n_max: int = DEFAULT_N_MAX,
     certificate: Optional[DominationCertificate] = None,
-    dual_certificate: Optional[DominationCertificate] = None,
-    cert_budget: int = DEFAULT_CERT_BUDGET,
 ) -> ConvergenceCurve:
     """Push a seed k-plane along the schedule toward the forward plane at x.
 
@@ -626,20 +623,16 @@ def sdp_check(
     the connecting line when that line passes through the identity; an
     explicit schedule's limiting behavior is the caller's responsibility.
     Passes when the final distance is below tol and the curve's tail is
-    decreasing within noise.
+    decreasing within noise.  Both limit planes are walked at DEFAULT_TOL,
+    the backward one certified at certificate's budget.
     """
-    certificate = _require_certified(rep, spec, k, certificate, cert_budget)
-    dual_certificate = _require_certified(
-        rep, hat(spec), rep.dim - k, dual_certificate, cert_budget
-    )
+    certificate = _require_certified(rep, spec, k, certificate)
+    dual = _dual_certificate(rep, spec, k, certificate)
+    dual = _require_certified(rep, hat(spec), rep.dim - k, dual)
     if not pair_in_subset(spec, x, y):
         raise MembershipError(f"({x}, {y}) is not an endpoint pair of the subset")
-    target = xi_upper(
-        rep, spec, k, x, xi_tol, n_max, certificate=certificate
-    ).subspace
-    repeller = xi_lower(
-        rep, spec, k, y, xi_tol, n_max, certificate=dual_certificate
-    ).subspace
+    target = xi_upper(rep, spec, k, x, DEFAULT_TOL, n_max, certificate).subspace
+    repeller = xi_lower(rep, spec, k, y, DEFAULT_TOL, n_max, dual).subspace
     gap = transversality_gap(seed, repeller)
     if gap <= SUBSPACE_TOLERANCE:
         raise NonTransverseSeedError(
@@ -679,14 +672,12 @@ def cartan_check(
     x: BoundaryPoint,
     words: Sequence[ReducedWord],
     b: int = 0,
-    tol: float = 1e-8,
-    xi_tol: float = DEFAULT_TOL,
     n_max: int = DEFAULT_N_MAX,
     certificate: Optional[DominationCertificate] = None,
-    cert_budget: int = DEFAULT_CERT_BUDGET,
 ) -> ConvergenceCurve:
     """Distance from the attracting plane of each verified positive word
-    to the forward plane at x.
+    to the forward plane at x, walked at DEFAULT_TOL; passes when the last
+    distance is below PASS_TOL.
 
     Every word must be a verified member of the positive set within
     shift b (word_in_positive_set); words without a witness are refused,
@@ -696,7 +687,7 @@ def cartan_check(
         raise ValueError("cartan check needs at least one word")
     if b < 0:
         raise ValueError("shift b must be >= 0")
-    certificate = _require_certified(rep, spec, k, certificate, cert_budget)
+    certificate = _require_certified(rep, spec, k, certificate)
     longest = max(len(w) for w in words)
     sample = gamma_p_plus(spec, longest + b)
     for w in words:
@@ -704,9 +695,7 @@ def cartan_check(
             raise MembershipError(
                 f"'{w}' has no witness in the positive set within shift {b}"
             )
-    target = xi_upper(
-        rep, spec, k, x, xi_tol, n_max, certificate=certificate
-    ).subspace
+    target = xi_upper(rep, spec, k, x, DEFAULT_TOL, n_max, certificate).subspace
     distances = [
         grassmann_distance(u_k(evaluate(rep, w), k), target) for w in words
     ]
@@ -715,7 +704,7 @@ def cartan_check(
         lengths=tuple(len(w) for w in words),
         distances=tuple(distances),
         final=final,
-        passed=final < tol,
+        passed=final < PASS_TOL,
     )
 
 
@@ -770,7 +759,6 @@ def holder_estimate(
     tol: float = DEFAULT_TOL,
     n_max: int = DEFAULT_N_MAX,
     certificate: Optional[DominationCertificate] = None,
-    cert_budget: int = DEFAULT_CERT_BUDGET,
 ) -> HolderFit:
     """Estimate the regularity exponent of the forward limit map.
 
@@ -781,7 +769,7 @@ def holder_estimate(
     log(plane distance) = alpha * log(visual distance) + log C.
     Deterministic for a fixed seed.
     """
-    certificate = _require_certified(rep, spec, k, certificate, cert_budget)
+    certificate = _require_certified(rep, spec, k, certificate)
     points = sorted(q_plus_boundary(spec, max_period, b), key=str)
     rng = np.random.default_rng(seed)
     cutoff = math.exp(-kappa * SMALL_SCALE_PREFIX)
@@ -861,10 +849,7 @@ class DiscontinuityProbe:
 def discontinuity_probe(
     rep: Representation,
     exponents: Iterable[int] = range(1, 11),
-    kappa: float = 1.0,
-    tol: float = DEFAULT_TOL,
     n_max: int = DEFAULT_N_MAX,
-    cert_budget: int = DEFAULT_CERT_BUDGET,
 ) -> DiscontinuityProbe:
     """Probe the forward limit map across the first-axis family.
 
@@ -873,6 +858,8 @@ def discontinuity_probe(
     one second-generator letter, then the periodic tail).  The approach
     distance shrinks while the plane separation need not: `separated`
     reports whether the separation stays large as the approach collapses.
+    Planes are walked at DEFAULT_TOL, distances taken at kappa = 1, and the
+    certificate made at DEFAULT_CERT_BUDGET.
     """
     if rep.rank < 2:
         raise ValueError("the probe needs at least two generators")
@@ -881,7 +868,7 @@ def discontinuity_probe(
         raise ValueError("exponents must be positive")
     a_word = ReducedWord((0,))
     spec = AxisFamily(rep.rank, (a_word,))
-    certificate = _require_certified(rep, spec, 1, None, cert_budget)
+    certificate = _require_certified(rep, spec, 1, None)
     base_point = periodic_point(a_word)
     approximants = [
         BoundaryPoint(ReducedWord((0,) * m + (2,)), a_word) for m in exponents
@@ -889,14 +876,14 @@ def discontinuity_probe(
     # every plane in one walk (the points lie in the axis family by
     # construction); a failed point raises when its row is read
     points = [base_point, *approximants]
-    rate = certificate.lambda_hat
-    outcomes = dict(zip(points, _limit_planes(rep, 1, points, rate, tol, n_max)))
+    planes = _limit_planes(rep, 1, points, certificate.lambda_hat, DEFAULT_TOL, n_max)
+    outcomes = dict(zip(points, planes))
     base = _plane_at(outcomes, base_point)
-    visual = [visual_distance(p, base_point, kappa) for p in approximants]
+    visual = [visual_distance(p, base_point) for p in approximants]
     separations = [
         grassmann_distance(base, _plane_at(outcomes, p)) for p in approximants
     ]
-    separated = visual[-1] <= math.exp(-2.0 * kappa) and min(separations) >= 0.5
+    separated = visual[-1] <= math.exp(-2.0) and min(separations) >= 0.5
     return DiscontinuityProbe(
         exponents=exponents,
         visual=tuple(visual),

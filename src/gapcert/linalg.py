@@ -383,9 +383,6 @@ class Subspace:
     def ambient_dim(self) -> int:
         return self.frame.shape[0]
 
-    def equals(self, other: "Subspace", tol: float = SUBSPACE_TOLERANCE) -> bool:
-        return grassmann_distance(self, other) < tol
-
 
 def _orthonormal_frames(spanning: np.ndarray) -> np.ndarray:
     """Q factors of an (N, d, m) stack of spanning columns, in one QR call;

@@ -37,7 +37,7 @@ from .limits import (
     xi_upper,
 )
 from .linalg import Representation, Subspace, grassmann_distance
-from .subsets import AxisFamily, hat
+from .subsets import AxisFamily
 from .words import parse_boundary_point, parse_word, periodic_point
 
 PASS = "Pass"
@@ -92,25 +92,20 @@ def run(config: RunConfig) -> Report:
     timings: dict[str, float] = {}
 
     # lazy, so a run whose tasks read no certificate makes none; certify's
-    # memo makes each certificate once per process, and later calls copy it
+    # memo makes each certificate (and the dual the limit-plane functions
+    # derive from it) once per process, and later calls copy it
     def certificate() -> DominationCertificate:
         opts = config.certify_options()
         return certify(rep, spec, config.k, config.budget, opts=opts)
-
-    def dual_certificate() -> DominationCertificate:
-        # the backward limit maps certify the flipped subset at index d-k
-        # with default options
-        return certify(rep, hat(spec), rep.dim - config.k, config.budget)
 
     # each limit plane and splitting the tasks read is walked once, as far
     # as its tightest read needs
     with shared_walks():
         for index, name in enumerate(config.tasks):
             started = time.perf_counter()
+            runner = _TASK_RUNNERS[name]
             try:
-                results[name] = _TASK_RUNNERS[name](
-                    config, rep, spec, index, certificate, dual_certificate
-                )
+                results[name] = runner(config, rep, spec, index, certificate)
             except GapcertError as exc:
                 results[name] = {
                     "verdict": ERROR,
@@ -136,7 +131,7 @@ def exit_code(report: Report) -> int:
     return 0 if report.summary.get("overall") == PASS else 1
 
 
-def _run_certify(config, rep, spec, index, certificate, dual) -> dict[str, Any]:
+def _run_certify(config, rep, spec, index, certificate) -> dict[str, Any]:
     cert = certificate()
     return {
         "verdict": cert.verdict,
@@ -155,7 +150,7 @@ def _run_certify(config, rep, spec, index, certificate, dual) -> dict[str, Any]:
     }
 
 
-def _run_limit_map(config, rep, spec, index, certificate, dual) -> dict[str, Any]:
+def _run_limit_map(config, rep, spec, index, certificate) -> dict[str, Any]:
     value = xi_upper(
         rep,
         spec,
@@ -164,7 +159,6 @@ def _run_limit_map(config, rep, spec, index, certificate, dual) -> dict[str, Any
         tol=config.tolerances["subspace"],
         n_max=config.sampling["limit_n_max"],
         certificate=certificate(),
-        cert_budget=config.budget,
     )
     return {
         "verdict": PASS,
@@ -177,7 +171,7 @@ def _run_limit_map(config, rep, spec, index, certificate, dual) -> dict[str, Any
     }
 
 
-def _run_transversality(config, rep, spec, index, certificate, dual) -> dict[str, Any]:
+def _run_transversality(config, rep, spec, index, certificate) -> dict[str, Any]:
     table = transversality_table(
         rep,
         spec,
@@ -186,8 +180,6 @@ def _run_transversality(config, rep, spec, index, certificate, dual) -> dict[str
         tol=config.tolerances["subspace"],
         n_max=config.sampling["limit_n_max"],
         certificate=certificate(),
-        dual_certificate=dual(),
-        cert_budget=config.budget,
     )
     passed = table.minimum > config.tolerances["subspace"]
     return {
@@ -198,7 +190,7 @@ def _run_transversality(config, rep, spec, index, certificate, dual) -> dict[str
     }
 
 
-def _run_sdp(config, rep, spec, index, certificate, dual) -> dict[str, Any]:
+def _run_sdp(config, rep, spec, index, certificate) -> dict[str, Any]:
     curve = sdp_check(
         rep,
         spec,
@@ -210,8 +202,6 @@ def _run_sdp(config, rep, spec, index, certificate, dual) -> dict[str, Any]:
         n_points=config.sampling["sdp_points"],
         n_max=config.sampling["limit_n_max"],
         certificate=certificate(),
-        dual_certificate=dual(),
-        cert_budget=config.budget,
     )
     return {
         "verdict": PASS if curve.passed else FAIL,
@@ -221,7 +211,7 @@ def _run_sdp(config, rep, spec, index, certificate, dual) -> dict[str, Any]:
     }
 
 
-def _run_holder(config, rep, spec, index, certificate, dual) -> dict[str, Any]:
+def _run_holder(config, rep, spec, index, certificate) -> dict[str, Any]:
     seed = config.derived_seed(index)
     fit = holder_estimate(
         rep,
@@ -235,7 +225,6 @@ def _run_holder(config, rep, spec, index, certificate, dual) -> dict[str, Any]:
         tol=config.tolerances["subspace"],
         n_max=config.sampling["limit_n_max"],
         certificate=certificate(),
-        cert_budget=config.budget,
     )
     passed = fit.alpha_hat > 0.0 and fit.r_squared >= 0.8
     return {
@@ -249,7 +238,7 @@ def _run_holder(config, rep, spec, index, certificate, dual) -> dict[str, Any]:
     }
 
 
-def _run_splitting(config, rep, spec, index, certificate, dual) -> dict[str, Any]:
+def _run_splitting(config, rep, spec, index, certificate) -> dict[str, Any]:
     x = shift_point(spec, config.forward_point(), config.backward_point())
     sample = bg_splitting(
         rep,
@@ -258,14 +247,11 @@ def _run_splitting(config, rep, spec, index, certificate, dual) -> dict[str, Any
         n_steps=config.sampling["flow_steps"],
         tol=config.tolerances["subspace"],
         certificate=certificate(),
-        cert_budget=config.budget,
     )
     checks = splitting_checks(
         rep,
         sample,
         certificate=certificate(),
-        dual_certificate=dual(),
-        cert_budget=config.budget,
         n_max=config.sampling["limit_n_max"],
     )
     return {
@@ -283,7 +269,7 @@ def _run_splitting(config, rep, spec, index, certificate, dual) -> dict[str, Any
     }
 
 
-def _run_stability(config, rep, spec, index, certificate, dual) -> dict[str, Any]:
+def _run_stability(config, rep, spec, index, certificate) -> dict[str, Any]:
     seed = config.derived_seed(index)
     table = stability_probe(
         rep,
@@ -484,7 +470,7 @@ def load_report(path: str) -> dict[str, Any]:
         raise ParseError(f"cannot read report {path!r}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"report {path!r} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: digit limit too
         raise ParseError(f"report {path!r} is not valid JSON: {exc}") from exc
     blocks = ("summary", "results", "timings")
     if not isinstance(document, dict) or not all(

@@ -1,11 +1,12 @@
 """Configuration loading, run orchestration, exit codes, and CLI plumbing."""
 
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -19,7 +20,7 @@ from gapcert.config import (
 )
 from gapcert import report as report_module
 from gapcert.domination import certify
-from gapcert.errors import ParseError, ValidationError
+from gapcert.errors import ConfigError, ParseError, ValidationError
 from gapcert.flow import shift, shift_point
 from gapcert.linalg import ScaledMatrix, Subspace
 from gapcert.report import (
@@ -455,13 +456,12 @@ def test_run_walks_each_plane_once_and_keeps_every_block(monkeypatch):
     assert [walk.joint for walk in walks].count(True) == 2
     rep, spec = config.representation(), config.subset_spec()
     cert = certify(rep, spec, config.k, config.budget, opts=config.certify_options())
-    dual = certify(rep, hat(spec), rep.dim - config.k, config.budget)
     walks.clear()
     results = report.stable_payload()["results"]
     for index, name in enumerate(point_tasks):
         # outside run() every public function walks on its own
         alone = report_module._TASK_RUNNERS[name](
-            config, rep, spec, index, lambda: cert, lambda: dual
+            config, rep, spec, index, lambda: cert
         )
         assert json.dumps(report_module._jsonify(alone), sort_keys=True) == (
             json.dumps(results[name], sort_keys=True)
@@ -644,6 +644,55 @@ def test_cli_zero_kappa_is_a_config_error(tmp_path, capsys):
     assert_config_error(tmp_path, capsys, data, "holder", "sampling.kappa")
 
 
+@pytest.mark.parametrize(
+    "overrides, task, field",
+    [
+        ({"subset": {"type": "primitive", "max_period": True}}, "certify",
+         "subset.max_period"),
+        ({"sampling": {"trials": 2.7}}, "stability", "sampling.trials"),
+        ({"sampling": {"holder_pairs": 10.9}}, "holder", "sampling.holder_pairs"),
+        ({"sampling": {"kappa": math.inf}}, "holder", "sampling.kappa"),
+        ({"tolerances": {"subspace": math.nan}}, "certify", "tolerances.subspace"),
+        ({"tolerances": {"eps_res": 10**400}}, "certify", "tolerances.eps_res"),
+    ],
+)
+def test_cli_non_integral_and_non_finite_numbers_are_config_errors(
+    tmp_path, capsys, overrides, task, field
+):
+    # a boolean period, a fraction in an integer knob, a non-finite number
+    # and an integer past the float range: none is truncated or read as is
+    assert_config_error(tmp_path, capsys, schottky_config(**overrides), task, field)
+
+
+def test_integral_floats_in_integer_fields_are_echoed_as_integers():
+    config = parse_config(schottky_config(sampling={"trials": 3.0}))
+    assert config.echo()["sampling"]["trials"] == 3
+    assert isinstance(config.sampling["trials"], int)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{\"rank\": " + "1" * 5000 + "}", "[" * 100000 + "]" * 100000],
+    ids=["long-integer", "deep-nesting"],
+)
+def test_cli_oversized_json_is_a_parse_error(tmp_path, capsys, text):
+    # an integer past Python's digit limit, and nesting past its recursion
+    # limit, end in exit 2 for a config and for a report alike
+    path = tmp_path / "document.json"
+    path.write_text(text)
+    assert main(["certify", "--config", str(path)]) == 2
+    assert main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 2 and "Traceback" not in err
+
+
+def test_with_overrides_rejects_unknown_tasks():
+    config = parse_config(z_config())
+    with pytest.raises(ValidationError) as err:
+        config.with_overrides(tasks=("certify", "nope"))
+    assert err.value.field == "tasks[1]"
+
+
 def test_cli_empty_pair_list_is_a_config_error(tmp_path, capsys):
     data = schottky_config(tasks=["transversality"])
     data["points"]["pairs"] = []
@@ -659,10 +708,10 @@ def test_cli_unread_tolerances_are_unknown_fields(tmp_path, capsys):
 
 
 def test_run_records_numerical_failures_as_errors(monkeypatch):
-    def overflowing(config, rep, spec, index, certificate, dual):
+    def overflowing(config, rep, spec, index, certificate):
         ScaledMatrix(np.eye(2), 1000.0).matrix()
 
-    def dependent(config, rep, spec, index, certificate, dual):
+    def dependent(config, rep, spec, index, certificate):
         Subspace.from_spanning(np.zeros((2, 1)))
 
     monkeypatch.setitem(report_module._TASK_RUNNERS, "holder", overflowing)
@@ -758,6 +807,58 @@ _JSON_VALUES = st.recursive(
 def test_format_report_renders_any_json_document(document):
     text = format_report(document)
     assert text.startswith("gapcert report") and "overall: " in text
+
+
+# Where a mutation lands in a valid config document: a field path, walked
+# through objects and lists; a path that no longer exists is left alone.
+_CONFIG_PATHS = st.sampled_from(
+    [("rank",), ("dim",), ("generators",), ("generators", 1), ("generators", 0, 1),
+     ("subset",), ("subset", "type"), ("subset", "steps"), ("subset", "words"),
+     ("subset", "max_period"), ("k",), ("budget",), ("seed",), ("tasks",),
+     ("tasks", 0), ("tolerances",), ("sampling",), ("points",),
+     ("points", "forward"), ("points", "backward"), ("points", "pairs"),
+     ("points", "pairs", 0), ("points", "seed_plane"), ("bogus",)]
+    + [("sampling", key) for key in DEFAULT_SAMPLING]
+    + [("tolerances", key) for key in DEFAULT_TOLERANCES]
+)
+_DELETE = object()
+_CONFIG_VALUES = (
+    st.just(_DELETE)
+    | _JSON_VALUES
+    | st.integers(-2, 12)
+    | st.floats(-1.0, 40.0)
+    | st.sampled_from(
+        ["full", "directed", "axis", "primitive", "(ab)", "a|(b)", "ab",
+         ["a", "b"], ["ab"], ["(a)", "(B)"], [[1.0, 0.3]], [[1.0, 0.0], [0.0, 1.0]]]
+    )
+)
+
+
+def _mutate(document, path, value):
+    *parents, last = path
+    try:
+        for key in parents:
+            document = document[key]
+        if value is _DELETE:
+            del document[last]
+        else:
+            document[last] = value
+    except (KeyError, IndexError, TypeError):
+        pass  # an earlier mutation took the path away
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_CONFIG_PATHS, _CONFIG_VALUES), max_size=3))
+def test_parse_config_accepts_and_echoes_or_raises_a_config_error(mutations):
+    document = copy.deepcopy(schottky_config())
+    for path, value in mutations:
+        _mutate(document, path, value)
+    try:
+        config = parse_config(document)
+    except ConfigError:
+        return
+    echo = config.echo()
+    assert parse_config(json.loads(json.dumps(echo))).echo() == echo
 
 
 def test_cli_out_in_a_missing_directory_fails_before_the_run(

@@ -369,6 +369,27 @@ def test_splitting_checks_walk_the_endpoint_planes_up_to_n_max():
     assert splitting_checks(rep, sample, certificate=cert, n_max=40).passed
 
 
+def test_backward_planes_are_certified_at_the_certificate_budget(monkeypatch):
+    # the dual of a budget-10 certificate is the flipped subset at index d-k,
+    # certified at budget 10, not at the default budget
+    rep, spec = schottky_rep(), directed_ab()
+    cert = certify(rep, spec, 1, 10)
+    made = []
+
+    def recording(rep, spec, k, budget, opts=CertifyOptions()):
+        made.append((spec, k, budget))
+        return certify(rep, spec, k, budget, opts)
+
+    monkeypatch.setattr(limits, "certify", recording)
+    x = axis_point(spec, "ab")
+    forward, backward = x.line.forward, x.line.backward
+    limits.transversality_table(rep, spec, 1, [(forward, backward)], certificate=cert)
+    seed = span([1.0, 0.3])
+    limits.sdp_check(rep, spec, 1, forward, backward, seed, certificate=cert)
+    splitting_checks(rep, bg_splitting(rep, x, 1, certificate=cert), certificate=cert)
+    assert made == [(hat(spec), 1, 10)] * 3
+
+
 def test_splitting_checks_ratio_slope_diagonal():
     rep = z_rep()
     sample = bg_splitting(rep, z_point(), 1)

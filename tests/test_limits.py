@@ -429,7 +429,9 @@ def test_holder_insufficient_samples():
     wide = AxisFamily(2, (parse_word("a"), parse_word("b")))
     # the only periodic endpoints sit at unit visual distance: no small scales
     with pytest.raises(InsufficientSampleError):
-        holder_estimate(schottky_rep(), wide, 1, cert_budget=6)
+        holder_estimate(
+            schottky_rep(), wide, 1, certificate=certify(schottky_rep(), wide, 1, 6)
+        )
 
 
 # ---------------------------------------------------------------------------

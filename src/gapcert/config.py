@@ -221,7 +221,7 @@ def parse_config(data: Any) -> RunConfig:
             raise ValidationError(
                 f"sampling.{key}", f"must be > 0, got {sampling[key]}"
             )
-    points = _validate_points(data.get("points", {}), dim)
+    points = _validate_points(data.get("points", {}), rank, dim)
 
     config = RunConfig(
         rank=rank,
@@ -275,10 +275,7 @@ def _validate_generators(
         )
     matrices = []
     for i, entry in enumerate(raw):
-        try:
-            matrix = np.array(entry, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"generators[{i}]", f"not numeric: {exc}") from exc
+        matrix = _number_rows(entry, f"generators[{i}]")
         if matrix.shape != (dim, dim):
             raise ValidationError(
                 f"generators[{i}]",
@@ -288,6 +285,22 @@ def _validate_generators(
             raise ValidationError(f"generators[{i}]", "entries must be finite")
         matrices.append(tuple(tuple(float(v) for v in row) for row in matrix))
     return tuple(matrices)
+
+
+def _number_rows(raw: Any, name: str) -> np.ndarray:
+    """raw as a float array, once it is a list of rows of JSON numbers
+    (booleans and numeric strings are not numbers); its shape is the
+    caller's to check."""
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+        raise ValidationError(name, f"expected a list of rows, got {_describe(raw)}")
+    for row in raw:
+        for value in row:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValidationError(name, f"expected a number, got {value!r}")
+    try:
+        return np.array(raw, dtype=float)
+    except (OverflowError, ValueError) as exc:
+        raise ValidationError(name, f"not numeric: {exc}") from exc
 
 
 def _validate_subset(data: dict, rank: int) -> dict[str, Any]:
@@ -381,7 +394,19 @@ def _validate_numeric_block(
     return merged
 
 
-def _validate_points(raw: Any, dim: int) -> dict[str, Any]:
+def _check_point(text: Any, name: str, rank: int) -> None:
+    """Parse a boundary point string and check its letters against rank."""
+    if not isinstance(text, str):
+        raise ValidationError(name, "expected a boundary point string")
+    try:
+        x = parse_boundary_point(text)
+    except (GapcertError, ValueError) as exc:
+        raise ValidationError(name, str(exc)) from exc
+    if x.max_index() > rank:
+        raise ValidationError(name, f"point {text!r} has a letter past rank {rank}")
+
+
+def _validate_points(raw: Any, rank: int, dim: int) -> dict[str, Any]:
     if not isinstance(raw, dict):
         raise ValidationError("points", "expected an object")
     allowed = {"forward", "backward", "pairs", "seed_plane"}
@@ -391,12 +416,7 @@ def _validate_points(raw: Any, dim: int) -> dict[str, Any]:
     out: dict[str, Any] = {}
     for key in ("forward", "backward"):
         if key in raw:
-            if not isinstance(raw[key], str):
-                raise ValidationError(f"points.{key}", "expected a boundary point string")
-            try:
-                parse_boundary_point(raw[key])
-            except (GapcertError, ValueError) as exc:
-                raise ValidationError(f"points.{key}", str(exc)) from exc
+            _check_point(raw[key], f"points.{key}", rank)
             out[key] = raw[key]
     if "pairs" in raw:
         if not isinstance(raw["pairs"], list) or not raw["pairs"]:
@@ -404,25 +424,15 @@ def _validate_points(raw: Any, dim: int) -> dict[str, Any]:
                 "points.pairs", "expected a nonempty list of point pairs"
             )
         for i, entry in enumerate(raw["pairs"]):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(s, str) for s in entry)
-            ):
+            if not isinstance(entry, list) or len(entry) != 2:
                 raise ValidationError(
                     f"points.pairs[{i}]", "expected a [forward, backward] string pair"
                 )
             for s in entry:
-                try:
-                    parse_boundary_point(s)
-                except (GapcertError, ValueError) as exc:
-                    raise ValidationError(f"points.pairs[{i}]", str(exc)) from exc
+                _check_point(s, f"points.pairs[{i}]", rank)
         out["pairs"] = [list(entry) for entry in raw["pairs"]]
     if "seed_plane" in raw:
-        try:
-            rows = np.array(raw["seed_plane"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError("points.seed_plane", f"not numeric: {exc}") from exc
+        rows = _number_rows(raw["seed_plane"], "points.seed_plane")
         if rows.ndim != 2 or rows.shape[1] != dim or rows.shape[0] < 1:
             raise ValidationError(
                 "points.seed_plane",

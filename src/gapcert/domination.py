@@ -254,6 +254,14 @@ def certify(
     return replace(cert, margins=dict(cert.margins), argmins=dict(cert.argmins))
 
 
+def _require_same_rank(rep: Representation, spec: SubsetPSpec) -> None:
+    """Refuse a subset of a free group other than the representation's."""
+    if spec.rank != rep.rank:
+        raise ValueError(
+            f"subset is of rank {spec.rank}, the representation of rank {rep.rank}"
+        )
+
+
 def certify_each(
     reps: Sequence[Representation],
     sample: GammaPSample,
@@ -265,6 +273,8 @@ def certify_each(
     each certificate has the bits of its own certify call."""
     if sample.budget < 2:
         raise BudgetError(f"certification needs a budget >= 2, got {sample.budget}")
+    for rep in reps:
+        _require_same_rank(rep, sample.spec)
     largest = max(len(letters) for _, letters in sample.levels)
     group = max(1, STACK_ROWS // max(1, largest))
     return [

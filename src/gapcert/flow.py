@@ -27,11 +27,11 @@ from .domination import (
     CertifyOptions,
     DominationCertificate,
     _fit_slope,
+    _require_same_rank,
     certify_each,
 )
 from .errors import (
     HypothesesFailError,
-    MembershipError,
     NoConvergenceError,
     NotCertifiedError,
     SingularBlockError,
@@ -43,7 +43,6 @@ from .limits import (
     _dual_certificate,
     _require_certified,
     _Walk,
-    pair_in_subset,
     shared_walk,
     xi_lower,
     xi_upper,
@@ -59,7 +58,7 @@ from .linalg import (
     stacked_gap_margins,
     transversality_gap,
 )
-from .subsets import SubsetPSpec, gamma_p_plus
+from .subsets import SubsetPSpec, _require_pair, gamma_p_plus
 from .words import (
     EMPTY_WORD,
     BiInfiniteGeodesic,
@@ -113,10 +112,7 @@ def shift_point(
     origin: ReducedWord = EMPTY_WORD,
 ) -> ShiftPoint:
     """Build a shift point after verifying the endpoint pair membership."""
-    if not pair_in_subset(spec, forward, backward):
-        raise MembershipError(
-            f"({forward}, {backward}) is not an endpoint pair of the subset"
-        )
+    _require_pair(spec, forward, backward)
     return ShiftPoint(spec, geodesic_through(forward, backward, origin))
 
 
@@ -186,14 +182,11 @@ def anosov_margins(
     """
     if n_steps < 2:
         raise ValueError(f"need at least 2 steps to fit a slope, got {n_steps}")
+    _require_same_rank(rep, spec)
     index = rep.dim - k
     curves = []
     for x in points:
-        if not pair_in_subset(spec, x.line.forward, x.line.backward):
-            raise MembershipError(
-                f"({x.line.forward}, {x.line.backward}) is not an endpoint "
-                "pair of the subset"
-            )
+        _require_pair(spec, x.line.forward, x.line.backward)
         margins = stacked_gap_margins(*_cocycle_stack(rep, x, n_steps), index).tolist()
         window_lo = max(1, math.ceil(n_steps / 2))
         slope, _, stderr = _fit_slope(

@@ -22,7 +22,12 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .domination import CERTIFIED, DominationCertificate, certify
+from .domination import (
+    CERTIFIED,
+    DominationCertificate,
+    _require_same_rank,
+    certify,
+)
 from .errors import (
     GapcertError,
     InsufficientSampleError,
@@ -49,13 +54,11 @@ from .linalg import (
 )
 from .subsets import (
     AxisFamily,
-    Directed,
-    FullBoundary,
-    Primitive,
     SubsetPSpec,
+    _require_pair,
     gamma_p_plus,
     hat,
-    is_primitive,
+    point_in_forward_set,
     q_plus_boundary,
     word_in_positive_set,
 )
@@ -63,9 +66,7 @@ from .words import (
     BoundaryPoint,
     ReducedWord,
     gromov_product,
-    least_rotation,
     periodic_point,
-    translate,
     visual_distance,
 )
 
@@ -80,62 +81,6 @@ BOUND_SLACK = 10.0
 # Regression pairs must share a prefix of at least this length; the
 # exponent is a small-scale property and unit-scale pairs pollute the fit.
 SMALL_SCALE_PREFIX = 2
-
-
-# ---------------------------------------------------------------------------
-# membership of points and pairs
-
-
-def _tail_letter_set(x: BoundaryPoint, start: int) -> set[int]:
-    """Every letter appearing in the expansion of x at positions >= start."""
-    pre = x.preperiod.letters
-    return set(pre[start:]) | set(x.period.letters)
-
-
-def point_in_forward_set(spec: SubsetPSpec, x: BoundaryPoint) -> bool:
-    """Whether x is the forward endpoint of some line of the subset."""
-    if isinstance(spec, FullBoundary):
-        return True
-    if isinstance(spec, Directed):
-        # a finite head is a shift of the line; only the tail must be directed
-        return all(l in spec.steps for l in x.period.letters)
-    if isinstance(spec, AxisFamily):
-        return least_rotation(x.period) in spec.words
-    if isinstance(spec, Primitive):
-        return x.period.max_index() <= spec.rank and is_primitive(
-            x.period, spec.rank
-        )
-    raise TypeError(f"unknown subset description {spec!r}")
-
-
-def pair_in_subset(spec: SubsetPSpec, x: BoundaryPoint, y: BoundaryPoint) -> bool:
-    """Whether (x, y) is an (forward, backward) endpoint pair of the subset."""
-    if x == y:
-        return False
-    if isinstance(spec, FullBoundary):
-        return True
-    junction = int(gromov_product(x, y))
-    if isinstance(spec, Directed):
-        forward_ok = _tail_letter_set(x, junction) <= spec.steps
-        backward_ok = all(
-            l ^ 1 in spec.steps for l in _tail_letter_set(y, junction)
-        )
-        return forward_ok and backward_ok
-    # axis-like subsets: after removing the shared approach, the pair must
-    # be the two ends of one periodic line through the identity
-    approach = x.prefix(junction).inverse()
-    px, py = translate(approach, x), translate(approach, y)
-    if not (px.preperiod.is_empty() and py.preperiod.is_empty()):
-        return False
-    if py.period != px.period.inverse():
-        return False
-    if isinstance(spec, AxisFamily):
-        return least_rotation(px.period) in spec.words
-    if isinstance(spec, Primitive):
-        return px.period.max_index() <= spec.rank and is_primitive(
-            px.period, spec.rank
-        )
-    raise TypeError(f"unknown subset description {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +113,7 @@ def _require_certified(
 ) -> DominationCertificate:
     """certificate, or one made at DEFAULT_CERT_BUDGET when none is given,
     once it is for index k and Certified."""
+    _require_same_rank(rep, spec)
     if certificate is None:
         certificate = certify(rep, spec, k, DEFAULT_CERT_BUDGET)
     if certificate.k != k:
@@ -569,10 +515,7 @@ def transversality_table(
     gaps: list[float] = []
     with shared_walks():  # a point of several pairs is walked once
         for x, y in pairs:
-            if not pair_in_subset(spec, x, y):
-                raise MembershipError(
-                    f"({x}, {y}) is not an endpoint pair of the subset"
-                )
+            _require_pair(spec, x, y)
             forward = xi_upper(rep, spec, k, x, tol, n_max, certificate=certificate)
             backward = xi_lower(rep, spec, k, y, tol, n_max, certificate=dual)
             gaps.append(transversality_gap(forward.subspace, backward.subspace))
@@ -629,8 +572,7 @@ def sdp_check(
     certificate = _require_certified(rep, spec, k, certificate)
     dual = _dual_certificate(rep, spec, k, certificate)
     dual = _require_certified(rep, hat(spec), rep.dim - k, dual)
-    if not pair_in_subset(spec, x, y):
-        raise MembershipError(f"({x}, {y}) is not an endpoint pair of the subset")
+    _require_pair(spec, x, y)
     target = xi_upper(rep, spec, k, x, DEFAULT_TOL, n_max, certificate).subspace
     repeller = xi_lower(rep, spec, k, y, DEFAULT_TOL, n_max, dual).subspace
     gap = transversality_gap(seed, repeller)

@@ -6,7 +6,8 @@ enumerated for it are the forward vertices of bi-infinite geodesics through
 the identity whose endpoint pair belongs to the described set.  They are
 held as integer-coded levels, one per length, and decoded to words only on
 demand.  Every enumerated word has a witness endpoint pair, built when
-asked for, so membership can be re-checked independently.
+asked for, so membership, which this module decides too, can be re-checked
+independently.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .errors import BudgetError, EmptyWordError
+from .errors import BudgetError, EmptyWordError, MembershipError
 from .words import (
     EMPTY_WORD,
     BoundaryPoint,
     ReducedWord,
     concat,
     cyclic_reduce,
+    gromov_product,
     least_rotation,
     letter_to_string,
     periodic_point,
@@ -60,22 +62,6 @@ def reduced_ball(letters: Iterable[int], radius: int) -> Iterator[ReducedWord]:
 
 
 @dataclass(frozen=True)
-class FullBoundary:
-    """All pairs of distinct boundary points."""
-
-    rank: int
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-
-    @property
-    def steps(self) -> range:
-        """Every letter code: a line may step along any letter."""
-        return range(2 * self.rank)
-
-
-@dataclass(frozen=True)
 class Directed:
     """Pairs of endpoints of lines whose forward steps all lie in `steps`,
     a set of letter codes that may hold a letter together with its inverse
@@ -95,6 +81,12 @@ class Directed:
                 raise ValueError(
                     f"letter {letter_to_string(l)} exceeds rank {self.rank}"
                 )
+
+
+def FullBoundary(rank: int) -> Directed:
+    """All pairs of distinct boundary points: the lines that may step along
+    every letter."""
+    return Directed(rank, frozenset(range(2 * rank)))
 
 
 @dataclass(frozen=True)
@@ -145,20 +137,47 @@ class Primitive:
             raise ValueError("max_period must be >= 1")
 
 
-SubsetPSpec = Union[FullBoundary, Directed, AxisFamily, Primitive]
+SubsetPSpec = Union[Directed, AxisFamily, Primitive]
+
+
+def _is_directed(spec: SubsetPSpec) -> bool:
+    """Whether the subset steps along a letter set (Directed) rather than
+    being spelled by axes (AxisFamily, Primitive); the one place an unknown
+    description is refused."""
+    if isinstance(spec, Directed):
+        return True
+    if isinstance(spec, (AxisFamily, Primitive)):
+        return False
+    raise TypeError(f"unknown subset description {spec!r}")
+
+
+def _axis_words(
+    spec: Union[AxisFamily, Primitive], max_len: float = math.inf
+) -> tuple[ReducedWord, ...]:
+    """The axis words of an axis subset of cyclic length at most max_len:
+    an AxisFamily's own words, or Primitive's enumerated classes."""
+    if isinstance(spec, AxisFamily):
+        return tuple(w for w in spec.words if len(w) <= max_len)
+    return tuple(
+        enumerate_primitive_classes(spec.rank, min(spec.max_period, max_len))
+    )
+
+
+def _is_axis(spec: Union[AxisFamily, Primitive], w: ReducedWord) -> bool:
+    """Whether the line of the cyclically reduced word w, within the rank,
+    is an axis of the subset."""
+    if isinstance(spec, AxisFamily):
+        return least_rotation(w) in spec.words
+    return is_primitive(w, spec.rank)
 
 
 def hat(spec: SubsetPSpec) -> SubsetPSpec:
     """The flipped subset: pair (x, y) belongs to hat(P) iff (y, x) is in P."""
-    if isinstance(spec, FullBoundary):
-        return spec
-    if isinstance(spec, Directed):
+    if _is_directed(spec):
         return Directed(spec.rank, frozenset(l ^ 1 for l in spec.steps))
     if isinstance(spec, AxisFamily):
         return AxisFamily(spec.rank, tuple(w.inverse() for w in spec.words))
-    if isinstance(spec, Primitive):
-        return spec
-    raise TypeError(f"unknown subset description {spec!r}")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +249,8 @@ class GammaPSample:
         geodesic passes through the identity with w on its forward ray."""
         if self.index(w) is None:
             raise KeyError(w)
-        spec = self.spec
-        if isinstance(spec, FullBoundary):
-            return _full_witness(w, spec.rank)
-        if isinstance(spec, Directed):
-            return _directed_witness(w, sorted(spec.steps))
+        if _is_directed(self.spec):
+            return _directed_witness(w, sorted(self.spec.steps))
         for axis in self.axes:
             for i in range(len(axis)):
                 v = rotate(axis, i)
@@ -265,29 +281,15 @@ class _Bucket(AbstractSet):
         )
 
 
-def _forward_extension(w: ReducedWord, choices: Iterable[int]) -> int:
-    """A letter continuing w without cancellation; choices must allow one."""
-    for c in choices:
-        if w.is_empty() or c != w.letters[-1] ^ 1:
-            return c
-    raise AssertionError(f"no reduced continuation of {w} in {choices}")
-
-
 def _directed_witness(
     w: ReducedWord, steps: list[int]
 ) -> tuple[BoundaryPoint, BoundaryPoint]:
-    fwd = BoundaryPoint(w, ReducedWord((_forward_extension(w, steps),)))
+    """The first steps that continue the word w, spelled with steps, without
+    cancellation: forward from its last letter, backward into its first."""
+    ahead = next(s for s in steps if s != w.letters[-1] ^ 1)
     back_step = next(s for s in steps if s != w.letters[0] ^ 1)
+    fwd = BoundaryPoint(w, ReducedWord((ahead,)))
     return periodic_point(ReducedWord((back_step ^ 1,))), fwd
-
-
-def _full_witness(
-    w: ReducedWord, rank: int
-) -> tuple[BoundaryPoint, BoundaryPoint]:
-    alphabet = range(2 * rank)
-    fwd = BoundaryPoint(w, ReducedWord((_forward_extension(w, alphabet),)))
-    back = next(l for l in alphabet if l != w.letters[0])
-    return periodic_point(ReducedWord((back,))), fwd
 
 
 def _free_levels(codes: Iterable[int], budget: int) -> tuple[Level, ...]:
@@ -332,22 +334,17 @@ def gamma_p_plus(spec: SubsetPSpec, budget: int) -> GammaPSample:
     if budget < 1:
         raise BudgetError(f"length budget must be >= 1, got {budget}")
 
-    if isinstance(spec, (FullBoundary, Directed)):
+    if _is_directed(spec):
         # every reduced word over the steps lies on a line of the subset: a
         # step other than the last letter's inverse continues it, and a step
         # other than the first letter's inverse leads into it
         levels = _free_levels(spec.steps, budget)
         return GammaPSample(spec, budget, levels, True)
 
-    if isinstance(spec, AxisFamily):
-        levels = _axis_levels(spec.words, budget)
-        return GammaPSample(spec, budget, levels, True, spec.words)
-
-    if isinstance(spec, Primitive):
-        reps = tuple(enumerate_primitive_classes(spec.rank, spec.max_period))
-        return GammaPSample(spec, budget, _axis_levels(reps, budget), False, reps)
-
-    raise TypeError(f"unknown subset description {spec!r}")
+    # Primitive's classes stop at its max_period, short of the closure
+    axes = _axis_words(spec)
+    complete = isinstance(spec, AxisFamily)
+    return GammaPSample(spec, budget, _axis_levels(axes, budget), complete, axes)
 
 
 def word_in_positive_set(
@@ -386,27 +383,17 @@ def word_in_positive_set(
 
 def _base_points(spec: SubsetPSpec, max_period: int) -> set[BoundaryPoint]:
     """Forward endpoints of subset lines through the identity, period-bounded."""
-    if isinstance(spec, (FullBoundary, Directed)):
+    if _is_directed(spec):
         return {
             periodic_point(w)
             for w in reduced_ball(spec.steps, max_period)
             if w and w.is_cyclically_reduced()
         }
-    if isinstance(spec, AxisFamily):
-        return {
-            periodic_point(rotate(w, i))
-            for w in spec.words
-            if len(w) <= max_period
-            for i in range(len(w))
-        }
-    if isinstance(spec, Primitive):
-        reps = enumerate_primitive_classes(
-            spec.rank, min(spec.max_period, max_period)
-        )
-        return {
-            periodic_point(rotate(w, i)) for w in reps for i in range(len(w))
-        }
-    raise TypeError(f"unknown subset description {spec!r}")
+    return {
+        periodic_point(rotate(w, i))
+        for w in _axis_words(spec, max_period)
+        for i in range(len(w))
+    }
 
 
 def q_plus_boundary(
@@ -430,6 +417,57 @@ def q_plus_boundary(
     for g in reduced_ball(range(2 * spec.rank), b):
         out.update(translate(g, x) for x in base)
     return out
+
+
+# ---------------------------------------------------------------------------
+# membership of points and pairs
+
+
+def _tail_letter_set(x: BoundaryPoint, start: int) -> set[int]:
+    """Every letter appearing in the expansion of x at positions >= start."""
+    pre = x.preperiod.letters
+    return set(pre[start:]) | set(x.period.letters)
+
+
+def point_in_forward_set(spec: SubsetPSpec, x: BoundaryPoint) -> bool:
+    """Whether x is the forward endpoint of some line of the subset; no
+    point with a letter past the rank is."""
+    if _is_directed(spec):
+        # a finite head is a shift of the line; only the tail must be directed
+        return x.max_index() <= spec.rank and set(x.period.letters) <= spec.steps
+    return x.max_index() <= spec.rank and _is_axis(spec, x.period)
+
+
+def pair_in_subset(spec: SubsetPSpec, x: BoundaryPoint, y: BoundaryPoint) -> bool:
+    """Whether (x, y) is an (forward, backward) endpoint pair of the subset;
+    no pair with a letter past the rank is."""
+    if x == y:
+        return False
+    directed = _is_directed(spec)
+    if max(x.max_index(), y.max_index()) > spec.rank:
+        return False
+    junction = int(gromov_product(x, y))
+    if directed:
+        forward_ok = _tail_letter_set(x, junction) <= spec.steps
+        backward_ok = all(
+            l ^ 1 in spec.steps for l in _tail_letter_set(y, junction)
+        )
+        return forward_ok and backward_ok
+    # axis subsets: after removing the shared approach, the pair must be
+    # the two ends of one periodic line through the identity
+    approach = x.prefix(junction).inverse()
+    px, py = translate(approach, x), translate(approach, y)
+    if not (px.preperiod.is_empty() and py.preperiod.is_empty()):
+        return False
+    if py.period != px.period.inverse():
+        return False
+    return _is_axis(spec, px.period)
+
+
+def _require_pair(spec: SubsetPSpec, x: BoundaryPoint, y: BoundaryPoint) -> None:
+    """Raise MembershipError unless (x, y) is an endpoint pair of the subset."""
+    if not pair_in_subset(spec, x, y):
+        raise MembershipError(f"({x}, {y}) is not an endpoint pair of the subset")
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,10 @@ class BoundaryPoint:
         """The length-m vertex on the ray from the identity to this point."""
         return ReducedWord(tuple(self.letter_at(i) for i in range(m)))
 
+    def max_index(self) -> int:
+        """Largest generator index used."""
+        return max(self.preperiod.max_index(), self.period.max_index())
+
     def __str__(self) -> str:
         return boundary_point_to_string(self)
 

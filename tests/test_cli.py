@@ -639,6 +639,57 @@ def test_cli_zero_trials_is_a_config_error(tmp_path, capsys):
     assert_config_error(tmp_path, capsys, data, "stability", "sampling.trials")
 
 
+_SUBSETS = {
+    "full": {"type": "full"},
+    "directed": {"type": "directed", "steps": ["a", "b"]},
+    "axis": {"type": "axis", "words": ["a"]},
+    "primitive": {"type": "primitive", "max_period": 3},
+}
+
+
+@pytest.mark.parametrize("subset", sorted(_SUBSETS))
+@pytest.mark.parametrize(
+    "task, key, value",
+    [
+        ("limit-map", "forward", "(c)"),
+        ("transversality", "forward", "c|(a)"),
+        ("sdp", "forward", "(aC)"),
+        ("splitting", "backward", "(C)"),
+        ("transversality", "pairs", [["(a)", "(B)"], ["(ab)", "c|(BA)"]]),
+    ],
+)
+def test_cli_point_past_the_rank_is_a_config_error(
+    tmp_path, capsys, subset, task, key, value
+):
+    data = schottky_config(subset=_SUBSETS[subset], tasks=[task])
+    data["points"][key] = value
+    field = "points.pairs[1]" if key == "pairs" else f"points.{key}"
+    assert_config_error(tmp_path, capsys, data, task, field)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["5.0", False, True, None, 10**400, [1.0]],
+    ids=["string", "false", "true", "null", "huge-int", "list"],
+)
+def test_cli_matrix_entries_must_be_json_numbers(tmp_path, capsys, entry):
+    data = schottky_config()
+    data["generators"][0][1][0] = entry
+    assert_config_error(tmp_path, capsys, data, "certify", "generators[0]")
+    data = schottky_config(tasks=["sdp"])
+    data["points"]["seed_plane"] = [[entry, 0.3]]
+    assert_config_error(tmp_path, capsys, data, "sdp", "points.seed_plane")
+
+
+def test_integer_matrix_entries_stay_valid():
+    data = schottky_config()
+    data["generators"][0] = [[5, 0], [0, 0.2]]
+    data["points"]["seed_plane"] = [[1, 0]]
+    config = parse_config(data)
+    assert config.generators[0] == ((5.0, 0.0), (0.0, 0.2))
+    assert config.points["seed_plane"] == [[1.0, 0.0]]
+
+
 def test_cli_zero_kappa_is_a_config_error(tmp_path, capsys):
     data = schottky_config(tasks=["holder"], sampling={"kappa": 0})
     assert_config_error(tmp_path, capsys, data, "holder", "sampling.kappa")

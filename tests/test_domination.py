@@ -293,6 +293,13 @@ def test_memo_keeps_no_error():
     assert not domination._MEMO
 
 
+def test_certify_refuses_a_subset_of_another_rank():
+    rep = Representation.of([np.diag([5.0, 0.2])] * 2)
+    with pytest.raises(ValueError, match="rank 3, the representation of rank 2"):
+        certify(rep, FullBoundary(3), 1, 6)
+    assert not domination._MEMO
+
+
 def test_memo_keeps_only_the_most_recent(monkeypatch):
     rep, spec = z_rep(), z_axis()
     size = domination.MEMO_SIZE

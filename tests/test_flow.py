@@ -294,6 +294,11 @@ def test_anosov_margins_membership_gate():
     )
     with pytest.raises(MembershipError):
         anosov_margins(rep, spec, 1, 6, [bad])
+    past = shift_point(
+        FullBoundary(3), periodic_point(parse_word("c")), periodic_point(parse_word("A"))
+    )
+    with pytest.raises(ValueError, match="rank 3, the representation of rank 2"):
+        anosov_margins(rep, FullBoundary(3), 1, 6, [past])
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +346,14 @@ def test_bg_splitting_needs_certificate():
     rep = Representation.of([np.eye(3)])
     with pytest.raises(NotCertifiedError):
         bg_splitting(rep, z_point(), 1)
+    # a subset of a larger free group than the representation's
+    rep = schottky_rep()
+    cert = certify(rep, directed_ab(), 1, 8)
+    x = shift_point(
+        FullBoundary(3), periodic_point(parse_word("c")), periodic_point(parse_word("A"))
+    )
+    with pytest.raises(ValueError, match="rank 3, the representation of rank 2"):
+        bg_splitting(rep, x, 1, certificate=cert)
 
 
 def test_splitting_checks_pass():

@@ -26,8 +26,6 @@ from gapcert.limits import (
     cartan_check,
     discontinuity_probe,
     holder_estimate,
-    pair_in_subset,
-    point_in_forward_set,
     sdp_check,
     transversality_table,
     xi_lower,
@@ -44,8 +42,11 @@ from gapcert.subsets import (
     AxisFamily,
     Directed,
     FullBoundary,
+    Primitive,
     gamma_p_plus,
     hat,
+    pair_in_subset,
+    point_in_forward_set,
     q_plus_boundary,
 )
 from gapcert.words import (
@@ -116,6 +117,11 @@ def test_point_membership():
     directed = directed_ab()
     assert point_in_forward_set(directed, parse_boundary_point("B|(ab)"))
     assert not point_in_forward_set(directed, parse_boundary_point("(aB)"))
+    # a letter past the rank, in the head or in the period, is in no subset
+    for spec in (FullBoundary(2), directed, axis, Primitive(2, 3)):
+        assert point_in_forward_set(spec, parse_boundary_point("b|(a)"))
+        for text in ("(c)", "c|(a)", "(aC)"):
+            assert not point_in_forward_set(spec, parse_boundary_point(text))
 
 
 def test_pair_membership_axis():
@@ -129,6 +135,13 @@ def test_pair_membership_axis():
     # a detoured forward endpoint breaks the pure periodicity of the pair
     assert not pair_in_subset(axis, parse_boundary_point("b|(ab)"), y)
     assert not pair_in_subset(axis, x, x)
+    # the same line translated by a letter past the rank
+    c = parse_word("c")
+    assert not pair_in_subset(axis, translate(c, x), translate(c, y))
+    primitive = Primitive(2, 3)
+    a, big_a = periodic_point(parse_word("a")), periodic_point(parse_word("A"))
+    assert pair_in_subset(primitive, a, big_a)
+    assert not pair_in_subset(primitive, translate(c, a), translate(c, big_a))
 
 
 def test_pair_membership_directed():
@@ -143,6 +156,15 @@ def test_pair_membership_directed():
     assert not pair_in_subset(
         directed, periodic_point(parse_word("a")), periodic_point(parse_word("b"))
     )
+    full = FullBoundary(2)
+    assert pair_in_subset(
+        full, periodic_point(parse_word("a")), periodic_point(parse_word("b"))
+    )
+    for x, y in (("(a)", "(C)"), ("c|(a)", "(B)"), ("(ab)", "b|(Ac)")):
+        for spec in (full, directed):
+            assert not pair_in_subset(
+                spec, parse_boundary_point(x), parse_boundary_point(y)
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +214,11 @@ def test_xi_membership_and_certificate_gates():
     identity_rep = Representation.of([np.eye(2), np.eye(2)])
     with pytest.raises(NotCertifiedError):
         xi_upper(identity_rep, a_axis_f2(), 1, periodic_point(parse_word("a")))
+    # a subset of a larger free group than the representation's
+    rep = schottky_rep()
+    cert = certify(rep, directed_ab(), 1, 8)
+    with pytest.raises(ValueError, match="rank 3, the representation of rank 2"):
+        xi_upper(rep, FullBoundary(3), 1, periodic_point(parse_word("c")), certificate=cert)
 
 
 def test_xi_no_usable_gap_reports_prefix():

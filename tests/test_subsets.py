@@ -24,6 +24,7 @@ from gapcert.subsets import (
     gamma_p_plus,
     hat,
     is_primitive,
+    pair_in_subset,
     q_plus_boundary,
     reduced_ball,
 )
@@ -166,7 +167,9 @@ def test_enumeration_properties(spec):
     for t, bucket in sample.buckets.items():
         for w in bucket:
             assert len(w) == t
-            assert helpers.check_witness(w, sample.witness(w))
+            back, fwd = sample.witness(w)
+            assert helpers.check_witness(w, (back, fwd))
+            assert pair_in_subset(spec, fwd, back)
     # monotonicity: a smaller budget enumerates the first levels
     smaller = gamma_p_plus(spec, 3)
     assert {t: sample.buckets[t] for t in range(1, 4)} == smaller.buckets
@@ -184,6 +187,7 @@ def test_hat_examples():
     fam = AxisFamily(2, (parse_word("ab"),))
     assert hat(fam).words == (parse_word("AB"),)  # least rotation of (ab)^-1
     assert hat(FullBoundary(3)) == FullBoundary(3)
+    assert FullBoundary(2) == Directed(2, frozenset(range(4)))
 
 
 # ---------------------------------------------------------------------------

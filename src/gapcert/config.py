@@ -19,6 +19,8 @@ import numpy as np
 
 from .domination import CertifyOptions
 from .errors import GapcertError, ParseError, ValidationError
+from .flow import DEFAULT_FLOW_STEPS
+from .limits import DEFAULT_N_MAX
 from .linalg import Representation, Subspace
 from .subsets import AxisFamily, Directed, FullBoundary, Primitive, SubsetPSpec
 from .words import BoundaryPoint, parse_boundary_point, parse_letter, parse_word
@@ -35,8 +37,8 @@ TASK_NAMES = (
 
 DEFAULT_TOLERANCES = {
     "subspace": 1e-8,
-    "lambda_min": 0.02,
-    "eps_res": 1e-6,
+    "lambda_min": CertifyOptions.lambda_min,
+    "eps_res": CertifyOptions.eps_res,
 }
 
 DEFAULT_SAMPLING = {
@@ -45,8 +47,8 @@ DEFAULT_SAMPLING = {
     "kappa": 1.0,
     "b": 0,
     "sdp_points": 30,
-    "flow_steps": 80,
-    "limit_n_max": 400,
+    "flow_steps": DEFAULT_FLOW_STEPS,
+    "limit_n_max": DEFAULT_N_MAX,
     "trials": 20,
     "epsilon": 1e-3,
 }

@@ -202,16 +202,6 @@ def _level_block(
     )
 
 
-def margins(
-    rep: Representation, spec: SubsetPSpec, k: int, budget: int
-) -> dict[int, tuple[float, ReducedWord]]:
-    """Per-length minimum margins with lexicographic argmin tie-break."""
-    if budget < 2:
-        raise BudgetError(f"margin tables need a budget >= 2, got {budget}")
-    table = _margin_tables([rep], gamma_p_plus(spec, budget), k)[0]
-    return {t: (m, w) for t, (m, w, _) in table.items()}
-
-
 def _fit_slope(points: list[tuple[int, float]]) -> tuple[float, float, float]:
     """Least squares slope, intercept and slope standard error."""
     ts = np.array([p[0] for p in points], dtype=float)

@@ -210,19 +210,14 @@ def anosov_margins(
 
 @dataclass(frozen=True, eq=False)
 class SplittingSample:
-    """Stable/unstable pair over one shift point with its diagnostics.
-
-    margin_lengths/margin_values is the domination margin curve of the
-    time-n maps; invariance residuals compare the one-step image of each
-    summand with the splitting computed at the shifted point.
-    """
+    """Stable/unstable pair over one shift point as extracted: the margin
+    curve of the time-n maps, the stop at iterations with its last subspace
+    steps, and the gapless lengths skipped.  It carries no residuals:
+    splitting_checks measures them."""
 
     point: ShiftPoint
     stable: Subspace
     unstable: Subspace
-    transversality: float
-    invariance_stable: float
-    invariance_unstable: float
     margin_lengths: tuple[int, ...]
     margin_values: tuple[float, ...]
     iterations: int
@@ -238,13 +233,13 @@ def _splitting(
     n_steps: int,
     tol: float,
     rate: float,
-) -> tuple[Subspace, Subspace, dict]:
+) -> SplittingSample:
     """Iterate the singular subspaces of the time-n maps until both limits
-    settle under the margin-seeded tail bound: the (stable, unstable,
-    diagnostics) triple at the first of n_steps lengths where both steps
-    are below tol and both bounds below their allowance, or raises
-    NoConvergenceError.  The maps over x (extended on the left) and into
-    x (on the right) are the two joint rows of one walk."""
+    settle under the margin-seeded tail bound: the sample at the first of
+    n_steps lengths where both steps are below tol and both bounds below
+    their allowance, or raises NoConvergenceError.  The maps over x
+    (extended on the left) and into x (on the right) are the two joint
+    rows of one walk."""
     dim, index = rep.dim, rep.dim - k
 
     def factors(rows: np.ndarray, start: int, count: int) -> np.ndarray:
@@ -275,16 +270,16 @@ def _splitting(
             bound_s = worst_pair * math.exp(-margin_s) * tail_factor
             bound_u = worst_pair * math.exp(-margin_u) * tail_factor
             if step_s <= tol and step_u <= tol and max(bound_s, bound_u) <= allowance:
-                return (
-                    Subspace(dim - index, walk.frames(chunk.mats[t, 0], True)),
-                    Subspace(index, walk.frames(chunk.mats[t, 1], False)),
-                    dict(
-                        iterations=n,
-                        step_s=step_s,
-                        step_u=step_u,
-                        margins=margins,
-                        skipped=skipped,
-                    ),
+                return SplittingSample(
+                    point=x,
+                    stable=Subspace(dim - index, walk.frames(chunk.mats[t, 0], True)),
+                    unstable=Subspace(index, walk.frames(chunk.mats[t, 1], False)),
+                    margin_lengths=tuple(length for length, _ in margins),
+                    margin_values=tuple(value for _, value in margins),
+                    iterations=n,
+                    last_step_stable=step_s,
+                    last_step_unstable=step_u,
+                    skipped_lengths=tuple(skipped),
                 )
     raise NoConvergenceError(
         f"splitting did not settle within {n_steps} steps: last steps "
@@ -306,32 +301,11 @@ def bg_splitting(
     stable is the limit of the most-contracted k right-singular directions
     of the time-n maps over x; unstable is the limit of the top (d-k)
     left-singular directions of the time-n maps arriving at x from the
-    n-fold backward shift.  Residuals against the splitting at the shifted
-    point are measured before returning.
+    n-fold backward shift.  Only extracts: splitting_checks measures the
+    residuals.
     """
     certificate = _require_certified(rep, x.spec, k, certificate)
-    rate = certificate.lambda_hat
-    stable, unstable, diag = _splitting(rep, x, k, n_steps, tol, rate)
-    stable_next, unstable_next, _ = _splitting(rep, shift(x), k, n_steps, tol, rate)
-    one_step = cocycle(rep, x, 1).core
-    return SplittingSample(
-        point=x,
-        stable=stable,
-        unstable=unstable,
-        transversality=transversality_gap(stable, unstable),
-        invariance_stable=grassmann_distance(
-            apply_to_subspace(one_step, stable), stable_next
-        ),
-        invariance_unstable=grassmann_distance(
-            apply_to_subspace(one_step, unstable), unstable_next
-        ),
-        margin_lengths=tuple(n for n, _ in diag["margins"]),
-        margin_values=tuple(m for _, m in diag["margins"]),
-        iterations=diag["iterations"],
-        last_step_stable=diag["step_s"],
-        last_step_unstable=diag["step_u"],
-        skipped_lengths=tuple(diag["skipped"]),
-    )
+    return _splitting(rep, x, k, n_steps, tol, certificate.lambda_hat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,12 +331,11 @@ def splitting_checks(
 ) -> SplittingReport:
     """Invariance, domination decay, and endpoint consistency of a sample.
 
-    Every residual is recomputed from the sample's subspaces rather than
-    echoed from its stored diagnostics, so a corrupted sample is caught:
-    invariance pushes the summands one step and compares them against the
-    splitting extracted at the shifted point.  Domination is the
-    log of the worst stable stretch over the least unstable stretch of the
-    time-n maps; its fitted slope must be negative.  Endpoint consistency
+    Every residual is measured from the sample's subspaces, so a corrupted
+    sample is caught: invariance pushes the summands one step and compares
+    them against the splitting extracted at the shifted point.  Domination
+    is the log of the worst stable stretch over the least unstable stretch
+    of the time-n maps; its fitted slope must be negative.  Endpoint consistency
     compares the summands with the boundary limit maps at the line's
     endpoints re-based at the marker, walked up to n_max prefixes, the
     backward one certified at certificate's budget.  Every residual must
@@ -371,15 +344,15 @@ def splitting_checks(
     x = sample.point
     k = sample.stable.dimension
     certificate = _require_certified(rep, x.spec, k, certificate)
-    stable_next, unstable_next, _ = _splitting(
+    shifted = _splitting(
         rep, shift(x), k, DEFAULT_FLOW_STEPS, DEFAULT_TOL, certificate.lambda_hat
     )
     one_step = cocycle(rep, x, 1).core
     invariance_stable = grassmann_distance(
-        apply_to_subspace(one_step, sample.stable), stable_next
+        apply_to_subspace(one_step, sample.stable), shifted.stable
     )
     invariance_unstable = grassmann_distance(
-        apply_to_subspace(one_step, sample.unstable), unstable_next
+        apply_to_subspace(one_step, sample.unstable), shifted.unstable
     )
     ratio_lengths = list(sample.margin_lengths)
     ratio_values = []

@@ -45,10 +45,6 @@ class ScaledMatrix:
     def identity(dim: int) -> "ScaledMatrix":
         return ScaledMatrix(np.eye(dim), 0.0)
 
-    @staticmethod
-    def of(matrix: np.ndarray) -> "ScaledMatrix":
-        return _renormalized(np.array(matrix, dtype=float, order="C"), 0.0)
-
     @property
     def dim(self) -> int:
         return self.core.shape[0]
@@ -238,12 +234,6 @@ def evaluate(rep: Representation, w: ReducedWord) -> ScaledMatrix:
     for letter in w:
         out = out.times(rep.image(letter))
     return out
-
-
-def singular_values(m: ScaledMatrix) -> np.ndarray:
-    """Log-scale singular values, descending."""
-    s = np.linalg.svd(m.core, compute_uv=False)
-    return m.logscale + np.log(np.clip(s, _TINY, None))
 
 
 def stacked_gap_margins(

@@ -93,8 +93,9 @@ def FullBoundary(rank: int) -> Directed:
 class AxisFamily:
     """The orbit of the oriented endpoint pairs (w^-inf, w^+inf), w in `words`.
 
-    Words are stored cyclically reduced and rotated to a canonical phase;
-    conjugate inputs therefore collapse to one stored word.
+    Words are stored as the primitive root of their cyclic reduction,
+    rotated to a canonical phase, as a boundary point keeps its period;
+    conjugate inputs and powers therefore collapse to one stored word.
     """
 
     rank: int
@@ -111,7 +112,7 @@ class AxisFamily:
                 raise EmptyWordError("axis words must be nonempty")
             if w.max_index() > self.rank:
                 raise ValueError(f"word {w} exceeds rank {self.rank}")
-            least = least_rotation(cyclic_reduce(w)[0])
+            least = least_rotation(periodic_point(cyclic_reduce(w)[0]).period)
             if least not in canon:
                 canon.append(least)
         canon.sort(key=ReducedWord.sort_key)
@@ -212,10 +213,6 @@ class GammaPSample:
     def buckets(self) -> dict[int, _Bucket]:
         """buckets[t]: the words of length t as a lazily decoded set."""
         return {t: _Bucket(self, t) for t in range(1, self.budget + 1)}
-
-    def words(self) -> Iterator[ReducedWord]:
-        for t in range(1, self.budget + 1):
-            yield from self.level_words(t)
 
     def level_words(self, t: int) -> list[ReducedWord]:
         """Every word of length t, decoded, in sort_key order."""

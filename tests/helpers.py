@@ -14,18 +14,19 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from gapcert import domination
-from gapcert.errors import NoConvergenceError, NoGapError
+from gapcert.errors import BudgetError, NoConvergenceError, NoGapError
 from gapcert.limits import BOUND_SLACK, LimitMapValue
 from gapcert.linalg import (
+    _TINY,
     Representation,
     ScaledMatrix,
     Subspace,
+    _renormalized,
     _require_gap,
     grassmann_distance,
-    singular_values,
     u_k,
 )
-from gapcert.subsets import AxisFamily, Directed, FullBoundary, Primitive
+from gapcert.subsets import AxisFamily, Directed, FullBoundary, Primitive, gamma_p_plus
 from gapcert.words import BoundaryPoint, ReducedWord, gromov_product, translate
 
 # ---------------------------------------------------------------------------
@@ -174,6 +175,17 @@ def word_matrix(rep, w) -> np.ndarray:
     return out
 
 
+def scaled_matrix(matrix) -> ScaledMatrix:
+    """A plain matrix as a ScaledMatrix, renormalized from log scale 0."""
+    return _renormalized(np.array(matrix, dtype=float, order="C"), 0.0)
+
+
+def singular_values(m: ScaledMatrix) -> np.ndarray:
+    """Log-scale singular values, descending."""
+    s = np.linalg.svd(m.core, compute_uv=False)
+    return m.logscale + np.log(np.clip(s, _TINY, None))
+
+
 def gap_margin(m: ScaledMatrix, k: int) -> float:
     """One-matrix margin reference: log sigma_k - log sigma_{k+1} by SVD;
     zero means no gap of index k."""
@@ -191,6 +203,21 @@ def log_norm(m: ScaledMatrix) -> float:
 def log_conorm(m: ScaledMatrix) -> float:
     """log of the smallest singular value."""
     return float(singular_values(m)[-1])
+
+
+def margins(rep, spec, k: int, budget: int) -> dict:
+    """Per-length minimum margins of the subset's positive words with their
+    lexicographic argmin: {t: (margin, word)}, from one certify walk."""
+    if budget < 2:
+        raise BudgetError(f"margin tables need a budget >= 2, got {budget}")
+    table = domination._margin_tables([rep], gamma_p_plus(spec, budget), k)[0]
+    return {t: (m, w) for t, (m, w, _) in table.items()}
+
+
+def sample_words(sample):
+    """Every word of a GammaPSample, one length after another."""
+    for t in range(1, sample.budget + 1):
+        yield from sample.level_words(t)
 
 
 def slope_tolerance(*certs, floor: float = 1e-9) -> float:

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import gap_margin, log_conorm, log_norm, slope_tolerance
+from helpers import (
+    gap_margin,
+    log_conorm,
+    log_norm,
+    scaled_matrix,
+    singular_values,
+    slope_tolerance,
+)
 from gapcert.domination import CERTIFIED, REFUTED, _fit_slope, certify
 from gapcert.errors import NoGapError
 from gapcert.flow import (
@@ -30,12 +37,10 @@ from gapcert.limits import (
 )
 from gapcert.linalg import (
     Representation,
-    ScaledMatrix,
     Subspace,
     apply_to_subspace,
     evaluate,
     grassmann_distance,
-    singular_values,
     u_k,
 )
 from gapcert.subsets import (
@@ -139,9 +144,9 @@ def _random_gapped_pair(rng):
         a = helpers.random_invertible(rng, 3, spread=3.0)
         b = helpers.random_invertible(rng, 3, spread=1.0)
         k = int(rng.integers(1, 3))
-        ma = ScaledMatrix.of(a)
-        mab = ScaledMatrix.of(a @ b)
-        mba = ScaledMatrix.of(b @ a)
+        ma = scaled_matrix(a)
+        mab = scaled_matrix(a @ b)
+        mba = scaled_matrix(b @ a)
         margins = (gap_margin(ma, k), gap_margin(mab, k), gap_margin(mba, k))
         if min(margins) > 1e-6:
             return a, b, k, ma, mab, mba
@@ -157,9 +162,9 @@ def test_a03_singular_value_inequality_suites():
     for _ in range(trials):
         a = helpers.random_invertible(rng, 3)
         b = helpers.random_invertible(rng, 3)
-        la = singular_values(ScaledMatrix.of(a))
-        lb = singular_values(ScaledMatrix.of(b))
-        lab = singular_values(ScaledMatrix.of(a @ b))
+        la = singular_values(scaled_matrix(a))
+        lb = singular_values(scaled_matrix(b))
+        lab = singular_values(scaled_matrix(a @ b))
         for k in range(3):
             assert max(la[-1] + lb[k], la[k] + lb[-1]) <= lab[k] + slack
             assert lab[k] <= min(la[0] + lb[k], la[k] + lb[0]) + slack
@@ -168,7 +173,7 @@ def test_a03_singular_value_inequality_suites():
     rng = np.random.default_rng(2027)
     for _ in range(trials):
         a, b, k, ma, mab, _ = _random_gapped_pair(rng)
-        cond_b = log_norm(ScaledMatrix.of(b)) - log_conorm(ScaledMatrix.of(b))
+        cond_b = log_norm(scaled_matrix(b)) - log_conorm(scaled_matrix(b))
         bound = math.exp(cond_b - gap_margin(ma, k)) + slack
         assert grassmann_distance(u_k(ma, k), u_k(mab, k)) <= bound
 
@@ -176,7 +181,7 @@ def test_a03_singular_value_inequality_suites():
     rng = np.random.default_rng(2028)
     for _ in range(trials):
         a, b, k, ma, _, mba = _random_gapped_pair(rng)
-        cond_b = log_norm(ScaledMatrix.of(b)) - log_conorm(ScaledMatrix.of(b))
+        cond_b = log_norm(scaled_matrix(b)) - log_conorm(scaled_matrix(b))
         bound = math.exp(cond_b - gap_margin(ma, k)) + slack
         moved = apply_to_subspace(b, u_k(ma, k))
         assert grassmann_distance(moved, u_k(mba, k)) <= bound

@@ -297,8 +297,8 @@ def test_run_walks_only_the_tolerances_its_tasks_read(monkeypatch):
     # each plane and splitting is walked once, to the chunk of the
     # tightest stop a task reads on it: limit-map and transversality read
     # planes at the config tolerance, sdp and the splitting checks at the
-    # default; splitting reads its own splittings at the config tolerance
-    # and flow_steps, the checks' shift at the default and 80 steps
+    # default; splitting reads its point at the config tolerance and
+    # flow_steps, and the checks read its shift at the default and 80 steps
     tol = DEFAULT_TOLERANCES["subspace"]
     default = limits.DEFAULT_TOL
     assert tol != default
@@ -343,12 +343,12 @@ def test_run_walks_only_the_tolerances_its_tasks_read(monkeypatch):
         ],
         ("splitting",): [
             splitting(x, 60, tol),
-            splitting(shift(x), 80, tol, default),
+            splitting(shift(x), 80, default),
             *endpoints,
         ],
         ("splitting", 80): [
             splitting(x, 80, tol),
-            splitting(shift(x), 80, tol, default),
+            splitting(shift(x), 80, default),
             *endpoints,
         ],
     }
@@ -451,7 +451,7 @@ def test_run_walks_each_plane_once_and_keeps_every_block(monkeypatch):
     report = run(config)
     assert exit_code(report) == 0
     # planes at (ab), (a) forward and (BA), (B) backward; splittings over the
-    # point, and over its shift at 60 steps and at the checks' 80 in one walk
+    # point, and over its shift, which only the checks read, at their 80 steps
     assert [walk.joint for walk in walks].count(False) == 4
     assert [walk.joint for walk in walks].count(True) == 2
     rep, spec = config.representation(), config.subset_spec()
@@ -467,7 +467,7 @@ def test_run_walks_each_plane_once_and_keeps_every_block(monkeypatch):
             json.dumps(results[name], sort_keys=True)
         )
     assert [walk.joint for walk in walks].count(False) == 9
-    assert [walk.joint for walk in walks].count(True) == 3
+    assert [walk.joint for walk in walks].count(True) == 2
 
 
 def test_cli_sweep_certifies_each_representation_once(tmp_path, monkeypatch, capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import helpers
 from gapcert import domination
-from helpers import gap_margin, log_conorm, log_norm
+from helpers import gap_margin, log_conorm, log_norm, margins
 from gapcert.domination import (
     CERTIFIED,
     INCONCLUSIVE,
@@ -21,7 +21,6 @@ from gapcert.domination import (
     CertifyOptions,
     _fit_slope,
     certify,
-    margins,
 )
 from gapcert.errors import BudgetError
 from gapcert.linalg import (
@@ -363,7 +362,7 @@ def word_margin(rep, w, k):
 def per_word_margins(rep, sample, k):
     """Reference: one evaluate and one margin per word, first strict minimum."""
     table = {}
-    for w in sample.words():
+    for w in helpers.sample_words(sample):
         m = word_margin(rep, w, k)
         if len(w) not in table or m < table[len(w)][0]:
             table[len(w)] = (m, w)
@@ -539,8 +538,8 @@ def test_d3_margins_near_the_gap_floor_stay_within_the_bar():
     for delta, closed in edges + [(d, None) for d in (1e-4, -1e-4, 3e-5, -3e-5)]:
         rep = Representation.of([q @ np.diag([4.0, 0.5, 0.5 + delta]) @ q.T])
         if closed is not None:
-            one = ScaledMatrix.of(rep.image(A_LETTER))
-            dual = ScaledMatrix.of(rep.stacked_duals[0])
+            one = helpers.scaled_matrix(rep.image(A_LETTER))
+            dual = helpers.scaled_matrix(rep.stacked_duals[0])
             _, svd = stacked_dual_margins(
                 np.stack([one.core, dual.core]),
                 np.array([one.logscale, dual.logscale]),
@@ -609,7 +608,7 @@ def test_conj_margin_drop_bounded(rng):
         cost += log_norm(evaluate(rep, beta.inverse())) - log_conorm(
             evaluate(rep, beta.inverse())
         )
-        for w in list(sample.words())[:20]:
+        for w in list(helpers.sample_words(sample))[:20]:
             plain = gap_margin(evaluate(rep, w), 1)
             wrapped = gap_margin(
                 evaluate(rep, concat(concat(beta, w), beta.inverse())), 1

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import gap_margin
+from helpers import gap_margin, singular_values
 from gapcert import domination, flow, limits
 from gapcert.domination import STACK_ROWS, CertifyOptions, _fit_slope, certify
 from gapcert.errors import (
@@ -45,7 +45,6 @@ from gapcert.linalg import (
     evaluate,
     grassmann_distance,
     running_products,
-    singular_values,
 )
 from gapcert.subsets import (
     AxisFamily,
@@ -311,9 +310,10 @@ def test_bg_splitting_diagonal():
     assert grassmann_distance(
         sample.unstable, span([0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
     ) < 1e-12
-    assert sample.transversality == pytest.approx(1.0, abs=1e-12)
-    assert sample.invariance_stable == pytest.approx(0.0, abs=1e-12)
-    assert sample.invariance_unstable == pytest.approx(0.0, abs=1e-12)
+    checks = splitting_checks(z_rep(), sample)
+    assert checks.transversality == pytest.approx(1.0, abs=1e-12)
+    assert checks.invariance_stable == pytest.approx(0.0, abs=1e-12)
+    assert checks.invariance_unstable == pytest.approx(0.0, abs=1e-12)
     assert sample.last_step_stable <= 1e-10
 
 
@@ -436,7 +436,7 @@ def splitting_outcome(rep, x, k, n_steps, tol, rate):
 
 
 def read_splitting(rep, x, k, n_steps, tol, rate):
-    """flow._splitting's outcome: the triple, or the error it raises."""
+    """flow._splitting's outcome: the sample, or the error it raises."""
     try:
         return flow._splitting(rep, x, k, n_steps, tol, rate)
     except NoConvergenceError as exc:
@@ -447,10 +447,16 @@ def assert_same_splitting(got, want):
     if isinstance(want, GapcertError):
         assert type(got) is type(want) and str(got) == str(want)
         return
-    (stable, unstable, diag), (stable_want, unstable_want, diag_want) = got, want
-    assert np.array_equal(stable.frame, stable_want.frame)
-    assert np.array_equal(unstable.frame, unstable_want.frame)
-    assert diag == diag_want
+    stable, unstable, diag = want
+    assert np.array_equal(got.stable.frame, stable.frame)
+    assert np.array_equal(got.unstable.frame, unstable.frame)
+    assert list(zip(got.margin_lengths, got.margin_values)) == diag["margins"]
+    assert (got.iterations, got.last_step_stable, got.last_step_unstable) == (
+        diag["iterations"],
+        diag["step_s"],
+        diag["step_u"],
+    )
+    assert list(got.skipped_lengths) == diag["skipped"]
 
 
 def stored_walks():
@@ -517,7 +523,7 @@ def test_splitting_stops_on_both_sides_of_a_chunk_edge(monkeypatch):
                             assert_same_splitting(got, want)
                             kinds.add(type(got).__name__)
     assert edges == {-1, 0, 1}
-    assert kinds == {"tuple", "NoConvergenceError"}
+    assert kinds == {"SplittingSample", "NoConvergenceError"}
     # a gapless length after the stop, in the stop's chunk, is not skipped
     rep = example_56_rep()
     detour = parse_boundary_point("a" * 25 + "b|(a)")
@@ -526,7 +532,7 @@ def test_splitting_stops_on_both_sides_of_a_chunk_edge(monkeypatch):
     assert gap_margin(cocycle(rep, x, 51), 1) == 0.0
     monkeypatch.setattr(limits, "_WALK_CHUNK", 64)
     got = read_splitting(rep, x, 1, 80, 1e-10, 1.0)
-    assert got[2]["iterations"] < 51
+    assert got.iterations < 51
     assert_same_splitting(got, splitting_outcome(rep, x, 1, 80, 1e-10, 1.0))
 
 
@@ -584,9 +590,9 @@ def test_shared_walks_extract_each_splitting_once():
             for key, walk in limits._SHARED_WALKS.get().items()
             if isinstance(key[1], BiInfiniteGeodesic)
         }
-    # the point and its shift, each walked once: the shift at 60 steps and
-    # 1e-8 for bg_splitting, then resumed to its 1e-10 stop at the checks'
-    # 80 steps, each walk to the chunk of the tightest stop it serves
+    # the point and its shift, each walked once: the point at 60 steps and
+    # 1e-8 for bg_splitting, the shift only at the checks' 80 steps and
+    # 1e-10, each walk to the chunk of its stop
     offset = x.line.origin_offset
     assert sorted(walks) == [offset, offset + 1]
     rate = cert.lambda_hat
@@ -597,10 +603,26 @@ def test_shared_walks_extract_each_splitting_once():
     assert np.array_equal(sample.stable.frame, alone.stable.frame)
     assert np.array_equal(sample.unstable.frame, alone.unstable.frame)
     assert dataclasses.astuple(checks) == dataclasses.astuple(checks_alone)
-    assert (sample.invariance_stable, sample.margin_values) == (
-        alone.invariance_stable,
-        alone.margin_values,
-    )
+    assert sample.margin_values == alone.margin_values
+
+
+def test_bg_splitting_walks_only_its_own_point(monkeypatch):
+    # outside a shared_walks block every walk is fresh: bg_splitting walks
+    # the point alone, and the checks walk the shift they compare against
+    rep, spec = schottky_rep(), directed_ab()
+    cert = certify(rep, spec, 1, 8)
+    x = axis_point(spec, "ab")
+    lines = []
+
+    def spy(key, new):
+        lines.append(key[1])
+        return limits.shared_walk(key, new)
+
+    monkeypatch.setattr(flow, "shared_walk", spy)
+    sample = bg_splitting(rep, x, 1, certificate=cert)
+    assert lines == [x.line]
+    splitting_checks(rep, sample, certificate=cert)
+    assert lines == [x.line, shift(x).line]
 
 
 # ---------------------------------------------------------------------------

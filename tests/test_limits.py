@@ -292,7 +292,7 @@ def test_transversality_schottky_sample():
     rep, directed = schottky_rep(), directed_ab()
     pairs = []
     seen = set()
-    for w in gamma_p_plus(directed, 5).words():
+    for w in helpers.sample_words(gamma_p_plus(directed, 5)):
         x = periodic_point(w)
         y = periodic_point(w.inverse())
         if (x, y) in seen:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import gap_margin, log_conorm, log_norm, s_dk
+from helpers import gap_margin, log_conorm, log_norm, s_dk, singular_values
 from gapcert.errors import DependentColumnsError, DimensionMismatchError, NoGapError
 from gapcert.linalg import (
     Representation,
@@ -19,7 +19,6 @@ from gapcert.linalg import (
     _renormalized_rows,
     renormalized_stack,
     running_products,
-    singular_values,
     stacked_apply_to_subspace,
     stacked_grassmann_distance,
     transversality_gap,
@@ -31,7 +30,7 @@ ROT90 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def scaled(mat):
-    return ScaledMatrix.of(np.asarray(mat, dtype=float))
+    return helpers.scaled_matrix(np.asarray(mat, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +123,8 @@ def test_running_products_extend_as_times_and_compose(rng):
         images[7] *= 1e-200
         factors = images[rng.integers(0, 12, size=(10, rows))]
         start = [
-            ScaledMatrix.of(helpers.random_invertible(rng, 3)) for _ in range(rows)
+            helpers.scaled_matrix(helpers.random_invertible(rng, 3))
+            for _ in range(rows)
         ]
         cores, logscales = running_products(
             np.array([m.core for m in start]),

@@ -45,7 +45,7 @@ def words(*strings):
 
 
 def sample_words(sample):
-    return set(sample.words())
+    return set(helpers.sample_words(sample))
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +142,9 @@ def test_axis_rotations_enumerated():
     spec = AxisFamily(2, (parse_word("ab"),))
     sample = gamma_p_plus(spec, 2)
     assert sample_words(sample) == words("a", "b", "ab", "ba")
+    # a power is stored as its primitive root, the period of its points
+    powers = AxisFamily(2, tuple(parse_word(w) for w in ("aa", "abab", "a")))
+    assert powers.words == (parse_word("a"), parse_word("ab"))
 
 
 def test_budget_errors():
@@ -156,9 +159,10 @@ def test_budget_errors():
         Directed(2, frozenset({0, 2})),
         Directed(1, frozenset({0})),
         AxisFamily(2, (parse_word("ab"), parse_word("aab"))),
+        AxisFamily(2, (parse_word("aa"), parse_word("abab"))),
         Primitive(2, 3),
     ],
-    ids=["full", "directed", "directed-z", "axis", "primitive"],
+    ids=["full", "directed", "directed-z", "axis", "axis-powers", "primitive"],
 )
 def test_enumeration_properties(spec):
     budget = 5

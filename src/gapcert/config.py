@@ -238,9 +238,6 @@ def parse_config(data: Any) -> RunConfig:
         sampling=sampling,
         points=points,
     )
-    # building the subset exercises its own invariants (letter indices in
-    # range, cyclic reducibility, ...) so bad values fail at load time
-    config.subset_spec()
     try:
         config.representation()
     except ValueError as exc:  # singular or too ill-conditioned to invert
@@ -336,6 +333,8 @@ def _validate_subset(data: dict, rank: int) -> dict[str, Any]:
     for key in raw:
         if key not in allowed:
             raise ValidationError(f"subset.{key}", "unknown field")
+    # building the subset checks its own invariants (letter indices in
+    # range, cyclic reducibility, ...) so bad values fail at load time
     _build_subset(raw, rank)
     return dict(raw)
 

@@ -40,7 +40,6 @@ from .limits import (
     BOUND_SLACK,
     DEFAULT_N_MAX,
     DEFAULT_TOL,
-    _dual_certificate,
     _require_certified,
     _Walk,
     shared_walk,
@@ -211,9 +210,9 @@ def anosov_margins(
 @dataclass(frozen=True, eq=False)
 class SplittingSample:
     """Stable/unstable pair over one shift point as extracted: the margin
-    curve of the time-n maps, the stop at iterations with its last subspace
-    steps, and the gapless lengths skipped.  It carries no residuals:
-    splitting_checks measures them."""
+    curve of the time-n maps, the stop at iterations of the n_steps it
+    could take, with its last subspace steps, and the gapless lengths
+    skipped.  It carries no residuals: splitting_checks measures them."""
 
     point: ShiftPoint
     stable: Subspace
@@ -221,6 +220,7 @@ class SplittingSample:
     margin_lengths: tuple[int, ...]
     margin_values: tuple[float, ...]
     iterations: int
+    n_steps: int
     last_step_stable: float
     last_step_unstable: float
     skipped_lengths: tuple[int, ...] = ()
@@ -277,6 +277,7 @@ def _splitting(
                     margin_lengths=tuple(length for length, _ in margins),
                     margin_values=tuple(value for _, value in margins),
                     iterations=n,
+                    n_steps=n_steps,
                     last_step_stable=step_s,
                     last_step_unstable=step_u,
                     skipped_lengths=tuple(skipped),
@@ -333,19 +334,19 @@ def splitting_checks(
 
     Every residual is measured from the sample's subspaces, so a corrupted
     sample is caught: invariance pushes the summands one step and compares
-    them against the splitting extracted at the shifted point.  Domination
-    is the log of the worst stable stretch over the least unstable stretch
-    of the time-n maps; its fitted slope must be negative.  Endpoint consistency
-    compares the summands with the boundary limit maps at the line's
-    endpoints re-based at the marker, walked up to n_max prefixes, the
-    backward one certified at certificate's budget.  Every residual must
-    be below SPLITTING_TOL.
+    them against the splitting extracted at the shifted point within the
+    sample's n_steps.  Domination is the log of the worst stable stretch
+    over the least unstable stretch of the time-n maps; its fitted slope
+    must be negative.  Endpoint consistency compares the summands with the
+    boundary limit maps at the line's endpoints re-based at the marker,
+    walked up to n_max prefixes at the certificate's rate.  Every residual
+    must be below SPLITTING_TOL.
     """
     x = sample.point
     k = sample.stable.dimension
     certificate = _require_certified(rep, x.spec, k, certificate)
     shifted = _splitting(
-        rep, shift(x), k, DEFAULT_FLOW_STEPS, DEFAULT_TOL, certificate.lambda_hat
+        rep, shift(x), k, sample.n_steps, DEFAULT_TOL, certificate.lambda_hat
     )
     one_step = cocycle(rep, x, 1).core
     invariance_stable = grassmann_distance(
@@ -372,11 +373,9 @@ def splitting_checks(
         sample.stable,
         xi_upper(rep, x.spec, k, fwd, n_max=n_max, certificate=certificate).subspace,
     )
-    # xi_lower checks the dual's verdict after the point's membership
-    dual = _dual_certificate(rep, x.spec, k, certificate)
     unstable_residual = grassmann_distance(
         sample.unstable,
-        xi_lower(rep, x.spec, k, bwd, n_max=n_max, certificate=dual).subspace,
+        xi_lower(rep, x.spec, k, bwd, n_max=n_max, certificate=certificate).subspace,
     )
     transversality = transversality_gap(sample.stable, sample.unstable)
     passed = (

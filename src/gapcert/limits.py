@@ -128,18 +128,6 @@ def _require_certified(
     return certificate
 
 
-def _dual_certificate(
-    rep: Representation,
-    spec: SubsetPSpec,
-    k: int,
-    certificate: DominationCertificate,
-) -> DominationCertificate:
-    """The certificate of the backward limit planes, unchecked: the flipped
-    subset at index d-k, certified at certificate's budget with default
-    options."""
-    return certify(rep, hat(spec), rep.dim - k, certificate.budget)
-
-
 def _membership_error(x: BoundaryPoint) -> MembershipError:
     return MembershipError(f"{x} is not a forward endpoint of the given subset")
 
@@ -168,8 +156,16 @@ def xi_upper(
     if not point_in_forward_set(spec, x):
         raise _membership_error(x)
     certificate = _require_certified(rep, spec, k, certificate)
+    return _plane(rep, k, x, certificate.lambda_hat, tol, n_max)
+
+
+def _plane(
+    rep: Representation, k: int, x: BoundaryPoint, rate: float, tol: float, n_max: int
+) -> LimitMapValue:
+    """The k-plane at x by xi_upper's stopping rule at the given rate, on
+    the open table's walk of x; raises the reader's error."""
     walk = shared_walk((rep, x, k), lambda: _plane_walk(rep, k, [x]))
-    (outcome,) = _limit_planes(rep, k, [x], certificate.lambda_hat, tol, n_max, walk)
+    (outcome,) = _limit_planes(rep, k, [x], rate, tol, n_max, walk)
     if isinstance(outcome, GapcertError):
         raise outcome
     return outcome
@@ -474,12 +470,16 @@ def xi_lower(
     n_max: int = DEFAULT_N_MAX,
     certificate: Optional[DominationCertificate] = None,
 ) -> LimitMapValue:
-    """Backward limit plane of dimension d-k: the forward map of the
+    """Backward limit plane of dimension d-k: the forward plane of the
     flipped subset at the complementary index, on the same code path.
 
-    A supplied certificate must be for (flipped subset, d-k).
+    A supplied certificate must be for (subset, k).  It is the flipped
+    subset's at d-k too, as sigma_i(g^-1) = 1/sigma_{d+1-i}(g).
     """
-    return xi_upper(rep, hat(spec), rep.dim - k, y, tol, n_max, certificate)
+    if not point_in_forward_set(hat(spec), y):
+        raise _membership_error(y)
+    certificate = _require_certified(rep, spec, k, certificate)
+    return _plane(rep, rep.dim - k, y, certificate.lambda_hat, tol, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -505,19 +505,17 @@ def transversality_table(
     certificate: Optional[DominationCertificate] = None,
 ) -> TransversalityTable:
     """Transversality gap of (forward plane at x, backward plane at y)
-    for each subset pair, with the worst gap summarized.  The backward
-    planes are certified at certificate's budget."""
+    for each subset pair, with the worst gap summarized.  One certificate
+    rates the planes on both sides."""
     if not pairs:
         raise ValueError("transversality table needs at least one pair")
     certificate = _require_certified(rep, spec, k, certificate)
-    dual = _dual_certificate(rep, spec, k, certificate)
-    dual = _require_certified(rep, hat(spec), rep.dim - k, dual)
     gaps: list[float] = []
     with shared_walks():  # a point of several pairs is walked once
         for x, y in pairs:
             _require_pair(spec, x, y)
             forward = xi_upper(rep, spec, k, x, tol, n_max, certificate=certificate)
-            backward = xi_lower(rep, spec, k, y, tol, n_max, certificate=dual)
+            backward = xi_lower(rep, spec, k, y, tol, n_max, certificate=certificate)
             gaps.append(transversality_gap(forward.subspace, backward.subspace))
     return TransversalityTable(
         pairs=tuple((x, y) for x, y in pairs),
@@ -567,14 +565,12 @@ def sdp_check(
     explicit schedule's limiting behavior is the caller's responsibility.
     Passes when the final distance is below tol and the curve's tail is
     decreasing within noise.  Both limit planes are walked at DEFAULT_TOL,
-    the backward one certified at certificate's budget.
+    at the rate of the one certificate.
     """
     certificate = _require_certified(rep, spec, k, certificate)
-    dual = _dual_certificate(rep, spec, k, certificate)
-    dual = _require_certified(rep, hat(spec), rep.dim - k, dual)
     _require_pair(spec, x, y)
     target = xi_upper(rep, spec, k, x, DEFAULT_TOL, n_max, certificate).subspace
-    repeller = xi_lower(rep, spec, k, y, DEFAULT_TOL, n_max, dual).subspace
+    repeller = xi_lower(rep, spec, k, y, DEFAULT_TOL, n_max, certificate).subspace
     gap = transversality_gap(seed, repeller)
     if gap <= SUBSPACE_TOLERANCE:
         raise NonTransverseSeedError(

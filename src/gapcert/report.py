@@ -92,8 +92,8 @@ def run(config: RunConfig) -> Report:
     timings: dict[str, float] = {}
 
     # lazy, so a run whose tasks read no certificate makes none; certify's
-    # memo makes each certificate (and the dual the limit-plane functions
-    # derive from it) once per process, and later calls copy it
+    # memo makes each certificate once per process, and later calls copy it;
+    # the limit planes on both sides read this one
     def certificate() -> DominationCertificate:
         opts = config.certify_options()
         return certify(rep, spec, config.k, config.budget, opts=opts)

@@ -30,7 +30,6 @@ from gapcert.report import (
     reproduce_paper,
     run,
 )
-from gapcert.subsets import hat
 from gapcert.words import parse_boundary_point
 
 LOG8 = math.log(8.0)
@@ -298,20 +297,19 @@ def test_run_walks_only_the_tolerances_its_tasks_read(monkeypatch):
     # tightest stop a task reads on it: limit-map and transversality read
     # planes at the config tolerance, sdp and the splitting checks at the
     # default; splitting reads its point at the config tolerance and
-    # flow_steps, and the checks read its shift at the default and 80 steps
+    # flow_steps, and the checks read its shift at the default and the
+    # same flow_steps
     tol = DEFAULT_TOLERANCES["subspace"]
     default = limits.DEFAULT_TOL
     assert tol != default
     config = parse_config(schottky_config())
     rep, spec = config.representation(), config.subset_spec()
-    rates = {
-        "forward": certify(rep, spec, 1, config.budget).lambda_hat,
-        "backward": certify(rep, hat(spec), 1, config.budget).lambda_hat,
-    }
+    # one rate, the certificate's, for the planes on both sides
+    rate = certify(rep, spec, 1, config.budget).lambda_hat
 
-    def plane(side, point, t):
+    def plane(point, t):
         x = parse_boundary_point(point)
-        value = helpers.reference_xi_upper(rep, 1, x, rates[side], t, 400)
+        value = helpers.reference_xi_upper(rep, 1, x, rate, t, 400)
         return (False, chunk_end(value.iterations))
 
     x = shift_point(spec, parse_boundary_point("(ab)"), parse_boundary_point("(BA)"))
@@ -319,31 +317,31 @@ def test_run_walks_only_the_tolerances_its_tasks_read(monkeypatch):
     def splitting(y, n_steps, *tols):
         stops = [
             helpers.reference_raw_splitting(
-                rep, y, 1, n_steps, t, rates["forward"]
+                rep, y, 1, n_steps, t, rate
             )[2]["iterations"]
             for t in tols
         ]
         return (True, chunk_end(max(stops)))
 
-    endpoints = [plane("forward", "(ab)", default), plane("backward", "(BA)", default)]
+    endpoints = [plane("(ab)", default), plane("(BA)", default)]
     cases = {
-        ("limit-map",): [plane("forward", "(ab)", tol)],
+        ("limit-map",): [plane("(ab)", tol)],
         ("transversality", "limit-map"): [
-            plane("forward", "(a)", tol),
-            plane("backward", "(B)", tol),
-            plane("forward", "(ab)", tol),
-            plane("backward", "(BA)", tol),
+            plane("(a)", tol),
+            plane("(B)", tol),
+            plane("(ab)", tol),
+            plane("(BA)", tol),
         ],
         ("sdp",): endpoints,
         # the backward plane, which only sdp reads, stops in the chunk of
         # its own stop at the default tolerance
         ("limit-map", "sdp"): [
-            plane("forward", "(ab)", default),
-            plane("backward", "(BA)", default),
+            plane("(ab)", default),
+            plane("(BA)", default),
         ],
         ("splitting",): [
             splitting(x, 60, tol),
-            splitting(shift(x), 80, default),
+            splitting(shift(x), 60, default),
             *endpoints,
         ],
         ("splitting", 80): [
@@ -442,16 +440,15 @@ def test_cli_holder_walks_at_the_config_tolerance_and_cap(tmp_path):
 
 
 def test_run_walks_each_plane_once_and_keeps_every_block(monkeypatch):
-    # every task that reads limit planes or splittings, two transversality
-    # pairs, and flow_steps off the splitting checks' own 80 steps
+    # every task that reads limit planes or splittings, and two
+    # transversality pairs
     point_tasks = ["limit-map", "transversality", "sdp", "splitting"]
     config = parse_config(schottky_config(tasks=point_tasks))
-    assert config.sampling["flow_steps"] != 80
     walks = record_walks(monkeypatch)
     report = run(config)
     assert exit_code(report) == 0
     # planes at (ab), (a) forward and (BA), (B) backward; splittings over the
-    # point, and over its shift, which only the checks read, at their 80 steps
+    # point, and over its shift, which only the checks read
     assert [walk.joint for walk in walks].count(False) == 4
     assert [walk.joint for walk in walks].count(True) == 2
     rep, spec = config.representation(), config.subset_spec()
@@ -471,9 +468,10 @@ def test_run_walks_each_plane_once_and_keeps_every_block(monkeypatch):
 
 
 def test_cli_sweep_certifies_each_representation_once(tmp_path, monkeypatch, capsys):
-    # one process runs every config's own tasks: the first two share the
-    # certificate and its dual, the one-ulp config makes its own.  Each
-    # report is the one a task subcommand writes with an empty memo
+    # one process runs every config's own tasks: the first two share one
+    # certificate, which rates the planes on both sides, and the one-ulp
+    # config makes its own.  Each report is the one a task subcommand
+    # writes with an empty memo
     tasks = ["certify", "limit-map", "transversality"]
     first = schottky_config(tasks=tasks)
     moved = schottky_config(tasks=tasks)
@@ -487,7 +485,7 @@ def test_cli_sweep_certifies_each_representation_once(tmp_path, monkeypatch, cap
     made = helpers.count_walks(monkeypatch)
     out_dir = tmp_path / "reports"
     assert main(["sweep", *paths, "--out-dir", str(out_dir), "--quiet"]) == 0
-    assert len(made) == 4
+    assert made == [(8, 1), (8, 1)]
     assert capsys.readouterr().out == ""
     for n, path in enumerate(paths):
         domination._MEMO.clear()

@@ -419,22 +419,34 @@ def test_d2_argmin_margins_match_a_50_digit_oracle(spec, budget):
         assert abs(m - oracle_margin(schottky_rep(), w)) <= 1e-12
 
 
+# The subsets of the inversion-duality cases, one of each kind.
+INVERSION_SPECS = (
+    FullBoundary(2),
+    directed_ab(),
+    Directed(2, frozenset({A_LETTER, B_LETTER ^ 1})),
+    AxisFamily(2, (parse_word("aab"),)),
+    Primitive(2, 3),
+)
+
+
+def inversion_reps(rng, dim):
+    """The representations of the inversion-duality cases in dimension dim
+    (2 or 3): fixed ones, then random pairs drawn from rng."""
+    if dim == 2:
+        fixed, drawn = [schottky_rep(), example_56_rep()], 20
+    else:
+        fixed, drawn = [helpers.pingpong_rep(seed) for seed in (0, 1, 7)], 10
+    return fixed + [
+        Representation.of([helpers.random_invertible(rng, dim) for _ in range(2)])
+        for _ in range(drawn)
+    ]
+
+
 def test_d2_margins_are_inversion_dual(rng):
     # m_1(M) = m_1(M^-1) for d = 2, and the flipped subset's words of each
     # length are the inverses of the subset's
-    reps = [schottky_rep(), example_56_rep()] + [
-        Representation.of([helpers.random_invertible(rng, 2) for _ in range(2)])
-        for _ in range(20)
-    ]
-    specs = (
-        FullBoundary(2),
-        directed_ab(),
-        Directed(2, frozenset({A_LETTER, B_LETTER ^ 1})),
-        AxisFamily(2, (parse_word("aab"),)),
-        Primitive(2, 3),
-    )
-    for rep in reps:
-        for spec in specs:
+    for rep in inversion_reps(rng, 2):
+        for spec in INVERSION_SPECS:
             fwd = margins(rep, spec, 1, 7)
             bwd = margins(rep, hat(spec), 1, 7)
             assert set(fwd) == set(bwd)
@@ -503,24 +515,29 @@ def test_d3_argmin_margins_match_a_50_digit_oracle(seed):
 def test_d3_margins_are_inversion_dual(rng):
     # m_1(M) = m_2(M^-1), and the flipped subset's words of each length
     # are the inverses of the subset's
-    reps = [helpers.pingpong_rep(seed) for seed in (0, 1, 7)] + [
-        Representation.of([helpers.random_invertible(rng, 3) for _ in range(2)])
-        for _ in range(10)
-    ]
-    specs = (
-        FullBoundary(2),
-        directed_ab(),
-        Directed(2, frozenset({A_LETTER, B_LETTER ^ 1})),
-        AxisFamily(2, (parse_word("aab"),)),
-        Primitive(2, 3),
-    )
-    for rep in reps:
-        for spec in specs:
+    for rep in inversion_reps(rng, 3):
+        for spec in INVERSION_SPECS:
             fwd = margins(rep, spec, 1, 6)
             bwd = margins(rep, hat(spec), 2, 6)
             assert set(fwd) == set(bwd)
             for t in fwd:
                 assert abs(fwd[t][0] - bwd[t][0]) <= 1e-12 * (1.0 + fwd[t][0])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_flipped_certificate_is_the_subset_certificate(rng, dim):
+    # the backward limit planes read the (subset, k) certificate: the
+    # flipped subset at d - k gets the same verdict and rate, by the
+    # margins' inversion duality above
+    for rep in inversion_reps(rng, dim):
+        for spec in INVERSION_SPECS:
+            for k in range(1, dim):
+                for budget in (6, 8):
+                    fwd = certify(rep, spec, k, budget)
+                    bwd = certify(rep, hat(spec), dim - k, budget)
+                    assert fwd.verdict == bwd.verdict
+                    lam = fwd.lambda_hat
+                    assert abs(lam - bwd.lambda_hat) <= 1e-12 * (1.0 + abs(lam))
 
 
 def test_d3_margins_near_the_gap_floor_stay_within_the_bar():

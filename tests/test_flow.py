@@ -382,9 +382,9 @@ def test_splitting_checks_walk_the_endpoint_planes_up_to_n_max():
     assert splitting_checks(rep, sample, certificate=cert, n_max=40).passed
 
 
-def test_backward_planes_are_certified_at_the_certificate_budget(monkeypatch):
-    # the dual of a budget-10 certificate is the flipped subset at index d-k,
-    # certified at budget 10, not at the default budget
+def test_backward_planes_take_the_given_certificate(monkeypatch):
+    # a budget-10 certificate rates the backward planes too: the flipped
+    # subset at index d-k is never certified, at any budget
     rep, spec = schottky_rep(), directed_ab()
     cert = certify(rep, spec, 1, 10)
     made = []
@@ -400,7 +400,26 @@ def test_backward_planes_are_certified_at_the_certificate_budget(monkeypatch):
     seed = span([1.0, 0.3])
     limits.sdp_check(rep, spec, 1, forward, backward, seed, certificate=cert)
     splitting_checks(rep, bg_splitting(rep, x, 1, certificate=cert), certificate=cert)
-    assert made == [(hat(spec), 1, 10)] * 3
+    assert made == []
+
+
+def test_splitting_checks_extract_the_shift_within_the_sample_cap():
+    # diag(1.2, 1/1.2) and its conjugate by a 0.9 rad rotation are dominated
+    # so slowly that the splitting settles past 80 steps: the checks
+    # extract the shifted point's splitting within the sample's own cap
+    theta = 0.9
+    rot = np.array(
+        [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+    )
+    a = np.diag([1.2, 1.0 / 1.2])
+    rep, spec = Representation.of([a, rot @ a @ rot.T]), directed_ab()
+    cert = certify(rep, spec, 1, 8)
+    x = axis_point(spec, "ab")
+    with pytest.raises(NoConvergenceError, match="within 80 steps"):
+        bg_splitting(rep, shift(x), 1, certificate=cert)
+    sample = bg_splitting(rep, x, 1, n_steps=300, certificate=cert)
+    assert sample.n_steps == 300
+    assert splitting_checks(rep, sample, certificate=cert).passed
 
 
 def test_splitting_checks_ratio_slope_diagonal():
@@ -591,13 +610,13 @@ def test_shared_walks_extract_each_splitting_once():
             if isinstance(key[1], BiInfiniteGeodesic)
         }
     # the point and its shift, each walked once: the point at 60 steps and
-    # 1e-8 for bg_splitting, the shift only at the checks' 80 steps and
-    # 1e-10, each walk to the chunk of its stop
+    # 1e-8 for bg_splitting, the shift only by the checks, within the
+    # sample's 60 steps at 1e-10, each walk to the chunk of its stop
     offset = x.line.origin_offset
     assert sorted(walks) == [offset, offset + 1]
     rate = cert.lambda_hat
     for shifted, tol in ((x, 1e-8), (shift(x), 1e-10)):
-        stop = helpers.reference_raw_splitting(rep, shifted, 1, 80, tol, rate)[2]
+        stop = helpers.reference_raw_splitting(rep, shifted, 1, 60, tol, rate)[2]
         chunks = -(-stop["iterations"] // limits._WALK_CHUNK)
         assert walks[shifted.line.origin_offset].length == chunks * limits._WALK_CHUNK
     assert np.array_equal(sample.stable.frame, alone.stable.frame)

@@ -192,6 +192,21 @@ def test_xi_lower_is_xi_upper_on_flipped_subset():
     assert via_lower.iterations == via_upper.iterations
 
 
+def test_xi_lower_takes_the_certificate_of_the_subset_and_index():
+    # d = 3, k = 1: the backward planes are of index 2, but their certificate
+    # is the (subset, 1) one, whose rate is the flipped subset's at index 2
+    rep, spec = helpers.pingpong_rep(1), directed_ab()
+    y = parse_boundary_point("(BA)")
+    cert = certify(rep, spec, 1, 8)
+    flipped = certify(rep, hat(spec), 2, 8)
+    with pytest.raises(ValueError, match="certificate is for index 2, expected 1"):
+        xi_lower(rep, spec, 1, y, certificate=flipped)
+    value = xi_lower(rep, spec, 1, y, certificate=cert)
+    reference = xi_upper(rep, hat(spec), 2, y, certificate=flipped)
+    assert value.subspace.dimension == 2
+    assert grassmann_distance(value.subspace, reference.subspace) < 1e-12
+
+
 def test_xi_detour_family_values():
     rep, axis = example_56_rep(), a_axis_f2()
     cert = certify(rep, axis, 1, 8)

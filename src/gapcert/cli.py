@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = subparsers.add_parser(
         "sweep",
         help="run each configuration's own tasks in one process; configs of "
-        "one representation share its certificates",
+        "one representation share its certificates and limit-plane walks",
     )
     sweep.add_argument(
         "configs", nargs="+", metavar="CONFIG", help="configuration JSON paths"

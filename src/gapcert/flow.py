@@ -5,12 +5,13 @@ to the declared subset; the quotient by the group action is realized by
 always reading words from the marked origin, so the time-n bundle map over
 a point is the inverse image of its forward word - exactly, with no
 distortion constants.  On top of the cocycle this module measures
-Anosov-style singular gap margins at the complementary index, extracts the
-stable/unstable splitting as limits of singular subspaces, checks the
-splitting for invariance / domination / endpoint consistency against the
-boundary limit maps, runs the block graph transform with its contraction
-hypotheses to rebuild invariant sections over periodic orbits, and probes
-stability of the certificate under random generator perturbations.
+Anosov-style singular gap margins at the complementary index, reads the
+stable/unstable splitting over a point as the limit planes at the two ends
+of its line (two reads of the limit-plane walks), checks the splitting for
+invariance / domination / endpoint consistency, runs the block graph
+transform with its contraction hypotheses to rebuild invariant sections
+over periodic orbits, and probes stability of the certificate under random
+generator perturbations.
 """
 
 from __future__ import annotations
@@ -33,16 +34,15 @@ from .domination import (
 from .errors import (
     HypothesesFailError,
     NoConvergenceError,
+    NoGapError,
     NotCertifiedError,
     SingularBlockError,
 )
 from .limits import (
-    BOUND_SLACK,
     DEFAULT_N_MAX,
     DEFAULT_TOL,
+    _plane,
     _require_certified,
-    _Walk,
-    shared_walk,
     xi_lower,
     xi_upper,
 )
@@ -133,23 +133,13 @@ def cocycle(rep: Representation, x: ShiftPoint, n: int) -> ScaledMatrix:
     return evaluate(rep, x.forward_word(n).inverse())
 
 
-def _step_factors(
-    rep: Representation, line: BiInfiniteGeodesic, start: int, count: int
-) -> np.ndarray:
-    """The (count, 2, d, d) factors that take the running maps from length
-    start to start + count: the time-n map over x is the inverse image of
-    the n-th step letter times the time-(n-1) map, a factor on the left;
-    the time-n map arriving at x from shift(x, -n) extends on the right by
-    the inverse image of the letter n steps back, as cocycle() builds it."""
-    steps = range(start, start + count)
-    codes = [(line.step_letter(n), line.step_letter(-n - 1)) for n in steps]
-    return rep.stacked_images[np.array(codes, dtype=np.intp).reshape(count, 2) ^ 1]
-
-
 def _cocycle_stack(rep: Representation, x: ShiftPoint, count: int):
     """Cores and log scales of cocycle(rep, x, n) for n = 1, ..., count as
-    one running product, whose rounding differs from cocycle()'s."""
-    factors = _step_factors(rep, x.line, 0, count)[:, :1]
+    one running product, whose rounding differs from cocycle()'s: the
+    time-n map is the inverse image of the n-th step letter times the
+    time-(n-1) map, a factor on the left."""
+    codes = np.array([x.line.step_letter(n) for n in range(count)], dtype=np.intp)
+    factors = rep.stacked_images[codes ^ 1][:, None]
     cores, logscales = running_products(np.eye(rep.dim)[None], np.zeros(1), factors, 1)
     return cores[:, 0], logscales[:, 0]
 
@@ -209,21 +199,27 @@ def anosov_margins(
 
 @dataclass(frozen=True, eq=False)
 class SplittingSample:
-    """Stable/unstable pair over one shift point as extracted: the margin
-    curve of the time-n maps, the stop at iterations of the n_steps it
-    could take, with its last subspace steps, and the gapless lengths
-    skipped.  It carries no residuals: splitting_checks measures them."""
+    """Stable/unstable pair over one shift point as extracted: the stop at
+    iterations (the later of the two summands' stops) of the n_steps it
+    could take, each summand's last subspace step, and the lengths either
+    summand skipped for want of a gap.  It carries no residuals:
+    splitting_checks measures them."""
 
     point: ShiftPoint
     stable: Subspace
     unstable: Subspace
-    margin_lengths: tuple[int, ...]
-    margin_values: tuple[float, ...]
     iterations: int
     n_steps: int
     last_step_stable: float
     last_step_unstable: float
     skipped_lengths: tuple[int, ...] = ()
+
+
+def _line_ends(x: ShiftPoint) -> tuple[BoundaryPoint, BoundaryPoint]:
+    """The forward and backward endpoints of x's line re-based at the
+    marker, the group quotient the cocycle reads words in."""
+    marker = x.line.vertex(0).inverse()
+    return translate(marker, x.line.forward), translate(marker, x.line.backward)
 
 
 def _splitting(
@@ -234,58 +230,29 @@ def _splitting(
     tol: float,
     rate: float,
 ) -> SplittingSample:
-    """Iterate the singular subspaces of the time-n maps until both limits
-    settle under the margin-seeded tail bound: the sample at the first of
-    n_steps lengths where both steps are below tol and both bounds below
-    their allowance, or raises NoConvergenceError.  The maps over x
-    (extended on the left) and into x (on the right) are the two joint
-    rows of one walk."""
-    dim, index = rep.dim, rep.dim - k
-
-    def factors(rows: np.ndarray, start: int, count: int) -> np.ndarray:
-        return _step_factors(rep, x.line, start, count)
-
-    walk = shared_walk(
-        (rep, x.line, index),
-        lambda: _Walk(dim, index, 2, factors, on_left=1, joint=True),
-    )
-    worst_pair = rep.letter_norm_bound
-    tail_factor = 1.0 / (1.0 - math.exp(-rate))
-    allowance = BOUND_SLACK * tol
-    margins: list[tuple[int, float]] = []
-    skipped: list[int] = []
-    step_s = step_u = math.inf
-    for chunk in walk.read(n_steps, np.ones(2, dtype=bool)):
-        upto = min(len(chunk.live), n_steps - chunk.start)
-        live = chunk.live[:upto, 0].tolist()
-        chunk_margins = chunk.margins[:upto].tolist()
-        chunk_steps = chunk.steps[:upto].tolist()
-        for t in range(upto):
-            n = chunk.start + t + 1
-            if not live[t]:
-                skipped.append(n)
-                continue
-            (margin_s, margin_u), (step_s, step_u) = chunk_margins[t], chunk_steps[t]
-            margins.append((n, margin_s))
-            bound_s = worst_pair * math.exp(-margin_s) * tail_factor
-            bound_u = worst_pair * math.exp(-margin_u) * tail_factor
-            if step_s <= tol and step_u <= tol and max(bound_s, bound_u) <= allowance:
-                return SplittingSample(
-                    point=x,
-                    stable=Subspace(dim - index, walk.frames(chunk.mats[t, 0], True)),
-                    unstable=Subspace(index, walk.frames(chunk.mats[t, 1], False)),
-                    margin_lengths=tuple(length for length, _ in margins),
-                    margin_values=tuple(value for _, value in margins),
-                    iterations=n,
-                    n_steps=n_steps,
-                    last_step_stable=step_s,
-                    last_step_unstable=step_u,
-                    skipped_lengths=tuple(skipped),
-                )
-    raise NoConvergenceError(
-        f"splitting did not settle within {n_steps} steps: last steps "
-        f"{step_s:.3e}/{step_u:.3e} against tolerance {tol:.1e}, "
-        f"{len(skipped)} gapless lengths skipped"
+    """The splitting over x as two limit-plane reads at tol within n_steps
+    prefixes: the k-plane at the forward end and the (d-k)-plane at the
+    backward end, re-based at the marker; raises NoConvergenceError when
+    either does not settle."""
+    forward, backward = _line_ends(x)
+    try:
+        stable = _plane(rep, k, forward, rate, tol, n_steps)
+        unstable = _plane(rep, rep.dim - k, backward, rate, tol, n_steps)
+    except (NoGapError, NoConvergenceError) as exc:
+        raise NoConvergenceError(
+            f"splitting did not settle within {n_steps} steps: {exc}"
+        ) from exc
+    return SplittingSample(
+        point=x,
+        stable=stable.subspace,
+        unstable=unstable.subspace,
+        iterations=max(stable.iterations, unstable.iterations),
+        n_steps=n_steps,
+        last_step_stable=stable.last_step,
+        last_step_unstable=unstable.last_step,
+        skipped_lengths=tuple(
+            sorted({*stable.skipped_prefixes, *unstable.skipped_prefixes})
+        ),
     )
 
 
@@ -297,13 +264,17 @@ def bg_splitting(
     tol: float = DEFAULT_TOL,
     certificate: Optional[DominationCertificate] = None,
 ) -> SplittingSample:
-    """Stable/unstable splitting over x from singular-subspace limits.
+    """Stable/unstable splitting over x: the limit planes at the ends of
+    its line, re-based at the marker.
 
-    stable is the limit of the most-contracted k right-singular directions
-    of the time-n maps over x; unstable is the limit of the top (d-k)
-    left-singular directions of the time-n maps arriving at x from the
-    n-fold backward shift.  Only extracts: splitting_checks measures the
-    residuals.
+    stable, the most-contracted k directions of the time-n maps over x, is
+    the forward k-plane: those maps invert the forward end's prefixes, so
+    it is read as their top block, which does not saturate as the maps'
+    bottom block does.  unstable, the top (d-k) directions of the maps into
+    x from its n-fold backward shift, is the backward (d-k)-plane.  Both
+    are read at tol within n_steps prefixes at the certificate's rate, from
+    the walks limit-map reads.  Only extracts: splitting_checks measures
+    the residuals.
     """
     certificate = _require_certified(rep, x.spec, k, certificate)
     return _splitting(rep, x, k, n_steps, tol, certificate.lambda_hat)
@@ -335,12 +306,15 @@ def splitting_checks(
     Every residual is measured from the sample's subspaces, so a corrupted
     sample is caught: invariance pushes the summands one step and compares
     them against the splitting extracted at the shifted point within the
-    sample's n_steps.  Domination is the log of the worst stable stretch
-    over the least unstable stretch of the time-n maps; its fitted slope
-    must be negative.  Endpoint consistency compares the summands with the
-    boundary limit maps at the line's endpoints re-based at the marker,
-    walked up to n_max prefixes at the certificate's rate.  Every residual
-    must be below SPLITTING_TOL.
+    sample's n_steps, at DEFAULT_TOL.  Domination is the log of the worst
+    stable stretch over the least unstable stretch of the time-n maps, at
+    every length up to the sample's stop that neither summand skipped; its
+    fitted slope must be negative.  Endpoint consistency compares the
+    summands with the boundary limit maps at the line's endpoints re-based
+    at the marker, read at DEFAULT_TOL up to n_max prefixes at the
+    certificate's rate: the walks the sample was read from, so it measures
+    how far the sample's own stop lies from the stop at DEFAULT_TOL.
+    Every residual must be below SPLITTING_TOL.
     """
     x = sample.point
     k = sample.stable.dimension
@@ -355,27 +329,22 @@ def splitting_checks(
     invariance_unstable = grassmann_distance(
         apply_to_subspace(one_step, sample.unstable), shifted.unstable
     )
-    ratio_lengths = list(sample.margin_lengths)
-    ratio_values = []
-    if ratio_lengths:
-        cores = _cocycle_stack(rep, x, max(ratio_lengths))[0][
-            np.array(ratio_lengths) - 1
-        ]
-        stretched = np.linalg.svd(cores @ sample.stable.frame, compute_uv=False)
-        kept = np.linalg.svd(cores @ sample.unstable.frame, compute_uv=False)
-        ratio_values = (np.log(stretched[:, 0]) - np.log(kept[:, -1])).tolist()
+    skipped = set(sample.skipped_lengths)
+    ratio_lengths = [n for n in range(1, sample.iterations + 1) if n not in skipped]
+    cores = _cocycle_stack(rep, x, sample.iterations)[0][np.array(ratio_lengths) - 1]
+    stretched = np.linalg.svd(cores @ sample.stable.frame, compute_uv=False)
+    kept = np.linalg.svd(cores @ sample.unstable.frame, compute_uv=False)
+    ratio_values = (np.log(stretched[:, 0]) - np.log(kept[:, -1])).tolist()
     ratio_slope, _, _ = _fit_slope(list(zip(ratio_lengths, ratio_values)))
 
-    marker = x.line.vertex(0)
-    fwd = translate(marker.inverse(), x.line.forward)
-    bwd = translate(marker.inverse(), x.line.backward)
+    forward, backward = _line_ends(x)
     stable_residual = grassmann_distance(
         sample.stable,
-        xi_upper(rep, x.spec, k, fwd, n_max=n_max, certificate=certificate).subspace,
+        xi_upper(rep, x.spec, k, forward, n_max=n_max, certificate=certificate).subspace,
     )
     unstable_residual = grassmann_distance(
         sample.unstable,
-        xi_lower(rep, x.spec, k, bwd, n_max=n_max, certificate=certificate).subspace,
+        xi_lower(rep, x.spec, k, backward, n_max=n_max, certificate=certificate).subspace,
     )
     transversality = transversality_gap(sample.stable, sample.unstable)
     passed = (

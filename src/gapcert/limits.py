@@ -9,14 +9,14 @@ observed Grassmannian steps to the certificate's decay bound, tabulates
 transversality of forward/backward pairs, runs seed-plane convergence and
 membership-gated attraction checks, estimates the small-scale regularity
 exponent by regression, and reproduces the boundary-discontinuity probe.
+A plane is walked once per process: a table keyed by the generator images'
+bytes, the point and the index keeps its walk for every later reader.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -162,51 +162,43 @@ def xi_upper(
 def _plane(
     rep: Representation, k: int, x: BoundaryPoint, rate: float, tol: float, n_max: int
 ) -> LimitMapValue:
-    """The k-plane at x by xi_upper's stopping rule at the given rate, on
-    the open table's walk of x; raises the reader's error."""
-    walk = shared_walk((rep, x, k), lambda: _plane_walk(rep, k, [x]))
-    (outcome,) = _limit_planes(rep, k, [x], rate, tol, n_max, walk)
-    if isinstance(outcome, GapcertError):
-        raise outcome
-    return outcome
+    """The k-plane at x by xi_upper's stopping rule at the given rate, read
+    from the walk table's walk of x.  A value is kept on the walk under
+    (rate, tol, n_max), so a repeat read returns it as is; an error is
+    raised afresh by every read."""
+    walk = _table_walk(rep, k, x)
+    value = walk.values.get((rate, tol, n_max))
+    if value is None:
+        (value,) = _limit_planes(rep, k, [x], rate, tol, n_max, walk)
+        if isinstance(value, GapcertError):
+            raise value
+        walk.values[rate, tol, n_max] = value
+    return value
 
 
 # ---------------------------------------------------------------------------
-# the walk core: limit planes and splittings
+# the walk core and the walk table
 
-# The open walk table: every walk of the block by (representation, point
-# or line, index).
-_SHARED_WALKS: ContextVar[Optional[dict]] = ContextVar(
-    "gapcert_shared_walks", default=None
-)
+# The most walks the table keeps, the least recently read out first.
+WALKS_SIZE = 128
+_WALKS: "dict[tuple, _Walk]" = {}
 
 
-@contextmanager
-def shared_walks() -> Iterator[None]:
-    """Keep every limit-plane and splitting walk of the block, one per
-    (representation, point or line, index), with every length it walked.
-    A later read at any tolerance and length cap scans the kept lengths
-    and walks on only if its own stopping rule has not fired there, so
-    its outcome is bitwise that of a separate walk.  Membership and
-    certificate checks still run on every call.  A block inside another
-    keeps the outer block's walks."""
-    table = _SHARED_WALKS.get()
-    token = _SHARED_WALKS.set({} if table is None else table)
-    try:
-        yield
-    finally:
-        _SHARED_WALKS.reset(token)
-
-
-def shared_walk(key: tuple, new: Callable[[], "_Walk"]) -> "_Walk":
-    """The open table's walk under key, made by new() on first use; a
-    fresh walk outside a table."""
-    table = _SHARED_WALKS.get()
-    if table is None:
-        return new()
-    if key not in table:
-        table[key] = new()
-    return table[key]
+def _table_walk(rep: Representation, k: int, x: BoundaryPoint) -> "_Walk":
+    """The process's prefix walk of x at index k, made on its first read.
+    The table is keyed by content, the generator images' bytes, x and k,
+    as certify's memo is, so every reader of one plane in the process (the
+    tasks of a run, the configs of a sweep, both summands of a splitting)
+    resumes one walk; no key holds a tolerance, cap or rate, on which no
+    walk depends.  It takes no lock: gapcert starts no thread."""
+    key = (rep.rank, rep.dim, rep.stacked_images.tobytes(), x, k)
+    walk = _WALKS.pop(key, None)
+    if walk is None:
+        walk = _plane_walk(rep, k, [x])
+    _WALKS[key] = walk
+    if len(_WALKS) > WALKS_SIZE:
+        del _WALKS[next(iter(_WALKS))]
+    return walk
 
 
 # Lengths a walk of a few rows advances at a time: their products are
@@ -239,19 +231,14 @@ class _Chunk:
 
 
 class _Walk:
-    """Running products of some rows, one length after another, with the
-    singular planes, gap margins and steps of every length walked.
+    """Running products of some rows, each extended on the right by its
+    factors, with the top-k left singular planes, gap margins and steps of
+    every length walked: the attracting planes of prefixes.
 
-    The first on_left rows take their factors on the left and read their
-    plane as the bottom d-k right singular vectors (the stable directions
-    of the time-n maps over a shift point); the others take them on the
-    right and read the top k left singular vectors (the attracting planes
-    of prefixes).  With joint set, a length without a gap of index k in
-    one row has no plane in any (a splitting needs both summands).
     factors(rows, start, count) gives the (count, len(rows), d, d) factors
     of lengths start + 1, ..., start + count.  Nothing a walk keeps
     depends on a tolerance or length cap, so readers at any of them share
-    it.
+    it; values holds _plane's outcomes on the walk.
     """
 
     def __init__(
@@ -260,14 +247,13 @@ class _Walk:
         k: int,
         width: int,
         factors: Callable[[np.ndarray, int, int], np.ndarray],
-        on_left: int = 0,
-        joint: bool = False,
     ):
-        self.k, self.factors, self.on_left, self.joint = k, factors, on_left, joint
+        self.k, self.factors = k, factors
         self.length = 0
         self.rows = np.arange(width)  # the rows walking on
         self.chunks: list[_Chunk] = []
         self.single_until = 0  # after a chunk that failed, single lengths
+        self.values: dict[tuple[float, float, int], LimitMapValue] = {}
         # per row: the product, the singular matrix of its last plane, and
         # the margin at the last length
         self.cores = np.repeat(np.eye(dim)[None], width, axis=0)
@@ -276,21 +262,12 @@ class _Walk:
         self.has_plane = np.zeros(width, dtype=bool)
         self.last_margins = np.full(width, -math.inf)
 
-    def frames(self, mats: np.ndarray, right: bool) -> np.ndarray:
-        """The planes held by whole singular matrices: views of the bottom
-        right singular vectors or of the top left ones, whose strides, and
-        so the steps' bits, are those of the frames of u_k and of the
-        one-length reference s_dk in tests/helpers.py."""
-        if right:
-            return np.swapaxes(mats[..., self.k :, :], -1, -2)
-        return mats[..., : self.k]
-
     def read(self, n_max: int, waiting: np.ndarray) -> Iterator[_Chunk]:
         """The chunks that start below length n_max: those kept, then new
         ones that walk the rows still waiting.  A row that has stopped waiting
         when the walk goes on stops walking for good, so a walk of several
-        rows serves one reader, while a reader of one row, or of joint
-        rows, that stops once none waits leaves a walk to resume."""
+        rows serves one reader, while a reader of one row that stops leaves
+        a walk to resume."""
         at = 0
         while True:
             while at < len(self.chunks) and self.chunks[at].start < n_max:
@@ -316,40 +293,29 @@ class _Walk:
     def _walk(self, count: int) -> None:
         rows, k, dim, start = self.rows, self.k, self.cores.shape[-1], self.length
         width = len(rows)
-        right = rows < self.on_left  # the first rows, as rows stay sorted
-        on_left = int(np.count_nonzero(right))
         chunk, scales = running_products(
-            self.cores[rows],
-            self.logscales[rows],
-            self.factors(rows, start, count),
-            on_left,
+            self.cores[rows], self.logscales[rows], self.factors(rows, start, count)
         )
         flat = chunk.reshape(-1, dim, dim)
-        left, right_t, gapless = stacked_singular_frames(flat, k)
+        left, gapless = stacked_singular_frames(flat, k)
         margins = stacked_gap_margins(flat, scales.reshape(-1), k).reshape(count, width)
         live = ~gapless.reshape(count, width)
-        if self.joint:
-            live &= live.all(axis=1, keepdims=True)
         # a length without a plane keeps its row's plane and reads as
         # margin -inf, so the next margin counts as rising
         margins[~live] = -math.inf
         mats = left.reshape(count, width, dim, dim)
-        mats[:, :on_left] = right_t.reshape(count, width, dim, dim)[:, :on_left]
         # the rows' last planes, then the chunk's; latest[t] indexes each
         # row's plane after t lengths of the chunk (-1: none yet)
-        planes = np.concatenate([self.last[rows], mats.reshape(-1, dim, dim)])
+        planes = np.concatenate([self.last[rows], left])
         own = np.arange(width, width * (count + 1)).reshape(count, width)
         first = np.where(self.has_plane[rows], np.arange(width), -1)[None]
         latest = np.maximum.accumulate(np.concatenate([first, np.where(live, own, -1)]))
         moving = live & (latest[:-1] >= 0)
         steps = np.full((count, width), math.inf)
-        for side in set(right.tolist()):
-            pairs = moving & (right == side)
-            if np.count_nonzero(pairs):
-                steps[pairs] = stacked_grassmann_distance(
-                    self.frames(planes[latest[:-1][pairs]], side),
-                    self.frames(planes[own[pairs]], side),
-                )
+        if moving.any():
+            steps[moving] = stacked_grassmann_distance(
+                planes[latest[:-1][moving]][..., :k], planes[own[moving]][..., :k]
+            )
         rising = margins > np.vstack([self.last_margins[rows], margins[:-1]])
         # nothing below fails numerically: keep the chunk
         self.chunks.append(_Chunk(start, rows, mats, live, margins, rising, steps))
@@ -511,12 +477,11 @@ def transversality_table(
         raise ValueError("transversality table needs at least one pair")
     certificate = _require_certified(rep, spec, k, certificate)
     gaps: list[float] = []
-    with shared_walks():  # a point of several pairs is walked once
-        for x, y in pairs:
-            _require_pair(spec, x, y)
-            forward = xi_upper(rep, spec, k, x, tol, n_max, certificate=certificate)
-            backward = xi_lower(rep, spec, k, y, tol, n_max, certificate=certificate)
-            gaps.append(transversality_gap(forward.subspace, backward.subspace))
+    for x, y in pairs:
+        _require_pair(spec, x, y)
+        forward = xi_upper(rep, spec, k, x, tol, n_max, certificate=certificate)
+        backward = xi_lower(rep, spec, k, y, tol, n_max, certificate=certificate)
+        gaps.append(transversality_gap(forward.subspace, backward.subspace))
     return TransversalityTable(
         pairs=tuple((x, y) for x, y in pairs),
         gaps=tuple(gaps),

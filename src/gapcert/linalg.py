@@ -391,16 +391,13 @@ def u_k(m: ScaledMatrix, k: int) -> Subspace:
     return Subspace(k, left[:, :k])
 
 
-def stacked_singular_frames(
-    cores: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """np.linalg.svd's left and transposed right singular matrices of an
-    (N, d, d) stack, which hold the top-k left and the bottom (d-k) right
-    singular frames, and the mask of the matrices without a gap of index k,
-    where u_k raises NoGapError."""
-    left, svals, right_t = np.linalg.svd(cores)
+def stacked_singular_frames(cores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.svd's left singular matrices of an (N, d, d) stack, which
+    hold the top-k left singular frames, and the mask of the matrices
+    without a gap of index k, where u_k raises NoGapError."""
+    left, svals, _ = np.linalg.svd(cores)
     logs = np.log(np.maximum(svals, _TINY))
-    return left, right_t, logs[:, k - 1] - logs[:, k] <= GAP_TOLERANCE
+    return left, logs[:, k - 1] - logs[:, k] <= GAP_TOLERANCE
 
 
 def _require_gap(m: ScaledMatrix, k: int, svals: np.ndarray) -> None:

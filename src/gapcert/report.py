@@ -32,7 +32,6 @@ from .limits import (
     discontinuity_probe,
     holder_estimate,
     sdp_check,
-    shared_walks,
     transversality_table,
     xi_upper,
 )
@@ -98,20 +97,19 @@ def run(config: RunConfig) -> Report:
         opts = config.certify_options()
         return certify(rep, spec, config.k, config.budget, opts=opts)
 
-    # each limit plane and splitting the tasks read is walked once, as far
-    # as its tightest read needs
-    with shared_walks():
-        for index, name in enumerate(config.tasks):
-            started = time.perf_counter()
-            runner = _TASK_RUNNERS[name]
-            try:
-                results[name] = runner(config, rep, spec, index, certificate)
-            except GapcertError as exc:
-                results[name] = {
-                    "verdict": ERROR,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            timings[name] = time.perf_counter() - started
+    # each limit plane the tasks read is walked once per process (limits'
+    # walk table), as far as its tightest read needs
+    for index, name in enumerate(config.tasks):
+        started = time.perf_counter()
+        runner = _TASK_RUNNERS[name]
+        try:
+            results[name] = runner(config, rep, spec, index, certificate)
+        except GapcertError as exc:
+            results[name] = {
+                "verdict": ERROR,
+                "error": f"{type(exc).__name__}: {exc}",
+            }
+        timings[name] = time.perf_counter() - started
 
     summary = {name: result["verdict"] for name, result in results.items()}
     summary["overall"] = (

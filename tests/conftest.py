@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gapcert import domination
+from gapcert import domination, limits
 
 
 @pytest.fixture
@@ -11,6 +11,8 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def fresh_certificate_memo():
-    # certify keeps recent certificates for the whole process; a test that
-    # patches domination (STACK_ROWS, _margin_tables) must see a fresh walk
+    # certify keeps recent certificates and the limit planes keep their
+    # walks for the whole process; a test that patches domination
+    # (STACK_ROWS, _margin_tables) or the walk core must see fresh walks
     domination._MEMO.clear()
+    limits._WALKS.clear()

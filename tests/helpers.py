@@ -397,60 +397,29 @@ def forward_maps(rep, x, count):
         yield current
 
 
-def backward_maps(rep, x, count):
-    """cocycle(rep, shift(x, -n), n) for n = 1, ..., count, one length at a
-    time, each extending the last on the right as cocycle() builds it."""
-    current = ScaledMatrix.identity(rep.dim)
-    for n in range(1, count + 1):
-        current = current.times(rep.image(x.line.step_letter(-n) ^ 1))
-        yield current
+def line_ends(x):
+    """The forward and backward ends of a shift point's line, re-based at
+    its marker."""
+    marker = x.line.vertex(0).inverse()
+    return translate(marker, x.line.forward), translate(marker, x.line.backward)
 
 
-def reference_raw_splitting(rep, x, k, n_steps, tol, rate):
-    """The one-tolerance, one-length-at-a-time splitting walk that the
-    chunked, resumable walk of gapcert.flow replaced: returns (stable,
-    unstable, diagnostics) at the first length where both steps are below
-    tol and the tail bound is below its allowance, or raises
-    NoConvergenceError."""
-    index = rep.dim - k
-    worst_pair = rep.letter_norm_bound
-    tail_factor = 1.0 / (1.0 - math.exp(-rate))
-    stable = unstable = None
-    step_s = step_u = math.inf
-    margins = []
-    skipped = []
-    maps = zip(forward_maps(rep, x, n_steps), backward_maps(rep, x, n_steps))
-    for n, (forward_map, backward_map) in enumerate(maps, start=1):
-        try:
-            stable_cand = s_dk(forward_map, index)
-            unstable_cand = u_k(backward_map, index)
-        except NoGapError:
-            skipped.append(n)
-            continue
-        margin_s = gap_margin(forward_map, index)
-        margin_u = gap_margin(backward_map, index)
-        margins.append((n, margin_s))
-        if stable is not None:
-            step_s = grassmann_distance(stable, stable_cand)
-            step_u = grassmann_distance(unstable, unstable_cand)
-        stable, unstable = stable_cand, unstable_cand
-        bound_s = worst_pair * math.exp(-margin_s) * tail_factor
-        bound_u = worst_pair * math.exp(-margin_u) * tail_factor
-        bound = max(bound_s, bound_u)
-        if step_s <= tol and step_u <= tol and bound <= BOUND_SLACK * tol:
-            diag = {
-                "iterations": n,
-                "step_s": step_s,
-                "step_u": step_u,
-                "margins": margins,
-                "skipped": skipped,
-            }
-            return stable, unstable, diag
-    raise NoConvergenceError(
-        f"splitting did not settle within {n_steps} steps: last steps "
-        f"{step_s:.3e}/{step_u:.3e} against tolerance {tol:.1e}, "
-        f"{len(skipped)} gapless lengths skipped"
-    )
+def reference_splitting(rep, x, k, n_steps, tol, rate):
+    """The splitting over x as the one-point prefix loop reads it: the
+    (stable, unstable) limit-plane values at the line's re-based forward
+    end at index k and backward end at d - k, within n_steps prefixes, or
+    the NoConvergenceError that gapcert.flow raises when either does not
+    settle."""
+    forward, backward = line_ends(x)
+    try:
+        return (
+            reference_xi_upper(rep, k, forward, rate, tol, n_steps),
+            reference_xi_upper(rep, rep.dim - k, backward, rate, tol, n_steps),
+        )
+    except (NoGapError, NoConvergenceError) as exc:
+        raise NoConvergenceError(
+            f"splitting did not settle within {n_steps} steps: {exc}"
+        ) from None
 
 
 def count_walks(monkeypatch) -> list[tuple[int, int]]:

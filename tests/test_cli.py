@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from gapcert import cli, domination, flow, limits
+from gapcert import cli, domination, limits
 from gapcert.cli import main
 from gapcert.config import (
     DEFAULT_SAMPLING,
@@ -246,7 +246,9 @@ ALL_TASKS = [
 def test_run_all_tasks_deterministic_payload():
     config = parse_config(schottky_config(tasks=ALL_TASKS))
     first = run(config)
-    domination._MEMO.clear()  # certify again, not from the memo
+    # certify and walk again, not from the memo and the walk table
+    domination._MEMO.clear()
+    limits._WALKS.clear()
     second = run(config)
     assert exit_code(first) == 0
     assert list(first.results) == ALL_TASKS
@@ -264,17 +266,17 @@ def test_run_blocks_do_not_depend_on_task_order():
     # the walk table resumes each walk in whatever order the tasks read it;
     # holder draws its seed from its position, so its block is left out
     tasks = ["splitting", "limit-map", "transversality", "sdp", "holder"]
-    first, reverse = (
-        run(parse_config(schottky_config(tasks=order))).stable_payload()["results"]
-        for order in (tasks, tasks[::-1])
-    )
+    blocks = []
+    for order in (tasks, tasks[::-1]):
+        limits._WALKS.clear()  # each order walks from an empty table
+        blocks.append(run(parse_config(schottky_config(tasks=order))).stable_payload())
+    first, reverse = (payload["results"] for payload in blocks)
     for task in tasks[:-1]:
         assert first[task] == reverse[task], task
 
 
 def record_walks(monkeypatch):
-    """Every limit-plane and splitting walk made from here on, in order;
-    a splitting walk's rows are joint."""
+    """Every limit-plane walk made from here on, in order."""
     walks = []
 
     class Recorded(limits._Walk):
@@ -283,7 +285,6 @@ def record_walks(monkeypatch):
             walks.append(self)
 
     monkeypatch.setattr(limits, "_Walk", Recorded)
-    monkeypatch.setattr(flow, "_Walk", Recorded)
     return walks
 
 
@@ -293,12 +294,13 @@ def chunk_end(stop):
 
 
 def test_run_walks_only_the_tolerances_its_tasks_read(monkeypatch):
-    # each plane and splitting is walked once, to the chunk of the
-    # tightest stop a task reads on it: limit-map and transversality read
-    # planes at the config tolerance, sdp and the splitting checks at the
-    # default; splitting reads its point at the config tolerance and
-    # flow_steps, and the checks read its shift at the default and the
-    # same flow_steps
+    # each plane is walked once, to the chunk of the tightest stop a task
+    # reads on it: limit-map and transversality read planes at the config
+    # tolerance, sdp and the splitting checks at the default; splitting
+    # reads the ends of its point's line at the config tolerance within
+    # flow_steps, the same planes as limit-map and sdp, and the checks read
+    # the ends of its shift's line at the default within the same
+    # flow_steps
     tol = DEFAULT_TOLERANCES["subspace"]
     default = limits.DEFAULT_TOL
     assert tol != default
@@ -307,22 +309,14 @@ def test_run_walks_only_the_tolerances_its_tasks_read(monkeypatch):
     # one rate, the certificate's, for the planes on both sides
     rate = certify(rep, spec, 1, config.budget).lambda_hat
 
-    def plane(point, t):
+    def plane(point, t, n_max=400):
         x = parse_boundary_point(point)
-        value = helpers.reference_xi_upper(rep, 1, x, rate, t, 400)
-        return (False, chunk_end(value.iterations))
+        value = helpers.reference_xi_upper(rep, 1, x, rate, t, n_max)
+        return chunk_end(value.iterations)
 
     x = shift_point(spec, parse_boundary_point("(ab)"), parse_boundary_point("(BA)"))
-
-    def splitting(y, n_steps, *tols):
-        stops = [
-            helpers.reference_raw_splitting(
-                rep, y, 1, n_steps, t, rate
-            )[2]["iterations"]
-            for t in tols
-        ]
-        return (True, chunk_end(max(stops)))
-
+    shifted = [str(end) for end in helpers.line_ends(shift(x))]
+    assert shifted == ["(ba)", "(AB)"]
     endpoints = [plane("(ab)", default), plane("(BA)", default)]
     cases = {
         ("limit-map",): [plane("(ab)", tol)],
@@ -340,24 +334,25 @@ def test_run_walks_only_the_tolerances_its_tasks_read(monkeypatch):
             plane("(BA)", default),
         ],
         ("splitting",): [
-            splitting(x, 60, tol),
-            splitting(shift(x), 60, default),
             *endpoints,
+            plane("(ba)", default, 60),
+            plane("(AB)", default, 60),
         ],
         ("splitting", 80): [
-            splitting(x, 80, tol),
-            splitting(shift(x), 80, default),
             *endpoints,
+            plane("(ba)", default, 80),
+            plane("(AB)", default, 80),
         ],
     }
     for tasks, expected in cases.items():
         data = schottky_config(tasks=[t for t in tasks if isinstance(t, str)])
         if 80 in tasks:
             data["sampling"]["flow_steps"] = 80
+        limits._WALKS.clear()
         walks = record_walks(monkeypatch)
         report = run(parse_config(data))
         assert exit_code(report) == 0
-        assert [(walk.joint, walk.length) for walk in walks] == expected, tasks
+        assert [walk.length for walk in walks] == expected, tasks
 
 
 def test_run_splitting_checks_walk_the_endpoint_planes_to_the_config_cap():
@@ -440,39 +435,38 @@ def test_cli_holder_walks_at_the_config_tolerance_and_cap(tmp_path):
 
 
 def test_run_walks_each_plane_once_and_keeps_every_block(monkeypatch):
-    # every task that reads limit planes or splittings, and two
-    # transversality pairs
+    # every task that reads limit planes, and two transversality pairs
     point_tasks = ["limit-map", "transversality", "sdp", "splitting"]
     config = parse_config(schottky_config(tasks=point_tasks))
     walks = record_walks(monkeypatch)
     report = run(config)
     assert exit_code(report) == 0
-    # planes at (ab), (a) forward and (BA), (B) backward; splittings over the
-    # point, and over its shift, which only the checks read
-    assert [walk.joint for walk in walks].count(False) == 4
-    assert [walk.joint for walk in walks].count(True) == 2
+    # planes at (ab), (a) forward and (BA), (B) backward, which the
+    # splitting reads too, and the two ends of its shift's line, which only
+    # the checks read
+    assert len(walks) == 6
     rep, spec = config.representation(), config.subset_spec()
     cert = certify(rep, spec, config.k, config.budget, opts=config.certify_options())
     walks.clear()
     results = report.stable_payload()["results"]
     for index, name in enumerate(point_tasks):
-        # outside run() every public function walks on its own
+        # each task alone, from an empty table, gives the same block
+        limits._WALKS.clear()
         alone = report_module._TASK_RUNNERS[name](
             config, rep, spec, index, lambda: cert
         )
         assert json.dumps(report_module._jsonify(alone), sort_keys=True) == (
             json.dumps(results[name], sort_keys=True)
         )
-    assert [walk.joint for walk in walks].count(False) == 9
-    assert [walk.joint for walk in walks].count(True) == 2
+    assert len(walks) == 1 + 4 + 2 + 4
 
 
 def test_cli_sweep_certifies_each_representation_once(tmp_path, monkeypatch, capsys):
     # one process runs every config's own tasks: the first two share one
-    # certificate, which rates the planes on both sides, and the one-ulp
-    # config makes its own.  Each report is the one a task subcommand
-    # writes with an empty memo
-    tasks = ["certify", "limit-map", "transversality"]
+    # certificate, which rates the planes on both sides, and their limit
+    # planes; the one-ulp config makes its own.  Each report is the one a
+    # task subcommand writes with an empty memo and walk table
+    tasks = ["certify", "limit-map", "transversality", "splitting"]
     first = schottky_config(tasks=tasks)
     moved = schottky_config(tasks=tasks)
     moved["points"] = dict(first["points"], forward="(a)")
@@ -483,20 +477,73 @@ def test_cli_sweep_certifies_each_representation_once(tmp_path, monkeypatch, cap
         for n, data in enumerate((first, moved, nudged))
     ]
     made = helpers.count_walks(monkeypatch)
+    walks = record_walks(monkeypatch)
     out_dir = tmp_path / "reports"
     assert main(["sweep", *paths, "--out-dir", str(out_dir), "--quiet"]) == 0
     assert made == [(8, 1), (8, 1)]
+    # the first config walks (ab), (a), (BA), (B) and its shift's ends (ba)
+    # and (AB); the second reads only these (its shift's ends are (a) and
+    # (AB)); the one-ulp config walks its own six
+    assert len(walks) == 12
     assert capsys.readouterr().out == ""
     for n, path in enumerate(paths):
         domination._MEMO.clear()
+        limits._WALKS.clear()
         single = str(tmp_path / f"single{n}.json")
         argv = ["certify", "--task", "limit-map", "--task", "transversality"]
+        argv += ["--task", "splitting"]
         assert main([*argv, "--config", path, "--out", single, "--quiet"]) == 0
         swept = load_report(str(out_dir / f"c{n}-report.json"))
         alone = load_report(single)
         for report in (swept, alone):
             report.pop("timings")
         assert json.dumps(swept, sort_keys=True) == json.dumps(alone, sort_keys=True)
+
+
+def pingpong_seed1_config(tasks):
+    """The d = 3 ping-pong pair of the certify-full benchmark's seed 1 on
+    the full boundary at k = 1, budget 9, with the points (ab) and (BA)."""
+    return {
+        "rank": 2,
+        "dim": 3,
+        "generators": [
+            [
+                [7.56912836268446, -0.6113372845333476, -1.8696825610752188],
+                [0.4789737640833621, 0.9612583014871289, -0.1816038426223357],
+                [-0.910654786523883, 0.14188466892355037, 0.4835938166497661],
+            ],
+            [
+                [3.804868202640447, -1.249709896814646, 3.7038789113611728],
+                [-0.19135639904134583, 1.0830357091938176, -0.1830509630666653],
+                [2.9099653973400983, -0.9214843524541644, 3.2892039208296118],
+            ],
+        ],
+        "subset": {"type": "full"},
+        "k": 1,
+        "budget": 9,
+        "seed": 1,
+        "tasks": tasks,
+        "points": {"forward": "(ab)", "backward": "(BA)"},
+    }
+
+
+def test_run_splitting_passes_on_the_d3_pingpong_pair():
+    # the stable summand is the forward limit plane read as a top block;
+    # read as the bottom right singular vectors of the time-n maps it
+    # saturated once sigma_1 / sigma_3 passed 1/eps, and the checks ended
+    # in NoConvergenceError after 80 steps at the shifted point
+    config = parse_config(pingpong_seed1_config(["certify", "limit-map", "splitting"]))
+    report = run(config)
+    assert report.summary == {
+        "certify": "Certified",
+        "limit-map": "Pass",
+        "splitting": "Pass",
+        "overall": "Pass",
+    }
+    splitting = report.results["splitting"]
+    assert max(splitting["invariance_stable"], splitting["invariance_unstable"]) < 1e-8
+    # the stable summand is the forward limit plane at the config tolerance
+    assert splitting["stable_rows"] == report.results["limit-map"]["basis_rows"]
 
 
 def test_cli_sweep_exit_codes(tmp_path, capsys):

@@ -37,14 +37,12 @@ from gapcert.flow import (
     stability_probe,
     transform_hypotheses,
 )
-from gapcert.limits import shared_walks
 from gapcert.linalg import (
     Representation,
     Subspace,
     apply_to_subspace,
     evaluate,
     grassmann_distance,
-    running_products,
 )
 from gapcert.subsets import (
     AxisFamily,
@@ -162,11 +160,14 @@ def test_cocycle_law_random_representation():
 
 
 def test_running_maps_match_the_cocycle():
-    # the walk's running maps are those of the one-length loop, bit for
-    # bit; backward maps extend on the right as cocycle() does, bit for
-    # bit; forward maps extend on the left, so they keep cocycle()'s values
-    # to rounding: relative error n * eps, and each margin moves by at most
-    # n * eps times the ratio of the top to the (k+1)-th singular value
+    # the time-n maps over x are the inverse images of the prefixes of its
+    # line's forward end re-based at the marker, and the maps into x from
+    # shift(x, -n) are the images of the prefixes of the re-based backward
+    # end, so the splitting's summands are the limit planes there.  The
+    # cocycle stack is the one-length loop bit for bit; it extends on the
+    # left, so it keeps cocycle()'s values to rounding: relative error
+    # n * eps, and each margin moves by at most n * eps times the ratio of
+    # the top to the (k+1)-th singular value
     eps = 2.0**-52
     for seed in range(6):
         rng = np.random.default_rng(seed)
@@ -180,28 +181,21 @@ def test_running_maps_match_the_cocycle():
             ),
             2,
         )
-        maps = zip(helpers.forward_maps(rep, x, 40), helpers.backward_maps(rep, x, 40))
-        cores, logscales = running_products(
-            np.repeat(np.eye(dim)[None], 2, axis=0),
-            np.zeros(2),
-            flow._step_factors(rep, x.line, 0, 40),
-            on_left=1,
-        )
-        for n, (forward, backward) in enumerate(maps, start=1):
-            for row, m in enumerate((forward, backward)):
-                assert cores[n - 1, row].tobytes() == m.core.tobytes()
-                assert logscales[n - 1, row] == m.logscale
-            expected = cocycle(rep, shift(x, -n), n)
-            assert np.array_equal(backward.core, expected.core)
-            assert backward.logscale == expected.logscale
+        forward, backward = flow._line_ends(x)
+        cores, logscales = flow._cocycle_stack(rep, x, 40)
+        for n, stacked in enumerate(helpers.forward_maps(rep, x, 40), start=1):
+            assert forward.prefix(n) == x.forward_word(n)
+            assert backward.prefix(n) == shift(x, -n).forward_word(n).inverse()
+            assert cores[n - 1].tobytes() == stacked.core.tobytes()
+            assert logscales[n - 1] == stacked.logscale
             expected = cocycle(rep, x, n)
-            moved = math.exp(forward.logscale - expected.logscale) * forward.core
+            moved = math.exp(stacked.logscale - expected.logscale) * stacked.core
             error = np.linalg.norm(moved - expected.core)
             assert error <= 16 * n * eps * np.linalg.norm(expected.core)
             logs = singular_values(expected)
             for k in range(1, dim):
                 spread = math.exp(logs[0] - logs[k])
-                drift = abs(gap_margin(forward, k) - gap_margin(expected, k))
+                drift = abs(gap_margin(stacked, k) - gap_margin(expected, k))
                 assert drift <= 8 * n * eps * spread
 
 
@@ -449,7 +443,7 @@ def test_splitting_checks_catch_corruption():
 
 def splitting_outcome(rep, x, k, n_steps, tol, rate):
     try:
-        return helpers.reference_raw_splitting(rep, x, k, n_steps, tol, rate)
+        return helpers.reference_splitting(rep, x, k, n_steps, tol, rate)
     except GapcertError as exc:
         return exc
 
@@ -466,21 +460,37 @@ def assert_same_splitting(got, want):
     if isinstance(want, GapcertError):
         assert type(got) is type(want) and str(got) == str(want)
         return
-    stable, unstable, diag = want
-    assert np.array_equal(got.stable.frame, stable.frame)
-    assert np.array_equal(got.unstable.frame, unstable.frame)
-    assert list(zip(got.margin_lengths, got.margin_values)) == diag["margins"]
-    assert (got.iterations, got.last_step_stable, got.last_step_unstable) == (
-        diag["iterations"],
-        diag["step_s"],
-        diag["step_u"],
+    stable, unstable = want
+    assert np.array_equal(got.stable.frame, stable.subspace.frame)
+    assert np.array_equal(got.unstable.frame, unstable.subspace.frame)
+    assert got.iterations == max(stable.iterations, unstable.iterations)
+    assert (got.last_step_stable, got.last_step_unstable) == (
+        stable.last_step,
+        unstable.last_step,
     )
-    assert list(got.skipped_lengths) == diag["skipped"]
+    skipped = {*stable.skipped_prefixes, *unstable.skipped_prefixes}
+    assert list(got.skipped_lengths) == sorted(skipped)
 
 
-def stored_walks():
-    """The walks of the open walk table."""
-    return list(limits._SHARED_WALKS.get().values())
+def table_key(rep, k, point):
+    return (rep.rank, rep.dim, rep.stacked_images.tobytes(), point, k)
+
+
+def walked_planes():
+    """The (point, index) of every walk in the table, sorted."""
+    return sorted((key[3:] for key in limits._WALKS), key=str)
+
+
+def plane_outcome(rep, k, point, rate, tol, n_max):
+    try:
+        return helpers.reference_xi_upper(rep, k, point, rate, tol, n_max)
+    except GapcertError as exc:
+        return exc
+
+
+def chunk_end(stop):
+    """The length a walk reaches to read a stop: the end of its chunk."""
+    return -(-stop // limits._WALK_CHUNK) * limits._WALK_CHUNK
 
 
 @given(
@@ -490,9 +500,10 @@ def stored_walks():
 )
 @settings(max_examples=30, deadline=None)
 def test_one_pass_splitting_settles_each_tolerance_as_walked_alone(case, rate, reads):
-    # one stored walk per line, read at every (tolerance, cap) in turn,
-    # against each read walked alone; 80 steps are bg_splitting's default,
-    # and 3 and 6 too few for most lines, so NoConvergenceError is common
+    # the table's walks of each line's two ends, read at every (tolerance,
+    # cap) in turn, against each read walked alone by the one-point loop;
+    # 80 steps are bg_splitting's default, and 3 and 6 too few for most
+    # lines, so NoConvergenceError is common
     rep, spec = case
     forward = sorted(q_plus_boundary(spec, 3), key=str)[:3]
     backward = sorted(q_plus_boundary(hat(spec), 3), key=str)[-2:]
@@ -500,16 +511,27 @@ def test_one_pass_splitting_settles_each_tolerance_as_walked_alone(case, rate, r
     for k in range(1, rep.dim):
         for line in lines:
             x = ShiftPoint(spec, line)
-            needs = []
-            with shared_walks():
-                for tol, n_steps in reads:
-                    want = splitting_outcome(rep, x, k, n_steps, tol, rate)
-                    got = read_splitting(rep, x, k, n_steps, tol, rate)
-                    assert_same_splitting(got, want)
-                    done = isinstance(want, GapcertError)
-                    needs.append((n_steps if done else want[2]["iterations"], n_steps))
-                (walk,) = stored_walks()
-            assert walk.length == helpers.walked_length(needs, limits._WALK_CHUNK)
+            ends = list(zip(helpers.line_ends(x), (k, rep.dim - k)))
+            needs = {end: [] for end in ends}
+            limits._WALKS.clear()
+            for tol, n_steps in reads:
+                want = splitting_outcome(rep, x, k, n_steps, tol, rate)
+                got = read_splitting(rep, x, k, n_steps, tol, rate)
+                assert_same_splitting(got, want)
+                # the backward end is read only once the forward end settles
+                for point, index in ends:
+                    plane = plane_outcome(rep, index, point, rate, tol, n_steps)
+                    done = isinstance(plane, GapcertError)
+                    need = n_steps if done else plane.iterations
+                    needs[point, index].append((need, n_steps))
+                    if done:
+                        break
+            for (point, index), need in needs.items():
+                walk = limits._WALKS.get(table_key(rep, index, point))
+                if not need:
+                    assert walk is None
+                    continue
+                assert walk.length == helpers.walked_length(need, limits._WALK_CHUNK)
 
 
 def splitting_lines(spec):
@@ -521,21 +543,21 @@ def splitting_lines(spec):
 
 
 def test_splitting_stops_on_both_sides_of_a_chunk_edge(monkeypatch):
-    # chunks of C lengths with the stop at C - 1, C and C + 1, and step
-    # counts that are not multiples of C, against the one-length loop, read
-    # from one stored walk resumed past the edge
+    # chunks of C lengths with a summand's stop at C - 1, C and C + 1, and
+    # step counts that are not multiples of C, against the one-point loop,
+    # read from the table's walks resumed past the edge
     rep, spec = schottky_rep(), directed_ab()
     rate = certify(rep, spec, 1, 8).lambda_hat
     edges, kinds = set(), set()
     for x in splitting_lines(spec):
         for tol in (1e-8, 1e-10):
-            stop = helpers.reference_raw_splitting(rep, x, 1, 80, tol, rate)[2]
-            stop = stop["iterations"]
-            for chunk in (stop + 1, stop, stop - 1):
-                monkeypatch.setattr(limits, "_WALK_CHUNK", chunk)
-                edges.add(stop - chunk)
-                for n_steps in (80, stop - 1, chunk + 1, 2 * chunk + 3):
-                    with shared_walks():
+            summands = helpers.reference_splitting(rep, x, 1, 80, tol, rate)
+            for stop in {value.iterations for value in summands}:
+                for chunk in (stop + 1, stop, stop - 1):
+                    monkeypatch.setattr(limits, "_WALK_CHUNK", chunk)
+                    edges.add(stop - chunk)
+                    for n_steps in (80, stop - 1, chunk + 1, 2 * chunk + 3):
+                        limits._WALKS.clear()
                         for t in (1e-6, tol):
                             got = read_splitting(rep, x, 1, n_steps, t, rate)
                             want = splitting_outcome(rep, x, 1, n_steps, t, rate)
@@ -563,8 +585,10 @@ def test_a_splitting_chunk_that_fails_past_the_stop_is_rewalked(monkeypatch, err
     rate = certify(rep, spec, 1, 8).lambda_hat
     x = splitting_lines(spec)[0]
     want = splitting_outcome(rep, x, 1, 80, 1e-10, rate)
-    stop = want[2]["iterations"]
+    stop = want[0].iterations
     monkeypatch.setattr(limits, "_WALK_CHUNK", stop + 2)
+    # the backward end is read first, so only the forward end walks below
+    limits._plane(rep, 1, helpers.line_ends(x)[1], rate, 1e-10, 80)
     calls = []
     original = limits.running_products
 
@@ -582,11 +606,13 @@ def test_a_splitting_chunk_that_fails_past_the_stop_is_rewalked(monkeypatch, err
     assert_same_splitting(read_splitting(rep, x, 1, 80, 1e-10, rate), want)
     assert calls == [1] * stop
     calls.clear()
+    limits._WALKS.clear()
     monkeypatch.setattr(limits, "running_products", failing_at(stop))
     with pytest.raises(type(error)):
         read_splitting(rep, x, 1, 80, 1e-10, rate)
     assert calls == [1] * (stop - 1)
-    # a walk that cannot settle reports its last steps as the loop does
+    # a walk that cannot settle reports its last steps as the loop does,
+    # from the lengths the failed read kept
     monkeypatch.setattr(limits, "running_products", original)
     short = read_splitting(rep, x, 1, stop - 1, 1e-10, rate)
     assert isinstance(short, NoConvergenceError)
@@ -599,49 +625,46 @@ def test_shared_walks_extract_each_splitting_once():
     x = shift_point(
         spec, parse_boundary_point("b|(ab)"), parse_boundary_point("(BA)")
     )
+    sample = bg_splitting(rep, x, 1, n_steps=60, tol=1e-8, certificate=cert)
+    checks = splitting_checks(rep, sample, certificate=cert)
+    # the ends of the point and of its shift, each walked once: the point's
+    # at 60 steps and 1e-8 for bg_splitting and at 1e-10 for the endpoint
+    # residuals, the shift's only by the checks, within the sample's 60
+    # steps at 1e-10; each walk to the chunk of its 1e-10 stop
+    ends = [*helpers.line_ends(x), *helpers.line_ends(shift(x))]
+    assert walked_planes() == sorted(((point, 1) for point in ends), key=str)
+    for point in ends:
+        stop = helpers.reference_xi_upper(rep, 1, point, cert.lambda_hat, 1e-10, 60)
+        walk = limits._WALKS[table_key(rep, 1, point)]
+        assert walk.length == chunk_end(stop.iterations)
+    # a second extraction reads the kept values; fresh walks give the bits
+    again = bg_splitting(rep, x, 1, n_steps=60, tol=1e-8, certificate=cert)
+    assert again.stable is sample.stable and again.unstable is sample.unstable
+    limits._WALKS.clear()
     alone = bg_splitting(rep, x, 1, n_steps=60, tol=1e-8, certificate=cert)
     checks_alone = splitting_checks(rep, alone, certificate=cert)
-    with shared_walks():
-        sample = bg_splitting(rep, x, 1, n_steps=60, tol=1e-8, certificate=cert)
-        checks = splitting_checks(rep, sample, certificate=cert)
-        walks = {
-            key[1].origin_offset: walk
-            for key, walk in limits._SHARED_WALKS.get().items()
-            if isinstance(key[1], BiInfiniteGeodesic)
-        }
-    # the point and its shift, each walked once: the point at 60 steps and
-    # 1e-8 for bg_splitting, the shift only by the checks, within the
-    # sample's 60 steps at 1e-10, each walk to the chunk of its stop
-    offset = x.line.origin_offset
-    assert sorted(walks) == [offset, offset + 1]
-    rate = cert.lambda_hat
-    for shifted, tol in ((x, 1e-8), (shift(x), 1e-10)):
-        stop = helpers.reference_raw_splitting(rep, shifted, 1, 60, tol, rate)[2]
-        chunks = -(-stop["iterations"] // limits._WALK_CHUNK)
-        assert walks[shifted.line.origin_offset].length == chunks * limits._WALK_CHUNK
     assert np.array_equal(sample.stable.frame, alone.stable.frame)
     assert np.array_equal(sample.unstable.frame, alone.unstable.frame)
     assert dataclasses.astuple(checks) == dataclasses.astuple(checks_alone)
-    assert sample.margin_values == alone.margin_values
+    assert (sample.iterations, sample.skipped_lengths) == (
+        alone.iterations,
+        alone.skipped_lengths,
+    )
 
 
-def test_bg_splitting_walks_only_its_own_point(monkeypatch):
-    # outside a shared_walks block every walk is fresh: bg_splitting walks
-    # the point alone, and the checks walk the shift they compare against
+def test_bg_splitting_walks_only_its_own_point():
+    # bg_splitting walks the two ends of its point's line; the checks add
+    # the two of the shift they compare against, and read the endpoint
+    # planes from the point's own walks
     rep, spec = schottky_rep(), directed_ab()
     cert = certify(rep, spec, 1, 8)
     x = axis_point(spec, "ab")
-    lines = []
-
-    def spy(key, new):
-        lines.append(key[1])
-        return limits.shared_walk(key, new)
-
-    monkeypatch.setattr(flow, "shared_walk", spy)
     sample = bg_splitting(rep, x, 1, certificate=cert)
-    assert lines == [x.line]
+    ends = list(helpers.line_ends(x))
+    assert walked_planes() == sorted(((point, 1) for point in ends), key=str)
     splitting_checks(rep, sample, certificate=cert)
-    assert lines == [x.line, shift(x).line]
+    ends += helpers.line_ends(shift(x))
+    assert walked_planes() == sorted(((point, 1) for point in ends), key=str)
 
 
 # ---------------------------------------------------------------------------

@@ -731,6 +731,7 @@ def test_a_chunk_that_fails_past_the_stop_is_walked_length_by_length(
 def test_shared_walks_walk_each_plane_once_and_read_every_tolerance(monkeypatch):
     rep, spec = schottky_rep(), directed_ab()
     cert = certify(rep, spec, 1, 8)
+    rate = cert.lambda_hat
     x = parse_boundary_point("b|(ab)")
     walks = []
     original = limits._plane_walk
@@ -741,36 +742,30 @@ def test_shared_walks_walk_each_plane_once_and_read_every_tolerance(monkeypatch)
 
     monkeypatch.setattr(limits, "_plane_walk", spy)
     reads = [(1e-8, 400), (1e-10, 3), (1e-6, 300), (1e-10, 400), (1e-8, 400)]
-    alone = {}
+    got = {}
     for tol, n_max in reads:
         try:
-            alone[tol, n_max] = xi_upper(rep, spec, 1, x, tol, n_max, certificate=cert)
+            value = xi_upper(rep, spec, 1, x, tol, n_max, certificate=cert)
         except NoConvergenceError as exc:
-            alone[tol, n_max] = exc
-    # outside a block every call walks on its own
-    assert len(walks) == len(reads)
-    walks.clear()
-    with limits.shared_walks():
-        for tol, n_max in reads:
-            try:
-                got = xi_upper(rep, spec, 1, x, tol, n_max, certificate=cert)
-            except NoConvergenceError as exc:
-                got = exc
-            assert_same_outcome(got, alone[tol, n_max])
-        # one walk, at every cap, resumed after the error at 3 prefixes
-        # and walked to the chunk of the tightest stop only
-        assert isinstance(alone[1e-10, 3], NoConvergenceError)
-        stop = alone[1e-10, 400].iterations
-        assert walks[0].length == -(-stop // limits._WALK_CHUNK) * limits._WALK_CHUNK
-        # membership is still checked on every call
-        with pytest.raises(MembershipError):
-            xi_upper(rep, spec, 1, periodic_point(parse_word("A")), certificate=cert)
-        # the backward plane of the same point at the same index is the
-        # same walk (x is a backward endpoint of the full boundary)
-        xi_lower(rep, FullBoundary(2), 1, x)
+            value = exc
+        assert_same_outcome(value, walk_outcome(rep, 1, x, rate, tol, n_max))
+        # a repeat read returns the value kept on the walk
+        assert got.setdefault((tol, n_max), value) is value
+    # one walk, at every cap, resumed after the error at 3 prefixes and
+    # walked to the chunk of the tightest stop only
+    assert isinstance(got[1e-10, 3], NoConvergenceError)
+    stop = got[1e-10, 400].iterations
+    (walk,) = walks
+    assert walk.length == -(-stop // limits._WALK_CHUNK) * limits._WALK_CHUNK
+    # membership is still checked on every call
+    with pytest.raises(MembershipError):
+        xi_upper(rep, spec, 1, periodic_point(parse_word("A")), certificate=cert)
+    # the backward plane of the same point at the same index is the same
+    # walk (x is a backward endpoint of the full boundary)
+    xi_lower(rep, FullBoundary(2), 1, x)
     assert len(walks) == 1
-    with limits.shared_walks():
-        xi_upper(rep, spec, 1, x, 1e-8, certificate=cert)
+    limits._WALKS.clear()
+    xi_upper(rep, spec, 1, x, 1e-8, certificate=cert)
     assert len(walks) == 2
 
 
@@ -782,27 +777,95 @@ def test_shared_walks_resume_after_a_failed_chunk(monkeypatch):
     cert = certify(rep, spec, 1, 8)
     x = parse_boundary_point("(ab)")
     alone = {
-        tol: xi_upper(rep, spec, 1, x, tol, certificate=cert) for tol in (1e-8, 1e-10)
+        tol: walk_outcome(rep, 1, x, cert.lambda_hat, tol, 400) for tol in (1e-8, 1e-10)
     }
     assert alone[1e-8].iterations <= limits._WALK_CHUNK < alone[1e-10].iterations
     original = limits.running_products
     for error in (FloatingPointError("overflow"), IndexError("row")):
-        with limits.shared_walks():
-            xi_upper(rep, spec, 1, x, 1e-8, certificate=cert)
+        limits._WALKS.clear()
+        xi_upper(rep, spec, 1, x, 1e-8, certificate=cert)
 
-            def failing(*args):
-                raise error
+        def failing(*args):
+            raise error
 
-            monkeypatch.setattr(limits, "running_products", failing)
-            (walk,) = limits._SHARED_WALKS.get().values()
-            with pytest.raises(type(error)):
-                xi_upper(rep, spec, 1, x, 1e-10, certificate=cert)
-            assert walk.length == limits._WALK_CHUNK
-            got = xi_upper(rep, spec, 1, x, 1e-8, certificate=cert)
-            assert_same_outcome(got, alone[1e-8])
-            monkeypatch.setattr(limits, "running_products", original)
-            got = xi_upper(rep, spec, 1, x, 1e-10, certificate=cert)
-            assert_same_outcome(got, alone[1e-10])
+        monkeypatch.setattr(limits, "running_products", failing)
+        (walk,) = limits._WALKS.values()
+        with pytest.raises(type(error)):
+            xi_upper(rep, spec, 1, x, 1e-10, certificate=cert)
+        assert walk.length == limits._WALK_CHUNK
+        got = xi_upper(rep, spec, 1, x, 1e-8, certificate=cert)
+        assert_same_outcome(got, alone[1e-8])
+        monkeypatch.setattr(limits, "running_products", original)
+        got = xi_upper(rep, spec, 1, x, 1e-10, certificate=cert)
+        assert_same_outcome(got, alone[1e-10])
+
+
+def test_a_kept_plane_is_read_without_the_walk_core(monkeypatch):
+    # a repeat read returns the kept value itself: it scans no chunk,
+    # calls no stacked_* function and builds no Subspace; an error is not
+    # kept, so every read raises a new one
+    rep, spec = schottky_rep(), directed_ab()
+    cert = certify(rep, spec, 1, 8)
+    x = parse_boundary_point("b|(ab)")
+    value = xi_upper(rep, spec, 1, x, certificate=cert)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(NoConvergenceError) as caught:
+            xi_upper(rep, spec, 1, x, n_max=3, certificate=cert)
+        errors.append(caught.value)
+    assert errors[0] is not errors[1] and str(errors[0]) == str(errors[1])
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a kept value was read again")
+
+    names = [name for name in vars(limits) if name.startswith("stacked_")]
+    assert len(names) >= 3
+    for name in [*names, "running_products", "Subspace", "_limit_planes"]:
+        monkeypatch.setattr(limits, name, unreachable)
+    assert xi_upper(rep, spec, 1, x, certificate=cert) is value
+
+
+def test_walk_table_is_keyed_by_the_images_bits():
+    # two representations with bitwise-equal images share one walk and its
+    # values; a generator one ulp off (5.0 -> 5.000000000000001) does not
+    spec = directed_ab()
+    first, twin = schottky_rep(), schottky_rep()
+    assert first is not twin
+    cert = certify(first, spec, 1, 8)
+    x = parse_boundary_point("(ab)")
+    value = xi_upper(first, spec, 1, x, certificate=cert)
+    assert xi_upper(twin, spec, 1, x, certificate=cert) is value
+    assert len(limits._WALKS) == 1
+    images = [np.array(g) for g in first.stacked_images[0::2]]
+    images[0][0, 0] = 5.000000000000001
+    nudged = Representation.of(images)
+    assert nudged.stacked_images.tobytes() != first.stacked_images.tobytes()
+    moved = xi_upper(nudged, spec, 1, x, certificate=cert)
+    assert moved is not value
+    assert_same_outcome(moved, walk_outcome(nudged, 1, x, cert.lambda_hat, 1e-10, 400))
+    assert len(limits._WALKS) == 2
+
+
+def test_walk_table_never_holds_more_walks_than_its_bound(monkeypatch):
+    rep = schottky_rep()
+    points = sorted(q_plus_boundary(directed_ab(), 8), key=str)
+    assert len(points) > limits.WALKS_SIZE
+
+    def read(point):
+        try:
+            limits._plane(rep, 1, point, 1.0, 1e-10, 3)
+        except NoConvergenceError:
+            pass
+
+    for point in points:
+        read(point)
+        assert len(limits._WALKS) <= limits.WALKS_SIZE
+    # the least recently read walk goes first
+    limits._WALKS.clear()
+    monkeypatch.setattr(limits, "WALKS_SIZE", 3)
+    for point in points[:3] + points[:1] + points[3:4]:
+        read(point)
+    assert [key[3] for key in limits._WALKS] == [points[2], points[0], points[3]]
 
 
 def reference_holder(rep, spec, k, sample_size, seed, max_period, n_max, cert):

@@ -18,7 +18,7 @@ from .errors import BudgetError, EmptySubsetError
 from .linalg import (
     GAP_TOLERANCE,
     Representation,
-    renormalized_stack,
+    running_products,
     stacked_det_margins,
     stacked_dual_margins,
     stacked_gap_margins,
@@ -95,9 +95,9 @@ def _margin_tables(
     coded levels once for all of them.
 
     The stack's products of a level are (R, N, W, d, d): each is its
-    parent's product times one letter image, taken as one broadcast matmul
-    per letter and renormalized row by row, so every product has the bits
-    of evaluate(rep, w) whatever R is.  W = 2 for d = 3, where the second
+    parent's product times one letter image, one running_products step
+    over the whole level or block, so every product has the bits of
+    evaluate(rep, w) whatever R is.  W = 2 for d = 3, where the second
     product is the dual M^{-T}, walked with the letters' stacked_duals, and
     W = 1 otherwise.  For d = 2 the margin is the closed form of
     stacked_det_margins and for d = 3 that of stacked_dual_margins, each
@@ -119,8 +119,8 @@ def _margin_tables(
         else rep.stacked_images[:, None]
         for rep in reps
     ]
-    images = np.stack(walked)[:, :, None]
-    width = images.shape[3]
+    images = np.stack(walked)
+    width = images.shape[2]
     letter_logdets = np.stack([rep.stacked_logdets for rep in reps])
     logdets = np.zeros((count, 1))
     cores = np.broadcast_to(np.eye(dim), (count, 1, width, dim, dim))
@@ -175,16 +175,15 @@ def _level_block(
     """The (R, n, W, d, d) products of some words of a level with their
     (R, n, W) log scales, and the words' (R, n) margins with the mask of
     those an SVD measured.  Each product is its parent's times its letter's
-    image, one broadcast matmul per letter, renormalized row by row."""
-    count, dim = len(cores), cores.shape[-1]
-    stacked = np.empty((count, len(letters)) + cores.shape[2:])
-    for code in np.flatnonzero(np.bincount(letters)):
-        rows = np.flatnonzero(letters == code)
-        stacked[:, rows] = np.matmul(cores[:, parents[rows]], images[:, code])
-    flat, scales = renormalized_stack(
-        stacked.reshape(-1, dim, dim), logscales[:, parents].reshape(-1)
+    image: one running_products step over the gathered parents and images."""
+    dim = cores.shape[-1]
+    shape = (len(cores), len(letters)) + cores.shape[2:]
+    products, scales = running_products(
+        cores[:, parents].reshape(-1, dim, dim),
+        logscales[:, parents].reshape(-1),
+        images[:, letters].reshape(1, -1, dim, dim),
     )
-    logdets = logdets.reshape(-1)
+    flat, scales, logdets = products[0], scales[0], logdets.reshape(-1)
     if dim == 2:
         margin = stacked_det_margins(flat, scales, logdets)
         svd = np.zeros(len(flat), dtype=bool)
@@ -193,12 +192,11 @@ def _level_block(
     else:
         margin = stacked_gap_margins(flat, scales, k)
         svd = np.ones(len(flat), dtype=bool)
-    words = stacked.shape[:2]
     return (
-        flat.reshape(stacked.shape),
-        scales.reshape(stacked.shape[:3]),
-        margin.reshape(words),
-        svd.reshape(words),
+        flat.reshape(shape),
+        scales.reshape(shape[:3]),
+        margin.reshape(shape[:2]),
+        svd.reshape(shape[:2]),
     )
 
 

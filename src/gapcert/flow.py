@@ -59,7 +59,6 @@ from .linalg import (
 )
 from .subsets import SubsetPSpec, _require_pair, gamma_p_plus
 from .words import (
-    EMPTY_WORD,
     BiInfiniteGeodesic,
     BoundaryPoint,
     ReducedWord,
@@ -71,8 +70,6 @@ from .words import (
 DEFAULT_FLOW_STEPS = 80
 # Norm ceiling of the three graph-transform hypotheses.
 HYPOTHESES_LIMIT = 1.0 / 3.0
-# Contraction factor of the graph transform once the hypotheses hold.
-CONTRACTION_FACTOR = 5.0 / 6.0
 # Ceiling of every residual the splitting checks pass.
 SPLITTING_TOL = 1e-6
 # Residual an invariant section must reach, within this many sweeps.
@@ -105,14 +102,12 @@ class ShiftPoint:
 
 
 def shift_point(
-    spec: SubsetPSpec,
-    forward: BoundaryPoint,
-    backward: BoundaryPoint,
-    origin: ReducedWord = EMPTY_WORD,
+    spec: SubsetPSpec, forward: BoundaryPoint, backward: BoundaryPoint
 ) -> ShiftPoint:
-    """Build a shift point after verifying the endpoint pair membership."""
+    """Build a shift point, marked at the identity, after verifying the
+    endpoint pair membership."""
     _require_pair(spec, forward, backward)
-    return ShiftPoint(spec, geodesic_through(forward, backward, origin))
+    return ShiftPoint(spec, geodesic_through(forward, backward))
 
 
 def shift(x: ShiftPoint, n: int = 1) -> ShiftPoint:
@@ -140,7 +135,9 @@ def _cocycle_stack(rep: Representation, x: ShiftPoint, count: int):
     time-(n-1) map, a factor on the left."""
     codes = np.array([x.line.step_letter(n) for n in range(count)], dtype=np.intp)
     factors = rep.stacked_images[codes ^ 1][:, None]
-    cores, logscales = running_products(np.eye(rep.dim)[None], np.zeros(1), factors, 1)
+    cores, logscales = running_products(
+        np.eye(rep.dim)[None], np.zeros(1), factors, left=True
+    )
     return cores[:, 0], logscales[:, 0]
 
 

@@ -194,19 +194,16 @@ def _table_walk(rep: Representation, k: int, x: BoundaryPoint) -> "_Walk":
     key = (rep.rank, rep.dim, rep.stacked_images.tobytes(), x, k)
     walk = _WALKS.pop(key, None)
     if walk is None:
-        walk = _plane_walk(rep, k, [x])
+        walk = _Walk(rep, k, [x])
     _WALKS[key] = walk
     if len(_WALKS) > WALKS_SIZE:
         del _WALKS[next(iter(_WALKS))]
     return walk
 
 
-# Lengths a walk of a few rows advances at a time: their products are
-# built one after another, their letter lookups, SVDs and steps taken once.
-# A walk of more rows shares those calls among its rows already, and goes
-# one length at a time rather than walk rows past their stops.
+# Lengths a walk advances at a time: their products are built one after
+# another, their letter lookups, SVDs and steps taken once.
 _WALK_CHUNK = 8
-_CHUNKED_ROWS = 4
 
 # Failures a chunk may meet past a reader's stopping length, where a walk
 # one length at a time has already stopped.
@@ -231,24 +228,21 @@ class _Chunk:
 
 
 class _Walk:
-    """Running products of some rows, each extended on the right by its
-    factors, with the top-k left singular planes, gap margins and steps of
-    every length walked: the attracting planes of prefixes.
+    """The prefix products of some points in lockstep, one row per point,
+    with the top-k left singular planes, gap margins and steps of every
+    length walked: the attracting planes of prefixes.  It advances
+    _WALK_CHUNK lengths at a time, and one length at a time only while it
+    walks a failed chunk again.
 
-    factors(rows, start, count) gives the (count, len(rows), d, d) factors
-    of lengths start + 1, ..., start + count.  Nothing a walk keeps
-    depends on a tolerance or length cap, so readers at any of them share
-    it; values holds _plane's outcomes on the walk.
+    Nothing a walk keeps depends on a tolerance or length cap, so readers
+    at any of them share it; values holds _plane's outcomes on the walk.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        k: int,
-        width: int,
-        factors: Callable[[np.ndarray, int, int], np.ndarray],
-    ):
-        self.k, self.factors = k, factors
+    def __init__(self, rep: Representation, k: int, points: Sequence[BoundaryPoint]):
+        if not 1 <= k < rep.dim:
+            raise ValueError(f"gap index must satisfy 1 <= k < {rep.dim}, got {k}")
+        dim, width = rep.dim, len(points)
+        self.k, self.factors = k, _prefix_factors(rep, points)
         self.length = 0
         self.rows = np.arange(width)  # the rows walking on
         self.chunks: list[_Chunk] = []
@@ -278,7 +272,7 @@ class _Walk:
             self.rows = self.rows[waiting[self.rows]]
             if not len(self.rows):
                 return
-            single = len(self.rows) > _CHUNKED_ROWS or self.length < self.single_until
+            single = self.length < self.single_until
             count = min(1 if single else _WALK_CHUNK, n_max - self.length)
             try:
                 self._walk(count)
@@ -349,13 +343,6 @@ def _prefix_factors(
     return factors
 
 
-def _plane_walk(rep: Representation, k: int, points: Sequence[BoundaryPoint]) -> _Walk:
-    """The prefix walk of every point in lockstep, one row per point."""
-    if not 1 <= k < rep.dim:
-        raise ValueError(f"gap index must satisfy 1 <= k < {rep.dim}, got {k}")
-    return _Walk(rep.dim, k, len(points), _prefix_factors(rep, points))
-
-
 def _limit_planes(
     rep: Representation,
     k: int,
@@ -371,7 +358,7 @@ def _limit_planes(
     the NoGapError / NoConvergenceError that its reader raises."""
     if not points:
         return []
-    walk = walk or _plane_walk(rep, k, points)
+    walk = walk or _Walk(rep, k, points)
     worst_pair = rep.letter_norm_bound
     tail_factor = 1.0 / (1.0 - math.exp(-rate))
     allowance = BOUND_SLACK * tol
@@ -626,24 +613,6 @@ class HolderFit:
     cutoff: float
 
 
-def _walk_members(
-    spec: SubsetPSpec,
-    points: Sequence[BoundaryPoint],
-    walk: Callable[[list[BoundaryPoint]], list],
-    outcomes: dict[BoundaryPoint, LimitMapValue | GapcertError],
-) -> None:
-    """Store the outcome of each point that has none yet: a MembershipError
-    outside the forward set, else its row of one walk(members) call;
-    _plane_at raises a stored error."""
-    members = []
-    for p in dict.fromkeys(points):
-        if p not in outcomes and point_in_forward_set(spec, p):
-            members.append(p)
-        elif p not in outcomes:
-            outcomes[p] = _membership_error(p)
-    outcomes.update(zip(members, walk(members)))
-
-
 def _plane_at(outcomes: dict, p: BoundaryPoint) -> Subspace:
     if isinstance(outcomes[p], GapcertError):
         raise outcomes[p]
@@ -676,11 +645,9 @@ def holder_estimate(
     points = sorted(q_plus_boundary(spec, max_period, b), key=str)
     rng = np.random.default_rng(seed)
     cutoff = math.exp(-kappa * SMALL_SCALE_PREFIX)
+    # every sampled point is a forward endpoint of spec, so each is walked
+    # without a membership check; _plane_at raises a stored error
     outcomes: dict[BoundaryPoint, LimitMapValue | GapcertError] = {}
-
-    def walk(members: list[BoundaryPoint]) -> list:
-        return _limit_planes(rep, k, members, certificate.lambda_hat, tol, n_max)
-
     log_visual: list[float] = []
     log_plane: list[float] = []
     seen: set[frozenset[BoundaryPoint]] = set()
@@ -706,7 +673,11 @@ def holder_estimate(
                 continue
             seen.add(key)
             batch.append((x, y, visual))
-        _walk_members(spec, [p for x, y, _ in batch for p in (x, y)], walk, outcomes)
+        new = [p for x, y, _ in batch for p in (x, y) if p not in outcomes]
+        new = list(dict.fromkeys(new))
+        outcomes.update(
+            zip(new, _limit_planes(rep, k, new, certificate.lambda_hat, tol, n_max))
+        )
         for x, y, visual in batch:
             separation = grassmann_distance(
                 _plane_at(outcomes, x), _plane_at(outcomes, y)

@@ -101,7 +101,7 @@ def renormalized_stack(
         cores, logscales = cores.copy(), logscales.copy()
         scales = np.max(np.abs(cores[bad]), axis=(1, 2))
         if not np.all(np.isfinite(scales) & (scales > 0.0)):
-            raise ValueError("matrix entries must be finite and not all zero")
+            raise ScaleOverflowError("matrix entries must be finite and not all zero")
         cores[bad] = cores[bad] / scales[:, None, None]
         logscales[bad] = logscales[bad] + np.log(scales)
         estimates[bad] = _row_norms(cores[bad])
@@ -132,23 +132,23 @@ def _renormalized_rows(
 
 
 def running_products(
-    cores: np.ndarray, logscales: np.ndarray, factors: np.ndarray, on_left: int = 0
+    cores: np.ndarray, logscales: np.ndarray, factors: np.ndarray, left: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Extend the scale-tracked products of an (R, d, d) stack by the
     (C, R, d, d) factors, one length at a time, into the (C, R, d, d) cores
-    and (C, R) log scales of the C products.  The first on_left rows take
-    their factors on the left, as ScaledMatrix.compose, the others on the
-    right, as ScaledMatrix.times, with their bits."""
+    and (C, R) log scales of the C products.  Every row takes its factors on
+    the right, as ScaledMatrix.times, or with left on the left, as
+    ScaledMatrix.compose, with their bits."""
     products = np.empty(factors.shape)
     scales = np.empty(factors.shape[:2])
     renormalize = _renormalized_rows if len(cores) <= _FEW_ROWS else renormalized_stack
     with np.errstate(over="ignore", under="ignore"):  # renormalization rescales
         for t, factor in enumerate(factors):
             out = products[t]
-            if on_left:
-                np.matmul(factor[:on_left], cores[:on_left], out=out[:on_left])
-            if on_left < len(out):
-                np.matmul(cores[on_left:], factor[on_left:], out=out[on_left:])
+            if left:
+                np.matmul(factor, cores, out=out)
+            else:
+                np.matmul(cores, factor, out=out)
             out[...], scales[t] = renormalize(out, logscales)
             cores, logscales = out, scales[t]
     return products, scales

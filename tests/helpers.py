@@ -317,9 +317,9 @@ def walk_reads(caps=(3, 6, 40, 400)):
 
 
 def walked_length(reads, chunk):
-    """The length a stored walk of a few rows reaches after reads, in
-    order, each as (length it needs, length cap): a read walks on a chunk
-    at a time until it has its length, and never past its cap."""
+    """The length a stored walk reaches after reads, in order, each as
+    (length it needs, length cap): a read walks on a chunk at a time until
+    it has its length, and never past its cap."""
     length = 0
     for need, cap in reads:
         if need > length:

@@ -15,6 +15,7 @@ from gapcert.cli import main
 from gapcert.config import (
     DEFAULT_SAMPLING,
     DEFAULT_TOLERANCES,
+    TASK_NAMES,
     load_config,
     parse_config,
 )
@@ -633,6 +634,26 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["certify", "--config", k2_path, "--quiet"]) == 1
     assert main(["certify", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_overflowing_products_are_error_verdicts(tmp_path, capsys):
+    # a valid config whose word products overflow double range on the way:
+    # every task records a ScaleOverflowError block, exit 1, no traceback
+    data = schottky_config(
+        generators=[[[1e308, 0.0], [0.0, 1e-308]], [[1.0, -1.0], [1.0, 1.0]]],
+        subset={"type": "full"},
+        budget=6,
+        seed=1,
+    )
+    path = write_config(tmp_path, data)
+    for task in TASK_NAMES:
+        out = str(tmp_path / f"{task}.json")
+        assert main([task, "--config", path, "--out", out, "--quiet"]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        blocks = load_report(out)["results"]
+        assert list(blocks) == [task]
+        assert blocks[task]["verdict"] == "Error"
+        assert blocks[task]["error"].startswith("ScaleOverflowError: ")
 
 
 def test_cli_singular_generator_is_a_config_error(tmp_path, capsys):

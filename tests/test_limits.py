@@ -504,17 +504,17 @@ def test_discontinuity_probe_walks_every_plane_at_once(monkeypatch):
     cert = certify(rep, spec, 1, limits.DEFAULT_CERT_BUDGET)
     base = periodic_point(parse_word("a"))
     calls = []
-    original = limits._plane_walk
+    original = limits._Walk
 
     def spy(rep, k, points):
         calls.append(list(points))
         return original(rep, k, points)
 
-    monkeypatch.setattr(limits, "_plane_walk", spy)
+    monkeypatch.setattr(limits, "_Walk", spy)
     probe = discontinuity_probe(rep, exponents=(2, 5, 3))
     approximants = [parse_boundary_point("a" * m + "b|(a)") for m in (2, 5, 3)]
     assert calls == [[base, *approximants]]
-    monkeypatch.setattr(limits, "_plane_walk", original)
+    monkeypatch.setattr(limits, "_Walk", original)
     plane = xi_upper(rep, spec, 1, base, certificate=cert).subspace
     assert probe.separations == tuple(
         grassmann_distance(plane, xi_upper(rep, spec, 1, x, certificate=cert).subspace)
@@ -581,7 +581,7 @@ def test_walk_matches_the_one_point_loop(case, rate, reads):
         for x, got in zip(points, together):
             assert_same_outcome(got, wanted[x, reads[0]])
         for x in points:
-            walk = limits._plane_walk(rep, k, [x])
+            walk = limits._Walk(rep, k, [x])
             needs = []
             for tol, n_max in reads:
                 want = wanted[x, (tol, n_max)]
@@ -634,7 +634,7 @@ def test_walk_stops_on_both_sides_of_a_chunk_edge(monkeypatch):
                         want = walk_outcome(rep, 1, y, rate, tol, n_max)
                         assert_same_outcome(got, want)
                         kinds.add(type(got).__name__)
-                    walk = limits._plane_walk(rep, 1, [x])
+                    walk = limits._Walk(rep, 1, [x])
                     for t in (1e-6, tol):
                         (got,) = limits._limit_planes(rep, 1, [x], rate, t, n_max, walk)
                         want = walk_outcome(rep, 1, x, rate, t, n_max)
@@ -658,9 +658,10 @@ def test_walk_stops_on_both_sides_of_a_chunk_edge(monkeypatch):
         assert_same_outcome(got, walk_outcome(rotation, 1, x, 1.0, 1e-10, n_max))
 
 
-def test_a_walk_of_many_points_goes_one_length_at_a_time(monkeypatch):
-    # chunks reach past the stops; with many points in lockstep they would
-    # walk most points too far, so only a few points advance by chunks
+def test_a_walk_of_many_points_advances_by_chunks(monkeypatch):
+    # chunks reach past the stops: a walk of many points in lockstep walks
+    # the rows still waiting _WALK_CHUNK lengths at a time, fewer rows from
+    # chunk to chunk, and every point reads the plane of its one-point loop
     rep, spec = schottky_rep(), directed_ab()
     rate = certify(rep, spec, 1, 8).lambda_hat
     points = sorted(q_plus_boundary(spec, 4), key=str)
@@ -673,9 +674,10 @@ def test_a_walk_of_many_points_goes_one_length_at_a_time(monkeypatch):
 
     monkeypatch.setattr(limits, "running_products", products)
     walked = limits._limit_planes(rep, 1, points, rate, 1e-10, 400)
-    assert len(points) > 4 and calls[0] == (len(points), 1)
-    assert all((count == 1) == (rows > 4) for rows, count in calls)
-    assert {count for _, count in calls} == {1, limits._WALK_CHUNK}
+    assert len(points) > 4 and calls[0] == (len(points), limits._WALK_CHUNK)
+    assert {count for _, count in calls} == {limits._WALK_CHUNK}
+    rows = [rows for rows, _ in calls]
+    assert len(rows) > 1 and rows == sorted(rows, reverse=True) and rows[-1] < rows[0]
     for x, got in zip(points, walked):
         assert_same_outcome(got, walk_outcome(rep, 1, x, rate, 1e-10, 400))
 
@@ -734,13 +736,13 @@ def test_shared_walks_walk_each_plane_once_and_read_every_tolerance(monkeypatch)
     rate = cert.lambda_hat
     x = parse_boundary_point("b|(ab)")
     walks = []
-    original = limits._plane_walk
+    original = limits._Walk
 
     def spy(rep, k, points):
         walks.append(original(rep, k, points))
         return walks[-1]
 
-    monkeypatch.setattr(limits, "_plane_walk", spy)
+    monkeypatch.setattr(limits, "_Walk", spy)
     reads = [(1e-8, 400), (1e-10, 3), (1e-6, 300), (1e-10, 400), (1e-8, 400)]
     got = {}
     for tol, n_max in reads:
@@ -917,13 +919,13 @@ def test_holder_walk_reads_the_pairs_of_the_pairwise_loop(monkeypatch):
     rep, spec = schottky_rep(), directed_ab()
     cert = certify(rep, spec, 1, 8)
     walked = []
-    original = limits._plane_walk
+    original = limits._Walk
 
     def spy(rep, k, points):
         walked.extend(points)
         return original(rep, k, points)
 
-    monkeypatch.setattr(limits, "_plane_walk", spy)
+    monkeypatch.setattr(limits, "_Walk", spy)
     raised = 0
     for n_max in range(2, 13):
         for seed in (3, 11):

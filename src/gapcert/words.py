@@ -327,20 +327,9 @@ class BiInfiniteGeodesic:
         )
 
 
-def geodesic_through(
-    x: BoundaryPoint, y: BoundaryPoint, origin: ReducedWord = EMPTY_WORD
-) -> BiInfiniteGeodesic:
-    """The geodesic from y to x passing through `origin` as its marked l(0)."""
-    if x == y:
-        raise EqualEndpointsError("geodesic endpoints must be distinct")
-    c = int(gromov_product(x, y))
-    n = len(origin)
-    if n >= c and origin == x.prefix(n):
-        offset = n - c
-    elif n >= c and origin == y.prefix(n):
-        offset = -(n - c)
-    else:
-        raise OriginOffGeodesicError(
-            f"vertex {word_to_string(origin)!r} is not on the geodesic"
-        )
-    return BiInfiniteGeodesic(x, y, offset)
+def geodesic_through(x: BoundaryPoint, y: BoundaryPoint) -> BiInfiniteGeodesic:
+    """The geodesic from y to x, marked at the identity as its l(0)."""
+    line = BiInfiniteGeodesic(x, y)
+    if line._branch:
+        raise OriginOffGeodesicError("the identity is not on the geodesic")
+    return line

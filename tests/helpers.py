@@ -24,7 +24,6 @@ from gapcert.linalg import (
     _renormalized,
     _require_gap,
     grassmann_distance,
-    u_k,
 )
 from gapcert.subsets import AxisFamily, Directed, FullBoundary, Primitive, gamma_p_plus
 from gapcert.words import BoundaryPoint, ReducedWord, gromov_product, translate
@@ -333,11 +332,17 @@ def walked_length(reads, chunk):
 
 def reference_xi_upper(rep, k, x, rate, tol, n_max):
     """The one-point prefix loop that the chunked lockstep walk of
-    gapcert.limits replaced: one scale-tracked product per prefix, then u_k, gap_margin
-    and grassmann_distance on it.  Raises NoGapError / NoConvergenceError
-    as the walk reports them."""
+    gapcert.limits replaced: one scale-tracked product per prefix, then its
+    SVD's plane, gap_margin and grassmann_distance on it.  An index k with
+    2k > d is read on the dual side: the product is of the dual images
+    rho^-T, its gap index is d - k, and the plane is its last k left
+    singular vectors.  Raises NoGapError / NoConvergenceError as the walk
+    reports them."""
     worst_pair = rep.letter_norm_bound
     tail_factor = 1.0 / (1.0 - math.exp(-rate))
+    dual = 2 * k > rep.dim
+    index = rep.dim - k if dual else k
+    images = rep.stacked_duals if dual else rep.stacked_images
     current = ScaledMatrix.identity(rep.dim)
     plane = None
     step = math.inf
@@ -345,14 +350,16 @@ def reference_xi_upper(rep, k, x, rate, tol, n_max):
     margin_prev = -math.inf
     skipped = []
     for n in range(1, n_max + 1):
-        current = current.times(rep.image(x.letter_at(n - 1)))
+        current = current.times(images[x.letter_at(n - 1)])
+        left, svals, _ = np.linalg.svd(current.core)
         try:
-            candidate = u_k(current, k)
+            _require_gap(current, index, svals)
         except NoGapError:
             skipped.append(n)
             margin_prev = -math.inf
             continue
-        margin = gap_margin(current, k)
+        candidate = Subspace(k, left[:, rep.dim - k :] if dual else left[:, :k])
+        margin = gap_margin(current, index)
         if plane is not None:
             step = grassmann_distance(plane, candidate)
         plane = candidate
@@ -388,13 +395,13 @@ def reference_xi_upper(rep, k, x, rate, tol, n_max):
 
 def forward_maps(rep, x, count):
     """cocycle(rep, x, n) for n = 1, ..., count, one length at a time: the
-    time-n map is the inverse image of the n-th step letter times the
-    time-(n-1) map, extended on the left with ScaledMatrix.compose."""
+    time-n map is the transpose of rho(forward word)^-T, whose product is
+    extended on the right by the n-th step letter's dual image with
+    ScaledMatrix.times."""
     current = ScaledMatrix.identity(rep.dim)
     for t in range(count):
-        step = ScaledMatrix(rep.image(x.line.step_letter(t) ^ 1))
-        current = step.compose(current)
-        yield current
+        current = current.times(rep.stacked_duals[x.line.step_letter(t)])
+        yield ScaledMatrix(current.core.T, current.logscale)
 
 
 def line_ends(x):

@@ -656,6 +656,28 @@ def test_cli_overflowing_products_are_error_verdicts(tmp_path, capsys):
         assert blocks[task]["error"].startswith("ScaleOverflowError: ")
 
 
+def test_cli_ill_conditioned_perturbation_is_an_error_verdict(tmp_path, capsys):
+    # trial 9427 of the stability task (seed 1, its position's) moves the
+    # second generator to one too ill-conditioned to invert: the block is
+    # an IllConditionedError, certify still passes, exit 1, no traceback
+    data = schottky_config(
+        tasks=["certify", "stability"],
+        budget=4,
+        seed=0,
+        sampling={"epsilon": 0.2, "trials": 9428},
+    )
+    out = str(tmp_path / "report.json")
+    argv = ["certify", "--task", "stability", "--config", write_config(tmp_path, data)]
+    assert main([*argv, "--out", out, "--quiet"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    blocks = load_report(out)["results"]
+    assert blocks["certify"]["verdict"] == "Certified"
+    assert blocks["stability"]["verdict"] == "Error"
+    assert blocks["stability"]["error"] == (
+        "IllConditionedError: generator 2 is too ill-conditioned to invert reliably"
+    )
+
+
 def test_cli_singular_generator_is_a_config_error(tmp_path, capsys):
     singular = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]
     ill = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.000000000001]]

@@ -164,10 +164,10 @@ def test_running_maps_match_the_cocycle():
     # line's forward end re-based at the marker, and the maps into x from
     # shift(x, -n) are the images of the prefixes of the re-based backward
     # end, so the splitting's summands are the limit planes there.  The
-    # cocycle stack is the one-length loop bit for bit; it extends on the
-    # left, so it keeps cocycle()'s values to rounding: relative error
-    # n * eps, and each margin moves by at most n * eps times the ratio of
-    # the top to the (k+1)-th singular value
+    # cocycle stack is the one-length loop bit for bit; it is the transpose
+    # of the dual images' product, so it keeps cocycle()'s values to
+    # rounding: relative error n * eps, and each margin moves by at most
+    # n * eps times the ratio of the top to the (k+1)-th singular value
     eps = 2.0**-52
     for seed in range(6):
         rng = np.random.default_rng(seed)
@@ -766,8 +766,13 @@ def test_invariant_section_perturbed_diagonal():
     section = invariant_section(blocks)
     assert np.linalg.norm(section.sections[0], 2) < 0.05
     assert section.residual < 1e-10
-    # the fixed graph is exactly the expanding eigenplane of the new cocycle
-    assert section.sections[0][0, 0] == pytest.approx(-0.01 / 3.5, rel=1e-9)
+    # the fixed graph is exactly the expanding eigenplane of the new cocycle,
+    # span{(-0.01 / 3.5, 1, 0), e3}; a section's entries depend on the
+    # unstable frame's basis, its graph plane does not
+    frame = np.hstack([sample.stable.frame, sample.unstable.frame])
+    graph = Subspace.from_spanning(frame @ graph_subspace(section.sections[0]).frame)
+    expanding = Subspace.from_spanning(np.array([[-0.01 / 3.5, 0], [1, 0], [0, 1]]))
+    assert grassmann_distance(graph, expanding) <= 1e-9 * 0.01 / 3.5
     pushed = apply_to_subspace(
         blocks[0].matrix(), graph_subspace(section.sections[0])
     )

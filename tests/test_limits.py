@@ -265,6 +265,36 @@ def test_xi_periodic_points_match_eigenspace_oracle():
         assert grassmann_distance(value.subspace, Subspace(1, oracle)) < 1e-6
 
 
+def test_d3_planes_of_both_indices_match_the_eigenspace_oracle():
+    # an index-2 plane in d = 3 is read as the complement of the dual's top
+    # line, which does not saturate as sigma_1 / sigma_2 grows: every
+    # forward and backward plane at k = 1 and 2 settles, at the image under
+    # the preperiod of the period's top eigenspace
+    forward = ("a|(b)", "(ab)", "(aB)")
+    backward = ("A|(B)", "(BA)", "(bA)")
+    spec = FullBoundary(2)
+    reads = 0
+    for seed in (1, 7, 19):
+        rep = helpers.pingpong_rep(seed)
+        for k in (1, 2):
+            cert = certify(rep, spec, k, 8)
+            sides = ((xi_upper, forward, k), (xi_lower, backward, 3 - k))
+            for read, texts, index in sides:
+                for text in texts:
+                    x = parse_boundary_point(text)
+                    period = helpers.word_matrix(rep, x.period)
+                    oracle = helpers.word_matrix(rep, x.preperiod) @ (
+                        helpers.top_eigenspace(period, index)
+                    )
+                    value = read(rep, spec, k, x, certificate=cert)
+                    distance = grassmann_distance(
+                        value.subspace, Subspace.from_spanning(oracle)
+                    )
+                    assert distance < 1e-10, (seed, k, read.__name__, text)
+                    reads += 1
+    assert reads == 36
+
+
 def test_xi_equivariance():
     rep, directed = schottky_rep(), directed_ab()
     cert = certify(rep, directed, 1, 8)

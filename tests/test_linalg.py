@@ -120,10 +120,9 @@ def test_few_row_renormalization_matches_the_stack(rng):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_running_products_extend_as_times_and_compose(rng):
-    # a few rows and a stack of rows, each side, with extreme factors
-    cases = ((1, False), (1, True), (2, True), (4, False), (7, True), (7, False))
-    for rows, left in cases:
+def test_running_products_extend_as_times(rng):
+    # a few rows and a stack of rows, with extreme factors
+    for rows in (1, 2, 4, 7):
         images = np.array([helpers.random_invertible(rng, 3) for _ in range(12)])
         images[5] *= 1e200
         images[7] *= 1e-200
@@ -136,14 +135,10 @@ def test_running_products_extend_as_times_and_compose(rng):
             np.array([m.core for m in start]),
             np.array([m.logscale for m in start]),
             factors,
-            left,
         )
         for row, current in enumerate(start):
             for t, factor in enumerate(factors[:, row]):
-                if left:
-                    current = ScaledMatrix(factor).compose(current)
-                else:
-                    current = current.times(factor)
+                current = current.times(factor)
                 assert cores[t, row].tobytes() == current.core.tobytes()
                 assert logscales[t, row] == current.logscale
 
@@ -164,9 +159,9 @@ def planted_factors(rng, count=24):
 
 
 def test_every_renormalization_takes_one_log(rng):
-    # the stack, the few-row step, ScaledMatrix.times and running_products,
-    # each side, give one core and one log scale per planted row, bit for
-    # bit, within 1 ulp of math.log
+    # the stack, the few-row step, ScaledMatrix.times and running_products
+    # give one core and one log scale per planted row, bit for bit, within
+    # 1 ulp of math.log
     values, cores = planted_factors(rng)
     zeros = np.zeros(len(values))
     want_cores, want_scales = renormalized_stack(cores, zeros)
@@ -183,18 +178,15 @@ def test_every_renormalization_takes_one_log(rng):
             got_cores, got_scales = _renormalized_rows(block_cores, zeros[block])
             assert got_cores.tobytes() == want_cores[block].tobytes()
             assert got_scales.tobytes() == want_scales[block].tobytes()
-    for rows, left in ((1, False), (1, True), (3, True), (6, False), (6, True)):
+    for rows in (1, 3, 6):
         factors = cores[: len(cores) // rows * rows].reshape(-1, rows, 3, 3)
         got_cores, got_scales = running_products(
-            np.broadcast_to(np.eye(3), (rows, 3, 3)), np.zeros(rows), factors, left
+            np.broadcast_to(np.eye(3), (rows, 3, 3)), np.zeros(rows), factors
         )
         for row in range(rows):
             current = ScaledMatrix.identity(3)
             for t, factor in enumerate(factors[:, row]):
-                if left:
-                    current = ScaledMatrix(factor).compose(current)
-                else:
-                    current = current.times(factor)
+                current = current.times(factor)
                 assert got_cores[t, row].tobytes() == current.core.tobytes()
                 assert got_scales[t, row] == current.logscale
 

@@ -292,14 +292,11 @@ def test_geodesic_vertices_on_axis():
 def test_geodesic_through_origin_and_errors():
     x = periodic_point(parse_word("ab"))
     y = periodic_point(parse_word("A"))
-    line = geodesic_through(x, y, origin=parse_word("aba"))
-    assert line.vertex(0) == parse_word("aba")
-    line2 = geodesic_through(x, y, origin=parse_word("AA"))
-    assert line2.vertex(0) == parse_word("AA") and line2.vertex(2) == EMPTY_WORD
+    assert geodesic_through(x, y).vertex(3) == parse_word("aba")
     with pytest.raises(EqualEndpointsError):
         geodesic_through(x, x)
     with pytest.raises(OriginOffGeodesicError):
-        geodesic_through(x, y, origin=parse_word("b"))
+        geodesic_through(x, parse_boundary_point("a|(B)"))
 
 
 @st.composite

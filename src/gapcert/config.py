@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Any, Optional
 
 import numpy as np
@@ -56,6 +57,16 @@ DEFAULT_SAMPLING = {
 # Sampling knobs that a task divides by or needs at least one of.
 POSITIVE_SAMPLING = ("sdp_points", "trials", "kappa")
 
+# A process parses each point string once, and keeps one Representation per
+# generator content, keyed by the images' bytes (so 0.0 and -0.0 differ).
+_parsed_point = lru_cache(maxsize=128)(parse_boundary_point)
+
+
+@lru_cache(maxsize=8)
+def _representation(shape: tuple[int, ...], images: bytes) -> Representation:
+    return Representation.of(list(np.frombuffer(images).reshape(shape)))
+
+
 # Which optional point fields each task needs before it can run.
 TASK_REQUIREMENTS = {
     "limit-map": ("forward",),
@@ -82,7 +93,8 @@ class RunConfig:
     points: dict[str, Any] = field(default_factory=dict)
 
     def representation(self) -> Representation:
-        return Representation.of([np.array(g, dtype=float) for g in self.generators])
+        images = np.array(self.generators, dtype=float)
+        return _representation(images.shape, images.tobytes())
 
     def subset_spec(self) -> SubsetPSpec:
         return _build_subset(self.subset, self.rank)
@@ -94,10 +106,10 @@ class RunConfig:
         )
 
     def forward_point(self) -> BoundaryPoint:
-        return parse_boundary_point(self.points["forward"])
+        return _parsed_point(self.points["forward"])
 
     def backward_point(self) -> BoundaryPoint:
-        return parse_boundary_point(self.points["backward"])
+        return _parsed_point(self.points["backward"])
 
     def pair_points(self) -> list[tuple[BoundaryPoint, BoundaryPoint]]:
         """Configured transversality pairs; defaults to the single
@@ -105,9 +117,7 @@ class RunConfig:
         raw = self.points.get("pairs")
         if raw is None:
             return [(self.forward_point(), self.backward_point())]
-        return [
-            (parse_boundary_point(x), parse_boundary_point(y)) for x, y in raw
-        ]
+        return [(_parsed_point(x), _parsed_point(y)) for x, y in raw]
 
     def seed_plane(self) -> Subspace:
         rows = np.array(self.points["seed_plane"], dtype=float)
@@ -400,7 +410,7 @@ def _check_point(text: Any, name: str, rank: int) -> None:
     if not isinstance(text, str):
         raise ValidationError(name, "expected a boundary point string")
     try:
-        x = parse_boundary_point(text)
+        x = _parsed_point(text)
     except (GapcertError, ValueError) as exc:
         raise ValidationError(name, str(exc)) from exc
     if x.max_index() > rank:

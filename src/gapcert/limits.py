@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -166,16 +167,17 @@ def _plane(
     rep: Representation, k: int, x: BoundaryPoint, rate: float, tol: float, n_max: int
 ) -> LimitMapValue:
     """The k-plane at x by xi_upper's stopping rule at the given rate, read
-    from the walk table's walk of x.  A value is kept on the walk under
-    (rate, tol, n_max), so a repeat read returns it as is; an error is
-    raised afresh by every read."""
+    from the walk table's walk of x.  The rule fires at the first length
+    that passes, and a cap only cuts it off: a value is kept on the walk
+    under (rate, tol) for every read whose cap reaches its stop, and a read
+    whose cap falls short runs the rule again.  Errors are not kept."""
     walk = _table_walk(rep, k, x)
-    value = walk.values.get((rate, tol, n_max))
-    if value is None:
+    value = walk.values.get((rate, tol))
+    if value is None or value.iterations > n_max:
         (value,) = _limit_planes(rep, k, [x], rate, tol, n_max, walk)
         if isinstance(value, GapcertError):
             raise value
-        walk.values[rate, tol, n_max] = value
+        walk.values[rate, tol] = value
     return value
 
 
@@ -195,10 +197,7 @@ def _table_walk(rep: Representation, k: int, x: BoundaryPoint) -> "_Walk":
     resumes one walk; no key holds a tolerance, cap or rate, on which no
     walk depends.  It takes no lock: gapcert starts no thread."""
     key = (rep.rank, rep.dim, rep.stacked_images.tobytes(), x, k)
-    walk = _WALKS.pop(key, None)
-    if walk is None:
-        walk = _Walk(rep, k, [x])
-    _WALKS[key] = walk
+    walk = _WALKS[key] = _WALKS.pop(key, None) or _Walk(rep, k, [x])
     if len(_WALKS) > WALKS_SIZE:
         del _WALKS[next(iter(_WALKS))]
     return walk
@@ -256,7 +255,7 @@ class _Walk:
         self.rows = np.arange(width)  # the rows walking on
         self.chunks: list[_Chunk] = []
         self.single_until = 0  # after a chunk that failed, single lengths
-        self.values: dict[tuple[float, float, int], LimitMapValue] = {}
+        self.values: dict[tuple[float, float], LimitMapValue] = {}
         # per row: the product, the singular matrix of its last plane, and
         # the margin at the last length
         self.cores = np.repeat(np.eye(dim)[None], width, axis=0)
@@ -340,7 +339,7 @@ def _prefix_factors(
     # preperiod and period lengths as columns
     pre = np.array([len(x.preperiod) for x in points])[:, None]
     per = np.array([len(x.period) for x in points])[:, None]
-    spelled = np.zeros((len(points), int((pre + per).max())), dtype=np.intp)
+    spelled = np.zeros((len(points), int((pre + per).max(initial=0))), dtype=np.intp)
     for row, x in enumerate(points):
         letters = x.preperiod.letters + x.period.letters
         spelled[row, : len(letters)] = letters
@@ -353,22 +352,32 @@ def _prefix_factors(
     return factors
 
 
-def _limit_planes(
-    rep: Representation,
-    k: int,
-    points: Sequence[BoundaryPoint],
-    rate: float,
-    tol: float,
-    n_max: int,
-    walk: Optional[_Walk] = None,
-) -> list[LimitMapValue | GapcertError]:
-    """xi_upper's stopping rule at tol, up to n_max prefixes, over walk,
-    the prefix walk of points (by default a new one, in lockstep): per
-    point, its LimitMapValue at the first prefix where the rule fires, or
-    the NoGapError / NoConvergenceError that its reader raises."""
-    if not points:
-        return []
+def _limit_planes(rep, k, points, rate, tol, n_max, walk=None) -> list:
+    """_limit_stops over walk (by default a new walk of the points in
+    lockstep), with a LimitMapValue made at each stop."""
     walk = walk or _Walk(rep, k, points)
+    outcomes = _limit_stops(rep, k, points, rate, tol, n_max, walk)
+    worst_pair = rep.letter_norm_bound
+    for r, stop in enumerate(outcomes):
+        if not isinstance(stop, GapcertError):
+            chunk, t, i, skipped = stop
+            outcomes[r] = LimitMapValue(
+                point=points[r],
+                subspace=Subspace(k, chunk.mats[t, i][:, walk.plane]),
+                iterations=chunk.start + t + 1,
+                last_step=float(chunk.steps[t, i]),
+                cauchy_bound=worst_pair * math.exp(-float(chunk.margins[t, i])),
+                skipped_prefixes=skipped,
+            )
+    return outcomes
+
+
+def _limit_stops(rep, k, points, rate, tol, n_max, walk: _Walk) -> list:
+    """xi_upper's stopping rule at tol, up to n_max prefixes, over walk,
+    the prefix walk of points: per point, where the rule first fires, as
+    (chunk, t, i, skipped) - the plane in chunk.mats[t, i], at length
+    chunk.start + t + 1 after the gapless lengths skipped - or the
+    NoGapError / NoConvergenceError that its reader raises."""
     worst_pair = rep.letter_norm_bound
     tail_factor = 1.0 / (1.0 - math.exp(-rate))
     allowance = BOUND_SLACK * tol
@@ -387,14 +396,8 @@ def _limit_planes(
             ratio = math.exp(-float(chunk.margins[t, i]))
             if not waiting[r] or worst_pair * ratio * tail_factor > allowance:
                 continue
-            outcomes[r] = LimitMapValue(
-                point=points[r],
-                subspace=Subspace(k, chunk.mats[t, i][:, walk.plane]),
-                iterations=n,
-                last_step=float(chunk.steps[t, i]),
-                cauchy_bound=worst_pair * ratio,
-                skipped_prefixes=tuple(skipped[r][: bisect_left(skipped[r], n)]),
-            )
+            stopped = tuple(skipped[r][: bisect_left(skipped[r], n)])
+            outcomes[r] = (chunk, int(t), int(i), stopped)
             waiting[r] = False
         if not waiting.any():
             break
@@ -479,11 +482,7 @@ def transversality_table(
         forward = xi_upper(rep, spec, k, x, tol, n_max, certificate=certificate)
         backward = xi_lower(rep, spec, k, y, tol, n_max, certificate=certificate)
         gaps.append(transversality_gap(forward.subspace, backward.subspace))
-    return TransversalityTable(
-        pairs=tuple((x, y) for x, y in pairs),
-        gaps=tuple(gaps),
-        minimum=min(gaps),
-    )
+    return TransversalityTable(tuple(map(tuple, pairs)), tuple(gaps), min(gaps))
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +622,27 @@ class HolderFit:
     cutoff: float
 
 
-def _plane_at(outcomes: dict, p: BoundaryPoint) -> Subspace:
-    if isinstance(outcomes[p], GapcertError):
-        raise outcomes[p]
-    return outcomes[p].subspace
+def _small_scale_pairs(points, kappa, cutoff, sample_size, seed) -> Iterator:
+    """The pairs (i, j) of ids into points that holder_estimate samples: of
+    at most 50 * sample_size two-id draws, those with i != j at visual
+    distance <= cutoff, each at its first unordered occurrence, in order.
+    A block of m pairs draws as m two-id draws: numpy buffers 32-bit draws."""
+    rng = np.random.default_rng(seed)
+    # exp(-kappa g) falls as the shared prefix g grows: it passes from g =
+    # SMALL_SCALE_PREFIX on, and below where math.exp says (0 past 745)
+    short = [math.exp(-kappa * g) <= cutoff for g in range(SMALL_SCALE_PREFIX)]
+    passes = np.array(short + [True])
+    heads = np.array([x.prefix(SMALL_SCALE_PREFIX).letters for x in points])
+    seen = set()
+    left = 50 * sample_size if len(points) >= 2 else 0
+    while left > 0:
+        draws = rng.integers(0, len(points), size=(min(sample_size, left), 2))
+        left -= len(draws)
+        shared = np.cumprod(heads[draws[:, 0]] == heads[draws[:, 1]], axis=1).sum(1)
+        for i, j in draws[(draws[:, 0] != draws[:, 1]) & passes[shared]].tolist():
+            if (min(i, j), max(i, j)) not in seen:
+                seen.add((min(i, j), max(i, j)))
+                yield i, j
 
 
 def holder_estimate(
@@ -653,55 +669,47 @@ def holder_estimate(
     """
     certificate = _require_certified(rep, spec, k, certificate)
     points = sorted(q_plus_boundary(spec, max_period, b), key=str)
-    rng = np.random.default_rng(seed)
     cutoff = math.exp(-kappa * SMALL_SCALE_PREFIX)
-    # every sampled point is a forward endpoint of spec, so each is walked
-    # without a membership check; _plane_at raises a stored error
-    outcomes: dict[BoundaryPoint, LimitMapValue | GapcertError] = {}
-    log_visual: list[float] = []
-    log_plane: list[float] = []
-    seen: set[frozenset[BoundaryPoint]] = set()
-    attempts = 0
-    limit = 50 * sample_size
-    # Draw pairs in the order the one-pair-at-a-time loop would: each round
-    # draws just enough small-scale pairs to cover the shortfall if all of
-    # them score, walks their new points together, then scores them in
-    # order, so a failed point raises when its pair is read.
-    while len(points) >= 2 and len(log_visual) < sample_size and attempts < limit:
-        batch = []
-        while len(batch) < sample_size - len(log_visual) and attempts < limit:
-            attempts += 1
-            i, j = rng.integers(0, len(points), size=2)
-            if i == j:
-                continue
-            x, y = points[i], points[j]
-            key = frozenset((x, y))
-            if key in seen:
-                continue
-            visual = visual_distance(x, y, kappa)
-            if visual > cutoff:
-                continue
-            seen.add(key)
-            batch.append((x, y, visual))
-        new = [p for x, y, _ in batch for p in (x, y) if p not in outcomes]
-        new = list(dict.fromkeys(new))
-        outcomes.update(
-            zip(new, _limit_planes(rep, k, new, certificate.lambda_hat, tol, n_max))
-        )
-        for x, y, visual in batch:
-            separation = grassmann_distance(
-                _plane_at(outcomes, x), _plane_at(outcomes, y)
-            )
-            if separation <= 1e-14:
-                continue
-            log_visual.append(math.log(visual))
-            log_plane.append(math.log(separation))
+    if not kappa > 0:
+        raise ValueError("kappa must be positive")
+    pairs = _small_scale_pairs(points, kappa, cutoff, sample_size, seed)
+    # per point id walked: its singular matrix at its stop, or its error
+    mats = np.empty((len(points), rep.dim, rep.dim))
+    failures: dict[int, Optional[GapcertError]] = {}
+    log_visual, log_plane = [], []
+    # Each round takes just enough pairs to cover the shortfall if all of
+    # them score, walks their new points together (forward endpoints of
+    # spec, so none is membership-checked), scores its pairs up to the
+    # first that reads a failed point with the pairwise loop's bits, then
+    # raises that point's error.
+    while len(log_visual) < sample_size:
+        batch = list(islice(pairs, sample_size - len(log_visual)))
+        if not batch:
+            break
+        new = [p for p in dict.fromkeys(np.ravel(batch).tolist()) if p not in failures]
+        if new:
+            walked = [points[p] for p in new]
+            walk, rate = _Walk(rep, k, walked), certificate.lambda_hat
+            stops = _limit_stops(rep, k, walked, rate, tol, n_max, walk)
+            for p, stop in zip(new, stops):
+                failures[p] = stop if isinstance(stop, GapcertError) else None
+                if failures[p] is None:
+                    mats[p] = stop[0].mats[stop[1:3]]
+        read = [any(map(failures.get, pair)) for pair in batch] + [True]
+        read = read.index(True)
+        frames = mats[np.array(batch)[:read]][..., walk.plane]
+        separations = stacked_grassmann_distance(frames[:, 0], frames[:, 1])
+        for (i, j), separation in zip(batch, separations.tolist()):
+            if separation > 1e-14:
+                log_visual.append(math.log(visual_distance(points[i], points[j], kappa)))
+                log_plane.append(math.log(separation))
+        if read < len(batch):
+            raise next(filter(None, map(failures.get, batch[read])))
     if len(log_visual) < 10:
         raise InsufficientSampleError(
             f"only {len(log_visual)} usable small-scale pairs (need 10)"
         )
-    xs = np.array(log_visual)
-    ys = np.array(log_plane)
+    xs, ys = np.array(log_visual), np.array(log_plane)
     design = np.column_stack([xs, np.ones_like(xs)])
     (alpha, intercept), *_ = np.linalg.lstsq(design, ys, rcond=None)
     residuals = ys - design @ np.array([alpha, intercept])
@@ -758,15 +766,15 @@ def discontinuity_probe(
         BoundaryPoint(ReducedWord((0,) * m + (2,)), a_word) for m in exponents
     ]
     # every plane in one walk (the points lie in the axis family by
-    # construction); a failed point raises when its row is read
+    # construction); the first failed point, in order, raises
     points = [base_point, *approximants]
     planes = _limit_planes(rep, 1, points, certificate.lambda_hat, DEFAULT_TOL, n_max)
-    outcomes = dict(zip(points, planes))
-    base = _plane_at(outcomes, base_point)
+    for plane in planes:
+        if isinstance(plane, GapcertError):
+            raise plane
+    base, *others = (plane.subspace for plane in planes)
     visual = [visual_distance(p, base_point) for p in approximants]
-    separations = [
-        grassmann_distance(base, _plane_at(outcomes, p)) for p in approximants
-    ]
+    separations = [grassmann_distance(base, other) for other in others]
     separated = visual[-1] <= math.exp(-2.0) and min(separations) >= 0.5
     return DiscontinuityProbe(
         exponents=exponents,

@@ -14,6 +14,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from functools import cache
 from typing import Any, Callable
 
 import numpy as np
@@ -90,9 +91,10 @@ def run(config: RunConfig) -> Report:
     results: dict[str, Any] = {}
     timings: dict[str, float] = {}
 
-    # lazy, so a run whose tasks read no certificate makes none; certify's
-    # memo makes each certificate once per process, and later calls copy it;
-    # the limit planes on both sides read this one
+    # lazy, so a run whose tasks read no certificate makes none, and kept,
+    # so its tasks read one copy of certify's memo; the limit planes on both
+    # sides read this one
+    @cache
     def certificate() -> DominationCertificate:
         opts = config.certify_options()
         return certify(rep, spec, config.k, config.budget, opts=opts)

@@ -19,6 +19,7 @@ from gapcert.config import (
     load_config,
     parse_config,
 )
+from gapcert import config as config_module
 from gapcert import report as report_module
 from gapcert.domination import certify
 from gapcert.errors import ConfigError, ParseError, ValidationError
@@ -460,6 +461,37 @@ def test_run_walks_each_plane_once_and_keeps_every_block(monkeypatch):
             json.dumps(results[name], sort_keys=True)
         )
     assert len(walks) == 1 + 4 + 2 + 4
+
+
+def test_run_reads_one_certificate_representation_and_point_parse(monkeypatch):
+    # a run certifies once for all its tasks and parses no point again
+    # after its config did; configs with bitwise-equal generators share one
+    # Representation, and a -0.0 entry in place of 0.0 makes its own
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(certify(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(report_module, "certify", counted)
+    parsed = config_module._parsed_point
+    parsed.cache_clear()
+    tasks = ["certify", "limit-map", "transversality", "sdp", "splitting"]
+    config = parse_config(schottky_config(tasks=tasks))
+    assert parsed.cache_info().misses == 4  # (ab), (BA), (a), (B)
+    payload = run(config).stable_payload()
+    assert len(made) == 1 and parsed.cache_info().misses == 4
+    assert run(config).stable_payload() == payload
+    assert len(made) == 2
+    twin = parse_config(schottky_config(tasks=tasks))
+    assert twin.representation() is config.representation()
+    data = schottky_config()
+    data["generators"][0][0][1] = -0.0
+    signed = parse_config(data)
+    assert signed.representation() is not config.representation()
+    assert np.array_equal(
+        signed.representation().stacked_images, config.representation().stacked_images
+    )
 
 
 def test_cli_sweep_certifies_each_representation_once(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Limit planes, transversality, convergence checks and regularity fits."""
 
+import itertools
 import math
 import re
 
@@ -50,6 +51,7 @@ from gapcert.subsets import (
     q_plus_boundary,
 )
 from gapcert.words import (
+    gromov_product,
     parse_boundary_point,
     parse_word,
     periodic_point,
@@ -900,14 +902,18 @@ def test_walk_table_never_holds_more_walks_than_its_bound(monkeypatch):
     assert [key[3] for key in limits._WALKS] == [points[2], points[0], points[3]]
 
 
-def reference_holder(rep, spec, k, sample_size, seed, max_period, n_max, cert):
+def reference_holder(
+    rep, spec, k, sample_size, seed, max_period, n_max, cert, kappa=1.0, b=0, planes=None
+):
     """The one-pair-at-a-time loop holder_estimate batched: returns the
-    usable (visual, separation) pairs and the points it read, or raises
-    the first failure it reads."""
-    points = sorted(q_plus_boundary(spec, max_period), key=str)
+    usable (log visual, log separation) pairs and the points it read, or
+    raises the first failure it reads.  planes may carry the reference
+    planes of an earlier call at the same rep, k, cert and n_max."""
+    points = sorted(q_plus_boundary(spec, max_period, b), key=str)
     rng = np.random.default_rng(seed)
-    cutoff = math.exp(-limits.SMALL_SCALE_PREFIX)
-    planes, read, usable, seen = {}, [], [], set()
+    cutoff = math.exp(-kappa * limits.SMALL_SCALE_PREFIX)
+    planes = {} if planes is None else planes
+    read, usable, seen = {}, [], set()
     attempts = 0
     while len(usable) < sample_size and attempts < 50 * sample_size:
         attempts += 1
@@ -915,20 +921,36 @@ def reference_holder(rep, spec, k, sample_size, seed, max_period, n_max, cert):
         if i == j or frozenset((points[i], points[j])) in seen:
             continue
         x, y = points[i], points[j]
-        visual = limits.visual_distance(x, y, 1.0)
+        visual = limits.visual_distance(x, y, kappa)
         if visual > cutoff:
             continue
         seen.add(frozenset((x, y)))
         for p in (x, y):
+            read[p] = None
             if p not in planes:
-                read.append(p)
                 planes[p] = helpers.reference_xi_upper(
                     rep, k, p, cert.lambda_hat, limits.DEFAULT_TOL, n_max
                 ).subspace
         separation = grassmann_distance(planes[x], planes[y])
         if separation > 1e-14:
-            usable.append((visual, separation))
-    return usable, read
+            usable.append((math.log(visual), math.log(separation)))
+    return usable, list(read)
+
+
+def reference_fit(usable):
+    """holder_estimate's regression on the reference's usable pairs."""
+    if len(usable) < 10:
+        raise InsufficientSampleError(
+            f"only {len(usable)} usable small-scale pairs (need 10)"
+        )
+    xs = np.array([v for v, _ in usable])
+    ys = np.array([s for _, s in usable])
+    design = np.column_stack([xs, np.ones_like(xs)])
+    (alpha, intercept), *_ = np.linalg.lstsq(design, ys, rcond=None)
+    residuals = ys - design @ np.array([alpha, intercept])
+    total = float(np.sum((ys - ys.mean()) ** 2))
+    r_squared = 1.0 if total == 0.0 else 1.0 - float(residuals @ residuals) / total
+    return float(alpha), float(intercept), r_squared, len(usable)
 
 
 def schottky_holder(n_max=limits.DEFAULT_N_MAX, seed=3):
@@ -961,9 +983,7 @@ def test_holder_walk_reads_the_pairs_of_the_pairwise_loop(monkeypatch):
         for seed in (3, 11):
             walked.clear()
             try:
-                usable, read = reference_holder(
-                    rep, spec, 1, 40, seed, 5, n_max, cert
-                )
+                usable, read = reference_holder(rep, spec, 1, 40, seed, 5, n_max, cert)
             except GapcertError as exc:
                 # a failed point raises when its pair is read, and the
                 # first failure read is the one the pairwise loop raised
@@ -985,7 +1005,7 @@ def test_holder_raises_a_failed_point_only_when_a_pair_reads_it(monkeypatch):
     _, read = reference_holder(rep, spec, 1, 40, 3, 5, limits.DEFAULT_N_MAX, cert)
     pool = sorted(q_plus_boundary(spec, 5), key=str)
     unread = next(p for p in pool if p not in read)
-    original = limits._limit_planes
+    original = limits._limit_stops
 
     def failing(victim):
         def walk(rep, k, points, *rest):
@@ -997,9 +1017,120 @@ def test_holder_raises_a_failed_point_only_when_a_pair_reads_it(monkeypatch):
 
         return walk
 
-    monkeypatch.setattr(limits, "_limit_planes", failing(unread))
+    monkeypatch.setattr(limits, "_limit_stops", failing(unread))
     assert schottky_holder() == clean
     victim = read[len(read) // 2]
-    monkeypatch.setattr(limits, "_limit_planes", failing(victim))
+    monkeypatch.setattr(limits, "_limit_stops", failing(victim))
     with pytest.raises(NoConvergenceError, match=re.escape(str(victim))):
         schottky_holder()
+
+
+@pytest.mark.parametrize(
+    "rep, spec, k, seeds",
+    [
+        (schottky_rep(), directed_ab(), 1, (0, 5)),
+        (helpers.pingpong_rep(1), FullBoundary(2), 2, (0,)),
+    ],
+    ids=["d2", "d3-dual"],
+)
+def test_holder_is_bitwise_the_pairwise_reference(rep, spec, k, seeds):
+    # every fit field, or the error raised, against the one-pair loop, on a
+    # grid of seeds, sample sizes, periods, shifts b and scales kappa; the
+    # d = 3 index-2 planes are read on the dual walk.  At kappa = 800 every
+    # accepted pair's visual distance underflows to 0, so its log fails in
+    # both, as the pairwise loop's did
+    cert = certify(rep, spec, k, 8)
+    planes, fits = {}, 0
+    grid = itertools.product(seeds, (10, 40, 200), range(3, 7), (0, 1), (0.5, 1.0, 2.7, 800.0))
+    for seed, size, period, b, kappa in grid:
+        if rep.dim == 3 and (period > 4 or b):
+            continue
+        args = (size, seed, period, limits.DEFAULT_N_MAX, cert, kappa, b, planes)
+        try:
+            want = reference_fit(reference_holder(rep, spec, k, *args)[0])
+        except (GapcertError, ValueError) as exc:
+            want = exc
+        try:
+            fit = holder_estimate(
+                rep, spec, k, b=b, kappa=kappa, sample_size=size, seed=seed,
+                max_period=period, certificate=cert,
+            )
+            got = (fit.alpha_hat, fit.log_c_hat, fit.r_squared, fit.pairs_used)
+            fits += 1
+        except (GapcertError, ValueError) as exc:
+            got = exc
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert got == want, (seed, size, period, b, kappa)
+    assert fits > 0
+
+
+def reference_pairs(points, kappa, sample_size, seed):
+    """Every pair of ids the one-pair loop accepts in its 50 * sample_size
+    draws, in draw order."""
+    rng = np.random.default_rng(seed)
+    cutoff = math.exp(-kappa * limits.SMALL_SCALE_PREFIX)
+    accepted, seen = [], set()
+    for _ in range(50 * sample_size):
+        i, j = (int(v) for v in rng.integers(0, len(points), size=2))
+        if i == j or frozenset((i, j)) in seen:
+            continue
+        if limits.visual_distance(points[i], points[j], kappa) <= cutoff:
+            seen.add(frozenset((i, j)))
+            accepted.append((i, j))
+    return accepted
+
+
+def test_small_scale_pairs_are_the_pairwise_loops_draws():
+    # the block draws and the shared-prefix filter accept the pairs of the
+    # one-pair loop in its order; at kappa = 800 exp(-kappa) underflows to
+    # the cutoff 0, so pairs sharing one letter pass too
+    spec = directed_ab()
+    one_letter = 0
+    for period, b in itertools.product((3, 5), (0, 1)):
+        points = sorted(q_plus_boundary(spec, period, b), key=str)
+        for kappa, size, seed in itertools.product((0.5, 2.7, 800.0), (10, 40), (0, 3)):
+            cutoff = math.exp(-kappa * limits.SMALL_SCALE_PREFIX)
+            got = list(limits._small_scale_pairs(points, kappa, cutoff, size, seed))
+            assert got == reference_pairs(points, kappa, size, seed)
+            one_letter += sum(gromov_product(points[i], points[j]) == 1 for i, j in got)
+    assert one_letter > 0
+
+
+def test_a_block_of_pairs_is_the_two_integer_draws():
+    # numpy's bounded integers draw 32-bit values from the bit generator's
+    # buffer, rejections included, so one block is many two-integer draws
+    for n in (3, 472, 2**31 - 1, 2**31 + 11):
+        for seed in range(5):
+            single = np.random.default_rng(seed)
+            pairs = [single.integers(0, n, size=2) for _ in range(301)]
+            block = np.random.default_rng(seed)
+            blocks = [block.integers(0, n, size=(m, 2)) for m in (100, 1, 200)]
+            assert np.array_equal(np.array(pairs), np.concatenate(blocks)), (n, seed)
+
+
+@pytest.mark.parametrize(
+    "rep, text", [(schottky_rep(), "b|(ab)"), (example_56_rep(), "aab|(a)")]
+)
+def test_a_kept_plane_serves_every_cap_that_reaches_its_stop(rep, text):
+    # a value is kept under (rate, tol): a read at a cap at or above its
+    # stop returns it, with every field of a fresh walk at that cap; a read
+    # below raises what a fresh walk reports, and leaves the value kept
+    x = parse_boundary_point(text)
+    value = limits._plane(rep, 1, x, 0.5, 1e-10, 400)
+    stop = value.iterations
+    if text.startswith("aab"):
+        assert value.skipped_prefixes
+    for n_max in (stop, stop + 1, stop + 9, 400, 1000):
+        assert limits._plane(rep, 1, x, 0.5, 1e-10, n_max) is value
+        (fresh,) = limits._limit_planes(rep, 1, [x], 0.5, 1e-10, n_max)
+        assert_same_outcome(value, fresh)
+    for n_max in (stop - 1, 2):
+        with pytest.raises(NoConvergenceError) as caught:
+            limits._plane(rep, 1, x, 0.5, 1e-10, n_max)
+        (fresh,) = limits._limit_planes(rep, 1, [x], 0.5, 1e-10, n_max)
+        assert isinstance(fresh, NoConvergenceError)
+        assert str(caught.value) == str(fresh)
+    assert limits._plane(rep, 1, x, 0.5, 1e-10, stop) is value
+    assert list(limits._WALKS.popitem()[1].values) == [(0.5, 1e-10)]

@@ -40,8 +40,8 @@ REFUTE_LENGTH = 6
 # d = 3 row without a clear top gap).
 MEASURABLE_MARGIN_CEILING = 34.0
 
-# certify_each stacks at most about this many products per level, and
-# _margin_tables makes a level in blocks of this many products
+# _margin_tables makes a level in blocks of this many products; certify_each
+# stacks representations whose kept levels hold at most 4 * STACK_ROWS
 STACK_ROWS = 4096
 
 # certify keeps this many of its most recent certificates, keyed by content,
@@ -105,9 +105,9 @@ def _margin_tables(
     d >= 4 and the d = 3 rows without a clear top gap take an SVD.  Only
     the previous level is kept.  A level of more than max(1, STACK_ROWS //
     R) words is made in blocks of that many and stored only when a longer
-    level follows, so the last level is never held whole.  np.argmin
-    returns the first minimum, which in sort_key order is the lexicographic
-    tie-break.
+    level follows, so the last level is never held whole (certify_each
+    bounds R times the kept level).  np.argmin returns the first minimum,
+    which in sort_key order is the lexicographic tie-break.
     """
     dim = reps[0].dim
     if not 1 <= k < dim:
@@ -133,27 +133,22 @@ def _margin_tables(
         if not size:
             break  # prefix-closed: every longer level is empty too
         logdets = logdets[:, parents] + letter_logdets[:, letters]
-        if size <= block:
-            cores, logscales, level, measured = _level_block(
-                cores, logscales, images, parents, letters, logdets, k
+        level = np.empty((count, size))
+        measured = np.empty((count, size), dtype=bool)
+        keep = t < len(levels) and len(levels[t][1]) > 0
+        if keep:
+            next_cores = np.empty((count, size) + cores.shape[2:])
+            next_scales = np.empty((count, size, width))
+        for lo in range(0, size, block):
+            rows = slice(lo, lo + block)
+            products, scales, level[:, rows], measured[:, rows] = _level_block(
+                cores, logscales, images, parents[rows], letters[rows],
+                logdets[:, rows], k,
             )
-        else:
-            level = np.empty((count, size))
-            measured = np.empty((count, size), dtype=bool)
-            keep = t < len(levels) and len(levels[t][1]) > 0
             if keep:
-                next_cores = np.empty((count, size) + cores.shape[2:])
-                next_scales = np.empty((count, size, width))
-            for lo in range(0, size, block):
-                rows = slice(lo, lo + block)
-                products, scales, level[:, rows], measured[:, rows] = _level_block(
-                    cores, logscales, images, parents[rows], letters[rows],
-                    logdets[:, rows], k,
-                )
-                if keep:
-                    next_cores[:, rows], next_scales[:, rows] = products, scales
-            if keep:
-                cores, logscales = next_cores, next_scales
+                next_cores[:, rows], next_scales[:, rows] = products, scales
+        if keep:
+            cores, logscales = next_cores, next_scales
         best = np.argmin(level, axis=1)
         words = sample.decode(t, best)
         for table, row, svd, i, w in zip(tables, level, measured, best.tolist(), words):
@@ -257,14 +252,15 @@ def certify_each(
     opts: CertifyOptions = CertifyOptions(),
 ) -> list[DominationCertificate]:
     """certify for each representation over one enumeration, in stacked
-    groups of at most max(1, STACK_ROWS // largest level) representations;
-    each certificate has the bits of its own certify call."""
+    groups of max(1, 4 * STACK_ROWS // N), N the largest level followed by a
+    nonempty one; each certificate has the bits of its own certify call."""
     if sample.budget < 2:
         raise BudgetError(f"certification needs a budget >= 2, got {sample.budget}")
     for rep in reps:
         _require_same_rank(rep, sample.spec)
-    largest = max(len(letters) for _, letters in sample.levels)
-    group = max(1, STACK_ROWS // max(1, largest))
+    sizes = [len(letters) for _, letters in sample.levels]
+    kept = max((n for n, after in zip(sizes, sizes[1:]) if after), default=1)
+    group = max(1, 4 * STACK_ROWS // kept)
     return [
         _certificate(table, sample, k, opts)
         for start in range(0, len(reps), group)
@@ -287,14 +283,10 @@ def _certificate(
     if not sample.complete:
         notes.append("positive set enumeration is truncated (complete=false)")
 
-    counterexample = None
-    refuted_at = [
-        t
-        for t in sorted(margin_map)
-        if t >= REFUTE_LENGTH and margin_map[t] <= GAP_TOLERANCE
-    ]
-    if refuted_at:
-        counterexample = argmin_map[refuted_at[0]]
+    refuted_at = sorted(
+        t for t, m in margin_map.items() if t >= REFUTE_LENGTH and m <= GAP_TOLERANCE
+    )
+    counterexample = argmin_map[refuted_at[0]] if refuted_at else None
 
     lo = max(1, math.ceil(budget / 2))
     window = [(t, margin_map[t]) for t in sorted(margin_map) if lo <= t <= budget]
@@ -309,15 +301,13 @@ def _certificate(
         lam, _, stderr = _fit_slope(window)
         c_hat = min(m - lam * t for t, m in window)
         residual_min = min(m - (lam * t + c_hat) for t, m in window)
-        fitted = True
-    else:
+    else:  # a nan rate and residual pass no threshold below
         lam, c_hat, stderr, residual_min = math.nan, math.nan, math.nan, math.nan
-        fitted = False
         notes.append("fit window has fewer than two populated lengths")
 
     if refuted_at:
         verdict = REFUTED
-    elif fitted and lam >= opts.lambda_min and residual_min >= -opts.eps_res:
+    elif lam >= opts.lambda_min and residual_min >= -opts.eps_res:
         verdict = CERTIFIED
     else:
         verdict = INCONCLUSIVE

@@ -581,25 +581,26 @@ def stability_probe(
 ) -> StabilityTable:
     """Perturb every generator image entrywise by independent uniforms in
     [-epsilon, epsilon] and re-run certification with opts, per
-    independently seeded trial.  The base representation must already be
-    Certified.  The subset is enumerated once: the base is certified
-    first, then the trials in stacked groups (domination.certify_each)."""
+    independently seeded trial.  The subset is enumerated once and the base
+    certified in one stack with its trials (domination.certify_each); it
+    must be Certified, and is certified alone when a trial fails to draw or
+    certify, so NotCertifiedError comes ahead of the trial's error."""
     if epsilon < 0:
         raise ValueError(f"perturbation size must be >= 0, got {epsilon}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     sample = gamma_p_plus(spec, budget)
-    (base,) = certify_each([rep], sample, k, opts)
+    try:
+        drawn = [_perturbed(rep, epsilon, seed, trial) for trial in range(trials)]
+        base, *certs = certify_each([rep, *drawn], sample, k, opts)
+    except Exception:
+        (base,) = certify_each([rep], sample, k, opts)
+        if base.verdict == CERTIFIED:
+            raise
     if base.verdict != CERTIFIED:
         raise NotCertifiedError(
             f"stability probe needs a Certified base, got {base.verdict}"
         )
-    certs = certify_each(
-        [_perturbed(rep, epsilon, seed, trial) for trial in range(trials)],
-        sample,
-        k,
-        opts,
-    )
     verdicts = tuple(cert.verdict for cert in certs)
     worst = min(certs, key=lambda cert: cert.lambda_hat)
     return StabilityTable(

@@ -665,7 +665,8 @@ def holder_estimate(
     SMALL_SCALE_PREFIX, i.e. visual distance <= exp(-kappa * 2)) whose
     plane distance is numerically nonzero, and fits
     log(plane distance) = alpha * log(visual distance) + log C.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  A scored pair whose visual distance
+    underflows to 0 raises NumericalError.
     """
     certificate = _require_certified(rep, spec, k, certificate)
     points = sorted(q_plus_boundary(spec, max_period, b), key=str)
@@ -701,7 +702,14 @@ def holder_estimate(
         separations = stacked_grassmann_distance(frames[:, 0], frames[:, 1])
         for (i, j), separation in zip(batch, separations.tolist()):
             if separation > 1e-14:
-                log_visual.append(math.log(visual_distance(points[i], points[j], kappa)))
+                visual = visual_distance(points[i], points[j], kappa)
+                if visual == 0.0:
+                    shared = points[i].prefix(int(gromov_product(points[i], points[j])))
+                    raise NumericalError(
+                        f"visual distance underflows to 0 at kappa = {kappa!r} "
+                        f"for a pair sharing the prefix {shared}"
+                    )
+                log_visual.append(math.log(visual))
                 log_plane.append(math.log(separation))
         if read < len(batch):
             raise next(filter(None, map(failures.get, batch[read])))

@@ -710,6 +710,28 @@ def test_cli_ill_conditioned_perturbation_is_an_error_verdict(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("kappa", [200.0, 800.0])
+def test_cli_holder_at_large_kappa_is_an_error_verdict(tmp_path, capsys, kappa):
+    # the limits-flow holder config: at these kappa a scored pair's visual
+    # distance underflows to 0, and the block is a NumericalError, exit 1,
+    # no traceback
+    data = schottky_config(
+        tasks=["holder"],
+        budget=6,
+        seed=1,
+        sampling={"holder_pairs": 400, "max_period": 8, "kappa": kappa},
+    )
+    out = str(tmp_path / "report.json")
+    argv = ["holder", "--config", write_config(tmp_path, data), "--out", out]
+    assert main([*argv, "--quiet"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    block = load_report(out)["results"]["holder"]
+    assert block["verdict"] == "Error"
+    assert block["error"].startswith(
+        f"NumericalError: visual distance underflows to 0 at kappa = {kappa!r} "
+    )
+
+
 def test_cli_singular_generator_is_a_config_error(tmp_path, capsys):
     singular = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]
     ill = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.000000000001]]

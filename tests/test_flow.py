@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import helpers
 from helpers import gap_margin, singular_values
 from gapcert import domination, flow, limits
-from gapcert.domination import STACK_ROWS, CertifyOptions, _fit_slope, certify
+from gapcert.domination import CertifyOptions, _fit_slope, certify
 from gapcert.errors import (
     GapcertError,
     HypothesesFailError,
@@ -48,7 +48,6 @@ from gapcert.subsets import (
     AxisFamily,
     Directed,
     FullBoundary,
-    gamma_p_plus,
     hat,
     q_plus_boundary,
 )
@@ -855,23 +854,12 @@ def perturbed(rep, epsilon, seed, trial):
     )
 
 
-@pytest.mark.parametrize(
-    "rep, spec, budget, trials, group",
-    [
-        (schottky_rep(), directed_ab(), 10, 7, 4),
-        (schottky_rep(), FullBoundary(2), 8, 3, 1),
-        (pingpong_rep(), FullBoundary(2), 6, 6, 4),
-    ],
-)
-def test_stacked_probe_certifies_each_trial_as_its_own_certify(
-    monkeypatch, rep, spec, budget, trials, group
-):
-    sample = gamma_p_plus(spec, budget)
-    largest = max(len(letters) for _, letters in sample.levels)
-    assert max(1, STACK_ROWS // largest) == group
-    assert group == 1 or trials % group  # a last group that is not full
+def spy_probe(monkeypatch):
+    """Record the certificates of every certify_each call the stability
+    probe makes, and the number of representations of every stacked
+    _margin_tables walk."""
     made, stacks = [], []
-    certify_each = flow.certify_each
+    certify_each, margin_tables = flow.certify_each, domination._margin_tables
 
     def spy(reps, sample, k, opts):
         certs = certify_each(reps, sample, k, opts)
@@ -882,20 +870,75 @@ def test_stacked_probe_certifies_each_trial_as_its_own_certify(
         stacks.append(len(reps))
         return margin_tables(reps, sample, k)
 
-    margin_tables = domination._margin_tables
     monkeypatch.setattr(flow, "certify_each", spy)
     monkeypatch.setattr(domination, "_margin_tables", spy_tables)
-    table = stability_probe(rep, spec, 1, 1e-3, trials, budget, seed=5)
-    (base,), certs = made
-    assert stacks == [1] + [group] * (trials // group) + [trials % group] * (group > 1)
-    assert base == certify(rep, spec, 1, budget)
-    assert len(certs) == trials
-    for trial, cert in enumerate(certs):
-        assert cert == certify(perturbed(rep, 1e-3, 5, trial), spec, 1, budget)
-    assert table.verdicts == tuple(cert.verdict for cert in certs)
-    worst = min(certs, key=lambda cert: cert.lambda_hat)
+    return made, stacks
+
+
+def assert_each_its_own_certify(table, certs, rep, spec, budget, references=None):
+    """The base and every trial (seed 5, epsilon 1e-3) have the bits of
+    their own certify calls, and the table reads the trials."""
+    base, *trials = certs
+    if references is None:
+        references = [certify(rep, spec, 1, budget)] + [
+            certify(perturbed(rep, 1e-3, 5, trial), spec, 1, budget)
+            for trial in range(len(trials))
+        ]
+    assert certs == references
+    assert table.verdicts == tuple(cert.verdict for cert in trials)
+    worst = min(trials, key=lambda cert: cert.lambda_hat)
     assert table.worst_lambda_hat == worst.lambda_hat
     assert table.worst_margins == worst.margins
+
+
+@pytest.mark.parametrize(
+    "rep, spec, budget, trials, stacks",
+    [
+        (schottky_rep(), directed_ab(), 10, 7, [8]),
+        (schottky_rep(), FullBoundary(2), 8, 3, [4]),
+        (pingpong_rep(), FullBoundary(2), 6, 6, [7]),
+        # a kept level of 8,748 words: 4 * STACK_ROWS products hold one
+        (schottky_rep(), FullBoundary(2), 9, 2, [1, 1, 1]),
+    ],
+    ids=["directed-10", "full-8", "pingpong-full-6", "full-9"],
+)
+def test_stacked_probe_certifies_each_trial_as_its_own_certify(
+    monkeypatch, rep, spec, budget, trials, stacks
+):
+    # the base is stacked with its trials, in groups bounded by the level
+    # _margin_tables keeps between lengths
+    made, walked = spy_probe(monkeypatch)
+    table = stability_probe(rep, spec, 1, 1e-3, trials, budget, seed=5)
+    (certs,) = made
+    assert walked == stacks
+    assert len(certs) == trials + 1
+    assert_each_its_own_certify(table, certs, rep, spec, budget)
+
+
+def test_benchmark_probe_walks_its_levels_once(monkeypatch):
+    # the stability-directed benchmark's probe: 20 trials at budget 10, whose
+    # largest kept level is 512 words, make one walk of 21 representations
+    made, walked = spy_probe(monkeypatch)
+    table = stability_probe(schottky_rep(), directed_ab(), 1, 1e-3, 20, 10, seed=5)
+    assert walked == [21]
+    assert_each_its_own_certify(table, made[0], schottky_rep(), directed_ab(), 10)
+
+
+def test_probe_groups_respect_the_kept_level_bound(monkeypatch):
+    # with 96 rows a block, a stack may keep 4 * 96 = 384 products: the
+    # budget-8 levels keep at most 128 words, so 3 representations a group
+    references = [certify(schottky_rep(), directed_ab(), 1, 8)] + [
+        certify(perturbed(schottky_rep(), 1e-3, 5, trial), directed_ab(), 1, 8)
+        for trial in range(9)
+    ]
+    monkeypatch.setattr(domination, "STACK_ROWS", 96)
+    made, walked = spy_probe(monkeypatch)
+    table = stability_probe(schottky_rep(), directed_ab(), 1, 1e-3, 9, 8, seed=5)
+    assert walked == [3, 3, 3, 1]
+    assert max(walked) * 128 <= 4 * domination.STACK_ROWS
+    assert_each_its_own_certify(
+        table, made[0], schottky_rep(), directed_ab(), 8, references
+    )
 
 
 def test_stability_probe_checks_the_base_before_drawing_trials():

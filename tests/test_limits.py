@@ -21,6 +21,7 @@ from gapcert.errors import (
     NoGapError,
     NonTransverseSeedError,
     NotCertifiedError,
+    NumericalError,
     ScaleOverflowError,
 )
 from gapcert.limits import (
@@ -933,6 +934,12 @@ def reference_holder(
                 ).subspace
         separation = grassmann_distance(planes[x], planes[y])
         if separation > 1e-14:
+            if visual == 0.0:
+                shared = x.prefix(int(gromov_product(x, y)))
+                raise NumericalError(
+                    f"visual distance underflows to 0 at kappa = {kappa!r} "
+                    f"for a pair sharing the prefix {shared}"
+                )
             usable.append((math.log(visual), math.log(separation)))
     return usable, list(read)
 
@@ -1037,8 +1044,8 @@ def test_holder_is_bitwise_the_pairwise_reference(rep, spec, k, seeds):
     # every fit field, or the error raised, against the one-pair loop, on a
     # grid of seeds, sample sizes, periods, shifts b and scales kappa; the
     # d = 3 index-2 planes are read on the dual walk.  At kappa = 800 every
-    # accepted pair's visual distance underflows to 0, so its log fails in
-    # both, as the pairwise loop's did
+    # accepted pair's visual distance underflows to 0, so both raise the
+    # NumericalError of the first pair they score
     cert = certify(rep, spec, k, 8)
     planes, fits = {}, 0
     grid = itertools.product(seeds, (10, 40, 200), range(3, 7), (0, 1), (0.5, 1.0, 2.7, 800.0))
@@ -1048,7 +1055,7 @@ def test_holder_is_bitwise_the_pairwise_reference(rep, spec, k, seeds):
         args = (size, seed, period, limits.DEFAULT_N_MAX, cert, kappa, b, planes)
         try:
             want = reference_fit(reference_holder(rep, spec, k, *args)[0])
-        except (GapcertError, ValueError) as exc:
+        except GapcertError as exc:
             want = exc
         try:
             fit = holder_estimate(
@@ -1057,13 +1064,32 @@ def test_holder_is_bitwise_the_pairwise_reference(rep, spec, k, seeds):
             )
             got = (fit.alpha_hat, fit.log_c_hat, fit.r_squared, fit.pairs_used)
             fits += 1
-        except (GapcertError, ValueError) as exc:
+        except GapcertError as exc:
             got = exc
         if isinstance(want, Exception):
             assert type(got) is type(want) and str(got) == str(want)
         else:
             assert got == want, (seed, size, period, b, kappa)
     assert fits > 0
+
+
+@pytest.mark.parametrize("kappa, b", [(200.0, 0), (370.0, 0), (373.0, 1), (800.0, 1)])
+def test_holder_refuses_a_visual_distance_that_underflows(kappa, b):
+    # the limits-flow holder sample (400 pairs, period 8): once
+    # exp(-kappa * (x|y)) underflows to 0 for a scored pair, its log is
+    # refused with a NumericalError naming kappa and the shared prefix
+    rep, spec = schottky_rep(), directed_ab()
+    cert = certify(rep, spec, 1, 6)
+    args = dict(sample_size=400, seed=1000, max_period=8, certificate=cert)
+    # at kappa = 100 and b = 0 no scored distance underflows
+    assert holder_estimate(rep, spec, 1, kappa=100.0, **args).pairs_used == 400
+    with pytest.raises(NumericalError) as caught:
+        holder_estimate(rep, spec, 1, b=b, kappa=kappa, **args)
+    head = f"visual distance underflows to 0 at kappa = {kappa!r} for a pair "
+    head += "sharing the prefix "
+    assert str(caught.value).startswith(head)
+    shared = str(caught.value)[len(head) :]
+    assert set(shared) <= set("ab") and math.exp(-kappa * len(shared)) == 0.0
 
 
 def reference_pairs(points, kappa, sample_size, seed):

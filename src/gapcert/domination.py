@@ -18,7 +18,7 @@ from .errors import BudgetError, EmptySubsetError
 from .linalg import (
     GAP_TOLERANCE,
     Representation,
-    running_products,
+    _running_products_into,
     stacked_det_margins,
     stacked_dual_margins,
     stacked_gap_margins,
@@ -94,19 +94,20 @@ def _margin_tables(
     its argmin word and whether an SVD measured it, walking the sample's
     coded levels once for all of them.
 
-    The stack's products of a level are (R, N, W, d, d): each is its
-    parent's product times one letter image, one running_products step
-    over the whole level or block, so every product has the bits of
+    The stack's products of a level are (N, R, W, d, d), word-major: each
+    is its parent's product times one letter image, one running_products
+    step over a block of words, so every product has the bits of
     evaluate(rep, w) whatever R is.  W = 2 for d = 3, where the second
     product is the dual M^{-T}, walked with the letters' stacked_duals, and
     W = 1 otherwise.  For d = 2 the margin is the closed form of
     stacked_det_margins and for d = 3 that of stacked_dual_margins, each
     with the row's log|det| summed along the parents like its log scale;
-    d >= 4 and the d = 3 rows without a clear top gap take an SVD.  Only
-    the previous level is kept.  A level of more than max(1, STACK_ROWS //
-    R) words is made in blocks of that many and stored only when a longer
-    level follows, so the last level is never held whole (certify_each
-    bounds R times the kept level).  np.argmin returns the first minimum,
+    d >= 4 and the d = 3 rows without a clear top gap take an SVD.  A level
+    is made in blocks of max(1, STACK_ROWS // R) words.  When a longer
+    level follows, each block writes its products where the next level
+    reads them, so only the previous and the current level are held
+    (certify_each bounds R times the kept level); the last level's blocks
+    take turns in one block's buffer.  np.argmin returns the first minimum,
     which in sort_key order is the lexicographic tie-break.
     """
     dim = reps[0].dim
@@ -119,12 +120,12 @@ def _margin_tables(
         else rep.stacked_images[:, None]
         for rep in reps
     ]
-    images = np.stack(walked)
+    images = np.stack(walked, axis=1)
     width = images.shape[2]
-    letter_logdets = np.stack([rep.stacked_logdets for rep in reps])
-    logdets = np.zeros((count, 1))
-    cores = np.broadcast_to(np.eye(dim), (count, 1, width, dim, dim))
-    logscales = np.zeros((count, 1, width))
+    letter_logdets = np.stack([rep.stacked_logdets for rep in reps], axis=1)
+    logdets = np.zeros((1, count))
+    cores = np.broadcast_to(np.eye(dim), (1, count, width, dim, dim))
+    logscales = np.zeros((1, count, width))
     levels = sample.levels
     block = max(1, STACK_ROWS // count)
     tables: list[dict[int, tuple[float, ReducedWord, bool]]] = [{} for _ in reps]
@@ -132,26 +133,28 @@ def _margin_tables(
         size = len(letters)
         if not size:
             break  # prefix-closed: every longer level is empty too
-        logdets = logdets[:, parents] + letter_logdets[:, letters]
-        level = np.empty((count, size))
-        measured = np.empty((count, size), dtype=bool)
+        logdets = np.take(logdets, parents, axis=0) + np.take(
+            letter_logdets, letters, axis=0
+        )
+        level = np.empty((size, count))
+        measured = np.empty((size, count), dtype=bool)
         keep = t < len(levels) and len(levels[t][1]) > 0
-        if keep:
-            next_cores = np.empty((count, size) + cores.shape[2:])
-            next_scales = np.empty((count, size, width))
+        held = size if keep else min(size, block)
+        products = np.empty((held,) + cores.shape[1:])
+        scales = np.empty((held, count, width))
         for lo in range(0, size, block):
             rows = slice(lo, lo + block)
-            products, scales, level[:, rows], measured[:, rows] = _level_block(
+            into = rows if keep else slice(0, len(letters[rows]))
+            level[rows], measured[rows] = _level_block(
                 cores, logscales, images, parents[rows], letters[rows],
-                logdets[:, rows], k,
+                logdets[rows], k, products[into], scales[into],
             )
-            if keep:
-                next_cores[:, rows], next_scales[:, rows] = products, scales
-        if keep:
-            cores, logscales = next_cores, next_scales
-        best = np.argmin(level, axis=1)
+        cores, logscales = products, scales
+        best = np.argmin(level, axis=0)
         words = sample.decode(t, best)
-        for table, row, svd, i, w in zip(tables, level, measured, best.tolist(), words):
+        for table, row, svd, i, w in zip(
+            tables, level.T, measured.T, best.tolist(), words
+        ):
             table[t] = (float(row[i]), w, bool(svd[i]))
     if not tables[0]:
         raise EmptySubsetError("no positive words at any length up to the budget")
@@ -166,33 +169,34 @@ def _level_block(
     letters: np.ndarray,
     logdets: np.ndarray,
     k: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The (R, n, W, d, d) products of some words of a level with their
-    (R, n, W) log scales, and the words' (R, n) margins with the mask of
-    those an SVD measured.  Each product is its parent's times its letter's
-    image: one running_products step over the gathered parents and images."""
-    dim = cores.shape[-1]
-    shape = (len(cores), len(letters)) + cores.shape[2:]
-    products, scales = running_products(
-        cores[:, parents].reshape(-1, dim, dim),
-        logscales[:, parents].reshape(-1),
-        images[:, letters].reshape(1, -1, dim, dim),
+    products: np.ndarray,
+    scales: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, R) margins of some words of a level and the mask of those an
+    SVD measured; the words' (n, R, W, d, d) products and (n, R, W) log
+    scales are written into products and scales, contiguous arrays that
+    the inputs do not overlap.  Each product is its parent's times its
+    letter's image: one running_products step over the parents and images
+    gathered with np.take."""
+    dim, shape = cores.shape[-1], logdets.shape
+    flat, flat_scales = products.reshape(-1, dim, dim), scales.reshape(-1)
+    _running_products_into(
+        np.take(cores, parents, axis=0).reshape(-1, dim, dim),
+        np.take(logscales, parents, axis=0).reshape(-1),
+        np.take(images, letters, axis=0).reshape(1, -1, dim, dim),
+        flat[None],
+        flat_scales[None],
     )
-    flat, scales, logdets = products[0], scales[0], logdets.reshape(-1)
+    logdets = logdets.reshape(-1)
     if dim == 2:
-        margin = stacked_det_margins(flat, scales, logdets)
+        margin = stacked_det_margins(flat, flat_scales, logdets)
         svd = np.zeros(len(flat), dtype=bool)
     elif dim == 3:
-        margin, svd = stacked_dual_margins(flat, scales, logdets, k)
+        margin, svd = stacked_dual_margins(flat, flat_scales, logdets, k)
     else:
-        margin = stacked_gap_margins(flat, scales, k)
+        margin = stacked_gap_margins(flat, flat_scales, k)
         svd = np.ones(len(flat), dtype=bool)
-    return (
-        flat.reshape(shape),
-        scales.reshape(shape[:3]),
-        margin.reshape(shape[:2]),
-        svd.reshape(shape[:2]),
-    )
+    return margin.reshape(shape), svd.reshape(shape)
 
 
 def _fit_slope(points: list[tuple[int, float]]) -> tuple[float, float, float]:
@@ -252,20 +256,28 @@ def certify_each(
     opts: CertifyOptions = CertifyOptions(),
 ) -> list[DominationCertificate]:
     """certify for each representation over one enumeration, in stacked
-    groups of max(1, 4 * STACK_ROWS // N), N the largest level followed by a
-    nonempty one; each certificate has the bits of its own certify call."""
+    groups of _group_size(sample); each certificate has the bits of its own
+    certify call."""
     if sample.budget < 2:
         raise BudgetError(f"certification needs a budget >= 2, got {sample.budget}")
     for rep in reps:
         _require_same_rank(rep, sample.spec)
-    sizes = [len(letters) for _, letters in sample.levels]
-    kept = max((n for n, after in zip(sizes, sizes[1:]) if after), default=1)
-    group = max(1, 4 * STACK_ROWS // kept)
+    group = _group_size(sample)
     return [
         _certificate(table, sample, k, opts)
         for start in range(0, len(reps), group)
         for table in _margin_tables(reps[start : start + group], sample, k)
     ]
+
+
+def _group_size(sample: GammaPSample) -> int:
+    """How many representations certify_each stacks in one walk of the
+    sample's levels: max(1, 4 * STACK_ROWS // N), N the largest level
+    followed by a nonempty one, so a group's kept level holds at most
+    4 * STACK_ROWS products."""
+    sizes = [len(letters) for _, letters in sample.levels]
+    kept = max((n for n, after in zip(sizes, sizes[1:]) if after), default=1)
+    return max(1, 4 * STACK_ROWS // kept)
 
 
 def _certificate(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ from .domination import (
     CertifyOptions,
     DominationCertificate,
     _fit_slope,
+    _group_size,
     _require_same_rank,
     certify_each,
 )
@@ -581,18 +583,22 @@ def stability_probe(
 ) -> StabilityTable:
     """Perturb every generator image entrywise by independent uniforms in
     [-epsilon, epsilon] and re-run certification with opts, per
-    independently seeded trial.  The subset is enumerated once and the base
-    certified in one stack with its trials (domination.certify_each); it
-    must be Certified, and is certified alone when a trial fails to draw or
-    certify, so NotCertifiedError comes ahead of the trial's error."""
+    independently seeded trial.  The subset is enumerated once, and the
+    trials are drawn and certified group by group (domination.certify_each,
+    one stacked walk of the levels a group), the base in the first group.
+    The base must be Certified: the probe raises NotCertifiedError after
+    the first group when it is not, and certifies the base alone when a
+    trial of the first group fails to draw or certify, so NotCertifiedError
+    comes ahead of the trial's error."""
     if epsilon < 0:
         raise ValueError(f"perturbation size must be >= 0, got {epsilon}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     sample = gamma_p_plus(spec, budget)
+    group = _group_size(sample)
+    drawn = (_perturbed(rep, epsilon, seed, trial) for trial in range(trials))
     try:
-        drawn = [_perturbed(rep, epsilon, seed, trial) for trial in range(trials)]
-        base, *certs = certify_each([rep, *drawn], sample, k, opts)
+        base, *certs = certify_each([rep, *islice(drawn, group - 1)], sample, k, opts)
     except Exception:
         (base,) = certify_each([rep], sample, k, opts)
         if base.verdict == CERTIFIED:
@@ -601,6 +607,8 @@ def stability_probe(
         raise NotCertifiedError(
             f"stability probe needs a Certified base, got {base.verdict}"
         )
+    while len(certs) < trials:
+        certs += certify_each(list(islice(drawn, group)), sample, k, opts)
     verdicts = tuple(cert.verdict for cert in certs)
     worst = min(certs, key=lambda cert: cert.lambda_hat)
     return StabilityTable(

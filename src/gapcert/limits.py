@@ -334,7 +334,8 @@ def _prefix_factors(
 ) -> Callable[[np.ndarray, int, int], np.ndarray]:
     """factors(rows, start, count): the images (a stack in letter-code
     order) of the letters at positions start, ..., start + count - 1 of the
-    points of the given rows, as a (count, len(rows), d, d) stack."""
+    points of the given rows, as a (count, len(rows), d, d) stack gathered
+    with np.take."""
     # each point's preperiod then period, padded into one array, with the
     # preperiod and period lengths as columns
     pre = np.array([len(x.preperiod) for x in points])[:, None]
@@ -347,7 +348,7 @@ def _prefix_factors(
     def factors(rows: np.ndarray, start: int, count: int) -> np.ndarray:
         at = np.arange(start, start + count)
         at = np.where(at < pre[rows], at, pre[rows] + (at - pre[rows]) % per[rows])
-        return images[np.take_along_axis(spelled[rows], at, axis=1).T]
+        return np.take(images, np.take_along_axis(spelled[rows], at, axis=1).T, axis=0)
 
     return factors
 

@@ -90,8 +90,9 @@ def renormalized_stack(
 ) -> tuple[np.ndarray, np.ndarray]:
     """_renormalized applied to each matrix of an (N, d, d) stack with its
     log scale; both log with np.log, so the results are bitwise those of the
-    one-matrix path.  The inputs are never modified, and may be returned as
-    they are."""
+    one-matrix path.  The cores are renormalized in place and returned; the
+    log scales are never written, and are returned as they are when every
+    core is in band."""
     estimates = _row_norms(cores)
     out = ~((estimates >= _NORM_BAND[0]) & (estimates <= _NORM_BAND[1]))
     if not np.count_nonzero(out):
@@ -100,18 +101,19 @@ def renormalized_stack(
     if np.count_nonzero(bad):
         # the squares overflowed or underflowed: bring the entries to unit
         # size first (in-range cores never come here, so their bits stay)
-        cores, logscales = cores.copy(), logscales.copy()
         scales = np.max(np.abs(cores[bad]), axis=(1, 2))
         if not np.all(np.isfinite(scales) & (scales > 0.0)):
             raise ScaleOverflowError("matrix entries must be finite and not all zero")
         cores[bad] = cores[bad] / scales[:, None, None]
+        logscales = logscales.copy()
         logscales[bad] = logscales[bad] + np.log(scales)
         estimates[bad] = _row_norms(cores[bad])
         out = (estimates < _NORM_BAND[0]) | (estimates > _NORM_BAND[1])
     # in-band rows are divided by 1.0 and shifted by log(1.0) = 0.0, which
     # leaves their bits as they are
     factors = np.where(out, estimates, 1.0)
-    return cores / factors[:, None, None], logscales + np.log(factors)
+    cores /= factors[:, None, None]
+    return cores, logscales + np.log(factors)
 
 
 _FEW_ROWS = 4  # up to this many rows, running_products renormalizes row by row
@@ -139,17 +141,31 @@ def running_products(
     """Extend the scale-tracked products of an (R, d, d) stack by the
     (C, R, d, d) factors, one length at a time, into the (C, R, d, d) cores
     and (C, R) log scales of the C products.  Every row takes its factors on
-    the right, as ScaledMatrix.times, with its bits."""
+    the right, as ScaledMatrix.times, with its bits.  The inputs are only
+    read, so they may be read-only or broadcast."""
     products = np.empty(factors.shape)
     scales = np.empty(factors.shape[:2])
+    _running_products_into(cores, logscales, factors, products, scales)
+    return products, scales
+
+
+def _running_products_into(
+    cores: np.ndarray,
+    logscales: np.ndarray,
+    factors: np.ndarray,
+    products: np.ndarray,
+    scales: np.ndarray,
+) -> None:
+    """running_products written into the caller's (C, R, d, d) products and
+    (C, R) scales, which must not overlap the inputs: each length's matmul
+    writes its products, which are then renormalized where they are."""
     renormalize = _renormalized_rows if len(cores) <= _FEW_ROWS else renormalized_stack
     with np.errstate(over="ignore", under="ignore"):  # renormalization rescales
         for t, factor in enumerate(factors):
             out = products[t]
             np.matmul(cores, factor, out=out)
-            out[...], scales[t] = renormalize(out, logscales)
+            scales[t] = renormalize(out, logscales)[1]
             cores, logscales = out, scales[t]
-    return products, scales
 
 
 @dataclass(frozen=True, eq=False)

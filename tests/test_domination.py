@@ -379,18 +379,24 @@ def test_level_engine_matches_per_word_reference(case):
 
 
 def test_level_blocks_leave_the_margins(monkeypatch, rng):
-    # levels longer than STACK_ROWS words are made block by block; the
-    # tables keep the per-word reference's bits at d = 2, 3 and 4
-    reps = [
-        Representation.of([helpers.random_invertible(rng, d) for _ in range(2)])
-        for d in (2, 3, 4)
-    ]
+    # levels longer than a block are made block by block, and blocks that
+    # split a level write their products where the next level reads them:
+    # the tables keep the per-word reference's bits at d = 2, 3 and 4, for
+    # one representation (blocks of 7 words) and a stack of three (blocks
+    # of 2 words)
     sample = gamma_p_plus(FullBoundary(2), 5)
     monkeypatch.setattr(domination, "STACK_ROWS", 7)
-    for rep in reps:
-        for k in range(1, rep.dim):
-            reference = per_word_margins(rep, sample, k)
-            assert margins(rep, FullBoundary(2), k, 5) == reference
+    for d in (2, 3, 4):
+        reps = [
+            Representation.of([helpers.random_invertible(rng, d) for _ in range(2)])
+            for _ in range(3)
+        ]
+        for k in range(1, d):
+            references = [per_word_margins(rep, sample, k) for rep in reps]
+            for stack in (reps[:1], reps):
+                tables = domination._margin_tables(stack, sample, k)
+                got = [{t: (m, w) for t, (m, w, _) in table.items()} for table in tables]
+                assert got == references[: len(stack)]
 
 
 def directed_ab():

@@ -855,15 +855,15 @@ def perturbed(rep, epsilon, seed, trial):
 
 
 def spy_probe(monkeypatch):
-    """Record the certificates of every certify_each call the stability
-    probe makes, and the number of representations of every stacked
+    """Record the certificates the stability probe's certify_each calls
+    make, in order, and the number of representations of every stacked
     _margin_tables walk."""
     made, stacks = [], []
     certify_each, margin_tables = flow.certify_each, domination._margin_tables
 
     def spy(reps, sample, k, opts):
         certs = certify_each(reps, sample, k, opts)
-        made.append(certs)
+        made.extend(certs)
         return certs
 
     def spy_tables(reps, sample, k):
@@ -909,10 +909,9 @@ def test_stacked_probe_certifies_each_trial_as_its_own_certify(
     # _margin_tables keeps between lengths
     made, walked = spy_probe(monkeypatch)
     table = stability_probe(rep, spec, 1, 1e-3, trials, budget, seed=5)
-    (certs,) = made
     assert walked == stacks
-    assert len(certs) == trials + 1
-    assert_each_its_own_certify(table, certs, rep, spec, budget)
+    assert len(made) == trials + 1
+    assert_each_its_own_certify(table, made, rep, spec, budget)
 
 
 def test_benchmark_probe_walks_its_levels_once(monkeypatch):
@@ -921,7 +920,7 @@ def test_benchmark_probe_walks_its_levels_once(monkeypatch):
     made, walked = spy_probe(monkeypatch)
     table = stability_probe(schottky_rep(), directed_ab(), 1, 1e-3, 20, 10, seed=5)
     assert walked == [21]
-    assert_each_its_own_certify(table, made[0], schottky_rep(), directed_ab(), 10)
+    assert_each_its_own_certify(table, made, schottky_rep(), directed_ab(), 10)
 
 
 def test_probe_groups_respect_the_kept_level_bound(monkeypatch):
@@ -937,7 +936,7 @@ def test_probe_groups_respect_the_kept_level_bound(monkeypatch):
     assert walked == [3, 3, 3, 1]
     assert max(walked) * 128 <= 4 * domination.STACK_ROWS
     assert_each_its_own_certify(
-        table, made[0], schottky_rep(), directed_ab(), 8, references
+        table, made, schottky_rep(), directed_ab(), 8, references
     )
 
 
@@ -949,6 +948,27 @@ def test_stability_probe_checks_the_base_before_drawing_trials():
         stability_probe(rep, directed_ab(), 1, math.inf, 2, 8)
     with pytest.raises(OverflowError):
         stability_probe(schottky_rep(), directed_ab(), 1, math.inf, 2, 8)
+
+
+def test_uncertified_base_fails_after_its_first_group(monkeypatch):
+    # 2,000 trials over Directed{a,b} at budget 10 make groups of 32: an
+    # identity base is not Certified, so the probe stops after one walk,
+    # having drawn 31 trials
+    draws = []
+    perturbed = flow._perturbed
+
+    def counted(rep, epsilon, seed, trial):
+        draws.append(trial)
+        return perturbed(rep, epsilon, seed, trial)
+
+    monkeypatch.setattr(flow, "_perturbed", counted)
+    made, walked = spy_probe(monkeypatch)
+    rep = Representation.of([np.eye(2), np.eye(2)])
+    with pytest.raises(NotCertifiedError):
+        stability_probe(rep, directed_ab(), 1, 1e-3, 2000, 10)
+    assert walked == [32]
+    assert draws == list(range(31))
+    assert made[0].verdict != "Certified"
 
 
 def test_stability_probe_honours_the_certify_options():

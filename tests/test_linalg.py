@@ -85,7 +85,8 @@ def test_renormalized_stack_matches_single_path(rng):
     cores[:5] *= 1e200  # the squares overflow
     cores[5:10] *= 1e-200  # the squares underflow to zero
     logscales = rng.normal(size=n) * 50.0
-    got_cores, got_logscales = renormalized_stack(cores, logscales)
+    # the stack is renormalized in place: it takes a copy of the cores
+    got_cores, got_logscales = renormalized_stack(cores.copy(), logscales)
     singles = [_renormalized(c, float(l)) for c, l in zip(cores, logscales)]
     assert np.array_equal(np.array([one.core for one in singles]), got_cores)
     assert np.array_equal(np.array([one.logscale for one in singles]), got_logscales)
@@ -109,7 +110,7 @@ def test_few_row_renormalization_matches_the_stack(rng):
     for rows in range(1, 5):
         for start in range(0, n - rows, 5 * rows):
             block, scales = cores[start : start + rows], logscales[start : start + rows]
-            want_cores, want_scales = renormalized_stack(block, scales)
+            want_cores, want_scales = renormalized_stack(block.copy(), scales)
             got_cores, got_scales = _renormalized_rows(block.copy(), scales)
             assert got_cores.tobytes() == want_cores.tobytes()
             assert got_scales.tobytes() == want_scales.tobytes()
@@ -121,26 +122,45 @@ def test_few_row_renormalization_matches_the_stack(rng):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_running_products_extend_as_times(rng):
-    # a few rows and a stack of rows, with extreme factors
+    # a few rows and a stack of rows, with extreme factors whose products'
+    # squares overflow or underflow; the inputs are read-only and are left
+    # as they were, and a broadcast identity (as _margin_tables starts its
+    # first level) starts the same products as ScaledMatrix.identity
     for rows in (1, 2, 4, 7):
         images = np.array([helpers.random_invertible(rng, 3) for _ in range(12)])
         images[5] *= 1e200
         images[7] *= 1e-200
         factors = images[rng.integers(0, 12, size=(10, rows))]
+        factors[0, 0], factors[1, -1], factors[4, 0] = images[5], images[7], images[5]
         start = [
             helpers.scaled_matrix(helpers.random_invertible(rng, 3))
             for _ in range(rows)
         ]
-        cores, logscales = running_products(
+        inputs = (
             np.array([m.core for m in start]),
             np.array([m.logscale for m in start]),
             factors,
         )
+        kept = [array.copy() for array in inputs]
+        for array in inputs:
+            array.setflags(write=False)
+        cores, logscales = running_products(*inputs)
+        for array, copy in zip(inputs, kept):
+            assert array.tobytes() == copy.tobytes()
+        eye = np.broadcast_to(np.eye(3), (rows, 3, 3))
+        zeros = np.zeros(rows)
+        zeros.setflags(write=False)
+        eye_cores, eye_scales = running_products(eye, zeros, factors)
+        assert eye.tobytes() == np.tile(np.eye(3), (rows, 1, 1)).tobytes()
+        assert not zeros.any()
         for row, current in enumerate(start):
+            first = ScaledMatrix.identity(3)
             for t, factor in enumerate(factors[:, row]):
-                current = current.times(factor)
+                current, first = current.times(factor), first.times(factor)
                 assert cores[t, row].tobytes() == current.core.tobytes()
                 assert logscales[t, row] == current.logscale
+                assert eye_cores[t, row].tobytes() == first.core.tobytes()
+                assert eye_scales[t, row] == first.logscale
 
 
 def planted_factors(rng, count=24):
@@ -164,7 +184,7 @@ def test_every_renormalization_takes_one_log(rng):
     # 1 ulp of math.log
     values, cores = planted_factors(rng)
     zeros = np.zeros(len(values))
-    want_cores, want_scales = renormalized_stack(cores, zeros)
+    want_cores, want_scales = renormalized_stack(cores.copy(), zeros)
     logs = np.array([math.log(x) for x in values.tolist()])
     assert np.all(np.abs(want_scales - logs) <= np.spacing(np.abs(logs)))
     for row, core in enumerate(cores):

@@ -233,6 +233,11 @@ def parse_config(data: Any) -> RunConfig:
             raise ValidationError(
                 f"sampling.{key}", f"must be > 0, got {sampling[key]}"
             )
+    epsilon = sampling["epsilon"]
+    if math.isinf(2.0 * epsilon):  # the width of the trials' draws
+        raise ValidationError(
+            "sampling.epsilon", f"2 * epsilon must be finite, got {epsilon!r}"
+        )
     points = _validate_points(data.get("points", {}), rank, dim)
 
     config = RunConfig(

@@ -59,6 +59,7 @@ from .linalg import (
     stacked_gap_margins,
     transversality_gap,
 )
+from .pcg64 import Stream
 from .subsets import SubsetPSpec, _require_pair, gamma_p_plus
 from .words import (
     BiInfiniteGeodesic,
@@ -628,10 +629,10 @@ def _perturbed(
 ) -> Representation:
     """rep with every generator image moved entrywise by uniforms in
     [-epsilon, epsilon], drawn from the trial's own seed."""
-    rng = np.random.default_rng((seed, trial))
+    stream, shape = Stream((seed, trial)), (rep.dim, rep.dim)
     return Representation.of(
         [
-            g + rng.uniform(-epsilon, epsilon, (rep.dim, rep.dim))
+            g + stream.uniform(-epsilon, epsilon, rep.dim**2).reshape(shape)
             for g in rep.stacked_images[0::2]
         ]
     )

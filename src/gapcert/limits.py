@@ -56,6 +56,7 @@ from .linalg import (
     transversality_gap,
     u_k,
 )
+from .pcg64 import Stream
 from .subsets import (
     AxisFamily,
     SubsetPSpec,
@@ -627,8 +628,8 @@ def _small_scale_pairs(points, kappa, cutoff, sample_size, seed) -> Iterator:
     """The pairs (i, j) of ids into points that holder_estimate samples: of
     at most 50 * sample_size two-id draws, those with i != j at visual
     distance <= cutoff, each at its first unordered occurrence, in order.
-    A block of m pairs draws as m two-id draws: numpy buffers 32-bit draws."""
-    rng = np.random.default_rng(seed)
+    A block of m pairs is 2m integer draws of the seed's Stream."""
+    stream = Stream(seed)
     # exp(-kappa g) falls as the shared prefix g grows: it passes from g =
     # SMALL_SCALE_PREFIX on, and below where math.exp says (0 past 745)
     short = [math.exp(-kappa * g) <= cutoff for g in range(SMALL_SCALE_PREFIX)]
@@ -637,7 +638,7 @@ def _small_scale_pairs(points, kappa, cutoff, sample_size, seed) -> Iterator:
     seen = set()
     left = 50 * sample_size if len(points) >= 2 else 0
     while left > 0:
-        draws = rng.integers(0, len(points), size=(min(sample_size, left), 2))
+        draws = stream.integers(len(points), 2 * min(sample_size, left)).reshape(-1, 2)
         left -= len(draws)
         shared = np.cumprod(heads[draws[:, 0]] == heads[draws[:, 1]], axis=1).sum(1)
         for i, j in draws[(draws[:, 0] != draws[:, 1]) & passes[shared]].tolist():
@@ -669,11 +670,11 @@ def holder_estimate(
     Deterministic for a fixed seed.  A scored pair whose visual distance
     underflows to 0 raises NumericalError.
     """
+    if not kappa > 0:
+        raise ValueError("kappa must be positive")
     certificate = _require_certified(rep, spec, k, certificate)
     points = sorted(q_plus_boundary(spec, max_period, b), key=str)
     cutoff = math.exp(-kappa * SMALL_SCALE_PREFIX)
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
     pairs = _small_scale_pairs(points, kappa, cutoff, sample_size, seed)
     # per point id walked: its singular matrix at its stop, or its error
     mats = np.empty((len(points), rep.dim, rep.dim))

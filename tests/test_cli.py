@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -847,6 +848,8 @@ def test_cli_zero_kappa_is_a_config_error(tmp_path, capsys):
         ({"sampling": {"kappa": math.inf}}, "holder", "sampling.kappa"),
         ({"tolerances": {"subspace": math.nan}}, "certify", "tolerances.subspace"),
         ({"tolerances": {"eps_res": 10**400}}, "certify", "tolerances.eps_res"),
+        # finite, but the trials' draw width 2 * epsilon is not
+        ({"sampling": {"epsilon": 1e308}}, "stability", "sampling.epsilon"),
     ],
 )
 def test_cli_non_integral_and_non_finite_numbers_are_config_errors(
@@ -855,6 +858,12 @@ def test_cli_non_integral_and_non_finite_numbers_are_config_errors(
     # a boolean period, a fraction in an integer knob, a non-finite number
     # and an integer past the float range: none is truncated or read as is
     assert_config_error(tmp_path, capsys, schottky_config(**overrides), task, field)
+
+
+def test_the_widest_finite_draw_width_is_a_valid_epsilon():
+    epsilon = sys.float_info.max / 2  # 2 * epsilon is the largest double
+    config = parse_config(schottky_config(sampling={"epsilon": epsilon}))
+    assert config.sampling["epsilon"] == epsilon
 
 
 def test_integral_floats_in_integer_fields_are_echoed_as_integers():

@@ -498,6 +498,13 @@ def test_holder_schottky_positive_exponent():
     assert again.alpha_hat == fit.alpha_hat and again.pairs_used == fit.pairs_used
 
 
+@pytest.mark.parametrize("kappa", [0.0, -1000.0, math.nan])
+def test_holder_refuses_a_nonpositive_kappa_before_using_it(kappa):
+    # kappa = -1000 overflows math.exp(-kappa * 2) if the cutoff comes first
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        holder_estimate(schottky_rep(), directed_ab(), 1, kappa=kappa)
+
+
 def test_holder_insufficient_samples():
     with pytest.raises(InsufficientSampleError):
         holder_estimate(z_rep(), z_axis(), 1)

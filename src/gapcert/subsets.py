@@ -1,13 +1,12 @@
-"""Closed invariant subsets of the double boundary, their positive word sets
-at a finite length budget, and primitivity testing.
+"""Closed invariant subsets of the double boundary as labelled graphs, their
+positive word sets at a finite length budget, and primitivity testing.
 
-A subset description picks out pairs of distinct boundary points; the words
-enumerated for it are the forward vertices of bi-infinite geodesics through
-the identity whose endpoint pair belongs to the described set.  They are
-held as integer-coded levels, one per length, and decoded to words only on
-demand.  Every enumerated word has a witness endpoint pair, built when
-asked for, so membership, which this module decides too, can be re-checked
-independently.
+Every subset description is read as a finite graph with edges labelled by
+letter codes, whose bi-infinite paths spell the subset's lines.  The words
+enumerated for it, the forward vertices of its lines through the identity,
+are held as integer-coded levels, one per length, and decoded only on
+demand.  Levels, word witnesses, the periodic boundary sample and the
+membership of points and pairs are all read off that one graph.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
@@ -32,7 +31,6 @@ from .words import (
     letter_to_string,
     periodic_point,
     reduce,
-    rotate,
     translate,
 )
 
@@ -141,44 +139,104 @@ class Primitive:
 SubsetPSpec = Union[Directed, AxisFamily, Primitive]
 
 
-def _is_directed(spec: SubsetPSpec) -> bool:
-    """Whether the subset steps along a letter set (Directed) rather than
-    being spelled by axes (AxisFamily, Primitive); the one place an unknown
-    description is refused."""
-    if isinstance(spec, Directed):
-        return True
-    if isinstance(spec, (AxisFamily, Primitive)):
-        return False
-    raise TypeError(f"unknown subset description {spec!r}")
-
-
-def _axis_words(
-    spec: Union[AxisFamily, Primitive], max_len: float = math.inf
-) -> tuple[ReducedWord, ...]:
-    """The axis words of an axis subset of cyclic length at most max_len:
-    an AxisFamily's own words, or Primitive's enumerated classes."""
-    if isinstance(spec, AxisFamily):
-        return tuple(w for w in spec.words if len(w) <= max_len)
-    return tuple(
-        enumerate_primitive_classes(spec.rank, min(spec.max_period, max_len))
-    )
-
-
-def _is_axis(spec: Union[AxisFamily, Primitive], w: ReducedWord) -> bool:
-    """Whether the line of the cyclically reduced word w, within the rank,
-    is an axis of the subset."""
-    if isinstance(spec, AxisFamily):
-        return least_rotation(w) in spec.words
-    return is_primitive(w, spec.rank)
-
-
+@lru_cache(maxsize=32)
 def hat(spec: SubsetPSpec) -> SubsetPSpec:
-    """The flipped subset: pair (x, y) belongs to hat(P) iff (y, x) is in P."""
-    if _is_directed(spec):
+    """The flipped subset: pair (x, y) belongs to hat(P) iff (y, x) is in P;
+    kept, so a flip's graph is built once."""
+    if isinstance(spec, Directed):
         return Directed(spec.rank, frozenset(l ^ 1 for l in spec.steps))
     if isinstance(spec, AxisFamily):
         return AxisFamily(spec.rank, tuple(w.inverse() for w in spec.words))
     return spec
+
+
+@dataclass(frozen=True, eq=False)
+class _Graph:
+    """A graph whose bi-infinite paths spell the lines of a subset: state s
+    steps along letter l to moves[s][l] (in letter order), and every state
+    lies on a cycle.  complete: whether the paths are every line."""
+
+    rank: int
+    moves: tuple[dict[int, int], ...]
+    complete: bool = True
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The subset construction from the set of every state (row 0): row
+        r steps along letter l to the row of the set r's states step to."""
+        order = [frozenset(range(len(self.moves)))]
+        rows = {order[0]: 0}
+        table = []
+        for states in order:
+            ahead: list[set[int]] = [set() for _ in range(2 * self.rank)]
+            for s in states:
+                for l, t in self.moves[s].items():
+                    ahead[l].add(t)
+            for reached in map(frozenset, ahead):
+                if reached and reached not in rows:
+                    rows[reached] = len(order)
+                    order.append(reached)
+            table.append([rows[frozenset(a)] if a else -1 for a in ahead])
+        return np.array(table, dtype=np.intp)
+
+    def read(self, state: int, letters: Iterable[int]) -> int:
+        """The state the letters lead to from state, or -1 where they stop."""
+        for l in letters:
+            state = self.moves[state].get(l, -1)
+            if state < 0:
+                return -1
+        return state
+
+
+@lru_cache(maxsize=1024)
+def _periodic(graph: _Graph, letters: tuple[int, ...]) -> tuple[frozenset, frozenset]:
+    """Where a path spelling letters^inf from the left can end, and where one
+    can start to the right: the image and the domain of the letters read as
+    often as there are states."""
+    ends = [graph.read(s, letters) for s in range(len(graph.moves))]
+    image = list(range(len(ends)))
+    for _ in ends:
+        image = [ends[t] if t >= 0 else -1 for t in image]
+    domain = frozenset(s for s, t in enumerate(image) if t >= 0)
+    return frozenset(image) - {-1}, domain
+
+
+def _cycle_graph(rank: int, words: Iterable, complete: bool = True) -> _Graph:
+    """One cycle per cyclically reduced word, whose phase i reads letter i."""
+    moves: list[dict[int, int]] = []
+    for w in map(tuple, words):
+        first = len(moves)
+        moves.extend({l: first + (i + 1) % len(w)} for i, l in enumerate(w))
+    return _Graph(rank, tuple(moves), complete)
+
+
+@lru_cache(maxsize=32)
+def _graph(spec: SubsetPSpec) -> _Graph:
+    """The graph of a subset, built once per process.  Directed: one state
+    per step, the last letter read, which every step but its inverse may
+    follow.  AxisFamily: one cycle per stored word; Primitive: one per
+    primitive class up to its max_period, short of the closure."""
+    if isinstance(spec, Directed):
+        steps = sorted(spec.steps)
+        moves = [{l: steps.index(l) for l in steps if l != s ^ 1} for s in steps]
+        return _Graph(spec.rank, tuple(moves))
+    if isinstance(spec, AxisFamily):
+        return _cycle_graph(spec.rank, spec.words)
+    if isinstance(spec, Primitive):
+        classes = enumerate_primitive_classes(spec.rank, spec.max_period)
+        return _cycle_graph(spec.rank, classes, complete=False)
+    raise TypeError(f"unknown subset description {spec!r}")
+
+
+def _cycles(graph: _Graph, state: int, longest: int) -> Iterator[ReducedWord]:
+    """The words of the closed walks at state of length 1..longest, in
+    sort_key order."""
+    walks = [((), state)]
+    for _ in range(longest):
+        walks = [(w + (l,), t) for w, s in walks for l, t in graph.moves[s].items()]
+        for w, t in walks:
+            if t == state:
+                yield ReducedWord(w)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +244,10 @@ def hat(spec: SubsetPSpec) -> SubsetPSpec:
 
 
 Level = tuple[np.ndarray, np.ndarray]
+
+# The most words a level may hold, refused up front: kept between lengths,
+# a level of 2^22 words holds about 0.6 GB of products in d = 3.
+MAX_LEVEL_WORDS = 1 << 22
 
 
 @dataclass(eq=False)
@@ -199,15 +261,13 @@ class GammaPSample:
     prefix-closed, which is what makes the parent index exist; sorting by
     (parent, letter) keeps each level in order.
     complete records whether every level provably exhausts the positive set
-    at that length.  `axes` are the axis words whose rays spell the set,
-    for the axis-type subsets.
+    at that length.
     """
 
     spec: SubsetPSpec
     budget: int
     levels: tuple[Level, ...]
     complete: bool
-    axes: tuple[ReducedWord, ...] = ()
 
     @cached_property
     def buckets(self) -> dict[int, _Bucket]:
@@ -228,33 +288,28 @@ class GammaPSample:
             rows = parents[rows]
         return [ReducedWord(tuple(row)) for row in codes.tolist()]
 
-    def index(self, w: ReducedWord) -> Optional[int]:
-        """Position of w within its length's level, or None if absent."""
+    def __contains__(self, w: ReducedWord) -> bool:
+        """Whether w is a word of the sample, read through the table."""
         if w.is_empty() or len(w) > self.budget or w.max_index() > self.spec.rank:
-            return None
-        i = 0
-        for (parents, letters), letter in zip(self.levels, w.letters):
-            lo = int(np.searchsorted(parents, i, "left"))
-            hi = int(np.searchsorted(parents, i, "right"))
-            i = lo + int(np.searchsorted(letters[lo:hi], letter))
-            if i == hi or letters[i] != letter:
-                return None
-        return i
+            return False
+        table, row = _graph(self.spec).table, 0
+        for l in w.letters:
+            row = table[row, l]
+            if row < 0:
+                return False
+        return True
 
     def witness(self, w: ReducedWord) -> tuple[BoundaryPoint, BoundaryPoint]:
         """An endpoint pair (backward, forward) in the subset whose connecting
-        geodesic passes through the identity with w on its forward ray."""
-        if self.index(w) is None:
+        geodesic passes through the identity with w on its forward ray: the
+        first cycles at the first state reading w and at the state it ends."""
+        if w not in self:
             raise KeyError(w)
-        if _is_directed(self.spec):
-            return _directed_witness(w, sorted(self.spec.steps))
-        for axis in self.axes:
-            for i in range(len(axis)):
-                v = rotate(axis, i)
-                fwd = periodic_point(v)
-                if fwd.prefix(len(w)) == w:
-                    return periodic_point(v.inverse()), fwd
-        raise AssertionError(f"no axis ray spells {w}")
+        graph = _graph(self.spec)
+        start = next(s for s in range(len(graph.moves)) if graph.read(s, w) >= 0)
+        back = next(_cycles(graph, start, len(graph.moves)))
+        ahead = next(_cycles(graph, graph.read(start, w), len(graph.moves)))
+        return periodic_point(back.inverse()), BoundaryPoint(w, ahead)
 
 
 class _Bucket(AbstractSet):
@@ -271,77 +326,39 @@ class _Bucket(AbstractSet):
         return iter(self._sample.level_words(self._t))
 
     def __contains__(self, w: object) -> bool:
-        return (
-            isinstance(w, ReducedWord)
-            and len(w) == self._t
-            and self._sample.index(w) is not None
-        )
-
-
-def _directed_witness(
-    w: ReducedWord, steps: list[int]
-) -> tuple[BoundaryPoint, BoundaryPoint]:
-    """The first steps that continue the word w, spelled with steps, without
-    cancellation: forward from its last letter, backward into its first."""
-    ahead = next(s for s in steps if s != w.letters[-1] ^ 1)
-    back_step = next(s for s in steps if s != w.letters[0] ^ 1)
-    fwd = BoundaryPoint(w, ReducedWord((ahead,)))
-    return periodic_point(ReducedWord((back_step ^ 1,))), fwd
-
-
-def _free_levels(codes: Iterable[int], budget: int) -> tuple[Level, ...]:
-    """Levels of every reduced word spelled with the given letter codes."""
-    step = np.array(sorted(codes), dtype=np.intp)
-    parents = np.zeros(len(step), dtype=np.intp)
-    letters = step
-    levels = [(parents, letters)]
-    for _ in range(1, budget):
-        parents = np.repeat(np.arange(len(letters)), len(step))
-        extended = np.tile(step, len(letters))
-        keep = extended != (letters[parents] ^ 1)
-        parents, letters = parents[keep], extended[keep]
-        levels.append((parents, letters))
-    return tuple(levels)
-
-
-def _axis_levels(axes: tuple[ReducedWord, ...], budget: int) -> tuple[Level, ...]:
-    """Levels of the prefixes of the rays w^inf over all rotations w of the
-    axis words: the forward vertices of the axes through the identity."""
-    rays = {
-        periodic_point(rotate(w, i)).prefix(budget).letters
-        for w in axes
-        for i in range(len(w))
-    }
-    index: dict[tuple[int, ...], int] = {(): 0}
-    levels = []
-    for t in range(1, budget + 1):
-        coded = sorted({ray[:t] for ray in rays})
-        levels.append(
-            (
-                np.array([index[c[:-1]] for c in coded], dtype=np.intp),
-                np.array([c[-1] for c in coded], dtype=np.intp),
-            )
-        )
-        index = {c: i for i, c in enumerate(coded)}
-    return tuple(levels)
+        return isinstance(w, ReducedWord) and len(w) == self._t and w in self._sample
 
 
 def gamma_p_plus(spec: SubsetPSpec, budget: int) -> GammaPSample:
-    """Enumerate the positive words of the subset up to the length budget."""
+    """Enumerate the positive words of the subset up to the length budget:
+    the words read from the set of every state of its graph, each level one
+    vectorised step of the last through the table, which keeps its order."""
     if budget < 1:
         raise BudgetError(f"length budget must be >= 1, got {budget}")
-
-    if _is_directed(spec):
-        # every reduced word over the steps lies on a line of the subset: a
-        # step other than the last letter's inverse continues it, and a step
-        # other than the first letter's inverse leads into it
-        levels = _free_levels(spec.steps, budget)
-        return GammaPSample(spec, budget, levels, True)
-
-    # Primitive's classes stop at its max_period, short of the closure
-    axes = _axis_words(spec)
-    complete = isinstance(spec, AxisFamily)
-    return GammaPSample(spec, budget, _axis_levels(axes, budget), complete, axes)
+    graph = _graph(spec)
+    table = graph.table
+    # every word extends, so the last level is the largest; when even its
+    # sphere, 2r (2r - 1)^(budget - 1) words, may not fit, count the levels up
+    # front by pushing row counts through the table
+    sphere = math.log(2 * spec.rank) + (budget - 1) * math.log(2 * spec.rank - 1)
+    if sphere > math.log(MAX_LEVEL_WORDS):
+        rows, letters = np.nonzero(table >= 0)
+        counts = np.eye(1, len(table))[0]
+        for t in range(1, budget + 1):
+            counts = np.bincount(table[rows, letters], counts[rows], len(table))
+            if counts.sum() > MAX_LEVEL_WORDS:
+                raise BudgetError(
+                    f"budget {budget} is too large: {counts.sum():.0f} words of "
+                    f"length {t}, past the {MAX_LEVEL_WORDS} a level may hold"
+                )
+    rows = np.zeros(1, dtype=np.intp)
+    levels = []
+    for _ in range(budget):
+        steps = np.take(table, rows, axis=0).ravel()
+        kept = np.flatnonzero(steps >= 0)
+        rows = steps[kept]
+        levels.append(np.divmod(kept, table.shape[1]))
+    return GammaPSample(spec, budget, tuple(levels), graph.complete)
 
 
 def word_in_positive_set(
@@ -365,100 +382,92 @@ def word_in_positive_set(
         return True
     if sample is None or sample.budget < len(w) + b:
         sample = gamma_p_plus(spec, len(w) + b)
-    for p in reduced_ball(range(2 * spec.rank), b):
-        segment = concat(p.inverse(), w)
-        if segment.is_empty():
-            continue
-        if segment in sample.buckets.get(len(segment), frozenset()):
-            return True
-    return False
+    return any(
+        concat(p.inverse(), w) in sample for p in reduced_ball(range(2 * spec.rank), b)
+    )
 
 
 # ---------------------------------------------------------------------------
 # boundary samples
 
 
-def _base_points(spec: SubsetPSpec, max_period: int) -> set[BoundaryPoint]:
-    """Forward endpoints of subset lines through the identity, period-bounded."""
-    if _is_directed(spec):
-        return {
-            periodic_point(w)
-            for w in reduced_ball(spec.steps, max_period)
-            if w and w.is_cyclically_reduced()
-        }
-    return {
-        periodic_point(rotate(w, i))
-        for w in _axis_words(spec, max_period)
-        for i in range(len(w))
-    }
-
-
 def q_plus_boundary(
     spec: SubsetPSpec, max_period: int, b: int = 0
 ) -> set[BoundaryPoint]:
-    """Forward endpoints of subset lines passing within distance b of id.
-
-    Returns the eventually periodic sample: forward endpoints with period
-    at most max_period, translated by every group element of length at most
-    b.  Each translate g.x is an endpoint of the translated witness line,
-    which passes through the vertex g, at distance |g| <= b from id.
-    """
+    """Forward endpoints of subset lines passing within distance b of id:
+    the periodic points of the graph's closed walks up to max_period, the
+    ends of its periodic lines through id, translated by every group element
+    g of length at most b (g.x ends the translated line, through g)."""
     if max_period < 1:
         raise BudgetError("max_period must be >= 1")
     if b < 0:
         raise ValueError("offset b must be >= 0")
-    base = _base_points(spec, max_period)
+    graph = _graph(spec)
+    base = {
+        BoundaryPoint(EMPTY_WORD, w)
+        for s in range(len(graph.moves))
+        for w in _cycles(graph, s, max_period)
+    }
     if b == 0:
-        return set(base)
-    out: set[BoundaryPoint] = set()
-    for g in reduced_ball(range(2 * spec.rank), b):
-        out.update(translate(g, x) for x in base)
-    return out
+        return base
+    ball = reduced_ball(range(2 * spec.rank), b)
+    return {translate(g, x) for g in ball for x in base}
 
 
 # ---------------------------------------------------------------------------
 # membership of points and pairs
 
 
-def _tail_letter_set(x: BoundaryPoint, start: int) -> set[int]:
-    """Every letter appearing in the expansion of x at positions >= start."""
-    pre = x.preperiod.letters
-    return set(pre[start:]) | set(x.period.letters)
+@lru_cache(maxsize=1024)
+def _line_graph(spec: SubsetPSpec, period: tuple[int, ...]) -> Optional[_Graph]:
+    """The graph a subset line with this forward period is read in, or None
+    when no cycle reads the period.  Primitive's graph stops at max_period,
+    so its test is is_primitive, unbounded, and its graph the period's cycle."""
+    if isinstance(spec, Primitive):
+        if not is_primitive(ReducedWord(period), spec.rank):
+            return None
+        return _cycle_graph(spec.rank, (period,))
+    graph = _graph(spec)
+    return graph if _periodic(graph, period)[0] else None
+
+
+def _tail(x: BoundaryPoint, start: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The letters of x from position start on, as a preperiod and a period."""
+    pre, per = x.preperiod.letters, x.period.letters
+    if start <= len(pre):
+        return pre[start:], per
+    shift = (start - len(pre)) % len(per)
+    return (), per[shift:] + per[:shift]
 
 
 def point_in_forward_set(spec: SubsetPSpec, x: BoundaryPoint) -> bool:
-    """Whether x is the forward endpoint of some line of the subset; no
-    point with a letter past the rank is."""
-    if _is_directed(spec):
-        # a finite head is a shift of the line; only the tail must be directed
-        return x.max_index() <= spec.rank and set(x.period.letters) <= spec.steps
-    return x.max_index() <= spec.rank and _is_axis(spec, x.period)
+    """Whether x is the forward endpoint of some line of the subset, that
+    is, whether a cycle reads its period; none with a letter past the rank."""
+    period = x.period.letters
+    return x.max_index() <= spec.rank and _line_graph(spec, period) is not None
 
 
 def pair_in_subset(spec: SubsetPSpec, x: BoundaryPoint, y: BoundaryPoint) -> bool:
-    """Whether (x, y) is an (forward, backward) endpoint pair of the subset;
-    no pair with a letter past the rank is."""
-    if x == y:
-        return False
-    directed = _is_directed(spec)
-    if max(x.max_index(), y.max_index()) > spec.rank:
+    """Whether (x, y) is a (forward, backward) endpoint pair of the subset:
+    whether the line re-based at its branch vertex, back^inf . middle .
+    fwd^inf, is a path of the graph; none with a letter past the rank."""
+    if x == y or max(x.max_index(), y.max_index()) > spec.rank:
         return False
     junction = int(gromov_product(x, y))
-    if directed:
-        forward_ok = _tail_letter_set(x, junction) <= spec.steps
-        backward_ok = all(
-            l ^ 1 in spec.steps for l in _tail_letter_set(y, junction)
-        )
-        return forward_ok and backward_ok
-    # axis subsets: after removing the shared approach, the pair must be
-    # the two ends of one periodic line through the identity
-    approach = x.prefix(junction).inverse()
-    px, py = translate(approach, x), translate(approach, y)
-    if not (px.preperiod.is_empty() and py.preperiod.is_empty()):
+    ahead, fwd = _tail(x, junction)
+    behind, per = _tail(y, junction)
+    graph = _line_graph(spec, fwd)
+    if graph is None:
         return False
-    if py.period != px.period.inverse():
-        return False
-    return _is_axis(spec, px.period)
+    # back = per^-1, middle = behind^-1 . ahead
+    arrive, _ = _periodic(graph, tuple([l ^ 1 for l in per[::-1]]))
+    leave = _periodic(graph, fwd)[1]
+    middle = [l ^ 1 for l in behind[::-1]]
+    middle.extend(ahead)
+    for s in arrive:
+        if graph.read(s, middle) in leave:
+            return True
+    return False
 
 
 def _require_pair(spec: SubsetPSpec, x: BoundaryPoint, y: BoundaryPoint) -> None:
@@ -475,10 +484,7 @@ def _exponent_gcd(w: ReducedWord, rank: int) -> int:
     sums = [0] * rank
     for l in w.letters:
         sums[l // 2] += -1 if l & 1 else 1
-    g = 0
-    for v in sums:
-        g = math.gcd(g, abs(v))
-    return g
+    return math.gcd(*sums)
 
 
 def _type_ii_images(core: ReducedWord, rank: int) -> Iterator[ReducedWord]:
@@ -526,9 +532,7 @@ def is_primitive(w: ReducedWord, rank: int) -> bool:
     if w.max_index() > rank:
         raise ValueError(f"word {w} exceeds rank {rank}")
     if rank > WHITEHEAD_RANK_CAP:
-        raise BudgetError(
-            f"primitivity search supports rank <= {WHITEHEAD_RANK_CAP}"
-        )
+        raise BudgetError(f"primitivity search supports rank <= {WHITEHEAD_RANK_CAP}")
     core, _ = cyclic_reduce(w)
     if _exponent_gcd(core, rank) != 1:
         return False
@@ -550,15 +554,9 @@ def enumerate_primitive_classes(rank: int, max_len: int) -> list[ReducedWord]:
         raise ValueError("primitive enumeration needs rank >= 2")
     if max_len < 1:
         raise BudgetError("max_len must be >= 1")
-    reps: list[ReducedWord] = []
-    seen: set[ReducedWord] = set()
-    for w in reduced_ball(range(2 * rank), max_len):
-        if not w or not w.is_cyclically_reduced():
-            continue
-        canon = least_rotation(w)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        if is_primitive(canon, rank):
-            reps.append(canon)
-    return reps
+    graph = _graph(FullBoundary(rank))
+    classes = {
+        least_rotation(w) for s in range(2 * rank) for w in _cycles(graph, s, max_len)
+    }
+    classes = sorted(classes, key=ReducedWord.sort_key)
+    return [w for w in classes if is_primitive(w, rank)]

@@ -25,8 +25,24 @@ from gapcert.linalg import (
     _require_gap,
     grassmann_distance,
 )
-from gapcert.subsets import AxisFamily, Directed, FullBoundary, Primitive, gamma_p_plus
-from gapcert.words import BoundaryPoint, ReducedWord, gromov_product, translate
+from gapcert.subsets import (
+    AxisFamily,
+    Directed,
+    FullBoundary,
+    Primitive,
+    gamma_p_plus,
+    is_primitive,
+    reduced_ball,
+)
+from gapcert.words import (
+    BoundaryPoint,
+    ReducedWord,
+    gromov_product,
+    least_rotation,
+    periodic_point,
+    rotate,
+    translate,
+)
 
 # ---------------------------------------------------------------------------
 # word oracles
@@ -89,6 +105,103 @@ def check_witness(w: ReducedWord, pair: tuple[BoundaryPoint, BoundaryPoint]) -> 
     """Re-check that w sits on the forward ray of the witness line through id."""
     back, fwd = pair
     return back != fwd and gromov_product(fwd, back) == 0 and fwd.prefix(len(w)) == w
+
+
+# ---------------------------------------------------------------------------
+# subset oracles: one level builder and one membership rule per subset kind,
+# as gapcert.subsets decided them before it read every kind off one graph
+
+
+def reference_primitive_classes(rank: int, max_len: int) -> list[ReducedWord]:
+    """Least rotations of the primitive cyclic words of length <= max_len,
+    in sort_key order, by a scan of the ball."""
+    reps: list[ReducedWord] = []
+    seen: set[ReducedWord] = set()
+    for w in reduced_ball(range(2 * rank), max_len):
+        if not w or not w.is_cyclically_reduced():
+            continue
+        canon = least_rotation(w)
+        if canon not in seen:
+            seen.add(canon)
+            if is_primitive(canon, rank):
+                reps.append(canon)
+    return reps
+
+
+def reference_levels(spec, budget: int) -> tuple:
+    """The coded levels of a subset's positive set, built per kind: every
+    reduced word over a Directed subset's steps, vectorised, or the prefixes
+    of the rays along every rotation of the axis words."""
+    if isinstance(spec, Directed):
+        step = np.array(sorted(spec.steps), dtype=np.intp)
+        parents = np.zeros(len(step), dtype=np.intp)
+        letters = step
+        levels = [(parents, letters)]
+        for _ in range(1, budget):
+            parents = np.repeat(np.arange(len(letters)), len(step))
+            extended = np.tile(step, len(letters))
+            keep = extended != (letters[parents] ^ 1)
+            parents, letters = parents[keep], extended[keep]
+            levels.append((parents, letters))
+        return tuple(levels)
+    axes = (
+        spec.words
+        if isinstance(spec, AxisFamily)
+        else reference_primitive_classes(spec.rank, spec.max_period)
+    )
+    rays = {
+        periodic_point(rotate(w, i)).prefix(budget).letters
+        for w in axes
+        for i in range(len(w))
+    }
+    index: dict[tuple[int, ...], int] = {(): 0}
+    levels = []
+    for t in range(1, budget + 1):
+        coded = sorted({ray[:t] for ray in rays})
+        levels.append(
+            (
+                np.array([index[c[:-1]] for c in coded], dtype=np.intp),
+                np.array([c[-1] for c in coded], dtype=np.intp),
+            )
+        )
+        index = {c: i for i, c in enumerate(coded)}
+    return tuple(levels)
+
+
+def _reference_is_axis(spec, w: ReducedWord) -> bool:
+    if isinstance(spec, AxisFamily):
+        return least_rotation(w) in spec.words
+    return is_primitive(w, spec.rank)
+
+
+def _tail_letter_set(x: BoundaryPoint, start: int) -> set[int]:
+    """Every letter of x at positions >= start."""
+    return set(x.preperiod.letters[start:]) | set(x.period.letters)
+
+
+def reference_point_in_forward_set(spec, x: BoundaryPoint) -> bool:
+    """Point membership per kind: a directed period, or an axis period."""
+    if x.max_index() > spec.rank:
+        return False
+    if isinstance(spec, Directed):
+        return set(x.period.letters) <= spec.steps
+    return _reference_is_axis(spec, x.period)
+
+
+def reference_pair_in_subset(spec, x: BoundaryPoint, y: BoundaryPoint) -> bool:
+    """Pair membership per kind: both tails past the branch vertex directed,
+    or, re-based there, the two ends of one axis through the identity."""
+    if x == y or max(x.max_index(), y.max_index()) > spec.rank:
+        return False
+    junction = int(gromov_product(x, y))
+    if isinstance(spec, Directed):
+        backward = {l ^ 1 for l in _tail_letter_set(y, junction)}
+        return _tail_letter_set(x, junction) | backward <= spec.steps
+    approach = x.prefix(junction).inverse()
+    px, py = translate(approach, x), translate(approach, y)
+    if not (px.preperiod.is_empty() and py.preperiod.is_empty()):
+        return False
+    return py.period == px.period.inverse() and _reference_is_axis(spec, px.period)
 
 
 # ---------------------------------------------------------------------------

@@ -689,6 +689,28 @@ def test_cli_overflowing_products_are_error_verdicts(tmp_path, capsys):
         assert blocks[task]["error"].startswith("ScaleOverflowError: ")
 
 
+def test_cli_oversized_budget_is_a_budget_error_verdict(tmp_path, capsys):
+    # a full rank-2 config at budget 30 would hold levels of 10^8 words and
+    # more: certify refuses it from the level counts before it builds any
+    # level, an Error block, exit 1, no traceback; an axis at the same
+    # budget, whose levels stay small, still certifies
+    data = schottky_config(subset={"type": "full"}, budget=30, seed=1)
+    out = str(tmp_path / "report.json")
+    argv = ["certify", "--config", write_config(tmp_path, data), "--out", out]
+    assert main([*argv, "--quiet"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    block = load_report(out)["results"]["certify"]
+    assert block["verdict"] == "Error"
+    assert block["error"] == (
+        "BudgetError: budget 30 is too large: 6377292 words of length 14, past "
+        "the 4194304 a level may hold"
+    )
+    axis = schottky_config(subset={"type": "axis", "words": ["ab"]}, budget=30)
+    argv = ["certify", "--config", write_config(tmp_path, axis, "axis.json")]
+    assert main([*argv, "--out", out, "--quiet"]) == 0
+    assert load_report(out)["results"]["certify"]["verdict"] == "Certified"
+
+
 def test_cli_ill_conditioned_perturbation_is_an_error_verdict(tmp_path, capsys):
     # trial 9427 of the stability task (seed 1, its position's) moves the
     # second generator to one too ill-conditioned to invert: the block is

@@ -6,14 +6,18 @@ integer pairs (p, q), p + q = n, p, q >= 1, taken with all four sign
 choices, so there are exactly 4*phi(n) classes and 4*n*phi(n) words.
 """
 
+import functools
 import itertools
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from gapcert import subsets
 from gapcert.errors import BudgetError, EmptyWordError
 from gapcert.subsets import (
     AxisFamily,
@@ -31,12 +35,14 @@ from gapcert.subsets import (
 )
 from gapcert.words import (
     EMPTY_WORD,
+    BoundaryPoint,
     ReducedWord,
     concat,
     parse_word,
     periodic_point,
     reduce,
     rotate,
+    translate,
     word_to_string,
 )
 
@@ -151,6 +157,24 @@ def test_axis_rotations_enumerated():
 def test_budget_errors():
     with pytest.raises(BudgetError):
         gamma_p_plus(FullBoundary(2), 0)
+    # 4 * 3^13 words of length 14 are refused before any level is built; an
+    # axis family's levels stay small at any budget
+    with pytest.raises(BudgetError, match="6377292 words of length 14"):
+        gamma_p_plus(FullBoundary(2), 30)
+    assert len(gamma_p_plus(AxisFamily(2, (parse_word("ab"),)), 30).levels) == 30
+
+
+def test_level_cap_counts_the_levels(monkeypatch):
+    # past the sphere bound the levels are counted, not bounded: Directed{a,b}
+    # has 2^t words of length t against the sphere's 4 * 3^(t - 1)
+    monkeypatch.setattr(subsets, "MAX_LEVEL_WORDS", 100)
+    gamma_p_plus(FullBoundary(2), 3)
+    with pytest.raises(BudgetError, match="108 words of length 4"):
+        gamma_p_plus(FullBoundary(2), 4)
+    ab = Directed(2, frozenset({0, 2}))
+    gamma_p_plus(ab, 6)
+    with pytest.raises(BudgetError, match="128 words of length 7"):
+        gamma_p_plus(ab, 9)
 
 
 @pytest.mark.parametrize(
@@ -328,3 +352,139 @@ def test_primitive_sample_flagged_incomplete():
     assert not sample.complete
     assert parse_word("aab") not in sample_words(sample)  # class length 3 > cap
     assert parse_word("aba") in sample_words(sample)  # rotation subword of (ab)
+
+
+# ---------------------------------------------------------------------------
+# the subset graph against the per-kind references it replaced
+
+
+def _step_sets(rank):
+    alphabet = range(2 * rank)
+    for mask in range(1, 1 << len(alphabet)):
+        yield frozenset(l for j, l in enumerate(alphabet) if mask >> j & 1)
+
+
+def _assert_levels_match(spec, budget):
+    got = gamma_p_plus(spec, budget).levels
+    want = helpers.reference_levels(spec, budget)
+    assert len(got) == len(want) == budget
+    for (parents, letters), (ref_parents, ref_letters) in zip(got, want):
+        assert parents.dtype == letters.dtype == np.intp
+        np.testing.assert_array_equal(parents, ref_parents)
+        np.testing.assert_array_equal(letters, ref_letters)
+
+
+@st.composite
+def axis_families(draw):
+    rank = draw(st.integers(1, 3))
+    axis = helpers.cyclically_reduced_words(rank, 1, 6)
+    return AxisFamily(rank, tuple(draw(st.lists(axis, min_size=1, max_size=3))))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_directed_levels_match_the_reference(rank):
+    for steps in _step_sets(rank):
+        _assert_levels_match(Directed(rank, steps), 7 if rank < 3 else 5)
+
+
+@given(axis_families(), st.integers(1, 10))
+@settings(max_examples=60, deadline=None)
+def test_axis_levels_match_the_reference(spec, budget):
+    _assert_levels_match(spec, budget)
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_primitive_levels_match_the_reference(p):
+    _assert_levels_match(Primitive(2, p), 10)
+
+
+def _closed_walk_counts(spec, longest):
+    """Closed walks of each length 1..longest, summed over the graph's states."""
+    graph = subsets._graph(spec)
+    counts = [0] * (longest + 1)
+    for s in range(len(graph.moves)):
+        for w in subsets._cycles(graph, s, longest):
+            counts[len(w)] += 1
+    return graph, counts[1:]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_directed_closed_walks_are_the_adjacency_traces(rank):
+    # closed walks of length n in a graph with adjacency matrix A: tr(A^n)
+    for steps in _step_sets(rank):
+        graph, counts = _closed_walk_counts(Directed(rank, steps), 6)
+        adjacency = np.zeros((len(graph.moves),) * 2, dtype=np.int64)
+        for s, row in enumerate(graph.moves):
+            for t in row.values():
+                adjacency[s, t] += 1
+        powers = [np.linalg.matrix_power(adjacency, n) for n in range(1, 7)]
+        assert counts == [int(np.trace(power)) for power in powers]
+
+
+@given(axis_families())
+@settings(max_examples=40, deadline=None)
+def test_axis_closed_walks_go_round_whole_axes(spec):
+    # a closed walk of length n winds round one axis, from any of its |w|
+    # phases, so they number the sum of |w| over the axes with |w| dividing n
+    _, counts = _closed_walk_counts(spec, 12)
+    for n, count in enumerate(counts, start=1):
+        assert count == sum(len(w) for w in spec.words if n % len(w) == 0)
+
+
+def test_primitive_closed_walks_go_round_whole_classes():
+    spec = Primitive(2, 5)
+    classes = helpers.reference_primitive_classes(2, 5)
+    _, counts = _closed_walk_counts(spec, 10)
+    for n, count in enumerate(counts, start=1):
+        assert count == sum(len(w) for w in classes if n % len(w) == 0)
+
+
+@functools.lru_cache(maxsize=1)
+def _rank_two_points():
+    """Every rank-2 point with preperiod at most 3 and period at most 4."""
+    periods = [w for w in reduced_ball(range(4), 4) if w and w.is_cyclically_reduced()]
+    points = set()
+    for pre in reduced_ball(range(4), 3):
+        for per in periods:
+            if not pre or pre.letters[-1] != per.letters[0] ^ 1:
+                points.add(BoundaryPoint(pre, per))
+    return sorted(points, key=str)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FullBoundary(2),
+        Directed(2, frozenset({0, 2})),
+        Directed(2, frozenset({0, 3})),
+        Directed(2, frozenset({0, 1, 2})),
+        AxisFamily(2, (parse_word("ab"), parse_word("aab"))),
+        AxisFamily(2, (parse_word("aa"), parse_word("aBB"))),
+        Primitive(2, 3),
+    ],
+    ids=["full", "ab", "aB", "aAb", "axis", "axis-powers", "primitive"],
+)
+def test_membership_matches_the_reference(spec):
+    points = _rank_two_points()
+    assert len(points) == 2916
+    members, flipped = [], []
+    for x in points:
+        inside = helpers.reference_point_in_forward_set(spec, x)
+        assert point_in_forward_set(spec, x) == inside
+        if inside:
+            members.append(x)
+        if helpers.reference_point_in_forward_set(hat(spec), x):
+            flipped.append(x)
+    rng = random.Random(0)
+    pairs = [(rng.choice(points), rng.choice(points)) for _ in range(300)]
+    pairs += [(rng.choice(members), rng.choice(flipped)) for _ in range(300)]
+    # the witness lines of the positive set, translated off the identity
+    sample = gamma_p_plus(spec, 3)
+    for w in helpers.sample_words(sample):
+        back, fwd = sample.witness(w)
+        for g in reduced_ball(range(4), 1):
+            pairs.append((translate(g, fwd), translate(g, back)))
+    assert any(helpers.reference_pair_in_subset(spec, x, y) for x, y in pairs)
+    for x, y in pairs:
+        want = helpers.reference_pair_in_subset(spec, x, y)
+        assert pair_in_subset(spec, x, y) == want

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Any, Optional
 
@@ -38,8 +37,8 @@ TASK_NAMES = (
 
 DEFAULT_TOLERANCES = {
     "subspace": 1e-8,
-    "lambda_min": CertifyOptions.lambda_min,
-    "eps_res": CertifyOptions.eps_res,
+    "lambda_min": CertifyOptions().lambda_min,
+    "eps_res": CertifyOptions().eps_res,
 }
 
 DEFAULT_SAMPLING = {
@@ -58,13 +57,21 @@ DEFAULT_SAMPLING = {
 POSITIVE_SAMPLING = ("sdp_points", "trials", "kappa")
 
 # A process parses each point string once, and keeps one Representation per
-# generator content, keyed by the images' bytes (so 0.0 and -0.0 differ).
+# generator content and one seed plane per row content, keyed by the arrays'
+# bytes (so 0.0 and -0.0 differ).
 _parsed_point = lru_cache(maxsize=128)(parse_boundary_point)
 
 
 @lru_cache(maxsize=8)
 def _representation(shape: tuple[int, ...], images: bytes) -> Representation:
     return Representation.of(list(np.frombuffer(images).reshape(shape)))
+
+
+# as many as point strings: `gapcert sweep` loads every config, each with its
+# own seed plane, before it runs one
+@lru_cache(maxsize=128)
+def _seed_plane(shape: tuple[int, ...], rows: bytes) -> Subspace:
+    return Subspace.from_spanning(np.frombuffer(rows).reshape(shape).T)
 
 
 # Which optional point fields each task needs before it can run.
@@ -76,21 +83,35 @@ TASK_REQUIREMENTS = {
 }
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    """A validated run configuration with defaults filled in."""
+    """A validated run configuration with defaults filled in; the tolerance,
+    sampling and point blocks default to empty dicts."""
 
-    rank: int
-    dim: int
-    generators: tuple[tuple[tuple[float, ...], ...], ...]
-    subset: dict[str, Any]
-    k: int
-    budget: int
-    seed: int
-    tasks: tuple[str, ...]
-    tolerances: dict[str, float] = field(default_factory=dict)
-    sampling: dict[str, Any] = field(default_factory=dict)
-    points: dict[str, Any] = field(default_factory=dict)
+    def __init__(
+        self,
+        rank: int,
+        dim: int,
+        generators: tuple[tuple[tuple[float, ...], ...], ...],
+        subset: dict[str, Any],
+        k: int,
+        budget: int,
+        seed: int,
+        tasks: tuple[str, ...],
+        tolerances: Optional[dict[str, float]] = None,
+        sampling: Optional[dict[str, Any]] = None,
+        points: Optional[dict[str, Any]] = None,
+    ):
+        self.rank = rank
+        self.dim = dim
+        self.generators = generators
+        self.subset = subset
+        self.k = k
+        self.budget = budget
+        self.seed = seed
+        self.tasks = tasks
+        self.tolerances = {} if tolerances is None else tolerances
+        self.sampling = {} if sampling is None else sampling
+        self.points = {} if points is None else points
 
     def representation(self) -> Representation:
         images = np.array(self.generators, dtype=float)
@@ -121,7 +142,7 @@ class RunConfig:
 
     def seed_plane(self) -> Subspace:
         rows = np.array(self.points["seed_plane"], dtype=float)
-        return Subspace.from_spanning(rows.T)
+        return _seed_plane(rows.shape, rows.tobytes())
 
     def derived_seed(self, task_index: int) -> int:
         """Per-task seed: replayable from the config seed and task order."""
@@ -148,12 +169,21 @@ class RunConfig:
     def with_overrides(
         self, seed: Optional[int] = None, tasks: Optional[tuple[str, ...]] = None
     ) -> "RunConfig":
-        out = self
-        if seed is not None:
-            out = replace(out, seed=_require_seed(seed))
-        if tasks is not None:
-            out = replace(out, tasks=_validate_tasks(list(tasks)))
-        return out
+        if seed is None and tasks is None:
+            return self
+        return RunConfig(
+            self.rank,
+            self.dim,
+            self.generators,
+            self.subset,
+            self.k,
+            self.budget,
+            self.seed if seed is None else _require_seed(seed),
+            self.tasks if tasks is None else _validate_tasks(list(tasks)),
+            self.tolerances,
+            self.sampling,
+            self.points,
+        )
 
     def require_for_tasks(self) -> None:
         """Check that every configured task has the point data it needs."""
@@ -456,7 +486,7 @@ def _validate_points(raw: Any, rank: int, dim: int) -> dict[str, Any]:
                 f"got shape {rows.shape}",
             )
         try:
-            Subspace.from_spanning(rows.T)
+            _seed_plane(rows.shape, rows.tobytes())
         except GapcertError as exc:
             raise ValidationError(
                 "points.seed_plane", f"rows must be linearly independent: {exc}"

@@ -9,7 +9,7 @@ support intercept on the fit window, and an explicit evidence-grade verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,20 +50,28 @@ MEMO_SIZE = 8
 _MEMO: "dict[tuple, DominationCertificate]" = {}
 
 
-@dataclass(frozen=True)
-class CertifyOptions:
+class CertifyOptions(
+    namedtuple("CertifyOptions", "lambda_min eps_res", defaults=(0.02, 1e-6))
+):
     """Thresholds for turning a margin table into a verdict.
 
     lambda_min: least fitted growth rate accepted as domination evidence.
     eps_res: slack allowed below the reported support line on the window.
     """
 
-    lambda_min: float = 0.02
-    eps_res: float = 1e-6
+    __slots__ = ()
+
+    lambda_min: float
+    eps_res: float
 
 
-@dataclass(frozen=True)
-class DominationCertificate:
+class DominationCertificate(
+    namedtuple(
+        "DominationCertificate",
+        "k budget margins argmins lambda_hat c_hat slope_stderr "
+        "residual_min fit_window verdict counterexample complete notes",
+    )
+):
     """Margin table plus fitted constants and an evidence-grade verdict.
 
     The fitted line m(t) ~ lambda_hat * t + c_hat uses least squares for the
@@ -71,6 +79,8 @@ class DominationCertificate:
     line at or below every window margin (support form), so residual_min is
     the worst window slack relative to the reported line.
     """
+
+    __slots__ = ()
 
     k: int
     budget: int
@@ -238,7 +248,7 @@ def certify(
     _MEMO[key] = cert
     if len(_MEMO) > MEMO_SIZE:
         del _MEMO[next(iter(_MEMO))]
-    return replace(cert, margins=dict(cert.margins), argmins=dict(cert.argmins))
+    return cert._replace(margins=dict(cert.margins), argmins=dict(cert.argmins))
 
 
 def _require_same_rank(rep: Representation, spec: SubsetPSpec) -> None:

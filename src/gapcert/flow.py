@@ -17,8 +17,7 @@ generator perturbations.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import islice
 from typing import Optional, Sequence
 
@@ -84,14 +83,15 @@ MAX_SWEEPS = 2000
 # shift space
 
 
-@dataclass(frozen=True)
-class ShiftPoint:
+class ShiftPoint(namedtuple("ShiftPoint", "spec line")):
     """A marked geodesic line whose endpoint pair belongs to the subset.
 
     The marked origin is the line's vertex(0); shifting moves the marker
     one step toward the forward endpoint.  All cocycle evaluations re-base
     words at the marker, which realizes the group quotient exactly.
     """
+
+    __slots__ = ()
 
     spec: SubsetPSpec
     line: BiInfiniteGeodesic
@@ -143,10 +143,13 @@ def _cocycle_stack(rep: Representation, x: ShiftPoint, count: int):
     return cores[:, 0].transpose(0, 2, 1), logscales[:, 0]
 
 
-@dataclass(frozen=True, eq=False)
-class FlowMarginCurve:
+class FlowMarginCurve(
+    namedtuple("FlowMarginCurve", "point lengths margins slope slope_stderr")
+):
     """Per-point singular gap margins of the time-n maps, with a line fit
     over the second half of the lengths."""
+
+    __slots__ = ()
 
     point: ShiftPoint
     lengths: tuple[int, ...]
@@ -196,13 +199,21 @@ def anosov_margins(
 # splitting extraction
 
 
-@dataclass(frozen=True, eq=False)
-class SplittingSample:
+class SplittingSample(
+    namedtuple(
+        "SplittingSample",
+        "point stable unstable iterations n_steps last_step_stable "
+        "last_step_unstable skipped_lengths",
+        defaults=((),),
+    )
+):
     """Stable/unstable pair over one shift point as extracted: the stop at
     iterations (the later of the two summands' stops) of the n_steps it
     could take, each summand's last subspace step, and the lengths either
     summand skipped for want of a gap.  It carries no residuals:
     splitting_checks measures them."""
+
+    __slots__ = ()
 
     point: ShiftPoint
     stable: Subspace
@@ -211,7 +222,7 @@ class SplittingSample:
     n_steps: int
     last_step_stable: float
     last_step_unstable: float
-    skipped_lengths: tuple[int, ...] = ()
+    skipped_lengths: tuple[int, ...]
 
 
 def _line_ends(x: ShiftPoint) -> tuple[BoundaryPoint, BoundaryPoint]:
@@ -279,9 +290,17 @@ def bg_splitting(
     return _splitting(rep, x, k, n_steps, tol, certificate.lambda_hat)
 
 
-@dataclass(frozen=True, eq=False)
-class SplittingReport:
+class SplittingReport(
+    namedtuple(
+        "SplittingReport",
+        "invariance_stable invariance_unstable transversality ratio_lengths "
+        "ratio_values ratio_slope stable_endpoint_residual "
+        "unstable_endpoint_residual passed",
+    )
+):
     """Residuals of the three splitting checks for one sample."""
+
+    __slots__ = ()
 
     invariance_stable: float
     invariance_unstable: float
@@ -371,11 +390,12 @@ def splitting_checks(
 # graph transform
 
 
-@dataclass(frozen=True, eq=False)
-class BlockMap:
+class BlockMap(namedtuple("BlockMap", "a11 a12 a21 a22")):
     """A linear map split into blocks against a stable/unstable frame:
     a11 maps stable to stable, a22 unstable to unstable, a12/a21 the
     shears between them."""
+
+    __slots__ = ()
 
     a11: np.ndarray
     a12: np.ndarray
@@ -468,9 +488,10 @@ def graph_subspace(f: np.ndarray) -> Subspace:
     return Subspace.from_spanning(np.vstack([f, np.eye(f.shape[1])]))
 
 
-@dataclass(frozen=True, eq=False)
-class InvariantSection:
+class InvariantSection(namedtuple("InvariantSection", "sections residual sweeps")):
     """Fixed sections of the cyclic graph transform over a periodic orbit."""
+
+    __slots__ = ()
 
     sections: tuple[np.ndarray, ...]
     residual: float
@@ -558,9 +579,16 @@ def orbit_block_maps(
 # stability probe
 
 
-@dataclass(frozen=True, eq=False)
-class StabilityTable:
+class StabilityTable(
+    namedtuple(
+        "StabilityTable",
+        "epsilon trials budget seed verdicts counts worst_lambda_hat "
+        "worst_margins",
+    )
+):
     """Re-certification verdicts under entrywise generator perturbations."""
+
+    __slots__ = ()
 
     epsilon: float
     trials: int

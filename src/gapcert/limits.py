@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -92,8 +92,13 @@ SMALL_SCALE_PREFIX = 2
 # limit map values
 
 
-@dataclass(frozen=True, eq=False)
-class LimitMapValue:
+class LimitMapValue(
+    namedtuple(
+        "LimitMapValue",
+        "point subspace iterations last_step cauchy_bound skipped_prefixes",
+        defaults=((),),
+    )
+):
     """A converged limit plane at one boundary point.
 
     iterations is the prefix length at which the stopping rule fired,
@@ -102,12 +107,14 @@ class LimitMapValue:
     whose evaluation had no usable singular gap and were passed over.
     """
 
+    __slots__ = ()
+
     point: BoundaryPoint
     subspace: Subspace
     iterations: int
     last_step: float
     cauchy_bound: float
-    skipped_prefixes: tuple[int, ...] = ()
+    skipped_prefixes: tuple[int, ...]
 
 
 def _require_certified(
@@ -213,13 +220,14 @@ _WALK_CHUNK = 8
 _WALK_FAILURES = (NumericalError, FloatingPointError, np.linalg.LinAlgError)
 
 
-@dataclass(frozen=True, eq=False)
-class _Chunk:
+class _Chunk(namedtuple("_Chunk", "start rows mats live margins rising steps")):
     """The lengths start + 1, ..., start + len(live) of the walk's rows
     `rows`.  Per length and row: the whole singular matrix that holds the
     row's plane (mats), whether the row has a plane there (live), its gap
     margin (-inf where not live), whether that margin rose from the length
     before, and the step from its last plane (inf without one)."""
+
+    __slots__ = ()
 
     start: int
     rows: np.ndarray
@@ -393,13 +401,18 @@ def _limit_stops(rep, k, points, rate, tol, n_max, walk: _Walk) -> list:
             for t, i in zip(*np.nonzero(~live & waiting[rows])):
                 skipped[rows[i]].append(chunk.start + int(t) + 1)
         hits = chunk.rising[:upto] & (chunk.steps[:upto] <= tol) & waiting[rows]
-        for t, i in zip(*np.nonzero(hits)):
-            r, n = int(rows[i]), chunk.start + int(t) + 1
-            ratio = math.exp(-float(chunk.margins[t, i]))
-            if not waiting[r] or worst_pair * ratio * tail_factor > allowance:
+        # row by row, its hits in order of length, up to its first that passes
+        columns, lengths = np.nonzero(hits.T)
+        stopped_at = -1
+        for i, t in zip(columns.tolist(), lengths.tolist()):
+            if i == stopped_at:
                 continue
+            ratio = math.exp(-float(chunk.margins[t, i]))
+            if worst_pair * ratio * tail_factor > allowance:
+                continue
+            stopped_at, r, n = i, int(rows[i]), chunk.start + t + 1
             stopped = tuple(skipped[r][: bisect_left(skipped[r], n)])
-            outcomes[r] = (chunk, int(t), int(i), stopped)
+            outcomes[r] = (chunk, t, i, stopped)
             waiting[r] = False
         if not waiting.any():
             break
@@ -454,9 +467,10 @@ def xi_lower(
 # transversality
 
 
-@dataclass(frozen=True)
-class TransversalityTable:
+class TransversalityTable(namedtuple("TransversalityTable", "pairs gaps minimum")):
     """Per-pair transversality gaps between forward and backward planes."""
+
+    __slots__ = ()
 
     pairs: tuple[tuple[BoundaryPoint, BoundaryPoint], ...]
     gaps: tuple[float, ...]
@@ -491,9 +505,12 @@ def transversality_table(
 # convergence curves
 
 
-@dataclass(frozen=True)
-class ConvergenceCurve:
+class ConvergenceCurve(
+    namedtuple("ConvergenceCurve", "lengths distances final passed")
+):
     """Distances along a word schedule, with the pass/fail summary."""
+
+    __slots__ = ()
 
     lengths: tuple[int, ...]
     distances: tuple[float, ...]
@@ -613,9 +630,12 @@ def cartan_check(
 # regularity
 
 
-@dataclass(frozen=True)
-class HolderFit:
+class HolderFit(
+    namedtuple("HolderFit", "alpha_hat log_c_hat r_squared pairs_used cutoff")
+):
     """Power-law fit of plane distance against boundary distance."""
+
+    __slots__ = ()
 
     alpha_hat: float
     log_c_hat: float
@@ -634,7 +654,9 @@ def _small_scale_pairs(points, kappa, cutoff, sample_size, seed) -> Iterator:
     # SMALL_SCALE_PREFIX on, and below where math.exp says (0 past 745)
     short = [math.exp(-kappa * g) <= cutoff for g in range(SMALL_SCALE_PREFIX)]
     passes = np.array(short + [True])
-    heads = np.array([x.prefix(SMALL_SCALE_PREFIX).letters for x in points])
+    # each point's first m letters, read off its preperiod and period
+    m = SMALL_SCALE_PREFIX
+    heads = np.array([(x.preperiod.letters + x.period.letters * m)[:m] for x in points])
     seen = set()
     left = 50 * sample_size if len(points) >= 2 else 0
     while left > 0:
@@ -738,9 +760,12 @@ def holder_estimate(
 # discontinuity probe
 
 
-@dataclass(frozen=True)
-class DiscontinuityProbe:
+class DiscontinuityProbe(
+    namedtuple("DiscontinuityProbe", "exponents visual separations separated")
+):
     """Rows m -> (visual distance to the base point, plane separation)."""
+
+    __slots__ = ()
 
     exponents: tuple[int, ...]
     visual: tuple[float, ...]

@@ -8,7 +8,6 @@ are orthonormal frames; distances are sines of principal angles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -29,18 +28,17 @@ _NORM_BAND = (0.5, 2.0)
 _TINY = 1e-300
 
 
-@dataclass(frozen=True, eq=False)
 class ScaledMatrix:
     """A d x d matrix stored as e^logscale * core with core kept near unit norm."""
 
-    core: np.ndarray
-    logscale: float = 0.0
+    __slots__ = ("core", "logscale")
 
-    def __post_init__(self):
-        core = np.asarray(self.core, dtype=float)
+    def __init__(self, core: np.ndarray, logscale: float = 0.0):
+        core = np.asarray(core, dtype=float)
         if core.ndim != 2 or core.shape[0] != core.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got {core.shape}")
-        object.__setattr__(self, "core", core)
+        self.core = core
+        self.logscale = logscale
 
     @staticmethod
     def identity(dim: int) -> "ScaledMatrix":
@@ -168,15 +166,15 @@ def _running_products_into(
             cores, logscales = out, scales[t]
 
 
-@dataclass(frozen=True, eq=False)
 class Representation:
     """Generator images of a free group in GL(d, R), inverses precomputed:
     stacked_images is the (2 * rank, d, d) stack of the images in letter-code
     order, a, A, b, B, ..."""
 
-    rank: int
-    dim: int
-    stacked_images: np.ndarray
+    def __init__(self, rank: int, dim: int, stacked_images: np.ndarray):
+        self.rank = rank
+        self.dim = dim
+        self.stacked_images = stacked_images
 
     @staticmethod
     def of(generators: Sequence[np.ndarray]) -> "Representation":
@@ -355,27 +353,26 @@ def stacked_dual_margins(
     return out, fallback
 
 
-@dataclass(frozen=True, eq=False)
 class Subspace:
     """A k-plane through the origin, held as an orthonormal d x k frame."""
 
-    dimension: int
-    frame: np.ndarray
+    __slots__ = ("dimension", "frame")
 
-    def __post_init__(self):
-        frame = np.asarray(self.frame, dtype=float)
-        if frame.ndim != 2 or frame.shape[1] != self.dimension:
+    def __init__(self, dimension: int, frame: np.ndarray):
+        frame = np.asarray(frame, dtype=float)
+        if frame.ndim != 2 or frame.shape[1] != dimension:
             raise DimensionMismatchError(
-                f"frame shape {frame.shape} does not match dimension {self.dimension}"
+                f"frame shape {frame.shape} does not match dimension {dimension}"
             )
-        if not 1 <= self.dimension <= frame.shape[0]:
+        if not 1 <= dimension <= frame.shape[0]:
             raise DimensionMismatchError(
-                f"dimension {self.dimension} invalid in ambient {frame.shape[0]}"
+                f"dimension {dimension} invalid in ambient {frame.shape[0]}"
             )
         gram = frame.T @ frame
-        if np.max(np.abs(gram - np.eye(self.dimension))) > 1e-12:
+        if np.max(np.abs(gram - np.eye(dimension))) > 1e-12:
             raise ValueError("frame columns are not orthonormal")
-        object.__setattr__(self, "frame", frame)
+        self.dimension = dimension
+        self.frame = frame
 
     @staticmethod
     def from_spanning(matrix: np.ndarray) -> "Subspace":

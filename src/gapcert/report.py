@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from typing import Any, Callable
 
@@ -46,9 +46,10 @@ ERROR = "Error"
 GOOD_VERDICTS = frozenset({CERTIFIED, PASS})
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(namedtuple("Report", "version config results summary timings")):
     """A completed run: config echo, per-task results, verdicts, timings."""
+
+    __slots__ = ()
 
     version: str
     config: dict[str, Any]
@@ -75,7 +76,8 @@ class Report:
         return payload
 
     def to_json(self) -> str:
-        return json.dumps(self.payload(), sort_keys=True, indent=2)
+        # compact, so json's C encoder writes it: indent takes the Python one
+        return json.dumps(self.payload(), sort_keys=True)
 
 
 def run(config: RunConfig) -> Report:

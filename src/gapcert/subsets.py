@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Union
 
@@ -24,6 +23,8 @@ from .words import (
     EMPTY_WORD,
     BoundaryPoint,
     ReducedWord,
+    _Frozen,
+    _set,
     concat,
     cyclic_reduce,
     gromov_product,
@@ -59,26 +60,27 @@ def reduced_ball(letters: Iterable[int], radius: int) -> Iterator[ReducedWord]:
 # subset descriptions
 
 
-@dataclass(frozen=True)
-class Directed:
+class Directed(_Frozen):
     """Pairs of endpoints of lines whose forward steps all lie in `steps`,
     a set of letter codes that may hold a letter together with its inverse
     (enumeration only ever needs step-wise reducedness)."""
 
-    rank: int
-    steps: frozenset[int]
+    __slots__ = _fields = ("rank", "steps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", frozenset(self.steps))
-        if self.rank < 1:
+    def __init__(self, rank: int, steps: frozenset[int]):
+        steps = frozenset(steps)
+        if rank < 1:
             raise ValueError("rank must be >= 1")
-        if not self.steps:
+        if not steps:
             raise ValueError("directed step set must be nonempty")
-        for l in self.steps:
-            if not 0 <= l < 2 * self.rank:
-                raise ValueError(
-                    f"letter {letter_to_string(l)} exceeds rank {self.rank}"
-                )
+        for l in steps:
+            if not 0 <= l < 2 * rank:
+                raise ValueError(f"letter {letter_to_string(l)} exceeds rank {rank}")
+        _set(self, "rank", rank)
+        _set(self, "steps", steps)
+
+    def _key(self) -> tuple:
+        return (self.rank, self.steps)
 
 
 def FullBoundary(rank: int) -> Directed:
@@ -87,8 +89,7 @@ def FullBoundary(rank: int) -> Directed:
     return Directed(rank, frozenset(range(2 * rank)))
 
 
-@dataclass(frozen=True)
-class AxisFamily:
+class AxisFamily(_Frozen):
     """The orbit of the oriented endpoint pairs (w^-inf, w^+inf), w in `words`.
 
     Words are stored as the primitive root of their cyclic reduction,
@@ -96,44 +97,55 @@ class AxisFamily:
     conjugate inputs and powers therefore collapse to one stored word.
     """
 
-    rank: int
-    words: tuple[ReducedWord, ...]
+    __slots__ = _fields = ("rank", "words")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, words: tuple[ReducedWord, ...]):
+        if rank < 1:
             raise ValueError("rank must be >= 1")
-        if not self.words:
+        if not words:
             raise ValueError("axis family needs at least one word")
         canon = []
-        for w in self.words:
+        for w in words:
             if w.is_empty():
                 raise EmptyWordError("axis words must be nonempty")
-            if w.max_index() > self.rank:
-                raise ValueError(f"word {w} exceeds rank {self.rank}")
+            if w.max_index() > rank:
+                raise ValueError(f"word {w} exceeds rank {rank}")
             least = least_rotation(periodic_point(cyclic_reduce(w)[0]).period)
             if least not in canon:
                 canon.append(least)
         canon.sort(key=ReducedWord.sort_key)
-        object.__setattr__(self, "words", tuple(canon))
+        _set(self, "rank", rank)
+        _set(self, "words", tuple(canon))
+
+    def _key(self) -> tuple:
+        return (self.rank, self.words)
 
 
-@dataclass(frozen=True)
-class Primitive:
-    """Closure of the axis-endpoint pairs of all primitive elements.
+class Primitive(_Frozen):
+    """The primitive subset, as membership tests it: the periodic part of
+    the closure of the axis-endpoint pairs of the primitive elements.  A
+    point is a forward endpoint when its period is primitive, whatever its
+    length and preperiod (so b|(a) is one); a pair belongs when its line is
+    a translate of the axis of one primitive element.  A limit of axes that
+    is no axis, such as the line ...aaa.baaa... from (A) to b|(a), is
+    rejected, though the closure holds it.
 
     Enumerations truncate to primitive classes of cyclic length at most
-    `max_period` and are flagged incomplete; the closure also contains
-    points with no finite periodic description.
+    `max_period` and are flagged incomplete.
     """
 
-    rank: int
-    max_period: int
+    __slots__ = _fields = ("rank", "max_period")
 
-    def __post_init__(self):
-        if self.rank < 2:
+    def __init__(self, rank: int, max_period: int):
+        if rank < 2:
             raise ValueError("primitive subset needs rank >= 2")
-        if self.max_period < 1:
+        if max_period < 1:
             raise ValueError("max_period must be >= 1")
+        _set(self, "rank", rank)
+        _set(self, "max_period", max_period)
+
+    def _key(self) -> tuple:
+        return (self.rank, self.max_period)
 
 
 SubsetPSpec = Union[Directed, AxisFamily, Primitive]
@@ -150,15 +162,17 @@ def hat(spec: SubsetPSpec) -> SubsetPSpec:
     return spec
 
 
-@dataclass(frozen=True, eq=False)
 class _Graph:
     """A graph whose bi-infinite paths spell the lines of a subset: state s
     steps along letter l to moves[s][l] (in letter order), and every state
     lies on a cycle.  complete: whether the paths are every line."""
 
-    rank: int
-    moves: tuple[dict[int, int], ...]
-    complete: bool = True
+    def __init__(
+        self, rank: int, moves: tuple[dict[int, int], ...], complete: bool = True
+    ):
+        self.rank = rank
+        self.moves = moves
+        self.complete = complete
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -250,7 +264,6 @@ Level = tuple[np.ndarray, np.ndarray]
 MAX_LEVEL_WORDS = 1 << 22
 
 
-@dataclass(eq=False)
 class GammaPSample:
     """Words of the positive set as integer-coded levels, with lazy witnesses.
 
@@ -264,10 +277,13 @@ class GammaPSample:
     at that length.
     """
 
-    spec: SubsetPSpec
-    budget: int
-    levels: tuple[Level, ...]
-    complete: bool
+    def __init__(
+        self, spec: SubsetPSpec, budget: int, levels: tuple[Level, ...], complete: bool
+    ):
+        self.spec = spec
+        self.budget = budget
+        self.levels = levels
+        self.complete = complete
 
     @cached_property
     def buckets(self) -> dict[int, _Bucket]:

@@ -12,7 +12,7 @@ decidable by comparing fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from itertools import chain, cycle
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -35,19 +35,57 @@ def letter_to_string(letter: int) -> str:
     return _ALPHABET[index].upper() if inverse else _ALPHABET[index]
 
 
-@dataclass(frozen=True)
-class ReducedWord:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the immutable value types.  __init__ sets each field once
+    through object.__setattr__; assignment and deletion raise.  _fields
+    names the constructor's arguments, which repr, copy and pickle read,
+    and _key returns the tuple of the compared fields, which equality and
+    the hash read."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class ReducedWord(_Frozen):
     """A freely reduced word; the constructor rejects adjacent cancellations."""
 
-    letters: tuple[int, ...] = ()
+    __slots__ = _fields = ("letters",)
 
-    def __post_init__(self):
-        for u, v in zip(self.letters, self.letters[1:]):
+    def __init__(self, letters: tuple[int, ...] = ()):
+        for u, v in zip(letters, letters[1:]):
             if u == v ^ 1:
                 raise ValueError(
                     "word is not freely reduced at "
                     f"{letter_to_string(u)}{letter_to_string(v)}"
                 )
+        _set(self, "letters", letters)
+
+    def _key(self) -> tuple:
+        return (self.letters,)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -170,34 +208,39 @@ def _primitive_root(letters: tuple[int, ...]) -> tuple[int, ...]:
     raise AssertionError("unreachable")
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(_Frozen):
     """Eventually periodic point of the tree boundary, x = preperiod.(period)^inf.
 
     Canonical form is enforced on construction: the period is primitive and
     the preperiod is shortest (no trailing letter of the preperiod equals the
     last letter of the period).  Two points are equal as boundary points iff
-    their canonical fields are equal, so dataclass equality/hash is exact.
+    their canonical fields are equal, so field-wise equality/hash is exact.
+    The given words are kept where canonicalization leaves them as they are.
     """
 
-    preperiod: ReducedWord
-    period: ReducedWord
+    __slots__ = _fields = ("preperiod", "period")
 
-    def __post_init__(self):
-        if self.period.is_empty():
+    def __init__(self, preperiod: ReducedWord, period: ReducedWord):
+        if period.is_empty():
             raise EmptyWordError("boundary point needs a nonempty period")
-        pre = list(self.preperiod.letters)
-        per = list(_primitive_root(self.period.letters))
-        while pre and pre[-1] == per[-1]:
-            pre.pop()
-            per = [per[-1]] + per[:-1]
+        pre = preperiod.letters
+        per = _primitive_root(period.letters)
+        cut = len(pre)
+        while cut and pre[cut - 1] == per[-1]:
+            cut -= 1
+            per = per[-1:] + per[:-1]
         # Junction checks: the spelled infinite word must be reduced.
-        if pre and pre[-1] == per[0] ^ 1:
+        if cut and pre[cut - 1] == per[0] ^ 1:
             raise ValueError("preperiod/period junction cancels")
         if per[0] == per[-1] ^ 1:
             raise ValueError("period is not cyclically reduced")
-        object.__setattr__(self, "preperiod", ReducedWord(tuple(pre)))
-        object.__setattr__(self, "period", ReducedWord(tuple(per)))
+        kept = cut == len(pre)
+        _set(self, "preperiod", preperiod if kept else ReducedWord(pre[:cut]))
+        kept = kept and len(per) == len(period)
+        _set(self, "period", period if kept else ReducedWord(per))
+
+    def _key(self) -> tuple:
+        return (self.preperiod, self.period)
 
     def letter_at(self, i: int) -> int:
         """Letter i (0-based) of the spelled infinite word."""
@@ -270,8 +313,10 @@ def gromov_product(x: BoundaryPoint, y: BoundaryPoint) -> float:
         + math.lcm(len(x.period), len(y.period))
         + 1
     )
-    for i in range(bound):
-        if x.letter_at(i) != y.letter_at(i):
+    spelled_x = chain(x.preperiod.letters, cycle(x.period.letters))
+    spelled_y = chain(y.preperiod.letters, cycle(y.period.letters))
+    for i, u, v in zip(range(bound), spelled_x, spelled_y):
+        if u != v:
             return i
     raise AssertionError("distinct canonical points must differ within the bound")
 
@@ -284,8 +329,7 @@ def visual_distance(x: BoundaryPoint, y: BoundaryPoint, kappa: float = 1.0) -> f
     return 0.0 if math.isinf(gp) else math.exp(-kappa * gp)
 
 
-@dataclass(frozen=True)
-class BiInfiniteGeodesic:
+class BiInfiniteGeodesic(_Frozen):
     """Parametrized geodesic line with distinct boundary endpoints.
 
     The branch vertex (longest common prefix of the endpoint rays) sits at
@@ -294,17 +338,21 @@ class BiInfiniteGeodesic:
     `vertex(0)` is the marked origin of the line.
     """
 
-    forward: BoundaryPoint
-    backward: BoundaryPoint
-    origin_offset: int = 0
-    _branch: int = field(init=False, repr=False, compare=False, default=0)
+    __slots__ = ("forward", "backward", "origin_offset", "_branch")
+    _fields = ("forward", "backward", "origin_offset")
 
-    def __post_init__(self):
-        if self.forward == self.backward:
+    def __init__(
+        self, forward: BoundaryPoint, backward: BoundaryPoint, origin_offset: int = 0
+    ):
+        if forward == backward:
             raise EqualEndpointsError("geodesic endpoints must be distinct")
-        object.__setattr__(
-            self, "_branch", int(gromov_product(self.forward, self.backward))
-        )
+        _set(self, "forward", forward)
+        _set(self, "backward", backward)
+        _set(self, "origin_offset", origin_offset)
+        _set(self, "_branch", int(gromov_product(forward, backward)))
+
+    def _key(self) -> tuple:
+        return (self.forward, self.backward, self.origin_offset)
 
     def vertex(self, t: int) -> ReducedWord:
         """Group element at parameter t (vertex of the Cayley tree)."""

@@ -783,6 +783,27 @@ def test_cli_dependent_seed_plane_is_a_config_error(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_seed_plane_is_the_frame_validation_made(monkeypatch):
+    # the seed plane is orthonormalized once, when the config loads, and
+    # every sdp read takes that frame; a plane of other rows is its own
+    config = parse_config(schottky_config(tasks=["sdp"]))
+    made = []
+    spanning = Subspace.from_spanning
+    monkeypatch.setattr(
+        Subspace, "from_spanning", lambda m: made.append(m) or spanning(m)
+    )
+    plane = config.seed_plane()
+    assert plane is config.seed_plane() and not made
+    assert np.allclose(abs(plane.frame[:, 0]) * math.hypot(1.0, 0.3), [1.0, 0.3])
+    negated = schottky_config(tasks=["sdp"])
+    negated["points"]["seed_plane"] = [[-0.0, 1.0]]
+    other = parse_config(negated)
+    assert other.seed_plane() is not config.seed_plane() and len(made) == 1
+    zero = schottky_config(tasks=["sdp"])
+    zero["points"]["seed_plane"] = [[0.0, 1.0]]
+    assert parse_config(zero).seed_plane() is not other.seed_plane()
+
+
 def assert_config_error(tmp_path, capsys, data, task, field):
     path = write_config(tmp_path, data)
     with pytest.raises(ValidationError) as caught:

@@ -1,6 +1,5 @@
 """Margin tables and certificates on diagonal, positive and Schottky examples."""
 
-import dataclasses
 import math
 import struct
 
@@ -216,7 +215,7 @@ def certificate_bits(cert):
             return [bits(item) for item in value]
         return value
 
-    return {f.name: bits(getattr(cert, f.name)) for f in dataclasses.fields(cert)}
+    return {name: bits(getattr(cert, name)) for name in cert._fields}
 
 
 MEMO_CASES = {

@@ -1,6 +1,5 @@
 """Shift cocycle, splitting extraction, graph transform, stability probe."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -432,9 +431,7 @@ def test_splitting_checks_catch_corruption():
     rot = np.array(
         [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
     )
-    corrupted = dataclasses.replace(
-        sample, stable=Subspace(1, rot @ sample.stable.frame)
-    )
+    corrupted = sample._replace(stable=Subspace(1, rot @ sample.stable.frame))
     report = splitting_checks(rep, corrupted)
     assert not report.passed
     assert report.invariance_stable > 0.1
@@ -644,7 +641,7 @@ def test_shared_walks_extract_each_splitting_once():
     checks_alone = splitting_checks(rep, alone, certificate=cert)
     assert np.array_equal(sample.stable.frame, alone.stable.frame)
     assert np.array_equal(sample.unstable.frame, alone.unstable.frame)
-    assert dataclasses.astuple(checks) == dataclasses.astuple(checks_alone)
+    assert tuple(checks) == tuple(checks_alone)
     assert (sample.iterations, sample.skipped_lengths) == (
         alone.iterations,
         alone.skipped_lengths,

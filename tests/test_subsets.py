@@ -245,6 +245,26 @@ def test_q_plus_examples():
     assert len(probe) == m + 1
 
 
+def test_q_plus_points_keep_the_cycle_words(monkeypatch):
+    # a point of the sample holds the closed walk's word as its period and
+    # the empty word as its preperiod, with no word rebuilt; a proper power
+    # is kept by its root, a shorter walk of the same state
+    yielded = []
+    cycles = subsets._cycles
+
+    def recording(graph, state, longest):
+        for w in cycles(graph, state, longest):
+            yielded.append(w)
+            yield w
+
+    monkeypatch.setattr(subsets, "_cycles", recording)
+    sample = q_plus_boundary(Directed(2, frozenset({0, 2})), 8)
+    words = {id(w) for w in yielded}
+    assert len(sample) == 472  # the primitive words in a and b of length <= 8
+    for x in sample:
+        assert x.preperiod is EMPTY_WORD and id(x.period) in words
+
+
 def test_q_plus_points_have_bounded_period():
     spec = FullBoundary(2)
     for x in q_plus_boundary(spec, 2, 1):

@@ -149,21 +149,21 @@ class RunConfig:
         return int(self.seed) * 1000 + task_index
 
     def echo(self) -> dict[str, Any]:
-        """The effective configuration as a JSON-ready document."""
+        """The effective configuration as a JSON-ready document, which
+        shares no dict or list with the config: a report holds it as it
+        is."""
         return {
             "rank": self.rank,
             "dim": self.dim,
-            "generators": [
-                [list(row) for row in matrix] for matrix in self.generators
-            ],
-            "subset": dict(self.subset),
+            "generators": _lists(self.generators),
+            "subset": {key: _lists(value) for key, value in self.subset.items()},
             "k": self.k,
             "budget": self.budget,
             "seed": self.seed,
             "tasks": list(self.tasks),
             "tolerances": dict(self.tolerances),
             "sampling": dict(self.sampling),
-            "points": dict(self.points),
+            "points": {key: _lists(value) for key, value in self.points.items()},
         }
 
     def with_overrides(
@@ -201,6 +201,14 @@ class RunConfig:
                             "required by task 'transversality' when no "
                             "pairs are listed",
                         )
+
+
+def _lists(value: Any) -> Any:
+    """value with each list or tuple in it, nested ones too, copied into a
+    fresh list."""
+    if isinstance(value, (list, tuple)):
+        return [_lists(item) for item in value]
+    return value
 
 
 def load_config(path: str) -> RunConfig:

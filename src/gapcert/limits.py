@@ -43,6 +43,7 @@ from .errors import (
     NumericalError,
 )
 from .linalg import (
+    GAP_TOLERANCE,
     SUBSPACE_TOLERANCE,
     Representation,
     Subspace,
@@ -50,7 +51,6 @@ from .linalg import (
     grassmann_distance,
     running_products,
     stacked_apply_to_subspace,
-    stacked_gap_margins,
     stacked_grassmann_distance,
     stacked_singular_frames,
     transversality_gap,
@@ -268,7 +268,6 @@ class _Walk:
         # per row: the product, the singular matrix of its last plane, and
         # the margin at the last length
         self.cores = np.repeat(np.eye(dim)[None], width, axis=0)
-        self.logscales = np.zeros(width)
         self.last = np.empty_like(self.cores)
         self.has_plane = np.zeros(width, dtype=bool)
         self.last_margins = np.full(width, -math.inf)
@@ -304,13 +303,14 @@ class _Walk:
     def _walk(self, count: int) -> None:
         rows, index, start = self.rows, self.index, self.length
         dim, width = self.cores.shape[-1], len(rows)
-        chunk, scales = running_products(
-            self.cores[rows], self.logscales[rows], self.factors(rows, start, count)
+        # a margin reads no log scale, and renormalization none: walk the
+        # cores from zero scales
+        chunk, _ = running_products(
+            self.cores[rows], np.zeros(width), self.factors(rows, start, count)
         )
-        flat = chunk.reshape(-1, dim, dim)
-        left, gapless = stacked_singular_frames(flat, index)
-        margins = stacked_gap_margins(flat, scales.ravel(), index).reshape(count, width)
-        live = ~gapless.reshape(count, width)
+        left, margins = stacked_singular_frames(chunk.reshape(-1, dim, dim), index)
+        margins = margins.reshape(count, width)
+        live = margins > GAP_TOLERANCE
         # a length without a plane keeps its row's plane and reads as
         # margin -inf, so the next margin counts as rising
         margins[~live] = -math.inf
@@ -332,7 +332,7 @@ class _Walk:
         # nothing below fails numerically: keep the chunk
         self.chunks.append(_Chunk(start, rows, mats, live, margins, rising, steps))
         self.length += count
-        self.cores[rows], self.logscales[rows] = chunk[-1], scales[-1]
+        self.cores[rows] = chunk[-1]
         self.last[rows] = planes[latest[-1]]  # -1 reads some plane, unread
         self.has_plane[rows] = latest[-1] >= 0
         self.last_margins[rows] = margins[-1]

@@ -404,11 +404,12 @@ def u_k(m: ScaledMatrix, k: int) -> Subspace:
 
 def stacked_singular_frames(cores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.svd's left singular matrices of an (N, d, d) stack, which
-    hold the top-k left singular frames, and the mask of the matrices
-    without a gap of index k, where u_k raises NoGapError."""
+    hold the top-k left singular frames, and the gap margins of index k
+    from the same SVD, log sigma_k - log sigma_{k+1}; a matrix whose margin
+    is at most GAP_TOLERANCE has no gap, where u_k raises NoGapError."""
     left, svals, _ = np.linalg.svd(cores)
     logs = np.log(np.maximum(svals, _TINY))
-    return left, logs[:, k - 1] - logs[:, k] <= GAP_TOLERANCE
+    return left, logs[:, k - 1] - logs[:, k]
 
 
 def _require_gap(m: ScaledMatrix, k: int, svals: np.ndarray) -> None:

@@ -58,16 +58,16 @@ class Report(namedtuple("Report", "version config results summary timings")):
     timings: dict[str, float]
 
     def payload(self) -> dict[str, Any]:
-        """The full JSON-ready document, timings included."""
-        return _jsonify(
-            {
-                "version": self.version,
-                "config": self.config,
-                "results": self.results,
-                "summary": self.summary,
-                "timings": self.timings,
-            }
-        )
+        """The full JSON-ready document, timings included: the blocks as
+        the runs built them, of dicts with str keys, lists, str, int,
+        float, bool and None."""
+        return {
+            "version": self.version,
+            "config": self.config,
+            "results": self.results,
+            "summary": self.summary,
+            "timings": self.timings,
+        }
 
     def stable_payload(self) -> dict[str, Any]:
         """The deterministic part of the document (timings stripped)."""
@@ -529,18 +529,3 @@ def format_report(payload: dict[str, Any]) -> str:
 def _subspace_rows(subspace: Subspace) -> list[list[float]]:
     return [[float(v) for v in column] for column in subspace.frame.T]
 
-
-def _jsonify(value: Any) -> Any:
-    if isinstance(value, dict):
-        return {str(key): _jsonify(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(item) for item in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonify(item) for item in value.tolist()]
-    if isinstance(value, (bool, str)) or value is None:
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return str(value)

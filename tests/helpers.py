@@ -446,11 +446,11 @@ def walked_length(reads, chunk):
 def reference_xi_upper(rep, k, x, rate, tol, n_max):
     """The one-point prefix loop that the chunked lockstep walk of
     gapcert.limits replaced: one scale-tracked product per prefix, then its
-    SVD's plane, gap_margin and grassmann_distance on it.  An index k with
-    2k > d is read on the dual side: the product is of the dual images
-    rho^-T, its gap index is d - k, and the plane is its last k left
-    singular vectors.  Raises NoGapError / NoConvergenceError as the walk
-    reports them."""
+    SVD's plane, the gap margin of its singular values and
+    grassmann_distance on it.  An index k with 2k > d is read on the dual
+    side: the product is of the dual images rho^-T, its gap index is d - k,
+    and the plane is its last k left singular vectors.  Raises NoGapError /
+    NoConvergenceError as the walk reports them."""
     worst_pair = rep.letter_norm_bound
     tail_factor = 1.0 / (1.0 - math.exp(-rate))
     dual = 2 * k > rep.dim
@@ -472,7 +472,9 @@ def reference_xi_upper(rep, k, x, rate, tol, n_max):
             margin_prev = -math.inf
             continue
         candidate = Subspace(k, left[:, rep.dim - k :] if dual else left[:, :k])
-        margin = gap_margin(current, index)
+        # the margin of the SVD the gap check read, without the log scale
+        logs = np.log(np.maximum(svals, _TINY))
+        margin = float(logs[index - 1] - logs[index])
         if plane is not None:
             step = grassmann_distance(plane, candidate)
         plane = candidate

@@ -265,6 +265,63 @@ def test_run_all_tasks_deterministic_payload():
     assert json.loads(first.to_json())["summary"]["overall"] == "Pass"
 
 
+def assert_plain_json(value, path="payload"):
+    """value holds only dicts with str keys, lists, str, int, float, bool
+    and None: no tuple and no numpy scalar, which json writes as another
+    type or refuses."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            assert type(key) is str, f"{path} has the key {key!r}"
+            assert_plain_json(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            assert_plain_json(item, f"{path}[{i}]")
+    else:
+        assert value is None or type(value) in (str, int, float, bool), (
+            f"{path} is a {type(value).__name__}"
+        )
+
+
+def test_payloads_are_plain_json_as_the_runs_build_them():
+    # a report emits its blocks as the task runners built them: every task,
+    # an Error block of each task and the worked examples
+    overflowing = schottky_config(
+        generators=[[[1e308, 0.0], [0.0, 1e-308]], [[1.0, -1.0], [1.0, 1.0]]],
+        subset={"type": "full"},
+        budget=6,
+        seed=1,
+        tasks=ALL_TASKS,
+    )
+    reports = [
+        run(parse_config(schottky_config(tasks=ALL_TASKS))),
+        run(parse_config(overflowing)),
+        reproduce_paper(),
+    ]
+    assert exit_code(reports[0]) == 0 and exit_code(reports[2]) == 0
+    assert {block["verdict"] for block in reports[1].results.values()} == {"Error"}
+    for report in reports:
+        payload = report.payload()
+        assert_plain_json(payload)
+        assert json.loads(report.to_json()) == payload
+
+
+def test_a_payload_shares_no_list_with_its_config():
+    # a report holds the config's echo as it is, so changing the payload
+    # must leave the config, its echo and its subset as they were
+    config = parse_config(schottky_config())
+    echo, spec = config.echo(), config.subset_spec()
+    document = run(config).payload()["config"]
+    document["generators"][0][0][0] = 3.0
+    document["subset"]["steps"].append("B")
+    document["tasks"].append("holder")
+    document["points"]["pairs"][0][0] = "(b)"
+    document["points"]["seed_plane"][0][0] = 2.0
+    document["sampling"]["trials"] = 1
+    assert config.echo() == echo
+    assert config.subset_spec() == spec
+    assert config.echo() == parse_config(schottky_config()).echo()
+
+
 def test_run_blocks_do_not_depend_on_task_order():
     # the walk table resumes each walk in whatever order the tasks read it;
     # holder draws its seed from its position, so its block is left out
@@ -458,7 +515,7 @@ def test_run_walks_each_plane_once_and_keeps_every_block(monkeypatch):
         alone = report_module._TASK_RUNNERS[name](
             config, rep, spec, index, lambda: cert
         )
-        assert json.dumps(report_module._jsonify(alone), sort_keys=True) == (
+        assert json.dumps(alone, sort_keys=True) == (
             json.dumps(results[name], sort_keys=True)
         )
     assert len(walks) == 1 + 4 + 2 + 4

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import gap_margin
-from gapcert import domination, limits
+from gapcert import domination, limits, linalg
 from gapcert.domination import certify
 from gapcert.errors import (
     GapcertError,
@@ -720,6 +720,30 @@ def test_a_walk_of_many_points_advances_by_chunks(monkeypatch):
     assert len(rows) > 1 and rows == sorted(rows, reverse=True) and rows[-1] < rows[0]
     for x, got in zip(points, walked):
         assert_same_outcome(got, walk_outcome(rep, 1, x, rate, 1e-10, 400))
+
+
+def test_a_walk_takes_one_decomposition_per_chunk(monkeypatch):
+    # each chunk of a walk takes one SVD of its products, whose singular
+    # values give the margins behind the rising rule and the tail bound as
+    # well as the planes, and one SVD for its Grassmann steps
+    rep = schottky_rep()
+    points = [parse_boundary_point(s) for s in ("(ab)", "(a)", "b|(a)")]
+    calls = []
+    original = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.np.linalg, "svd", svd)
+    walk = limits._Walk(rep, 1, points)
+    waiting = np.ones(len(points), dtype=bool)
+    chunks = list(walk.read(2 * limits._WALK_CHUNK, waiting))
+    assert len(chunks) == 2 and walk.length == 2 * limits._WALK_CHUNK
+    assert len(calls) == 2 * len(chunks)
+    for chunk, (products, _) in zip(chunks, zip(calls[0::2], calls[1::2])):
+        assert products == (limits._WALK_CHUNK * len(points), 2, 2)
+        assert np.array_equal(chunk.live, chunk.margins > linalg.GAP_TOLERANCE)
 
 
 def failing_products(original, at, error, calls):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -19,9 +19,8 @@ from .linalg import (
     GAP_TOLERANCE,
     Representation,
     _running_products_into,
-    stacked_det_margins,
-    stacked_dual_margins,
-    stacked_gap_margins,
+    power_images,
+    stacked_margins,
 )
 from .subsets import GammaPSample, SubsetPSpec, gamma_p_plus
 from .words import ReducedWord
@@ -33,14 +32,7 @@ INCONCLUSIVE = "Inconclusive"
 # A margin of at most GAP_TOLERANCE at this length or longer refutes.
 REFUTE_LENGTH = 6
 
-# Singular-value ratios below machine epsilon are unresolvable, so SVD
-# margins cap out a little above -log(eps) ~= 36.8 for generic dense
-# matrices.  The closed forms of d = 2 and 3 do not; a window margin above
-# this ceiling earns a note only when an SVD measured it (d >= 4, or a
-# d = 3 row without a clear top gap).
-MEASURABLE_MARGIN_CEILING = 34.0
-
-# _margin_tables makes a level in blocks of this many products; certify_each
+# _level_margins makes a level in blocks of this many products; certify_each
 # stacks representations whose kept levels hold at most 4 * STACK_ROWS
 STACK_ROWS = 4096
 
@@ -99,46 +91,56 @@ class DominationCertificate(
 
 def _margin_tables(
     reps: Sequence[Representation], sample: GammaPSample, k: int
-) -> list[dict[int, tuple[float, ReducedWord, bool]]]:
+) -> list[dict[int, tuple[float, ReducedWord]]]:
     """Minimum margin per length of each representation of a stack, with
-    its argmin word and whether an SVD measured it, walking the sample's
-    coded levels once for all of them.
+    its argmin word, from one _level_margins walk of the sample's coded
+    levels.  np.argmin returns the first minimum, which in sort_key order
+    is the lexicographic tie-break."""
+    tables: list[dict[int, tuple[float, ReducedWord]]] = [{} for _ in reps]
+    for t, level in enumerate(_level_margins(reps, sample.levels, k), start=1):
+        best = np.argmin(level, axis=0)
+        words = sample.decode(t, best)
+        for table, row, i, w in zip(tables, level.T, best.tolist(), words):
+            table[t] = (float(row[i]), w)
+    if not tables[0]:
+        raise EmptySubsetError("no positive words at any length up to the budget")
+    return tables
 
-    The stack's products of a level are (N, R, W, d, d), word-major: each
-    is its parent's product times one letter image, one running_products
-    step over a block of words, so every product has the bits of
-    evaluate(rep, w) whatever R is.  W = 2 for d = 3, where the second
-    product is the dual M^{-T}, walked with the letters' stacked_duals, and
-    W = 1 otherwise.  For d = 2 the margin is the closed form of
-    stacked_det_margins and for d = 3 that of stacked_dual_margins, each
-    with the row's log|det| summed along the parents like its log scale;
-    d >= 4 and the d = 3 rows without a clear top gap take an SVD.  A level
-    is made in blocks of max(1, STACK_ROWS // R) words.  When a longer
-    level follows, each block writes its products where the next level
-    reads them, so only the previous and the current level are held
-    (certify_each bounds R times the kept level); the last level's blocks
-    take turns in one block's buffer.  np.argmin returns the first minimum,
-    which in sort_key order is the lexicographic tie-break.
+
+def _level_margins(
+    reps: Sequence[Representation],
+    levels: Sequence[tuple[np.ndarray, np.ndarray]],
+    k: int,
+) -> Iterator[np.ndarray]:
+    """The (N, R) margins of index k of each nonempty level's words, for
+    each representation of a stack, in one walk of the coded levels: a
+    word is its parent (a row of the previous level, or the empty word)
+    followed by its letter.
+
+    Each group of power_images is walked as (N, R, W, m, m) products,
+    word-major, each its parent's times one letter's images in one
+    running_products step over a block of words, so every product has the
+    bits of its one-word walk whatever R is; the log|det| is summed along
+    the parents like the log scales, and the margins are one
+    stacked_margins call per block.  A level is made in blocks of
+    max(1, STACK_ROWS // R) words.  When a longer level follows, each
+    block writes its products where the next level reads them, so only the
+    previous and the current level are held (certify_each bounds R times
+    the kept level); the last level's blocks take turns in one block's
+    buffer.
     """
-    dim = reps[0].dim
-    if not 1 <= k < dim:
-        raise ValueError(f"gap index must satisfy 1 <= k < {dim}, got {k}")
-    count = len(reps)
+    dim, count = reps[0].dim, len(reps)
     walked = [
-        np.stack([rep.stacked_images, rep.stacked_duals], axis=1)
-        if dim == 3
-        else rep.stacked_images[:, None]
-        for rep in reps
+        (group[0][0], np.stack([images for _, images in group], axis=1))
+        for group in zip(*(power_images(rep, k) for rep in reps))
     ]
-    images = np.stack(walked, axis=1)
-    width = images.shape[2]
+    walks = [
+        (np.broadcast_to(np.eye(m.shape[-1]), m[:1].shape), np.zeros(m[:1].shape[:3]))
+        for _, m in walked
+    ]
     letter_logdets = np.stack([rep.stacked_logdets for rep in reps], axis=1)
     logdets = np.zeros((1, count))
-    cores = np.broadcast_to(np.eye(dim), (1, count, width, dim, dim))
-    logscales = np.zeros((1, count, width))
-    levels = sample.levels
     block = max(1, STACK_ROWS // count)
-    tables: list[dict[int, tuple[float, ReducedWord, bool]]] = [{} for _ in reps]
     for t, (parents, letters) in enumerate(levels, start=1):
         size = len(letters)
         if not size:
@@ -147,66 +149,52 @@ def _margin_tables(
             letter_logdets, letters, axis=0
         )
         level = np.empty((size, count))
-        measured = np.empty((size, count), dtype=bool)
         keep = t < len(levels) and len(levels[t][1]) > 0
         held = size if keep else min(size, block)
-        products = np.empty((held,) + cores.shape[1:])
-        scales = np.empty((held, count, width))
+        products = [
+            (np.empty((held,) + cores.shape[1:]), np.empty((held,) + scales.shape[1:]))
+            for cores, scales in walks
+        ]
         for lo in range(0, size, block):
             rows = slice(lo, lo + block)
             into = rows if keep else slice(0, len(letters[rows]))
-            level[rows], measured[rows] = _level_block(
-                cores, logscales, images, parents[rows], letters[rows],
-                logdets[rows], k, products[into], scales[into],
+            level[rows] = _level_block(
+                walked, walks, parents[rows], letters[rows], logdets[rows], k,
+                dim, [(p[into], s[into]) for p, s in products],
             )
-        cores, logscales = products, scales
-        best = np.argmin(level, axis=0)
-        words = sample.decode(t, best)
-        for table, row, svd, i, w in zip(
-            tables, level.T, measured.T, best.tolist(), words
-        ):
-            table[t] = (float(row[i]), w, bool(svd[i]))
-    if not tables[0]:
-        raise EmptySubsetError("no positive words at any length up to the budget")
-    return tables
+        walks = products
+        yield level
 
 
 def _level_block(
-    cores: np.ndarray,
-    logscales: np.ndarray,
-    images: np.ndarray,
+    walked: list[tuple[tuple[int, ...], np.ndarray]],
+    walks: list[tuple[np.ndarray, np.ndarray]],
     parents: np.ndarray,
     letters: np.ndarray,
     logdets: np.ndarray,
     k: int,
-    products: np.ndarray,
-    scales: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, R) margins of some words of a level and the mask of those an
-    SVD measured; the words' (n, R, W, d, d) products and (n, R, W) log
-    scales are written into products and scales, contiguous arrays that
-    the inputs do not overlap.  Each product is its parent's times its
-    letter's image: one running_products step over the parents and images
-    gathered with np.take."""
-    dim, shape = cores.shape[-1], logdets.shape
-    flat, flat_scales = products.reshape(-1, dim, dim), scales.reshape(-1)
-    _running_products_into(
-        np.take(cores, parents, axis=0).reshape(-1, dim, dim),
-        np.take(logscales, parents, axis=0).reshape(-1),
-        np.take(images, letters, axis=0).reshape(1, -1, dim, dim),
-        flat[None],
-        flat_scales[None],
+    dim: int,
+    products: list[tuple[np.ndarray, np.ndarray]],
+) -> np.ndarray:
+    """The (n, R) margins of some words of a level: one running_products
+    step per group over the gathered parents and letter images, written
+    into its pair in products (contiguous arrays that the parents' walks
+    do not overlap), and one stacked_margins call."""
+    for (_, images), (cores, logscales), (out, scales) in zip(walked, walks, products):
+        size = cores.shape[-1]
+        _running_products_into(
+            np.take(cores, parents, axis=0).reshape(-1, size, size),
+            np.take(logscales, parents, axis=0).reshape(-1),
+            np.take(images, letters, axis=0).reshape(1, -1, size, size),
+            out.reshape(1, -1, size, size),
+            scales.reshape(1, -1),
+        )
+    return stacked_margins(
+        [(powers, out, scales) for (powers, _), (out, scales) in zip(walked, products)],
+        logdets,
+        k,
+        dim,
     )
-    logdets = logdets.reshape(-1)
-    if dim == 2:
-        margin = stacked_det_margins(flat, flat_scales, logdets)
-        svd = np.zeros(len(flat), dtype=bool)
-    elif dim == 3:
-        margin, svd = stacked_dual_margins(flat, flat_scales, logdets, k)
-    else:
-        margin = stacked_gap_margins(flat, flat_scales, k)
-        svd = np.ones(len(flat), dtype=bool)
-    return margin.reshape(shape), svd.reshape(shape)
 
 
 def _fit_slope(points: list[tuple[int, float]]) -> tuple[float, float, float]:
@@ -291,7 +279,7 @@ def _group_size(sample: GammaPSample) -> int:
 
 
 def _certificate(
-    table: dict[int, tuple[float, ReducedWord, bool]],
+    table: dict[int, tuple[float, ReducedWord]],
     sample: GammaPSample,
     k: int,
     opts: CertifyOptions,
@@ -300,7 +288,6 @@ def _certificate(
     budget = sample.budget
     margin_map = {t: v[0] for t, v in table.items()}
     argmin_map = {t: v[1] for t, v in table.items()}
-    measured = {t for t, v in table.items() if v[2]}
     notes = [f"evidence at scale L={budget}; finite enumeration, not a proof"]
     if not sample.complete:
         notes.append("positive set enumeration is truncated (complete=false)")
@@ -312,13 +299,6 @@ def _certificate(
 
     lo = max(1, math.ceil(budget / 2))
     window = [(t, margin_map[t]) for t in sorted(margin_map) if lo <= t <= budget]
-    # the closed forms of d = 2 and 3 do not saturate; SVD margins do
-    if any(m > MEASURABLE_MARGIN_CEILING and t in measured for t, m in window):
-        notes.append(
-            "window margins exceed the double-precision ratio ceiling "
-            f"(~{MEASURABLE_MARGIN_CEILING:.1f} log-units); the fitted slope "
-            "may be depressed by singular-value saturation"
-        )
     if len(window) >= 2:
         lam, _, stderr = _fit_slope(window)
         c_hat = min(m - lam * t for t, m in window)

@@ -29,6 +29,7 @@ from .domination import (
     DominationCertificate,
     _fit_slope,
     _group_size,
+    _level_margins,
     _require_same_rank,
     certify_each,
 )
@@ -55,7 +56,6 @@ from .linalg import (
     evaluate,
     grassmann_distance,
     running_products,
-    stacked_gap_margins,
     transversality_gap,
 )
 from .pcg64 import Stream
@@ -169,17 +169,20 @@ def anosov_margins(
 
     The gap sits at index d-k because the cocycle inverts words: the
     k-th/(k+1)-th ratio of a word matrix is the (d-k)-th/(d-k+1)-th ratio
-    of its inverse.
+    of its inverse.  So each curve is the index-k margin of the forward
+    words, walked as certify walks a subset's levels.
     """
     if n_steps < 2:
         raise ValueError(f"need at least 2 steps to fit a slope, got {n_steps}")
     _require_same_rank(rep, spec)
-    index = rep.dim - k
+    window_lo = max(1, math.ceil(n_steps / 2))
     curves = []
     for x in points:
         _require_pair(spec, x.line.forward, x.line.backward)
-        margins = stacked_gap_margins(*_cocycle_stack(rep, x, n_steps), index).tolist()
-        window_lo = max(1, math.ceil(n_steps / 2))
+        # level n is the forward word of length n + 1, its parent the word
+        # of level n - 1 (the empty word for n = 0)
+        levels = [([0], [x.line.step_letter(n)]) for n in range(n_steps)]
+        margins = [float(level[0, 0]) for level in _level_margins([rep], levels, k)]
         slope, _, stderr = _fit_slope(
             [(n, margins[n - 1]) for n in range(window_lo, n_steps + 1)]
         )

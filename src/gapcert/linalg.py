@@ -7,6 +7,7 @@ are orthonormal frames; distances are sines of principal angles.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cached_property
 from typing import Sequence
@@ -248,36 +249,6 @@ def evaluate(rep: Representation, w: ReducedWord) -> ScaledMatrix:
     return out
 
 
-def stacked_gap_margins(
-    cores: np.ndarray, logscales: np.ndarray, k: int
-) -> np.ndarray:
-    """log sigma_k - log sigma_{k+1} of every matrix of an (N, d, d) stack
-    with its log scale, in one SVD call; zero means no gap of index k."""
-    if not 1 <= k < cores.shape[-1]:
-        raise ValueError(
-            f"gap index must satisfy 1 <= k < {cores.shape[-1]}, got {k}"
-        )
-    s = np.linalg.svd(cores, compute_uv=False)
-    # np.maximum is np.clip(s, _TINY, None) without clip's dispatch cost
-    logs = logscales[:, None] + np.log(np.maximum(s, _TINY))
-    return logs[:, k - 1] - logs[:, k]
-
-
-def stacked_det_margins(
-    cores: np.ndarray, logscales: np.ndarray, logdets: np.ndarray
-) -> np.ndarray:
-    """log sigma_1 - log sigma_2 of every matrix of an (N, 2, 2) stack with
-    its log scale, given its log|det|: sigma_1 sigma_2 = |det|, so the
-    margin is 2 log sigma_1 - log|det|, clamped at 0.  sigma_1 of a core
-    [[a, b], [c, d]] is (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2, a
-    sum of two nonnegative terms, so it keeps full relative accuracy;
-    sigma_2 from an SVD carries an absolute error near n u sigma_1, which
-    swamps it once the margin nears -log u."""
-    a, b, c, d = cores[:, 0, 0], cores[:, 0, 1], cores[:, 1, 0], cores[:, 1, 1]
-    top = (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2.0
-    return np.maximum(2.0 * (np.log(top) + logscales) - logdets, 0.0)
-
-
 def stacked_top_singular(cores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log sigma_1 of every core of an (N, 3, 3) stack, and the relative gap
     (lambda_1 - lambda_2) / lambda_1 between the top two eigenvalues of its
@@ -312,45 +283,89 @@ def stacked_top_singular(cores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * np.log(top), gap
 
 
-# A d = 3 row takes the closed-form margins only when both of its Gram
-# matrices have a relative top eigen-gap at least this large; the closed
-# form is accurate to about u / gap there.
+# stacked_log_tops takes a 3 x 3 core's Gram form only where its Gram's
+# relative top eigen-gap is at least this; the form is accurate to u / gap.
 GRAM_GAP_FLOOR = 1e-3
 
 
-def stacked_dual_margins(
-    pairs: np.ndarray, logscales: np.ndarray, logdets: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """log sigma_k - log sigma_{k+1} of every matrix M of N scale-tracked
-    pairs, given as a (2N, 3, 3) stack in which each M is followed by its
-    dual M^{-T}, with their 2N log scales and the N log|det M|, and the mask
-    of the rows measured by an SVD.
+def power_images(rep: Representation, k: int) -> list[tuple[tuple, np.ndarray]]:
+    """The letter images walked for the margin of index k: for each size m
+    of the powers j in {k - 1, k, k + 1} with 1 <= j < d, those powers and
+    their (2 * rank, W, m, m) images.  Power j takes stacked_images for
+    j = 1, stacked_duals for j = d - 1 (d >= 3), and otherwise the j x j
+    minors of the images, lexicographic in their row and column sets, so
+    that a word's product of them is wedge^j of its product (Cauchy-Binet)."""
+    dim, groups = rep.dim, {}
+    if not 1 <= k < dim:
+        raise ValueError(f"gap index must satisfy 1 <= k < {dim}, got {k}")
+    for j in range(max(1, k - 1), min(k + 2, dim)):
+        if j in (1, dim - 1):
+            images = rep.stacked_images if j == 1 else rep.stacked_duals
+        else:
+            sets = np.array(list(itertools.combinations(range(dim), j)))
+            images = np.linalg.det(
+                rep.stacked_images[:, sets[:, None, :, None], sets[None, :, None, :]]
+            )
+        groups.setdefault(images.shape[-1], []).append((j, images))
+    return [
+        (tuple(j for j, _ in group), np.stack([images for _, images in group], axis=1))
+        for group in groups.values()
+    ]
 
-    sigma_1 sigma_2 sigma_3 = |det M| and sigma_1(M^{-T}) = 1 / sigma_3, so
-    with L = log sigma_1(M), L* = log sigma_1(M^{-T}) and D = log|det M|
-    the margins are m_1 = 2 L - D - L* and m_2 = D + 2 L* - L, clamped at
-    0.  Both top singular values come from stacked_top_singular and keep
-    their relative accuracy at any margin, where the SVD's sigma_{k+1}
-    carries an absolute error near n u sigma_1.  A row where either Gram's
-    relative top gap is below GRAM_GAP_FLOOR (sigma_1 near sigma_2, or
-    sigma_2 near sigma_3, where a margin may be exactly zero) takes
-    stacked_gap_margins on its core."""
-    tops, gaps = stacked_top_singular(pairs)
-    tops += logscales
-    top, dual_top, gap, dual_gap = tops[0::2], tops[1::2], gaps[0::2], gaps[1::2]
-    if k == 1:
-        out = 2.0 * top - logdets - dual_top
-    elif k == 2:
-        out = logdets + 2.0 * dual_top - top
+
+def stacked_log_tops(cores: np.ndarray, logscales: np.ndarray) -> np.ndarray:
+    """log sigma_1 of every matrix of an (N, m, m) stack with its log scale,
+    each with its full relative accuracy: for m = 2 the closed form
+    (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2 of a core
+    [[a, b], [c, d]], a sum of two nonnegative terms; for m = 3
+    stacked_top_singular's Gram form, or an SVD's sigma_1 on a row whose
+    Gram has a relative top gap below GRAM_GAP_FLOOR; for m >= 4 an SVD's
+    sigma_1."""
+    size = cores.shape[-1]
+    if size == 2:
+        a, b, c, d = cores[:, 0, 0], cores[:, 0, 1], cores[:, 1, 0], cores[:, 1, 1]
+        tops = np.log((np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2.0)
+    elif size == 3:
+        tops, gaps = stacked_top_singular(cores)
+        low = ~(gaps >= GRAM_GAP_FLOOR)
+        if np.count_nonzero(low):
+            tops[low] = np.log(np.linalg.svd(cores[low], compute_uv=False)[:, 0])
     else:
-        raise ValueError(f"gap index must satisfy 1 <= k < 3, got {k}")
-    out = np.maximum(out, 0.0)
-    fallback = ~((gap >= GRAM_GAP_FLOOR) & (dual_gap >= GRAM_GAP_FLOOR))
-    if np.count_nonzero(fallback):
-        out[fallback] = stacked_gap_margins(
-            pairs[0::2][fallback], logscales[0::2][fallback], k
-        )
-    return out, fallback
+        tops = np.log(np.linalg.svd(cores, compute_uv=False)[:, 0])
+    return tops + logscales
+
+
+def stacked_margins(
+    walks: Sequence[tuple[Sequence[int], np.ndarray, np.ndarray]],
+    logdets: np.ndarray,
+    k: int,
+    dim: int,
+) -> np.ndarray:
+    """log sigma_k - log sigma_{k+1} of matrices M of GL(dim), clamped at 0:
+    m_k = 2 L_k - L_{k-1} - L_{k+1}, L_j = log sigma_1(wedge^j M), with
+    L_0 = 0 and L_dim = D = log|det M|.  walks holds, for each group of
+    power_images(rep, k), its powers and the (..., W, m, m) cores and
+    (..., W) log scales of its products; logdets holds the values D, in
+    the (...) shape of the margins.
+
+    With T_j = log sigma_1 of the walked product, L_j = T_j, except that
+    L_{d-1} = D + T_{d-1} for d >= 3, whose walked product is M^{-T}.  The
+    margin is c D + 2 T_k - T_{k-1} - T_{k+1}, evaluated in that order, c
+    the net coefficient of D.  Each T_j keeps its relative accuracy at any
+    spread, where an SVD's sigma_{k+1} has an absolute error near
+    n u sigma_1."""
+    tops = {}
+    for powers, cores, logscales in walks:
+        size = cores.shape[-1]
+        walked = stacked_log_tops(cores.reshape(-1, size, size), logscales.reshape(-1))
+        tops.update(zip(powers, walked.reshape(-1, len(powers)).T))
+    # L_{d-1} holds D for d >= 3, L_d is D
+    c = 2 * (k == dim - 1 > 1) - (k + 2 == dim) - (k + 1 == dim)
+    out = c * logdets.reshape(-1) + 2.0 * tops[k]
+    for j in (k - 1, k + 1):
+        if j in tops:
+            out -= tops[j]
+    return np.maximum(out, 0.0).reshape(logdets.shape)
 
 
 class Subspace:

@@ -257,6 +257,33 @@ def pingpong_rep(seed: int) -> Representation:
     return Representation.of(gens)
 
 
+def sym_power(g: np.ndarray, dim: int) -> np.ndarray:
+    """Sym^(dim-1) of a 2 x 2 matrix on homogeneous polynomials of degree
+    n = dim - 1, in the monomial basis x^(n-j) y^j scaled by
+    sqrt(binom(n, j)): the basis in which phi(v)_j = sqrt(binom(n, j))
+    x^(n-j) y^j has |phi(v)| = |v|^n, so phi(g v) = Sym(g) phi(v), Sym is a
+    homomorphism and maps SO(2) into SO(dim)."""
+    n = dim - 1
+    (a, b), (c, d) = g
+    scale = [math.sqrt(math.comb(n, j)) for j in range(dim)]
+    out = np.empty((dim, dim))
+    for j in range(dim):
+        # (a x + b y)^(n-j) (c x + d y)^j, coefficients by the power of y
+        first = [math.comb(n - j, i) * a ** (n - j - i) * b**i for i in range(dim - j)]
+        second = [math.comb(j, i) * c ** (j - i) * d**i for i in range(j + 1)]
+        out[j] = np.convolve(first, second) * scale[j] / np.array(scale)
+    return out
+
+
+def sym_lift(rep: Representation, dim: int) -> Representation:
+    """The irreducible lift Sym^(dim-1) of a representation in GL(2): if a
+    word's image has singular values s > t, its lift's are s^(n-j) t^j,
+    so every margin m_k of the lift is the margin m_1 of rep."""
+    return Representation.of(
+        [sym_power(rep.image(2 * i), dim) for i in range(rep.rank)]
+    )
+
+
 def random_orthonormal_frame(rng, dim: int, k: int) -> np.ndarray:
     q, _ = np.linalg.qr(rng.normal(size=(dim, k)))
     return q
@@ -322,8 +349,7 @@ def margins(rep, spec, k: int, budget: int) -> dict:
     lexicographic argmin: {t: (margin, word)}, from one certify walk."""
     if budget < 2:
         raise BudgetError(f"margin tables need a budget >= 2, got {budget}")
-    table = domination._margin_tables([rep], gamma_p_plus(spec, budget), k)[0]
-    return {t: (m, w) for t, (m, w, _) in table.items()}
+    return domination._margin_tables([rep], gamma_p_plus(spec, budget), k)[0]
 
 
 def sample_words(sample):
@@ -387,13 +413,13 @@ def boundary_points(draw, rank: int = 2, max_pre: int = 4, max_per: int = 4):
 
 
 @st.composite
-def reps_and_subsets(draw):
-    """A representation and a subset of each of the four kinds, d in {2, 3}.
+def reps_and_subsets(draw, dims=(2, 3)):
+    """A representation and a subset of each of the four kinds, d in dims.
 
     Integer generators make exact ties between singular values common:
     tied words and gapless prefixes.
     """
-    dim = draw(st.sampled_from((2, 3)))
+    dim = draw(st.sampled_from(dims))
     kind = draw(st.sampled_from(("full", "directed", "axis", "primitive")))
     rank = 2 if kind == "primitive" else draw(st.integers(1, 2))
     if kind == "full":

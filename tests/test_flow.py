@@ -276,6 +276,23 @@ def test_flow_envelope_matches_word_envelope():
     assert abs(slope - cert.lambda_hat) <= tolerance
 
 
+def test_anosov_margins_of_a_d3_orbit_grow_at_the_jordan_rates():
+    # the certify-full seed-1 pair over the orbit of ab: the time-n map's
+    # margins grow at half the log ratios of consecutive eigenvalue moduli
+    # of rho(ab).  An SVD gap of the cocycle lost sigma_3 past ~36
+    # log-units and read a k = 1 slope of -0.905 at 40 steps
+    rep = helpers.pingpong_rep(1)
+    x = shift_point(
+        FullBoundary(2), parse_boundary_point("(ab)"), parse_boundary_point("(AB)")
+    )
+    moduli = sorted(np.abs(np.linalg.eigvals(rep.image(0) @ rep.image(2))))[::-1]
+    for k in (1, 2):
+        curve = anosov_margins(rep, FullBoundary(2), k, 40, [x])[0]
+        rate = math.log(moduli[k - 1] / moduli[k]) / 2.0
+        assert abs(curve.slope - rate) <= 2.0 * curve.slope_stderr
+    assert round(rate, 4) == 0.9119
+
+
 def test_anosov_margins_membership_gate():
     rep, spec = schottky_rep(), directed_ab()
     bad = shift_point(

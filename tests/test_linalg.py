@@ -20,6 +20,8 @@ from gapcert.linalg import (
     apply_to_subspace,
     evaluate,
     grassmann_distance,
+    power_images,
+    stacked_log_tops,
     _renormalized,
     _renormalized_rows,
     renormalized_stack,
@@ -253,6 +255,46 @@ def test_representation_validation():
 
 # ---------------------------------------------------------------------------
 # singular values and gaps
+
+
+def test_power_images_walk_the_exterior_powers(rng):
+    # a word's product of the walked images of power j has top singular
+    # value sigma_1 ... sigma_j of its product (sigma_1(M^-T) = 1 / sigma_d
+    # for the duals), and a power's images multiply along a word
+    # (Cauchy-Binet)
+    for dim in (2, 3, 4, 5):
+        rep = Representation.of([helpers.random_invertible(rng, dim) for _ in range(2)])
+        word = parse_word("abAb")
+        logs = np.log(np.linalg.svd(helpers.word_matrix(rep, word), compute_uv=False))
+        for k in range(1, dim):
+            for powers, images in power_images(rep, k):
+                assert all(abs(j - k) <= 1 and 1 <= j < dim for j in powers)
+                assert images.shape[:2] == (4, len(powers))
+                for i, j in enumerate(powers):
+                    product = np.eye(images.shape[-1])
+                    for letter in word:
+                        product = product @ images[letter, i]
+                    top = np.log(np.linalg.svd(product, compute_uv=False)[0])
+                    if j == dim - 1 > 1:
+                        expected = -logs[-1]
+                    else:
+                        expected = logs[:j].sum()
+                    assert abs(top - expected) <= 1e-12 * (1.0 + abs(expected))
+    with pytest.raises(ValueError):
+        power_images(rep, dim)
+
+
+def test_log_tops_match_the_svd(rng):
+    # closed forms for 2 x 2 and 3 x 3 cores (an SVD where the 3 x 3 Gram
+    # has no clear top gap, as for a multiple of the identity), an SVD
+    # past that; each with its log scale
+    for size in (2, 3, 4, 6):
+        cores = rng.normal(size=(20, size, size))
+        cores[0] = np.eye(size)
+        logscales = rng.uniform(-50.0, 50.0, size=20)
+        tops = stacked_log_tops(cores, logscales)
+        exact = np.log(np.linalg.svd(cores, compute_uv=False)[:, 0]) + logscales
+        assert np.all(np.abs(tops - exact) <= 1e-13 * (1.0 + np.abs(exact)))
 
 
 def test_singular_value_examples():

@@ -53,7 +53,6 @@ from .linalg import (
     ScaledMatrix,
     Subspace,
     apply_to_subspace,
-    evaluate,
     grassmann_distance,
     running_products,
     transversality_gap,
@@ -63,8 +62,6 @@ from .subsets import SubsetPSpec, _require_pair, gamma_p_plus
 from .words import (
     BiInfiniteGeodesic,
     BoundaryPoint,
-    ReducedWord,
-    concat,
     geodesic_through,
     translate,
 )
@@ -96,13 +93,6 @@ class ShiftPoint(namedtuple("ShiftPoint", "spec line")):
     spec: SubsetPSpec
     line: BiInfiniteGeodesic
 
-    def forward_word(self, n: int) -> ReducedWord:
-        """The word labelling the path from the marker to the n-th forward
-        vertex."""
-        if n < 0:
-            raise ValueError(f"forward length must be >= 0, got {n}")
-        return concat(self.line.vertex(0).inverse(), self.line.vertex(n))
-
 
 def shift_point(
     spec: SubsetPSpec, forward: BoundaryPoint, backward: BoundaryPoint
@@ -123,19 +113,25 @@ def shift(x: ShiftPoint, n: int = 1) -> ShiftPoint:
 
 
 def cocycle(rep: Representation, x: ShiftPoint, n: int) -> ScaledMatrix:
-    """Time-n bundle map over x: inverse image of the forward word.
+    """Time-n bundle map over x: inverse image of the forward word (from
+    the marker to the n-th forward vertex), row n of _cocycle_stack.
 
     Satisfies the cocycle law: the time-(n+m) map equals the time-m map
     over the n-shifted point composed with the time-n map.
     """
-    return evaluate(rep, x.forward_word(n).inverse())
+    if n < 0:
+        raise ValueError(f"forward length must be >= 0, got {n}")
+    if n == 0:
+        return ScaledMatrix.identity(rep.dim)
+    cores, logscales = _cocycle_stack(rep, x, n)
+    return ScaledMatrix(cores[-1], float(logscales[-1]))
 
 
 def _cocycle_stack(rep: Representation, x: ShiftPoint, count: int):
-    """Cores and log scales of cocycle(rep, x, n) for n = 1, ..., count as
-    one running product, whose rounding differs from cocycle()'s: the
-    time-n map rho(forward word)^-1 is the transpose of rho(forward
-    word)^-T, the running product of the step letters' dual images."""
+    """Cores and log scales of the time-n maps over x for n = 1, ..., count
+    as one running product: the time-n map rho(forward word)^-1 is the
+    transpose of rho(forward word)^-T, the running product of the step
+    letters' dual images."""
     codes = np.array([x.line.step_letter(n) for n in range(count)], dtype=np.intp)
     cores, logscales = running_products(
         np.eye(rep.dim)[None], np.zeros(1), rep.stacked_duals[codes][:, None]
@@ -343,18 +339,18 @@ def splitting_checks(
     shifted = _splitting(
         rep, shift(x), k, sample.n_steps, DEFAULT_TOL, certificate.lambda_hat
     )
-    one_step = cocycle(rep, x, 1).core
+    cores = _cocycle_stack(rep, x, sample.iterations)[0]  # row 1: the one-step map
     invariance_stable = grassmann_distance(
-        apply_to_subspace(one_step, sample.stable), shifted.stable
+        apply_to_subspace(cores[0], sample.stable), shifted.stable
     )
     invariance_unstable = grassmann_distance(
-        apply_to_subspace(one_step, sample.unstable), shifted.unstable
+        apply_to_subspace(cores[0], sample.unstable), shifted.unstable
     )
     skipped = set(sample.skipped_lengths)
     ratio_lengths = [n for n in range(1, sample.iterations + 1) if n not in skipped]
-    cores = _cocycle_stack(rep, x, sample.iterations)[0][np.array(ratio_lengths) - 1]
-    stretched = np.linalg.svd(cores @ sample.stable.frame, compute_uv=False)
-    kept = np.linalg.svd(cores @ sample.unstable.frame, compute_uv=False)
+    ratio_cores = cores[np.array(ratio_lengths) - 1]
+    stretched = np.linalg.svd(ratio_cores @ sample.stable.frame, compute_uv=False)
+    kept = np.linalg.svd(ratio_cores @ sample.unstable.frame, compute_uv=False)
     ratio_values = (np.log(stretched[:, 0]) - np.log(kept[:, -1])).tolist()
     ratio_slope, _, _ = _fit_slope(list(zip(ratio_lengths, ratio_values)))
 

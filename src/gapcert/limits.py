@@ -800,14 +800,12 @@ def discontinuity_probe(
     approximants = [
         BoundaryPoint(ReducedWord((0,) * m + (2,)), a_word) for m in exponents
     ]
-    # every plane in one walk (the points lie in the axis family by
-    # construction); the first failed point, in order, raises
-    points = [base_point, *approximants]
-    planes = _limit_planes(rep, 1, points, certificate.lambda_hat, DEFAULT_TOL, n_max)
-    for plane in planes:
-        if isinstance(plane, GapcertError):
-            raise plane
-    base, *others = (plane.subspace for plane in planes)
+    # each plane read through the walk table (the points lie in the axis
+    # family by construction); the first failed point, in order, raises
+    base, *others = (
+        _plane(rep, 1, p, certificate.lambda_hat, DEFAULT_TOL, n_max).subspace
+        for p in [base_point, *approximants]
+    )
     visual = [visual_distance(p, base_point) for p in approximants]
     separations = [grassmann_distance(base, other) for other in others]
     separated = visual[-1] <= math.exp(-2.0) and min(separations) >= 0.5

@@ -50,14 +50,16 @@ class ScaledMatrix:
         return self.core.shape[0]
 
     def times(self, factor: np.ndarray) -> "ScaledMatrix":
-        """Right-multiply by an ordinary matrix, renormalizing the core."""
-        return _renormalized(self.core @ factor, self.logscale)
+        """Right-multiply by an ordinary matrix, renormalizing the core: one
+        step of running_products."""
+        cores, logscales = running_products(
+            self.core[None], np.array([self.logscale]), np.asarray(factor)[None, None]
+        )
+        return ScaledMatrix(cores[0, 0], float(logscales[0, 0]))
 
     # no caller in the package: the benchmark's tracer counts it by name
     def compose(self, other: "ScaledMatrix") -> "ScaledMatrix":
-        return _renormalized(
-            self.core @ other.core, self.logscale + other.logscale
-        )
+        return ScaledMatrix(self.core, self.logscale + other.logscale).times(other.core)
 
     def matrix(self) -> np.ndarray:
         """Materialize at true scale; refuses when the scale would overflow."""
@@ -66,13 +68,6 @@ class ScaledMatrix:
                 f"logscale {self.logscale:.1f} is too large to materialize"
             )
         return math.exp(self.logscale) * self.core
-
-
-def _renormalized(core: np.ndarray, logscale: float) -> ScaledMatrix:
-    """Rescale a core to a Frobenius norm (the cheap estimate of the
-    operator norm) in band; may rescale core in place."""
-    cores, logscales = _renormalized_rows(core[None], np.array([logscale]))
-    return ScaledMatrix(cores[0], float(logscales[0]))
 
 
 def _row_norms(cores: np.ndarray) -> np.ndarray:
@@ -87,11 +82,11 @@ def _row_norms(cores: np.ndarray) -> np.ndarray:
 def renormalized_stack(
     cores: np.ndarray, logscales: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_renormalized applied to each matrix of an (N, d, d) stack with its
-    log scale; both log with np.log, so the results are bitwise those of the
-    one-matrix path.  The cores are renormalized in place and returned; the
-    log scales are never written, and are returned as they are when every
-    core is in band."""
+    """Rescale each core of an (N, d, d) stack to a Frobenius norm (the
+    cheap estimate of the operator norm) in band, adding np.log of its
+    factor to its log scale.  The cores are renormalized in place and
+    returned; the log scales are never written, and are returned as they
+    are when every core is in band."""
     estimates = _row_norms(cores)
     out = ~((estimates >= _NORM_BAND[0]) & (estimates <= _NORM_BAND[1]))
     if not np.count_nonzero(out):
@@ -140,8 +135,9 @@ def running_products(
     """Extend the scale-tracked products of an (R, d, d) stack by the
     (C, R, d, d) factors, one length at a time, into the (C, R, d, d) cores
     and (C, R) log scales of the C products.  Every row takes its factors on
-    the right, as ScaledMatrix.times, with its bits.  The inputs are only
-    read, so they may be read-only or broadcast."""
+    the right, with the bits of a one-row stack.  The inputs are only read,
+    so they may be read-only or broadcast.  It builds every scale-tracked
+    product of the package, ScaledMatrix.times and evaluate's included."""
     products = np.empty(factors.shape)
     scales = np.empty(factors.shape[:2])
     _running_products_into(cores, logscales, factors, products, scales)
@@ -242,11 +238,13 @@ class Representation:
 
 
 def evaluate(rep: Representation, w: ReducedWord) -> ScaledMatrix:
-    """Left-to-right product of generator images with running renormalization."""
-    out = ScaledMatrix.identity(rep.dim)
-    for letter in w:
-        out = out.times(rep.image(letter))
-    return out
+    """Left-to-right product of generator images with running
+    renormalization: the last row of their running product."""
+    if w.is_empty():
+        return ScaledMatrix.identity(rep.dim)
+    images = np.stack([rep.image(letter) for letter in w])[:, None]
+    cores, logscales = running_products(np.eye(rep.dim)[None], np.zeros(1), images)
+    return ScaledMatrix(cores[-1, 0], float(logscales[-1, 0]))
 
 
 def stacked_top_singular(cores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,8 +317,9 @@ def stacked_log_tops(cores: np.ndarray, logscales: np.ndarray) -> np.ndarray:
     (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2 of a core
     [[a, b], [c, d]], a sum of two nonnegative terms; for m = 3
     stacked_top_singular's Gram form, or an SVD's sigma_1 on a row whose
-    Gram has a relative top gap below GRAM_GAP_FLOOR; for m >= 4 an SVD's
-    sigma_1."""
+    Gram has a relative top gap below GRAM_GAP_FLOOR; for m >= 4 the root
+    of its Gram's top eigenvalue by eigvalsh, whose error, about u
+    sigma_1^2, is relative (a renormalized core's Gram cannot overflow)."""
     size = cores.shape[-1]
     if size == 2:
         a, b, c, d = cores[:, 0, 0], cores[:, 0, 1], cores[:, 1, 0], cores[:, 1, 1]
@@ -331,7 +330,7 @@ def stacked_log_tops(cores: np.ndarray, logscales: np.ndarray) -> np.ndarray:
         if np.count_nonzero(low):
             tops[low] = np.log(np.linalg.svd(cores[low], compute_uv=False)[:, 0])
     else:
-        tops = np.log(np.linalg.svd(cores, compute_uv=False)[:, 0])
+        tops = 0.5 * np.log(np.linalg.eigvalsh(cores @ cores.transpose(0, 2, 1))[:, -1])
     return tops + logscales
 
 

@@ -253,6 +253,21 @@ def _cycles(graph: _Graph, state: int, longest: int) -> Iterator[ReducedWord]:
                 yield ReducedWord(w)
 
 
+def _require_walks(graph: _Graph, longest: int, copies: int, what: str) -> None:
+    """Raise BudgetError when the walks of some length up to longest from
+    every state, times copies, pass MAX_LEVEL_WORDS: counted before any
+    walk, one length at a time, through the moves."""
+    counts = [1] * len(graph.moves)
+    for t in range(1, longest + 1):
+        # the walks of length t from a state: those of t - 1 from its moves
+        counts = [sum(counts[u] for u in moves.values()) for moves in graph.moves]
+        if sum(counts) * copies > MAX_LEVEL_WORDS:
+            raise BudgetError(
+                f"{what} is too large: its walks of length {t} pass the "
+                f"{MAX_LEVEL_WORDS} a sample may hold"
+            )
+
+
 # ---------------------------------------------------------------------------
 # positive word enumeration
 
@@ -260,7 +275,8 @@ def _cycles(graph: _Graph, state: int, longest: int) -> Iterator[ReducedWord]:
 Level = tuple[np.ndarray, np.ndarray]
 
 # The most words a level may hold, refused up front: kept between lengths,
-# a level of 2^22 words holds about 0.6 GB of products in d = 3.
+# a level of 2^22 words holds about 0.6 GB of products in d = 3.  It bounds
+# the walks _cycles keeps of one length too.
 MAX_LEVEL_WORDS = 1 << 22
 
 
@@ -419,6 +435,14 @@ def q_plus_boundary(
     if b < 0:
         raise ValueError("offset b must be >= 0")
     graph = _graph(spec)
+    # each point's translates, the reduced words of length <= b, counted
+    # until they alone pass the bound
+    ball, sphere = 1, 2 * spec.rank
+    for _ in range(b):
+        ball, sphere = ball + sphere, sphere * (2 * spec.rank - 1)
+        if ball > MAX_LEVEL_WORDS:
+            break
+    _require_walks(graph, max_period, ball, f"max_period {max_period} at b = {b}")
     base = {
         BoundaryPoint(EMPTY_WORD, w)
         for s in range(len(graph.moves))
@@ -571,6 +595,7 @@ def enumerate_primitive_classes(rank: int, max_len: int) -> list[ReducedWord]:
     if max_len < 1:
         raise BudgetError("max_len must be >= 1")
     graph = _graph(FullBoundary(rank))
+    _require_walks(graph, max_len, 1, f"max_period {max_len}")
     classes = {
         least_rotation(w) for s in range(2 * rank) for w in _cycles(graph, s, max_len)
     }

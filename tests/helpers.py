@@ -21,7 +21,7 @@ from gapcert.linalg import (
     Representation,
     ScaledMatrix,
     Subspace,
-    _renormalized,
+    _renormalized_rows,
     _require_gap,
     grassmann_distance,
 )
@@ -316,7 +316,9 @@ def word_matrix(rep, w) -> np.ndarray:
 
 def scaled_matrix(matrix) -> ScaledMatrix:
     """A plain matrix as a ScaledMatrix, renormalized from log scale 0."""
-    return _renormalized(np.array(matrix, dtype=float, order="C"), 0.0)
+    core = np.array(matrix, dtype=float, order="C")
+    cores, logscales = _renormalized_rows(core[None], np.zeros(1))
+    return ScaledMatrix(cores[0], float(logscales[0]))
 
 
 def singular_values(m: ScaledMatrix) -> np.ndarray:

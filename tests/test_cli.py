@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -766,6 +767,33 @@ def test_cli_oversized_budget_is_a_budget_error_verdict(tmp_path, capsys):
     argv = ["certify", "--config", write_config(tmp_path, axis, "axis.json")]
     assert main([*argv, "--out", out, "--quiet"]) == 0
     assert load_report(out)["results"]["certify"]["verdict"] == "Certified"
+
+
+def test_cli_oversized_samples_are_budget_error_verdicts(tmp_path, capsys):
+    # a holder sample at max_period 40 or b = 20 and a primitive subset at
+    # max_period 40 would walk about 2^40 (or 3^40) words: the walks are
+    # counted first, so each run records a BudgetError block and exits 1,
+    # with no traceback, in well under a second on a small box
+    primitive = {"subset": {"type": "primitive", "max_period": 40}}
+    runs = [
+        ("holder", {"sampling": {"max_period": 40}}, "max_period 40 at b = 0", 22),
+        ("holder", {"sampling": {"b": 20}}, "max_period 6 at b = 20", 1),
+        ("certify", primitive, "max_period 40", 13),
+    ]
+    for n, (task, overrides, what, length) in enumerate(runs):
+        data = schottky_config(tasks=[task], **overrides)
+        out = str(tmp_path / f"report{n}.json")
+        path = write_config(tmp_path, data, f"config{n}.json")
+        started = time.perf_counter()
+        assert main([task, "--config", path, "--out", out, "--quiet"]) == 1
+        assert time.perf_counter() - started < 10.0
+        assert "Traceback" not in capsys.readouterr().err
+        block = load_report(out)["results"][task]
+        assert block["verdict"] == "Error"
+        assert block["error"] == (
+            f"BudgetError: {what} is too large: its walks of length {length} pass "
+            "the 4194304 a sample may hold"
+        )
 
 
 def test_cli_ill_conditioned_perturbation_is_an_error_verdict(tmp_path, capsys):

@@ -52,6 +52,7 @@ from gapcert.subsets import (
 )
 from gapcert.words import (
     BiInfiniteGeodesic,
+    concat,
     parse_boundary_point,
     parse_word,
     periodic_point,
@@ -127,8 +128,8 @@ def test_shift_point_membership_gate():
 
 def test_shift_moves_the_marker():
     x = axis_point(AxisFamily(2, (parse_word("ab"),)), "ab")
-    assert x.forward_word(3) == parse_word("aba")
-    assert shift(x, 2).forward_word(1) == parse_word("a")
+    assert flow._line_ends(x)[0].prefix(3) == parse_word("aba")
+    assert flow._line_ends(shift(x, 2))[0].prefix(1) == parse_word("a")
     assert shift(shift(x, 1), -1) == x
 
 
@@ -162,11 +163,16 @@ def test_running_maps_match_the_cocycle():
     # line's forward end re-based at the marker, and the maps into x from
     # shift(x, -n) are the images of the prefixes of the re-based backward
     # end, so the splitting's summands are the limit planes there.  The
-    # cocycle stack is the one-length loop bit for bit; it is the transpose
-    # of the dual images' product, so it keeps cocycle()'s values to
+    # cocycle is row n of the cocycle stack bit for bit, and the stack is
+    # the one-length loop bit for bit; it is the transpose of the dual
+    # images' product, so it keeps the forward word's inverse image to
     # rounding: relative error n * eps, and each margin moves by at most
     # n * eps times the ratio of the top to the (k+1)-th singular value
     eps = 2.0**-52
+
+    def forward_word(point, n):
+        return concat(point.line.vertex(0).inverse(), point.line.vertex(n))
+
     for seed in range(6):
         rng = np.random.default_rng(seed)
         dim = 2 + seed % 2
@@ -182,11 +188,14 @@ def test_running_maps_match_the_cocycle():
         forward, backward = flow._line_ends(x)
         cores, logscales = flow._cocycle_stack(rep, x, 40)
         for n, stacked in enumerate(helpers.forward_maps(rep, x, 40), start=1):
-            assert forward.prefix(n) == x.forward_word(n)
-            assert backward.prefix(n) == shift(x, -n).forward_word(n).inverse()
+            assert forward.prefix(n) == forward_word(x, n)
+            assert backward.prefix(n) == forward_word(shift(x, -n), n).inverse()
             assert cores[n - 1].tobytes() == stacked.core.tobytes()
             assert logscales[n - 1] == stacked.logscale
-            expected = cocycle(rep, x, n)
+            row = cocycle(rep, x, n)
+            assert row.core.tobytes() == cores[n - 1].tobytes()
+            assert row.logscale == logscales[n - 1]
+            expected = evaluate(rep, forward_word(x, n).inverse())
             moved = math.exp(stacked.logscale - expected.logscale) * stacked.core
             error = np.linalg.norm(moved - expected.core)
             assert error <= 16 * n * eps * np.linalg.norm(expected.core)
@@ -235,7 +244,8 @@ def test_anosov_margins_match_prefix_word_margins():
         x = axis_point(spec, text)
         curve = anosov_margins(rep, spec, 1, 10, [x])[0]
         for n, margin in zip(curve.lengths, curve.margins):
-            word_side = gap_margin(evaluate(rep, x.forward_word(n)), 1)
+            word = flow._line_ends(x)[0].prefix(n)
+            word_side = gap_margin(evaluate(rep, word), 1)
             # the small singular value is resolved to eps relative to the
             # big one, so its log wobbles by about eps * exp(margin)
             floating = 1e-9 + 5e-16 * math.exp(min(margin, 34.0))

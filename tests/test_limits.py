@@ -536,13 +536,17 @@ def test_discontinuity_probe_collapses_with_trivial_detour():
     assert all(s < 1e-10 for s in probe.separations)
 
 
-def test_discontinuity_probe_walks_every_plane_at_once(monkeypatch):
-    # the base point and each approximant in one walk, with the planes and
-    # the first error of one xi_upper call per point
+def test_discontinuity_probe_reads_the_walk_table(monkeypatch):
+    # each plane is the walk table's, read as xi_upper reads it: one walk
+    # per point, which the one-point calls then read without a walk, with
+    # their planes and the first error of one xi_upper call per point
     rep = example_56_rep()
     spec = a_axis_f2()
     cert = certify(rep, spec, 1, limits.DEFAULT_CERT_BUDGET)
     base = periodic_point(parse_word("a"))
+    probe = discontinuity_probe(rep, exponents=(2, 5, 3))
+    approximants = [parse_boundary_point("a" * m + "b|(a)") for m in (2, 5, 3)]
+    assert [key[3] for key in limits._WALKS] == [base, *approximants]
     calls = []
     original = limits._Walk
 
@@ -551,15 +555,13 @@ def test_discontinuity_probe_walks_every_plane_at_once(monkeypatch):
         return original(rep, k, points)
 
     monkeypatch.setattr(limits, "_Walk", spy)
-    probe = discontinuity_probe(rep, exponents=(2, 5, 3))
-    approximants = [parse_boundary_point("a" * m + "b|(a)") for m in (2, 5, 3)]
-    assert calls == [[base, *approximants]]
-    monkeypatch.setattr(limits, "_Walk", original)
     plane = xi_upper(rep, spec, 1, base, certificate=cert).subspace
     assert probe.separations == tuple(
         grassmann_distance(plane, xi_upper(rep, spec, 1, x, certificate=cert).subspace)
         for x in approximants
     )
+    assert calls == []
+    monkeypatch.setattr(limits, "_Walk", original)
     # too few prefixes: the base point's error is raised first, as the
     # one-point calls would raise it
     with pytest.raises(NoConvergenceError) as caught:

@@ -22,7 +22,6 @@ from gapcert.linalg import (
     grassmann_distance,
     power_images,
     stacked_log_tops,
-    _renormalized,
     _renormalized_rows,
     renormalized_stack,
     running_products,
@@ -89,13 +88,15 @@ def test_renormalized_stack_matches_single_path(rng):
     logscales = rng.normal(size=n) * 50.0
     # the stack is renormalized in place: it takes a copy of the cores
     got_cores, got_logscales = renormalized_stack(cores.copy(), logscales)
-    singles = [_renormalized(c, float(l)) for c, l in zip(cores, logscales)]
-    assert np.array_equal(np.array([one.core for one in singles]), got_cores)
-    assert np.array_equal(np.array([one.logscale for one in singles]), got_logscales)
+    singles = [
+        _renormalized_rows(c[None].copy(), np.array([l])) for c, l in zip(cores, logscales)
+    ]
+    assert np.array_equal(np.array([core[0] for core, _ in singles]), got_cores)
+    assert np.array_equal(np.array([scale[0] for _, scale in singles]), got_logscales)
     with pytest.raises(ScaleOverflowError):
         renormalized_stack(np.zeros((2, 3, 3)), np.zeros(2))
     with pytest.raises(ScaleOverflowError):
-        _renormalized(np.full((3, 3), np.inf), 0.0)
+        _renormalized_rows(np.full((1, 3, 3), np.inf), np.zeros(1))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -177,6 +177,47 @@ def test_level_cap_counts_the_levels(monkeypatch):
         gamma_p_plus(ab, 9)
 
 
+def test_oversized_walks_are_budget_errors():
+    # counted before any walk: Directed{a,b} has 2^(t + 1) walks of length
+    # t from its two states, each point takes 2 * 3^b - 1 translates, and
+    # the full rank-2 graph that primitive classes are read from has
+    # 4 * 3^t walks of length t
+    ab = Directed(2, frozenset({0, 2}))
+    too_large = "is too large: its walks of length"
+    with pytest.raises(BudgetError, match=f"max_period 40 at b = 0 {too_large} 22 "):
+        q_plus_boundary(ab, 40)
+    with pytest.raises(BudgetError, match=f"max_period 6 at b = 20 {too_large} 1 "):
+        q_plus_boundary(ab, 6, 20)
+    with pytest.raises(BudgetError, match=f"max_period 40 {too_large} 13 "):
+        enumerate_primitive_classes(2, 40)
+    with pytest.raises(BudgetError, match=f"max_period 40 {too_large} 13 "):
+        gamma_p_plus(Primitive(2, 40), 6)
+
+
+def test_walk_bound_leaves_small_samples_as_they_are(monkeypatch):
+    # at the bound a sample is built, one walk past it raises, and inside
+    # it every sample and class list is the unguarded one
+    ab = Directed(2, frozenset({0, 2}))
+    monkeypatch.setattr(subsets, "MAX_LEVEL_WORDS", 2**6 * 5)  # length 5, b = 1
+    kept = q_plus_boundary(ab, 5, 1)
+    with pytest.raises(BudgetError, match="walks of length 6 pass the 320"):
+        q_plus_boundary(ab, 6, 1)
+    monkeypatch.setattr(subsets, "MAX_LEVEL_WORDS", 4 * 3**5)  # length 5
+    classes = enumerate_primitive_classes(2, 5)
+    with pytest.raises(BudgetError, match="walks of length 6 pass the 972"):
+        enumerate_primitive_classes(2, 6)
+    monkeypatch.undo()
+    specs = (FullBoundary(2), ab, AxisFamily(2, (parse_word("aab"),)), Primitive(2, 4))
+    sizes = [(spec, p, b) for spec in specs for p in (1, 4) for b in (0, 2)]
+    guarded = [q_plus_boundary(*size) for size in sizes]
+    lists = [enumerate_primitive_classes(2, n) for n in range(1, 7)]
+    monkeypatch.setattr(subsets, "_require_walks", lambda *args: None)
+    assert kept == q_plus_boundary(ab, 5, 1)
+    assert classes == enumerate_primitive_classes(2, 5)
+    assert guarded == [q_plus_boundary(*size) for size in sizes]
+    assert lists == [enumerate_primitive_classes(2, n) for n in range(1, 7)]
+
+
 @pytest.mark.parametrize(
     "spec",
     [

@@ -21,6 +21,7 @@ from .linalg import (
     _running_products_into,
     power_images,
     stacked_margins,
+    walked_tops,
 )
 from .subsets import GammaPSample, SubsetPSpec, gamma_p_plus
 from .words import ReducedWord
@@ -94,10 +95,14 @@ def _margin_tables(
 ) -> list[dict[int, tuple[float, ReducedWord]]]:
     """Minimum margin per length of each representation of a stack, with
     its argmin word, from one _level_margins walk of the sample's coded
-    levels.  np.argmin returns the first minimum, which in sort_key order
-    is the lexicographic tie-break."""
+    levels, which reads the powers above d/2 at the inverse words when the
+    sample has its inverse rows.  np.argmin returns the first minimum,
+    which in sort_key order is the lexicographic tie-break."""
+    dim = reps[0].dim
+    # the powers walked for k reach past d/2 (never for d = 2)
+    inverse = sample.inverse_rows if 2 * min(k + 1, dim - 1) > dim else None
     tables: list[dict[int, tuple[float, ReducedWord]]] = [{} for _ in reps]
-    for t, level in enumerate(_level_margins(reps, sample.levels, k), start=1):
+    for t, level in enumerate(_level_margins(reps, sample.levels, k, inverse), start=1):
         best = np.argmin(level, axis=0)
         words = sample.decode(t, best)
         for table, row, i, w in zip(tables, level.T, best.tolist(), words):
@@ -111,28 +116,34 @@ def _level_margins(
     reps: Sequence[Representation],
     levels: Sequence[tuple[np.ndarray, np.ndarray]],
     k: int,
+    inverse: Optional[Sequence[np.ndarray]] = None,
 ) -> Iterator[np.ndarray]:
     """The (N, R) margins of index k of each nonempty level's words, for
     each representation of a stack, in one walk of the coded levels: a
     word is its parent (a row of the previous level, or the empty word)
-    followed by its letter.
+    followed by its letter.  inverse, when given, holds for each level the
+    row of each word's inverse in it (GammaPSample.inverse_rows); the
+    walked powers are then power_images' complementary ones, and each
+    power above d/2 is read at the inverse word.
 
     Each group of power_images is walked as (N, R, W, m, m) products,
     word-major, each its parent's times one letter's images in one
     running_products step over a block of words, so every product has the
     bits of its one-word walk whatever R is; the log|det| is summed along
-    the parents like the log scales, and the margins are one
-    stacked_margins call per block.  A level is made in blocks of
-    max(1, STACK_ROWS // R) words.  When a longer level follows, each
-    block writes its products where the next level reads them, so only the
-    previous and the current level are held (certify_each bounds R times
-    the kept level); the last level's blocks take turns in one block's
-    buffer.
+    the parents like the log scales.  A level is made in blocks of
+    max(1, STACK_ROWS // R) words, whose walked_tops are kept for the whole
+    level, since a word's inverse may sit in another block; the margins
+    are one stacked_margins call once the level is done.  When a longer
+    level follows, each block writes its products where the next level
+    reads them, so only the previous and the current level are held
+    (certify_each bounds R times the kept level); the last level's blocks
+    take turns in one block's buffer.
     """
     dim, count = reps[0].dim, len(reps)
+    complementary = inverse is not None
     walked = [
         (group[0][0], np.stack([images for _, images in group], axis=1))
-        for group in zip(*(power_images(rep, k) for rep in reps))
+        for group in zip(*(power_images(rep, k, complementary) for rep in reps))
     ]
     walks = [
         (np.broadcast_to(np.eye(m.shape[-1]), m[:1].shape), np.zeros(m[:1].shape[:3]))
@@ -148,7 +159,7 @@ def _level_margins(
         logdets = np.take(logdets, parents, axis=0) + np.take(
             letter_logdets, letters, axis=0
         )
-        level = np.empty((size, count))
+        tops = {j: np.empty((size, count)) for powers, _ in walked for j in powers}
         keep = t < len(levels) and len(levels[t][1]) > 0
         held = size if keep else min(size, block)
         products = [
@@ -158,12 +169,16 @@ def _level_margins(
         for lo in range(0, size, block):
             rows = slice(lo, lo + block)
             into = rows if keep else slice(0, len(letters[rows]))
-            level[rows] = _level_block(
-                walked, walks, parents[rows], letters[rows], logdets[rows], k,
-                dim, [(p[into], s[into]) for p, s in products],
+            block_tops = _level_block(
+                walked, walks, parents[rows], letters[rows],
+                [(p[into], s[into]) for p, s in products],
             )
+            for j, top in block_tops.items():
+                tops[j][rows] = top
         walks = products
-        yield level
+        yield stacked_margins(
+            tops, logdets, k, dim, inverse[t - 1] if complementary else None
+        )
 
 
 def _level_block(
@@ -171,15 +186,12 @@ def _level_block(
     walks: list[tuple[np.ndarray, np.ndarray]],
     parents: np.ndarray,
     letters: np.ndarray,
-    logdets: np.ndarray,
-    k: int,
-    dim: int,
     products: list[tuple[np.ndarray, np.ndarray]],
-) -> np.ndarray:
-    """The (n, R) margins of some words of a level: one running_products
+) -> dict[int, np.ndarray]:
+    """The (n, R) walked_tops of some words of a level: one running_products
     step per group over the gathered parents and letter images, written
     into its pair in products (contiguous arrays that the parents' walks
-    do not overlap), and one stacked_margins call."""
+    do not overlap)."""
     for (_, images), (cores, logscales), (out, scales) in zip(walked, walks, products):
         size = cores.shape[-1]
         _running_products_into(
@@ -189,11 +201,8 @@ def _level_block(
             out.reshape(1, -1, size, size),
             scales.reshape(1, -1),
         )
-    return stacked_margins(
-        [(powers, out, scales) for (powers, _), (out, scales) in zip(walked, products)],
-        logdets,
-        k,
-        dim,
+    return walked_tops(
+        [(powers, out, scales) for (powers, _), (out, scales) in zip(walked, products)]
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -286,17 +286,25 @@ def stacked_top_singular(cores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 GRAM_GAP_FLOOR = 1e-3
 
 
-def power_images(rep: Representation, k: int) -> list[tuple[tuple, np.ndarray]]:
+def power_images(
+    rep: Representation, k: int, complementary: bool = False
+) -> list[tuple[tuple, np.ndarray]]:
     """The letter images walked for the margin of index k: for each size m
-    of the powers j in {k - 1, k, k + 1} with 1 <= j < d, those powers and
-    their (2 * rank, W, m, m) images.  Power j takes stacked_images for
-    j = 1, stacked_duals for j = d - 1 (d >= 3), and otherwise the j x j
-    minors of the images, lexicographic in their row and column sets, so
-    that a word's product of them is wedge^j of its product (Cauchy-Binet)."""
+    of the walked powers, those powers and their (2 * rank, W, m, m)
+    images.  The walked powers are j in {k - 1, k, k + 1} with 1 <= j < d,
+    or with complementary (a word set closed under inversion, read with
+    stacked_margins' inverse rows) min(j, d - j) in their place.  Power j
+    takes stacked_images for j = 1, stacked_duals for j = d - 1 (d >= 3),
+    and otherwise the j x j minors of the images, lexicographic in their
+    row and column sets, so that a word's product of them is wedge^j of
+    its product (Cauchy-Binet)."""
     dim, groups = rep.dim, {}
     if not 1 <= k < dim:
         raise ValueError(f"gap index must satisfy 1 <= k < {dim}, got {k}")
-    for j in range(max(1, k - 1), min(k + 2, dim)):
+    powers = range(max(1, k - 1), min(k + 2, dim))
+    if complementary:
+        powers = sorted({min(j, dim - j) for j in powers})
+    for j in powers:
         if j in (1, dim - 1):
             images = rep.stacked_images if j == 1 else rep.stacked_duals
         else:
@@ -334,37 +342,60 @@ def stacked_log_tops(cores: np.ndarray, logscales: np.ndarray) -> np.ndarray:
     return tops + logscales
 
 
-def stacked_margins(
+def walked_tops(
     walks: Sequence[tuple[Sequence[int], np.ndarray, np.ndarray]],
-    logdets: np.ndarray,
-    k: int,
-    dim: int,
-) -> np.ndarray:
-    """log sigma_k - log sigma_{k+1} of matrices M of GL(dim), clamped at 0:
-    m_k = 2 L_k - L_{k-1} - L_{k+1}, L_j = log sigma_1(wedge^j M), with
-    L_0 = 0 and L_dim = D = log|det M|.  walks holds, for each group of
-    power_images(rep, k), its powers and the (..., W, m, m) cores and
-    (..., W) log scales of its products; logdets holds the values D, in
-    the (...) shape of the margins.
-
-    With T_j = log sigma_1 of the walked product, L_j = T_j, except that
-    L_{d-1} = D + T_{d-1} for d >= 3, whose walked product is M^{-T}.  The
-    margin is c D + 2 T_k - T_{k-1} - T_{k+1}, evaluated in that order, c
-    the net coefficient of D.  Each T_j keeps its relative accuracy at any
+) -> dict[int, np.ndarray]:
+    """T_j, log sigma_1 of the walked products of each power j: walks
+    holds, for each group of power_images, its powers and the
+    (..., W, m, m) cores and (..., W) log scales of its products, and each
+    T_j has the (...) shape.  Each keeps its relative accuracy at any
     spread, where an SVD's sigma_{k+1} has an absolute error near
     n u sigma_1."""
     tops = {}
     for powers, cores, logscales in walks:
         size = cores.shape[-1]
         walked = stacked_log_tops(cores.reshape(-1, size, size), logscales.reshape(-1))
-        tops.update(zip(powers, walked.reshape(-1, len(powers)).T))
-    # L_{d-1} holds D for d >= 3, L_d is D
-    c = 2 * (k == dim - 1 > 1) - (k + 2 == dim) - (k + 1 == dim)
-    out = c * logdets.reshape(-1) + 2.0 * tops[k]
+        tops.update(zip(powers, np.moveaxis(walked.reshape(logscales.shape), -1, 0)))
+    return tops
+
+
+def stacked_margins(
+    tops: dict[int, np.ndarray],
+    logdets: np.ndarray,
+    k: int,
+    dim: int,
+    inverse: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """log sigma_k - log sigma_{k+1} of matrices M of GL(dim), clamped at 0:
+    m_k = 2 L_k - L_{k-1} - L_{k+1}, L_j = log sigma_1(wedge^j M), with
+    L_0 = 0 and L_dim = D = log|det M|.  tops holds walked_tops of the
+    walks of power_images(rep, k, inverse is not None), and logdets the
+    values D, in their shape.
+
+    L_j = T_j, except that the powers j read from D carry it: L_d = D, and
+    L_{d-1} = D + T_{d-1} for d >= 3, whose walked product is M^-T.  With
+    inverse, the row along the first axis of each matrix's inverse (a word
+    set closed under inversion), every power j > d/2 is read at the
+    inverse as L_j = D + T_{d-j}[inverse], by Jacobi's complementary
+    minors, sigma_1(wedge^j M) = |det M| sigma_1(wedge^(d-j) M^-1).  The
+    margin is c D + 2 T_k - T_{k-1} - T_{k+1}, evaluated in that order, c
+    the net coefficient of D."""
+    if inverse is None:
+        carried = {dim - 1, dim} if dim >= 3 else {dim}
+    else:
+        carried = set(range(dim // 2 + 1, dim + 1))
+
+    def top(j: int) -> np.ndarray:
+        if inverse is not None and 2 * j > dim:
+            return np.take(tops[dim - j], inverse, axis=0)
+        return tops[j]
+
+    c = 2 * (k in carried) - (k - 1 in carried) - (k + 1 in carried)
+    out = c * logdets + 2.0 * top(k)
     for j in (k - 1, k + 1):
-        if j in tops:
-            out -= tops[j]
-    return np.maximum(out, 0.0).reshape(logdets.shape)
+        if 1 <= j < dim:
+            out -= top(j)
+    return np.maximum(out, 0.0)
 
 
 class Subspace:

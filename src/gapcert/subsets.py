@@ -306,6 +306,16 @@ class GammaPSample:
         """buckets[t]: the words of length t as a lazily decoded set."""
         return {t: _Bucket(self, t) for t in range(1, self.budget + 1)}
 
+    @cached_property
+    def inverse_rows(self) -> Optional[tuple[np.ndarray, ...]]:
+        """For each level, the row of each of its words' inverse in that
+        level, or None when the levels are not closed under inversion: at
+        once when the subset is not its own flip, and otherwise when some
+        word's inverse is missing."""
+        if hat(self.spec) != self.spec:
+            return None
+        return _inverse_rows(self.levels, 2 * self.spec.rank)
+
     def level_words(self, t: int) -> list[ReducedWord]:
         """Every word of length t, decoded, in sort_key order."""
         return self.decode(t, np.arange(len(self.levels[t - 1][1])))
@@ -342,6 +352,35 @@ class GammaPSample:
         back = next(_cycles(graph, start, len(graph.moves)))
         ahead = next(_cycles(graph, graph.read(start, w), len(graph.moves)))
         return periodic_point(back.inverse()), BoundaryPoint(w, ahead)
+
+
+def _inverse_rows(
+    levels: tuple[Level, ...], width: int
+) -> Optional[tuple[np.ndarray, ...]]:
+    """The row of each word's inverse in its own level, level by level, or
+    None when some inverse (or some tail, which an inversion-closed,
+    prefix-closed set holds) is missing.  A word f.u, f its first letter
+    and u its tail, has the inverse u^-1 . f^-1: the parent is the inverse
+    of the word's tail, the letter f^-1.  The tail of p.l is tail(p).l.
+    Each is read in a level's flat (parent, letter) -> row table, -1 where
+    no word is: a few gathers per level."""
+    out = []
+    inverses = np.zeros(1, dtype=np.intp)  # the empty word's
+    table = None  # the previous level's
+    for parents, letters in levels:
+        if table is None:
+            firsts, tails = letters, np.zeros(len(letters), dtype=np.intp)
+        else:
+            firsts, tails = firsts[parents], table[tails[parents] * width + letters]
+        if np.count_nonzero(tails < 0):
+            return None
+        table = np.full(len(inverses) * width, -1, dtype=np.intp)
+        table[parents * width + letters] = np.arange(len(letters))
+        inverses = table[inverses[tails] * width + (firsts ^ 1)]
+        if np.count_nonzero(inverses < 0):
+            return None
+        out.append(inverses)
+    return tuple(out)
 
 
 class _Bucket(AbstractSet):

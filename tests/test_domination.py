@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from gapcert import domination
+from gapcert import domination, subsets
 from helpers import gap_margin, log_conorm, log_norm, margins
 from gapcert.domination import (
     CERTIFIED,
@@ -22,6 +22,7 @@ from gapcert.domination import (
     certify,
 )
 from gapcert.errors import BudgetError
+from gapcert.flow import stability_probe
 from gapcert.linalg import (
     GRAM_GAP_FLOOR,
     Representation,
@@ -31,6 +32,7 @@ from gapcert.linalg import (
     stacked_log_tops,
     stacked_margins,
     stacked_top_singular,
+    walked_tops,
 )
 from gapcert.subsets import (
     AxisFamily,
@@ -334,16 +336,12 @@ def engine_cases():
     )
 
 
-def word_margin(rep, w, k):
-    """One word's margin on a one-row stack: each walked power's product
-    of the letters' power_images taken letter by letter with
-    ScaledMatrix.times, the letters' log|det| summed left to right, and one
-    stacked_margins call."""
-    logdet = 0.0
-    for letter in w:
-        logdet = logdet + rep.stacked_logdets[letter]
+def word_tops(rep, w, k, closed):
+    """walked_tops of one word on a one-row stack: each walked power's
+    product of the letters' power_images taken letter by letter with
+    ScaledMatrix.times."""
     walks = []
-    for powers, images in power_images(rep, k):
+    for powers, images in power_images(rep, k, closed):
         products = []
         for i in range(len(powers)):
             product = ScaledMatrix.identity(images.shape[-1])
@@ -351,15 +349,35 @@ def word_margin(rep, w, k):
                 product = product.times(images[letter, i])
             products.append(product)
         cores = np.stack([p.core for p in products])
-        walks.append((powers, cores, np.array([p.logscale for p in products])))
-    return float(stacked_margins(walks, np.array([logdet]), k, rep.dim)[0])
+        walks.append((powers, cores[None], np.array([[p.logscale for p in products]])))
+    return walked_tops(walks)
+
+
+def word_margin(rep, w, k, closed=False):
+    """One word's margin: its word_tops, the letters' log|det| summed left
+    to right, and one stacked_margins call.  On an inversion-closed sample
+    (closed) the powers above d/2 are read from the same walk of w^-1,
+    stacked as a second row that the inverse rows point to."""
+    words = [w, w.inverse()] if closed else [w]
+    logdets = []
+    for u in words:
+        logdet = 0.0
+        for letter in u:
+            logdet = logdet + rep.stacked_logdets[letter]
+        logdets.append(logdet)
+    tops = [word_tops(rep, u, k, closed) for u in words]
+    stacked = {j: np.concatenate([t[j] for t in tops]) for j in tops[0]}
+    inverse = np.array([1, 0]) if closed else None
+    return float(stacked_margins(stacked, np.array(logdets), k, rep.dim, inverse)[0])
 
 
 def per_word_margins(rep, sample, k):
-    """Reference: one word_margin per word, first strict minimum."""
+    """Reference: one word_margin per word, first strict minimum; the
+    sample is closed when it has its inverse rows."""
+    closed = sample.inverse_rows is not None
     table = {}
     for w in helpers.sample_words(sample):
-        m = word_margin(rep, w, k)
+        m = word_margin(rep, w, k, closed)
         if len(w) not in table or m < table[len(w)][0]:
             table[len(w)] = (m, w)
     return table
@@ -377,22 +395,53 @@ def test_level_engine_matches_per_word_reference(case):
 def test_level_blocks_leave_the_margins(monkeypatch, rng):
     # levels longer than a block are made block by block, and blocks that
     # split a level write their products where the next level reads them:
-    # the tables keep the per-word reference's bits at d = 2, 3 and 4 (the
-    # images, the duals and the 6 x 6 second exterior power), for one
-    # representation (blocks of 7 words) and a stack of three (blocks of 2
-    # words)
-    sample = gamma_p_plus(FullBoundary(2), 5)
+    # the tables keep the per-word reference's bits at d = 2, 3 and 4, for
+    # one representation (blocks of 7 words) and a stack of three (blocks
+    # of 2 words).  On the closed sample a word's inverse sits in another
+    # block, whose tops the level keeps; the open one walks the duals
     monkeypatch.setattr(domination, "STACK_ROWS", 7)
-    for d in (2, 3, 4):
+    closed = gamma_p_plus(FullBoundary(2), 5)
+    open_ = gamma_p_plus(Directed(2, frozenset({A_LETTER, B_LETTER, B_LETTER ^ 1})), 5)
+    assert closed.inverse_rows is not None and open_.inverse_rows is None
+    for sample in (closed, open_):
+        for d in (2, 3, 4):
+            reps = [
+                Representation.of(
+                    [helpers.random_invertible(rng, d) for _ in range(2)]
+                )
+                for _ in range(3)
+            ]
+            for k in range(1, d):
+                references = [per_word_margins(rep, sample, k) for rep in reps]
+                for stack in (reps[:1], reps):
+                    tables = domination._margin_tables(stack, sample, k)
+                    assert tables == references[: len(stack)]
+
+
+# The inversion-closed subsets of the complementary-reading cases.
+CLOSED_SPECS = (
+    FullBoundary(2),
+    Primitive(2, 6),
+    AxisFamily(2, (parse_word("ab"), parse_word("BA"))),
+)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_complementary_reads_match_the_direct_walk(rng, dim):
+    # sigma_1(wedge^j M) = |det M| sigma_1(wedge^(d-j) M^-1): every word's
+    # margin read at its inverse word agrees with the dual or wedge^j walk
+    # of the word itself, at every k, to rounding
+    for spec in CLOSED_SPECS:
+        sample = gamma_p_plus(spec, 6)
         reps = [
-            Representation.of([helpers.random_invertible(rng, d) for _ in range(2)])
-            for _ in range(3)
-        ]
-        for k in range(1, d):
-            references = [per_word_margins(rep, sample, k) for rep in reps]
-            for stack in (reps[:1], reps):
-                tables = domination._margin_tables(stack, sample, k)
-                assert tables == references[: len(stack)]
+            Representation.of([helpers.random_invertible(rng, dim) for _ in range(2)])
+            for _ in range(2)
+        ] + ([helpers.pingpong_rep(1)] if dim == 3 else [])
+        for k in range(1, dim):
+            direct = domination._level_margins(reps, sample.levels, k)
+            read = domination._level_margins(reps, sample.levels, k, sample.inverse_rows)
+            for first, second in zip(direct, read, strict=True):
+                assert np.all(np.abs(first - second) <= 1e-13 * (1.0 + np.abs(first)))
 
 
 def directed_ab():
@@ -556,6 +605,40 @@ def test_d3_argmin_margins_match_a_50_digit_oracle(seed):
         assert set(table) == set(range(1, 8))
         for t, (m, w) in table.items():
             assert abs(m - oracle_margin_k(rep, w, k)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_d3_primitive_argmin_margins_match_a_100_digit_oracle(seed):
+    # the primitive words are closed under inversion: each power above
+    # d/2 is read at the inverse word
+    rep, spec = helpers.pingpong_rep(seed), Primitive(2, 8)
+    assert gamma_p_plus(spec, 10).inverse_rows is not None
+    for k in (1, 2):
+        table = margins(rep, spec, k, 10)
+        assert set(table) == set(range(1, 11))
+        for t, (m, w) in table.items():
+            assert abs(m - oracle_margin_k(rep, w, k, 100)) <= 1e-12
+
+
+def test_d2_and_open_samples_build_no_index(monkeypatch):
+    # d = 2 reads no complementary power, so neither the benchmark's
+    # stability probe nor a certificate on the full boundary builds the
+    # inverse rows; a d = 3 certificate on Directed{a,b}, which misses
+    # every inverse, builds none either and keeps the dual walk's bits
+    built = []
+    build = subsets._inverse_rows
+    monkeypatch.setattr(
+        subsets, "_inverse_rows", lambda *args: built.append(args) or build(*args)
+    )
+    stability_probe(schottky_rep(), directed_ab(), 1, 1e-3, 20, 10, seed=5)
+    certify(schottky_rep(), FullBoundary(2), 1, 8)
+    rep = helpers.pingpong_rep(1)
+    sample = gamma_p_plus(directed_ab(), 8)
+    for k in (1, 2):
+        assert margins(rep, directed_ab(), k, 8) == per_word_margins(rep, sample, k)
+        certify(rep, directed_ab(), k, 8)
+    assert built == []
+    assert sample.inverse_rows is None
 
 
 def test_d3_margins_are_inversion_dual(rng):

@@ -1,5 +1,6 @@
 """Log-scale linear algebra tests against symmetric-eigen and projector oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -262,14 +263,19 @@ def test_power_images_walk_the_exterior_powers(rng):
     # a word's product of the walked images of power j has top singular
     # value sigma_1 ... sigma_j of its product (sigma_1(M^-T) = 1 / sigma_d
     # for the duals), and a power's images multiply along a word
-    # (Cauchy-Binet)
+    # (Cauchy-Binet); the complementary walk takes min(j, d - j) for each
+    # power j and no duals
     for dim in (2, 3, 4, 5):
         rep = Representation.of([helpers.random_invertible(rng, dim) for _ in range(2)])
         word = parse_word("abAb")
         logs = np.log(np.linalg.svd(helpers.word_matrix(rep, word), compute_uv=False))
-        for k in range(1, dim):
-            for powers, images in power_images(rep, k):
-                assert all(abs(j - k) <= 1 and 1 <= j < dim for j in powers)
+        for k, complementary in itertools.product(range(1, dim), (False, True)):
+            needed = range(max(1, k - 1), min(k + 2, dim))
+            if complementary:
+                needed = {min(j, dim - j) for j in needed}
+            groups = power_images(rep, k, complementary)
+            assert sorted(j for powers, _ in groups for j in powers) == sorted(needed)
+            for powers, images in groups:
                 assert images.shape[:2] == (4, len(powers))
                 for i, j in enumerate(powers):
                     product = np.eye(images.shape[-1])
@@ -277,6 +283,7 @@ def test_power_images_walk_the_exterior_powers(rng):
                         product = product @ images[letter, i]
                     top = np.log(np.linalg.svd(product, compute_uv=False)[0])
                     if j == dim - 1 > 1:
+                        assert not complementary
                         expected = -logs[-1]
                     else:
                         expected = logs[:j].sum()

@@ -416,6 +416,55 @@ def test_primitive_sample_flagged_incomplete():
 
 
 # ---------------------------------------------------------------------------
+# the inverse rows of an inversion-closed sample
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FullBoundary(2),
+        FullBoundary(3),
+        Primitive(2, 6),
+        AxisFamily(2, (parse_word("ab"), parse_word("BA"))),
+    ],
+)
+def test_inverse_rows_point_at_the_inverse_words(spec):
+    sample = gamma_p_plus(spec, 6)
+    index = sample.inverse_rows
+    assert index is not None and len(index) == sample.budget
+    for t in range(1, sample.budget + 1):
+        assert index[t - 1].dtype == np.intp
+        inverses = [w.inverse() for w in sample.level_words(t)]
+        assert sample.decode(t, index[t - 1]) == inverses
+
+
+@pytest.mark.parametrize(
+    "spec", [Directed(2, frozenset({0, 2})), AxisFamily(2, (parse_word("ab"),))]
+)
+def test_samples_that_miss_an_inverse_have_no_inverse_rows(spec):
+    # the subset is not its own flip, so no index is built; built anyway
+    # from the levels, it finds a missing inverse
+    sample = gamma_p_plus(spec, 6)
+    assert sample.inverse_rows is None
+    assert subsets._inverse_rows(sample.levels, 2 * spec.rank) is None
+
+
+def test_inverse_rows_exist_on_the_presets_that_are_their_own_flip():
+    presets = (
+        FullBoundary(2),
+        Directed(2, frozenset({0, 2})),
+        Directed(1, frozenset({0})),
+        AxisFamily(2, (parse_word("ab"), parse_word("aab"))),
+        Primitive(2, 3),
+    )
+    for spec in presets:
+        sample = gamma_p_plus(spec, 8)
+        built = subsets._inverse_rows(sample.levels, 2 * spec.rank)
+        assert (sample.inverse_rows is not None) == (hat(spec) == spec)
+        assert (built is not None) == (hat(spec) == spec)
+
+
+# ---------------------------------------------------------------------------
 # the subset graph against the per-kind references it replaced
 
 

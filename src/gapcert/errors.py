@@ -11,12 +11,8 @@ class EmptyWordError(GapcertError):
     """An operation that needs a nonempty word received the empty word."""
 
 
-class EqualEndpointsError(GapcertError):
-    """A geodesic was requested between a boundary point and itself."""
-
-
 class OriginOffGeodesicError(GapcertError):
-    """The identity does not lie on the requested geodesic."""
+    """The identity does not lie on the line between two boundary points."""
 
 
 class BudgetError(GapcertError):

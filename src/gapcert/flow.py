@@ -1,13 +1,13 @@
 """Discrete-time flow side: shift space, bundle cocycle, splittings.
 
-A shift point is a marked bi-infinite geodesic whose endpoint pair belongs
-to the declared subset; the quotient by the group action is realized by
-always reading words from the marked origin, so the time-n bundle map over
-a point is the inverse image of its forward word - exactly, with no
-distortion constants.  On top of the cocycle this module measures
-Anosov-style singular gap margins at the complementary index, reads the
-stable/unstable splitting over a point as the limit planes at the two ends
-of its line (two reads of the limit-plane walks), checks the splitting for
+A shift point is a line of the declared subset seen from its marker: the
+line's two ends translated so that the marker is the identity.  So the
+group's translates of a marked line are one point, and the time-n bundle
+map over it is the inverse image of its forward end's length-n prefix -
+exactly, with no distortion constants.  On top of the cocycle this module
+measures Anosov-style singular gap margins at the complementary index,
+reads the stable/unstable splitting over a point as the limit planes at
+its two ends (two reads of the limit-plane walks), checks the splitting for
 invariance / domination / endpoint consistency, runs the block graph
 transform with its contraction hypotheses to rebuild invariant sections
 over periodic orbits, and probes stability of the certificate under random
@@ -38,6 +38,7 @@ from .errors import (
     NoConvergenceError,
     NoGapError,
     NotCertifiedError,
+    OriginOffGeodesicError,
     SingularBlockError,
 )
 from .limits import (
@@ -59,12 +60,7 @@ from .linalg import (
 )
 from .pcg64 import Stream
 from .subsets import SubsetPSpec, _require_pair, gamma_p_plus
-from .words import (
-    BiInfiniteGeodesic,
-    BoundaryPoint,
-    geodesic_through,
-    translate,
-)
+from .words import BoundaryPoint, gromov_product, translate
 
 DEFAULT_FLOW_STEPS = 80
 # Norm ceiling of the three graph-transform hypotheses.
@@ -80,32 +76,37 @@ MAX_SWEEPS = 2000
 # shift space
 
 
-class ShiftPoint(namedtuple("ShiftPoint", "spec line")):
-    """A marked geodesic line whose endpoint pair belongs to the subset.
-
-    The marked origin is the line's vertex(0); shifting moves the marker
-    one step toward the forward endpoint.  All cocycle evaluations re-base
-    words at the marker, which realizes the group quotient exactly.
-    """
+class ShiftPoint(namedtuple("ShiftPoint", "spec forward backward")):
+    """A marked line of the subset as its two ends seen from the marker:
+    translated so that the marker is the identity, which lies on the line
+    between them.  Letter n of forward labels the line's n-th step past
+    the marker, and the translates of one marked line compare equal."""
 
     __slots__ = ()
 
     spec: SubsetPSpec
-    line: BiInfiniteGeodesic
+    forward: BoundaryPoint
+    backward: BoundaryPoint
 
 
 def shift_point(
     spec: SubsetPSpec, forward: BoundaryPoint, backward: BoundaryPoint
 ) -> ShiftPoint:
-    """Build a shift point, marked at the identity, after verifying the
-    endpoint pair membership."""
+    """The line from backward to forward marked at the identity, after
+    verifying the endpoint pair membership; raises OriginOffGeodesicError
+    when the identity is not on it."""
     _require_pair(spec, forward, backward)
-    return ShiftPoint(spec, geodesic_through(forward, backward))
+    if gromov_product(forward, backward) != 0:
+        raise OriginOffGeodesicError("the identity is not on the geodesic")
+    return ShiftPoint(spec, forward, backward)
 
 
 def shift(x: ShiftPoint, n: int = 1) -> ShiftPoint:
-    """Move the marked origin n steps toward the forward endpoint."""
-    return ShiftPoint(x.spec, x.line.reparametrize(n))
+    """Move the marker n steps toward the forward end (toward the backward
+    end for n < 0): translate both ends by the inverse of the steps."""
+    steps = x.forward.prefix(n) if n >= 0 else x.backward.prefix(-n)
+    back = steps.inverse()
+    return ShiftPoint(x.spec, translate(back, x.forward), translate(back, x.backward))
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +131,9 @@ def cocycle(rep: Representation, x: ShiftPoint, n: int) -> ScaledMatrix:
 def _cocycle_stack(rep: Representation, x: ShiftPoint, count: int):
     """Cores and log scales of the time-n maps over x for n = 1, ..., count
     as one running product: the time-n map rho(forward word)^-1 is the
-    transpose of rho(forward word)^-T, the running product of the step
-    letters' dual images."""
-    codes = np.array([x.line.step_letter(n) for n in range(count)], dtype=np.intp)
+    transpose of rho(forward word)^-T, the running product of the dual
+    images of x.forward's letters."""
+    codes = np.array([x.forward.letter_at(n) for n in range(count)], dtype=np.intp)
     cores, logscales = running_products(
         np.eye(rep.dim)[None], np.zeros(1), rep.stacked_duals[codes][:, None]
     )
@@ -174,10 +175,10 @@ def anosov_margins(
     window_lo = max(1, math.ceil(n_steps / 2))
     curves = []
     for x in points:
-        _require_pair(spec, x.line.forward, x.line.backward)
+        _require_pair(spec, x.forward, x.backward)
         # level n is the forward word of length n + 1, its parent the word
         # of level n - 1 (the empty word for n = 0)
-        levels = [([0], [x.line.step_letter(n)]) for n in range(n_steps)]
+        levels = [([0], [x.forward.letter_at(n)]) for n in range(n_steps)]
         margins = [float(level[0, 0]) for level in _level_margins([rep], levels, k)]
         slope, _, stderr = _fit_slope(
             [(n, margins[n - 1]) for n in range(window_lo, n_steps + 1)]
@@ -224,13 +225,6 @@ class SplittingSample(
     skipped_lengths: tuple[int, ...]
 
 
-def _line_ends(x: ShiftPoint) -> tuple[BoundaryPoint, BoundaryPoint]:
-    """The forward and backward endpoints of x's line re-based at the
-    marker, the group quotient the cocycle reads words in."""
-    marker = x.line.vertex(0).inverse()
-    return translate(marker, x.line.forward), translate(marker, x.line.backward)
-
-
 def _splitting(
     rep: Representation,
     x: ShiftPoint,
@@ -241,12 +235,10 @@ def _splitting(
 ) -> SplittingSample:
     """The splitting over x as two limit-plane reads at tol within n_steps
     prefixes: the k-plane at the forward end and the (d-k)-plane at the
-    backward end, re-based at the marker; raises NoConvergenceError when
-    either does not settle."""
-    forward, backward = _line_ends(x)
+    backward end; raises NoConvergenceError when either does not settle."""
     try:
-        stable = _plane(rep, k, forward, rate, tol, n_steps)
-        unstable = _plane(rep, rep.dim - k, backward, rate, tol, n_steps)
+        stable = _plane(rep, k, x.forward, rate, tol, n_steps)
+        unstable = _plane(rep, rep.dim - k, x.backward, rate, tol, n_steps)
     except (NoGapError, NoConvergenceError) as exc:
         raise NoConvergenceError(
             f"splitting did not settle within {n_steps} steps: {exc}"
@@ -273,8 +265,7 @@ def bg_splitting(
     tol: float = DEFAULT_TOL,
     certificate: Optional[DominationCertificate] = None,
 ) -> SplittingSample:
-    """Stable/unstable splitting over x: the limit planes at the ends of
-    its line, re-based at the marker.
+    """Stable/unstable splitting over x: the limit planes at its ends.
 
     stable, the most-contracted k directions of the time-n maps over x, is
     the forward k-plane: those maps invert the forward end's prefixes, so
@@ -327,10 +318,10 @@ def splitting_checks(
     stable stretch over the least unstable stretch of the time-n maps, at
     every length up to the sample's stop that neither summand skipped; its
     fitted slope must be negative.  Endpoint consistency compares the
-    summands with the boundary limit maps at the line's endpoints re-based
-    at the marker, read at DEFAULT_TOL up to n_max prefixes at the
-    certificate's rate: the walks the sample was read from, so it measures
-    how far the sample's own stop lies from the stop at DEFAULT_TOL.
+    summands with the boundary limit maps at the point's ends, read at
+    DEFAULT_TOL up to n_max prefixes at the certificate's rate: the walks
+    the sample was read from, so it measures how far the sample's own stop
+    lies from the stop at DEFAULT_TOL.
     Every residual must be below SPLITTING_TOL.
     """
     x = sample.point
@@ -354,14 +345,13 @@ def splitting_checks(
     ratio_values = (np.log(stretched[:, 0]) - np.log(kept[:, -1])).tolist()
     ratio_slope, _, _ = _fit_slope(list(zip(ratio_lengths, ratio_values)))
 
-    forward, backward = _line_ends(x)
     stable_residual = grassmann_distance(
         sample.stable,
-        xi_upper(rep, x.spec, k, forward, n_max=n_max, certificate=certificate).subspace,
+        xi_upper(rep, x.spec, k, x.forward, n_max=n_max, certificate=certificate).subspace,
     )
     unstable_residual = grassmann_distance(
         sample.unstable,
-        xi_lower(rep, x.spec, k, backward, n_max=n_max, certificate=certificate).subspace,
+        xi_lower(rep, x.spec, k, x.backward, n_max=n_max, certificate=certificate).subspace,
     )
     transversality = transversality_gap(sample.stable, sample.unstable)
     passed = (
@@ -553,18 +543,25 @@ def orbit_block_maps(
     in the stable/unstable frames of the given samples.
 
     samples[i] must sit over the i-fold shift of samples[0]'s point, with
-    the orbit closing up after the last one.  The representation may be a
-    perturbation of the one that produced the samples: that is how the
-    graph transform measures how far a perturbed cocycle pushes the
-    reference splitting.
+    the orbit closing up after the last one; raises ValueError otherwise.
+    The representation may be a perturbation of the one that produced the
+    samples: that is how the graph transform measures how far a perturbed
+    cocycle pushes the reference splitting.
     """
+    p = len(samples)
+    for i, sample in enumerate(samples):
+        if shift(sample.point) != samples[(i + 1) % p].point:
+            raise ValueError(
+                f"sample {(i + 1) % p} is not over the shift of sample {i}'s "
+                "point: the samples do not form a periodic orbit"
+            )
     frames = [
         np.hstack([s.stable.frame, s.unstable.frame]) for s in samples
     ]
     maps = []
     for i, sample in enumerate(samples):
         step = cocycle(rep, sample.point, 1).matrix()
-        target = frames[(i + 1) % len(samples)]
+        target = frames[(i + 1) % p]
         maps.append(
             BlockMap.from_matrix(
                 np.linalg.solve(target, step @ frames[i]),

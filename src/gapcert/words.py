@@ -1,5 +1,4 @@
-"""Reduced words in a free group, boundary points of its Cayley tree and
-bi-infinite geodesics through it.
+"""Reduced words in a free group and boundary points of its Cayley tree.
 
 A letter is an integer code: 2 (i - 1) for the i-th generator and
 2 (i - 1) + 1 for its inverse, so a letter's inverse is code ^ 1 and codes
@@ -15,11 +14,7 @@ import math
 from itertools import chain, cycle
 from typing import Iterable, Iterator
 
-from .errors import (
-    EmptyWordError,
-    EqualEndpointsError,
-    OriginOffGeodesicError,
-)
+from .errors import EmptyWordError
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -327,57 +322,3 @@ def visual_distance(x: BoundaryPoint, y: BoundaryPoint, kappa: float = 1.0) -> f
         raise ValueError("kappa must be positive")
     gp = gromov_product(x, y)
     return 0.0 if math.isinf(gp) else math.exp(-kappa * gp)
-
-
-class BiInfiniteGeodesic(_Frozen):
-    """Parametrized geodesic line with distinct boundary endpoints.
-
-    The branch vertex (longest common prefix of the endpoint rays) sits at
-    parameter -origin_offset; `vertex(t)` walks from it toward `forward` on
-    the positive side and toward `backward` on the negative side, so that
-    `vertex(0)` is the marked origin of the line.
-    """
-
-    __slots__ = ("forward", "backward", "origin_offset", "_branch")
-    _fields = ("forward", "backward", "origin_offset")
-
-    def __init__(
-        self, forward: BoundaryPoint, backward: BoundaryPoint, origin_offset: int = 0
-    ):
-        if forward == backward:
-            raise EqualEndpointsError("geodesic endpoints must be distinct")
-        _set(self, "forward", forward)
-        _set(self, "backward", backward)
-        _set(self, "origin_offset", origin_offset)
-        _set(self, "_branch", int(gromov_product(forward, backward)))
-
-    def _key(self) -> tuple:
-        return (self.forward, self.backward, self.origin_offset)
-
-    def vertex(self, t: int) -> ReducedWord:
-        """Group element at parameter t (vertex of the Cayley tree)."""
-        s = self.origin_offset + t
-        if s >= 0:
-            return self.forward.prefix(self._branch + s)
-        return self.backward.prefix(self._branch - s)
-
-    def step_letter(self, t: int) -> int:
-        """Letter labelling the edge vertex(t) -> vertex(t + 1)."""
-        s = self.origin_offset + t
-        if s >= 0:
-            return self.forward.letter_at(self._branch + s)
-        return self.backward.letter_at(self._branch - s - 1) ^ 1
-
-    def reparametrize(self, shift: int) -> "BiInfiniteGeodesic":
-        """Move the origin: the new vertex(0) is the old vertex(shift)."""
-        return BiInfiniteGeodesic(
-            self.forward, self.backward, self.origin_offset + shift
-        )
-
-
-def geodesic_through(x: BoundaryPoint, y: BoundaryPoint) -> BiInfiniteGeodesic:
-    """The geodesic from y to x, marked at the identity as its l(0)."""
-    line = BiInfiniteGeodesic(x, y)
-    if line._branch:
-        raise OriginOffGeodesicError("the identity is not on the geodesic")
-    return line

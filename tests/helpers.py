@@ -543,28 +543,20 @@ def forward_maps(rep, x, count):
     ScaledMatrix.times."""
     current = ScaledMatrix.identity(rep.dim)
     for t in range(count):
-        current = current.times(rep.stacked_duals[x.line.step_letter(t)])
+        current = current.times(rep.stacked_duals[x.forward.letter_at(t)])
         yield ScaledMatrix(current.core.T, current.logscale)
-
-
-def line_ends(x):
-    """The forward and backward ends of a shift point's line, re-based at
-    its marker."""
-    marker = x.line.vertex(0).inverse()
-    return translate(marker, x.line.forward), translate(marker, x.line.backward)
 
 
 def reference_splitting(rep, x, k, n_steps, tol, rate):
     """The splitting over x as the one-point prefix loop reads it: the
-    (stable, unstable) limit-plane values at the line's re-based forward
-    end at index k and backward end at d - k, within n_steps prefixes, or
-    the NoConvergenceError that gapcert.flow raises when either does not
+    (stable, unstable) limit-plane values at the point's forward end at
+    index k and backward end at d - k, within n_steps prefixes, or the
+    NoConvergenceError that gapcert.flow raises when either does not
     settle."""
-    forward, backward = line_ends(x)
     try:
         return (
-            reference_xi_upper(rep, k, forward, rate, tol, n_steps),
-            reference_xi_upper(rep, rep.dim - k, backward, rate, tol, n_steps),
+            reference_xi_upper(rep, k, x.forward, rate, tol, n_steps),
+            reference_xi_upper(rep, rep.dim - k, x.backward, rate, tol, n_steps),
         )
     except (NoGapError, NoConvergenceError) as exc:
         raise NoConvergenceError(

@@ -376,7 +376,7 @@ def test_run_walks_only_the_tolerances_its_tasks_read(monkeypatch):
         return chunk_end(value.iterations)
 
     x = shift_point(spec, parse_boundary_point("(ab)"), parse_boundary_point("(BA)"))
-    shifted = [str(end) for end in helpers.line_ends(shift(x))]
+    shifted = [str(shift(x).forward), str(shift(x).backward)]
     assert shifted == ["(ba)", "(AB)"]
     endpoints = [plane("(ab)", default), plane("(BA)", default)]
     cases = {
@@ -745,6 +745,24 @@ def test_cli_overflowing_products_are_error_verdicts(tmp_path, capsys):
         assert list(blocks) == [task]
         assert blocks[task]["verdict"] == "Error"
         assert blocks[task]["error"].startswith("ScaleOverflowError: ")
+
+
+def test_cli_splitting_off_the_identity_is_an_error_verdict(tmp_path, capsys):
+    # a|(b) and a|(B) are an endpoint pair of directed {a, b} whose line
+    # passes a, not the identity: shift_point refuses it, so the splitting
+    # block is an OriginOffGeodesicError, exit 1, no traceback
+    data = schottky_config(
+        tasks=["splitting"], points={"forward": "a|(b)", "backward": "a|(B)"}
+    )
+    out = str(tmp_path / "report.json")
+    argv = ["splitting", "--config", write_config(tmp_path, data), "--out", out]
+    assert main([*argv, "--quiet"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    block = load_report(out)["results"]["splitting"]
+    assert block["verdict"] == "Error"
+    assert block["error"] == (
+        "OriginOffGeodesicError: the identity is not on the geodesic"
+    )
 
 
 def test_cli_oversized_budget_is_a_budget_error_verdict(tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -17,6 +17,7 @@ from gapcert.errors import (
     MembershipError,
     NoConvergenceError,
     NotCertifiedError,
+    OriginOffGeodesicError,
     SingularBlockError,
 )
 from gapcert.flow import (
@@ -51,11 +52,12 @@ from gapcert.subsets import (
     q_plus_boundary,
 )
 from gapcert.words import (
-    BiInfiniteGeodesic,
     concat,
+    gromov_product,
     parse_boundary_point,
     parse_word,
     periodic_point,
+    translate,
 )
 
 LOG8 = math.log(8.0)
@@ -107,6 +109,24 @@ def span(*columns):
     return Subspace.from_spanning(np.array(columns, dtype=float).T)
 
 
+def marked_at_branch(spec, forward, backward):
+    """The line from backward to forward marked at its branch vertex, with
+    no membership check: both ends translated by the branch vertex's
+    inverse."""
+    back = forward.prefix(int(gromov_product(forward, backward))).inverse()
+    return ShiftPoint(spec, translate(back, forward), translate(back, backward))
+
+
+@st.composite
+def shift_points(draw):
+    """Shift points of the full rank-2 boundary: two ends whose first
+    letters differ, so that the identity is on the line between them."""
+    forward = draw(helpers.boundary_points())
+    backward = draw(helpers.boundary_points())
+    assume(forward.letter_at(0) != backward.letter_at(0))
+    return shift_point(FullBoundary(2), forward, backward)
+
+
 # ---------------------------------------------------------------------------
 # shift space and cocycle
 
@@ -126,11 +146,62 @@ def test_shift_point_membership_gate():
         )
 
 
+def test_shift_point_refuses_a_line_off_the_identity():
+    # a|(b) and a|(B) branch at a: the line between them is a pair of the
+    # subset, but the identity is not on it
+    forward, backward = parse_boundary_point("a|(b)"), parse_boundary_point("a|(B)")
+    with pytest.raises(OriginOffGeodesicError, match="^the identity is not on"):
+        shift_point(directed_ab(), forward, backward)
+    x = marked_at_branch(directed_ab(), forward, backward)
+    assert (str(x.forward), str(x.backward)) == ("(b)", "(B)")
+
+
 def test_shift_moves_the_marker():
     x = axis_point(AxisFamily(2, (parse_word("ab"),)), "ab")
-    assert flow._line_ends(x)[0].prefix(3) == parse_word("aba")
-    assert flow._line_ends(shift(x, 2))[0].prefix(1) == parse_word("a")
+    assert x.forward.prefix(3) == parse_word("aba")
+    assert shift(x, 2).forward.prefix(1) == parse_word("a")
+    assert (str(shift(x).forward), str(shift(x).backward)) == ("(ba)", "(AB)")
     assert shift(shift(x, 1), -1) == x
+
+
+@given(shift_points(), st.integers(-5, 5), st.integers(-5, 5))
+def test_shifts_compose(x, s, t):
+    # the marker moves at unit speed: shift(x, s) sees x's ends from the
+    # vertex s, reached by the first |s| letters of the end it walks to
+    assert shift(shift(x, s), t) == shift(x, s + t)
+    steps = x.forward.prefix(s) if s >= 0 else x.backward.prefix(-s)
+    for m in range(6):
+        # from the vertex s to the vertex max(s, 0) + m
+        ahead = concat(steps.inverse(), x.forward.prefix(max(s, 0) + m))
+        assert len(ahead) == max(s, 0) + m - s
+        assert shift(x, s).forward.prefix(m) == ahead.prefix(m)
+
+
+@given(helpers.cyclically_reduced_words())
+def test_a_periodic_orbit_closes(w):
+    # the axis of w is the orbit of its marker: len(w) shifts either way
+    # give the same point, the translates of one marked line comparing equal
+    x = shift_point(FullBoundary(2), periodic_point(w), periodic_point(w.inverse()))
+    assert shift(x, len(w)) == x
+    assert shift(x, -len(w)) == x
+    assert x.forward.prefix(len(w)) == w
+
+
+@given(shift_points(), st.integers(0, 6))
+@settings(max_examples=50, deadline=None)
+def test_cocycle_steps_along_the_forward_letters(x, n):
+    # the time-(n+1) map is the time-n map followed by the inverse image
+    # of the step letter: x.forward.letter_at(n), the letter between the
+    # n-fold and the (n+1)-fold shift
+    rep = Representation.of(
+        [np.array([[2.0, 1.0], [1.0, 1.0]]), np.array([[1.0, 2.0], [0.0, 1.0]])]
+    )
+    cores, logscales = flow._cocycle_stack(rep, x, n + 1)
+    maps = [math.exp(ls) * core for core, ls in zip(cores, logscales)]
+    step = maps[n] if n == 0 else maps[n] @ np.linalg.inv(maps[n - 1])
+    letter = x.forward.letter_at(n)
+    assert np.allclose(step, np.linalg.inv(rep.image(letter)), atol=1e-8)
+    assert shift(x, n).forward.letter_at(0) == letter
 
 
 def test_cocycle_diagonal_values():
@@ -170,32 +241,31 @@ def test_running_maps_match_the_cocycle():
     # n * eps times the ratio of the top to the (k+1)-th singular value
     eps = 2.0**-52
 
-    def forward_word(point, n):
-        return concat(point.line.vertex(0).inverse(), point.line.vertex(n))
+    start = shift_point(
+        FullBoundary(2),
+        parse_boundary_point("ab|(aB)"),
+        parse_boundary_point("b|(AAb)"),
+    )
+    x = shift(start, 2)
+
+    def forward_word(n):
+        # from x's marker, two steps along start's line, n steps on
+        return concat(start.forward.prefix(2).inverse(), start.forward.prefix(2 + n))
 
     for seed in range(6):
         rng = np.random.default_rng(seed)
         dim = 2 + seed % 2
         rep = Representation.of([helpers.random_invertible(rng, dim) for _ in range(2)])
-        x = shift(
-            shift_point(
-                FullBoundary(2),
-                parse_boundary_point("ab|(aB)"),
-                parse_boundary_point("b|(AAb)"),
-            ),
-            2,
-        )
-        forward, backward = flow._line_ends(x)
         cores, logscales = flow._cocycle_stack(rep, x, 40)
         for n, stacked in enumerate(helpers.forward_maps(rep, x, 40), start=1):
-            assert forward.prefix(n) == forward_word(x, n)
-            assert backward.prefix(n) == forward_word(shift(x, -n), n).inverse()
+            assert x.forward.prefix(n) == forward_word(n)
+            assert x.backward.prefix(n) == shift(x, -n).forward.prefix(n).inverse()
             assert cores[n - 1].tobytes() == stacked.core.tobytes()
             assert logscales[n - 1] == stacked.logscale
             row = cocycle(rep, x, n)
             assert row.core.tobytes() == cores[n - 1].tobytes()
             assert row.logscale == logscales[n - 1]
-            expected = evaluate(rep, forward_word(x, n).inverse())
+            expected = evaluate(rep, forward_word(n).inverse())
             moved = math.exp(stacked.logscale - expected.logscale) * stacked.core
             error = np.linalg.norm(moved - expected.core)
             assert error <= 16 * n * eps * np.linalg.norm(expected.core)
@@ -244,7 +314,7 @@ def test_anosov_margins_match_prefix_word_margins():
         x = axis_point(spec, text)
         curve = anosov_margins(rep, spec, 1, 10, [x])[0]
         for n, margin in zip(curve.lengths, curve.margins):
-            word = flow._line_ends(x)[0].prefix(n)
+            word = x.forward.prefix(n)
             word_side = gap_margin(evaluate(rep, word), 1)
             # the small singular value is resolved to eps relative to the
             # big one, so its log wobbles by about eps * exp(margin)
@@ -396,7 +466,7 @@ def test_splitting_checks_walk_the_endpoint_planes_up_to_n_max():
     with pytest.raises(NoConvergenceError) as caught:
         splitting_checks(rep, sample, certificate=cert, n_max=3)
     with pytest.raises(NoConvergenceError) as alone:
-        limits.xi_upper(rep, spec, 1, x.line.forward, n_max=3, certificate=cert)
+        limits.xi_upper(rep, spec, 1, x.forward, n_max=3, certificate=cert)
     assert str(caught.value) == str(alone.value)
     assert splitting_checks(rep, sample, certificate=cert, n_max=40).passed
 
@@ -414,7 +484,7 @@ def test_backward_planes_take_the_given_certificate(monkeypatch):
 
     monkeypatch.setattr(limits, "certify", recording)
     x = axis_point(spec, "ab")
-    forward, backward = x.line.forward, x.line.backward
+    forward, backward = x.forward, x.backward
     limits.transversality_table(rep, spec, 1, [(forward, backward)], certificate=cert)
     seed = span([1.0, 0.3])
     limits.sdp_check(rep, spec, 1, forward, backward, seed, certificate=cert)
@@ -530,11 +600,12 @@ def test_one_pass_splitting_settles_each_tolerance_as_walked_alone(case, rate, r
     rep, spec = case
     forward = sorted(q_plus_boundary(spec, 3), key=str)[:3]
     backward = sorted(q_plus_boundary(hat(spec), 3), key=str)[-2:]
-    lines = [BiInfiniteGeodesic(x, y) for x in forward for y in backward if x != y]
+    points = [
+        marked_at_branch(spec, x, y) for x in forward for y in backward if x != y
+    ]
     for k in range(1, rep.dim):
-        for line in lines:
-            x = ShiftPoint(spec, line)
-            ends = list(zip(helpers.line_ends(x), (k, rep.dim - k)))
+        for x in points:
+            ends = list(zip((x.forward, x.backward), (k, rep.dim - k)))
             needs = {end: [] for end in ends}
             limits._WALKS.clear()
             for tol, n_steps in reads:
@@ -591,8 +662,7 @@ def test_splitting_stops_on_both_sides_of_a_chunk_edge(monkeypatch):
     # a gapless length after the stop, in the stop's chunk, is not skipped
     rep = example_56_rep()
     detour = parse_boundary_point("a" * 25 + "b|(a)")
-    line = BiInfiniteGeodesic(detour, parse_boundary_point("(A)"))
-    x = ShiftPoint(FullBoundary(2), line)
+    x = shift_point(FullBoundary(2), detour, parse_boundary_point("(A)"))
     assert gap_margin(cocycle(rep, x, 51), 1) == 0.0
     monkeypatch.setattr(limits, "_WALK_CHUNK", 64)
     got = read_splitting(rep, x, 1, 80, 1e-10, 1.0)
@@ -611,7 +681,7 @@ def test_a_splitting_chunk_that_fails_past_the_stop_is_rewalked(monkeypatch, err
     stop = want[0].iterations
     monkeypatch.setattr(limits, "_WALK_CHUNK", stop + 2)
     # the backward end is read first, so only the forward end walks below
-    limits._plane(rep, 1, helpers.line_ends(x)[1], rate, 1e-10, 80)
+    limits._plane(rep, 1, x.backward, rate, 1e-10, 80)
     calls = []
     original = limits.running_products
 
@@ -654,7 +724,7 @@ def test_shared_walks_extract_each_splitting_once():
     # at 60 steps and 1e-8 for bg_splitting and at 1e-10 for the endpoint
     # residuals, the shift's only by the checks, within the sample's 60
     # steps at 1e-10; each walk to the chunk of its 1e-10 stop
-    ends = [*helpers.line_ends(x), *helpers.line_ends(shift(x))]
+    ends = [x.forward, x.backward, shift(x).forward, shift(x).backward]
     assert walked_planes() == sorted(((point, 1) for point in ends), key=str)
     for point in ends:
         stop = helpers.reference_xi_upper(rep, 1, point, cert.lambda_hat, 1e-10, 60)
@@ -676,17 +746,17 @@ def test_shared_walks_extract_each_splitting_once():
 
 
 def test_bg_splitting_walks_only_its_own_point():
-    # bg_splitting walks the two ends of its point's line; the checks add
+    # bg_splitting walks the two ends of its point; the checks add
     # the two of the shift they compare against, and read the endpoint
     # planes from the point's own walks
     rep, spec = schottky_rep(), directed_ab()
     cert = certify(rep, spec, 1, 8)
     x = axis_point(spec, "ab")
     sample = bg_splitting(rep, x, 1, certificate=cert)
-    ends = list(helpers.line_ends(x))
+    ends = [x.forward, x.backward]
     assert walked_planes() == sorted(((point, 1) for point in ends), key=str)
     splitting_checks(rep, sample, certificate=cert)
-    ends += helpers.line_ends(shift(x))
+    ends += [shift(x).forward, shift(x).backward]
     assert walked_planes() == sorted(((point, 1) for point in ends), key=str)
 
 
@@ -824,6 +894,25 @@ def test_invariant_section_periodic_orbit():
     assert section.residual < 1e-10
     # the unperturbed cocycle already preserves the reference splitting
     assert max(np.linalg.norm(f, 2) for f in section.sections) < 1e-8
+
+
+def test_orbit_block_maps_need_the_samples_in_orbit_order():
+    # over the orbit of aab, samples 1 and 2 swapped put the fibre over
+    # shift(x, 2) after the one over x: no block map joins them
+    rep, spec = schottky_rep(), directed_ab()
+    cert = certify(rep, spec, 1, 8)
+    x = axis_point(spec, "aab")
+    samples = [
+        bg_splitting(rep, shift(x, i), 1, certificate=cert) for i in range(3)
+    ]
+    assert shift(x, 3) == x
+    assert invariant_section(orbit_block_maps(rep, samples)).residual < 1e-10
+    swapped = [samples[0], samples[2], samples[1]]
+    with pytest.raises(ValueError, match="do not form a periodic orbit"):
+        orbit_block_maps(rep, swapped)
+    # an orbit that does not close after the last sample
+    with pytest.raises(ValueError, match="do not form a periodic orbit"):
+        orbit_block_maps(rep, samples[:2])
 
 
 # ---------------------------------------------------------------------------

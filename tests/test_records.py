@@ -15,14 +15,9 @@ import pytest
 import gapcert
 from gapcert import config, domination, flow, limits, report
 from gapcert.domination import CertifyOptions
-from gapcert.flow import ShiftPoint
-from gapcert.subsets import AxisFamily, Directed, Primitive
-from gapcert.words import (
-    BiInfiniteGeodesic,
-    geodesic_through,
-    parse_boundary_point,
-    parse_word,
-)
+from gapcert.flow import ShiftPoint, shift, shift_point
+from gapcert.subsets import AxisFamily, Directed, FullBoundary, Primitive
+from gapcert.words import parse_boundary_point, parse_word
 
 
 def test_import_leaves_dataclasses_unloaded():
@@ -57,17 +52,18 @@ def test_tuple_records_annotate_exactly_their_fields():
 
 def key_values():
     x, y = parse_boundary_point("b|(ab)"), parse_boundary_point("(BA)")
-    line = geodesic_through(x, y)
+    # two steps along the line, its ends seen from the new marker
+    ahead, behind = parse_boundary_point("(ba)"), parse_boundary_point("AB|(BA)")
     return [
         (parse_word("abA"), ((0, 2, 1),)),
         (x, (x.preperiod, x.period)),
-        (line, (x, y, 0)),
-        (BiInfiniteGeodesic(x, y, 3), (x, y, 3)),
         (Directed(2, [0, 2]), (2, frozenset({0, 2}))),
         (AxisFamily(2, (parse_word("ba"),)), (2, (parse_word("ab"),))),
         (Primitive(2, 5), (2, 5)),
         (CertifyOptions(0.5), (0.5, 1e-6)),
-        (ShiftPoint(Primitive(2, 5), line), (Primitive(2, 5), line)),
+        (ShiftPoint(Primitive(2, 5), x, y), (Primitive(2, 5), x, y)),
+        (shift_point(FullBoundary(2), x, y), (FullBoundary(2), x, y)),
+        (shift(shift_point(FullBoundary(2), x, y), 2), (FullBoundary(2), ahead, behind)),
     ]
 
 

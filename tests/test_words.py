@@ -1,4 +1,4 @@
-"""Word, boundary point and geodesic tests against naive oracles."""
+"""Word and boundary point tests against naive oracles."""
 
 import math
 
@@ -7,20 +7,14 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import helpers
-from gapcert.errors import (
-    EmptyWordError,
-    EqualEndpointsError,
-    OriginOffGeodesicError,
-)
+from gapcert.errors import EmptyWordError
 from gapcert.words import (
     EMPTY_WORD,
-    BiInfiniteGeodesic,
     BoundaryPoint,
     ReducedWord,
     boundary_point_to_string,
     concat,
     cyclic_reduce,
-    geodesic_through,
     gromov_product,
     letter_to_string,
     parse_boundary_point,
@@ -270,55 +264,3 @@ def test_visual_distance_kappa():
         visual_distance(x, y, kappa=0.0)
 
 
-# ---------------------------------------------------------------------------
-# geodesics
-
-
-def axis_line():
-    return geodesic_through(
-        periodic_point(parse_word("a")), periodic_point(parse_word("A"))
-    )
-
-
-def test_geodesic_vertices_on_axis():
-    line = axis_line()
-    assert word_to_string(line.vertex(0)) == ""
-    assert word_to_string(line.vertex(3)) == "aaa"
-    assert word_to_string(line.vertex(-2)) == "AA"
-    assert line.step_letter(0) == A
-    assert line.step_letter(-1) == A
-
-
-def test_geodesic_through_origin_and_errors():
-    x = periodic_point(parse_word("ab"))
-    y = periodic_point(parse_word("A"))
-    assert geodesic_through(x, y).vertex(3) == parse_word("aba")
-    with pytest.raises(EqualEndpointsError):
-        geodesic_through(x, x)
-    with pytest.raises(OriginOffGeodesicError):
-        geodesic_through(x, parse_boundary_point("a|(B)"))
-
-
-@st.composite
-def geodesics(draw, rank=2):
-    x = draw(helpers.boundary_points(rank))
-    y = draw(helpers.boundary_points(rank))
-    assume(x != y)
-    offset = draw(st.integers(-3, 3))
-    return BiInfiniteGeodesic(x, y, offset)
-
-
-@given(geodesics(), st.integers(-5, 5), st.integers(-5, 5))
-def test_geodesic_vertices_are_unit_speed(line, s, t):
-    assert helpers.naive_distance(line.vertex(s), line.vertex(t)) == abs(s - t)
-
-
-@given(geodesics(), st.integers(-4, 4))
-def test_step_letter_consistent(line, t):
-    stepped = concat(line.vertex(t), ReducedWord((line.step_letter(t),)))
-    assert stepped == line.vertex(t + 1)
-
-
-@given(geodesics(), st.integers(-4, 4), st.integers(-4, 4))
-def test_reparametrize_shifts_vertices(line, s, t):
-    assert line.reparametrize(s).vertex(t) == line.vertex(s + t)

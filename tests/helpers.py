@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from gapcert import domination
 from gapcert.errors import BudgetError, NoConvergenceError, NoGapError
+from gapcert.flow import shift_point
 from gapcert.limits import BOUND_SLACK, LimitMapValue
 from gapcert.linalg import (
     _TINY,
@@ -412,6 +413,16 @@ def boundary_points(draw, rank: int = 2, max_pre: int = 4, max_per: int = 4):
     while keep and keep[-1] == per.letters[0] ^ 1:
         keep.pop()  # drop letters that would cancel into the period
     return BoundaryPoint(ReducedWord(tuple(keep)), per)
+
+
+@st.composite
+def shift_points(draw):
+    """Shift points of the full rank-2 boundary: two ends whose first
+    letters differ, so that the identity is on the line between them."""
+    forward = draw(boundary_points())
+    backward = draw(boundary_points())
+    assume(forward.letter_at(0) != backward.letter_at(0))
+    return shift_point(FullBoundary(2), forward, backward)
 
 
 @st.composite

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -117,16 +117,6 @@ def marked_at_branch(spec, forward, backward):
     return ShiftPoint(spec, translate(back, forward), translate(back, backward))
 
 
-@st.composite
-def shift_points(draw):
-    """Shift points of the full rank-2 boundary: two ends whose first
-    letters differ, so that the identity is on the line between them."""
-    forward = draw(helpers.boundary_points())
-    backward = draw(helpers.boundary_points())
-    assume(forward.letter_at(0) != backward.letter_at(0))
-    return shift_point(FullBoundary(2), forward, backward)
-
-
 # ---------------------------------------------------------------------------
 # shift space and cocycle
 
@@ -164,7 +154,7 @@ def test_shift_moves_the_marker():
     assert shift(shift(x, 1), -1) == x
 
 
-@given(shift_points(), st.integers(-5, 5), st.integers(-5, 5))
+@given(helpers.shift_points(), st.integers(-5, 5), st.integers(-5, 5))
 def test_shifts_compose(x, s, t):
     # the marker moves at unit speed: shift(x, s) sees x's ends from the
     # vertex s, reached by the first |s| letters of the end it walks to
@@ -187,7 +177,7 @@ def test_a_periodic_orbit_closes(w):
     assert x.forward.prefix(len(w)) == w
 
 
-@given(shift_points(), st.integers(0, 6))
+@given(helpers.shift_points(), st.integers(0, 6))
 @settings(max_examples=50, deadline=None)
 def test_cocycle_steps_along_the_forward_letters(x, n):
     # the time-(n+1) map is the time-n map followed by the inverse image

@@ -1,4 +1,4 @@
-"""Word and boundary point tests against naive oracles."""
+"""Word, boundary point and geodesic tests against naive oracles."""
 
 import math
 
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import helpers
 from gapcert.errors import EmptyWordError
+from gapcert.flow import shift
 from gapcert.words import (
     EMPTY_WORD,
     BoundaryPoint,
@@ -264,3 +265,22 @@ def test_visual_distance_kappa():
         visual_distance(x, y, kappa=0.0)
 
 
+# ---------------------------------------------------------------------------
+# geodesics: the line of a shift point, its marker at the identity
+
+
+def vertex(x, t):
+    """The vertex at time t on the line of x: the first t letters of its
+    forward end, or the first -t of its backward end for t < 0."""
+    return x.forward.prefix(t) if t >= 0 else x.backward.prefix(-t)
+
+
+@given(helpers.shift_points(), st.integers(-5, 5), st.integers(-5, 5))
+def test_geodesic_vertices_are_unit_speed(x, s, t):
+    assert helpers.naive_distance(vertex(x, s), vertex(x, t)) == abs(s - t)
+
+
+@given(helpers.shift_points(), st.integers(-4, 4), st.integers(-4, 4))
+def test_reparametrize_shifts_vertices(x, s, t):
+    # shift(x, s) sees the same line from the vertex s
+    assert concat(vertex(x, s), vertex(shift(x, s), t)) == vertex(x, s + t)

@@ -38,7 +38,6 @@ TASK_NAMES = (
 DEFAULT_TOLERANCES = {
     "subspace": 1e-8,
     "lambda_min": CertifyOptions().lambda_min,
-    "eps_res": CertifyOptions().eps_res,
 }
 
 DEFAULT_SAMPLING = {
@@ -121,10 +120,7 @@ class RunConfig:
         return _build_subset(self.subset, self.rank)
 
     def certify_options(self) -> CertifyOptions:
-        return CertifyOptions(
-            lambda_min=self.tolerances["lambda_min"],
-            eps_res=self.tolerances["eps_res"],
-        )
+        return CertifyOptions(lambda_min=self.tolerances["lambda_min"])
 
     def forward_point(self) -> BoundaryPoint:
         return _parsed_point(self.points["forward"])

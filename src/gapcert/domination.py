@@ -43,34 +43,27 @@ MEMO_SIZE = 8
 _MEMO: "dict[tuple, DominationCertificate]" = {}
 
 
-class CertifyOptions(
-    namedtuple("CertifyOptions", "lambda_min eps_res", defaults=(0.02, 1e-6))
-):
-    """Thresholds for turning a margin table into a verdict.
-
-    lambda_min: least fitted growth rate accepted as domination evidence.
-    eps_res: slack allowed below the reported support line on the window.
-    """
+class CertifyOptions(namedtuple("CertifyOptions", "lambda_min", defaults=(0.02,))):
+    """The threshold for turning a margin table into a verdict: lambda_min,
+    the least fitted growth rate accepted as domination evidence."""
 
     __slots__ = ()
 
     lambda_min: float
-    eps_res: float
 
 
 class DominationCertificate(
     namedtuple(
         "DominationCertificate",
         "k budget margins argmins lambda_hat c_hat slope_stderr "
-        "residual_min fit_window verdict counterexample complete notes",
+        "fit_window verdict counterexample complete notes",
     )
 ):
     """Margin table plus fitted constants and an evidence-grade verdict.
 
     The fitted line m(t) ~ lambda_hat * t + c_hat uses least squares for the
     slope on the window [ceil(L/2), L] and the largest intercept keeping the
-    line at or below every window margin (support form), so residual_min is
-    the worst window slack relative to the reported line.
+    line at or below every window margin (support form).
     """
 
     __slots__ = ()
@@ -82,7 +75,6 @@ class DominationCertificate(
     lambda_hat: float
     c_hat: float
     slope_stderr: float
-    residual_min: float
     fit_window: tuple[int, int]
     verdict: str
     counterexample: Optional[ReducedWord]
@@ -170,11 +162,11 @@ def _level_margins(
             rows = slice(lo, lo + block)
             into = rows if keep else slice(0, len(letters[rows]))
             block_tops = _level_block(
-                walked, walks, parents[rows], letters[rows],
-                [(p[into], s[into]) for p, s in products],
+                walked, walks, parents[rows], [letters[rows]],
+                [(p[into][None], s[into][None]) for p, s in products],
             )
             for j, top in block_tops.items():
-                tops[j][rows] = top
+                tops[j][rows] = top[0]
         walks = products
         yield stacked_margins(
             tops, logdets, k, dim, inverse[t - 1] if complementary else None
@@ -182,24 +174,24 @@ def _level_margins(
 
 
 def _level_block(
-    walked: list[tuple[tuple[int, ...], np.ndarray]],
-    walks: list[tuple[np.ndarray, np.ndarray]],
+    walked: Sequence[tuple[tuple[int, ...], np.ndarray]],
+    walks: Sequence[tuple[np.ndarray, np.ndarray]],
     parents: np.ndarray,
-    letters: np.ndarray,
-    products: list[tuple[np.ndarray, np.ndarray]],
+    codes: np.ndarray,
+    products: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> dict[int, np.ndarray]:
-    """The (n, R) walked_tops of some words of a level: one running_products
-    step per group over the gathered parents and letter images, written
-    into its pair in products (contiguous arrays that the parents' walks
-    do not overlap)."""
+    """The (C, n, ...) walked_tops of a level's block of words (C = 1) or a
+    limit walk's chunk: per group, one running_products walk from the
+    parents' rows of walks by the images of the (C, n) letter codes,
+    written into its pair in products (contiguous, not overlapping walks)."""
     for (_, images), (cores, logscales), (out, scales) in zip(walked, walks, products):
-        size = cores.shape[-1]
+        size, count = cores.shape[-1], len(codes)
         _running_products_into(
             np.take(cores, parents, axis=0).reshape(-1, size, size),
             np.take(logscales, parents, axis=0).reshape(-1),
-            np.take(images, letters, axis=0).reshape(1, -1, size, size),
-            out.reshape(1, -1, size, size),
-            scales.reshape(1, -1),
+            np.take(images, codes, axis=0).reshape(count, -1, size, size),
+            out.reshape(count, -1, size, size),
+            scales.reshape(count, -1),
         )
     return walked_tops(
         [(powers, out, scales) for (powers, _), (out, scales) in zip(walked, products)]
@@ -311,14 +303,13 @@ def _certificate(
     if len(window) >= 2:
         lam, _, stderr = _fit_slope(window)
         c_hat = min(m - lam * t for t, m in window)
-        residual_min = min(m - (lam * t + c_hat) for t, m in window)
-    else:  # a nan rate and residual pass no threshold below
-        lam, c_hat, stderr, residual_min = math.nan, math.nan, math.nan, math.nan
+    else:  # a nan rate passes no threshold below
+        lam, c_hat, stderr = math.nan, math.nan, math.nan
         notes.append("fit window has fewer than two populated lengths")
 
     if refuted_at:
         verdict = REFUTED
-    elif lam >= opts.lambda_min and residual_min >= -opts.eps_res:
+    elif lam >= opts.lambda_min:
         verdict = CERTIFIED
     else:
         verdict = INCONCLUSIVE
@@ -331,7 +322,6 @@ def _certificate(
         lambda_hat=lam,
         c_hat=c_hat,
         slope_stderr=stderr,
-        residual_min=residual_min,
         fit_window=(lo, budget),
         verdict=verdict,
         counterexample=counterexample,

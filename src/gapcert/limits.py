@@ -4,14 +4,15 @@ For a certified triple (representation, subset, gap index k) the forward
 limit map sends an eventually periodic forward endpoint to the limit of
 the attracting k-planes computed along its prefixes; the backward map is
 the same computation on the flipped subset at the complementary index.
-A plane of index k > d/2 is read as the complement of the top (d-k)-plane
-of the dual product rho^-T, whose error stays near u where the top-k
-block of rho's product loses u sigma_1 / sigma_k (Bochi-Potrie-Sambarino).
-This module evaluates those maps with a stopping rule that couples the
-observed Grassmannian steps to the certificate's decay bound, tabulates
-transversality of forward/backward pairs, runs seed-plane convergence and
-membership-gated attraction checks, estimates the small-scale regularity
-exponent by regression, and reproduces the boundary-discontinuity probe.
+A prefix walks certify's exterior powers for index k: its margin is
+certify's, and its plane is read off the top vector of its wedge^k, whose
+error stays near u where the top-k block of rho's product loses
+u sigma_1 / sigma_k (Bochi-Potrie-Sambarino).  This module evaluates
+those maps with a stopping rule that couples the observed Grassmannian
+steps to the certificate's decay bound, tabulates transversality of
+forward/backward pairs, runs seed-plane convergence and membership-gated
+attraction checks, estimates the small-scale regularity exponent by
+regression, and reproduces the boundary-discontinuity probe.
 A plane is walked once per process: a table keyed by the generator images'
 bytes, the point and the index keeps its walk for every later reader.
 """
@@ -29,6 +30,7 @@ import numpy as np
 from .domination import (
     CERTIFIED,
     DominationCertificate,
+    _level_block,
     _require_same_rank,
     certify,
 )
@@ -49,10 +51,12 @@ from .linalg import (
     Subspace,
     evaluate,
     grassmann_distance,
+    power_images,
     running_products,
     stacked_apply_to_subspace,
     stacked_grassmann_distance,
-    stacked_singular_frames,
+    stacked_margins,
+    stacked_top_planes,
     transversality_gap,
     u_k,
 )
@@ -156,14 +160,14 @@ def xi_upper(
     """Forward limit plane: attracting k-planes along prefixes of x.
 
     Stops at the first prefix where three signals agree: the observed
-    successive step is below tol, the prefix's own singular-gap margin
+    successive step is below tol, the prefix's own gap margin (certify's)
     just rose (a falling margin means a cancellation is still unwinding,
     as on detoured rays where early planes look converged but flip later),
     and the remaining-tail bound - seeded at the prefix's actual margin
     and decaying at the certified rate - is below 10 * tol.  If the
     signals still disagree at n_max the evaluation is refused rather than
-    trusted.  Prefixes without a usable singular gap are skipped and
-    recorded.
+    trusted.  Prefixes with a margin of at most GAP_TOLERANCE are skipped
+    and recorded.
     """
     if not point_in_forward_set(spec, x):
         raise _membership_error(x)
@@ -212,7 +216,7 @@ def _table_walk(rep: Representation, k: int, x: BoundaryPoint) -> "_Walk":
 
 
 # Lengths a walk advances at a time: their products are built one after
-# another, their letter lookups, SVDs and steps taken once.
+# another, their letter lookups, tops, SVDs and steps taken once.
 _WALK_CHUNK = 8
 
 # Failures a chunk may meet past a reader's stopping length, where a walk
@@ -220,18 +224,18 @@ _WALK_CHUNK = 8
 _WALK_FAILURES = (NumericalError, FloatingPointError, np.linalg.LinAlgError)
 
 
-class _Chunk(namedtuple("_Chunk", "start rows mats live margins rising steps")):
+class _Chunk(namedtuple("_Chunk", "start rows frames live margins rising steps")):
     """The lengths start + 1, ..., start + len(live) of the walk's rows
-    `rows`.  Per length and row: the whole singular matrix that holds the
-    row's plane (mats), whether the row has a plane there (live), its gap
-    margin (-inf where not live), whether that margin rose from the length
+    `rows`.  Per length and row: the d x k frame of the row's plane
+    (frames), whether the row has a plane there (live), its gap margin
+    (-inf where not live), whether that margin rose from the length
     before, and the step from its last plane (inf without one)."""
 
     __slots__ = ()
 
     start: int
     rows: np.ndarray
-    mats: np.ndarray
+    frames: np.ndarray
     live: np.ndarray
     margins: np.ndarray
     rising: np.ndarray
@@ -241,34 +245,33 @@ class _Chunk(namedtuple("_Chunk", "start rows mats live margins rising steps")):
 class _Walk:
     """The prefix products of some points in lockstep, one row per point,
     with the attracting k-planes, gap margins and steps of every length
-    walked.  For 2k <= d the products are of the images and a plane is the
-    top-k left singular block; for 2k > d they are of the dual images at
-    index d - k, and a plane is the last k left singular vectors, the
-    complement of the dual's top block.  It advances _WALK_CHUNK lengths
-    at a time, and one length at a time only while it walks a failed chunk
-    again.
+    walked.  A row walks power_images(rep, k) by certify's _level_block
+    and keeps their log scales and its log|det|, so a margin is certify's;
+    a plane is stacked_top_planes of power k.  It advances _WALK_CHUNK
+    lengths at a time, and one at a time only while it walks a failed
+    chunk again.
 
     Nothing a walk keeps depends on a tolerance or length cap, so readers
     at any of them share it; values holds _plane's outcomes on the walk.
     """
 
     def __init__(self, rep: Representation, k: int, points: Sequence[BoundaryPoint]):
-        if not 1 <= k < rep.dim:
-            raise ValueError(f"gap index must satisfy 1 <= k < {rep.dim}, got {k}")
-        dim, width = rep.dim, len(points)
-        dual = 2 * k > dim
-        self.index, self.plane = (dim - k, slice(-k, None)) if dual else (k, slice(k))
-        images = rep.stacked_duals if dual else rep.stacked_images
-        self.factors = _prefix_factors(images, points)
+        width = len(points)
+        self.rep, self.k, self.groups = rep, k, power_images(rep, k)
+        self.codes = _prefix_codes(points)
         self.length = 0
         self.rows = np.arange(width)  # the rows walking on
         self.chunks: list[_Chunk] = []
         self.single_until = 0  # after a chunk that failed, single lengths
         self.values: dict[tuple[float, float], LimitMapValue] = {}
-        # per row: the product, the singular matrix of its last plane, and
-        # the margin at the last length
-        self.cores = np.repeat(np.eye(dim)[None], width, axis=0)
-        self.last = np.empty_like(self.cores)
+        # per row: each group's products and their log scales, the log|det|,
+        # the frame of its last plane, and the margin at the last length
+        self.products = [
+            (np.tile(np.eye(m), (width, w, 1, 1)), np.zeros((width, w)))
+            for w, m in (images.shape[1:3] for _, images in self.groups)
+        ]
+        self.logdets = np.zeros(width)
+        self.last = np.empty((width, rep.dim, k))
         self.has_plane = np.zeros(width, dtype=bool)
         self.last_margins = np.full(width, -math.inf)
 
@@ -301,23 +304,29 @@ class _Walk:
                 self.single_until = self.length + count
 
     def _walk(self, count: int) -> None:
-        rows, index, start = self.rows, self.index, self.length
-        dim, width = self.cores.shape[-1], len(rows)
-        # a margin reads no log scale, and renormalization none: walk the
-        # cores from zero scales
-        chunk, _ = running_products(
-            self.cores[rows], np.zeros(width), self.factors(rows, start, count)
-        )
-        left, margins = stacked_singular_frames(chunk.reshape(-1, dim, dim), index)
-        margins = margins.reshape(count, width)
+        rows, start, width = self.rows, self.length, len(self.rows)
+        dim, k, shape = self.rep.dim, self.k, (count, width)
+        # one gather of the letter codes serves every group and the log|det|
+        codes = self.codes(rows, start, count)
+        walked = [
+            (np.empty(shape + c.shape[1:]), np.empty(shape + s.shape[1:]))
+            for c, s in self.products
+        ]
+        tops = _level_block(self.groups, self.products, rows, codes, walked)
+        dets = np.take(self.rep.stacked_logdets, codes)
+        logdets = np.cumsum(np.vstack([self.logdets[rows], dets]), axis=0)[1:]
+        margins = stacked_margins(tops, logdets, k, dim)
         live = margins > GAP_TOLERANCE
         # a length without a plane keeps its row's plane and reads as
         # margin -inf, so the next margin counts as rising
         margins[~live] = -math.inf
-        mats = left.reshape(count, width, dim, dim)
+        group = zip(self.groups, walked)
+        power = next(c[:, :, p.index(k)] for (p, _), (c, _) in group if k in p)
+        frames = stacked_top_planes(power.reshape((-1,) + power.shape[2:]), k, dim)
+        frames = frames.reshape(count, width, dim, k)
         # the rows' last planes, then the chunk's; latest[t] indexes each
         # row's plane after t lengths of the chunk (-1: none yet)
-        planes = np.concatenate([self.last[rows], left])
+        planes = np.concatenate([self.last[rows], frames.reshape(-1, dim, k)])
         own = np.arange(width, width * (count + 1)).reshape(count, width)
         first = np.where(self.has_plane[rows], np.arange(width), -1)[None]
         latest = np.maximum.accumulate(np.concatenate([first, np.where(live, own, -1)]))
@@ -325,26 +334,23 @@ class _Walk:
         steps = np.full((count, width), math.inf)
         if moving.any():
             steps[moving] = stacked_grassmann_distance(
-                planes[latest[:-1][moving]][..., self.plane],
-                planes[own[moving]][..., self.plane],
+                planes[latest[:-1][moving]], planes[own[moving]]
             )
         rising = margins > np.vstack([self.last_margins[rows], margins[:-1]])
         # nothing below fails numerically: keep the chunk
-        self.chunks.append(_Chunk(start, rows, mats, live, margins, rising, steps))
+        self.chunks.append(_Chunk(start, rows, frames, live, margins, rising, steps))
         self.length += count
-        self.cores[rows] = chunk[-1]
+        for (cores, scales), (chunk, chunk_scales) in zip(self.products, walked):
+            cores[rows], scales[rows] = chunk[-1], chunk_scales[-1]
+        self.logdets[rows] = logdets[-1]
         self.last[rows] = planes[latest[-1]]  # -1 reads some plane, unread
         self.has_plane[rows] = latest[-1] >= 0
         self.last_margins[rows] = margins[-1]
 
 
-def _prefix_factors(
-    images: np.ndarray, points: Sequence[BoundaryPoint]
-) -> Callable[[np.ndarray, int, int], np.ndarray]:
-    """factors(rows, start, count): the images (a stack in letter-code
-    order) of the letters at positions start, ..., start + count - 1 of the
-    points of the given rows, as a (count, len(rows), d, d) stack gathered
-    with np.take."""
+def _prefix_codes(points: Sequence[BoundaryPoint]) -> Callable[..., np.ndarray]:
+    """codes(rows, start, count): the (count, len(rows)) letter codes at
+    positions start, ..., start + count - 1 of the rows' points."""
     # each point's preperiod then period, padded into one array, with the
     # preperiod and period lengths as columns
     pre = np.array([len(x.preperiod) for x in points])[:, None]
@@ -354,12 +360,12 @@ def _prefix_factors(
         letters = x.preperiod.letters + x.period.letters
         spelled[row, : len(letters)] = letters
 
-    def factors(rows: np.ndarray, start: int, count: int) -> np.ndarray:
+    def codes(rows: np.ndarray, start: int, count: int) -> np.ndarray:
         at = np.arange(start, start + count)
         at = np.where(at < pre[rows], at, pre[rows] + (at - pre[rows]) % per[rows])
-        return np.take(images, np.take_along_axis(spelled[rows], at, axis=1).T, axis=0)
+        return np.take_along_axis(spelled[rows], at, axis=1).T
 
-    return factors
+    return codes
 
 
 def _limit_planes(rep, k, points, rate, tol, n_max, walk=None) -> list:
@@ -373,7 +379,7 @@ def _limit_planes(rep, k, points, rate, tol, n_max, walk=None) -> list:
             chunk, t, i, skipped = stop
             outcomes[r] = LimitMapValue(
                 point=points[r],
-                subspace=Subspace(k, chunk.mats[t, i][:, walk.plane]),
+                subspace=Subspace(k, chunk.frames[t, i]),
                 iterations=chunk.start + t + 1,
                 last_step=float(chunk.steps[t, i]),
                 cauchy_bound=worst_pair * math.exp(-float(chunk.margins[t, i])),
@@ -385,7 +391,7 @@ def _limit_planes(rep, k, points, rate, tol, n_max, walk=None) -> list:
 def _limit_stops(rep, k, points, rate, tol, n_max, walk: _Walk) -> list:
     """xi_upper's stopping rule at tol, up to n_max prefixes, over walk,
     the prefix walk of points: per point, where the rule first fires, as
-    (chunk, t, i, skipped) - the plane in chunk.mats[t, i], at length
+    (chunk, t, i, skipped) - the plane in chunk.frames[t, i], at length
     chunk.start + t + 1 after the gapless lengths skipped - or the
     NoGapError / NoConvergenceError that its reader raises."""
     worst_pair = rep.letter_norm_bound
@@ -564,7 +570,7 @@ def sdp_check(
             )
         lengths = tuple(range(1, n_points + 1))
         # the prefixes of x as one running product, bitwise evaluate's
-        factors = _prefix_factors(rep.stacked_images, [x])(np.arange(1), 0, n_points)
+        factors = rep.stacked_images[[x.letter_at(n) for n in range(n_points)]][:, None]
         cores = running_products(np.eye(rep.dim)[None], np.zeros(1), factors)[0][:, 0]
     else:
         lengths = tuple(len(g) for g in schedule)
@@ -698,8 +704,8 @@ def holder_estimate(
     points = sorted(q_plus_boundary(spec, max_period, b), key=str)
     cutoff = math.exp(-kappa * SMALL_SCALE_PREFIX)
     pairs = _small_scale_pairs(points, kappa, cutoff, sample_size, seed)
-    # per point id walked: its singular matrix at its stop, or its error
-    mats = np.empty((len(points), rep.dim, rep.dim))
+    # per point id walked: its frame at its stop, or its error
+    frames = np.empty((len(points), rep.dim, k))
     failures: dict[int, Optional[GapcertError]] = {}
     log_visual, log_plane = [], []
     # Each round takes just enough pairs to cover the shortfall if all of
@@ -719,11 +725,11 @@ def holder_estimate(
             for p, stop in zip(new, stops):
                 failures[p] = stop if isinstance(stop, GapcertError) else None
                 if failures[p] is None:
-                    mats[p] = stop[0].mats[stop[1:3]]
+                    frames[p] = stop[0].frames[stop[1:3]]
         read = [any(map(failures.get, pair)) for pair in batch] + [True]
         read = read.index(True)
-        frames = mats[np.array(batch)[:read]][..., walk.plane]
-        separations = stacked_grassmann_distance(frames[:, 0], frames[:, 1])
+        pair_frames = frames[np.array(batch)[:read]]
+        separations = stacked_grassmann_distance(pair_frames[:, 0], pair_frames[:, 1])
         for (i, j), separation in zip(batch, separations.tolist()):
             if separation > 1e-14:
                 visual = visual_distance(points[i], points[j], kappa)

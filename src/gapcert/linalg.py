@@ -447,14 +447,22 @@ def u_k(m: ScaledMatrix, k: int) -> Subspace:
     return Subspace(k, left[:, :k])
 
 
-def stacked_singular_frames(cores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.svd's left singular matrices of an (N, d, d) stack, which
-    hold the top-k left singular frames, and the gap margins of index k
-    from the same SVD, log sigma_k - log sigma_{k+1}; a matrix whose margin
-    is at most GAP_TOLERANCE has no gap, where u_k raises NoGapError."""
-    left, svals, _ = np.linalg.svd(cores)
-    logs = np.log(np.maximum(svals, _TINY))
-    return left, logs[:, k - 1] - logs[:, k]
+def stacked_top_planes(cores: np.ndarray, k: int, dim: int) -> np.ndarray:
+    """(N, dim, k) frames of the top-k left singular planes of M in GL(dim)
+    from the top left singular vector w of the (N, m, m) cores of power k
+    of power_images: w (k = 1), its complement (k = dim - 1, walked as
+    M^-T), else the top-k block of w's contractions with the (k-1)-subsets
+    J, which span <v_1, ..., v_k> for w = v_1 ^ ... ^ v_k."""
+    left = np.linalg.svd(cores)[0]
+    if k == 1 or k == dim - 1:
+        return left[..., :1] if k == 1 else left[..., 1:]
+    # row i, column J: w at J + {i} signed by the place of i, or +0.0 past w
+    rows, faces = range(dim), list(itertools.combinations(range(dim), k - 1))
+    place = {s: n for n, s in enumerate(itertools.combinations(rows, k))}
+    at = [[place.get(tuple(sorted({i, *J})), len(place)) for J in faces] for i in rows]
+    signs = [[(-1) ** sum(j < i for j in J if i not in J) for J in faces] for i in rows]
+    top = np.concatenate([left[..., 0], np.zeros((len(left), 1))], axis=1)
+    return np.linalg.svd(top[:, at] * signs)[0][..., :k]
 
 
 def _require_gap(m: ScaledMatrix, k: int, svals: np.ndarray) -> None:

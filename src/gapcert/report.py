@@ -140,7 +140,6 @@ def _run_certify(config, rep, spec, index, certificate) -> dict[str, Any]:
         "lambda_hat": cert.lambda_hat,
         "c_hat": cert.c_hat,
         "slope_stderr": cert.slope_stderr,
-        "residual_min": cert.residual_min,
         "fit_window": list(cert.fit_window),
         "margins": {str(t): m for t, m in sorted(cert.margins.items())},
         "argmins": {str(t): str(w) for t, w in sorted(cert.argmins.items())},

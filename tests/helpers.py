@@ -7,6 +7,7 @@ distance formula) so they share no code path with the package.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -19,12 +20,16 @@ from gapcert.flow import shift_point
 from gapcert.limits import BOUND_SLACK, LimitMapValue
 from gapcert.linalg import (
     _TINY,
+    GAP_TOLERANCE,
     Representation,
     ScaledMatrix,
     Subspace,
     _renormalized_rows,
     _require_gap,
     grassmann_distance,
+    power_images,
+    stacked_margins,
+    walked_tops,
 )
 from gapcert.subsets import (
     AxisFamily,
@@ -482,38 +487,64 @@ def walked_length(reads, chunk):
 # limit-plane oracle
 
 
+def reference_plane(core, k, dim):
+    """The k-plane of a matrix M of GL(dim) from the core of its power k
+    (M for k = 1, M^-T for k = dim - 1, otherwise wedge^k M): the top left
+    singular vector w of the core, its complement for k = dim - 1, and
+    otherwise the top-k left singular block of the matrix whose column J,
+    a (k - 1)-subset in lexicographic order, holds at row i not in J the
+    entry of w at J + {i}, signed by the place of i in J + {i}."""
+    left = np.linalg.svd(core)[0]
+    if k == 1 or k == dim - 1:
+        return left[:, :1] if k == 1 else left[:, 1:]
+    subsets = list(itertools.combinations(range(dim), k))
+    faces = list(itertools.combinations(range(dim), k - 1))
+    contractions = np.zeros((dim, len(faces)))
+    for c, face in enumerate(faces):
+        for i in range(dim):
+            if i not in face:
+                place = sum(j < i for j in face)
+                entry = left[subsets.index(tuple(sorted(face + (i,)))), 0]
+                contractions[i, c] = (-1) ** place * entry
+    return np.linalg.svd(contractions)[0][:, :k]
+
+
 def reference_xi_upper(rep, k, x, rate, tol, n_max):
     """The one-point prefix loop that the chunked lockstep walk of
-    gapcert.limits replaced: one scale-tracked product per prefix, then its
-    SVD's plane, the gap margin of its singular values and
-    grassmann_distance on it.  An index k with 2k > d is read on the dual
-    side: the product is of the dual images rho^-T, its gap index is d - k,
-    and the plane is its last k left singular vectors.  Raises NoGapError /
-    NoConvergenceError as the walk reports them."""
+    gapcert.limits replaced: per prefix, one scale-tracked product of each
+    exterior power that certify walks for index k, extended by
+    ScaledMatrix.times, and the running log|det|; certify's margin of
+    their tops, the plane of reference_plane on the product of power k,
+    and grassmann_distance on it.  Raises NoGapError / NoConvergenceError
+    as the walk reports them."""
     worst_pair = rep.letter_norm_bound
     tail_factor = 1.0 / (1.0 - math.exp(-rate))
-    dual = 2 * k > rep.dim
-    index = rep.dim - k if dual else k
-    images = rep.stacked_duals if dual else rep.stacked_images
-    current = ScaledMatrix.identity(rep.dim)
+    images = {
+        j: letter_images[:, at]
+        for powers, letter_images in power_images(rep, k)
+        for at, j in enumerate(powers)
+    }
+    products = {j: ScaledMatrix.identity(m.shape[-1]) for j, m in images.items()}
+    logdet = 0.0
     plane = None
     step = math.inf
     bound = math.inf
     margin_prev = -math.inf
     skipped = []
     for n in range(1, n_max + 1):
-        current = current.times(images[x.letter_at(n - 1)])
-        left, svals, _ = np.linalg.svd(current.core)
-        try:
-            _require_gap(current, index, svals)
-        except NoGapError:
+        letter = x.letter_at(n - 1)
+        for j in products:
+            products[j] = products[j].times(images[j][letter])
+        logdet = logdet + rep.stacked_logdets[letter]
+        tops = walked_tops(
+            [((j,), m.core[None], np.array([m.logscale])) for j, m in products.items()]
+        )
+        margin = float(stacked_margins(tops, np.float64(logdet), k, rep.dim))
+        if margin <= GAP_TOLERANCE:
             skipped.append(n)
             margin_prev = -math.inf
             continue
-        candidate = Subspace(k, left[:, rep.dim - k :] if dual else left[:, :k])
-        # the margin of the SVD the gap check read, without the log scale
-        logs = np.log(np.maximum(svals, _TINY))
-        margin = float(logs[index - 1] - logs[index])
+        candidate = Subspace(k, reference_plane(products[k].core, k, rep.dim))
         if plane is not None:
             step = grassmann_distance(plane, candidate)
         plane = candidate

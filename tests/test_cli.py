@@ -993,7 +993,7 @@ def test_cli_zero_kappa_is_a_config_error(tmp_path, capsys):
         ({"sampling": {"holder_pairs": 10.9}}, "holder", "sampling.holder_pairs"),
         ({"sampling": {"kappa": math.inf}}, "holder", "sampling.kappa"),
         ({"tolerances": {"subspace": math.nan}}, "certify", "tolerances.subspace"),
-        ({"tolerances": {"eps_res": 10**400}}, "certify", "tolerances.eps_res"),
+        ({"tolerances": {"lambda_min": 10**400}}, "certify", "tolerances.lambda_min"),
         # finite, but the trials' draw width 2 * epsilon is not
         ({"sampling": {"epsilon": 1e308}}, "stability", "sampling.epsilon"),
     ],
@@ -1048,11 +1048,12 @@ def test_cli_empty_pair_list_is_a_config_error(tmp_path, capsys):
 
 
 def test_cli_unread_tolerances_are_unknown_fields(tmp_path, capsys):
-    # tolerances.gap and tolerances.fit were accepted but never read
-    for key in ("gap", "fit"):
+    # tolerances.gap and tolerances.fit were accepted but never read, and
+    # tolerances.eps_res gated a residual that was 0 by construction
+    for key in ("gap", "fit", "eps_res"):
         data = z_config(tolerances={key: 1e-9})
         assert_config_error(tmp_path, capsys, data, "certify", f"tolerances.{key}")
-    assert set(DEFAULT_TOLERANCES) == {"subspace", "lambda_min", "eps_res"}
+    assert set(DEFAULT_TOLERANCES) == {"subspace", "lambda_min"}
 
 
 def test_run_records_numerical_failures_as_errors(monkeypatch):

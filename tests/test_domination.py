@@ -85,7 +85,6 @@ def assert_certificate_invariants(cert):
         assert len(cert.argmins[t]) == t
     if cert.verdict == CERTIFIED:
         assert cert.lambda_hat >= 0.02
-        assert cert.residual_min >= -1e-6
     if cert.verdict == REFUTED:
         assert cert.counterexample is not None
         t = len(cert.counterexample)

@@ -673,7 +673,7 @@ def test_a_splitting_chunk_that_fails_past_the_stop_is_rewalked(monkeypatch, err
     # the backward end is read first, so only the forward end walks below
     limits._plane(rep, 1, x.backward, rate, 1e-10, 80)
     calls = []
-    original = limits.running_products
+    original = domination._running_products_into
 
     def failing_at(at):
         def products(cores, logscales, factors, *rest):
@@ -685,18 +685,18 @@ def test_a_splitting_chunk_that_fails_past_the_stop_is_rewalked(monkeypatch, err
 
         return products
 
-    monkeypatch.setattr(limits, "running_products", failing_at(stop + 1))
+    monkeypatch.setattr(domination, "_running_products_into", failing_at(stop + 1))
     assert_same_splitting(read_splitting(rep, x, 1, 80, 1e-10, rate), want)
     assert calls == [1] * stop
     calls.clear()
     limits._WALKS.clear()
-    monkeypatch.setattr(limits, "running_products", failing_at(stop))
+    monkeypatch.setattr(domination, "_running_products_into", failing_at(stop))
     with pytest.raises(type(error)):
         read_splitting(rep, x, 1, 80, 1e-10, rate)
     assert calls == [1] * (stop - 1)
     # a walk that cannot settle reports its last steps as the loop does,
     # from the lengths the failed read kept
-    monkeypatch.setattr(limits, "running_products", original)
+    monkeypatch.setattr(domination, "_running_products_into", original)
     short = read_splitting(rep, x, 1, stop - 1, 1e-10, rate)
     assert isinstance(short, NoConvergenceError)
     assert str(short) == str(splitting_outcome(rep, x, 1, stop - 1, 1e-10, rate))

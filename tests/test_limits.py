@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -296,6 +297,41 @@ def test_d3_planes_of_both_indices_match_the_eigenspace_oracle():
                     assert distance < 1e-10, (seed, k, read.__name__, text)
                     reads += 1
     assert reads == 36
+
+
+def veronese_flag(v, dim, k):
+    """The osculating k-plane at v of the Veronese curve of Sym^(dim-1):
+    the polynomials v^(dim-k) p with deg p <= k - 1, a polynomial being
+    its coefficients by the power of y, in sym_power's scaled basis."""
+    power = np.array([1.0])
+    for _ in range(dim - k):
+        power = np.convolve(power, v)
+    columns = [np.convolve(power, np.eye(k)[i]) for i in range(k)]
+    scale = np.sqrt([math.comb(dim - 1, j) for j in range(dim)])
+    return Subspace.from_spanning(np.array(columns).T / scale[:, None])
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_lift_planes_are_the_veronese_flags(dim):
+    # Sym^(d-1) sends the limit lines v of the d = 2 pair to the flags of
+    # the Veronese curve at v, so every plane of the lift, of every index
+    # and both sides, is a closed form.  The top-k block of the product's
+    # SVD saturated at interior k: all 9 interior reads of each side (d = 4
+    # at k = 2, d = 5 at k = 2 and 3, each at the three points) ended in
+    # NoConvergenceError
+    rep, spec = schottky_rep(), FullBoundary(2)
+    lift = helpers.sym_lift(rep, dim)
+    for text in ("(ab)", "(aB)", "(abb)"):
+        x = parse_boundary_point(text)
+        forward = xi_upper(rep, spec, 1, x).subspace.frame[:, 0]
+        backward = xi_lower(rep, spec, 1, x).subspace.frame[:, 0]
+        for k in range(1, dim):
+            cert = certify(lift, spec, k, 6)
+            up = xi_upper(lift, spec, k, x, certificate=cert).subspace
+            down = xi_lower(lift, spec, k, x, certificate=cert).subspace
+            assert grassmann_distance(up, veronese_flag(forward, dim, k)) < 1e-8
+            flag = veronese_flag(backward, dim, dim - k)
+            assert grassmann_distance(down, flag) < 1e-8, (text, k)
 
 
 def test_xi_equivariance():
@@ -633,6 +669,84 @@ def test_walk_matches_the_one_point_loop(case, rate, reads):
             assert walk.length == helpers.walked_length(needs, limits._WALK_CHUNK)
 
 
+def test_interior_planes_match_the_one_point_loop():
+    # d = 4 and 5, where the planes of interior index are read off the
+    # contractions of wedge^k's top vector, in lockstep and one at a time
+    for dim in (4, 5):
+        rng = np.random.default_rng(dim)
+        rep = Representation.of(
+            [helpers.random_invertible(rng, dim, spread=1.0) for _ in range(2)]
+        )
+        points = [parse_boundary_point(t) for t in ("(ab)", "b|(aB)", "AAb|(a)")]
+        for k in range(1, dim):
+            together = limits._limit_planes(rep, k, points, 0.5, 1e-10, 60)
+            for x, got in zip(points, together):
+                assert_same_outcome(got, walk_outcome(rep, k, x, 0.5, 1e-10, 60))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_walk_margins_are_certifys_margins(dim):
+    # one margin path: at every length of a ray the walk keeps certify's
+    # margin, that of _level_margins on the chain of the ray's prefixes
+    # (the margin anosov_margins reads), bit for bit, in lockstep
+    rng = np.random.default_rng(dim)
+    rep = Representation.of(
+        [helpers.random_invertible(rng, dim, spread=1.0) for _ in range(2)]
+    )
+    texts = ("(ab)", "(aB)", "(abb)", "b|(ab)", "AAb|(a)", "ba|(bA)")
+    points = [parse_boundary_point(t) for t in texts]
+    length = 3 * limits._WALK_CHUNK
+    for k in range(1, dim):
+        walk = limits._Walk(rep, k, points)
+        chunks = list(walk.read(length, np.ones(len(points), dtype=bool)))
+        kept = np.concatenate([chunk.margins for chunk in chunks])
+        for i, x in enumerate(points):
+            chain = [([0], [x.letter_at(n)]) for n in range(length)]
+            want = np.concatenate(list(domination._level_margins([rep], chain, k)))
+            live = want[:, 0] > linalg.GAP_TOLERANCE
+            assert np.array_equal(kept[live, i], want[live, 0])
+            assert np.all(kept[~live, i] == -math.inf)
+
+
+def oracle_margin(rep, prefix):
+    """log sigma_1 - log sigma_2 of a 2 x 2 prefix product in 60-digit
+    arithmetic, from its Frobenius norm and |det|, the product of the
+    letters' determinants."""
+    with mpmath.workdps(60):
+        product, det = mpmath.eye(2), mpmath.mpf(1)
+        for letter in prefix:
+            image = mpmath.matrix(rep.image(letter).tolist())
+            product = product * image
+            det *= image[0, 0] * image[1, 1] - image[0, 1] * image[1, 0]
+        frob = sum(product[i, j] ** 2 for i in range(2) for j in range(2))
+        det = abs(det)
+        top = (mpmath.sqrt(frob + 2 * det) + mpmath.sqrt(frob - 2 * det)) / 2
+        return float(2 * mpmath.log(top) - mpmath.log(det))
+
+
+def test_walk_margins_match_a_60_digit_oracle():
+    # the SVD gap of one product, which the walk read before, lost
+    # u e^m of its sigma_2: 1.8e-4 at margin 27.65
+    rep = schottky_rep()
+    texts = ("(ab)", "(a)", "b|(ab)", "ba|(b)", "aab|(abb)", "(aab)")
+    points = [parse_boundary_point(t) for t in texts]
+    length = 3 * limits._WALK_CHUNK
+    walk = limits._Walk(rep, 1, points)
+    chunks = list(walk.read(length, np.ones(len(points), dtype=bool)))
+    kept = np.concatenate([chunk.margins for chunk in chunks])
+    for i, x in enumerate(points):
+        for n in range(1, length + 1):
+            m = oracle_margin(rep, x.prefix(n))
+            assert abs(kept[n - 1, i] - m) <= 1e-12 * (1.0 + m), (str(x), n)
+    # the Cauchy bound of a stop is the letter bound times e^-m
+    cert = certify(rep, directed_ab(), 1, 8)
+    for x in points:
+        value = xi_upper(rep, directed_ab(), 1, x, certificate=cert)
+        m = oracle_margin(rep, x.prefix(value.iterations))
+        bound = rep.letter_norm_bound * math.exp(-m)
+        assert abs(value.cauchy_bound - bound) <= 1e-12 * (1.0 + m) * bound
+
+
 def test_walk_covers_gapless_prefixes_and_both_failures():
     # the rotation's prefixes have no gap; a short walk cannot converge
     rep, axis = example_56_rep(), a_axis_f2()
@@ -708,13 +822,13 @@ def test_a_walk_of_many_points_advances_by_chunks(monkeypatch):
     rate = certify(rep, spec, 1, 8).lambda_hat
     points = sorted(q_plus_boundary(spec, 4), key=str)
     calls = []
-    original = limits.running_products
+    original = domination._running_products_into
 
     def products(cores, logscales, factors, *rest):
         calls.append((len(cores), len(factors)))
         return original(cores, logscales, factors, *rest)
 
-    monkeypatch.setattr(limits, "running_products", products)
+    monkeypatch.setattr(domination, "_running_products_into", products)
     walked = limits._limit_planes(rep, 1, points, rate, 1e-10, 400)
     assert len(points) > 4 and calls[0] == (len(points), limits._WALK_CHUNK)
     assert {count for _, count in calls} == {limits._WALK_CHUNK}
@@ -725,9 +839,9 @@ def test_a_walk_of_many_points_advances_by_chunks(monkeypatch):
 
 
 def test_a_walk_takes_one_decomposition_per_chunk(monkeypatch):
-    # each chunk of a walk takes one SVD of its products, whose singular
-    # values give the margins behind the rising rule and the tail bound as
-    # well as the planes, and one SVD for its Grassmann steps
+    # each chunk of a walk takes one SVD of its products, for the planes,
+    # and one SVD for its Grassmann steps; the margins behind the rising
+    # rule and the tail bound are certify's, from closed-form tops at d = 2
     rep = schottky_rep()
     points = [parse_boundary_point(s) for s in ("(ab)", "(a)", "b|(a)")]
     calls = []
@@ -749,8 +863,8 @@ def test_a_walk_takes_one_decomposition_per_chunk(monkeypatch):
 
 
 def failing_products(original, at, error, calls):
-    """running_products that raises error on every call reaching length
-    at, counting the lengths of the calls that went through."""
+    """_running_products_into that raises error on every call reaching
+    length at, counting the lengths of the calls that went through."""
 
     def products(cores, logscales, factors, *rest):
         done = sum(calls)
@@ -781,16 +895,16 @@ def test_a_chunk_that_fails_past_the_stop_is_walked_length_by_length(
     # the first chunk reaches two lengths past the stop, and fails there
     monkeypatch.setattr(limits, "_WALK_CHUNK", stop + 2)
     calls = []
-    original = limits.running_products
+    original = domination._running_products_into
     products = failing_products(original, stop + 1, error, calls)
-    monkeypatch.setattr(limits, "running_products", products)
+    monkeypatch.setattr(domination, "_running_products_into", products)
     (got,) = limits._limit_planes(rep, 1, [x], rate, 1e-10, 400)
     assert_same_outcome(got, want)
     assert calls == [1] * stop
     # a failure at a length the walk reads is raised
     calls.clear()
     products = failing_products(original, stop, error, calls)
-    monkeypatch.setattr(limits, "running_products", products)
+    monkeypatch.setattr(domination, "_running_products_into", products)
     with pytest.raises(type(error)):
         limits._limit_planes(rep, 1, [x], rate, 1e-10, 400)
     assert calls == [1] * (stop - 1)
@@ -848,7 +962,7 @@ def test_shared_walks_resume_after_a_failed_chunk(monkeypatch):
         tol: walk_outcome(rep, 1, x, cert.lambda_hat, tol, 400) for tol in (1e-8, 1e-10)
     }
     assert alone[1e-8].iterations <= limits._WALK_CHUNK < alone[1e-10].iterations
-    original = limits.running_products
+    original = limits._level_block
     for error in (FloatingPointError("overflow"), IndexError("row")):
         limits._WALKS.clear()
         xi_upper(rep, spec, 1, x, 1e-8, certificate=cert)
@@ -856,14 +970,14 @@ def test_shared_walks_resume_after_a_failed_chunk(monkeypatch):
         def failing(*args):
             raise error
 
-        monkeypatch.setattr(limits, "running_products", failing)
+        monkeypatch.setattr(limits, "_level_block", failing)
         (walk,) = limits._WALKS.values()
         with pytest.raises(type(error)):
             xi_upper(rep, spec, 1, x, 1e-10, certificate=cert)
         assert walk.length == limits._WALK_CHUNK
         got = xi_upper(rep, spec, 1, x, 1e-8, certificate=cert)
         assert_same_outcome(got, alone[1e-8])
-        monkeypatch.setattr(limits, "running_products", original)
+        monkeypatch.setattr(limits, "_level_block", original)
         got = xi_upper(rep, spec, 1, x, 1e-10, certificate=cert)
         assert_same_outcome(got, alone[1e-10])
 
@@ -888,7 +1002,7 @@ def test_a_kept_plane_is_read_without_the_walk_core(monkeypatch):
 
     names = [name for name in vars(limits) if name.startswith("stacked_")]
     assert len(names) >= 3
-    for name in [*names, "running_products", "Subspace", "_limit_planes"]:
+    for name in [*names, "_level_block", "Subspace", "_limit_planes"]:
         monkeypatch.setattr(limits, name, unreachable)
     assert xi_upper(rep, spec, 1, x, certificate=cert) is value
 

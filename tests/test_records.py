@@ -60,7 +60,7 @@ def key_values():
         (Directed(2, [0, 2]), (2, frozenset({0, 2}))),
         (AxisFamily(2, (parse_word("ba"),)), (2, (parse_word("ab"),))),
         (Primitive(2, 5), (2, 5)),
-        (CertifyOptions(0.5), (0.5, 1e-6)),
+        (CertifyOptions(0.5), (0.5,)),
         (ShiftPoint(Primitive(2, 5), x, y), (Primitive(2, 5), x, y)),
         (shift_point(FullBoundary(2), x, y), (FullBoundary(2), x, y)),
         (shift(shift_point(FullBoundary(2), x, y), 2), (FullBoundary(2), ahead, behind)),

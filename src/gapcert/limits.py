@@ -58,14 +58,12 @@ from .linalg import (
     stacked_margins,
     stacked_top_planes,
     transversality_gap,
-    u_k,
 )
 from .pcg64 import Stream
 from .subsets import (
     AxisFamily,
     SubsetPSpec,
     _require_pair,
-    gamma_p_plus,
     hat,
     point_in_forward_set,
     q_plus_boundary,
@@ -605,27 +603,48 @@ def cartan_check(
 
     Every word must be a verified member of the positive set within
     shift b (word_in_positive_set); words without a witness are refused,
-    never silently accepted.
+    never silently accepted.  The words are walked in lockstep as the
+    prefixes of a limit plane are, each read at its own length: its plane
+    off certify's wedge^k, and a NoGapError at the first word, in order,
+    whose margin there is at most GAP_TOLERANCE.  The empty word has no
+    plane, and raises NoGapError at once.
     """
     if not words:
         raise ValueError("cartan check needs at least one word")
     if b < 0:
         raise ValueError("shift b must be >= 0")
     certificate = _require_certified(rep, spec, k, certificate)
-    longest = max(len(w) for w in words)
-    sample = gamma_p_plus(spec, longest + b)
     for w in words:
-        if not word_in_positive_set(spec, w, b, sample=sample):
+        if w.max_index() > rep.rank:
+            raise ValueError(f"word {w} exceeds rank {rep.rank}")
+        if not word_in_positive_set(spec, w, b):
             raise MembershipError(
                 f"'{w}' has no witness in the positive set within shift {b}"
             )
+        if w.is_empty():
+            raise NoGapError(f"the empty word has no singular gap of index {k}")
     target = xi_upper(rep, spec, k, x, DEFAULT_TOL, n_max, certificate).subspace
-    distances = [
-        grassmann_distance(u_k(evaluate(rep, w), k), target) for w in words
-    ]
+    lengths = np.array([len(w) for w in words])
+    frames = np.empty((len(words), rep.dim, k))
+    live = np.zeros(len(words), dtype=bool)
+    # each word w walks as the point w.(its last letter)^inf, whose prefix
+    # of length |w| is w, and stops walking once read there
+    waiting = np.ones(len(words), dtype=bool)
+    points = [BoundaryPoint(w, w[-1:]) for w in words]
+    for chunk in _Walk(rep, k, points).read(int(lengths.max()), waiting):
+        at = lengths[chunk.rows] - chunk.start - 1
+        (here,) = np.nonzero(at < len(chunk.live))
+        rows = chunk.rows[here]
+        frames[rows] = chunk.frames[at[here], here]
+        live[rows] = chunk.live[at[here], here]
+        waiting[rows] = False
+    if not live.all():
+        gapless = words[int(np.argmin(live))]
+        raise NoGapError(f"'{gapless}' has no singular gap of index {k}")
+    distances = stacked_grassmann_distance(frames, target.frame).tolist()
     final = distances[-1]
     return ConvergenceCurve(
-        lengths=tuple(len(w) for w in words),
+        lengths=tuple(lengths.tolist()),
         distances=tuple(distances),
         final=final,
         passed=final < PASS_TOL,

@@ -18,7 +18,6 @@ from .errors import (
     DependentColumnsError,
     DimensionMismatchError,
     IllConditionedError,
-    NoGapError,
     ScaleOverflowError,
 )
 from .words import ReducedWord, letter_to_string
@@ -26,7 +25,6 @@ from .words import ReducedWord, letter_to_string
 GAP_TOLERANCE = 1e-12
 SUBSPACE_TOLERANCE = 1e-8
 _NORM_BAND = (0.5, 2.0)
-_TINY = 1e-300
 
 
 class ScaledMatrix:
@@ -440,13 +438,6 @@ def _orthonormal_frames(spanning: np.ndarray) -> np.ndarray:
     return q
 
 
-def u_k(m: ScaledMatrix, k: int) -> Subspace:
-    """Span of the top-k left singular vectors; needs a gap of index k."""
-    left, s, _ = np.linalg.svd(m.core)
-    _require_gap(m, k, s)
-    return Subspace(k, left[:, :k])
-
-
 def stacked_top_planes(cores: np.ndarray, k: int, dim: int) -> np.ndarray:
     """(N, dim, k) frames of the top-k left singular planes of M in GL(dim)
     from the top left singular vector w of the (N, m, m) cores of power k
@@ -463,17 +454,6 @@ def stacked_top_planes(cores: np.ndarray, k: int, dim: int) -> np.ndarray:
     signs = [[(-1) ** sum(j < i for j in J if i not in J) for J in faces] for i in rows]
     top = np.concatenate([left[..., 0], np.zeros((len(left), 1))], axis=1)
     return np.linalg.svd(top[:, at] * signs)[0][..., :k]
-
-
-def _require_gap(m: ScaledMatrix, k: int, svals: np.ndarray) -> None:
-    if not 1 <= k < m.dim:
-        raise ValueError(f"gap index must satisfy 1 <= k < {m.dim}, got {k}")
-    logs = np.log(np.clip(svals, _TINY, None))
-    if logs[k - 1] - logs[k] <= GAP_TOLERANCE:
-        raise NoGapError(
-            f"no singular value gap of index {k}: "
-            f"log margin {logs[k - 1] - logs[k]:.3e}"
-        )
 
 
 def grassmann_distance(v: Subspace, w: Subspace) -> float:

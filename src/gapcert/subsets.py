@@ -332,14 +332,7 @@ class GammaPSample:
 
     def __contains__(self, w: ReducedWord) -> bool:
         """Whether w is a word of the sample, read through the table."""
-        if w.is_empty() or len(w) > self.budget or w.max_index() > self.spec.rank:
-            return False
-        table, row = _graph(self.spec).table, 0
-        for l in w.letters:
-            row = table[row, l]
-            if row < 0:
-                return False
-        return True
+        return len(w) <= self.budget and _reads(self.spec, w)
 
     def witness(self, w: ReducedWord) -> tuple[BoundaryPoint, BoundaryPoint]:
         """An endpoint pair (backward, forward) in the subset whose connecting
@@ -432,30 +425,36 @@ def gamma_p_plus(spec: SubsetPSpec, budget: int) -> GammaPSample:
     return GammaPSample(spec, budget, tuple(levels), graph.complete)
 
 
-def word_in_positive_set(
-    spec: SubsetPSpec,
-    w: ReducedWord,
-    b: int = 0,
-    sample: Optional[GammaPSample] = None,
-) -> bool:
+def _reads(spec: SubsetPSpec, w: ReducedWord) -> bool:
+    """Whether the subset's graph table reads the nonempty word w from its
+    row 0, the set of every state: whether w is a positive word, of any
+    length; none with a letter past the rank."""
+    if w.is_empty() or w.max_index() > spec.rank:
+        return False
+    table, row = _graph(spec).table, 0
+    for l in w.letters:
+        row = table[row, l]
+        if row < 0:
+            return False
+    return True
+
+
+def word_in_positive_set(spec: SubsetPSpec, w: ReducedWord, b: int = 0) -> bool:
     """Whether w sits at nonnegative parameter on a subset line passing
     within distance b of the identity.
 
     Any word of length at most b qualifies at parameter zero (a subset
     line can be based at it); longer words need a vertex p with |p| <= b
-    whose segment p^-1 * w lies in the enumerated through-identity set.
-    For truncated enumerations a False means "no witness found", not a
-    proof of non-membership.
+    whose segment p^-1 * w the graph table reads, with no enumeration.
+    For a truncated graph (Primitive) a False means "no witness found",
+    not a proof of non-membership.
     """
     if b < 0:
         raise ValueError("shift b must be >= 0")
     if len(w) <= b:
         return True
-    if sample is None or sample.budget < len(w) + b:
-        sample = gamma_p_plus(spec, len(w) + b)
-    return any(
-        concat(p.inverse(), w) in sample for p in reduced_ball(range(2 * spec.rank), b)
-    )
+    ball = reduced_ball(range(2 * spec.rank), b)
+    return any(_reads(spec, concat(p.inverse(), w)) for p in ball)
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,11 @@ from gapcert.errors import BudgetError, NoConvergenceError, NoGapError
 from gapcert.flow import shift_point
 from gapcert.limits import BOUND_SLACK, LimitMapValue
 from gapcert.linalg import (
-    _TINY,
     GAP_TOLERANCE,
     Representation,
     ScaledMatrix,
     Subspace,
     _renormalized_rows,
-    _require_gap,
     grassmann_distance,
     power_images,
     stacked_margins,
@@ -43,6 +41,7 @@ from gapcert.subsets import (
 from gapcert.words import (
     BoundaryPoint,
     ReducedWord,
+    concat,
     gromov_product,
     least_rotation,
     periodic_point,
@@ -327,6 +326,10 @@ def scaled_matrix(matrix) -> ScaledMatrix:
     return ScaledMatrix(cores[0], float(logscales[0]))
 
 
+# the floor under singular values before their log
+_TINY = 1e-300
+
+
 def singular_values(m: ScaledMatrix) -> np.ndarray:
     """Log-scale singular values, descending."""
     s = np.linalg.svd(m.core, compute_uv=False)
@@ -366,10 +369,40 @@ def sample_words(sample):
         yield from sample.level_words(t)
 
 
+def enumerated_word_in_positive_set(spec, w: ReducedWord, b: int = 0) -> bool:
+    """The enumeration reference for word_in_positive_set: w of length <= b,
+    or some p^-1 w with |p| <= b among the decoded words of
+    gamma_p_plus(spec, |w| + b)."""
+    if len(w) <= b:
+        return True
+    enumerated = set(sample_words(gamma_p_plus(spec, len(w) + b)))
+    ball = reduced_ball(range(2 * spec.rank), b)
+    return any(concat(p.inverse(), w) in enumerated for p in ball)
+
+
 def slope_tolerance(*certs, floor: float = 1e-9) -> float:
     """Comparison tolerance for fitted slopes: twice the summed standard
     errors, floored to keep exact fits comparable."""
     return max(2.0 * sum(c.slope_stderr for c in certs), floor)
+
+
+def _require_gap(m: ScaledMatrix, k: int, svals: np.ndarray) -> None:
+    if not 1 <= k < m.dim:
+        raise ValueError(f"gap index must satisfy 1 <= k < {m.dim}, got {k}")
+    logs = np.log(np.clip(svals, _TINY, None))
+    if logs[k - 1] - logs[k] <= GAP_TOLERANCE:
+        raise NoGapError(
+            f"no singular value gap of index {k}: "
+            f"log margin {logs[k - 1] - logs[k]:.3e}"
+        )
+
+
+def u_k(m: ScaledMatrix, k: int) -> Subspace:
+    """One-matrix reference for the attracting plane of a product: the span
+    of the top-k left singular vectors; needs a gap of index k."""
+    left, s, _ = np.linalg.svd(m.core)
+    _require_gap(m, k, s)
+    return Subspace(k, left[:, :k])
 
 
 def s_dk(m: ScaledMatrix, k: int) -> Subspace:

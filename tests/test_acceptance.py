@@ -15,6 +15,7 @@ from helpers import (
     scaled_matrix,
     singular_values,
     slope_tolerance,
+    u_k,
 )
 from gapcert.domination import CERTIFIED, REFUTED, _fit_slope, certify
 from gapcert.errors import NoGapError
@@ -41,7 +42,6 @@ from gapcert.linalg import (
     apply_to_subspace,
     evaluate,
     grassmann_distance,
-    u_k,
 )
 from gapcert.subsets import (
     AxisFamily,

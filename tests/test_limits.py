@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import gap_margin
-from gapcert import domination, limits, linalg
+from gapcert import domination, limits, linalg, subsets
 from gapcert.domination import certify
 from gapcert.errors import (
     GapcertError,
@@ -53,6 +53,7 @@ from gapcert.subsets import (
     q_plus_boundary,
 )
 from gapcert.words import (
+    EMPTY_WORD,
     gromov_product,
     parse_boundary_point,
     parse_word,
@@ -498,6 +499,10 @@ def test_cartan_refuses_unwitnessed_detours():
     for b in (0, 2):
         with pytest.raises(MembershipError):
             cartan_check(rep, axis, 1, x, words, b=b)
+    # a word past the rank is in by its length alone (|w| <= b), but it is
+    # no word of the representation
+    with pytest.raises(ValueError):
+        cartan_check(rep, axis, 1, x, [parse_word("c")], b=1)
 
 
 def test_cartan_accepts_shifted_words():
@@ -517,6 +522,68 @@ def test_cartan_decays_on_schottky_prefixes():
     curve = cartan_check(rep, directed, 1, x, words)
     assert curve.passed
     assert curve.distances[-1] < curve.distances[0]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_cartan_planes_of_the_lifts_settle_at_every_index(dim):
+    # each word's plane is read off its walked wedge^k, as the limit plane
+    # is.  The top-k block of the product's SVD lost u sigma_1 / sigma_k:
+    # 6 of the 9 lift cases (d = 3 at k = 2, d = 4 at k = 2, 3, d = 5 at
+    # k = 2-4) ended 2.1e-2 to 9.6e-2 away.  At d = 2 and k = 1 the two
+    # reads agree
+    rep, spec = schottky_rep(), directed_ab()
+    lift = rep if dim == 2 else helpers.sym_lift(rep, dim)
+    x = periodic_point(parse_word("ab"))
+    words = [parse_word("ab" * n) for n in (2, 4, 6, 8)]
+    for k in range(1, dim):
+        cert = certify(lift, spec, k, 8)
+        curve = cartan_check(lift, spec, k, x, words, certificate=cert)
+        assert curve.passed and curve.final < limits.PASS_TOL, (k, curve)
+        if dim == 2 or k == 1:
+            target = xi_upper(lift, spec, k, x, certificate=cert).subspace
+            want = [
+                grassmann_distance(helpers.u_k(evaluate(lift, w), k), target)
+                for w in words
+            ]
+            np.testing.assert_allclose(curve.distances, want, rtol=0, atol=1e-12)
+
+
+def test_cartan_enumerates_no_positive_set(monkeypatch):
+    # membership reads each p^-1 w off the subset graph's table: words up
+    # to length 16 on the full boundary, whose enumeration would hold
+    # 6,377,292 words at length 14, past the level cap
+    rep, spec = schottky_rep(), FullBoundary(2)
+    cert = certify(rep, spec, 1, 8)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        raise AssertionError("gamma_p_plus called")
+
+    for module in (subsets, domination, limits):
+        monkeypatch.setattr(module, "gamma_p_plus", spy, raising=False)
+    x = periodic_point(parse_word("ab"))
+    words = [x.prefix(n) for n in range(1, 17)]
+    curve = cartan_check(rep, spec, 1, x, words, certificate=cert)
+    assert curve.passed and curve.lengths == tuple(range(1, 17))
+    assert calls == []
+
+
+def test_cartan_without_a_gap_is_a_typed_error():
+    # the empty word has no plane, and b is a rotation: its walked margin
+    # is 0, though the certificate on the axis of a is Certified
+    rep, axis = example_56_rep(), a_axis_f2()
+    x = periodic_point(parse_word("a"))
+    assert certify(rep, axis, 1, 8).verdict == domination.CERTIFIED
+    cases = [
+        ([EMPTY_WORD], 0),
+        ([parse_word("a"), EMPTY_WORD], 0),
+        ([parse_word("b")], 1),
+        ([parse_word("aa"), parse_word("b"), parse_word("aaa")], 1),
+    ]
+    for words, b in cases:
+        with pytest.raises(NoGapError):
+            cartan_check(rep, axis, 1, x, words, b=b)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import gap_margin, log_conorm, log_norm, s_dk, singular_values
+from helpers import gap_margin, log_conorm, log_norm, s_dk, singular_values, u_k
 from gapcert.errors import (
     DependentColumnsError,
     DimensionMismatchError,
@@ -29,7 +29,6 @@ from gapcert.linalg import (
     stacked_apply_to_subspace,
     stacked_grassmann_distance,
     transversality_gap,
-    u_k,
 )
 from gapcert.words import EMPTY_WORD, parse_word
 

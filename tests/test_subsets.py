@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -32,6 +32,7 @@ from gapcert.subsets import (
     point_in_forward_set,
     q_plus_boundary,
     reduced_ball,
+    word_in_positive_set,
 )
 from gapcert.words import (
     EMPTY_WORD,
@@ -598,3 +599,41 @@ def test_membership_matches_the_reference(spec):
     for x, y in pairs:
         want = helpers.reference_pair_in_subset(spec, x, y)
         assert pair_in_subset(spec, x, y) == want
+
+
+@st.composite
+def subset_specs(draw):
+    """A subset of each of the four kinds, of rank 1 or 2."""
+    kind = draw(st.sampled_from(("full", "directed", "axis", "primitive")))
+    rank = 2 if kind == "primitive" else draw(st.integers(1, 2))
+    if kind == "full":
+        return FullBoundary(rank)
+    if kind == "directed":
+        steps = draw(st.sets(helpers.letters(rank), min_size=1))
+        return Directed(rank, frozenset(steps))
+    if kind == "axis":
+        axis = helpers.cyclically_reduced_words(rank, 1, 4)
+        return AxisFamily(rank, tuple(draw(st.lists(axis, min_size=1, max_size=3))))
+    return Primitive(2, draw(st.integers(1, 3)))
+
+
+# words over three generators, so that some pass the subset's rank
+@given(subset_specs(), helpers.reduced_words(3, 0, 6), st.integers(0, 2))
+@example(FullBoundary(2), parse_word("c"), 0)
+@example(FullBoundary(2), parse_word("c"), 1)
+@example(FullBoundary(2), parse_word("abc"), 2)
+@example(FullBoundary(2), EMPTY_WORD, 0)
+@example(Directed(2, frozenset({0, 2})), parse_word("Ab"), 1)
+@example(AxisFamily(2, (parse_word("ab"),)), parse_word("bab"), 1)
+@example(Primitive(2, 2), parse_word("Babb"), 2)
+@settings(max_examples=80, deadline=None)
+def test_word_membership_reads_the_table_as_the_enumeration_does(spec, w, b):
+    # word_in_positive_set tests each p^-1 w against the subset graph's
+    # table; the reference decodes gamma_p_plus(spec, |w| + b) and looks
+    # the words up in it.  A word of length <= b is in at the empty p^-1 w
+    # (p = w), whatever its letters
+    want = helpers.enumerated_word_in_positive_set(spec, w, b)
+    assert word_in_positive_set(spec, w, b) == want
+    sample = gamma_p_plus(spec, 6)
+    assert (w in sample) == (w in sample_words(sample))
+    assert EMPTY_WORD not in sample and not subsets._reads(spec, EMPTY_WORD)

@@ -45,7 +45,8 @@ _MEMO: "dict[tuple, DominationCertificate]" = {}
 
 class CertifyOptions(namedtuple("CertifyOptions", "lambda_min", defaults=(0.02,))):
     """The threshold for turning a margin table into a verdict: lambda_min,
-    the least fitted growth rate accepted as domination evidence."""
+    the least fitted growth rate accepted as domination evidence, which
+    the rate must clear by two of its standard errors."""
 
     __slots__ = ()
 
@@ -222,6 +223,10 @@ def certify(
 ) -> DominationCertificate:
     """Build a margin table and fit it into an evidence-grade certificate.
 
+    The verdict is Refuted on a margin of at most GAP_TOLERANCE at a
+    length of REFUTE_LENGTH or more, else Certified when lambda_hat -
+    2 * slope_stderr >= opts.lambda_min, else Inconclusive.
+
     The last MEMO_SIZE certificates are kept, keyed by the generator images'
     bytes, spec, k, budget and opts, so a process that certifies the same
     inputs again (several configs of one representation, as `gapcert sweep`
@@ -309,10 +314,15 @@ def _certificate(
 
     if refuted_at:
         verdict = REFUTED
-    elif lam >= opts.lambda_min:
+    elif lam - 2.0 * stderr >= opts.lambda_min:
         verdict = CERTIFIED
     else:
         verdict = INCONCLUSIVE
+        if lam >= opts.lambda_min:
+            notes.append(
+                f"rate_within_stderr: lambda_hat {lam:.4f} - 2 * slope_stderr "
+                f"{stderr:.4f} is below lambda_min {opts.lambda_min}"
+            )
 
     return DominationCertificate(
         k=k,

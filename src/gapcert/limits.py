@@ -20,7 +20,6 @@ bytes, the point and the index keeps its walk for every later reader.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import namedtuple
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -222,24 +221,6 @@ _WALK_CHUNK = 8
 _WALK_FAILURES = (NumericalError, FloatingPointError, np.linalg.LinAlgError)
 
 
-class _Chunk(namedtuple("_Chunk", "start rows frames live margins rising steps")):
-    """The lengths start + 1, ..., start + len(live) of the walk's rows
-    `rows`.  Per length and row: the d x k frame of the row's plane
-    (frames), whether the row has a plane there (live), its gap margin
-    (-inf where not live), whether that margin rose from the length
-    before, and the step from its last plane (inf without one)."""
-
-    __slots__ = ()
-
-    start: int
-    rows: np.ndarray
-    frames: np.ndarray
-    live: np.ndarray
-    margins: np.ndarray
-    rising: np.ndarray
-    steps: np.ndarray
-
-
 class _Walk:
     """The prefix products of some points in lockstep, one row per point,
     with the attracting k-planes, gap margins and steps of every length
@@ -249,6 +230,12 @@ class _Walk:
     lengths at a time, and one at a time only while it walks a failed
     chunk again.
 
+    Each quantity is one array indexed [n - 1, row] for the lengths n
+    walked: the d x k frame of the row's plane (frames), whether the row
+    has a plane there (live), its gap margin, whether that margin rose
+    from the length before (rising), and the step from its last plane.
+    A length without a plane reads live False, margin -inf and step inf,
+    and so does every length past the one where its row stopped walking.
     Nothing a walk keeps depends on a tolerance or length cap, so readers
     at any of them share it; values holds _plane's outcomes on the walk.
     """
@@ -259,11 +246,13 @@ class _Walk:
         self.codes = _prefix_codes(points)
         self.length = 0
         self.rows = np.arange(width)  # the rows walking on
-        self.chunks: list[_Chunk] = []
         self.single_until = 0  # after a chunk that failed, single lengths
         self.values: dict[tuple[float, float], LimitMapValue] = {}
-        # per row: each group's products and their log scales, the log|det|,
-        # the frame of its last plane, and the margin at the last length
+        self.frames = np.empty((0, width, rep.dim, k))
+        self.live = self.rising = np.empty((0, width), dtype=bool)
+        self.margins = self.steps = np.empty((0, width))
+        # per row: each group's products and their log scales, the log|det|
+        # and the frame of its last plane
         self.products = [
             (np.tile(np.eye(m), (width, w, 1, 1)), np.zeros((width, w)))
             for w, m in (images.shape[1:3] for _, images in self.groups)
@@ -271,35 +260,28 @@ class _Walk:
         self.logdets = np.zeros(width)
         self.last = np.empty((width, rep.dim, k))
         self.has_plane = np.zeros(width, dtype=bool)
-        self.last_margins = np.full(width, -math.inf)
 
-    def read(self, n_max: int, waiting: np.ndarray) -> Iterator[_Chunk]:
-        """The chunks that start below length n_max: those kept, then new
-        ones that walk the rows still waiting.  A row that has stopped waiting
-        when the walk goes on stops walking for good, so a walk of several
-        rows serves one reader, while a reader of one row that stops leaves
-        a walk to resume."""
-        at = 0
-        while True:
-            while at < len(self.chunks) and self.chunks[at].start < n_max:
-                at += 1
-                yield self.chunks[at - 1]
-            if at < len(self.chunks) or self.length >= n_max:
-                return
-            self.rows = self.rows[waiting[self.rows]]
-            if not len(self.rows):
-                return
-            single = self.length < self.single_until
-            count = min(1 if single else _WALK_CHUNK, n_max - self.length)
-            try:
-                self._walk(count)
-            except _WALK_FAILURES:
-                # the chunk may reach past a reader's stop: walk it again
-                # one length at a time, so the walk raises only where that
-                # would
-                if count == 1:
-                    raise
-                self.single_until = self.length + count
+    def walk_on(self, n_max: int, waiting: np.ndarray) -> bool:
+        """Walk the rows still waiting one chunk further, never past length
+        n_max; False, walking nothing, once the walk has reached n_max or no
+        row waits.  A row that has stopped waiting when the walk goes on
+        stops walking for good, so a walk of several rows serves one
+        reader, while a reader of one row that stops leaves a walk to
+        resume."""
+        if self.length >= n_max or not waiting[self.rows].any():
+            return False
+        self.rows = self.rows[waiting[self.rows]]
+        single = self.length < self.single_until
+        count = min(1 if single else _WALK_CHUNK, n_max - self.length)
+        try:
+            self._walk(count)
+        except _WALK_FAILURES:
+            # the chunk may reach past a reader's stop: walk it again one
+            # length at a time, so the walk raises only where that would
+            if count == 1:
+                raise
+            self.single_until = self.length + count
+        return True
 
     def _walk(self, count: int) -> None:
         rows, start, width = self.rows, self.length, len(self.rows)
@@ -334,16 +316,29 @@ class _Walk:
             steps[moving] = stacked_grassmann_distance(
                 planes[latest[:-1][moving]], planes[own[moving]]
             )
-        rising = margins > np.vstack([self.last_margins[rows], margins[:-1]])
-        # nothing below fails numerically: keep the chunk
-        self.chunks.append(_Chunk(start, rows, frames, live, margins, rising, steps))
+        before = self.margins[start - 1, rows] if start else np.full(width, -math.inf)
+        rising = margins > np.vstack([before, margins[:-1]])
+        # nothing below fails numerically: keep the chunk's lengths
+        self.frames = _kept(self.frames, rows, frames, 0.0)
+        self.live = _kept(self.live, rows, live, False)
+        self.margins = _kept(self.margins, rows, margins, -math.inf)
+        self.rising = _kept(self.rising, rows, rising, False)
+        self.steps = _kept(self.steps, rows, steps, math.inf)
         self.length += count
         for (cores, scales), (chunk, chunk_scales) in zip(self.products, walked):
             cores[rows], scales[rows] = chunk[-1], chunk_scales[-1]
         self.logdets[rows] = logdets[-1]
         self.last[rows] = planes[latest[-1]]  # -1 reads some plane, unread
         self.has_plane[rows] = latest[-1] >= 0
-        self.last_margins[rows] = margins[-1]
+
+
+def _kept(kept: np.ndarray, rows: np.ndarray, chunk: np.ndarray, fill) -> np.ndarray:
+    """kept with the chunk's lengths appended: chunk at the rows walked,
+    and fill, no plane, at the others."""
+    if len(rows) < kept.shape[1]:
+        block = np.full((len(chunk),) + kept.shape[1:], fill, kept.dtype)
+        block[:, rows], chunk = chunk, block
+    return np.concatenate([kept, chunk])
 
 
 def _prefix_codes(points: Sequence[BoundaryPoint]) -> Callable[..., np.ndarray]:
@@ -372,16 +367,16 @@ def _limit_planes(rep, k, points, rate, tol, n_max, walk=None) -> list:
     walk = walk or _Walk(rep, k, points)
     outcomes = _limit_stops(rep, k, points, rate, tol, n_max, walk)
     worst_pair = rep.letter_norm_bound
-    for r, stop in enumerate(outcomes):
-        if not isinstance(stop, GapcertError):
-            chunk, t, i, skipped = stop
+    for r, t in enumerate(outcomes):
+        if not isinstance(t, GapcertError):
+            gapless = np.flatnonzero(~walk.live[:t, r]) + 1
             outcomes[r] = LimitMapValue(
                 point=points[r],
-                subspace=Subspace(k, chunk.frames[t, i]),
-                iterations=chunk.start + t + 1,
-                last_step=float(chunk.steps[t, i]),
-                cauchy_bound=worst_pair * math.exp(-float(chunk.margins[t, i])),
-                skipped_prefixes=skipped,
+                subspace=Subspace(k, walk.frames[t, r]),
+                iterations=t + 1,
+                last_step=float(walk.steps[t, r]),
+                cauchy_bound=worst_pair * math.exp(-float(walk.margins[t, r])),
+                skipped_prefixes=tuple(gapless.tolist()),
             )
     return outcomes
 
@@ -389,59 +384,44 @@ def _limit_planes(rep, k, points, rate, tol, n_max, walk=None) -> list:
 def _limit_stops(rep, k, points, rate, tol, n_max, walk: _Walk) -> list:
     """xi_upper's stopping rule at tol, up to n_max prefixes, over walk,
     the prefix walk of points: per point, where the rule first fires, as
-    (chunk, t, i, skipped) - the plane in chunk.frames[t, i], at length
-    chunk.start + t + 1 after the gapless lengths skipped - or the
+    the index t of its length t + 1 - the plane walk.frames[t, row], past
+    the gapless lengths where walk.live[:t, row] is False - or the
     NoGapError / NoConvergenceError that its reader raises."""
     worst_pair = rep.letter_norm_bound
     tail_factor = 1.0 / (1.0 - math.exp(-rate))
     allowance = BOUND_SLACK * tol
     outcomes: list = [None] * len(points)
     waiting = np.ones(len(points), dtype=bool)
-    skipped: list[list[int]] = [[] for _ in points]
-    for chunk in walk.read(n_max, waiting):
-        upto = min(len(chunk.live), n_max - chunk.start)
-        rows, live = chunk.rows, chunk.live[:upto]
-        if not live.all():
-            for t, i in zip(*np.nonzero(~live & waiting[rows])):
-                skipped[rows[i]].append(chunk.start + int(t) + 1)
-        hits = chunk.rising[:upto] & (chunk.steps[:upto] <= tol) & waiting[rows]
+    read = 0  # the lengths read
+    while True:
+        upto = min(walk.length, n_max)
+        hits = walk.rising[read:upto] & (walk.steps[read:upto] <= tol) & waiting
         # row by row, its hits in order of length, up to its first that passes
-        columns, lengths = np.nonzero(hits.T)
-        stopped_at = -1
-        for i, t in zip(columns.tolist(), lengths.tolist()):
-            if i == stopped_at:
-                continue
-            ratio = math.exp(-float(chunk.margins[t, i]))
-            if worst_pair * ratio * tail_factor > allowance:
-                continue
-            stopped_at, r, n = i, int(rows[i]), chunk.start + t + 1
-            stopped = tuple(skipped[r][: bisect_left(skipped[r], n)])
-            outcomes[r] = (chunk, t, i, stopped)
-            waiting[r] = False
-        if not waiting.any():
+        rows, lengths = np.nonzero(hits.T)
+        for r, t in zip(rows.tolist(), (lengths + read).tolist()):
+            ratio = math.exp(-float(walk.margins[t, r])) if waiting[r] else math.inf
+            if worst_pair * ratio * tail_factor <= allowance:
+                outcomes[r], waiting[r] = t, False
+        read = upto
+        if not walk.walk_on(n_max, waiting):
             break
-    # per point still waiting, the step and margin at its last plane
-    last: dict[int, tuple[float, float]] = {}
-    for chunk in walk.chunks if waiting.any() else ():
-        live = chunk.live[: max(n_max - chunk.start, 0)] & waiting[chunk.rows]
-        for t, i in zip(*np.nonzero(live)):
-            last[int(chunk.rows[i])] = (chunk.steps[t, i], chunk.margins[t, i])
-    for r in np.nonzero(waiting)[0].tolist():
-        x = points[r]
-        if r not in last:
-            offending = str(x.prefix(skipped[r][0])) if skipped[r] else "(empty)"
+    for r in np.flatnonzero(waiting).tolist():
+        x, live = points[r], walk.live[:n_max, r]
+        if not live.any():
+            # every length is gapless: the first offends
+            offending = str(x.prefix(1)) if len(live) else "(empty)"
             outcomes[r] = NoGapError(
                 f"no prefix of {x} up to length {n_max} has a singular gap "
                 f"of index {k}; first offending prefix '{offending}'"
             )
             continue
-        step, margin = last[r]
-        bound = worst_pair * math.exp(-float(margin)) * tail_factor
+        t = np.flatnonzero(live)[-1]  # the last plane
+        bound = worst_pair * math.exp(-float(walk.margins[t, r])) * tail_factor
         outcomes[r] = NoConvergenceError(
             f"no certified convergence for {x} within {n_max} prefixes: "
-            f"last step {float(step):.3e} against tolerance {tol:.1e}, "
+            f"last step {float(walk.steps[t, r]):.3e} against tolerance {tol:.1e}, "
             f"ray-margin tail bound {bound:.3e} against allowance "
-            f"{allowance:.1e}, {len(skipped[r])} gapless prefixes skipped"
+            f"{allowance:.1e}, {np.count_nonzero(~live)} gapless prefixes skipped"
         )
     return outcomes
 
@@ -625,19 +605,13 @@ def cartan_check(
             raise NoGapError(f"the empty word has no singular gap of index {k}")
     target = xi_upper(rep, spec, k, x, DEFAULT_TOL, n_max, certificate).subspace
     lengths = np.array([len(w) for w in words])
-    frames = np.empty((len(words), rep.dim, k))
-    live = np.zeros(len(words), dtype=bool)
     # each word w walks as the point w.(its last letter)^inf, whose prefix
-    # of length |w| is w, and stops walking once read there
-    waiting = np.ones(len(words), dtype=bool)
-    points = [BoundaryPoint(w, w[-1:]) for w in words]
-    for chunk in _Walk(rep, k, points).read(int(lengths.max()), waiting):
-        at = lengths[chunk.rows] - chunk.start - 1
-        (here,) = np.nonzero(at < len(chunk.live))
-        rows = chunk.rows[here]
-        frames[rows] = chunk.frames[at[here], here]
-        live[rows] = chunk.live[at[here], here]
-        waiting[rows] = False
+    # of length |w| is w, and stops walking once walked there
+    walk = _Walk(rep, k, [BoundaryPoint(w, w[-1:]) for w in words])
+    while walk.walk_on(int(lengths.max()), lengths > walk.length):
+        pass
+    at = (lengths - 1, np.arange(len(words)))
+    frames, live = walk.frames[at], walk.live[at]
     if not live.all():
         gapless = words[int(np.argmin(live))]
         raise NoGapError(f"'{gapless}' has no singular gap of index {k}")
@@ -741,10 +715,10 @@ def holder_estimate(
             walked = [points[p] for p in new]
             walk, rate = _Walk(rep, k, walked), certificate.lambda_hat
             stops = _limit_stops(rep, k, walked, rate, tol, n_max, walk)
-            for p, stop in zip(new, stops):
-                failures[p] = stop if isinstance(stop, GapcertError) else None
+            for r, (p, t) in enumerate(zip(new, stops)):
+                failures[p] = t if isinstance(t, GapcertError) else None
                 if failures[p] is None:
-                    frames[p] = stop[0].frames[stop[1:3]]
+                    frames[p] = walk.frames[t, r]
         read = [any(map(failures.get, pair)) for pair in batch] + [True]
         read = read.index(True)
         pair_frames = frames[np.array(batch)[:read]]

@@ -84,7 +84,7 @@ def assert_certificate_invariants(cert):
         assert m >= 0.0
         assert len(cert.argmins[t]) == t
     if cert.verdict == CERTIFIED:
-        assert cert.lambda_hat >= 0.02
+        assert cert.lambda_hat - 2.0 * cert.slope_stderr >= 0.02
     if cert.verdict == REFUTED:
         assert cert.counterexample is not None
         t = len(cert.counterexample)
@@ -152,6 +152,28 @@ def test_low_scale_is_inconclusive_not_refuted():
     cert = certify(z_rep(), z_axis(), 2, 4)
     assert cert.verdict == INCONCLUSIVE
     assert cert.counterexample is None
+
+
+def test_certified_clears_its_own_error_bar():
+    # a pair whose fitted rate on the full boundary at budget 8 is 0.0343
+    # with a standard error of 0.1408: above lambda_min, yet inside its own
+    # error bar, so not Certified; on Primitive(2, 8) its rate 0.9117 +-
+    # 0.0207 clears the bar and stays Certified
+    a = np.diag([2.487981671191005, 0.40193222143847096])
+    b = np.array([[0.8285347129254516, 1.0], [0.7079242068865768, 2.0613791797040246]])
+    rep = Representation.of([a, b])
+    cert = certify(rep, FullBoundary(2), 1, 8)
+    assert cert.verdict == INCONCLUSIVE
+    assert cert.lambda_hat >= CertifyOptions().lambda_min
+    assert round(cert.lambda_hat, 4) == 0.0343 and round(cert.slope_stderr, 4) == 0.1408
+    assert sum("rate_within_stderr" in note for note in cert.notes) == 1
+    cert = certify(rep, Primitive(2, 8), 1, 12)
+    assert cert.verdict == CERTIFIED
+    assert round(cert.lambda_hat, 4) == 0.9117 and round(cert.slope_stderr, 4) == 0.0207
+    assert not any("rate_within_stderr" in note for note in cert.notes)
+    # the note is only for a rate the error bar alone holds back
+    low = certify(z_rep(), z_axis(), 2, 4)
+    assert not any("rate_within_stderr" in note for note in low.notes)
 
 
 def test_positive_pair_directed_certified():

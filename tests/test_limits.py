@@ -751,6 +751,16 @@ def test_interior_planes_match_the_one_point_loop():
                 assert_same_outcome(got, walk_outcome(rep, k, x, 0.5, 1e-10, 60))
 
 
+def walked(rep, k, points, length, waiting=None):
+    """A walk of the points in lockstep to length, each row walking while
+    waiting(walk) holds for it (by default, every row to length)."""
+    walk = limits._Walk(rep, k, points)
+    waiting = waiting or (lambda walk: np.ones(len(points), dtype=bool))
+    while walk.walk_on(length, waiting(walk)):
+        pass
+    return walk
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_walk_margins_are_certifys_margins(dim):
     # one margin path: at every length of a ray the walk keeps certify's
@@ -764,9 +774,7 @@ def test_walk_margins_are_certifys_margins(dim):
     points = [parse_boundary_point(t) for t in texts]
     length = 3 * limits._WALK_CHUNK
     for k in range(1, dim):
-        walk = limits._Walk(rep, k, points)
-        chunks = list(walk.read(length, np.ones(len(points), dtype=bool)))
-        kept = np.concatenate([chunk.margins for chunk in chunks])
+        kept = walked(rep, k, points, length).margins
         for i, x in enumerate(points):
             chain = [([0], [x.letter_at(n)]) for n in range(length)]
             want = np.concatenate(list(domination._level_margins([rep], chain, k)))
@@ -798,9 +806,7 @@ def test_walk_margins_match_a_60_digit_oracle():
     texts = ("(ab)", "(a)", "b|(ab)", "ba|(b)", "aab|(abb)", "(aab)")
     points = [parse_boundary_point(t) for t in texts]
     length = 3 * limits._WALK_CHUNK
-    walk = limits._Walk(rep, 1, points)
-    chunks = list(walk.read(length, np.ones(len(points), dtype=bool)))
-    kept = np.concatenate([chunk.margins for chunk in chunks])
+    kept = walked(rep, 1, points, length).margins
     for i, x in enumerate(points):
         for n in range(1, length + 1):
             m = oracle_margin(rep, x.prefix(n))
@@ -921,12 +927,47 @@ def test_a_walk_takes_one_decomposition_per_chunk(monkeypatch):
     monkeypatch.setattr(linalg.np.linalg, "svd", svd)
     walk = limits._Walk(rep, 1, points)
     waiting = np.ones(len(points), dtype=bool)
-    chunks = list(walk.read(2 * limits._WALK_CHUNK, waiting))
-    assert len(chunks) == 2 and walk.length == 2 * limits._WALK_CHUNK
-    assert len(calls) == 2 * len(chunks)
-    for chunk, (products, _) in zip(chunks, zip(calls[0::2], calls[1::2])):
+    chunks = 0
+    while walk.walk_on(2 * limits._WALK_CHUNK, waiting):
+        chunks += 1
+    assert chunks == 2 and walk.length == 2 * limits._WALK_CHUNK
+    assert len(calls) == 2 * chunks
+    for products in calls[0::2]:
         assert products == (limits._WALK_CHUNK * len(points), 2, 2)
-        assert np.array_equal(chunk.live, chunk.margins > linalg.GAP_TOLERANCE)
+    assert np.array_equal(walk.live, walk.margins > linalg.GAP_TOLERANCE)
+
+
+def test_a_row_that_stops_waiting_reads_without_a_plane():
+    # a row of a walk of several rows that stops waiting stops walking: at
+    # every later length it reads live False, margin -inf, not rising and
+    # step inf, and up to there it reads as a walk of its own point alone
+    rep = schottky_rep()
+    points = [parse_boundary_point(s) for s in ("(ab)", "b|(ab)", "ba|(b)", "(a)")]
+    chunk = limits._WALK_CHUNK
+    ends = np.array([1, 2, 2, 4]) * chunk
+    walk = walked(rep, 1, points, 4 * chunk, lambda walk: ends > walk.length)
+    assert walk.length == 4 * chunk
+    quantities = ("frames", "live", "margins", "rising", "steps")
+    for r, (x, end) in enumerate(zip(points, ends)):
+        alone = walked(rep, 1, [x], end)
+        for name in quantities:
+            kept, own = getattr(walk, name), getattr(alone, name)
+            assert np.array_equal(kept[:end, r], own[:, 0]), (str(x), name)
+        assert not walk.live[end:, r].any() and not walk.rising[end:, r].any()
+        assert np.all(walk.margins[end:, r] == -math.inf)
+        assert np.all(walk.steps[end:, r] == math.inf)
+    # a one-row walk resumed past a cap keeps its earlier lengths bit for
+    # bit, and reads as a walk to the later cap at once
+    x = points[1]
+    walk = walked(rep, 1, [x], 5)
+    before = {name: getattr(walk, name).copy() for name in quantities}
+    while walk.walk_on(3 * chunk, np.ones(1, dtype=bool)):
+        pass
+    at_once = walked(rep, 1, [x], 3 * chunk)
+    assert walk.length == 3 * chunk
+    for name in quantities:
+        assert np.array_equal(getattr(walk, name)[:5], before[name])
+        assert np.array_equal(getattr(walk, name), getattr(at_once, name))
 
 
 def failing_products(original, at, error, calls):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from functools import lru_cache
 from typing import Any, Optional
 
@@ -19,7 +20,6 @@ import numpy as np
 
 from .domination import CertifyOptions
 from .errors import GapcertError, ParseError, ValidationError
-from .flow import DEFAULT_FLOW_STEPS
 from .limits import DEFAULT_N_MAX
 from .linalg import Representation, Subspace
 from .subsets import AxisFamily, Directed, FullBoundary, Primitive, SubsetPSpec
@@ -46,7 +46,6 @@ DEFAULT_SAMPLING = {
     "kappa": 1.0,
     "b": 0,
     "sdp_points": 30,
-    "flow_steps": DEFAULT_FLOW_STEPS,
     "limit_n_max": DEFAULT_N_MAX,
     "trials": 20,
     "epsilon": 1e-3,
@@ -82,35 +81,27 @@ TASK_REQUIREMENTS = {
 }
 
 
-class RunConfig:
-    """A validated run configuration with defaults filled in; the tolerance,
-    sampling and point blocks default to empty dicts."""
+class RunConfig(
+    namedtuple(
+        "RunConfig",
+        "rank dim generators subset k budget seed tasks tolerances sampling points",
+    )
+):
+    """A validated run configuration with defaults filled in."""
 
-    def __init__(
-        self,
-        rank: int,
-        dim: int,
-        generators: tuple[tuple[tuple[float, ...], ...], ...],
-        subset: dict[str, Any],
-        k: int,
-        budget: int,
-        seed: int,
-        tasks: tuple[str, ...],
-        tolerances: Optional[dict[str, float]] = None,
-        sampling: Optional[dict[str, Any]] = None,
-        points: Optional[dict[str, Any]] = None,
-    ):
-        self.rank = rank
-        self.dim = dim
-        self.generators = generators
-        self.subset = subset
-        self.k = k
-        self.budget = budget
-        self.seed = seed
-        self.tasks = tasks
-        self.tolerances = {} if tolerances is None else tolerances
-        self.sampling = {} if sampling is None else sampling
-        self.points = {} if points is None else points
+    __slots__ = ()
+
+    rank: int
+    dim: int
+    generators: tuple[tuple[tuple[float, ...], ...], ...]
+    subset: dict[str, Any]
+    k: int
+    budget: int
+    seed: int
+    tasks: tuple[str, ...]
+    tolerances: dict[str, float]
+    sampling: dict[str, Any]
+    points: dict[str, Any]
 
     def representation(self) -> Representation:
         images = np.array(self.generators, dtype=float)
@@ -165,21 +156,12 @@ class RunConfig:
     def with_overrides(
         self, seed: Optional[int] = None, tasks: Optional[tuple[str, ...]] = None
     ) -> "RunConfig":
-        if seed is None and tasks is None:
-            return self
-        return RunConfig(
-            self.rank,
-            self.dim,
-            self.generators,
-            self.subset,
-            self.k,
-            self.budget,
-            self.seed if seed is None else _require_seed(seed),
-            self.tasks if tasks is None else _validate_tasks(list(tasks)),
-            self.tolerances,
-            self.sampling,
-            self.points,
-        )
+        changes: dict[str, Any] = {}
+        if seed is not None:
+            changes["seed"] = _require_seed(seed)
+        if tasks is not None:
+            changes["tasks"] = _validate_tasks(list(tasks))
+        return self._replace(**changes)
 
     def require_for_tasks(self) -> None:
         """Check that every configured task has the point data it needs."""

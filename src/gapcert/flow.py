@@ -62,7 +62,6 @@ from .pcg64 import Stream
 from .subsets import SubsetPSpec, _require_pair, gamma_p_plus
 from .words import BoundaryPoint, gromov_product, translate
 
-DEFAULT_FLOW_STEPS = 80
 # Norm ceiling of the three graph-transform hypotheses.
 HYPOTHESES_LIMIT = 1.0 / 3.0
 # Ceiling of every residual the splitting checks pass.
@@ -202,15 +201,15 @@ def anosov_margins(
 class SplittingSample(
     namedtuple(
         "SplittingSample",
-        "point stable unstable iterations n_steps last_step_stable "
+        "point stable unstable iterations last_step_stable "
         "last_step_unstable skipped_lengths",
         defaults=((),),
     )
 ):
     """Stable/unstable pair over one shift point as extracted: the stop at
-    iterations (the later of the two summands' stops) of the n_steps it
-    could take, each summand's last subspace step, and the lengths either
-    summand skipped for want of a gap.  It carries no residuals:
+    iterations (the later of the two summands' stops), each summand's last
+    subspace step, and the lengths either summand skipped for want of a
+    gap.  It carries no residuals:
     splitting_checks measures them."""
 
     __slots__ = ()
@@ -219,7 +218,6 @@ class SplittingSample(
     stable: Subspace
     unstable: Subspace
     iterations: int
-    n_steps: int
     last_step_stable: float
     last_step_unstable: float
     skipped_lengths: tuple[int, ...]
@@ -229,26 +227,25 @@ def _splitting(
     rep: Representation,
     x: ShiftPoint,
     k: int,
-    n_steps: int,
+    n_max: int,
     tol: float,
     rate: float,
 ) -> SplittingSample:
-    """The splitting over x as two limit-plane reads at tol within n_steps
+    """The splitting over x as two limit-plane reads at tol within n_max
     prefixes: the k-plane at the forward end and the (d-k)-plane at the
     backward end; raises NoConvergenceError when either does not settle."""
     try:
-        stable = _plane(rep, k, x.forward, rate, tol, n_steps)
-        unstable = _plane(rep, rep.dim - k, x.backward, rate, tol, n_steps)
+        stable = _plane(rep, k, x.forward, rate, tol, n_max)
+        unstable = _plane(rep, rep.dim - k, x.backward, rate, tol, n_max)
     except (NoGapError, NoConvergenceError) as exc:
         raise NoConvergenceError(
-            f"splitting did not settle within {n_steps} steps: {exc}"
+            f"splitting did not settle within {n_max} steps: {exc}"
         ) from exc
     return SplittingSample(
         point=x,
         stable=stable.subspace,
         unstable=unstable.subspace,
         iterations=max(stable.iterations, unstable.iterations),
-        n_steps=n_steps,
         last_step_stable=stable.last_step,
         last_step_unstable=unstable.last_step,
         skipped_lengths=tuple(
@@ -261,7 +258,7 @@ def bg_splitting(
     rep: Representation,
     x: ShiftPoint,
     k: int,
-    n_steps: int = DEFAULT_FLOW_STEPS,
+    n_max: int = DEFAULT_N_MAX,
     tol: float = DEFAULT_TOL,
     certificate: Optional[DominationCertificate] = None,
 ) -> SplittingSample:
@@ -272,12 +269,12 @@ def bg_splitting(
     it is read as their top block, which does not saturate as the maps'
     bottom block does.  unstable, the top (d-k) directions of the maps into
     x from its n-fold backward shift, is the backward (d-k)-plane.  Both
-    are read at tol within n_steps prefixes at the certificate's rate, from
+    are read at tol within n_max prefixes at the certificate's rate, from
     the walks limit-map reads.  Only extracts: splitting_checks measures
     the residuals.
     """
     certificate = _require_certified(rep, x.spec, k, certificate)
-    return _splitting(rep, x, k, n_steps, tol, certificate.lambda_hat)
+    return _splitting(rep, x, k, n_max, tol, certificate.lambda_hat)
 
 
 class SplittingReport(
@@ -313,13 +310,13 @@ def splitting_checks(
 
     Every residual is measured from the sample's subspaces, so a corrupted
     sample is caught: invariance pushes the summands one step and compares
-    them against the splitting extracted at the shifted point within the
-    sample's n_steps, at DEFAULT_TOL.  Domination is the log of the worst
+    them against the splitting extracted at the shifted point within n_max
+    prefixes, at DEFAULT_TOL.  Domination is the log of the worst
     stable stretch over the least unstable stretch of the time-n maps, at
     every length up to the sample's stop that neither summand skipped; its
     fitted slope must be negative.  Endpoint consistency compares the
     summands with the boundary limit maps at the point's ends, read at
-    DEFAULT_TOL up to n_max prefixes at the certificate's rate: the walks
+    DEFAULT_TOL within the same n_max at the certificate's rate: the walks
     the sample was read from, so it measures how far the sample's own stop
     lies from the stop at DEFAULT_TOL.
     Every residual must be below SPLITTING_TOL.
@@ -327,9 +324,7 @@ def splitting_checks(
     x = sample.point
     k = sample.stable.dimension
     certificate = _require_certified(rep, x.spec, k, certificate)
-    shifted = _splitting(
-        rep, shift(x), k, sample.n_steps, DEFAULT_TOL, certificate.lambda_hat
-    )
+    shifted = _splitting(rep, shift(x), k, n_max, DEFAULT_TOL, certificate.lambda_hat)
     cores = _cocycle_stack(rep, x, sample.iterations)[0]  # row 1: the one-step map
     invariance_stable = grassmann_distance(
         apply_to_subspace(cores[0], sample.stable), shifted.stable

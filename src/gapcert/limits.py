@@ -213,8 +213,10 @@ def _table_walk(rep: Representation, k: int, x: BoundaryPoint) -> "_Walk":
 
 
 # Lengths a walk advances at a time: their products are built one after
-# another, their letter lookups, tops, SVDs and steps taken once.
-_WALK_CHUNK = 8
+# another, their letter lookups, tops, SVDs and steps taken once.  Reads
+# of the benchmark's lines at 1e-10 stop within 10 lengths, so most walks
+# take one chunk.
+_WALK_CHUNK = 10
 
 # Failures a chunk may meet past a reader's stopping length, where a walk
 # one length at a time has already stopped.

@@ -241,20 +241,16 @@ def _run_holder(config, rep, spec, index, certificate) -> dict[str, Any]:
 
 def _run_splitting(config, rep, spec, index, certificate) -> dict[str, Any]:
     x = shift_point(spec, config.forward_point(), config.backward_point())
+    n_max = config.sampling["limit_n_max"]
     sample = bg_splitting(
         rep,
         x,
         config.k,
-        n_steps=config.sampling["flow_steps"],
+        n_max=n_max,
         tol=config.tolerances["subspace"],
         certificate=certificate(),
     )
-    checks = splitting_checks(
-        rep,
-        sample,
-        certificate=certificate(),
-        n_max=config.sampling["limit_n_max"],
-    )
+    checks = splitting_checks(rep, sample, certificate=certificate(), n_max=n_max)
     return {
         "verdict": PASS if checks.passed else FAIL,
         "stable_rows": _subspace_rows(sample.stable),

@@ -622,20 +622,20 @@ def forward_maps(rep, x, count):
         yield ScaledMatrix(current.core.T, current.logscale)
 
 
-def reference_splitting(rep, x, k, n_steps, tol, rate):
+def reference_splitting(rep, x, k, n_max, tol, rate):
     """The splitting over x as the one-point prefix loop reads it: the
     (stable, unstable) limit-plane values at the point's forward end at
-    index k and backward end at d - k, within n_steps prefixes, or the
+    index k and backward end at d - k, within n_max prefixes, or the
     NoConvergenceError that gapcert.flow raises when either does not
     settle."""
     try:
         return (
-            reference_xi_upper(rep, k, x.forward, rate, tol, n_steps),
-            reference_xi_upper(rep, rep.dim - k, x.backward, rate, tol, n_steps),
+            reference_xi_upper(rep, k, x.forward, rate, tol, n_max),
+            reference_xi_upper(rep, rep.dim - k, x.backward, rate, tol, n_max),
         )
     except (NoGapError, NoConvergenceError) as exc:
         raise NoConvergenceError(
-            f"splitting did not settle within {n_steps} steps: {exc}"
+            f"splitting did not settle within {n_max} steps: {exc}"
         ) from None
 
 

@@ -18,6 +18,7 @@ from gapcert.config import (
     DEFAULT_SAMPLING,
     DEFAULT_TOLERANCES,
     TASK_NAMES,
+    RunConfig,
     load_config,
     parse_config,
 )
@@ -77,7 +78,7 @@ def schottky_config(**overrides):
             "seed_plane": [[1.0, 0.3]],
             "pairs": [["(a)", "(B)"], ["(ab)", "(BA)"]],
         },
-        "sampling": {"holder_pairs": 60, "trials": 5, "flow_steps": 60},
+        "sampling": {"holder_pairs": 60, "trials": 5},
     }
     data.update(overrides)
     return data
@@ -359,9 +360,8 @@ def test_run_walks_only_the_tolerances_its_tasks_read(monkeypatch):
     # reads on it: limit-map and transversality read planes at the config
     # tolerance, sdp and the splitting checks at the default; splitting
     # reads the ends of its point's line at the config tolerance within
-    # flow_steps, the same planes as limit-map and sdp, and the checks read
-    # the ends of its shift's line at the default within the same
-    # flow_steps
+    # limit_n_max, the same planes as limit-map and sdp, and the checks read
+    # the ends of its shift's line at the default within the same cap
     tol = DEFAULT_TOLERANCES["subspace"]
     default = limits.DEFAULT_TOL
     assert tol != default
@@ -370,10 +370,10 @@ def test_run_walks_only_the_tolerances_its_tasks_read(monkeypatch):
     # one rate, the certificate's, for the planes on both sides
     rate = certify(rep, spec, 1, config.budget).lambda_hat
 
-    def plane(point, t, n_max=400):
+    def plane(point, t, n_max=DEFAULT_SAMPLING["limit_n_max"]):
         x = parse_boundary_point(point)
         value = helpers.reference_xi_upper(rep, 1, x, rate, t, n_max)
-        return chunk_end(value.iterations)
+        return min(chunk_end(value.iterations), n_max)
 
     x = shift_point(spec, parse_boundary_point("(ab)"), parse_boundary_point("(BA)"))
     shifted = [str(shift(x).forward), str(shift(x).backward)]
@@ -394,21 +394,18 @@ def test_run_walks_only_the_tolerances_its_tasks_read(monkeypatch):
             plane("(ab)", default),
             plane("(BA)", default),
         ],
-        ("splitting",): [
-            *endpoints,
-            plane("(ba)", default, 60),
-            plane("(AB)", default, 60),
-        ],
-        ("splitting", 80): [
-            *endpoints,
-            plane("(ba)", default, 80),
-            plane("(AB)", default, 80),
+        ("splitting",): [*endpoints, plane("(ba)", default), plane("(AB)", default)],
+        ("splitting", 12): [
+            plane("(ab)", default, 12),
+            plane("(BA)", default, 12),
+            plane("(ba)", default, 12),
+            plane("(AB)", default, 12),
         ],
     }
     for tasks, expected in cases.items():
         data = schottky_config(tasks=[t for t in tasks if isinstance(t, str)])
-        if 80 in tasks:
-            data["sampling"]["flow_steps"] = 80
+        if 12 in tasks:
+            data["sampling"]["limit_n_max"] = 12
         limits._WALKS.clear()
         walks = record_walks(monkeypatch)
         report = run(parse_config(data))
@@ -418,7 +415,8 @@ def test_run_walks_only_the_tolerances_its_tasks_read(monkeypatch):
 
 def test_run_splitting_checks_walk_the_endpoint_planes_to_the_config_cap():
     # the Schottky config of CI's same-report check: with three prefixes
-    # no plane settles, and the splitting checks end in sdp's error
+    # no plane settles, and the splitting ends in extraction, on limit-map's
+    # read of the forward plane
     data = {
         "rank": 2,
         "dim": 2,
@@ -436,7 +434,10 @@ def test_run_splitting_checks_walk_the_endpoint_planes_to_the_config_cap():
         assert results[task]["verdict"] == "Error"
         assert results[task]["error"].startswith("NoConvergenceError: ")
         assert "within 3 prefixes" in results[task]["error"]
-    assert results["splitting"]["error"] == results["sdp"]["error"]
+    error = results["limit-map"]["error"].removeprefix("NoConvergenceError: ")
+    assert results["splitting"]["error"] == (
+        f"NoConvergenceError: splitting did not settle within 3 steps: {error}"
+    )
     # with the default cap every task passes
     del data["sampling"]["limit_n_max"]
     assert exit_code(run(parse_config(data))) == 0
@@ -1054,6 +1055,29 @@ def test_cli_unread_tolerances_are_unknown_fields(tmp_path, capsys):
         data = z_config(tolerances={key: 1e-9})
         assert_config_error(tmp_path, capsys, data, "certify", f"tolerances.{key}")
     assert set(DEFAULT_TOLERANCES) == {"subspace", "lambda_min"}
+
+
+def test_cli_flow_steps_is_an_unknown_field(tmp_path, capsys):
+    # a splitting reads its planes within limit_n_max, the cap of every
+    # plane read, so sampling.flow_steps caps nothing
+    data = schottky_config(tasks=["splitting"])
+    data["sampling"]["flow_steps"] = 80
+    assert_config_error(tmp_path, capsys, data, "splitting", "sampling.flow_steps")
+    assert "flow_steps" not in DEFAULT_SAMPLING
+
+
+def test_with_overrides_validates_then_replaces():
+    config = parse_config(z_config())
+    with pytest.raises(ValidationError) as err:
+        config.with_overrides(seed=-1)
+    assert err.value.field == "seed"
+    with pytest.raises(ValidationError) as err:
+        config.with_overrides(tasks=("nope",))
+    assert err.value.field == "tasks[0]"
+    changed = config.with_overrides(seed=7, tasks=("limit-map",))
+    assert type(changed) is RunConfig
+    assert changed == config._replace(seed=7, tasks=("limit-map",))
+    assert config.with_overrides() == config
 
 
 def test_run_records_numerical_failures_as_errors(monkeypatch):

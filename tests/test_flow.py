@@ -449,14 +449,23 @@ def test_splitting_checks_pass():
 
 
 def test_splitting_checks_walk_the_endpoint_planes_up_to_n_max():
+    # on the line of (aba) the ends settle at 1e-10 at length 10 and the
+    # ends of its shift at length 9: at n_max 3 the checks stop at the
+    # shift's extraction, at n_max 9 at the forward end's plane
     rep, spec = schottky_rep(), directed_ab()
     cert = certify(rep, spec, 1, 8)
-    x = axis_point(spec, "ab")
+    x = shift(axis_point(spec, "aab"))
+    assert (str(x.forward), str(x.backward)) == ("(aba)", "(ABA)")
     sample = bg_splitting(rep, x, 1, certificate=cert)
     with pytest.raises(NoConvergenceError) as caught:
         splitting_checks(rep, sample, certificate=cert, n_max=3)
     with pytest.raises(NoConvergenceError) as alone:
-        limits.xi_upper(rep, spec, 1, x.forward, n_max=3, certificate=cert)
+        bg_splitting(rep, shift(x), 1, n_max=3, certificate=cert)
+    assert str(caught.value) == str(alone.value)
+    with pytest.raises(NoConvergenceError) as caught:
+        splitting_checks(rep, sample, certificate=cert, n_max=9)
+    with pytest.raises(NoConvergenceError) as alone:
+        limits.xi_upper(rep, spec, 1, x.forward, n_max=9, certificate=cert)
     assert str(caught.value) == str(alone.value)
     assert splitting_checks(rep, sample, certificate=cert, n_max=40).passed
 
@@ -482,10 +491,10 @@ def test_backward_planes_take_the_given_certificate(monkeypatch):
     assert made == []
 
 
-def test_splitting_checks_extract_the_shift_within_the_sample_cap():
+def test_splitting_checks_extract_the_shift_within_n_max():
     # diag(1.2, 1/1.2) and its conjugate by a 0.9 rad rotation are dominated
     # so slowly that the splitting settles past 80 steps: the checks
-    # extract the shifted point's splitting within the sample's own cap
+    # extract the shifted point's splitting within their own n_max
     theta = 0.9
     rot = np.array(
         [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
@@ -495,10 +504,11 @@ def test_splitting_checks_extract_the_shift_within_the_sample_cap():
     cert = certify(rep, spec, 1, 8)
     x = axis_point(spec, "ab")
     with pytest.raises(NoConvergenceError, match="within 80 steps"):
-        bg_splitting(rep, shift(x), 1, certificate=cert)
-    sample = bg_splitting(rep, x, 1, n_steps=300, certificate=cert)
-    assert sample.n_steps == 300
-    assert splitting_checks(rep, sample, certificate=cert).passed
+        bg_splitting(rep, shift(x), 1, n_max=80, certificate=cert)
+    sample = bg_splitting(rep, x, 1, n_max=300, certificate=cert)
+    with pytest.raises(NoConvergenceError, match="within 80 steps"):
+        splitting_checks(rep, sample, certificate=cert, n_max=80)
+    assert splitting_checks(rep, sample, certificate=cert, n_max=300).passed
 
 
 def test_splitting_checks_ratio_slope_diagonal():
@@ -524,17 +534,17 @@ def test_splitting_checks_catch_corruption():
     assert report.invariance_stable > 0.1
 
 
-def splitting_outcome(rep, x, k, n_steps, tol, rate):
+def splitting_outcome(rep, x, k, n_max, tol, rate):
     try:
-        return helpers.reference_splitting(rep, x, k, n_steps, tol, rate)
+        return helpers.reference_splitting(rep, x, k, n_max, tol, rate)
     except GapcertError as exc:
         return exc
 
 
-def read_splitting(rep, x, k, n_steps, tol, rate):
+def read_splitting(rep, x, k, n_max, tol, rate):
     """flow._splitting's outcome: the sample, or the error it raises."""
     try:
-        return flow._splitting(rep, x, k, n_steps, tol, rate)
+        return flow._splitting(rep, x, k, n_max, tol, rate)
     except NoConvergenceError as exc:
         return exc
 
@@ -585,8 +595,8 @@ def chunk_end(stop):
 def test_one_pass_splitting_settles_each_tolerance_as_walked_alone(case, rate, reads):
     # the table's walks of each line's two ends, read at every (tolerance,
     # cap) in turn, against each read walked alone by the one-point loop;
-    # 80 steps are bg_splitting's default, and 3 and 6 too few for most
-    # lines, so NoConvergenceError is common
+    # 3 and 6 prefixes are too few for most lines, so NoConvergenceError is
+    # common
     rep, spec = case
     forward = sorted(q_plus_boundary(spec, 3), key=str)[:3]
     backward = sorted(q_plus_boundary(hat(spec), 3), key=str)[-2:]
@@ -598,16 +608,16 @@ def test_one_pass_splitting_settles_each_tolerance_as_walked_alone(case, rate, r
             ends = list(zip((x.forward, x.backward), (k, rep.dim - k)))
             needs = {end: [] for end in ends}
             limits._WALKS.clear()
-            for tol, n_steps in reads:
-                want = splitting_outcome(rep, x, k, n_steps, tol, rate)
-                got = read_splitting(rep, x, k, n_steps, tol, rate)
+            for tol, n_max in reads:
+                want = splitting_outcome(rep, x, k, n_max, tol, rate)
+                got = read_splitting(rep, x, k, n_max, tol, rate)
                 assert_same_splitting(got, want)
                 # the backward end is read only once the forward end settles
                 for point, index in ends:
-                    plane = plane_outcome(rep, index, point, rate, tol, n_steps)
+                    plane = plane_outcome(rep, index, point, rate, tol, n_max)
                     done = isinstance(plane, GapcertError)
-                    need = n_steps if done else plane.iterations
-                    needs[point, index].append((need, n_steps))
+                    need = n_max if done else plane.iterations
+                    needs[point, index].append((need, n_max))
                     if done:
                         break
             for (point, index), need in needs.items():
@@ -640,11 +650,11 @@ def test_splitting_stops_on_both_sides_of_a_chunk_edge(monkeypatch):
                 for chunk in (stop + 1, stop, stop - 1):
                     monkeypatch.setattr(limits, "_WALK_CHUNK", chunk)
                     edges.add(stop - chunk)
-                    for n_steps in (80, stop - 1, chunk + 1, 2 * chunk + 3):
+                    for n_max in (80, stop - 1, chunk + 1, 2 * chunk + 3):
                         limits._WALKS.clear()
                         for t in (1e-6, tol):
-                            got = read_splitting(rep, x, 1, n_steps, t, rate)
-                            want = splitting_outcome(rep, x, 1, n_steps, t, rate)
+                            got = read_splitting(rep, x, 1, n_max, t, rate)
+                            want = splitting_outcome(rep, x, 1, n_max, t, rate)
                             assert_same_splitting(got, want)
                             kinds.add(type(got).__name__)
     assert edges == {-1, 0, 1}
@@ -708,12 +718,12 @@ def test_shared_walks_extract_each_splitting_once():
     x = shift_point(
         spec, parse_boundary_point("b|(ab)"), parse_boundary_point("(BA)")
     )
-    sample = bg_splitting(rep, x, 1, n_steps=60, tol=1e-8, certificate=cert)
-    checks = splitting_checks(rep, sample, certificate=cert)
-    # the ends of the point and of its shift, each walked once: the point's
-    # at 60 steps and 1e-8 for bg_splitting and at 1e-10 for the endpoint
-    # residuals, the shift's only by the checks, within the sample's 60
-    # steps at 1e-10; each walk to the chunk of its 1e-10 stop
+    sample = bg_splitting(rep, x, 1, n_max=60, tol=1e-8, certificate=cert)
+    checks = splitting_checks(rep, sample, certificate=cert, n_max=60)
+    # the ends of the point and of its shift, each walked once within 60
+    # prefixes: the point's at 1e-8 for bg_splitting and at 1e-10 for the
+    # endpoint residuals, the shift's only by the checks, at 1e-10; each
+    # walk to the chunk of its 1e-10 stop
     ends = [x.forward, x.backward, shift(x).forward, shift(x).backward]
     assert walked_planes() == sorted(((point, 1) for point in ends), key=str)
     for point in ends:
@@ -721,11 +731,11 @@ def test_shared_walks_extract_each_splitting_once():
         walk = limits._WALKS[table_key(rep, 1, point)]
         assert walk.length == chunk_end(stop.iterations)
     # a second extraction reads the kept values; fresh walks give the bits
-    again = bg_splitting(rep, x, 1, n_steps=60, tol=1e-8, certificate=cert)
+    again = bg_splitting(rep, x, 1, n_max=60, tol=1e-8, certificate=cert)
     assert again.stable is sample.stable and again.unstable is sample.unstable
     limits._WALKS.clear()
-    alone = bg_splitting(rep, x, 1, n_steps=60, tol=1e-8, certificate=cert)
-    checks_alone = splitting_checks(rep, alone, certificate=cert)
+    alone = bg_splitting(rep, x, 1, n_max=60, tol=1e-8, certificate=cert)
+    checks_alone = splitting_checks(rep, alone, certificate=cert, n_max=60)
     assert np.array_equal(sample.stable.frame, alone.stable.frame)
     assert np.array_equal(sample.unstable.frame, alone.unstable.frame)
     assert tuple(checks) == tuple(checks_alone)

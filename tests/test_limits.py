@@ -890,7 +890,9 @@ def test_walk_stops_on_both_sides_of_a_chunk_edge(monkeypatch):
 def test_a_walk_of_many_points_advances_by_chunks(monkeypatch):
     # chunks reach past the stops: a walk of many points in lockstep walks
     # the rows still waiting _WALK_CHUNK lengths at a time, fewer rows from
-    # chunk to chunk, and every point reads the plane of its one-point loop
+    # chunk to chunk, and every point reads the plane of its one-point loop;
+    # at chunks of 8 the 1e-10 reads take more than one
+    monkeypatch.setattr(limits, "_WALK_CHUNK", 8)
     rep, spec = schottky_rep(), directed_ab()
     rate = certify(rep, spec, 1, 8).lambda_hat
     points = sorted(q_plus_boundary(spec, 4), key=str)
@@ -1062,7 +1064,9 @@ def test_shared_walks_walk_each_plane_once_and_read_every_tolerance(monkeypatch)
 def test_shared_walks_resume_after_a_failed_chunk(monkeypatch):
     # a failure where a read walks on is raised and leaves the kept
     # lengths as they were: looser reads still read them, and once the
-    # failure is gone the walk resumes where it stood
+    # failure is gone the walk resumes where it stood; at chunks of 8 the
+    # 1e-10 read of (ab) takes a second chunk
+    monkeypatch.setattr(limits, "_WALK_CHUNK", 8)
     rep, spec = schottky_rep(), directed_ab()
     cert = certify(rep, spec, 1, 8)
     x = parse_boundary_point("(ab)")

@@ -44,7 +44,7 @@ def test_tuple_records_annotate_exactly_their_fields():
     # the records are namedtuple subclasses, whose field names are spelled
     # twice: in the namedtuple call and as the annotations that type them
     records = tuple_records()
-    assert len(records) == 15
+    assert len(records) == 16
     for cls in records:
         assert tuple(cls.__annotations__) == cls._fields, cls.__name__
         assert cls.__slots__ == (), cls.__name__

@@ -209,8 +209,7 @@ class SplittingSample(
     """Stable/unstable pair over one shift point as extracted: the stop at
     iterations (the later of the two summands' stops), each summand's last
     subspace step, and the lengths either summand skipped for want of a
-    gap.  It carries no residuals:
-    splitting_checks measures them."""
+    gap.  It carries no residuals: splitting_checks measures them."""
 
     __slots__ = ()
 
@@ -311,9 +310,9 @@ def splitting_checks(
     Every residual is measured from the sample's subspaces, so a corrupted
     sample is caught: invariance pushes the summands one step and compares
     them against the splitting extracted at the shifted point within n_max
-    prefixes, at DEFAULT_TOL.  Domination is the log of the worst
-    stable stretch over the least unstable stretch of the time-n maps, at
-    every length up to the sample's stop that neither summand skipped; its
+    prefixes, at DEFAULT_TOL.  Domination is the log of the worst stable
+    stretch over the least unstable stretch of the time-n maps, at every
+    length up to the sample's stop that neither summand skipped; its
     fitted slope must be negative.  Endpoint consistency compares the
     summands with the boundary limit maps at the point's ends, read at
     DEFAULT_TOL within the same n_max at the certificate's rate: the walks

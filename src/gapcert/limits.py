@@ -213,9 +213,9 @@ def _table_walk(rep: Representation, k: int, x: BoundaryPoint) -> "_Walk":
 
 
 # Lengths a walk advances at a time: their products are built one after
-# another, their letter lookups, tops, SVDs and steps taken once.  Reads
-# of the benchmark's lines at 1e-10 stop within 10 lengths, so most walks
-# take one chunk.
+# another, their letter lookups, tops, SVDs and steps taken once.  The
+# limits-flow reads at 1e-10 stop at lengths 8-10, so most walks take one
+# chunk; a length costs far less than a chunk's fixed cost.
 _WALK_CHUNK = 10
 
 # Failures a chunk may meet past a reader's stopping length, where a walk

@@ -24,6 +24,10 @@ from .words import ReducedWord, letter_to_string
 
 GAP_TOLERANCE = 1e-12
 SUBSPACE_TOLERANCE = 1e-8
+# Ceiling of u * kappa_1(m) for a generator image m, with u the unit
+# roundoff: images up to a condition number of about 9e7 are inverted, in
+# any basis.
+CONDITION_CEILING = 1e-8
 _NORM_BAND = (0.5, 2.0)
 
 
@@ -189,7 +193,8 @@ class Representation:
                 inv = np.linalg.inv(m)
             except np.linalg.LinAlgError as exc:
                 raise IllConditionedError(f"generator {i} is singular") from exc
-            if np.max(np.abs(inv @ m - np.eye(dim))) > 1e-10:
+            kappa = float(np.linalg.norm(m, 1)) * float(np.linalg.norm(inv, 1))
+            if not np.finfo(float).eps / 2 * kappa <= CONDITION_CEILING:
                 raise IllConditionedError(
                     f"generator {i} is too ill-conditioned to invert reliably"
                 )

@@ -288,7 +288,7 @@ def test_payloads_are_plain_json_as_the_runs_build_them():
     # a report emits its blocks as the task runners built them: every task,
     # an Error block of each task and the worked examples
     overflowing = schottky_config(
-        generators=[[[1e308, 0.0], [0.0, 1e-308]], [[1.0, -1.0], [1.0, 1.0]]],
+        generators=[[[1.7e308, 0.0], [0.0, 1.7e308]], [[1.0, -1.0], [1.0, 1.0]]],
         subset={"type": "full"},
         budget=6,
         seed=1,
@@ -729,10 +729,11 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 def test_cli_overflowing_products_are_error_verdicts(tmp_path, capsys):
-    # a valid config whose word products overflow double range on the way:
-    # every task records a ScaleOverflowError block, exit 1, no traceback
+    # a valid config whose word products overflow double range on the way
+    # (a generator of condition number 1, near the largest double): every
+    # task records a ScaleOverflowError block, exit 1, no traceback
     data = schottky_config(
-        generators=[[[1e308, 0.0], [0.0, 1e-308]], [[1.0, -1.0], [1.0, 1.0]]],
+        generators=[[[1.7e308, 0.0], [0.0, 1.7e308]], [[1.0, -1.0], [1.0, 1.0]]],
         subset={"type": "full"},
         budget=6,
         seed=1,
@@ -816,15 +817,21 @@ def test_cli_oversized_samples_are_budget_error_verdicts(tmp_path, capsys):
 
 
 def test_cli_ill_conditioned_perturbation_is_an_error_verdict(tmp_path, capsys):
-    # trial 9427 of the stability task (seed 1, its position's) moves the
-    # second generator to one too ill-conditioned to invert: the block is
-    # an IllConditionedError, certify still passes, exit 1, no traceback
+    # the second generator conjugates diag(6000, 1/6000), of condition
+    # number 3.6e7, just under the ceiling; trial 23 of the stability task
+    # (seed 1, its position's) moves it to one of 1.1e8, too ill-conditioned
+    # to invert: the block is an IllConditionedError, certify still passes,
+    # exit 1, no traceback
     data = schottky_config(
         tasks=["certify", "stability"],
         budget=4,
         seed=0,
-        sampling={"epsilon": 0.2, "trials": 9428},
+        sampling={"epsilon": 1e-4, "trials": 24},
     )
+    c = math.cos(math.pi / 4)
+    rot = np.array([[c, -c], [c, c]])
+    second = rot @ np.diag([6000.0, 1 / 6000.0]) @ rot.T
+    data["generators"][1] = [list(map(float, row)) for row in second]
     out = str(tmp_path / "report.json")
     argv = ["certify", "--task", "stability", "--config", write_config(tmp_path, data)]
     assert main([*argv, "--out", out, "--quiet"]) == 1

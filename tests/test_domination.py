@@ -859,7 +859,9 @@ SYMMETRY_BOUND = 1e-8
 def sl2_image(rng):
     """A random matrix of SL(2): random_invertible with singular values in
     [1/e, e], its rows swapped when its determinant is negative, over the
-    square root of its determinant."""
+    square root of its determinant.  At the default spread of 2 the words'
+    cancellation, raised to the power d - 1 in a lift, moves the d = 5
+    margins past SYMMETRY_BOUND for 37 of rng seeds 0-249."""
     g = helpers.random_invertible(rng, 2, spread=1.0)
     if np.linalg.det(g) < 0.0:
         g = g[::-1]

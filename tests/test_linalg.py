@@ -8,9 +8,11 @@ import pytest
 
 import helpers
 from helpers import gap_margin, log_conorm, log_norm, s_dk, singular_values, u_k
+from gapcert import linalg
 from gapcert.errors import (
     DependentColumnsError,
     DimensionMismatchError,
+    IllConditionedError,
     NoGapError,
     ScaleOverflowError,
 )
@@ -252,6 +254,23 @@ def test_representation_validation():
     # past the alphabet the message names the letter by its index
     with pytest.raises(ValueError, match="letter x27\\^-1 outside rank 1"):
         rep.image(53)
+
+
+def test_generators_are_refused_by_their_condition_number():
+    # u * kappa_1 against CONDITION_CEILING, in any basis and at any scale
+    # whose norms stay finite: diag(1, 1e-12), whose inverse is exact, is
+    # refused, and diag(1, 2.5e-7) (kappa 4e6), whose residual inv @ m - I
+    # passes 1e-10 once rotated by 0.3 rad, is inverted
+    c, s = math.cos(0.3), math.sin(0.3)
+    for q in (np.eye(2), np.array([[c, -s], [s, c]])):
+        for scale in (1e-100, 1.0, 1e100):
+            with pytest.raises(IllConditionedError, match="too ill-conditioned"):
+                Representation.of([scale * q @ np.diag([1.0, 1e-12]) @ q.T])
+            m = scale * q @ np.diag([1.0, 2.5e-7]) @ q.T
+            inverse = Representation.of([m]).stacked_images[1]
+            assert np.allclose(inverse @ m, np.eye(2), atol=1e-8)
+    ceiling = linalg.CONDITION_CEILING / (np.finfo(float).eps / 2)
+    assert ceiling == pytest.approx(9e7, rel=0.01)
 
 
 # ---------------------------------------------------------------------------

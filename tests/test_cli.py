@@ -373,7 +373,7 @@ def test_run_walks_only_the_tolerances_its_tasks_read(monkeypatch):
     def plane(point, t, n_max=DEFAULT_SAMPLING["limit_n_max"]):
         x = parse_boundary_point(point)
         value = helpers.reference_xi_upper(rep, 1, x, rate, t, n_max)
-        return min(chunk_end(value.iterations), n_max)
+        return chunk_end(value.iterations)
 
     x = shift_point(spec, parse_boundary_point("(ab)"), parse_boundary_point("(BA)"))
     shifted = [str(shift(x).forward), str(shift(x).backward)]
@@ -395,17 +395,17 @@ def test_run_walks_only_the_tolerances_its_tasks_read(monkeypatch):
             plane("(BA)", default),
         ],
         ("splitting",): [*endpoints, plane("(ba)", default), plane("(AB)", default)],
-        ("splitting", 12): [
-            plane("(ab)", default, 12),
-            plane("(BA)", default, 12),
-            plane("(ba)", default, 12),
-            plane("(AB)", default, 12),
+        ("splitting", 80): [
+            plane("(ab)", default, 80),
+            plane("(BA)", default, 80),
+            plane("(ba)", default, 80),
+            plane("(AB)", default, 80),
         ],
     }
     for tasks, expected in cases.items():
         data = schottky_config(tasks=[t for t in tasks if isinstance(t, str)])
-        if 12 in tasks:
-            data["sampling"]["limit_n_max"] = 12
+        if 80 in tasks:
+            data["sampling"]["limit_n_max"] = 80
         limits._WALKS.clear()
         walks = record_walks(monkeypatch)
         report = run(parse_config(data))
